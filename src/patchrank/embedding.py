@@ -27,6 +27,8 @@ DEFAULT_FILE_TOKEN_BUDGET = 512
 DEFAULT_OFFLINE_DIMENSION = 256
 
 PROVIDER_TOKEN_ENV = "PATCHRANK_PROVIDER_TOKEN"
+# Client errors that may succeed on a later attempt: timeout, rate limit.
+_RETRIED_4XX = (408, 429)
 
 _STORE_MAGIC = b"PRVS"
 _STORE_VERSION = 1
@@ -53,7 +55,7 @@ _QUERY_TEMPLATE = (
 
 
 class ProviderError(RuntimeError):
-    """Transport-level embedding failure; retriable, carries attempt count."""
+    """Embedding request failure; carries the number of attempts made."""
 
     def __init__(self, message: str, attempts: int):
         super().__init__(f"{message} (after {attempts} attempt{'s' if attempts != 1 else ''})")
@@ -143,7 +145,8 @@ class HttpEmbedder:
 
     ``POST {base_url}/embed`` with ``{"model": ..., "inputs": [...]}``
     must answer ``{"vectors": [[...], ...]}`` aligned with the inputs.
-    Non-200 responses and transport errors are retried with backoff.
+    Server errors, 408, 429 and transport errors are retried with backoff;
+    any other 4xx response fails at once, since repeating it cannot help.
     An optional bearer token is read from ``PATCHRANK_PROVIDER_TOKEN``.
     """
 
@@ -200,6 +203,8 @@ class HttpEmbedder:
                         )
                     return vectors
                 last_error = f"HTTP {response.status_code}"
+                if 400 <= response.status_code < 500 and response.status_code not in _RETRIED_4XX:
+                    break
             if attempts < self.max_retries:
                 time.sleep(self.backoff_s * (2 ** (attempts - 1)))
         raise ProviderError(f"embedding request failed: {last_error}", attempts)

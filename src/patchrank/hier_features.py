@@ -14,7 +14,7 @@ import numpy as np
 
 from .corpus import CommitRecord, CveRecord
 from .embedding import VectorStore
-from .lexical import InvertedIndex, rank_files_within_commit
+from .lexical import InvertedIndex, RankedList, rank_files_within_commit
 
 
 @dataclass(frozen=True)
@@ -105,18 +105,18 @@ def _mean_cosine(query: np.ndarray, vectors: list[np.ndarray]) -> float:
 
 def hier_features(
     store: VectorStore,
-    file_index: InvertedIndex,
-    cve: CveRecord,
-    commit: CommitRecord,
+    query: np.ndarray,
+    commit_id: str,
+    ranked_files: RankedList,
     config: HierConfig = DEFAULT_HIER_CONFIG,
 ) -> tuple[float, float, float, float]:
-    """All four features with a single file ranking pass."""
-    commit_cosine = feature_commit_cosine(store, cve.cve_id, commit.commit_id)
-    ranked = rank_files_within_commit(file_index, cve, commit.commit_id)
-    if not ranked:
+    """All four features for one commit, given the CVE vector ``query`` and
+    the commit's BM25 file ranking (:func:`~patchrank.lexical.rank_files_within_commit`
+    order)."""
+    commit_cosine = _cosine(query, store.commit_vector(commit_id))
+    if not ranked_files:
         return commit_cosine, 0.0, 0.0, 0.0
-    query = store.cve_vector(cve.cve_id)
-    vectors = [store.file_vector(*doc_id) for doc_id, _ in ranked[: config.max_pool_files]]
+    vectors = [store.file_vector(*doc_id) for doc_id, _ in ranked_files[: config.max_pool_files]]
     cosines = [_cosine(query, v) for v in vectors]
     pool = vectors[: config.mean_pool_files]
     mean_cosine = cosines[0] if len(pool) == 1 else _mean_cosine(query, pool)

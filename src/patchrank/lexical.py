@@ -90,7 +90,13 @@ def _bm25_term_score(index: InvertedIndex, idf: float, tf: int, doc_length: int)
     return idf * tf * (index.k1 + 1.0) / (tf + norm)
 
 
-def _accumulate_scores(index: InvertedIndex, query_text: str) -> dict[DocId, float]:
+def accumulate_scores(index: InvertedIndex, query_text: str) -> dict[DocId, float]:
+    """BM25 score of every document matching at least one query term.
+
+    One pass over the postings of the query's terms; a document absent
+    from the result scores 0.0. Each score is bit-identical to
+    :func:`score_document` for the same document.
+    """
     scores: dict[DocId, float] = {}
     # Query terms are deduplicated; sorted iteration fixes the float
     # accumulation order so scores are bit-stable across runs.
@@ -115,7 +121,7 @@ def query(index: InvertedIndex, query_text: str, k: int) -> RankedList:
     """Top-k documents by BM25 score; zero-score documents are excluded."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scores = {doc: s for doc, s in _accumulate_scores(index, query_text).items() if s > 0.0}
+    scores = {doc: s for doc, s in accumulate_scores(index, query_text).items() if s > 0.0}
     return rank_entries(scores)[:k]
 
 
@@ -141,14 +147,26 @@ def rank_files_within_commit(
     Files sharing no term with the description are appended with score 0
     in ascending path order so every file of the commit appears.
     """
-    paths = file_index.commit_files.get(commit_id)
-    if not paths:
-        return []
+    scores = {
+        (commit_id, path): score_document(file_index, cve.description, (commit_id, path))
+        for path in file_index.commit_files.get(commit_id, ())
+    }
+    return rank_commit_files(file_index, scores, commit_id)
+
+
+def rank_commit_files(
+    file_index: InvertedIndex, file_scores: dict[DocId, float], commit_id: str
+) -> RankedList:
+    """:func:`rank_files_within_commit` from precomputed file scores.
+
+    ``file_scores`` holds BM25 scores of file documents for one CVE, such as
+    :func:`accumulate_scores` over ``file_index``; missing documents score 0.
+    """
     scored: list[tuple[DocId, float]] = []
     zeros: list[tuple[DocId, float]] = []
-    for path in paths:
+    for path in file_index.commit_files.get(commit_id, ()):
         doc_id = (commit_id, path)
-        score = score_document(file_index, cve.description, doc_id)
+        score = file_scores.get(doc_id, 0.0)
         if score > 0.0:
             scored.append((doc_id, score))
         else:

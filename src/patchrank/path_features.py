@@ -112,36 +112,14 @@ def feature_jaccard(ner_paths: set[str], commit_paths: set[str]) -> float:
     return len(ner_paths & commit_paths) / len(union)
 
 
-def _joined(paths: set[str]) -> str:
-    return "\n".join(sorted(paths))
+def path_text(paths: set[str]) -> str:
+    """The embedding input for a path set: its paths, sorted, one per line."""
+    return render_prompt(PromptKind.PATH_DOC, text="\n".join(sorted(paths)))
 
 
 def feature_path_cosine(provider, ner_paths: set[str], commit_paths: set[str]) -> float:
     """Cosine between the two path sets embedded as newline-joined text."""
     if not ner_paths or not commit_paths:
         return 0.0
-    texts = [
-        render_prompt(PromptKind.PATH_DOC, text=_joined(ner_paths)),
-        render_prompt(PromptKind.PATH_DOC, text=_joined(commit_paths)),
-    ]
-    vec_a, vec_b = embed_batch(provider, texts)
+    vec_a, vec_b = embed_batch(provider, [path_text(ner_paths), path_text(commit_paths)])
     return float(np.dot(vec_a, vec_b))
-
-
-class CachingEmbedder:
-    """Provider wrapper memoizing raw vectors by input text.
-
-    Path texts repeat heavily across (CVE, commit) pairs; this keeps
-    feature assembly from re-embedding them.
-    """
-
-    def __init__(self, provider):
-        self._provider = provider
-        self._cache: dict[str, list[float]] = {}
-
-    def embed(self, texts: list[str]) -> list[list[float]]:
-        missing = [t for t in dict.fromkeys(texts) if t not in self._cache]
-        if missing:
-            for text, vector in zip(missing, self._provider.embed(missing)):
-                self._cache[text] = vector
-        return [self._cache[t] for t in texts]

@@ -23,6 +23,7 @@ from .embedding import (
     DEFAULT_FILE_TOKEN_BUDGET,
     DEFAULT_OFFLINE_DIMENSION,
     HttpEmbedder,
+    MissingVectorError,
     OfflineEmbedder,
     VectorStore,
     build_vectors,
@@ -34,6 +35,7 @@ from .ranker import (
     DEFAULT_HARD_NEGATIVES,
     DEFAULT_RANDOM_NEGATIVES,
     FeatureAssembler,
+    MissingFeatureError,
     RankerParams,
     RankModel,
     TrainingGroup,
@@ -53,7 +55,7 @@ class ConfigError(ValueError):
 
 
 class StageInputError(RuntimeError):
-    """A stage's upstream artifact is missing."""
+    """A stage's upstream artifact is missing or malformed."""
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage}: {message}")
@@ -295,6 +297,17 @@ def _require(stage: str, **paths: Path) -> None:
         raise StageInputError(stage, "missing input artifact(s): " + ", ".join(missing))
 
 
+def _load_artifact(stage: str, loader, path: Path):
+    """``loader(path)``, reporting an unreadable file as a StageInputError."""
+    try:
+        return loader(path)
+    except (ValueError, KeyError) as exc:
+        detail = str(exc)
+        if str(path) not in detail:
+            detail = f"{path}: {detail}"
+        raise StageInputError(stage, f"malformed artifact {detail}") from exc
+
+
 @dataclass
 class Artifacts:
     """Resolved artifact paths under one output directory."""
@@ -483,7 +496,7 @@ def _indexes_for(
     for kind in kinds:
         path = art.index_file(slug, kind)
         _require(stage, **{f"index_{kind}": path})
-        loaded[kind] = lexical.load_index(path)
+        loaded[kind] = _load_artifact(stage, lexical.load_index, path)
     return loaded
 
 
@@ -587,9 +600,10 @@ def stage_featurize(config: PipelineConfig) -> None:
         entity_records.append(
             {"cve_id": cve.cve_id, "entities": sorted(assembler.entities_for(cve))}
         )
-        computed: dict[str, np.ndarray] = {}
-        for commit_id, _ in ranked:
-            computed[commit_id] = assembler.vector(cve, commit_id)
+        vectors_file = art.vectors_file(repo_slug(cve.repo_id))
+        commit_ids = [commit_id for commit_id, _ in ranked]
+        computed = _feature_rows(assembler, cve, commit_ids, vectors_file)
+        for commit_id in commit_ids:
             feature_records.append(_feature_record(cve.cve_id, commit_id, computed[commit_id]))
         group = sample_training_group(
             cve,
@@ -601,16 +615,16 @@ def stage_featurize(config: PipelineConfig) -> None:
         )
         if group is None:
             continue
+        missing = [row.commit_id for row in group.rows if row.commit_id not in computed]
+        if missing:
+            computed.update(_feature_rows(assembler, cve, missing, vectors_file))
         for row in group.rows:
-            vector = computed.get(row.commit_id)
-            if vector is None:
-                vector = assembler.vector(cve, row.commit_id)
             training_records.append(
                 {
                     "cve_id": cve.cve_id,
                     "commit_id": row.commit_id,
                     "relevance": row.relevance,
-                    "features": [float(x) for x in vector],
+                    "features": [float(x) for x in computed[row.commit_id]],
                 }
             )
     _write_jsonl(art.features_file, feature_records)
@@ -631,6 +645,15 @@ def stage_featurize(config: PipelineConfig) -> None:
             "random_negatives": config.random_negatives,
         },
     )
+
+
+def _feature_rows(
+    assembler: FeatureAssembler, cve: CveRecord, commit_ids: list[str], vectors_file: Path
+) -> dict[str, np.ndarray]:
+    try:
+        return dict(zip(commit_ids, assembler.matrix(cve, commit_ids)))
+    except MissingVectorError as exc:
+        raise StageInputError("featurize", f"{vectors_file}: {exc.args[0]}") from exc
 
 
 def _feature_record(cve_id: str, commit_id: str, vector: np.ndarray) -> dict:
@@ -688,15 +711,20 @@ def stage_rank(config: PipelineConfig) -> None:
     """Re-rank the candidate lists with the trained model."""
     art = Artifacts(config.output_dir)
     _require("rank", model=art.model_file, candidates=art.candidates_file, features=art.features_file)
-    model = RankModel.load(art.model_file)
+    model = _load_artifact("rank", RankModel.load, art.model_file)
     candidates = _load_candidates(art.candidates_file)
     features = _load_feature_rows(art.features_file)
     cves = {c.cve_id: c for c in _load_cves(config, "rank")}
     records = []
-    for cve_id in sorted(candidates):
-        reranked = score_and_rerank(
-            model, cves[cve_id], candidates[cve_id], features.get(cve_id, {})
-        )
+    # Under --repo, candidates of other repositories' CVEs are skipped, as
+    # in featurize.
+    for cve_id in sorted(c for c in candidates if c in cves):
+        try:
+            reranked = score_and_rerank(
+                model, cves[cve_id], candidates[cve_id], features.get(cve_id, {})
+            )
+        except MissingFeatureError as exc:
+            raise StageInputError("rank", f"{art.features_file}: {exc.args[0]}") from exc
         for rank, (commit_id, score) in enumerate(reranked, start=1):
             records.append(
                 {"cve_id": cve_id, "commit_id": commit_id, "rank": rank, "score": score}
@@ -826,7 +854,7 @@ def run_trace(config: PipelineConfig, cve_id: str, repo: str | None = None) -> T
     model: RankModel | None = None
     model_source = "none"
     if model_path.exists():
-        model = RankModel.load(model_path)
+        model = _load_artifact("trace", RankModel.load, model_path)
         model_source = str(model_path)
     else:
         groups = []
@@ -845,8 +873,9 @@ def run_trace(config: PipelineConfig, cve_id: str, repo: str | None = None) -> T
             )
             if group is None:
                 continue
-            for row in group.rows:
-                row.features = rs["assembler"].vector(cve, row.commit_id)
+            rows = rs["assembler"].matrix(cve, [row.commit_id for row in group.rows])
+            for row, features in zip(group.rows, rows):
+                row.features = features
             groups.append(group)
         if groups:
             model = train_lambdarank(groups, config.ranker_params())
@@ -858,10 +887,8 @@ def run_trace(config: PipelineConfig, cve_id: str, repo: str | None = None) -> T
         logger.warning("no labeled CVEs available; returning pre-ranked order")
         final = list(prerank_entries)
     else:
-        feature_map = {
-            commit_id: rs["assembler"].vector(target, commit_id)
-            for commit_id, _ in prerank_entries
-        }
+        commit_ids = [commit_id for commit_id, _ in prerank_entries]
+        feature_map = dict(zip(commit_ids, rs["assembler"].matrix(target, commit_ids)))
         final = score_and_rerank(model, target, prerank_entries, feature_map)
     return TraceResult(
         cve=target,

@@ -22,20 +22,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus, CveRecord
-from .embedding import VectorStore
+from .embedding import VectorStore, embed_batch
 from .hier_features import DEFAULT_HIER_CONFIG, HierConfig, hier_features
-from .lexical import InvertedIndex, RankedList, score_document
+from .lexical import InvertedIndex, RankedList, accumulate_scores, rank_commit_files
 from .path_features import (
-    CachingEmbedder,
     DEFAULT_PER_ENTITY_CAP,
     commit_paths,
     extract_entities,
     feature_jaccard,
-    feature_path_cosine,
+    path_text,
     path_universe,
     search_paths,
 )
-from .prerank import time_affinity
 
 logger = logging.getLogger(__name__)
 
@@ -54,6 +52,11 @@ NUM_FEATURES = len(FEATURE_NAMES)
 
 DEFAULT_HARD_NEGATIVES = 500
 DEFAULT_RANDOM_NEGATIVES = 500
+
+# Path texts missing from the assembler's memo are embedded this many at a
+# time: a provider answers with Python float lists (~8 KB per 256-d vector),
+# and one call for a few hundred texts would raise featurize's peak RSS.
+PATH_EMBED_BATCH = 64
 
 _MODEL_MAGIC = "patchrank-model"
 _MODEL_VERSION = 1
@@ -76,10 +79,13 @@ def _derive_seed(seed: int, name: str) -> int:
 
 
 class FeatureAssembler:
-    """Computes the nine-feature vector for (CVE, commit) pairs.
+    """Computes the nine-feature rows for one CVE and a batch of commits.
 
-    Per-CVE work (entity extraction, path search, NER-path embedding) is
-    cached, as are path-text embeddings across commits.
+    Each :meth:`matrix` call scores the CVE description once against the
+    diff index and once against the file index, then fills every row from
+    those score maps. Per-CVE entity extraction and path search are cached,
+    and path-set vectors are memoized by their text, so each distinct path
+    set reaches the provider once per assembler.
     """
 
     def __init__(
@@ -101,9 +107,11 @@ class FeatureAssembler:
         self.hier_config = hier_config
         self.per_entity_cap = per_entity_cap
         self.extractor = extractor
-        self._path_embedder = CachingEmbedder(provider)
+        self._provider = provider
         self._universe = path_universe(corpus)
         self._cve_cache: dict[str, tuple[set[str], set[str]]] = {}
+        # L2-normalized float32 path-set vectors keyed by path_text().
+        self._path_vectors: dict[str, np.ndarray] = {}
 
     def entities_for(self, cve: CveRecord) -> set[str]:
         return self._cve_state(cve)[0]
@@ -120,30 +128,55 @@ class FeatureAssembler:
             self._cve_cache[cve.cve_id] = state
         return state
 
-    def _time_distance(self, cve_time: int | None, commit_id: str) -> float:
+    def _path_cosines(self, ner_paths: set[str], touched: list[set[str]]) -> list[float]:
+        """Cosine of the NER path set with each commit's path set; 0.0 when
+        either set is empty. Texts missing from the memo are embedded in
+        batches of PATH_EMBED_BATCH."""
+        if not ner_paths:
+            return [0.0] * len(touched)
+        query_text = path_text(ner_paths)
+        texts = [path_text(paths) if paths else None for paths in touched]
+        missing = [
+            text
+            for text in dict.fromkeys([query_text, *texts])
+            if text is not None and text not in self._path_vectors
+        ]
+        for start in range(0, len(missing), PATH_EMBED_BATCH):
+            batch = missing[start : start + PATH_EMBED_BATCH]
+            self._path_vectors.update(zip(batch, embed_batch(self._provider, batch)))
+        query = self._path_vectors[query_text]
+        return [0.0 if t is None else float(np.dot(query, self._path_vectors[t])) for t in texts]
+
+    def _time_distances(self, cve_time: int | None, positions: list[int]) -> list[int]:
         if cve_time is None:
             # No timestamp to compare against: report a distance beyond any
             # real commit rather than pretending perfect affinity.
-            return float(len(self.corpus))
-        return float(time_affinity(self.corpus, cve_time, commit_id))
-
-    def vector(self, cve: CveRecord, commit_id: str) -> np.ndarray:
-        commit = self.corpus.get(commit_id)
-        f1, f2, f3, f4 = hier_features(self.store, self.file_index, cve, commit, self.hier_config)
-        f5 = score_document(self.diff_index, cve.description, commit_id)
-        f6 = self._time_distance(cve.reserve_time, commit_id)
-        f7 = self._time_distance(cve.publish_time, commit_id)
-        ner_paths = self.ner_paths_for(cve)
-        touched = commit_paths(commit)
-        f8 = feature_jaccard(ner_paths, touched)
-        f9 = feature_path_cosine(self._path_embedder, ner_paths, touched)
-        return np.array([f1, f2, f3, f4, f5, f6, f7, f8, f9], dtype=np.float64)
+            return [len(self.corpus)] * len(positions)
+        insert_at = self.corpus.insertion_position(cve_time)
+        return [abs(position - insert_at) for position in positions]
 
     def matrix(self, cve: CveRecord, commit_ids: Sequence[str]) -> np.ndarray:
+        """Feature rows for ``commit_ids``, in that order."""
+        positions = [self.corpus.position_of(commit_id) for commit_id in commit_ids]
+        touched = [commit_paths(self.corpus.commits[p]) for p in positions]
+        ner_paths = self.ner_paths_for(cve)
+        diff_scores = accumulate_scores(self.diff_index, cve.description)
+        file_scores = accumulate_scores(self.file_index, cve.description)
+        query = self.store.cve_vector(cve.cve_id)
+
         rows = np.empty((len(commit_ids), NUM_FEATURES), dtype=np.float64)
         for i, commit_id in enumerate(commit_ids):
-            rows[i] = self.vector(cve, commit_id)
+            ranked = rank_commit_files(self.file_index, file_scores, commit_id)
+            rows[i, :4] = hier_features(self.store, query, commit_id, ranked, self.hier_config)
+        rows[:, 4] = [diff_scores.get(commit_id, 0.0) for commit_id in commit_ids]
+        rows[:, 5] = self._time_distances(cve.reserve_time, positions)
+        rows[:, 6] = self._time_distances(cve.publish_time, positions)
+        rows[:, 7] = [feature_jaccard(ner_paths, paths) for paths in touched]
+        rows[:, 8] = self._path_cosines(ner_paths, touched)
         return rows
+
+    def vector(self, cve: CveRecord, commit_id: str) -> np.ndarray:
+        return self.matrix(cve, [commit_id])[0]
 
 
 def assemble_feature_vector(

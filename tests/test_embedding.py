@@ -35,6 +35,7 @@ class _EmbedHandler(BaseHTTPRequestHandler):
     """Serves /embed with the offline embedder; scriptable failures."""
 
     fail_next = 0
+    fail_status = 503
     batch_sizes: list[int] = []
     auth_headers: list[str | None] = []
     dimension = 32
@@ -46,7 +47,7 @@ class _EmbedHandler(BaseHTTPRequestHandler):
         cls.batch_sizes.append(len(body["inputs"]))
         if cls.fail_next > 0:
             cls.fail_next -= 1
-            self.send_response(503)
+            self.send_response(cls.fail_status)
             self.end_headers()
             return
         vectors = [offline_embed(t, cls.dimension).tolist() for t in body["inputs"]]
@@ -64,6 +65,7 @@ class _EmbedHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def embed_server():
     _EmbedHandler.fail_next = 0
+    _EmbedHandler.fail_status = 503
     _EmbedHandler.batch_sizes = []
     _EmbedHandler.auth_headers = []
     server = ThreadingHTTPServer(("127.0.0.1", 0), _EmbedHandler)
@@ -204,6 +206,22 @@ class TestHttpEmbedder:
         with pytest.raises(ProviderError, match="after 3 attempts") as info:
             client.embed(["x"])
         assert info.value.attempts == 3
+
+    def test_client_error_is_not_retried(self, embed_server):
+        _EmbedHandler.fail_next = 99
+        _EmbedHandler.fail_status = 400
+        client = HttpEmbedder(embed_server, "m", max_retries=3, backoff_s=0.01)
+        with pytest.raises(ProviderError, match="HTTP 400") as info:
+            client.embed(["x"])
+        assert info.value.attempts == 1
+        assert _EmbedHandler.batch_sizes == [1]
+
+    def test_rate_limit_is_retried(self, embed_server):
+        _EmbedHandler.fail_next = 2
+        _EmbedHandler.fail_status = 429
+        client = HttpEmbedder(embed_server, "m", max_retries=3, backoff_s=0.01)
+        assert len(client.embed(["x"])) == 1
+        assert _EmbedHandler.batch_sizes == [1, 1, 1]
 
     def test_bearer_token_from_environment(self, embed_server, monkeypatch):
         monkeypatch.setenv("PATCHRANK_PROVIDER_TOKEN", "sekrit")

@@ -38,6 +38,12 @@ def store_with(d: int, cve_vec, file_vecs: dict, commit_vec=None, cve_id="CVE-20
     return store
 
 
+def hier_of(store, index, cve, commit):
+    """hier_features on the commit's per-pair BM25 file ranking."""
+    ranked = rank_files_within_commit(index, cve, commit.commit_id)
+    return hier_features(store, store.cve_vector(cve.cve_id), commit.commit_id, ranked)
+
+
 def ranked_file_fixture(n_files: int, term_counts: list[int]):
     """One commit whose files BM25-rank in a known order.
 
@@ -195,7 +201,7 @@ class TestCombined:
             file_vecs[f"f{i}.java"] = (raw / np.linalg.norm(raw)).astype(np.float32)
         store = store_with(8, unit(8, 0), file_vecs, commit_vec=unit(8, 2))
         commit = corpus.commits[0]
-        combined = hier_features(store, index, cve, commit)
+        combined = hier_of(store, index, cve, commit)
         assert combined[0] == feature_commit_cosine(store, cve.cve_id, cid(1))
         assert combined[1] == feature_max_file_sim(store, index, cve, commit)
         assert combined[2] == feature_top1_file_cosine(store, index, cve, commit)
@@ -208,7 +214,7 @@ class TestCombined:
         cve = make_cve(description="ssl bug")
         store = build_vectors(corpus, [cve], OfflineEmbedder(64))
         index = build_index(corpus, "file")
-        values = hier_features(store, index, cve, corpus.commits[0])
+        values = hier_of(store, index, cve, corpus.commits[0])
         assert all(-1.0 - 1e-9 <= v <= 1.0 + 1e-9 for v in values)
 
     def test_invariant_under_raw_vector_rescaling(self):
@@ -227,10 +233,6 @@ class TestCombined:
         )
         cve = make_cve(description="ssl bug")
         index = build_index(corpus, "file")
-        baseline = hier_features(
-            build_vectors(corpus, [cve], Scaled(1.0)), index, cve, corpus.commits[0]
-        )
-        scaled = hier_features(
-            build_vectors(corpus, [cve], Scaled(37.5)), index, cve, corpus.commits[0]
-        )
+        baseline = hier_of(build_vectors(corpus, [cve], Scaled(1.0)), index, cve, corpus.commits[0])
+        scaled = hier_of(build_vectors(corpus, [cve], Scaled(37.5)), index, cve, corpus.commits[0])
         assert all(a == pytest.approx(b, abs=1e-6) for a, b in zip(baseline, scaled))

@@ -4,20 +4,23 @@ from __future__ import annotations
 
 import pytest
 
-from patchrank.embedding import OfflineEmbedder, offline_embed
+from patchrank.embedding import OfflineEmbedder, build_vectors, offline_embed
+from patchrank.lexical import build_index
 from patchrank.path_features import (
-    CachingEmbedder,
     EntityExtractionError,
     commit_paths,
     extract_entities,
     feature_jaccard,
     feature_path_cosine,
     normalize_path,
+    path_text,
     path_universe,
     search_paths,
 )
 
-from conftest import make_commit, make_corpus
+from patchrank.ranker import PATH_EMBED_BATCH, FeatureAssembler
+
+from conftest import cid, make_commit, make_corpus, make_cve
 
 TOMCAT_DESCRIPTION = (
     "Apache Tomcat 8.5.0 to 8.5.63, 9.0.0-M1 to 9.0.43 and 10.0.0-M1 to 10.0.2 did "
@@ -167,7 +170,7 @@ class TestPathPlumbing:
         commit = make_commit(1, files={"Dir/File.java": "w"})
         assert commit_paths(commit) == {"dir/file.java"}
 
-    def test_caching_embedder_reuses_vectors(self):
+    def test_assembler_embeds_each_path_text_once(self):
         calls = []
 
         class Counting:
@@ -175,8 +178,58 @@ class TestPathPlumbing:
                 calls.append(list(texts))
                 return [offline_embed(t, 32).tolist() for t in texts]
 
-        cache = CachingEmbedder(Counting())
-        first = cache.embed(["x", "y", "x"])
-        second = cache.embed(["y", "z"])
-        assert len(first) == 3 and len(second) == 2
-        assert calls == [["x", "y"], ["z"]]
+        corpus = make_corpus(
+            [
+                make_commit(1, author_time=1, files={"src/FrameParser.java": "a"}),
+                make_commit(2, author_time=2, files={"src/FrameParser.java": "b"}),
+                make_commit(3, author_time=3, files={"lib/other.java": "c"}),
+                make_commit(4, author_time=4),
+            ]
+        )
+        cves = [
+            make_cve("CVE-2024-0001", description="overflow in FrameParser"),
+            make_cve("CVE-2024-0002", description="crash in FrameParser.java"),
+        ]
+        store = build_vectors(corpus, cves, OfflineEmbedder(32))
+        diff_index, file_index = build_index(corpus, "diff"), build_index(corpus, "file")
+
+        def assembler():
+            return FeatureAssembler(corpus, store, diff_index, file_index, Counting())
+
+        first = assembler()
+        ids = [cid(n) for n in (1, 2, 3, 4)]
+        first.matrix(cves[0], ids)
+        first.matrix(cves[1], ids)
+        first.vector(cves[0], cid(3))
+        requested = [text for call in calls for text in call]
+        # Both CVEs find the same NER paths; commits 1 and 2 share a path set
+        # and commit 4 has none.
+        assert first.ner_paths_for(cves[0]) == first.ner_paths_for(cves[1]) == {"src/frameparser.java"}
+        assert requested == [path_text({"src/frameparser.java"}), path_text({"lib/other.java"})]
+        assert len(calls) == 1
+
+        calls.clear()
+        assembler().matrix(cves[0], ids)
+        assert [text for call in calls for text in call] == requested
+
+    def test_assembler_embeds_missing_paths_in_batches(self):
+        sizes = []
+
+        class Counting:
+            def embed(self, texts):
+                sizes.append(len(texts))
+                return [offline_embed(t, 32).tolist() for t in texts]
+
+        n = PATH_EMBED_BATCH * 2 + 1
+        corpus = make_corpus(
+            [make_commit(i, author_time=i, files={f"src/parser{i}.java": "x"}) for i in range(n)]
+        )
+        cve = make_cve(description="overflow in parser0.java")
+        store = build_vectors(corpus, [cve], OfflineEmbedder(32))
+        assembler = FeatureAssembler(
+            corpus, store, build_index(corpus, "diff"), build_index(corpus, "file"), Counting()
+        )
+        assembler.matrix(cve, corpus.commit_ids)
+        # One text per commit; the NER path set is commit 0's.
+        assert assembler.ner_paths_for(cve) == {"src/parser0.java"}
+        assert sizes == [PATH_EMBED_BATCH, PATH_EMBED_BATCH, 1]

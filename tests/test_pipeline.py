@@ -283,6 +283,77 @@ class TestCli:
         repos = json.loads((tmp_path / "out" / "corpus" / "repos.json").read_text())
         assert [r["repo_id"] for r in repos["repos"]] == ["synth/repo1"]
 
+    def test_repo_filter_rank_after_unfiltered_prerank(self, tmp_path):
+        synth = generate(seed=21, n_repos=2, commits_per_repo=50, cves_per_repo=2)
+        commit_dump, cve_dump = synth.write(tmp_path / "input")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "commit_dump": str(commit_dump),
+                    "cve_dump": str(cve_dump),
+                    "output_dir": str(tmp_path / "out"),
+                    "offline": True,
+                    "ranker": {"learning_rate": 0.2, "num_leaves": 7, "min_data_in_leaf": 2},
+                }
+            )
+        )
+        self.run_stages(config_path, ("ingest", "index", "embed", "prerank", "featurize", "train"))
+        assert main(["rank", "--config", str(config_path), "--repo", "synth/repo1"]) == 0
+        ranking = tmp_path / "out" / "rank" / "ranking.jsonl"
+        ranked_cves = {json.loads(line)["cve_id"] for line in ranking.read_text().splitlines()}
+        assert ranked_cves == {r["cve_id"] for r in synth.cve_records if r["repo_id"] == "synth/repo1"}
+
+    def run_stages(self, config_path, stages):
+        for stage in stages:
+            assert main([stage, "--config", str(config_path)]) == 0, stage
+
+    def assert_one_line_error(self, capsys, path):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(path) in err
+
+    def test_truncated_model_exits_2(self, tmp_path, capsys):
+        _, config_path = self.write_min_config(tmp_path)
+        self.run_stages(config_path, ("ingest", "index", "embed", "prerank", "featurize", "train"))
+        model = tmp_path / "out" / "model" / "model.json"
+        model.write_bytes(model.read_bytes()[:100])
+        capsys.readouterr()
+        assert main(["rank", "--config", str(config_path)]) == 2
+        self.assert_one_line_error(capsys, model)
+
+    def test_truncated_index_exits_2(self, tmp_path, capsys):
+        _, config_path = self.write_min_config(tmp_path)
+        self.run_stages(config_path, ("ingest", "index"))
+        (index,) = (tmp_path / "out" / "index").glob("*.message.json")
+        index.write_bytes(index.read_bytes()[:100])
+        capsys.readouterr()
+        assert main(["prerank", "--config", str(config_path)]) == 2
+        self.assert_one_line_error(capsys, index)
+
+    def test_missing_feature_row_exits_2(self, tmp_path, capsys):
+        _, config_path = self.write_min_config(tmp_path)
+        self.run_stages(config_path, ("ingest", "index", "embed", "prerank", "featurize", "train"))
+        features = tmp_path / "out" / "features" / "features.jsonl"
+        features.write_text("".join(features.read_text().splitlines(keepends=True)[1:]))
+        capsys.readouterr()
+        assert main(["rank", "--config", str(config_path)]) == 2
+        self.assert_one_line_error(capsys, features)
+
+    def test_missing_vector_exits_2(self, tmp_path, capsys):
+        _, config_path = self.write_min_config(tmp_path)
+        self.run_stages(config_path, ("ingest", "index", "embed", "prerank"))
+        # A vector store embedded without the CVEs lacks their query vectors.
+        cves = tmp_path / "out" / "corpus" / "cves.jsonl"
+        saved = cves.read_bytes()
+        cves.write_bytes(b"")
+        self.run_stages(config_path, ("embed",))
+        cves.write_bytes(saved)
+        capsys.readouterr()
+        assert main(["featurize", "--config", str(config_path)]) == 2
+        (vectors,) = (tmp_path / "out" / "vectors").glob("*.bin")
+        self.assert_one_line_error(capsys, vectors)
+
 
 class TestTrace:
     def test_trace_uses_existing_model_artifact(self, small_setup):

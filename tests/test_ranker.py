@@ -4,14 +4,30 @@ from __future__ import annotations
 
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from patchrank.corpus import ingest_multi_repo_dump, load_cve_dump
 from patchrank.embedding import OfflineEmbedder, build_vectors
 from patchrank.evalkit import mrr, ndcg_at_k
-from patchrank.lexical import build_index
-from patchrank.prerank import prerank_candidates
+from patchrank.hier_features import (
+    feature_commit_cosine,
+    feature_max_file_sim,
+    feature_mean_top2_cosine,
+    feature_top1_file_cosine,
+)
+from patchrank.lexical import build_index, score_document
+from patchrank.path_features import (
+    commit_paths,
+    extract_entities,
+    feature_jaccard,
+    feature_path_cosine,
+    path_universe,
+    search_paths,
+)
+from patchrank.prerank import prerank_candidates, time_affinity
 from patchrank.ranker import (
     FEATURE_NAMES,
     FeatureAssembler,
@@ -27,6 +43,7 @@ from patchrank.ranker import (
 )
 
 from conftest import cid, make_commit, make_corpus, make_cve
+from synthcorpus import generate
 
 
 def assembler_for(corpus, cves, dimension=128):
@@ -103,6 +120,84 @@ class TestFeatureAssembly:
         matrix = assembler.matrix(cve, [cid(2), cid(1)])
         assert matrix.shape == (2, 9)
         assert np.array_equal(matrix[0], assembler.vector(cve, cid(2)))
+
+
+def reference_row(assembler, cve, commit_id):
+    """The nine features of one pair from the per-pair functions."""
+    corpus, store, file_index = assembler.corpus, assembler.store, assembler.file_index
+    commit = corpus.get(commit_id)
+    ner_paths = search_paths(path_universe(corpus), extract_entities(cve.description))
+    touched = commit_paths(commit)
+
+    def distance(cve_time):
+        return float(len(corpus)) if cve_time is None else float(time_affinity(corpus, cve_time, commit_id))
+
+    return np.array(
+        [
+            feature_commit_cosine(store, cve.cve_id, commit_id),
+            feature_max_file_sim(store, file_index, cve, commit),
+            feature_top1_file_cosine(store, file_index, cve, commit),
+            feature_mean_top2_cosine(store, file_index, cve, commit),
+            score_document(assembler.diff_index, cve.description, commit_id),
+            distance(cve.reserve_time),
+            distance(cve.publish_time),
+            feature_jaccard(ner_paths, touched),
+            feature_path_cosine(OfflineEmbedder(64), ner_paths, touched),
+        ],
+        dtype=np.float64,
+    )
+
+
+class TestMatrixOracle:
+    """FeatureAssembler.matrix against the per-pair reference, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, tmp_path_factory):
+        synth = generate(seed=5, n_repos=1, commits_per_repo=70, cves_per_repo=3)
+        # One commit without file diffs.
+        synth.commit_records[12]["diff"] = ""
+        empty_id = synth.commit_records[12]["commit_id"]
+        commit_dump, cve_dump = synth.write(tmp_path_factory.mktemp("oracle"))
+        corpus = next(iter(ingest_multi_repo_dump(commit_dump).values()))
+        base = load_cve_dump(cve_dump)
+        cves = base + [
+            replace(base[0], cve_id="CVE-2024-0001", reserve_time=None, publish_time=None),
+            replace(base[1], cve_id="CVE-2024-0002", publish_time=None),
+            replace(base[2], cve_id="CVE-2024-0003", description="a crafted packet sent to the parser"),
+        ]
+        provider = OfflineEmbedder(64)
+        assembler = FeatureAssembler(
+            corpus,
+            build_vectors(corpus, cves, provider),
+            build_index(corpus, "diff"),
+            build_index(corpus, "file"),
+            provider,
+        )
+        return corpus, cves, assembler, empty_id
+
+    def test_matrix_equals_per_pair_reference(self, setup):
+        corpus, cves, assembler, empty_id = setup
+        ids = corpus.commit_ids
+        assert not corpus.get(empty_id).file_diffs
+        assert assembler.ner_paths_for(cves[-1]) == set()
+        for cve in cves:
+            matrix = assembler.matrix(cve, ids)
+            expected = np.vstack([reference_row(assembler, cve, c) for c in ids])
+            assert np.array_equal(matrix, expected), cve.cve_id
+        # The cases the reference must cover actually occur.
+        assert np.any(assembler.matrix(cves[0], ids)[:, 8] > 0.0)
+        assert np.all(assembler.matrix(cves[3], ids)[:, 5:7] == float(len(corpus)))
+
+    def test_permuted_ids_permute_rows(self, setup):
+        corpus, cves, assembler, _ = setup
+        ids = corpus.commit_ids
+        order = np.random.default_rng(0).permutation(len(ids))
+        for cve in cves:
+            full = assembler.matrix(cve, ids)
+            permuted = assembler.matrix(cve, [ids[i] for i in order])
+            assert np.array_equal(permuted, full[order])
+            subset = [ids[i] for i in order[:7]]
+            assert np.array_equal(assembler.matrix(cve, subset), full[order[:7]])
 
 
 def corpus_of(n, seed_time=0):
