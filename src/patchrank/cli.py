@@ -1,8 +1,9 @@
 """Command-line front end for the batch pipeline.
 
 Subcommands mirror the pipeline stages (ingest, index, embed, prerank,
-featurize, train, rank, eval) plus ``trace``, which runs everything for a
-single CVE and prints the top of the final ranking. Exit codes: 0 success,
+featurize, train, rank, eval) plus ``trace``, which ranks a single CVE and
+prints the top of the final ranking, reusing the index and vector artifacts
+when their manifests match the dumps and config. Exit codes: 0 success,
 1 configuration or input error, 2 missing upstream artifact.
 """
 
@@ -48,7 +49,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(stage, help=f"run the {stage} stage")
         add_common(p)
 
-    trace = sub.add_parser("trace", help="run the full pipeline for one CVE and print the top-k")
+    trace = sub.add_parser(
+        "trace",
+        help="rank one CVE and print the top-k, reusing index/ and vectors/ when their "
+        "manifests match the dumps and config, building them in memory otherwise",
+    )
     add_common(trace)
     trace.add_argument("--cve", required=True, help="CVE id to trace")
     trace.add_argument("--top-k", type=int, default=10, help="rows to print (default 10)")

@@ -298,22 +298,34 @@ class VectorStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorStore":
+        """Read a :meth:`save` dump; a short read or trailing bytes is a ValueError."""
         with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _STORE_MAGIC:
+
+            def read(size: int) -> bytes:
+                data = fh.read(size)
+                if len(data) != size:
+                    raise ValueError(f"{path}: truncated vector store")
+                return data
+
+            if read(4) != _STORE_MAGIC:
                 raise ValueError(f"{path}: not a patchrank vector store")
-            version, dimension, count = struct.unpack("<HIQ", fh.read(14))
+            version, dimension, count = struct.unpack("<HIQ", read(14))
             if version != _STORE_VERSION:
                 raise ValueError(f"{path}: unsupported store version {version}")
             store = cls(dimension)
             for _ in range(count):
-                kind = _KIND_NAMES[struct.unpack("<B", fh.read(1))[0]]
+                (code,) = struct.unpack("<B", read(1))
+                if code not in _KIND_NAMES:
+                    raise ValueError(f"{path}: unknown vector kind {code}")
+                kind = _KIND_NAMES[code]
                 parts = []
                 for _ in range(2 if kind == "file" else 1):
-                    (length,) = struct.unpack("<I", fh.read(4))
-                    parts.append(fh.read(length).decode("utf-8"))
-                vector = np.frombuffer(fh.read(4 * dimension), dtype="<f4").copy()
+                    (length,) = struct.unpack("<I", read(4))
+                    parts.append(read(length).decode("utf-8"))
+                vector = np.frombuffer(read(4 * dimension), dtype="<f4").copy()
                 store._vectors[(kind, *parts)] = vector
+            if fh.read(1):
+                raise ValueError(f"{path}: trailing bytes after {count} vectors")
         return store
 
 

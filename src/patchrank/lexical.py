@@ -206,7 +206,7 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
 
 def load_index(path: str | Path) -> InvertedIndex:
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    if obj.get("magic") != _INDEX_MAGIC:
+    if not isinstance(obj, dict) or obj.get("magic") != _INDEX_MAGIC:
         raise ValueError(f"{path}: not a patchrank index file")
     if obj.get("version") != _INDEX_VERSION:
         raise ValueError(f"{path}: unsupported index version {obj.get('version')}")

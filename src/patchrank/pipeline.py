@@ -430,6 +430,42 @@ def stage_ingest(config: PipelineConfig) -> None:
     )
 
 
+def _index_settings(config: PipelineConfig) -> dict:
+    """The index manifest's ``config``: what the indexes depend on."""
+    return {"k1": config.bm25_k1, "b": config.bm25_b}
+
+
+def _embed_settings(config: PipelineConfig, provider) -> dict:
+    """The embed manifest's ``config``: what the vector stores depend on."""
+    return {
+        "offline": config.offline or not config.provider_url,
+        "model": config.provider_model,
+        "commit_tokens": config.commit_token_budget,
+        "file_tokens": config.file_token_budget,
+        "dimension": getattr(provider, "dimension", None),
+    }
+
+
+def _build_indexes(config: PipelineConfig, corpus: Corpus):
+    """Yield ``(kind, index)`` for each of the repo's BM25 indexes, built in turn."""
+    for kind in lexical.FIELD_KINDS:
+        yield kind, lexical.build_index(corpus, kind, k1=config.bm25_k1, b=config.bm25_b)
+
+
+def _build_store(
+    config: PipelineConfig, corpus: Corpus, cves: list[CveRecord], provider
+) -> VectorStore:
+    """Embed one repo's commits, file diffs and CVEs."""
+    return build_vectors(
+        corpus,
+        cves,
+        provider,
+        commit_budget=config.commit_token_budget,
+        file_budget=config.file_token_budget,
+        batch_size=config.provider_batch_size,
+    )
+
+
 def stage_index(config: PipelineConfig) -> None:
     """Build message, diff, and per-file BM25 indexes for every repo."""
     art = Artifacts(config.output_dir)
@@ -438,15 +474,12 @@ def stage_index(config: PipelineConfig) -> None:
     outputs: dict[str, Path] = {}
     for repo_id, corpus in sorted(corpora.items()):
         slug = repo_slug(repo_id)
-        for kind in lexical.FIELD_KINDS:
-            index = lexical.build_index(corpus, kind, k1=config.bm25_k1, b=config.bm25_b)
+        for kind, index in _build_indexes(config, corpus):
             path = art.index_file(slug, kind)
             path.parent.mkdir(parents=True, exist_ok=True)
             lexical.save_index(index, path)
             outputs[f"index/{slug}.{kind}"] = path
-    _write_manifest(
-        config, "index", inputs, outputs, {"k1": config.bm25_k1, "b": config.bm25_b}
-    )
+    _write_manifest(config, "index", inputs, outputs, _index_settings(config))
 
 
 def stage_embed(config: PipelineConfig) -> None:
@@ -460,32 +493,12 @@ def stage_embed(config: PipelineConfig) -> None:
     outputs: dict[str, Path] = {}
     for repo_id, corpus in sorted(corpora.items()):
         slug = repo_slug(repo_id)
-        repo_cves = [c for c in cves if c.repo_id == repo_id]
-        store = build_vectors(
-            corpus,
-            repo_cves,
-            provider,
-            commit_budget=config.commit_token_budget,
-            file_budget=config.file_token_budget,
-            batch_size=config.provider_batch_size,
-        )
+        store = _build_store(config, corpus, [c for c in cves if c.repo_id == repo_id], provider)
         path = art.vectors_file(slug)
         path.parent.mkdir(parents=True, exist_ok=True)
         store.save(path)
         outputs[f"vectors/{slug}"] = path
-    _write_manifest(
-        config,
-        "embed",
-        inputs,
-        outputs,
-        {
-            "offline": config.offline or not config.provider_url,
-            "model": config.provider_model,
-            "commit_tokens": config.commit_token_budget,
-            "file_tokens": config.file_token_budget,
-            "dimension": getattr(provider, "dimension", None),
-        },
-    )
+    _write_manifest(config, "embed", inputs, outputs, _embed_settings(config, provider))
 
 
 def _indexes_for(
@@ -563,7 +576,7 @@ def _assembler_for(
     slug = repo_slug(repo_id)
     indexes = _indexes_for(config, stage, slug, ("diff", "file"))
     _require(stage, vectors=art.vectors_file(slug))
-    store = VectorStore.load(art.vectors_file(slug))
+    store = _load_artifact(stage, VectorStore.load, art.vectors_file(slug))
     return FeatureAssembler(
         corpus,
         store,
@@ -794,12 +807,84 @@ class TraceResult:
     model_source: str
 
 
-def run_trace(config: PipelineConfig, cve_id: str, repo: str | None = None) -> TraceResult:
-    """Run the whole pipeline in memory for one CVE.
+def _stale(reason: str, scope: str) -> None:
+    logger.warning("trace: %s; building %s in memory", reason, scope)
+    return None
 
-    An existing model artifact is reused when present; otherwise a model is
-    trained on the fly from every labeled CVE in the dumps. Without any
-    labels the pre-ranked order is returned unchanged.
+
+def _stage_manifests(config: PipelineConfig) -> dict[str, dict] | None:
+    """The ingest, index and embed manifests, when ingest read the current dumps.
+
+    Otherwise one warning names the mismatch and the result is None.
+    """
+    manifests = {}
+    scope = "every repository"
+    for stage in ("ingest", "index", "embed"):
+        path = config.output_dir / "manifests" / f"{stage}.manifest.json"
+        try:
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            return _stale(f"{path} is missing or unreadable", scope)
+        if not isinstance(manifest, dict) or not all(
+            isinstance(manifest.get(key), dict) for key in ("config", "inputs", "outputs")
+        ):
+            return _stale(f"{path} is malformed", scope)
+        manifests[stage] = manifest
+    dumps = {"commit_dump": _sha256(config.commit_dump), "cve_dump": _sha256(config.cve_dump)}
+    if manifests["ingest"]["inputs"] != dumps:
+        return _stale("the dumps changed since the ingest stage", scope)
+    return manifests
+
+
+def _load_fresh(
+    config: PipelineConfig, repo_id: str, provider, manifests: dict[str, dict]
+) -> tuple[dict[str, lexical.InvertedIndex], VectorStore] | None:
+    """One repo's indexes and vector store from ``output_dir``, if still fresh.
+
+    Fresh means index and embed read the corpus (and CVE file) that ingest
+    wrote, with this config's settings, and every file still hashes to its
+    manifest digest. Otherwise one warning names the stale artifact and the
+    result is None.
+    """
+    ingest, index, embed = manifests["ingest"], manifests["index"], manifests["embed"]
+    art = Artifacts(config.output_dir)
+    slug = repo_slug(repo_id)
+    corpus_key = f"corpus/{slug}"
+    corpus_digest = ingest["outputs"].get(corpus_key)
+    if corpus_digest is None:
+        return _stale(f"{art.corpus_file(slug)} is not in the ingest manifest", repo_id)
+    if index["inputs"].get(corpus_key) != corpus_digest:
+        return _stale(f"index/{slug} was not built from the ingested corpus", repo_id)
+    if index["config"] != _index_settings(config):
+        return _stale(f"index/{slug} was built with other bm25 settings", repo_id)
+    if (embed["inputs"].get(corpus_key), embed["inputs"].get("cves")) != (
+        corpus_digest,
+        ingest["outputs"].get("cves"),
+    ):
+        return _stale(f"{art.vectors_file(slug)} was not built from the ingested corpus", repo_id)
+    if embed["config"] != _embed_settings(config, provider):
+        return _stale(f"{art.vectors_file(slug)} was built with other embedding settings", repo_id)
+    files = [
+        (index, f"index/{slug}.{kind}", art.index_file(slug, kind)) for kind in lexical.FIELD_KINDS
+    ]
+    files.append((embed, f"vectors/{slug}", art.vectors_file(slug)))
+    for manifest, key, path in files:
+        if not path.exists() or _sha256(path) != manifest["outputs"].get(key):
+            return _stale(f"{path} is missing or differs from its manifest", repo_id)
+    store = _load_artifact("trace", VectorStore.load, art.vectors_file(slug))
+    return _indexes_for(config, "trace", slug), store
+
+
+def run_trace(config: PipelineConfig, cve_id: str, repo: str | None = None) -> TraceResult:
+    """Run the whole pipeline for one CVE, writing nothing under ``output_dir``.
+
+    A repo's BM25 indexes and vector store are loaded from ``index/`` and
+    ``vectors/`` when their manifests tie them to the current dumps and
+    config; otherwise they are built in memory, with one warning naming the
+    stale or missing artifact. An existing model artifact is reused when
+    present; otherwise a model is trained on the fly from every labeled CVE
+    in the dumps. Without any labels the pre-ranked order is returned
+    unchanged.
     """
     _require("trace", commit_dump=config.commit_dump, cve_dump=config.cve_dump)
     corpora = corpus_mod.ingest_multi_repo_dump(config.commit_dump)
@@ -816,36 +901,32 @@ def run_trace(config: PipelineConfig, cve_id: str, repo: str | None = None) -> T
 
     provider = config.provider()
     fusion = config.fusion_config()
+    manifests = _stage_manifests(config)
 
     state: dict[str, dict] = {}
 
     def repo_state(repo_id: str) -> dict:
         if repo_id not in state:
             corpus = corpora[repo_id]
-            msg_index = lexical.build_index(corpus, "message", k1=config.bm25_k1, b=config.bm25_b)
-            diff_index = lexical.build_index(corpus, "diff", k1=config.bm25_k1, b=config.bm25_b)
-            file_index = lexical.build_index(corpus, "file", k1=config.bm25_k1, b=config.bm25_b)
-            repo_cves = [c for c in cves if c.repo_id == repo_id]
-            store = build_vectors(
-                corpus,
-                repo_cves,
-                provider,
-                commit_budget=config.commit_token_budget,
-                file_budget=config.file_token_budget,
-                batch_size=config.provider_batch_size,
-            )
+            loaded = manifests and _load_fresh(config, repo_id, provider, manifests)
+            if loaded:
+                indexes, store = loaded
+            else:
+                indexes = dict(_build_indexes(config, corpus))
+                repo_cves = [c for c in cves if c.repo_id == repo_id]
+                store = _build_store(config, corpus, repo_cves, provider)
             assembler = FeatureAssembler(
                 corpus,
                 store,
-                diff_index,
-                file_index,
+                indexes["diff"],
+                indexes["file"],
                 provider,
                 per_entity_cap=config.per_entity_cap,
             )
             state[repo_id] = {
                 "corpus": corpus,
-                "msg": msg_index,
-                "diff": diff_index,
+                "msg": indexes["message"],
+                "diff": indexes["diff"],
                 "assembler": assembler,
             }
         return state[repo_id]

@@ -285,7 +285,7 @@ class RankModel:
     @classmethod
     def load(cls, path: str | Path) -> "RankModel":
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        if obj.get("magic") != _MODEL_MAGIC:
+        if not isinstance(obj, dict) or obj.get("magic") != _MODEL_MAGIC:
             raise ValueError(f"{path}: not a patchrank model file")
         if obj.get("version") != _MODEL_VERSION:
             raise ValueError(f"{path}: unsupported model version {obj.get('version')}")

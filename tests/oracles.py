@@ -32,7 +32,9 @@ def bm25_oracle_scores(
     if n_docs == 0:
         return {}
     avgdl = sum(len(t) for t in docs.values()) / n_docs
-    terms = set(tokenize(query_text))
+    # Summed in sorted term order, the order lexical.accumulate_scores
+    # documents, so equal scores stay bit-equal whatever the hash seed.
+    terms = sorted(set(tokenize(query_text)))
     scores = {}
     for doc_id, doc_tokens in docs.items():
         score = 0.0

@@ -262,6 +262,28 @@ class TestVectorStore:
         with pytest.raises(ValueError, match="not a patchrank vector store"):
             VectorStore.load(path)
 
+    def saved_store(self, tmp_path):
+        store = VectorStore(16)
+        store.put_commit(cid(1), offline_embed("one", 16))
+        store.put_file(cid(1), "p/q.java", offline_embed("two", 16))
+        path = tmp_path / "s.bin"
+        store.save(path)
+        return path
+
+    @pytest.mark.parametrize("keep", [10, 30, -4, -1])
+    def test_truncated_store_rejected(self, tmp_path, keep):
+        path = self.saved_store(tmp_path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match="truncated vector store") as info:
+            VectorStore.load(path)
+        assert str(path) in str(info.value)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = self.saved_store(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            VectorStore.load(path)
+
 
 class TestBuildVectors:
     def corpus_with_files(self):

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import patchrank
 
 from patchrank.lexical import (
     build_index,
@@ -225,3 +231,48 @@ class TestPersistence:
         path.write_text('{"magic": "other"}')
         with pytest.raises(ValueError, match="not a patchrank index"):
             load_index(path)
+
+    def test_non_object_root_rejected(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError, match="not a patchrank index"):
+            load_index(path)
+
+
+# The acceptance suite's 50-commit message corpus: on query 9 two commits
+# score mathematically equal, so summing query terms in hash order moves
+# one of them by an ulp under some hash seeds.
+_ORACLE_BITS_SCRIPT = """
+import random
+from conftest import make_commit, make_corpus
+from oracles import bm25_oracle_scores
+words = "openssl packet loop ssl handshake buffer parse socket retry limit overflow auth".split()
+rng = random.Random(4242)
+commits = [
+    make_commit(i, author_time=1000 + i, message=" ".join(rng.choices(words, k=rng.randrange(2, 10))))
+    for i in range(50)
+]
+corpus = make_corpus(commits)
+for q in range(20):
+    terms = rng.sample(words, rng.randrange(1, 5)) + (["outofvocabulary"] if q % 5 == 0 else [])
+    scores = bm25_oracle_scores(corpus, "message", " ".join(terms))
+    print(q, sorted((doc, score.hex()) for doc, score in scores.items()))
+"""
+
+
+def test_oracle_scores_independent_of_hash_seed():
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = Path(patchrank.__file__).resolve().parent.parent
+    outputs = []
+    for hash_seed in ("4", "11"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join([str(src_dir), str(tests_dir)])
+        run = subprocess.run(
+            [sys.executable, "-c", _ORACLE_BITS_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
+from dataclasses import replace
 
 import pytest
 
+from patchrank import lexical
+from patchrank import pipeline as pipeline_mod
 from patchrank.cli import main
+from patchrank.corpus import ingest_commit_dump
 from patchrank.pipeline import (
     Artifacts,
     ConfigError,
@@ -14,6 +20,7 @@ from patchrank.pipeline import (
     StageInputError,
     apply_overrides,
     load_config,
+    repo_slug,
     run_trace,
     stage_embed,
     stage_eval,
@@ -354,6 +361,61 @@ class TestCli:
         (vectors,) = (tmp_path / "out" / "vectors").glob("*.bin")
         self.assert_one_line_error(capsys, vectors)
 
+    @pytest.mark.parametrize("cut", ["100 bytes short", "half", "first 10 bytes"])
+    def test_truncated_vector_store_exits_2(self, tmp_path, capsys, cut):
+        _, config_path = self.write_min_config(tmp_path)
+        self.run_stages(config_path, ("ingest", "index", "embed", "prerank"))
+        (vectors,) = (tmp_path / "out" / "vectors").glob("*.bin")
+        data = vectors.read_bytes()
+        keep = {"100 bytes short": len(data) - 100, "half": len(data) // 2, "first 10 bytes": 10}
+        vectors.write_bytes(data[: keep[cut]])
+        capsys.readouterr()
+        assert main(["featurize", "--config", str(config_path)]) == 2
+        self.assert_one_line_error(capsys, vectors)
+
+    def test_non_object_model_exits_2(self, tmp_path, capsys):
+        _, config_path = self.write_min_config(tmp_path)
+        self.run_stages(config_path, ("ingest", "index", "embed", "prerank", "featurize", "train"))
+        model = tmp_path / "out" / "model" / "model.json"
+        model.write_text("[]")
+        capsys.readouterr()
+        assert main(["rank", "--config", str(config_path)]) == 2
+        self.assert_one_line_error(capsys, model)
+
+    def test_non_object_index_exits_2(self, tmp_path, capsys):
+        _, config_path = self.write_min_config(tmp_path)
+        self.run_stages(config_path, ("ingest", "index"))
+        (index,) = (tmp_path / "out" / "index").glob("*.message.json")
+        index.write_text("[]")
+        capsys.readouterr()
+        assert main(["prerank", "--config", str(config_path)]) == 2
+        self.assert_one_line_error(capsys, index)
+
+    def test_trace_reuses_repo_filtered_artifacts(self, tmp_path, capsys, monkeypatch):
+        synth = generate(seed=21, n_repos=2, commits_per_repo=50, cves_per_repo=2)
+        commit_dump, cve_dump = synth.write(tmp_path / "input")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "commit_dump": str(commit_dump),
+                    "cve_dump": str(cve_dump),
+                    "output_dir": str(tmp_path / "out"),
+                    "offline": True,
+                    "ranker": {"learning_rate": 0.2, "num_leaves": 7, "min_data_in_leaf": 2},
+                }
+            )
+        )
+        cve_id = next(r["cve_id"] for r in synth.cve_records if r["repo_id"] == "synth/repo1")
+        trace = ["trace", "--config", str(config_path), "--repo", "synth/repo1", "--cve", cve_id]
+        assert main(trace) == 0
+        built = capsys.readouterr().out
+        for stage in ("ingest", "index", "embed"):
+            assert main([stage, "--config", str(config_path), "--repo", "synth/repo1"]) == 0
+        forbid_builds(monkeypatch)
+        assert main(trace) == 0
+        assert capsys.readouterr().out == built
+
 
 class TestTrace:
     def test_trace_uses_existing_model_artifact(self, small_setup):
@@ -379,3 +441,117 @@ class TestTrace:
         result = run_trace(config, lines[0]["cve_id"])
         assert result.model_source == "none"
         assert result.final_entries == result.prerank_entries
+
+
+def forbid_builds(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built in memory despite fresh artifacts")
+
+    monkeypatch.setattr(lexical, "build_index", refuse)
+    monkeypatch.setattr(pipeline_mod, "build_vectors", refuse)
+
+
+def tree_digests(root):
+    return {
+        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+def entries(result):
+    return result.prerank_entries, result.final_entries
+
+
+class TestTraceReuse:
+    """``run_trace`` loads fresh index and vector artifacts, rebuilds stale ones."""
+
+    @pytest.fixture
+    def staged(self, small_setup, tmp_path):
+        """A private copy of ``small_setup``'s dumps and artifacts."""
+        _, _, config = small_setup
+        shutil.copytree(config.commit_dump.parent, tmp_path / "input")
+        shutil.copytree(config.output_dir, tmp_path / "out")
+        return replace(
+            config,
+            commit_dump=tmp_path / "input" / config.commit_dump.name,
+            cve_dump=tmp_path / "input" / config.cve_dump.name,
+            output_dir=tmp_path / "out",
+        )
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        counts = {"index": 0, "vectors": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(lexical, "build_index", counted("index", lexical.build_index))
+        monkeypatch.setattr(
+            pipeline_mod, "build_vectors", counted("vectors", pipeline_mod.build_vectors)
+        )
+        return counts
+
+    def from_dumps(self, config, tmp_path, cve_id):
+        """The trace built from the dumps alone, with the same model artifact."""
+        art = Artifacts(tmp_path / "from-dumps")
+        art.model_file.parent.mkdir(parents=True)
+        shutil.copy(Artifacts(config.output_dir).model_file, art.model_file)
+        return run_trace(replace(config, output_dir=art.root), cve_id)
+
+    def test_fresh_artifacts_reused(self, small_setup, staged, tmp_path, monkeypatch, caplog):
+        synth = small_setup[0]
+        cve_ids = [r["cve_id"] for r in synth.cve_records]
+        empty = [run_trace(replace(staged, output_dir=tmp_path / "empty"), c) for c in cve_ids]
+        forbid_builds(monkeypatch)
+        caplog.clear()
+        reused = [run_trace(staged, c) for c in cve_ids]
+        assert [entries(r) for r in reused] == [entries(r) for r in empty]
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
+    def test_trace_writes_nothing(self, small_setup, staged):
+        before = tree_digests(staged.output_dir)
+        run_trace(staged, small_setup[0].cve_records[0]["cve_id"])
+        assert tree_digests(staged.output_dir) == before
+
+    @pytest.mark.parametrize(
+        "change, warning",
+        [
+            ("commit dump edited", "dumps changed"),
+            ("bm25 k1 changed", "bm25 settings"),
+            ("index file rewritten", ".file.json is missing or differs"),
+            ("vector store truncated", ".bin is missing or differs"),
+        ],
+    )
+    def test_stale_artifacts_rebuilt(
+        self, small_setup, staged, builds, tmp_path, caplog, change, warning
+    ):
+        record = small_setup[0].cve_records[0]
+        art = Artifacts(staged.output_dir)
+        slug = repo_slug(record["repo_id"])
+        config = staged
+        if change == "commit dump edited":
+            lines = staged.commit_dump.read_text().splitlines()
+            commit = json.loads(lines[0])
+            commit["message"] += " overflow fix"
+            staged.commit_dump.write_text("\n".join([json.dumps(commit), *lines[1:]]) + "\n")
+        elif change == "bm25 k1 changed":
+            config = replace(staged, bm25_k1=1.5)
+        elif change == "index file rewritten":
+            corpus = ingest_commit_dump(art.corpus_file(slug))
+            rewritten = lexical.build_index(corpus, "file", k1=2.0)
+            lexical.save_index(rewritten, art.index_file(slug, "file"))
+        else:
+            vectors = art.vectors_file(slug)
+            vectors.write_bytes(vectors.read_bytes()[:-100])
+        builds.update(index=0, vectors=0)
+        caplog.clear()
+        result = run_trace(config, record["cve_id"])
+        assert builds == {"index": 3, "vectors": 1}
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and warning in warnings[0], warnings
+        assert entries(result) == entries(self.from_dumps(config, tmp_path, record["cve_id"]))
