@@ -85,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
             repo=args.repo,
         )
         if args.command == "trace":
-            result = run_trace(config, args.cve, repo=args.repo)
+            result = run_trace(config, args.cve)
             _print_trace(result, args.top_k)
         else:
             STAGE_FUNCTIONS[args.command](config)

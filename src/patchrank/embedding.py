@@ -25,6 +25,8 @@ from .corpus import Corpus, CveRecord, tokenize, truncate_to_tokens
 DEFAULT_COMMIT_TOKEN_BUDGET = 512
 DEFAULT_FILE_TOKEN_BUDGET = 512
 DEFAULT_OFFLINE_DIMENSION = 256
+DEFAULT_BATCH_SIZE = 64
+DEFAULT_MAX_RETRIES = 3
 
 PROVIDER_TOKEN_ENV = "PATCHRANK_PROVIDER_TOKEN"
 # Client errors that may succeed on a later attempt: timeout, rate limit.
@@ -155,8 +157,8 @@ class HttpEmbedder:
         base_url: str,
         model: str,
         *,
-        batch_size: int = 64,
-        max_retries: int = 3,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+        max_retries: int = DEFAULT_MAX_RETRIES,
         backoff_s: float = 0.5,
         timeout_s: float = 60.0,
     ):
@@ -340,7 +342,7 @@ def build_vectors(
     *,
     commit_budget: int = DEFAULT_COMMIT_TOKEN_BUDGET,
     file_budget: int = DEFAULT_FILE_TOKEN_BUDGET,
-    batch_size: int = 64,
+    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> VectorStore:
     """Embed every commit, every (commit, file) diff, and every CVE.
 

@@ -20,6 +20,8 @@ DocId = str | tuple[str, str]
 RankedList = list[tuple[DocId, float]]
 
 FIELD_KINDS = ("message", "diff", "file")
+DEFAULT_K1 = 1.2
+DEFAULT_B = 0.75
 
 _INDEX_MAGIC = "patchrank-index"
 _INDEX_VERSION = 1
@@ -32,8 +34,8 @@ class InvertedIndex:
     doc_lengths: dict[DocId, int] = field(default_factory=dict)
     doc_count: int = 0
     avg_doc_length: float = 0.0
-    k1: float = 1.2
-    b: float = 0.75
+    k1: float = DEFAULT_K1
+    b: float = DEFAULT_B
     # file kind only: commit_id -> paths in ascending path order
     commit_files: dict[str, list[str]] = field(default_factory=dict)
 
@@ -62,7 +64,9 @@ def _doc_tokens(corpus: Corpus, field_kind: str) -> dict[DocId, list[str]]:
     return docs
 
 
-def build_index(corpus: Corpus, field_kind: str, *, k1: float = 1.2, b: float = 0.75) -> InvertedIndex:
+def build_index(
+    corpus: Corpus, field_kind: str, *, k1: float = DEFAULT_K1, b: float = DEFAULT_B
+) -> InvertedIndex:
     """Index one field of every commit; one document per commit (or per file)."""
     docs = _doc_tokens(corpus, field_kind)
     index = InvertedIndex(field_kind=field_kind, k1=k1, b=b)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -19,8 +20,10 @@ from . import corpus as corpus_mod
 from . import lexical, prerank
 from .corpus import Corpus, CveRecord
 from .embedding import (
+    DEFAULT_BATCH_SIZE,
     DEFAULT_COMMIT_TOKEN_BUDGET,
     DEFAULT_FILE_TOKEN_BUDGET,
+    DEFAULT_MAX_RETRIES,
     DEFAULT_OFFLINE_DIMENSION,
     HttpEmbedder,
     MissingVectorError,
@@ -29,7 +32,7 @@ from .embedding import (
     build_vectors,
 )
 from .evalkit import DEFAULT_METRIC_KS, evaluate_rankings
-from .path_features import DEFAULT_PER_ENTITY_CAP, path_universe
+from .path_features import DEFAULT_PER_ENTITY_CAP
 from .prerank import DEFAULT_CANDIDATE_K, DEFAULT_WEIGHTS, FusionConfig
 from .ranker import (
     DEFAULT_HARD_NEGATIVES,
@@ -60,6 +63,10 @@ class StageInputError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage}: {message}")
         self.stage = stage
+        self.detail = message
+
+
+_RANKER_DEFAULTS = RankerParams()
 
 
 @dataclass
@@ -71,20 +78,20 @@ class PipelineConfig:
     offline: bool = False
     provider_url: str | None = None
     provider_model: str = "default"
-    provider_batch_size: int = 64
-    provider_max_retries: int = 3
+    provider_batch_size: int = DEFAULT_BATCH_SIZE
+    provider_max_retries: int = DEFAULT_MAX_RETRIES
     offline_dimension: int = DEFAULT_OFFLINE_DIMENSION
     fusion_weights: tuple[float, float, float, float] = DEFAULT_WEIGHTS
     candidate_k: int = DEFAULT_CANDIDATE_K
     commit_token_budget: int = DEFAULT_COMMIT_TOKEN_BUDGET
     file_token_budget: int = DEFAULT_FILE_TOKEN_BUDGET
-    bm25_k1: float = 1.2
-    bm25_b: float = 0.75
+    bm25_k1: float = lexical.DEFAULT_K1
+    bm25_b: float = lexical.DEFAULT_B
     per_entity_cap: int = DEFAULT_PER_ENTITY_CAP
-    learning_rate: float = 0.1
-    num_leaves: int = 31
-    min_data_in_leaf: int = 20
-    num_trees: int = 100
+    learning_rate: float = _RANKER_DEFAULTS.learning_rate
+    num_leaves: int = _RANKER_DEFAULTS.num_leaves
+    min_data_in_leaf: int = _RANKER_DEFAULTS.min_data_in_leaf
+    num_trees: int = _RANKER_DEFAULTS.num_trees
     hard_negatives: int = DEFAULT_HARD_NEGATIVES
     random_negatives: int = DEFAULT_RANDOM_NEGATIVES
     metric_ks: tuple[int, ...] = DEFAULT_METRIC_KS
@@ -114,36 +121,49 @@ class PipelineConfig:
         )
 
 
-_TOP_LEVEL_KEYS = {
-    "commit_dump",
-    "cve_dump",
-    "output_dir",
-    "seed",
-    "offline",
-    "provider",
-    "fusion",
-    "budgets",
-    "bm25",
-    "paths",
-    "ranker",
-    "eval",
+@dataclass(frozen=True)
+class ConfigKey:
+    """How one optional config-file key is read."""
+
+    field: str  # the PipelineConfig field it sets
+    parse: Callable
+    # The stage whose manifest ``config`` records the value, if any.
+    stage: str | None = None
+
+
+def _int_tuple(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+def _optional_str(value) -> str | None:
+    return None if value is None else str(value)
+
+
+# Every optional key, as ``(section, key)``; section None is the top level.
+CONFIG_KEYS: dict[tuple[str | None, str], ConfigKey] = {
+    (None, "seed"): ConfigKey("seed", int),
+    (None, "offline"): ConfigKey("offline", bool),
+    ("provider", "url"): ConfigKey("provider_url", _optional_str),
+    ("provider", "model"): ConfigKey("provider_model", str, "embed"),
+    ("provider", "batch_size"): ConfigKey("provider_batch_size", int),
+    ("provider", "max_retries"): ConfigKey("provider_max_retries", int),
+    ("provider", "offline_dimension"): ConfigKey("offline_dimension", int),
+    ("fusion", "weights"): ConfigKey("fusion_weights", tuple, "prerank"),
+    ("fusion", "candidate_k"): ConfigKey("candidate_k", int, "prerank"),
+    ("budgets", "commit_tokens"): ConfigKey("commit_token_budget", int, "embed"),
+    ("budgets", "file_tokens"): ConfigKey("file_token_budget", int, "embed"),
+    ("bm25", "k1"): ConfigKey("bm25_k1", float, "index"),
+    ("bm25", "b"): ConfigKey("bm25_b", float, "index"),
+    ("paths", "per_entity_cap"): ConfigKey("per_entity_cap", int, "featurize"),
+    ("ranker", "learning_rate"): ConfigKey("learning_rate", float, "train"),
+    ("ranker", "num_leaves"): ConfigKey("num_leaves", int, "train"),
+    ("ranker", "min_data_in_leaf"): ConfigKey("min_data_in_leaf", int, "train"),
+    ("ranker", "num_trees"): ConfigKey("num_trees", int, "train"),
+    ("ranker", "hard_negatives"): ConfigKey("hard_negatives", int, "featurize"),
+    ("ranker", "random_negatives"): ConfigKey("random_negatives", int, "featurize"),
+    ("eval", "metric_ks"): ConfigKey("metric_ks", _int_tuple, "eval"),
 }
-_SECTION_KEYS = {
-    "provider": {"url", "model", "batch_size", "max_retries", "offline_dimension"},
-    "fusion": {"weights", "candidate_k"},
-    "budgets": {"commit_tokens", "file_tokens"},
-    "bm25": {"k1", "b"},
-    "paths": {"per_entity_cap"},
-    "ranker": {
-        "learning_rate",
-        "num_leaves",
-        "min_data_in_leaf",
-        "num_trees",
-        "hard_negatives",
-        "random_negatives",
-    },
-    "eval": {"metric_ks"},
-}
+_REQUIRED_KEYS = ("commit_dump", "cve_dump", "output_dir")
 
 
 def _check_keys(obj: dict, allowed: set[str], context: str) -> None:
@@ -162,13 +182,17 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(obj, _TOP_LEVEL_KEYS, "config")
-    for section, allowed in _SECTION_KEYS.items():
+    allowed: dict[str | None, set[str]] = {None: set(_REQUIRED_KEYS)}
+    for section, key in CONFIG_KEYS:
+        allowed.setdefault(section, set()).add(key)
+        allowed[None].add(key if section is None else section)
+    _check_keys(obj, allowed.pop(None), "config")
+    for section, keys in allowed.items():
         if section in obj:
             if not isinstance(obj[section], dict):
                 raise ConfigError(f"config section {section!r} must be an object")
-            _check_keys(obj[section], allowed, f"config.{section}")
-    for required in ("commit_dump", "cve_dump", "output_dir"):
+            _check_keys(obj[section], keys, f"config.{section}")
+    for required in _REQUIRED_KEYS:
         if required not in obj:
             raise ConfigError(f"config is missing required key {required!r}")
 
@@ -178,40 +202,13 @@ def load_config(path: str | Path) -> PipelineConfig:
         candidate = Path(p)
         return candidate if candidate.is_absolute() else base / candidate
 
-    provider = obj.get("provider", {})
-    fusion = obj.get("fusion", {})
-    budgets = obj.get("budgets", {})
-    bm25 = obj.get("bm25", {})
-    paths = obj.get("paths", {})
-    rank_cfg = obj.get("ranker", {})
-    eval_cfg = obj.get("eval", {})
     try:
-        config = PipelineConfig(
-            commit_dump=resolve(obj["commit_dump"]),
-            cve_dump=resolve(obj["cve_dump"]),
-            output_dir=resolve(obj["output_dir"]),
-            seed=int(obj.get("seed", 0)),
-            offline=bool(obj.get("offline", False)),
-            provider_url=provider.get("url"),
-            provider_model=provider.get("model", "default"),
-            provider_batch_size=int(provider.get("batch_size", 64)),
-            provider_max_retries=int(provider.get("max_retries", 3)),
-            offline_dimension=int(provider.get("offline_dimension", DEFAULT_OFFLINE_DIMENSION)),
-            fusion_weights=tuple(fusion.get("weights", DEFAULT_WEIGHTS)),
-            candidate_k=int(fusion.get("candidate_k", DEFAULT_CANDIDATE_K)),
-            commit_token_budget=int(budgets.get("commit_tokens", DEFAULT_COMMIT_TOKEN_BUDGET)),
-            file_token_budget=int(budgets.get("file_tokens", DEFAULT_FILE_TOKEN_BUDGET)),
-            bm25_k1=float(bm25.get("k1", 1.2)),
-            bm25_b=float(bm25.get("b", 0.75)),
-            per_entity_cap=int(paths.get("per_entity_cap", DEFAULT_PER_ENTITY_CAP)),
-            learning_rate=float(rank_cfg.get("learning_rate", 0.1)),
-            num_leaves=int(rank_cfg.get("num_leaves", 31)),
-            min_data_in_leaf=int(rank_cfg.get("min_data_in_leaf", 20)),
-            num_trees=int(rank_cfg.get("num_trees", 100)),
-            hard_negatives=int(rank_cfg.get("hard_negatives", DEFAULT_HARD_NEGATIVES)),
-            random_negatives=int(rank_cfg.get("random_negatives", DEFAULT_RANDOM_NEGATIVES)),
-            metric_ks=tuple(int(k) for k in eval_cfg.get("metric_ks", DEFAULT_METRIC_KS)),
-        )
+        values = {name: resolve(obj[name]) for name in _REQUIRED_KEYS}
+        for (section, key), spec in CONFIG_KEYS.items():
+            scope = obj if section is None else obj.get(section, {})
+            if key in scope:
+                values[spec.field] = spec.parse(scope[key])
+        config = PipelineConfig(**values)
         # Surface invalid values (weights, counts) now rather than mid-stage.
         config.fusion_config()
         config.ranker_params()
@@ -277,18 +274,31 @@ def _read_jsonl(path: Path):
                 yield json.loads(line)
 
 
+def _stage_config(config: PipelineConfig, stage: str) -> dict:
+    """The CONFIG_KEYS values that ``stage``'s manifest records as ``config``."""
+    return {
+        key: getattr(config, spec.field)
+        for (_, key), spec in CONFIG_KEYS.items()
+        if spec.stage == stage
+    }
+
+
 def _write_manifest(
-    config: PipelineConfig, stage: str, inputs: dict[str, Path], outputs: dict[str, Path], extra: dict
+    config: PipelineConfig,
+    stage: str,
+    inputs: dict[str, Path],
+    outputs: dict[str, Path],
+    settings: dict | None = None,
 ) -> None:
     manifest = {
         "stage": stage,
         "version": 1,
         "seed": config.seed,
-        "config": extra,
+        "config": _stage_config(config, stage) if settings is None else settings,
         "inputs": {name: _sha256(p) for name, p in sorted(inputs.items())},
         "outputs": {name: _sha256(p) for name, p in sorted(outputs.items())},
     }
-    _write_json(config.output_dir / "manifests" / f"{stage}.manifest.json", manifest)
+    _write_json(Artifacts(config.output_dir).manifest_file(stage), manifest)
 
 
 def _require(stage: str, **paths: Path) -> None:
@@ -297,15 +307,33 @@ def _require(stage: str, **paths: Path) -> None:
         raise StageInputError(stage, "missing input artifact(s): " + ", ".join(missing))
 
 
-def _load_artifact(stage: str, loader, path: Path):
-    """``loader(path)``, reporting an unreadable file as a StageInputError."""
+def _load_artifact(stage: str, loader, path: Path, *args):
+    """``loader(path, *args)``, reporting a missing or unreadable file as a
+    StageInputError that names it."""
+    if not path.exists():
+        raise StageInputError(stage, f"missing input artifact {path}")
     try:
-        return loader(path)
-    except (ValueError, KeyError) as exc:
+        return loader(path, *args)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         detail = str(exc)
         if str(path) not in detail:
             detail = f"{path}: {detail}"
         raise StageInputError(stage, f"malformed artifact {detail}") from exc
+
+
+def _read_json(path: Path) -> dict:
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: JSON root is not an object")
+    return obj
+
+
+def _read_repos(path: Path) -> dict[str, str]:
+    """``repos.json`` as repo id -> slug."""
+    repos = _read_json(path).get("repos")
+    if not isinstance(repos, list):
+        raise ValueError(f"{path}: no 'repos' list")
+    return {entry["repo_id"]: entry["slug"] for entry in repos}
 
 
 @dataclass
@@ -325,14 +353,14 @@ class Artifacts:
     def corpus_file(self, slug: str) -> Path:
         return self.root / "corpus" / f"{slug}.jsonl"
 
-    def paths_file(self, slug: str) -> Path:
-        return self.root / "corpus" / f"{slug}.paths.json"
-
     def index_file(self, slug: str, kind: str) -> Path:
         return self.root / "index" / f"{slug}.{kind}.json"
 
     def vectors_file(self, slug: str) -> Path:
         return self.root / "vectors" / f"{slug}.bin"
+
+    def manifest_file(self, stage: str) -> Path:
+        return self.root / "manifests" / f"{stage}.manifest.json"
 
     @property
     def candidates_file(self) -> Path:
@@ -367,29 +395,29 @@ class Artifacts:
         return self.root / "eval" / "report.txt"
 
 
-def _load_repos(config: PipelineConfig, stage: str) -> list[dict]:
-    art = Artifacts(config.output_dir)
-    _require(stage, repos=art.repos_file)
-    repos = json.loads(art.repos_file.read_text(encoding="utf-8"))["repos"]
+def _read_dumps(config: PipelineConfig, stage: str) -> tuple[dict[str, Corpus], list[CveRecord]]:
+    """The input dumps' corpora and CVEs (sorted by id), only ``--repo``'s when set."""
+    _require(stage, commit_dump=config.commit_dump, cve_dump=config.cve_dump)
+    corpora = corpus_mod.ingest_multi_repo_dump(config.commit_dump)
+    cves = sorted(corpus_mod.load_cve_dump(config.cve_dump), key=lambda c: c.cve_id)
     if config.repo_filter is not None:
-        repos = [r for r in repos if r["repo_id"] == config.repo_filter]
-    return repos
+        corpora = {r: c for r, c in corpora.items() if r == config.repo_filter}
+        cves = [c for c in cves if c.repo_id == config.repo_filter]
+    return corpora, cves
 
 
 def _load_corpora(config: PipelineConfig, stage: str) -> dict[str, Corpus]:
     art = Artifacts(config.output_dir)
-    corpora = {}
-    for entry in _load_repos(config, stage):
-        path = art.corpus_file(entry["slug"])
-        _require(stage, corpus=path)
-        corpora[entry["repo_id"]] = corpus_mod.ingest_commit_dump(path)
-    return corpora
+    slugs = _load_artifact(stage, _read_repos, art.repos_file)
+    return {
+        repo_id: _load_artifact(stage, corpus_mod.ingest_commit_dump, art.corpus_file(slug))
+        for repo_id, slug in slugs.items()
+        if config.repo_filter in (None, repo_id)
+    }
 
 
 def _load_cves(config: PipelineConfig, stage: str) -> list[CveRecord]:
-    art = Artifacts(config.output_dir)
-    _require(stage, cves=art.cves_file)
-    cves = corpus_mod.load_cve_dump(art.cves_file)
+    cves = _load_artifact(stage, corpus_mod.load_cve_dump, Artifacts(config.output_dir).cves_file)
     if config.repo_filter is not None:
         cves = [c for c in cves if c.repo_id == config.repo_filter]
     return cves
@@ -397,13 +425,8 @@ def _load_cves(config: PipelineConfig, stage: str) -> list[CveRecord]:
 
 def stage_ingest(config: PipelineConfig) -> None:
     """Normalize the raw dumps into per-repo corpora plus the CVE file."""
-    _require("ingest", commit_dump=config.commit_dump, cve_dump=config.cve_dump)
     art = Artifacts(config.output_dir)
-    corpora = corpus_mod.ingest_multi_repo_dump(config.commit_dump)
-    cves = sorted(corpus_mod.load_cve_dump(config.cve_dump), key=lambda c: c.cve_id)
-    if config.repo_filter is not None:
-        corpora = {r: c for r, c in corpora.items() if r == config.repo_filter}
-        cves = [c for c in cves if c.repo_id == config.repo_filter]
+    corpora, cves = _read_dumps(config, "ingest")
     outputs: dict[str, Path] = {}
     repo_entries = []
     for repo_id, corpus in sorted(corpora.items()):
@@ -413,9 +436,6 @@ def stage_ingest(config: PipelineConfig) -> None:
         corpus_path.parent.mkdir(parents=True, exist_ok=True)
         corpus_mod.serialize_corpus(corpus, corpus_path)
         outputs[f"corpus/{slug}"] = corpus_path
-        paths_path = art.paths_file(slug)
-        _write_json(paths_path, sorted(path_universe(corpus)))
-        outputs[f"paths/{slug}"] = paths_path
     _write_json(art.repos_file, {"repos": repo_entries})
     outputs["repos"] = art.repos_file
     art.cves_file.parent.mkdir(parents=True, exist_ok=True)
@@ -426,22 +446,14 @@ def stage_ingest(config: PipelineConfig) -> None:
         "ingest",
         {"commit_dump": config.commit_dump, "cve_dump": config.cve_dump},
         outputs,
-        {},
     )
-
-
-def _index_settings(config: PipelineConfig) -> dict:
-    """The index manifest's ``config``: what the indexes depend on."""
-    return {"k1": config.bm25_k1, "b": config.bm25_b}
 
 
 def _embed_settings(config: PipelineConfig, provider) -> dict:
     """The embed manifest's ``config``: what the vector stores depend on."""
     return {
+        **_stage_config(config, "embed"),
         "offline": config.offline or not config.provider_url,
-        "model": config.provider_model,
-        "commit_tokens": config.commit_token_budget,
-        "file_tokens": config.file_token_budget,
         "dimension": getattr(provider, "dimension", None),
     }
 
@@ -479,7 +491,7 @@ def stage_index(config: PipelineConfig) -> None:
             path.parent.mkdir(parents=True, exist_ok=True)
             lexical.save_index(index, path)
             outputs[f"index/{slug}.{kind}"] = path
-    _write_manifest(config, "index", inputs, outputs, _index_settings(config))
+    _write_manifest(config, "index", inputs, outputs)
 
 
 def stage_embed(config: PipelineConfig) -> None:
@@ -502,15 +514,22 @@ def stage_embed(config: PipelineConfig) -> None:
 
 
 def _indexes_for(
-    config: PipelineConfig, stage: str, slug: str, kinds: tuple[str, ...] = lexical.FIELD_KINDS
+    config: PipelineConfig, stage: str, slug: str, kinds: tuple[str, ...]
 ) -> dict[str, lexical.InvertedIndex]:
     art = Artifacts(config.output_dir)
-    loaded = {}
-    for kind in kinds:
-        path = art.index_file(slug, kind)
-        _require(stage, **{f"index_{kind}": path})
-        loaded[kind] = _load_artifact(stage, lexical.load_index, path)
-    return loaded
+    return {
+        kind: _load_artifact(stage, lexical.load_index, art.index_file(slug, kind))
+        for kind in kinds
+    }
+
+
+def _load_repo(
+    config: PipelineConfig, stage: str, slug: str, kinds: tuple[str, ...]
+) -> tuple[dict[str, lexical.InvertedIndex], VectorStore]:
+    """One repo's BM25 indexes of ``kinds`` and its vector store, from ``output_dir``."""
+    indexes = _indexes_for(config, stage, slug, kinds)
+    vectors_file = Artifacts(config.output_dir).vectors_file(slug)
+    return indexes, _load_artifact(stage, VectorStore.load, vectors_file)
 
 
 def stage_prerank(config: PipelineConfig) -> None:
@@ -551,32 +570,20 @@ def stage_prerank(config: PipelineConfig) -> None:
                 }
             )
     _write_jsonl(art.candidates_file, records)
-    _write_manifest(
-        config,
-        "prerank",
-        inputs,
-        {"candidates": art.candidates_file},
-        {"weights": list(fusion.weights), "candidate_k": fusion.candidate_k},
-    )
+    _write_manifest(config, "prerank", inputs, {"candidates": art.candidates_file})
 
 
-def _load_candidates(path: Path) -> dict[str, list[tuple[str, float]]]:
+def _load_ranked(path: Path, score_key: str) -> dict[str, list[tuple[str, float]]]:
+    """Per-CVE ``(commit_id, score)`` lists of a candidates or ranking file."""
     by_cve: dict[str, list[tuple[str, float]]] = {}
     for record in _read_jsonl(path):
-        by_cve.setdefault(record["cve_id"], []).append(
-            (record["commit_id"], record["fused_score"])
-        )
+        by_cve.setdefault(record["cve_id"], []).append((record["commit_id"], record[score_key]))
     return by_cve
 
 
-def _assembler_for(
-    config: PipelineConfig, stage: str, repo_id: str, corpus: Corpus, provider
+def _assembler(
+    config: PipelineConfig, corpus: Corpus, indexes: dict, store: VectorStore, provider
 ) -> FeatureAssembler:
-    art = Artifacts(config.output_dir)
-    slug = repo_slug(repo_id)
-    indexes = _indexes_for(config, stage, slug, ("diff", "file"))
-    _require(stage, vectors=art.vectors_file(slug))
-    store = _load_artifact(stage, VectorStore.load, art.vectors_file(slug))
     return FeatureAssembler(
         corpus,
         store,
@@ -587,13 +594,42 @@ def _assembler_for(
     )
 
 
+def _training_group(
+    config: PipelineConfig,
+    assembler: FeatureAssembler,
+    cve: CveRecord,
+    ranked: list[tuple[str, float]],
+    computed: dict[str, np.ndarray],
+) -> TrainingGroup | None:
+    """The CVE's sampled training group with every row's features filled in.
+
+    Rows found in ``computed`` reuse those features; the rest are computed
+    in one batch and added to it.
+    """
+    group = sample_training_group(
+        cve,
+        ranked,
+        assembler.corpus,
+        config.seed,
+        hard_negatives=config.hard_negatives,
+        random_negatives=config.random_negatives,
+    )
+    if group is None:
+        return None
+    missing = [row.commit_id for row in group.rows if row.commit_id not in computed]
+    if missing:
+        computed.update(zip(missing, assembler.matrix(cve, missing)))
+    for row in group.rows:
+        row.features = computed[row.commit_id]
+    return group
+
+
 def stage_featurize(config: PipelineConfig) -> None:
     """Compute the nine features for every candidate and training row."""
     art = Artifacts(config.output_dir)
-    _require("featurize", candidates=art.candidates_file)
+    candidates = _load_artifact("featurize", _load_ranked, art.candidates_file, "fused_score")
     corpora = _load_corpora(config, "featurize")
     cves = _load_cves(config, "featurize")
-    candidates = _load_candidates(art.candidates_file)
     provider = config.provider()
 
     feature_records = []
@@ -605,39 +641,31 @@ def stage_featurize(config: PipelineConfig) -> None:
         corpus = corpora.get(cve.repo_id)
         if ranked is None or corpus is None:
             continue
+        slug = repo_slug(cve.repo_id)
         if cve.repo_id not in assemblers:
-            assemblers[cve.repo_id] = _assembler_for(
-                config, "featurize", cve.repo_id, corpus, provider
-            )
+            indexes, store = _load_repo(config, "featurize", slug, ("diff", "file"))
+            assemblers[cve.repo_id] = _assembler(config, corpus, indexes, store, provider)
         assembler = assemblers[cve.repo_id]
         entity_records.append(
             {"cve_id": cve.cve_id, "entities": sorted(assembler.entities_for(cve))}
         )
-        vectors_file = art.vectors_file(repo_slug(cve.repo_id))
         commit_ids = [commit_id for commit_id, _ in ranked]
-        computed = _feature_rows(assembler, cve, commit_ids, vectors_file)
+        try:
+            computed = dict(zip(commit_ids, assembler.matrix(cve, commit_ids)))
+            group = _training_group(config, assembler, cve, ranked, computed)
+        except MissingVectorError as exc:
+            raise StageInputError("featurize", f"{art.vectors_file(slug)}: {exc.args[0]}") from exc
         for commit_id in commit_ids:
             feature_records.append(_feature_record(cve.cve_id, commit_id, computed[commit_id]))
-        group = sample_training_group(
-            cve,
-            ranked,
-            corpus,
-            config.seed,
-            hard_negatives=config.hard_negatives,
-            random_negatives=config.random_negatives,
-        )
         if group is None:
             continue
-        missing = [row.commit_id for row in group.rows if row.commit_id not in computed]
-        if missing:
-            computed.update(_feature_rows(assembler, cve, missing, vectors_file))
         for row in group.rows:
             training_records.append(
                 {
                     "cve_id": cve.cve_id,
                     "commit_id": row.commit_id,
                     "relevance": row.relevance,
-                    "features": [float(x) for x in computed[row.commit_id]],
+                    "features": [float(x) for x in row.features],
                 }
             )
     _write_jsonl(art.features_file, feature_records)
@@ -652,21 +680,7 @@ def stage_featurize(config: PipelineConfig) -> None:
             "entities": art.entities_file,
             "training": art.training_file,
         },
-        {
-            "per_entity_cap": config.per_entity_cap,
-            "hard_negatives": config.hard_negatives,
-            "random_negatives": config.random_negatives,
-        },
     )
-
-
-def _feature_rows(
-    assembler: FeatureAssembler, cve: CveRecord, commit_ids: list[str], vectors_file: Path
-) -> dict[str, np.ndarray]:
-    try:
-        return dict(zip(commit_ids, assembler.matrix(cve, commit_ids)))
-    except MissingVectorError as exc:
-        raise StageInputError("featurize", f"{vectors_file}: {exc.args[0]}") from exc
 
 
 def _feature_record(cve_id: str, commit_id: str, vector: np.ndarray) -> dict:
@@ -693,23 +707,11 @@ def load_training_groups(path: Path) -> list[TrainingGroup]:
 def stage_train(config: PipelineConfig) -> None:
     """Train the LambdaRank model from the sampled training rows."""
     art = Artifacts(config.output_dir)
-    _require("train", training=art.training_file)
-    groups = load_training_groups(art.training_file)
+    groups = _load_artifact("train", load_training_groups, art.training_file)
     model = train_lambdarank(groups, config.ranker_params())
     art.model_file.parent.mkdir(parents=True, exist_ok=True)
     model.save(art.model_file)
-    _write_manifest(
-        config,
-        "train",
-        {"training": art.training_file},
-        {"model": art.model_file},
-        {
-            "learning_rate": config.learning_rate,
-            "num_leaves": config.num_leaves,
-            "min_data_in_leaf": config.min_data_in_leaf,
-            "num_trees": config.num_trees,
-        },
-    )
+    _write_manifest(config, "train", {"training": art.training_file}, {"model": art.model_file})
 
 
 def _load_feature_rows(path: Path) -> dict[str, dict[str, np.ndarray]]:
@@ -723,10 +725,9 @@ def _load_feature_rows(path: Path) -> dict[str, dict[str, np.ndarray]]:
 def stage_rank(config: PipelineConfig) -> None:
     """Re-rank the candidate lists with the trained model."""
     art = Artifacts(config.output_dir)
-    _require("rank", model=art.model_file, candidates=art.candidates_file, features=art.features_file)
     model = _load_artifact("rank", RankModel.load, art.model_file)
-    candidates = _load_candidates(art.candidates_file)
-    features = _load_feature_rows(art.features_file)
+    candidates = _load_artifact("rank", _load_ranked, art.candidates_file, "fused_score")
+    features = _load_artifact("rank", _load_feature_rows, art.features_file)
     cves = {c.cve_id: c for c in _load_cves(config, "rank")}
     records = []
     # Under --repo, candidates of other repositories' CVEs are skipped, as
@@ -752,20 +753,14 @@ def stage_rank(config: PipelineConfig) -> None:
             "features": art.features_file,
         },
         {"ranking": art.ranking_file},
-        {},
     )
 
 
 def stage_eval(config: PipelineConfig) -> None:
     """Score the final rankings against the known patch commits."""
     art = Artifacts(config.output_dir)
-    _require("eval", ranking=art.ranking_file)
+    rankings = _load_artifact("eval", _load_ranked, art.ranking_file, "score")
     cves = _load_cves(config, "eval")
-    rankings: dict[str, list[tuple[str, float]]] = {}
-    for record in _read_jsonl(art.ranking_file):
-        rankings.setdefault(record["cve_id"], []).append(
-            (record["commit_id"], record["score"])
-        )
     relevant = {}
     for cve in cves:
         if cve.cve_id in rankings:
@@ -783,7 +778,6 @@ def stage_eval(config: PipelineConfig) -> None:
         "eval",
         {"ranking": art.ranking_file, "cves": art.cves_file},
         {"report_json": art.report_json, "report_text": art.report_text},
-        {"metric_ks": list(config.metric_ks)},
     )
 
 
@@ -820,14 +814,12 @@ def _stage_manifests(config: PipelineConfig) -> dict[str, dict] | None:
     manifests = {}
     scope = "every repository"
     for stage in ("ingest", "index", "embed"):
-        path = config.output_dir / "manifests" / f"{stage}.manifest.json"
+        path = Artifacts(config.output_dir).manifest_file(stage)
         try:
-            manifest = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return _stale(f"{path} is missing or unreadable", scope)
-        if not isinstance(manifest, dict) or not all(
-            isinstance(manifest.get(key), dict) for key in ("config", "inputs", "outputs")
-        ):
+            manifest = _load_artifact("trace", _read_json, path)
+        except StageInputError as exc:
+            return _stale(exc.detail, scope)
+        if not all(isinstance(manifest.get(key), dict) for key in ("config", "inputs", "outputs")):
             return _stale(f"{path} is malformed", scope)
         manifests[stage] = manifest
     dumps = {"commit_dump": _sha256(config.commit_dump), "cve_dump": _sha256(config.cve_dump)}
@@ -855,7 +847,7 @@ def _load_fresh(
         return _stale(f"{art.corpus_file(slug)} is not in the ingest manifest", repo_id)
     if index["inputs"].get(corpus_key) != corpus_digest:
         return _stale(f"index/{slug} was not built from the ingested corpus", repo_id)
-    if index["config"] != _index_settings(config):
+    if index["config"] != _stage_config(config, "index"):
         return _stale(f"index/{slug} was built with other bm25 settings", repo_id)
     if (embed["inputs"].get(corpus_key), embed["inputs"].get("cves")) != (
         corpus_digest,
@@ -871,11 +863,10 @@ def _load_fresh(
     for manifest, key, path in files:
         if not path.exists() or _sha256(path) != manifest["outputs"].get(key):
             return _stale(f"{path} is missing or differs from its manifest", repo_id)
-    store = _load_artifact("trace", VectorStore.load, art.vectors_file(slug))
-    return _indexes_for(config, "trace", slug), store
+    return _load_repo(config, "trace", slug, lexical.FIELD_KINDS)
 
 
-def run_trace(config: PipelineConfig, cve_id: str, repo: str | None = None) -> TraceResult:
+def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
     """Run the whole pipeline for one CVE, writing nothing under ``output_dir``.
 
     A repo's BM25 indexes and vector store are loaded from ``index/`` and
@@ -884,15 +875,9 @@ def run_trace(config: PipelineConfig, cve_id: str, repo: str | None = None) -> T
     stale or missing artifact. An existing model artifact is reused when
     present; otherwise a model is trained on the fly from every labeled CVE
     in the dumps. Without any labels the pre-ranked order is returned
-    unchanged.
+    unchanged. Under ``config.repo_filter`` only that repository is read.
     """
-    _require("trace", commit_dump=config.commit_dump, cve_dump=config.cve_dump)
-    corpora = corpus_mod.ingest_multi_repo_dump(config.commit_dump)
-    cves = corpus_mod.load_cve_dump(config.cve_dump)
-    repo = repo if repo is not None else config.repo_filter
-    if repo is not None:
-        corpora = {r: c for r, c in corpora.items() if r == repo}
-        cves = [c for c in cves if c.repo_id == repo]
+    corpora, cves = _read_dumps(config, "trace")
     target = next((c for c in cves if c.cve_id == cve_id), None)
     if target is None:
         raise ConfigError(f"CVE {cve_id!r} not found in {config.cve_dump}")
@@ -902,34 +887,25 @@ def run_trace(config: PipelineConfig, cve_id: str, repo: str | None = None) -> T
     provider = config.provider()
     fusion = config.fusion_config()
     manifests = _stage_manifests(config)
+    repos: dict[str, tuple[dict[str, lexical.InvertedIndex], FeatureAssembler]] = {}
 
-    state: dict[str, dict] = {}
-
-    def repo_state(repo_id: str) -> dict:
-        if repo_id not in state:
-            corpus = corpora[repo_id]
-            loaded = manifests and _load_fresh(config, repo_id, provider, manifests)
+    def preranked(cve: CveRecord) -> tuple[list[tuple[str, float]], FeatureAssembler]:
+        """The CVE's pre-ranked candidates and its repository's assembler."""
+        if cve.repo_id not in repos:
+            corpus = corpora[cve.repo_id]
+            loaded = manifests and _load_fresh(config, cve.repo_id, provider, manifests)
             if loaded:
                 indexes, store = loaded
             else:
                 indexes = dict(_build_indexes(config, corpus))
-                repo_cves = [c for c in cves if c.repo_id == repo_id]
+                repo_cves = [c for c in cves if c.repo_id == cve.repo_id]
                 store = _build_store(config, corpus, repo_cves, provider)
-            assembler = FeatureAssembler(
-                corpus,
-                store,
-                indexes["diff"],
-                indexes["file"],
-                provider,
-                per_entity_cap=config.per_entity_cap,
-            )
-            state[repo_id] = {
-                "corpus": corpus,
-                "msg": indexes["message"],
-                "diff": indexes["diff"],
-                "assembler": assembler,
-            }
-        return state[repo_id]
+            repos[cve.repo_id] = indexes, _assembler(config, corpus, indexes, store, provider)
+        indexes, assembler = repos[cve.repo_id]
+        ranked = prerank.prerank_candidates(
+            assembler.corpus, cve, indexes["message"], indexes["diff"], fusion
+        )
+        return ranked, assembler
 
     model_path = Artifacts(config.output_dir).model_file
     model: RankModel | None = None
@@ -939,37 +915,24 @@ def run_trace(config: PipelineConfig, cve_id: str, repo: str | None = None) -> T
         model_source = str(model_path)
     else:
         groups = []
-        for cve in sorted(cves, key=lambda c: c.cve_id):
+        for cve in cves:
             if cve.repo_id not in corpora or not cve.known_patch_ids:
                 continue
-            rs = repo_state(cve.repo_id)
-            ranked = prerank.prerank_candidates(rs["corpus"], cve, rs["msg"], rs["diff"], fusion)
-            group = sample_training_group(
-                cve,
-                ranked,
-                rs["corpus"],
-                config.seed,
-                hard_negatives=config.hard_negatives,
-                random_negatives=config.random_negatives,
-            )
-            if group is None:
-                continue
-            rows = rs["assembler"].matrix(cve, [row.commit_id for row in group.rows])
-            for row, features in zip(group.rows, rows):
-                row.features = features
-            groups.append(group)
+            ranked, assembler = preranked(cve)
+            group = _training_group(config, assembler, cve, ranked, {})
+            if group is not None:
+                groups.append(group)
         if groups:
             model = train_lambdarank(groups, config.ranker_params())
             model_source = "trained in memory"
 
-    rs = repo_state(target.repo_id)
-    prerank_entries = prerank.prerank_candidates(rs["corpus"], target, rs["msg"], rs["diff"], fusion)
+    prerank_entries, assembler = preranked(target)
     if model is None:
         logger.warning("no labeled CVEs available; returning pre-ranked order")
         final = list(prerank_entries)
     else:
         commit_ids = [commit_id for commit_id, _ in prerank_entries]
-        feature_map = dict(zip(commit_ids, rs["assembler"].matrix(target, commit_ids)))
+        feature_map = dict(zip(commit_ids, assembler.matrix(target, commit_ids)))
         final = score_and_rerank(model, target, prerank_entries, feature_map)
     return TraceResult(
         cve=target,

@@ -175,15 +175,6 @@ class FeatureAssembler:
         rows[:, 8] = self._path_cosines(ner_paths, touched)
         return rows
 
-    def vector(self, cve: CveRecord, commit_id: str) -> np.ndarray:
-        return self.matrix(cve, [commit_id])[0]
-
-
-def assemble_feature_vector(
-    assembler: FeatureAssembler, cve: CveRecord, commit_id: str
-) -> np.ndarray:
-    return assembler.vector(cve, commit_id)
-
 
 @dataclass
 class TrainingRow:

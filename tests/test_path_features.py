@@ -200,7 +200,7 @@ class TestPathPlumbing:
         ids = [cid(n) for n in (1, 2, 3, 4)]
         first.matrix(cves[0], ids)
         first.matrix(cves[1], ids)
-        first.vector(cves[0], cid(3))
+        first.matrix(cves[0], [cid(3)])[0]
         requested = [text for call in calls for text in call]
         # Both CVEs find the same NER paths; commits 1 and 2 share a path set
         # and commit 4 has none.

@@ -6,6 +6,7 @@ import hashlib
 import json
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,9 @@ from patchrank import pipeline as pipeline_mod
 from patchrank.cli import main
 from patchrank.corpus import ingest_commit_dump
 from patchrank.pipeline import (
+    CONFIG_KEYS,
+    STAGE_FUNCTIONS,
+    STAGES,
     Artifacts,
     ConfigError,
     PipelineConfig,
@@ -31,6 +35,9 @@ from patchrank.pipeline import (
     stage_rank,
     stage_train,
 )
+
+from patchrank.prerank import FusionConfig
+from patchrank.ranker import RankerParams
 
 from synthcorpus import generate
 
@@ -128,6 +135,63 @@ class TestConfig:
         assert updated.repo_filter == "r/a"
         # original untouched
         assert config.seed == 0 and config.offline is False
+
+    def test_defaults_match_component_defaults(self, tmp_path):
+        config = load_config(self.write_config(tmp_path, self.minimal(tmp_path)))
+        assert config.ranker_params() == RankerParams()
+        assert config.fusion_config() == FusionConfig()
+
+    @pytest.mark.parametrize("section, key", list(CONFIG_KEYS))
+    def test_config_key_sets_field_and_manifest(self, small_setup, tmp_path, section, key):
+        """Each key reaches its field and, if it has one, its stage's manifest."""
+        assert set(NON_DEFAULT_VALUES) == set(CONFIG_KEYS)
+        value = NON_DEFAULT_VALUES[section, key]
+        spec = CONFIG_KEYS[section, key]
+        _, config_path, staged = small_setup
+        obj = json.loads(config_path.read_text())
+        del obj["offline"]
+        obj["output_dir"] = str(tmp_path / "out")
+        (obj if section is None else obj.setdefault(section, {}))[key] = value
+        config = load_config(self.write_config(tmp_path, obj))
+        expected = tuple(value) if isinstance(value, list) else value
+        default = getattr(PipelineConfig(Path(), Path(), Path()), spec.field)
+        assert getattr(config, spec.field) == expected != default
+        if spec.stage is not None:
+            shutil.copytree(staged.output_dir, config.output_dir)
+            STAGE_FUNCTIONS[spec.stage](config)
+            manifest = Artifacts(config.output_dir).manifest_file(spec.stage)
+            assert json.loads(manifest.read_text())["config"][key] == value
+
+    def test_readme_documents_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        names = [key if section is None else f"{section}.{key}" for section, key in CONFIG_KEYS]
+        assert [name for name in names if f"`{name}`" not in readme] == []
+
+
+# A valid value other than the default for every CONFIG_KEYS entry.
+NON_DEFAULT_VALUES = {
+    (None, "seed"): 5,
+    (None, "offline"): True,
+    ("provider", "url"): "http://127.0.0.1:9",
+    ("provider", "model"): "other-model",
+    ("provider", "batch_size"): 8,
+    ("provider", "max_retries"): 1,
+    ("provider", "offline_dimension"): 64,
+    ("fusion", "weights"): [0.25, 0.25, 0.25, 0.25],
+    ("fusion", "candidate_k"): 30,
+    ("budgets", "commit_tokens"): 128,
+    ("budgets", "file_tokens"): 64,
+    ("bm25", "k1"): 1.5,
+    ("bm25", "b"): 0.5,
+    ("paths", "per_entity_cap"): 3,
+    ("ranker", "learning_rate"): 0.3,
+    ("ranker", "num_leaves"): 5,
+    ("ranker", "min_data_in_leaf"): 3,
+    ("ranker", "num_trees"): 7,
+    ("ranker", "hard_negatives"): 4,
+    ("ranker", "random_negatives"): 6,
+    ("eval", "metric_ks"): [5, 50],
+}
 
 
 class TestArtifacts:
@@ -328,6 +392,37 @@ class TestCli:
         capsys.readouterr()
         assert main(["rank", "--config", str(config_path)]) == 2
         self.assert_one_line_error(capsys, model)
+
+    @pytest.mark.parametrize(
+        "artifact, content, stage",
+        [
+            ("corpus/repos.json", b"[]", "index"),
+            ("corpus/repos.json", b"{}", "index"),
+            ("corpus/<slug>.jsonl", None, "index"),
+            ("corpus/cves.jsonl", None, "prerank"),
+            ("prerank/candidates.jsonl", None, "featurize"),
+            ("features/training.jsonl", None, "train"),
+            ("rank/ranking.jsonl", None, "eval"),
+        ],
+    )
+    def test_malformed_upstream_artifact_exits_2(self, tmp_path, capsys, artifact, content, stage):
+        synth, config_path = self.write_min_config(tmp_path)
+        self.run_stages(config_path, STAGES[: STAGES.index(stage)])
+        slug = repo_slug(synth.cve_records[0]["repo_id"])
+        path = tmp_path / "out" / artifact.replace("<slug>", slug)
+        # None: cut the file to 150 bytes, inside its first JSON line.
+        path.write_bytes(path.read_bytes()[:150] if content is None else content)
+        capsys.readouterr()
+        assert main([stage, "--config", str(config_path)]) == 2
+        self.assert_one_line_error(capsys, path)
+
+    @pytest.mark.parametrize("dump", ["commit_dump", "cve_dump"])
+    def test_malformed_input_dump_exits_1(self, tmp_path, capsys, dump):
+        _, config_path = self.write_min_config(tmp_path)
+        path = Path(json.loads(config_path.read_text())[dump])
+        path.write_bytes(path.read_bytes()[:150])
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        assert "invalid JSON" in capsys.readouterr().err
 
     def test_truncated_index_exits_2(self, tmp_path, capsys):
         _, config_path = self.write_min_config(tmp_path)

@@ -81,8 +81,8 @@ class TestFeatureAssembly:
             description=description, reserve_time=99, publish_time=101, known_patch_ids={cid(1)}
         )
         assembler = assembler_for(corpus, [cve])
-        aligned = assembler.vector(cve, cid(1))
-        other = assembler.vector(cve, cid(2))
+        aligned = assembler.matrix(cve, [cid(1)])[0]
+        other = assembler.matrix(cve, [cid(2)])[0]
         assert aligned[0] > 0.9
         assert aligned[0] > other[0]
         assert aligned[7] == 1.0  # identical path sets
@@ -93,7 +93,7 @@ class TestFeatureAssembly:
         corpus = make_corpus([make_commit(1, author_time=5, message="docs change only")])
         cve = make_cve(description="docs change", reserve_time=5, publish_time=5)
         assembler = assembler_for(corpus, [cve])
-        vector = assembler.vector(cve, cid(1))
+        vector = assembler.matrix(cve, [cid(1)])[0]
         assert vector[1] == vector[2] == vector[3] == 0.0
 
     def test_commit_at_publish_time_has_zero_distance(self):
@@ -102,7 +102,7 @@ class TestFeatureAssembly:
         )
         cve = make_cve(description="d", reserve_time=100, publish_time=200)
         assembler = assembler_for(corpus, [cve])
-        vector = assembler.vector(cve, cid(2))
+        vector = assembler.matrix(cve, [cid(2)])[0]
         assert vector[6] == 0.0  # publish distance
         assert vector[5] == 1.0  # reserve points at commit 1
 
@@ -110,7 +110,7 @@ class TestFeatureAssembly:
         corpus = make_corpus([make_commit(i, author_time=i) for i in (1, 2, 3)])
         cve = make_cve(description="d", reserve_time=None, publish_time=None)
         assembler = assembler_for(corpus, [cve])
-        vector = assembler.vector(cve, cid(1))
+        vector = assembler.matrix(cve, [cid(1)])[0]
         assert vector[5] == vector[6] == float(len(corpus))
 
     def test_matrix_stacks_rows_in_order(self):
@@ -119,7 +119,7 @@ class TestFeatureAssembly:
         assembler = assembler_for(corpus, [cve])
         matrix = assembler.matrix(cve, [cid(2), cid(1)])
         assert matrix.shape == (2, 9)
-        assert np.array_equal(matrix[0], assembler.vector(cve, cid(2)))
+        assert np.array_equal(matrix[0], assembler.matrix(cve, [cid(2)])[0])
 
 
 def reference_row(assembler, cve, commit_id):
