@@ -29,6 +29,7 @@ DEFAULT_BATCH_SIZE = 64
 DEFAULT_MAX_RETRIES = 3
 
 PROVIDER_TOKEN_ENV = "PATCHRANK_PROVIDER_TOKEN"
+_HTTP_TIMEOUT_S = 60.0
 # Client errors that may succeed on a later attempt: timeout, rate limit.
 _RETRIED_4XX = (408, 429)
 
@@ -160,14 +161,12 @@ class HttpEmbedder:
         batch_size: int = DEFAULT_BATCH_SIZE,
         max_retries: int = DEFAULT_MAX_RETRIES,
         backoff_s: float = 0.5,
-        timeout_s: float = 60.0,
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.batch_size = batch_size
         self.max_retries = max_retries
         self.backoff_s = backoff_s
-        self.timeout_s = timeout_s
         self._session = requests.Session()
 
     def _headers(self) -> dict[str, str]:
@@ -187,7 +186,7 @@ class HttpEmbedder:
                     f"{self.base_url}/embed",
                     json={"model": self.model, "inputs": batch},
                     headers=self._headers(),
-                    timeout=self.timeout_s,
+                    timeout=_HTTP_TIMEOUT_S,
                 )
             except requests.RequestException as exc:
                 last_error = f"transport error: {exc}"

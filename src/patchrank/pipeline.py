@@ -1,8 +1,10 @@
 """Batch pipeline stages and their on-disk artifacts.
 
-Every stage reads the previous stage's files, writes its own under the
-configured output directory, and records a manifest of input/output
-digests so reruns can be checked for byte-identical artifacts.
+Every stage reads the previous stage's files and writes its own under the
+configured output directory through one ``_Run``. Each write lands in a
+temporary file that is then moved into place, and the stage's manifest
+records the SHA-256 of every file it read and wrote, so reruns can be
+checked for byte-identical artifacts and ``trace`` can tell fresh ones.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -51,6 +55,10 @@ from .ranker import (
 logger = logging.getLogger(__name__)
 
 STAGES = ("ingest", "index", "embed", "prerank", "featurize", "train", "rank", "eval")
+
+# Version 2: manifest keys are paths relative to output_dir, and a stage
+# lists every file it read.
+MANIFEST_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -126,42 +134,69 @@ class ConfigKey:
     """How one optional config-file key is read."""
 
     field: str  # the PipelineConfig field it sets
+    # The JSON value -> the field value; raises TypeError or ValueError.
     parse: Callable
     # The stage whose manifest ``config`` records the value, if any.
     stage: str | None = None
+    # The component that bounds the value, called as ``check(key=value)`` at
+    # load time, so a bad value fails there rather than mid-stage.
+    check: Callable | None = None
 
 
-def _int_tuple(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+def _expect(kind: type, minimum: int | None = None, *, item=None, nullable=False) -> Callable:
+    """A parser that accepts only a JSON value of ``kind`` (or null, if
+    ``nullable``), at least ``minimum``, with list items parsed by ``item``.
+    JSON true and false are not numbers; a float key also takes an integer
+    but not NaN or infinity, which Python's JSON parser accepts."""
 
+    def parse(value):
+        if value is None and nullable:
+            return None
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"must be finite, got {value}")
+        if minimum is not None and value < minimum:
+            raise ValueError(f"must be >= {minimum}, got {value}")
+        if item is not None:
+            return tuple(item(v) for v in value)
+        return float(value) if kind is float else value
 
-def _optional_str(value) -> str | None:
-    return None if value is None else str(value)
+    return parse
 
 
 # Every optional key, as ``(section, key)``; section None is the top level.
 CONFIG_KEYS: dict[tuple[str | None, str], ConfigKey] = {
-    (None, "seed"): ConfigKey("seed", int),
-    (None, "offline"): ConfigKey("offline", bool),
-    ("provider", "url"): ConfigKey("provider_url", _optional_str),
-    ("provider", "model"): ConfigKey("provider_model", str, "embed"),
-    ("provider", "batch_size"): ConfigKey("provider_batch_size", int),
-    ("provider", "max_retries"): ConfigKey("provider_max_retries", int),
-    ("provider", "offline_dimension"): ConfigKey("offline_dimension", int),
-    ("fusion", "weights"): ConfigKey("fusion_weights", tuple, "prerank"),
-    ("fusion", "candidate_k"): ConfigKey("candidate_k", int, "prerank"),
-    ("budgets", "commit_tokens"): ConfigKey("commit_token_budget", int, "embed"),
-    ("budgets", "file_tokens"): ConfigKey("file_token_budget", int, "embed"),
-    ("bm25", "k1"): ConfigKey("bm25_k1", float, "index"),
-    ("bm25", "b"): ConfigKey("bm25_b", float, "index"),
-    ("paths", "per_entity_cap"): ConfigKey("per_entity_cap", int, "featurize"),
-    ("ranker", "learning_rate"): ConfigKey("learning_rate", float, "train"),
-    ("ranker", "num_leaves"): ConfigKey("num_leaves", int, "train"),
-    ("ranker", "min_data_in_leaf"): ConfigKey("min_data_in_leaf", int, "train"),
-    ("ranker", "num_trees"): ConfigKey("num_trees", int, "train"),
-    ("ranker", "hard_negatives"): ConfigKey("hard_negatives", int, "featurize"),
-    ("ranker", "random_negatives"): ConfigKey("random_negatives", int, "featurize"),
-    ("eval", "metric_ks"): ConfigKey("metric_ks", _int_tuple, "eval"),
+    (None, "seed"): ConfigKey("seed", _expect(int)),
+    (None, "offline"): ConfigKey("offline", _expect(bool)),
+    ("provider", "url"): ConfigKey("provider_url", _expect(str, nullable=True)),
+    ("provider", "model"): ConfigKey("provider_model", _expect(str), "embed"),
+    ("provider", "batch_size"): ConfigKey("provider_batch_size", _expect(int, 1)),
+    ("provider", "max_retries"): ConfigKey("provider_max_retries", _expect(int, 1)),
+    ("provider", "offline_dimension"): ConfigKey(
+        "offline_dimension",
+        _expect(int),
+        check=lambda offline_dimension: OfflineEmbedder(offline_dimension),
+    ),
+    ("fusion", "weights"): ConfigKey(
+        "fusion_weights", _expect(list, item=_expect(float)), "prerank", FusionConfig
+    ),
+    ("fusion", "candidate_k"): ConfigKey("candidate_k", _expect(int), "prerank", FusionConfig),
+    ("budgets", "commit_tokens"): ConfigKey("commit_token_budget", _expect(int, 1), "embed"),
+    ("budgets", "file_tokens"): ConfigKey("file_token_budget", _expect(int, 1), "embed"),
+    ("bm25", "k1"): ConfigKey("bm25_k1", _expect(float), "index"),
+    ("bm25", "b"): ConfigKey("bm25_b", _expect(float), "index"),
+    ("paths", "per_entity_cap"): ConfigKey("per_entity_cap", _expect(int, 1), "featurize"),
+    ("ranker", "learning_rate"): ConfigKey("learning_rate", _expect(float), "train", RankerParams),
+    ("ranker", "num_leaves"): ConfigKey("num_leaves", _expect(int), "train", RankerParams),
+    ("ranker", "min_data_in_leaf"): ConfigKey(
+        "min_data_in_leaf", _expect(int), "train", RankerParams
+    ),
+    ("ranker", "num_trees"): ConfigKey("num_trees", _expect(int), "train", RankerParams),
+    ("ranker", "hard_negatives"): ConfigKey("hard_negatives", _expect(int, 0), "featurize"),
+    ("ranker", "random_negatives"): ConfigKey("random_negatives", _expect(int, 0), "featurize"),
+    ("eval", "metric_ks"): ConfigKey("metric_ks", _expect(list, item=_expect(int, 1)), "eval"),
 }
 _REQUIRED_KEYS = ("commit_dump", "cve_dump", "output_dir")
 
@@ -173,7 +208,8 @@ def _check_keys(obj: dict, allowed: set[str], context: str) -> None:
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    """Parse and validate the pipeline config file; unknown keys are rejected."""
+    """Parse and validate the pipeline config file; unknown keys, wrong-typed
+    and out-of-range values are rejected with a ConfigError naming the key."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -196,25 +232,26 @@ def load_config(path: str | Path) -> PipelineConfig:
         if required not in obj:
             raise ConfigError(f"config is missing required key {required!r}")
 
+    def parsed(name: str, raw, parse: Callable, check: Callable | None = None):
+        try:
+            value = parse(raw)
+            if check is not None:
+                check(**{name.rpartition(".")[2]: value})
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid config value {name}: {exc}") from exc
+        return value
+
     base = Path(path).resolve().parent
-
-    def resolve(p: str) -> Path:
-        candidate = Path(p)
-        return candidate if candidate.is_absolute() else base / candidate
-
-    try:
-        values = {name: resolve(obj[name]) for name in _REQUIRED_KEYS}
-        for (section, key), spec in CONFIG_KEYS.items():
-            scope = obj if section is None else obj.get(section, {})
-            if key in scope:
-                values[spec.field] = spec.parse(scope[key])
-        config = PipelineConfig(**values)
-        # Surface invalid values (weights, counts) now rather than mid-stage.
-        config.fusion_config()
-        config.ranker_params()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
-    return config
+    values = {}
+    for name in _REQUIRED_KEYS:
+        value = Path(parsed(name, obj[name], _expect(str)))
+        values[name] = value if value.is_absolute() else base / value
+    for (section, key), spec in CONFIG_KEYS.items():
+        scope = obj if section is None else obj.get(section, {})
+        if key in scope:
+            name = key if section is None else f"{section}.{key}"
+            values[spec.field] = parsed(name, scope[key], spec.parse, spec.check)
+    return PipelineConfig(**values)
 
 
 def apply_overrides(
@@ -247,21 +284,19 @@ def repo_slug(repo_id: str) -> str:
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        # 64 KiB chunks: featurize hashes its index and vector inputs at its
+        # peak memory, and larger chunks raise that peak.
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
 
 
-def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
+def _json_bytes(obj) -> bytes:
+    text = json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
+    return text.encode("utf-8")
 
 
 def _write_jsonl(path: Path, records) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
@@ -281,44 +316,6 @@ def _stage_config(config: PipelineConfig, stage: str) -> dict:
         for (_, key), spec in CONFIG_KEYS.items()
         if spec.stage == stage
     }
-
-
-def _write_manifest(
-    config: PipelineConfig,
-    stage: str,
-    inputs: dict[str, Path],
-    outputs: dict[str, Path],
-    settings: dict | None = None,
-) -> None:
-    manifest = {
-        "stage": stage,
-        "version": 1,
-        "seed": config.seed,
-        "config": _stage_config(config, stage) if settings is None else settings,
-        "inputs": {name: _sha256(p) for name, p in sorted(inputs.items())},
-        "outputs": {name: _sha256(p) for name, p in sorted(outputs.items())},
-    }
-    _write_json(Artifacts(config.output_dir).manifest_file(stage), manifest)
-
-
-def _require(stage: str, **paths: Path) -> None:
-    missing = [f"{name} ({path})" for name, path in paths.items() if not path.exists()]
-    if missing:
-        raise StageInputError(stage, "missing input artifact(s): " + ", ".join(missing))
-
-
-def _load_artifact(stage: str, loader, path: Path, *args):
-    """``loader(path, *args)``, reporting a missing or unreadable file as a
-    StageInputError that names it."""
-    if not path.exists():
-        raise StageInputError(stage, f"missing input artifact {path}")
-    try:
-        return loader(path, *args)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        detail = str(exc)
-        if str(path) not in detail:
-            detail = f"{path}: {detail}"
-        raise StageInputError(stage, f"malformed artifact {detail}") from exc
 
 
 def _read_json(path: Path) -> dict:
@@ -341,6 +338,10 @@ class Artifacts:
     """Resolved artifact paths under one output directory."""
 
     root: Path
+
+    def key(self, path: Path) -> str:
+        """The manifest key of an artifact: its POSIX path relative to the root."""
+        return path.relative_to(self.root).as_posix()
 
     @property
     def repos_file(self) -> Path:
@@ -395,58 +396,110 @@ class Artifacts:
         return self.root / "eval" / "report.txt"
 
 
-def _read_dumps(config: PipelineConfig, stage: str) -> tuple[dict[str, Corpus], list[CveRecord]]:
-    """The input dumps' corpora and CVEs (sorted by id), only ``--repo``'s when set."""
-    _require(stage, commit_dump=config.commit_dump, cve_dump=config.cve_dump)
-    corpora = corpus_mod.ingest_multi_repo_dump(config.commit_dump)
-    cves = sorted(corpus_mod.load_cve_dump(config.cve_dump), key=lambda c: c.cve_id)
-    if config.repo_filter is not None:
-        corpora = {r: c for r, c in corpora.items() if r == config.repo_filter}
-        cves = [c for c in cves if c.repo_id == config.repo_filter]
-    return corpora, cves
+class _Run(Artifacts):
+    """One stage's artifact I/O. Every file it reads and writes goes through
+    :meth:`read`, :meth:`dumps` or :meth:`write`, so the manifest :meth:`finish`
+    writes lists exactly those files, by :meth:`Artifacts.key` (the two input
+    dumps as ``commit_dump`` and ``cve_dump``)."""
 
+    def __init__(self, config: PipelineConfig, stage: str):
+        super().__init__(config.output_dir)
+        self.config = config
+        self.stage = stage
+        self.dump_files = {"commit_dump": config.commit_dump, "cve_dump": config.cve_dump}
+        self.inputs: dict[str, Path] = {}
+        self.outputs: dict[str, Path] = {}
 
-def _load_corpora(config: PipelineConfig, stage: str) -> dict[str, Corpus]:
-    art = Artifacts(config.output_dir)
-    slugs = _load_artifact(stage, _read_repos, art.repos_file)
-    return {
-        repo_id: _load_artifact(stage, corpus_mod.ingest_commit_dump, art.corpus_file(slug))
-        for repo_id, slug in slugs.items()
-        if config.repo_filter in (None, repo_id)
-    }
+    def read(self, loader, path: Path, *args):
+        """``loader(path, *args)``, reporting a missing or unreadable file as a
+        StageInputError that names it."""
+        if not path.exists():
+            raise StageInputError(self.stage, f"missing input artifact {path}")
+        try:
+            value = loader(path, *args)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            detail = str(exc)
+            if str(path) not in detail:
+                detail = f"{path}: {detail}"
+            raise StageInputError(self.stage, f"malformed artifact {detail}") from exc
+        self.inputs[self.key(path)] = path
+        return value
 
+    def write(self, path: Path, save: Callable[[Path], None]) -> None:
+        """``save(tmp)`` on a temporary file beside ``path``, then move it into place,
+        so a failed or killed stage leaves no partial file under the final name."""
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f".{path.name}.tmp")
+        try:
+            save(tmp)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        self.outputs[self.key(path)] = path
 
-def _load_cves(config: PipelineConfig, stage: str) -> list[CveRecord]:
-    cves = _load_artifact(stage, corpus_mod.load_cve_dump, Artifacts(config.output_dir).cves_file)
-    if config.repo_filter is not None:
-        cves = [c for c in cves if c.repo_id == config.repo_filter]
-    return cves
+    def finish(self, settings: dict | None = None) -> None:
+        """Write the manifest: settings and the SHA-256 of every file read and written."""
+        manifest = {
+            "stage": self.stage,
+            "version": MANIFEST_VERSION,
+            "seed": self.config.seed,
+            "config": _stage_config(self.config, self.stage) if settings is None else settings,
+            "inputs": {key: _sha256(path) for key, path in sorted(self.inputs.items())},
+            "outputs": {key: _sha256(path) for key, path in sorted(self.outputs.items())},
+        }
+        path = self.manifest_file(self.stage)
+        self.write(path, lambda tmp: tmp.write_bytes(_json_bytes(manifest)))
+
+    def dumps(self) -> tuple[dict[str, Corpus], list[CveRecord]]:
+        """The dumps' corpora and CVEs (sorted by id), only ``--repo``'s when set.
+        A malformed dump raises DumpFormatError: it is input, not an artifact."""
+        missing = [f"{key} ({path})" for key, path in self.dump_files.items() if not path.exists()]
+        if missing:
+            raise StageInputError(self.stage, "missing input artifact(s): " + ", ".join(missing))
+        self.inputs.update(self.dump_files)
+        keep = self.config.repo_filter
+        corpora = corpus_mod.ingest_multi_repo_dump(self.config.commit_dump)
+        cves = sorted(corpus_mod.load_cve_dump(self.config.cve_dump), key=lambda c: c.cve_id)
+        return (
+            {repo_id: c for repo_id, c in corpora.items() if keep in (None, repo_id)},
+            [c for c in cves if keep in (None, c.repo_id)],
+        )
+
+    def corpora(self) -> dict[str, Corpus]:
+        slugs = self.read(_read_repos, self.repos_file)
+        return {
+            repo_id: self.read(corpus_mod.ingest_commit_dump, self.corpus_file(slug))
+            for repo_id, slug in slugs.items()
+            if self.config.repo_filter in (None, repo_id)
+        }
+
+    def cves(self) -> list[CveRecord]:
+        cves = self.read(corpus_mod.load_cve_dump, self.cves_file)
+        return [c for c in cves if self.config.repo_filter in (None, c.repo_id)]
+
+    def indexes(self, slug: str, kinds: tuple[str, ...]) -> dict[str, lexical.InvertedIndex]:
+        return {kind: self.read(lexical.load_index, self.index_file(slug, kind)) for kind in kinds}
+
+    def repo(
+        self, slug: str, kinds: tuple[str, ...]
+    ) -> tuple[dict[str, lexical.InvertedIndex], VectorStore]:
+        """One repo's BM25 indexes of ``kinds`` and its vector store."""
+        return self.indexes(slug, kinds), self.read(VectorStore.load, self.vectors_file(slug))
 
 
 def stage_ingest(config: PipelineConfig) -> None:
     """Normalize the raw dumps into per-repo corpora plus the CVE file."""
-    art = Artifacts(config.output_dir)
-    corpora, cves = _read_dumps(config, "ingest")
-    outputs: dict[str, Path] = {}
+    run = _Run(config, "ingest")
+    corpora, cves = run.dumps()
     repo_entries = []
     for repo_id, corpus in sorted(corpora.items()):
         slug = repo_slug(repo_id)
         repo_entries.append({"repo_id": repo_id, "slug": slug, "commits": len(corpus)})
-        corpus_path = art.corpus_file(slug)
-        corpus_path.parent.mkdir(parents=True, exist_ok=True)
-        corpus_mod.serialize_corpus(corpus, corpus_path)
-        outputs[f"corpus/{slug}"] = corpus_path
-    _write_json(art.repos_file, {"repos": repo_entries})
-    outputs["repos"] = art.repos_file
-    art.cves_file.parent.mkdir(parents=True, exist_ok=True)
-    corpus_mod.serialize_cves(cves, art.cves_file)
-    outputs["cves"] = art.cves_file
-    _write_manifest(
-        config,
-        "ingest",
-        {"commit_dump": config.commit_dump, "cve_dump": config.cve_dump},
-        outputs,
-    )
+        run.write(run.corpus_file(slug), lambda tmp: corpus_mod.serialize_corpus(corpus, tmp))
+    run.write(run.repos_file, lambda tmp: tmp.write_bytes(_json_bytes({"repos": repo_entries})))
+    run.write(run.cves_file, lambda tmp: corpus_mod.serialize_cves(cves, tmp))
+    run.finish()
 
 
 def _embed_settings(config: PipelineConfig, provider) -> dict:
@@ -480,66 +533,33 @@ def _build_store(
 
 def stage_index(config: PipelineConfig) -> None:
     """Build message, diff, and per-file BM25 indexes for every repo."""
-    art = Artifacts(config.output_dir)
-    corpora = _load_corpora(config, "index")
-    inputs = {f"corpus/{repo_slug(r)}": art.corpus_file(repo_slug(r)) for r in corpora}
-    outputs: dict[str, Path] = {}
-    for repo_id, corpus in sorted(corpora.items()):
-        slug = repo_slug(repo_id)
+    run = _Run(config, "index")
+    for repo_id, corpus in sorted(run.corpora().items()):
         for kind, index in _build_indexes(config, corpus):
-            path = art.index_file(slug, kind)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            lexical.save_index(index, path)
-            outputs[f"index/{slug}.{kind}"] = path
-    _write_manifest(config, "index", inputs, outputs)
+            path = run.index_file(repo_slug(repo_id), kind)
+            run.write(path, lambda tmp: lexical.save_index(index, tmp))
+    run.finish()
 
 
 def stage_embed(config: PipelineConfig) -> None:
     """Embed commits, file diffs, and CVE descriptions into per-repo stores."""
-    art = Artifacts(config.output_dir)
-    corpora = _load_corpora(config, "embed")
-    cves = _load_cves(config, "embed")
+    run = _Run(config, "embed")
+    corpora = run.corpora()
+    cves = run.cves()
     provider = config.provider()
-    inputs = {f"corpus/{repo_slug(r)}": art.corpus_file(repo_slug(r)) for r in corpora}
-    inputs["cves"] = art.cves_file
-    outputs: dict[str, Path] = {}
     for repo_id, corpus in sorted(corpora.items()):
-        slug = repo_slug(repo_id)
         store = _build_store(config, corpus, [c for c in cves if c.repo_id == repo_id], provider)
-        path = art.vectors_file(slug)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        store.save(path)
-        outputs[f"vectors/{slug}"] = path
-    _write_manifest(config, "embed", inputs, outputs, _embed_settings(config, provider))
-
-
-def _indexes_for(
-    config: PipelineConfig, stage: str, slug: str, kinds: tuple[str, ...]
-) -> dict[str, lexical.InvertedIndex]:
-    art = Artifacts(config.output_dir)
-    return {
-        kind: _load_artifact(stage, lexical.load_index, art.index_file(slug, kind))
-        for kind in kinds
-    }
-
-
-def _load_repo(
-    config: PipelineConfig, stage: str, slug: str, kinds: tuple[str, ...]
-) -> tuple[dict[str, lexical.InvertedIndex], VectorStore]:
-    """One repo's BM25 indexes of ``kinds`` and its vector store, from ``output_dir``."""
-    indexes = _indexes_for(config, stage, slug, kinds)
-    vectors_file = Artifacts(config.output_dir).vectors_file(slug)
-    return indexes, _load_artifact(stage, VectorStore.load, vectors_file)
+        run.write(run.vectors_file(repo_slug(repo_id)), store.save)
+    run.finish(_embed_settings(config, provider))
 
 
 def stage_prerank(config: PipelineConfig) -> None:
     """Fuse BM25 and time affinity into per-CVE candidate lists."""
-    art = Artifacts(config.output_dir)
-    corpora = _load_corpora(config, "prerank")
-    cves = _load_cves(config, "prerank")
+    run = _Run(config, "prerank")
+    corpora = run.corpora()
+    cves = run.cves()
     fusion = config.fusion_config()
     records = []
-    inputs = {"cves": art.cves_file}
     index_cache: dict[str, dict[str, lexical.InvertedIndex]] = {}
     for cve in sorted(cves, key=lambda c: c.cve_id):
         corpus = corpora.get(cve.repo_id)
@@ -548,9 +568,7 @@ def stage_prerank(config: PipelineConfig) -> None:
             continue
         slug = repo_slug(cve.repo_id)
         if slug not in index_cache:
-            index_cache[slug] = _indexes_for(config, "prerank", slug, ("message", "diff"))
-            inputs[f"index/{slug}.message"] = art.index_file(slug, "message")
-            inputs[f"index/{slug}.diff"] = art.index_file(slug, "diff")
+            index_cache[slug] = run.indexes(slug, ("message", "diff"))
         indexes = index_cache[slug]
         components = prerank.prerank_components(
             corpus, cve, indexes["message"], indexes["diff"], fusion
@@ -569,8 +587,8 @@ def stage_prerank(config: PipelineConfig) -> None:
                     },
                 }
             )
-    _write_jsonl(art.candidates_file, records)
-    _write_manifest(config, "prerank", inputs, {"candidates": art.candidates_file})
+    run.write(run.candidates_file, lambda tmp: _write_jsonl(tmp, records))
+    run.finish()
 
 
 def _load_ranked(path: Path, score_key: str) -> dict[str, list[tuple[str, float]]]:
@@ -626,10 +644,10 @@ def _training_group(
 
 def stage_featurize(config: PipelineConfig) -> None:
     """Compute the nine features for every candidate and training row."""
-    art = Artifacts(config.output_dir)
-    candidates = _load_artifact("featurize", _load_ranked, art.candidates_file, "fused_score")
-    corpora = _load_corpora(config, "featurize")
-    cves = _load_cves(config, "featurize")
+    run = _Run(config, "featurize")
+    candidates = run.read(_load_ranked, run.candidates_file, "fused_score")
+    corpora = run.corpora()
+    cves = run.cves()
     provider = config.provider()
 
     feature_records = []
@@ -643,7 +661,7 @@ def stage_featurize(config: PipelineConfig) -> None:
             continue
         slug = repo_slug(cve.repo_id)
         if cve.repo_id not in assemblers:
-            indexes, store = _load_repo(config, "featurize", slug, ("diff", "file"))
+            indexes, store = run.repo(slug, ("diff", "file"))
             assemblers[cve.repo_id] = _assembler(config, corpus, indexes, store, provider)
         assembler = assemblers[cve.repo_id]
         entity_records.append(
@@ -654,7 +672,7 @@ def stage_featurize(config: PipelineConfig) -> None:
             computed = dict(zip(commit_ids, assembler.matrix(cve, commit_ids)))
             group = _training_group(config, assembler, cve, ranked, computed)
         except MissingVectorError as exc:
-            raise StageInputError("featurize", f"{art.vectors_file(slug)}: {exc.args[0]}") from exc
+            raise StageInputError("featurize", f"{run.vectors_file(slug)}: {exc.args[0]}") from exc
         for commit_id in commit_ids:
             feature_records.append(_feature_record(cve.cve_id, commit_id, computed[commit_id]))
         if group is None:
@@ -668,19 +686,10 @@ def stage_featurize(config: PipelineConfig) -> None:
                     "features": [float(x) for x in row.features],
                 }
             )
-    _write_jsonl(art.features_file, feature_records)
-    _write_jsonl(art.entities_file, entity_records)
-    _write_jsonl(art.training_file, training_records)
-    _write_manifest(
-        config,
-        "featurize",
-        {"candidates": art.candidates_file, "cves": art.cves_file},
-        {
-            "features": art.features_file,
-            "entities": art.entities_file,
-            "training": art.training_file,
-        },
-    )
+    run.write(run.features_file, lambda tmp: _write_jsonl(tmp, feature_records))
+    run.write(run.entities_file, lambda tmp: _write_jsonl(tmp, entity_records))
+    run.write(run.training_file, lambda tmp: _write_jsonl(tmp, training_records))
+    run.finish()
 
 
 def _feature_record(cve_id: str, commit_id: str, vector: np.ndarray) -> dict:
@@ -706,12 +715,11 @@ def load_training_groups(path: Path) -> list[TrainingGroup]:
 
 def stage_train(config: PipelineConfig) -> None:
     """Train the LambdaRank model from the sampled training rows."""
-    art = Artifacts(config.output_dir)
-    groups = _load_artifact("train", load_training_groups, art.training_file)
+    run = _Run(config, "train")
+    groups = run.read(load_training_groups, run.training_file)
     model = train_lambdarank(groups, config.ranker_params())
-    art.model_file.parent.mkdir(parents=True, exist_ok=True)
-    model.save(art.model_file)
-    _write_manifest(config, "train", {"training": art.training_file}, {"model": art.model_file})
+    run.write(run.model_file, model.save)
+    run.finish()
 
 
 def _load_feature_rows(path: Path) -> dict[str, dict[str, np.ndarray]]:
@@ -724,11 +732,11 @@ def _load_feature_rows(path: Path) -> dict[str, dict[str, np.ndarray]]:
 
 def stage_rank(config: PipelineConfig) -> None:
     """Re-rank the candidate lists with the trained model."""
-    art = Artifacts(config.output_dir)
-    model = _load_artifact("rank", RankModel.load, art.model_file)
-    candidates = _load_artifact("rank", _load_ranked, art.candidates_file, "fused_score")
-    features = _load_artifact("rank", _load_feature_rows, art.features_file)
-    cves = {c.cve_id: c for c in _load_cves(config, "rank")}
+    run = _Run(config, "rank")
+    model = run.read(RankModel.load, run.model_file)
+    candidates = run.read(_load_ranked, run.candidates_file, "fused_score")
+    features = run.read(_load_feature_rows, run.features_file)
+    cves = {c.cve_id: c for c in run.cves()}
     records = []
     # Under --repo, candidates of other repositories' CVEs are skipped, as
     # in featurize.
@@ -738,29 +746,20 @@ def stage_rank(config: PipelineConfig) -> None:
                 model, cves[cve_id], candidates[cve_id], features.get(cve_id, {})
             )
         except MissingFeatureError as exc:
-            raise StageInputError("rank", f"{art.features_file}: {exc.args[0]}") from exc
+            raise StageInputError("rank", f"{run.features_file}: {exc.args[0]}") from exc
         for rank, (commit_id, score) in enumerate(reranked, start=1):
             records.append(
                 {"cve_id": cve_id, "commit_id": commit_id, "rank": rank, "score": score}
             )
-    _write_jsonl(art.ranking_file, records)
-    _write_manifest(
-        config,
-        "rank",
-        {
-            "model": art.model_file,
-            "candidates": art.candidates_file,
-            "features": art.features_file,
-        },
-        {"ranking": art.ranking_file},
-    )
+    run.write(run.ranking_file, lambda tmp: _write_jsonl(tmp, records))
+    run.finish()
 
 
 def stage_eval(config: PipelineConfig) -> None:
     """Score the final rankings against the known patch commits."""
-    art = Artifacts(config.output_dir)
-    rankings = _load_artifact("eval", _load_ranked, art.ranking_file, "score")
-    cves = _load_cves(config, "eval")
+    run = _Run(config, "eval")
+    rankings = run.read(_load_ranked, run.ranking_file, "score")
+    cves = run.cves()
     relevant = {}
     for cve in cves:
         if cve.cve_id in rankings:
@@ -770,15 +769,10 @@ def stage_eval(config: PipelineConfig) -> None:
                 logger.warning("skipping %s in eval: no known patches", cve.cve_id)
     rankings = {cve_id: entries for cve_id, entries in rankings.items() if cve_id in relevant}
     report = evaluate_rankings(rankings, relevant, config.metric_ks)
-    art.report_json.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(art.report_json, report.to_json_obj())
-    art.report_text.write_text(report.to_table() + "\n", encoding="utf-8")
-    _write_manifest(
-        config,
-        "eval",
-        {"ranking": art.ranking_file, "cves": art.cves_file},
-        {"report_json": art.report_json, "report_text": art.report_text},
-    )
+    run.write(run.report_json, lambda tmp: tmp.write_bytes(_json_bytes(report.to_json_obj())))
+    table = report.to_table() + "\n"
+    run.write(run.report_text, lambda tmp: tmp.write_text(table, encoding="utf-8"))
+    run.finish()
 
 
 STAGE_FUNCTIONS = {
@@ -806,7 +800,7 @@ def _stale(reason: str, scope: str) -> None:
     return None
 
 
-def _stage_manifests(config: PipelineConfig) -> dict[str, dict] | None:
+def _stage_manifests(run: _Run) -> dict[str, dict] | None:
     """The ingest, index and embed manifests, when ingest read the current dumps.
 
     Otherwise one warning names the mismatch and the result is None.
@@ -814,22 +808,24 @@ def _stage_manifests(config: PipelineConfig) -> dict[str, dict] | None:
     manifests = {}
     scope = "every repository"
     for stage in ("ingest", "index", "embed"):
-        path = Artifacts(config.output_dir).manifest_file(stage)
+        path = run.manifest_file(stage)
         try:
-            manifest = _load_artifact("trace", _read_json, path)
+            manifest = run.read(_read_json, path)
         except StageInputError as exc:
             return _stale(exc.detail, scope)
+        if manifest.get("version") != MANIFEST_VERSION:
+            return _stale(f"{path} has manifest version {manifest.get('version')!r}", scope)
         if not all(isinstance(manifest.get(key), dict) for key in ("config", "inputs", "outputs")):
             return _stale(f"{path} is malformed", scope)
         manifests[stage] = manifest
-    dumps = {"commit_dump": _sha256(config.commit_dump), "cve_dump": _sha256(config.cve_dump)}
+    dumps = {key: _sha256(path) for key, path in run.dump_files.items()}
     if manifests["ingest"]["inputs"] != dumps:
         return _stale("the dumps changed since the ingest stage", scope)
     return manifests
 
 
 def _load_fresh(
-    config: PipelineConfig, repo_id: str, provider, manifests: dict[str, dict]
+    run: _Run, repo_id: str, provider, manifests: dict[str, dict]
 ) -> tuple[dict[str, lexical.InvertedIndex], VectorStore] | None:
     """One repo's indexes and vector store from ``output_dir``, if still fresh.
 
@@ -839,31 +835,29 @@ def _load_fresh(
     result is None.
     """
     ingest, index, embed = manifests["ingest"], manifests["index"], manifests["embed"]
-    art = Artifacts(config.output_dir)
     slug = repo_slug(repo_id)
-    corpus_key = f"corpus/{slug}"
+    corpus_key = run.key(run.corpus_file(slug))
     corpus_digest = ingest["outputs"].get(corpus_key)
     if corpus_digest is None:
-        return _stale(f"{art.corpus_file(slug)} is not in the ingest manifest", repo_id)
+        return _stale(f"{run.corpus_file(slug)} is not in the ingest manifest", repo_id)
     if index["inputs"].get(corpus_key) != corpus_digest:
         return _stale(f"index/{slug} was not built from the ingested corpus", repo_id)
-    if index["config"] != _stage_config(config, "index"):
+    if index["config"] != _stage_config(run.config, "index"):
         return _stale(f"index/{slug} was built with other bm25 settings", repo_id)
-    if (embed["inputs"].get(corpus_key), embed["inputs"].get("cves")) != (
+    cves_key = run.key(run.cves_file)
+    if (embed["inputs"].get(corpus_key), embed["inputs"].get(cves_key)) != (
         corpus_digest,
-        ingest["outputs"].get("cves"),
+        ingest["outputs"].get(cves_key),
     ):
-        return _stale(f"{art.vectors_file(slug)} was not built from the ingested corpus", repo_id)
-    if embed["config"] != _embed_settings(config, provider):
-        return _stale(f"{art.vectors_file(slug)} was built with other embedding settings", repo_id)
-    files = [
-        (index, f"index/{slug}.{kind}", art.index_file(slug, kind)) for kind in lexical.FIELD_KINDS
-    ]
-    files.append((embed, f"vectors/{slug}", art.vectors_file(slug)))
-    for manifest, key, path in files:
-        if not path.exists() or _sha256(path) != manifest["outputs"].get(key):
+        return _stale(f"{run.vectors_file(slug)} was not built from the ingested corpus", repo_id)
+    if embed["config"] != _embed_settings(run.config, provider):
+        return _stale(f"{run.vectors_file(slug)} was built with other embedding settings", repo_id)
+    files = [(index, run.index_file(slug, kind)) for kind in lexical.FIELD_KINDS]
+    files.append((embed, run.vectors_file(slug)))
+    for manifest, path in files:
+        if not path.exists() or _sha256(path) != manifest["outputs"].get(run.key(path)):
             return _stale(f"{path} is missing or differs from its manifest", repo_id)
-    return _load_repo(config, "trace", slug, lexical.FIELD_KINDS)
+    return run.repo(slug, lexical.FIELD_KINDS)
 
 
 def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
@@ -877,7 +871,8 @@ def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
     in the dumps. Without any labels the pre-ranked order is returned
     unchanged. Under ``config.repo_filter`` only that repository is read.
     """
-    corpora, cves = _read_dumps(config, "trace")
+    run = _Run(config, "trace")
+    corpora, cves = run.dumps()
     target = next((c for c in cves if c.cve_id == cve_id), None)
     if target is None:
         raise ConfigError(f"CVE {cve_id!r} not found in {config.cve_dump}")
@@ -886,14 +881,14 @@ def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
 
     provider = config.provider()
     fusion = config.fusion_config()
-    manifests = _stage_manifests(config)
+    manifests = _stage_manifests(run)
     repos: dict[str, tuple[dict[str, lexical.InvertedIndex], FeatureAssembler]] = {}
 
     def preranked(cve: CveRecord) -> tuple[list[tuple[str, float]], FeatureAssembler]:
         """The CVE's pre-ranked candidates and its repository's assembler."""
         if cve.repo_id not in repos:
             corpus = corpora[cve.repo_id]
-            loaded = manifests and _load_fresh(config, cve.repo_id, provider, manifests)
+            loaded = manifests and _load_fresh(run, cve.repo_id, provider, manifests)
             if loaded:
                 indexes, store = loaded
             else:
@@ -907,11 +902,11 @@ def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
         )
         return ranked, assembler
 
-    model_path = Artifacts(config.output_dir).model_file
+    model_path = run.model_file
     model: RankModel | None = None
     model_source = "none"
     if model_path.exists():
-        model = _load_artifact("trace", RankModel.load, model_path)
+        model = run.read(RankModel.load, model_path)
         model_source = str(model_path)
     else:
         groups = []

@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import Corpus, CveRecord
 from .embedding import VectorStore, embed_batch
-from .hier_features import DEFAULT_HIER_CONFIG, HierConfig, hier_features
+from .hier_features import hier_features
 from .lexical import InvertedIndex, RankedList, accumulate_scores, rank_commit_files
 from .path_features import (
     DEFAULT_PER_ENTITY_CAP,
@@ -61,6 +61,12 @@ PATH_EMBED_BATCH = 64
 _MODEL_MAGIC = "patchrank-model"
 _MODEL_VERSION = 1
 
+# Fixed learner settings; the model metadata records the first three.
+_L2_REGULARIZATION = 1.0
+_MAX_BINS = 64
+_NDCG_TRUNCATION = 10
+_EARLY_STOP_PATIENCE = 10
+
 
 class TrainingDataError(ValueError):
     """Training input cannot produce a model (empty, degenerate, bad params)."""
@@ -96,17 +102,13 @@ class FeatureAssembler:
         file_index: InvertedIndex,
         provider,
         *,
-        hier_config: HierConfig = DEFAULT_HIER_CONFIG,
         per_entity_cap: int = DEFAULT_PER_ENTITY_CAP,
-        extractor=None,
     ):
         self.corpus = corpus
         self.store = store
         self.diff_index = diff_index
         self.file_index = file_index
-        self.hier_config = hier_config
         self.per_entity_cap = per_entity_cap
-        self.extractor = extractor
         self._provider = provider
         self._universe = path_universe(corpus)
         self._cve_cache: dict[str, tuple[set[str], set[str]]] = {}
@@ -122,7 +124,7 @@ class FeatureAssembler:
     def _cve_state(self, cve: CveRecord) -> tuple[set[str], set[str]]:
         state = self._cve_cache.get(cve.cve_id)
         if state is None:
-            entities = extract_entities(cve.description, self.extractor)
+            entities = extract_entities(cve.description)
             ner_paths = search_paths(self._universe, entities, self.per_entity_cap)
             state = (entities, ner_paths)
             self._cve_cache[cve.cve_id] = state
@@ -167,7 +169,7 @@ class FeatureAssembler:
         rows = np.empty((len(commit_ids), NUM_FEATURES), dtype=np.float64)
         for i, commit_id in enumerate(commit_ids):
             ranked = rank_commit_files(self.file_index, file_scores, commit_id)
-            rows[i, :4] = hier_features(self.store, query, commit_id, ranked, self.hier_config)
+            rows[i, :4] = hier_features(self.store, query, commit_id, ranked)
         rows[:, 4] = [diff_scores.get(commit_id, 0.0) for commit_id in commit_ids]
         rows[:, 5] = self._time_distances(cve.reserve_time, positions)
         rows[:, 6] = self._time_distances(cve.publish_time, positions)
@@ -225,10 +227,6 @@ class RankerParams:
     min_data_in_leaf: int = 20
     num_trees: int = 100
     seed: int = 0
-    l2_regularization: float = 1.0
-    max_bins: int = 64
-    ndcg_truncation: int = 10
-    early_stop_patience: int = 10
 
     def __post_init__(self) -> None:
         if self.num_trees < 1:
@@ -347,7 +345,7 @@ def _best_split(
     hessians: np.ndarray,
     params: RankerParams,
 ) -> _LeafSplit | None:
-    reg = params.l2_regularization
+    reg = _L2_REGULARIZATION
     total_g = float(gradients[rows].sum())
     total_h = float(hessians[rows].sum())
     total_n = rows.size
@@ -389,7 +387,7 @@ def _grow_tree(
     hessians: np.ndarray,
     params: RankerParams,
 ) -> dict:
-    reg = params.l2_regularization
+    reg = _L2_REGULARIZATION
 
     def leaf_value(rows: np.ndarray) -> float:
         return float(gradients[rows].sum() / (hessians[rows].sum() + reg))
@@ -504,7 +502,7 @@ def train_lambdarank(
     """Fit the boosted ensemble on per-group LambdaRank gradients.
 
     Boosting stops early once mean training NDCG stops improving for
-    ``early_stop_patience`` rounds; the model keeps the best round's trees.
+    ``_EARLY_STOP_PATIENCE`` rounds; the model keeps the best round's trees.
     """
     groups = [g for g in groups if g.rows]
     if not groups:
@@ -523,7 +521,7 @@ def train_lambdarank(
     labels = np.array([row.relevance for g in groups for row in g.rows], dtype=np.int8)
     slices = _group_slices(groups)
 
-    binner = _Binner(features, params.max_bins)
+    binner = _Binner(features, _MAX_BINS)
     scores = np.zeros(len(labels), dtype=np.float64)
     trees: list[dict] = []
     best_ndcg = -1.0
@@ -535,7 +533,7 @@ def train_lambdarank(
             _accumulate_lambdas(
                 scores[start:end],
                 labels[start:end],
-                params.ndcg_truncation,
+                _NDCG_TRUNCATION,
                 gradients[start:end],
                 hessians[start:end],
             )
@@ -545,7 +543,7 @@ def train_lambdarank(
         mean_ndcg = float(
             np.mean(
                 [
-                    _ndcg_of_scores(scores[start:end], labels[start:end], params.ndcg_truncation)
+                    _ndcg_of_scores(scores[start:end], labels[start:end], _NDCG_TRUNCATION)
                     for start, end in slices
                 ]
             )
@@ -553,7 +551,7 @@ def train_lambdarank(
         if mean_ndcg > best_ndcg + 1e-9:
             best_ndcg = mean_ndcg
             best_round = round_index
-        elif round_index - best_round >= params.early_stop_patience:
+        elif round_index - best_round >= _EARLY_STOP_PATIENCE:
             break
 
     kept = trees[: best_round + 1]
@@ -564,9 +562,9 @@ def train_lambdarank(
         "seed": params.seed,
         "num_trees_requested": params.num_trees,
         "num_trees_trained": len(kept),
-        "l2_regularization": params.l2_regularization,
-        "max_bins": params.max_bins,
-        "ndcg_truncation": params.ndcg_truncation,
+        "l2_regularization": _L2_REGULARIZATION,
+        "max_bins": _MAX_BINS,
+        "ndcg_truncation": _NDCG_TRUNCATION,
         "train_ndcg": best_ndcg,
         "num_groups": len(groups),
     }

@@ -6,7 +6,7 @@ import hashlib
 import json
 import shutil
 from dataclasses import replace
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 
@@ -37,7 +37,7 @@ from patchrank.pipeline import (
 )
 
 from patchrank.prerank import FusionConfig
-from patchrank.ranker import RankerParams
+from patchrank.ranker import RankerParams, RankModel
 
 from synthcorpus import generate
 
@@ -76,6 +76,20 @@ def small_setup(tmp_path_factory):
     for stage in ALL_STAGES:
         stage(config)
     return synth, config_path, config
+
+
+@pytest.fixture
+def staged(small_setup, tmp_path):
+    """A private copy of ``small_setup``'s dumps and artifacts."""
+    _, _, config = small_setup
+    shutil.copytree(config.commit_dump.parent, tmp_path / "input")
+    shutil.copytree(config.output_dir, tmp_path / "out")
+    return replace(
+        config,
+        commit_dump=tmp_path / "input" / config.commit_dump.name,
+        cve_dump=tmp_path / "input" / config.cve_dump.name,
+        output_dir=tmp_path / "out",
+    )
 
 
 class TestConfig:
@@ -161,6 +175,38 @@ class TestConfig:
             STAGE_FUNCTIONS[spec.stage](config)
             manifest = Artifacts(config.output_dir).manifest_file(spec.stage)
             assert json.loads(manifest.read_text())["config"][key] == value
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "offline", "false"),
+            (None, "seed", True),
+            ("fusion", "candidate_k", 2.9),
+            ("ranker", "num_trees", 7.9),
+            ("eval", "metric_ks", "15"),
+            ("provider", "model", 5),
+            ("bm25", "k1", True),
+            ("budgets", "commit_tokens", 0),
+            ("provider", "batch_size", 0),
+            ("provider", "offline_dimension", 4),
+            ("paths", "per_entity_cap", 0),
+            ("eval", "metric_ks", [0]),
+            ("ranker", "hard_negatives", -1),
+            ("fusion", "weights", "0123"),
+            ("fusion", "weights", [0.5, 0.5]),
+            ("ranker", "learning_rate", 0),
+            ("ranker", "learning_rate", float("nan")),
+        ],
+    )
+    def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, section, key, value):
+        """Wrong-typed and out-of-range values fail at load time, before any stage writes."""
+        obj = self.minimal(tmp_path)
+        (obj if section is None else obj.setdefault(section, {}))[key] = value
+        assert main(["ingest", "--config", str(self.write_config(tmp_path, obj))]) == 1
+        err = capsys.readouterr().err
+        name = key if section is None else f"{section}.{key}"
+        assert err.startswith("error: ") and err.count("\n") == 1 and name in err, err
+        assert not (tmp_path / "out").exists()
 
     def test_readme_documents_every_config_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -255,6 +301,71 @@ class TestArtifacts:
         stage_index(config)
         after = {p.name: p.read_bytes() for p in index_files}
         assert before == after
+
+
+class TestArtifactIO:
+    """Every stage reads and writes through one path that records the files."""
+
+    def test_failed_write_keeps_previous_file(self, staged, monkeypatch):
+        model_file = Artifacts(staged.output_dir).model_file
+        before = model_file.read_bytes()
+
+        def broken_save(self, path):
+            Path(path).write_bytes(b"0123456789")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(RankModel, "save", broken_save)
+        with pytest.raises(OSError, match="disk full"):
+            stage_train(staged)
+        assert model_file.read_bytes() == before
+        assert [p.name for p in model_file.parent.iterdir()] == ["model.json"]
+
+    def test_manifest_inputs_are_the_files_read(self, small_setup):
+        _, _, config = small_setup
+        art = Artifacts(config.output_dir)
+        slugs = [r["slug"] for r in json.loads(art.repos_file.read_text())["repos"]]
+        assert len(slugs) == 2
+
+        def per_repo(*patterns):
+            return {pattern.format(slug) for slug in slugs for pattern in patterns}
+
+        corpora = {"corpus/repos.json"} | per_repo("corpus/{}.jsonl")
+        cves = "corpus/cves.jsonl"
+        expected = {
+            "ingest": {"commit_dump", "cve_dump"},
+            "index": corpora,
+            "embed": corpora | {cves},
+            "prerank": corpora | {cves} | per_repo("index/{}.message.json", "index/{}.diff.json"),
+            "featurize": corpora
+            | {cves, "prerank/candidates.jsonl"}
+            | per_repo("index/{}.diff.json", "index/{}.file.json", "vectors/{}.bin"),
+            "train": {"features/training.jsonl"},
+            "rank": {
+                cves,
+                "model/model.json",
+                "prerank/candidates.jsonl",
+                "features/features.jsonl",
+            },
+            "eval": {cves, "rank/ranking.jsonl"},
+        }
+        assert set(expected) == set(STAGES)
+        for stage, keys in expected.items():
+            manifest = json.loads(art.manifest_file(stage).read_text())
+            assert set(manifest["inputs"]) == keys, stage
+
+    def test_manifest_outputs_are_the_files_written(self, small_setup):
+        """Output keys are paths relative to output_dir, and every file there is
+        some stage's output or manifest: no temporary file is left behind."""
+        _, _, config = small_setup
+        root = config.output_dir
+        written = set()
+        for stage in STAGES:
+            manifest = json.loads(Artifacts(root).manifest_file(stage).read_text())
+            assert manifest["version"] == 2
+            for key, digest in manifest["outputs"].items():
+                assert hashlib.sha256((root / key).read_bytes()).hexdigest() == digest, key
+            written |= set(manifest["outputs"]) | {f"manifests/{stage}.manifest.json"}
+        assert {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()} == written
 
 
 class TestStageInputChecks:
@@ -562,19 +673,6 @@ class TestTraceReuse:
     """``run_trace`` loads fresh index and vector artifacts, rebuilds stale ones."""
 
     @pytest.fixture
-    def staged(self, small_setup, tmp_path):
-        """A private copy of ``small_setup``'s dumps and artifacts."""
-        _, _, config = small_setup
-        shutil.copytree(config.commit_dump.parent, tmp_path / "input")
-        shutil.copytree(config.output_dir, tmp_path / "out")
-        return replace(
-            config,
-            commit_dump=tmp_path / "input" / config.commit_dump.name,
-            cve_dump=tmp_path / "input" / config.cve_dump.name,
-            output_dir=tmp_path / "out",
-        )
-
-    @pytest.fixture
     def builds(self, monkeypatch):
         counts = {"index": 0, "vectors": 0}
 
@@ -620,6 +718,7 @@ class TestTraceReuse:
             ("bm25 k1 changed", "bm25 settings"),
             ("index file rewritten", ".file.json is missing or differs"),
             ("vector store truncated", ".bin is missing or differs"),
+            ("version-1 manifests", "has manifest version 1"),
         ],
     )
     def test_stale_artifacts_rebuilt(
@@ -640,9 +739,22 @@ class TestTraceReuse:
             corpus = ingest_commit_dump(art.corpus_file(slug))
             rewritten = lexical.build_index(corpus, "file", k1=2.0)
             lexical.save_index(rewritten, art.index_file(slug, "file"))
-        else:
+        elif change == "vector store truncated":
             vectors = art.vectors_file(slug)
             vectors.write_bytes(vectors.read_bytes()[:-100])
+        else:
+            # Manifest version 1 keyed artifacts by name: "cves", "repos", and
+            # paths without their file extension.
+            names = {"corpus/cves.jsonl": "cves", "corpus/repos.json": "repos"}
+            for path in (staged.output_dir / "manifests").glob("*.manifest.json"):
+                manifest = json.loads(path.read_text())
+                for side in ("inputs", "outputs"):
+                    manifest[side] = {
+                        names.get(key, str(PurePosixPath(key).with_suffix(""))): digest
+                        for key, digest in manifest[side].items()
+                    }
+                manifest["version"] = 1
+                path.write_text(json.dumps(manifest))
         builds.update(index=0, vectors=0)
         caplog.clear()
         result = run_trace(config, record["cve_id"])

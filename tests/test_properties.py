@@ -1,0 +1,63 @@
+"""Property tests for the tokenizer, token truncation and diff splitting."""
+
+from __future__ import annotations
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from patchrank.corpus import (  # noqa: E402
+    split_diff_by_file,
+    token_count,
+    tokenize,
+    truncate_to_tokens,
+)
+
+# Any text without lone surrogates, which cannot be encoded.
+TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=300)
+
+# One diff line that starts no file section and no binary section.
+DIFF_LINE = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"),
+    max_size=40,
+).filter(lambda line: not line.startswith(("diff --git ", "Binary files", "GIT binary patch")))
+
+PATH = st.from_regex(r"[a-z]{1,8}(/[a-z_]{1,8}){0,2}\.[ch]", fullmatch=True)
+
+
+@st.composite
+def diffs(draw) -> tuple[str, list[str]]:
+    """A preamble before the first header, and the file sections after it."""
+    preamble = "".join(line + "\n" for line in draw(st.lists(DIFF_LINE, max_size=3)))
+    sections = [
+        f"diff --git a/{path} b/{path}\n"
+        + "".join(line + "\n" for line in draw(st.lists(DIFF_LINE, max_size=6)))
+        for path in draw(st.lists(PATH, max_size=4))
+    ]
+    return preamble, sections
+
+
+@given(TEXT, st.integers(min_value=1, max_value=60))
+def test_truncate_to_tokens_is_a_prefix_within_budget(text, budget):
+    cut = truncate_to_tokens(text, budget)
+    assert text.startswith(cut)
+    assert token_count(cut) <= budget
+    if token_count(text) <= budget:
+        assert cut == text
+
+
+@given(diffs())
+def test_split_diff_by_file_concatenates_back(diff):
+    preamble, sections = diff
+    split = split_diff_by_file(preamble + "".join(sections))
+    assert [fd.header + fd.body for fd in split] == sections
+
+
+@given(TEXT)
+def test_tokenize_yields_lowercase_non_empty_tokens(text):
+    tokens = tokenize(text)
+    assert all(token and token == token.lower() for token in tokens)
+    assert len(tokens) == token_count(text)
