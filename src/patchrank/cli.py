@@ -2,9 +2,10 @@
 
 Subcommands mirror the pipeline stages (ingest, index, embed, prerank,
 featurize, train, rank, eval) plus ``trace``, which ranks a single CVE and
-prints the top of the final ranking, reusing the index and vector artifacts
-when their manifests match the dumps and config. Exit codes: 0 success,
-1 configuration or input error, 2 missing upstream artifact.
+prints the top of the final ranking, reusing the index, vector and model
+artifacts that the manifests tie to the current dumps and config. Exit codes:
+0 success, 1 usage, configuration or input error, 2 missing, malformed or
+stale upstream artifact.
 """
 
 from __future__ import annotations
@@ -51,12 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser(
         "trace",
-        help="rank one CVE and print the top-k, reusing index/ and vectors/ when their "
-        "manifests match the dumps and config, building them in memory otherwise",
+        help="rank one CVE and print the top-k, reusing index/, vectors/ and model/model.json "
+        "when fresh, building or training them in memory otherwise",
     )
     add_common(trace)
     trace.add_argument("--cve", required=True, help="CVE id to trace")
-    trace.add_argument("--top-k", type=int, default=10, help="rows to print (default 10)")
+    trace.add_argument("--top-k", type=int, default=10, help="rows to print, >= 1 (default 10)")
     return parser
 
 
@@ -74,7 +75,11 @@ def _print_trace(result, top_k: int) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means a bad upstream artifact.
+        return 1 if exc.code else 0
     try:
         config = load_config(args.config)
         config = apply_overrides(
@@ -85,6 +90,8 @@ def main(argv: list[str] | None = None) -> int:
             repo=args.repo,
         )
         if args.command == "trace":
+            if args.top_k < 1:
+                raise ConfigError(f"--top-k must be >= 1, got {args.top_k}")
             result = run_trace(config, args.cve)
             _print_trace(result, args.top_k)
         else:

@@ -64,10 +64,17 @@ def _doc_tokens(corpus: Corpus, field_kind: str) -> dict[DocId, list[str]]:
     return docs
 
 
+def check_params(*, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> None:
+    """Reject BM25 parameters outside ``k1 >= 0`` and ``0 <= b <= 1``."""
+    if not (k1 >= 0 and 0 <= b <= 1):
+        raise ValueError(f"BM25 needs k1 >= 0 and 0 <= b <= 1, got k1={k1}, b={b}")
+
+
 def build_index(
     corpus: Corpus, field_kind: str, *, k1: float = DEFAULT_K1, b: float = DEFAULT_B
 ) -> InvertedIndex:
     """Index one field of every commit; one document per commit (or per file)."""
+    check_params(k1=k1, b=b)
     docs = _doc_tokens(corpus, field_kind)
     index = InvertedIndex(field_kind=field_kind, k1=k1, b=b)
     for doc_id, tokens in docs.items():

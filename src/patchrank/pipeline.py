@@ -3,8 +3,9 @@
 Every stage reads the previous stage's files and writes its own under the
 configured output directory through one ``_Run``. Each write lands in a
 temporary file that is then moved into place, and the stage's manifest
-records the SHA-256 of every file it read and wrote, so reruns can be
-checked for byte-identical artifacts and ``trace`` can tell fresh ones.
+records its settings and the SHA-256 of every file it read and wrote. Every
+read is checked against the manifests, back to the dumps, so no stage and
+no ``trace`` uses an artifact that the current dumps and config do not give.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class ConfigError(ValueError):
 
 
 class StageInputError(RuntimeError):
-    """A stage's upstream artifact is missing or malformed."""
+    """A stage's upstream artifact is missing, malformed or stale."""
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage}: {message}")
@@ -168,7 +169,7 @@ def _expect(kind: type, minimum: int | None = None, *, item=None, nullable=False
 
 # Every optional key, as ``(section, key)``; section None is the top level.
 CONFIG_KEYS: dict[tuple[str | None, str], ConfigKey] = {
-    (None, "seed"): ConfigKey("seed", _expect(int)),
+    (None, "seed"): ConfigKey("seed", _expect(int), "featurize", RankerParams),
     (None, "offline"): ConfigKey("offline", _expect(bool)),
     ("provider", "url"): ConfigKey("provider_url", _expect(str, nullable=True)),
     ("provider", "model"): ConfigKey("provider_model", _expect(str), "embed"),
@@ -185,8 +186,8 @@ CONFIG_KEYS: dict[tuple[str | None, str], ConfigKey] = {
     ("fusion", "candidate_k"): ConfigKey("candidate_k", _expect(int), "prerank", FusionConfig),
     ("budgets", "commit_tokens"): ConfigKey("commit_token_budget", _expect(int, 1), "embed"),
     ("budgets", "file_tokens"): ConfigKey("file_token_budget", _expect(int, 1), "embed"),
-    ("bm25", "k1"): ConfigKey("bm25_k1", _expect(float), "index"),
-    ("bm25", "b"): ConfigKey("bm25_b", _expect(float), "index"),
+    ("bm25", "k1"): ConfigKey("bm25_k1", _expect(float), "index", lexical.check_params),
+    ("bm25", "b"): ConfigKey("bm25_b", _expect(float), "index", lexical.check_params),
     ("paths", "per_entity_cap"): ConfigKey("per_entity_cap", _expect(int, 1), "featurize"),
     ("ranker", "learning_rate"): ConfigKey("learning_rate", _expect(float), "train", RankerParams),
     ("ranker", "num_leaves"): ConfigKey("num_leaves", _expect(int), "train", RankerParams),
@@ -232,26 +233,28 @@ def load_config(path: str | Path) -> PipelineConfig:
         if required not in obj:
             raise ConfigError(f"config is missing required key {required!r}")
 
-    def parsed(name: str, raw, parse: Callable, check: Callable | None = None):
-        try:
-            value = parse(raw)
-            if check is not None:
-                check(**{name.rpartition(".")[2]: value})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid config value {name}: {exc}") from exc
-        return value
-
     base = Path(path).resolve().parent
     values = {}
     for name in _REQUIRED_KEYS:
-        value = Path(parsed(name, obj[name], _expect(str)))
+        value = Path(_parsed(name, obj[name], ConfigKey(name, _expect(str))))
         values[name] = value if value.is_absolute() else base / value
     for (section, key), spec in CONFIG_KEYS.items():
         scope = obj if section is None else obj.get(section, {})
         if key in scope:
             name = key if section is None else f"{section}.{key}"
-            values[spec.field] = parsed(name, scope[key], spec.parse, spec.check)
+            values[spec.field] = _parsed(name, scope[key], spec)
     return PipelineConfig(**values)
+
+
+def _parsed(name: str, raw, spec: ConfigKey):
+    """``raw`` parsed and checked as the config key ``name``; a ConfigError names it."""
+    try:
+        value = spec.parse(raw)
+        if spec.check is not None:
+            spec.check(**{name.rpartition(".")[2]: value})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config value {name}: {exc}") from exc
+    return value
 
 
 def apply_overrides(
@@ -264,7 +267,7 @@ def apply_overrides(
 ) -> PipelineConfig:
     updates = {}
     if seed is not None:
-        updates["seed"] = seed
+        updates["seed"] = _parsed("seed", seed, CONFIG_KEYS[None, "seed"])
     if offline:
         updates["offline"] = True
     if provider_url is not None:
@@ -310,12 +313,17 @@ def _read_jsonl(path: Path):
 
 
 def _stage_config(config: PipelineConfig, stage: str) -> dict:
-    """The CONFIG_KEYS values that ``stage``'s manifest records as ``config``."""
-    return {
+    """The settings ``stage``'s manifest records as ``config``: its CONFIG_KEYS
+    values, and for embed whether the offline embedder ran, and its dimension."""
+    values = {
         key: getattr(config, spec.field)
         for (_, key), spec in CONFIG_KEYS.items()
         if spec.stage == stage
     }
+    if stage == "embed":
+        offline = config.offline or not config.provider_url
+        values.update(offline=offline, dimension=config.offline_dimension if offline else None)
+    return values
 
 
 def _read_json(path: Path) -> dict:
@@ -331,6 +339,12 @@ def _read_repos(path: Path) -> dict[str, str]:
     if not isinstance(repos, list):
         raise ValueError(f"{path}: no 'repos' list")
     return {entry["repo_id"]: entry["slug"] for entry in repos}
+
+
+# The stage that writes each top-level directory under output_dir.
+_PRODUCERS = dict(
+    zip(("corpus", "index", "vectors", "prerank", "features", "model", "rank", "eval"), STAGES)
+)
 
 
 @dataclass
@@ -407,14 +421,19 @@ class _Run(Artifacts):
         self.config = config
         self.stage = stage
         self.dump_files = {"commit_dump": config.commit_dump, "cve_dump": config.cve_dump}
-        self.inputs: dict[str, Path] = {}
+        self.dump_digests = {k: p.exists() and _sha256(p) for k, p in self.dump_files.items()}
+        self.inputs: dict[str, str] = {}  # key -> SHA-256 of the file read
         self.outputs: dict[str, Path] = {}
+        self._runs: dict[str, dict | str] = {}  # stage -> its manifest if fresh, else why not
 
     def read(self, loader, path: Path, *args):
-        """``loader(path, *args)``, reporting a missing or unreadable file as a
-        StageInputError that names it."""
+        """``loader(path, *args)``, reporting a missing, stale or unreadable file
+        as a StageInputError that names it."""
         if not path.exists():
             raise StageInputError(self.stage, f"missing input artifact {path}")
+        key, digest = self.key(path), _sha256(path)
+        if stale := self._stale(key, digest):
+            raise StageInputError(self.stage, f"stale artifact {path}: {stale}")
         try:
             value = loader(path, *args)
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -422,8 +441,50 @@ class _Run(Artifacts):
             if str(path) not in detail:
                 detail = f"{path}: {detail}"
             raise StageInputError(self.stage, f"malformed artifact {detail}") from exc
-        self.inputs[self.key(path)] = path
+        self.inputs[key] = digest
         return value
+
+    def _stale(self, key: str, digest: str, reader: str | None = None) -> str | None:
+        """Why ``key`` with SHA-256 ``digest``, as read by stage ``reader``'s
+        recorded run (this run when None), is not what the current dumps and
+        config give, and the stage to rerun; None if it is: if its stage's
+        version-2 manifest lists that digest and the current settings, and each
+        of its inputs passes the same test, back to the current dump files."""
+        if key in self.dump_files:
+            if digest == self.dump_digests[key]:
+                return None
+            return f"{key} {self.dump_files[key]} changed since {reader} ran; rerun {reader}"
+        stage = _PRODUCERS.get(key.partition("/")[0], reader)
+        if stage not in self._runs:
+            path = self.manifest_file(stage)
+            # Until checked, the run is stale to its own inputs: a key no stage
+            # writes resolves to its reader, and a cycle leads back to it.
+            self._runs[stage] = f"{path} lists an input it cannot have; rerun {stage}"
+            try:
+                manifest = _read_json(path)
+            except (OSError, ValueError):
+                manifest = {}
+            old, inputs, outputs = (manifest.get(p) for p in ("config", "inputs", "outputs"))
+            # Settings compare as JSON values: the manifest stores tuples as lists.
+            new = json.loads(json.dumps(_stage_config(self.config, stage)))
+            if manifest.get("version") != MANIFEST_VERSION or not all(
+                isinstance(part, dict) for part in (old, inputs, outputs)
+            ):
+                verdict = f"{path} is missing, malformed or of another version; rerun {stage}"
+            elif changed := sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k)):
+                verdict = f"{stage} ran with other {', '.join(changed)}; rerun {stage}"
+            else:
+                upstream = (self._stale(k, d, stage) for k, d in sorted(inputs.items()))
+                verdict = next(filter(None, upstream), None)
+            self._runs[stage] = verdict or manifest
+        run = self._runs[stage]
+        if isinstance(run, str):
+            return run
+        if run["outputs"].get(key) != digest:
+            # Read by this run, the file differs from what its stage wrote;
+            # read by an upstream run, that run read an older file.
+            return f"{key} differs from {self.manifest_file(stage)}; rerun {reader or stage}"
+        return None
 
     def write(self, path: Path, save: Callable[[Path], None]) -> None:
         """``save(tmp)`` on a temporary file beside ``path``, then move it into place,
@@ -438,15 +499,15 @@ class _Run(Artifacts):
             raise
         self.outputs[self.key(path)] = path
 
-    def finish(self, settings: dict | None = None) -> None:
+    def finish(self) -> None:
         """Write the manifest: settings and the SHA-256 of every file read and written."""
         manifest = {
             "stage": self.stage,
             "version": MANIFEST_VERSION,
             "seed": self.config.seed,
-            "config": _stage_config(self.config, self.stage) if settings is None else settings,
-            "inputs": {key: _sha256(path) for key, path in sorted(self.inputs.items())},
-            "outputs": {key: _sha256(path) for key, path in sorted(self.outputs.items())},
+            "config": _stage_config(self.config, self.stage),
+            "inputs": self.inputs,
+            "outputs": {key: _sha256(path) for key, path in self.outputs.items()},
         }
         path = self.manifest_file(self.stage)
         self.write(path, lambda tmp: tmp.write_bytes(_json_bytes(manifest)))
@@ -457,7 +518,7 @@ class _Run(Artifacts):
         missing = [f"{key} ({path})" for key, path in self.dump_files.items() if not path.exists()]
         if missing:
             raise StageInputError(self.stage, "missing input artifact(s): " + ", ".join(missing))
-        self.inputs.update(self.dump_files)
+        self.inputs.update(self.dump_digests)
         keep = self.config.repo_filter
         corpora = corpus_mod.ingest_multi_repo_dump(self.config.commit_dump)
         cves = sorted(corpus_mod.load_cve_dump(self.config.cve_dump), key=lambda c: c.cve_id)
@@ -502,15 +563,6 @@ def stage_ingest(config: PipelineConfig) -> None:
     run.finish()
 
 
-def _embed_settings(config: PipelineConfig, provider) -> dict:
-    """The embed manifest's ``config``: what the vector stores depend on."""
-    return {
-        **_stage_config(config, "embed"),
-        "offline": config.offline or not config.provider_url,
-        "dimension": getattr(provider, "dimension", None),
-    }
-
-
 def _build_indexes(config: PipelineConfig, corpus: Corpus):
     """Yield ``(kind, index)`` for each of the repo's BM25 indexes, built in turn."""
     for kind in lexical.FIELD_KINDS:
@@ -550,7 +602,7 @@ def stage_embed(config: PipelineConfig) -> None:
     for repo_id, corpus in sorted(corpora.items()):
         store = _build_store(config, corpus, [c for c in cves if c.repo_id == repo_id], provider)
         run.write(run.vectors_file(repo_slug(repo_id)), store.save)
-    run.finish(_embed_settings(config, provider))
+    run.finish()
 
 
 def stage_prerank(config: PipelineConfig) -> None:
@@ -795,81 +847,14 @@ class TraceResult:
     model_source: str
 
 
-def _stale(reason: str, scope: str) -> None:
-    logger.warning("trace: %s; building %s in memory", reason, scope)
-    return None
-
-
-def _stage_manifests(run: _Run) -> dict[str, dict] | None:
-    """The ingest, index and embed manifests, when ingest read the current dumps.
-
-    Otherwise one warning names the mismatch and the result is None.
-    """
-    manifests = {}
-    scope = "every repository"
-    for stage in ("ingest", "index", "embed"):
-        path = run.manifest_file(stage)
-        try:
-            manifest = run.read(_read_json, path)
-        except StageInputError as exc:
-            return _stale(exc.detail, scope)
-        if manifest.get("version") != MANIFEST_VERSION:
-            return _stale(f"{path} has manifest version {manifest.get('version')!r}", scope)
-        if not all(isinstance(manifest.get(key), dict) for key in ("config", "inputs", "outputs")):
-            return _stale(f"{path} is malformed", scope)
-        manifests[stage] = manifest
-    dumps = {key: _sha256(path) for key, path in run.dump_files.items()}
-    if manifests["ingest"]["inputs"] != dumps:
-        return _stale("the dumps changed since the ingest stage", scope)
-    return manifests
-
-
-def _load_fresh(
-    run: _Run, repo_id: str, provider, manifests: dict[str, dict]
-) -> tuple[dict[str, lexical.InvertedIndex], VectorStore] | None:
-    """One repo's indexes and vector store from ``output_dir``, if still fresh.
-
-    Fresh means index and embed read the corpus (and CVE file) that ingest
-    wrote, with this config's settings, and every file still hashes to its
-    manifest digest. Otherwise one warning names the stale artifact and the
-    result is None.
-    """
-    ingest, index, embed = manifests["ingest"], manifests["index"], manifests["embed"]
-    slug = repo_slug(repo_id)
-    corpus_key = run.key(run.corpus_file(slug))
-    corpus_digest = ingest["outputs"].get(corpus_key)
-    if corpus_digest is None:
-        return _stale(f"{run.corpus_file(slug)} is not in the ingest manifest", repo_id)
-    if index["inputs"].get(corpus_key) != corpus_digest:
-        return _stale(f"index/{slug} was not built from the ingested corpus", repo_id)
-    if index["config"] != _stage_config(run.config, "index"):
-        return _stale(f"index/{slug} was built with other bm25 settings", repo_id)
-    cves_key = run.key(run.cves_file)
-    if (embed["inputs"].get(corpus_key), embed["inputs"].get(cves_key)) != (
-        corpus_digest,
-        ingest["outputs"].get(cves_key),
-    ):
-        return _stale(f"{run.vectors_file(slug)} was not built from the ingested corpus", repo_id)
-    if embed["config"] != _embed_settings(run.config, provider):
-        return _stale(f"{run.vectors_file(slug)} was built with other embedding settings", repo_id)
-    files = [(index, run.index_file(slug, kind)) for kind in lexical.FIELD_KINDS]
-    files.append((embed, run.vectors_file(slug)))
-    for manifest, path in files:
-        if not path.exists() or _sha256(path) != manifest["outputs"].get(run.key(path)):
-            return _stale(f"{path} is missing or differs from its manifest", repo_id)
-    return run.repo(slug, lexical.FIELD_KINDS)
-
-
 def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
     """Run the whole pipeline for one CVE, writing nothing under ``output_dir``.
 
-    A repo's BM25 indexes and vector store are loaded from ``index/`` and
-    ``vectors/`` when their manifests tie them to the current dumps and
-    config; otherwise they are built in memory, with one warning naming the
-    stale or missing artifact. An existing model artifact is reused when
-    present; otherwise a model is trained on the fly from every labeled CVE
-    in the dumps. Without any labels the pre-ranked order is returned
-    unchanged. Under ``config.repo_filter`` only that repository is read.
+    Each repo's indexes and vector store, and the model, are read through
+    ``_Run.read``. Where one is missing or stale, one warning names it and the
+    repo is built, or the model trained on every labeled CVE in the dumps, in
+    memory. Without any labels the pre-ranked order is returned unchanged.
+    Under ``config.repo_filter`` only that repository is read.
     """
     run = _Run(config, "trace")
     corpora, cves = run.dumps()
@@ -881,17 +866,16 @@ def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
 
     provider = config.provider()
     fusion = config.fusion_config()
-    manifests = _stage_manifests(run)
     repos: dict[str, tuple[dict[str, lexical.InvertedIndex], FeatureAssembler]] = {}
 
     def preranked(cve: CveRecord) -> tuple[list[tuple[str, float]], FeatureAssembler]:
         """The CVE's pre-ranked candidates and its repository's assembler."""
         if cve.repo_id not in repos:
             corpus = corpora[cve.repo_id]
-            loaded = manifests and _load_fresh(run, cve.repo_id, provider, manifests)
-            if loaded:
-                indexes, store = loaded
-            else:
+            try:
+                indexes, store = run.repo(repo_slug(cve.repo_id), lexical.FIELD_KINDS)
+            except StageInputError as exc:
+                logger.warning("trace: %s; building %s in memory", exc.detail, cve.repo_id)
                 indexes = dict(_build_indexes(config, corpus))
                 repo_cves = [c for c in cves if c.repo_id == cve.repo_id]
                 store = _build_store(config, corpus, repo_cves, provider)
@@ -902,13 +886,11 @@ def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
         )
         return ranked, assembler
 
-    model_path = run.model_file
-    model: RankModel | None = None
-    model_source = "none"
-    if model_path.exists():
-        model = run.read(RankModel.load, model_path)
-        model_source = str(model_path)
-    else:
+    try:
+        model, model_source = run.read(RankModel.load, run.model_file), str(run.model_file)
+    except StageInputError as exc:
+        logger.warning("trace: %s; training the model in memory", exc.detail)
+        model, model_source = None, "none"
         groups = []
         for cve in cves:
             if cve.repo_id not in corpora or not cve.known_patch_ids:

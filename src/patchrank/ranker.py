@@ -239,6 +239,9 @@ class RankerParams:
             raise TrainingDataError(
                 f"min_data_in_leaf must be >= 1, got {self.min_data_in_leaf}"
             )
+        # _derive_seed keys blake2b with the seed as 8 signed bytes.
+        if not -(2**63) <= self.seed < 2**63:
+            raise TrainingDataError(f"seed must be in [-2**63, 2**63), got {self.seed}")
 
 
 @dataclass

@@ -78,6 +78,19 @@ class TestBuildIndex:
         with pytest.raises(ValueError, match="field_kind"):
             build_index(make_corpus([]), "body")
 
+    @pytest.mark.parametrize(
+        "k1, b", [(-0.1, 0.75), (1.2, -0.1), (1.2, 1.5), (float("nan"), 0.75), (1.2, float("nan"))]
+    )
+    def test_out_of_range_parameters_rejected(self, k1, b):
+        corpus = make_corpus([make_commit(1, message="fix ssl")])
+        with pytest.raises(ValueError, match="k1 >= 0 and 0 <= b <= 1"):
+            build_index(corpus, "message", k1=k1, b=b)
+
+    @pytest.mark.parametrize("k1, b", [(0.0, 0.0), (0.0, 1.0), (3.0, 0.5)])
+    def test_boundary_parameters_accepted(self, k1, b):
+        corpus = make_corpus([make_commit(1, message="fix ssl")])
+        assert build_index(corpus, "message", k1=k1, b=b).k1 == k1
+
 
 class TestQuery:
     def test_out_of_vocabulary_query_empty(self):

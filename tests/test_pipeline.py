@@ -92,6 +92,50 @@ def staged(small_setup, tmp_path):
     )
 
 
+@pytest.fixture
+def staged_config(small_setup, staged, tmp_path):
+    """A config file for ``staged``, with ``small_setup``'s settings."""
+    obj = json.loads(small_setup[1].read_text())
+    obj.update(
+        commit_dump=str(staged.commit_dump),
+        cve_dump=str(staged.cve_dump),
+        output_dir=str(staged.output_dir),
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+# The stage that writes each top-level directory under output_dir.
+PRODUCERS = {
+    "corpus": "ingest",
+    "index": "index",
+    "vectors": "embed",
+    "prerank": "prerank",
+    "features": "featurize",
+    "model": "train",
+    "rank": "rank",
+    "eval": "eval",
+}
+
+
+def forge_manifest(root: Path, key: str) -> None:
+    """Record the current digest of ``key`` in its stage's manifest, so that a
+    read of the edited file passes the freshness check and reaches its loader."""
+    path = Artifacts(root).manifest_file(PRODUCERS[key.split("/")[0]])
+    manifest = json.loads(path.read_text())
+    manifest["outputs"][key] = hashlib.sha256((root / key).read_bytes()).hexdigest()
+    path.write_text(json.dumps(manifest))
+
+
+def edit_commit_dump(path: Path) -> None:
+    """Append words to the first commit's message."""
+    lines = path.read_text().splitlines()
+    commit = json.loads(lines[0])
+    commit["message"] += " overflow fix"
+    path.write_text("\n".join([json.dumps(commit), *lines[1:]]) + "\n")
+
+
 class TestConfig:
     def write_config(self, tmp_path, obj):
         path = tmp_path / "config.json"
@@ -196,6 +240,11 @@ class TestConfig:
             ("fusion", "weights", [0.5, 0.5]),
             ("ranker", "learning_rate", 0),
             ("ranker", "learning_rate", float("nan")),
+            ("bm25", "k1", -0.5),
+            ("bm25", "b", 1.5),
+            ("bm25", "b", -0.1),
+            (None, "seed", 2**63),
+            (None, "seed", -(2**63) - 1),
         ],
     )
     def test_bad_value_exits_1_naming_key(self, tmp_path, capsys, section, key, value):
@@ -349,9 +398,13 @@ class TestArtifactIO:
             "eval": {cves, "rank/ranking.jsonl"},
         }
         assert set(expected) == set(STAGES)
+        dumps = {"commit_dump": config.commit_dump, "cve_dump": config.cve_dump}
         for stage, keys in expected.items():
             manifest = json.loads(art.manifest_file(stage).read_text())
             assert set(manifest["inputs"]) == keys, stage
+            for key, digest in manifest["inputs"].items():
+                path = dumps.get(key, config.output_dir / key)
+                assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (stage, key)
 
     def test_manifest_outputs_are_the_files_written(self, small_setup):
         """Output keys are paths relative to output_dir, and every file there is
@@ -366,6 +419,88 @@ class TestArtifactIO:
                 assert hashlib.sha256((root / key).read_bytes()).hexdigest() == digest, key
             written |= set(manifest["outputs"]) | {f"manifests/{stage}.manifest.json"}
         assert {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()} == written
+
+
+class TestFreshness:
+    """Every read is checked against the manifests, back to the dumps."""
+
+    def run(self, stage, config_path, capsys):
+        """``stage``'s exit code and its stderr."""
+        capsys.readouterr()
+        code = main([stage, "--config", str(config_path)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", STAGES[1:])
+    def test_edited_upstream_file_blocks_stage_until_its_stage_reruns(
+        self, staged, staged_config, capsys, stage
+    ):
+        root = staged.output_dir
+        manifest = json.loads(Artifacts(root).manifest_file(stage).read_text())
+        upstream = sorted(set(manifest["inputs"]) - {"commit_dump", "cve_dump"})
+        assert upstream
+        for key in upstream:
+            path, producer = root / key, PRODUCERS[key.split("/")[0]]
+            original = path.read_bytes()
+            # A JSON or JSONL file still parses, so only the freshness check
+            # catches the edit.
+            path.write_bytes(original + b"\n")
+            code, err = self.run(stage, staged_config, capsys)
+            assert code == 2 and err.count("\n") == 1, (key, err)
+            assert err.startswith(f"error: stage {stage}: stale artifact {path}: "), err
+            assert err.endswith(f"; rerun {producer}\n"), err
+            assert self.run(producer, staged_config, capsys)[0] == 0
+            assert path.read_bytes() == original
+            assert self.run(stage, staged_config, capsys)[0] == 0, key
+
+    def test_edited_dump_blocks_every_later_stage_until_ingest_reruns(
+        self, staged, staged_config, capsys
+    ):
+        edit_commit_dump(staged.commit_dump)
+        for stage in STAGES[1:]:
+            code, err = self.run(stage, staged_config, capsys)
+            assert code == 2 and err.count("\n") == 1, (stage, err)
+            assert f"commit_dump {staged.commit_dump} changed since ingest ran; rerun ingest" in err
+        for stage in STAGES:
+            assert self.run(stage, staged_config, capsys)[0] == 0, stage
+
+    @pytest.mark.parametrize("listed", ["bogus/file.json", "index/<slug>.message.json"])
+    def test_hand_edited_manifest_input_exits_2(self, staged, staged_config, capsys, listed):
+        """An input key no stage writes, or a manifest listing its own output as
+        an input, makes the manifest's stage stale rather than a traceback."""
+        art = Artifacts(staged.output_dir)
+        slug = json.loads(art.repos_file.read_text())["repos"][0]["slug"]
+        path = art.manifest_file("index")
+        manifest = json.loads(path.read_text())
+        manifest["inputs"][listed.replace("<slug>", slug)] = "0" * 64
+        path.write_text(json.dumps(manifest))
+        code, err = self.run("prerank", staged_config, capsys)
+        assert code == 2 and err.count("\n") == 1, err
+        assert err.startswith("error: stage prerank: stale artifact ") and err.endswith(
+            "; rerun index\n"
+        ), err
+        assert self.run("index", staged_config, capsys)[0] == 0
+        assert self.run("prerank", staged_config, capsys)[0] == 0
+
+    @pytest.mark.parametrize(
+        "section, key, value, blocked, producer",
+        [
+            ("bm25", "k1", 1.5, "prerank", "index"),
+            ("budgets", "file_tokens", 64, "featurize", "embed"),
+            ("fusion", "candidate_k", 30, "featurize", "prerank"),
+            (None, "seed", 4, "train", "featurize"),
+        ],
+    )
+    def test_changed_setting_blocks_stage_until_its_stage_reruns(
+        self, staged_config, capsys, section, key, value, blocked, producer
+    ):
+        obj = json.loads(staged_config.read_text())
+        (obj if section is None else obj.setdefault(section, {}))[key] = value
+        staged_config.write_text(json.dumps(obj))
+        code, err = self.run(blocked, staged_config, capsys)
+        assert code == 2 and err.count("\n") == 1, err
+        assert f": {producer} ran with other {key}; rerun {producer}\n" in err, err
+        assert self.run(producer, staged_config, capsys)[0] == 0
+        assert self.run(blocked, staged_config, capsys)[0] == 0
 
 
 class TestStageInputChecks:
@@ -386,6 +521,20 @@ class TestStageInputChecks:
         )
         with pytest.raises(StageInputError, match="stage ingest"):
             stage_ingest(config)
+
+
+MALFORMED_CASES = [
+    ("corpus/repos.json", b"[]", "index", False),
+    ("corpus/repos.json", b"{}", "index", False),
+    ("corpus/<slug>.jsonl", None, "index", False),
+    ("corpus/cves.jsonl", None, "prerank", False),
+    ("prerank/candidates.jsonl", None, "featurize", False),
+    ("features/training.jsonl", None, "train", False),
+    ("rank/ranking.jsonl", None, "eval", False),
+    ("corpus/repos.json", b"[]", "index", True),
+    ("prerank/candidates.jsonl", None, "featurize", True),
+    ("vectors/<slug>.bin", None, "featurize", True),
+]
 
 
 class TestCli:
@@ -411,6 +560,51 @@ class TestCli:
         path.write_text(json.dumps({"commit_dump": "x", "bogus": 1}))
         assert main(["ingest", "--config", str(path)]) == 1
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--cve", "CVE-2021-0001"],
+            ["ingest", "--config", "config.json", "--bogus"],
+            ["ingest", "--config", "config.json", "--seed", "x"],
+            ["trace", "--config", "config.json", "--cve", "CVE-2021-0001", "--top-k", "x"],
+            ["index-all", "--config", "config.json"],
+            [],
+        ],
+        ids=["no-config", "unknown-flag", "bad-seed", "bad-top-k", "unknown-command", "no-command"],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        """Exit 2 is kept for missing, malformed or stale upstream artifacts."""
+        assert main(argv) == 1
+        assert "usage: patchrank" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["trace", "--help"]) == 0
+        assert "--top-k" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_trace_top_k_below_1_exits_1(self, tmp_path, capsys, top_k):
+        synth, config_path = self.write_min_config(tmp_path)
+        cve_id = synth.cve_records[0]["cve_id"]
+        assert main(["trace", "--config", str(config_path), "--cve", cve_id, "--top-k", top_k]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --top-k must be >= 1, got {top_k}\n"
+
+    def test_trace_top_k_limits_rows(self, tmp_path, capsys):
+        synth, config_path = self.write_min_config(tmp_path)
+        cve_id = synth.cve_records[0]["cve_id"]
+        assert main(["trace", "--config", str(config_path), "--cve", cve_id, "--top-k", "1"]) == 0
+        # A header line, a column line and one row.
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
+    @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1])
+    def test_seed_flag_out_of_range_exits_1(self, tmp_path, capsys, seed):
+        _, config_path = self.write_min_config(tmp_path)
+        assert main(["ingest", "--config", str(config_path), "--seed", str(seed)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config value seed: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
 
     def test_eval_without_ranking_exits_2(self, tmp_path, capsys):
         _, config_path = self.write_min_config(tmp_path)
@@ -505,27 +699,32 @@ class TestCli:
         self.assert_one_line_error(capsys, model)
 
     @pytest.mark.parametrize(
-        "artifact, content, stage",
-        [
-            ("corpus/repos.json", b"[]", "index"),
-            ("corpus/repos.json", b"{}", "index"),
-            ("corpus/<slug>.jsonl", None, "index"),
-            ("corpus/cves.jsonl", None, "prerank"),
-            ("prerank/candidates.jsonl", None, "featurize"),
-            ("features/training.jsonl", None, "train"),
-            ("rank/ranking.jsonl", None, "eval"),
+        "artifact, content, stage, forged",
+        MALFORMED_CASES,
+        ids=[
+            f"{a}-{c.decode() if c else c}-{s}" + ("-forged" if f else "")
+            for a, c, s, f in MALFORMED_CASES
         ],
     )
-    def test_malformed_upstream_artifact_exits_2(self, tmp_path, capsys, artifact, content, stage):
+    def test_malformed_upstream_artifact_exits_2(
+        self, tmp_path, capsys, artifact, content, stage, forged
+    ):
+        """An edited file is stale. With its digest forged into its stage's
+        manifest it is fresh, and its loader's error is reported instead."""
         synth, config_path = self.write_min_config(tmp_path)
         self.run_stages(config_path, STAGES[: STAGES.index(stage)])
         slug = repo_slug(synth.cve_records[0]["repo_id"])
-        path = tmp_path / "out" / artifact.replace("<slug>", slug)
+        key = artifact.replace("<slug>", slug)
+        path = tmp_path / "out" / key
         # None: cut the file to 150 bytes, inside its first JSON line.
         path.write_bytes(path.read_bytes()[:150] if content is None else content)
+        if forged:
+            forge_manifest(tmp_path / "out", key)
         capsys.readouterr()
         assert main([stage, "--config", str(config_path)]) == 2
-        self.assert_one_line_error(capsys, path)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err, err
+        assert ("malformed artifact" if forged else "stale artifact") in err, err
 
     @pytest.mark.parametrize("dump", ["commit_dump", "cve_dump"])
     def test_malformed_input_dump_exits_1(self, tmp_path, capsys, dump):
@@ -553,15 +752,18 @@ class TestCli:
         assert main(["rank", "--config", str(config_path)]) == 2
         self.assert_one_line_error(capsys, features)
 
-    def test_missing_vector_exits_2(self, tmp_path, capsys):
+    def test_missing_vector_exits_2(self, tmp_path, capsys, monkeypatch):
         _, config_path = self.write_min_config(tmp_path)
-        self.run_stages(config_path, ("ingest", "index", "embed", "prerank"))
         # A vector store embedded without the CVEs lacks their query vectors.
-        cves = tmp_path / "out" / "corpus" / "cves.jsonl"
-        saved = cves.read_bytes()
-        cves.write_bytes(b"")
-        self.run_stages(config_path, ("embed",))
-        cves.write_bytes(saved)
+        build_vectors = pipeline_mod.build_vectors
+        monkeypatch.setattr(
+            pipeline_mod,
+            "build_vectors",
+            lambda corpus, cves, *args, **kwargs: build_vectors(corpus, [], *args, **kwargs),
+        )
+        self.run_stages(config_path, ("ingest", "index", "embed"))
+        monkeypatch.undo()
+        self.run_stages(config_path, ("prerank",))
         capsys.readouterr()
         assert main(["featurize", "--config", str(config_path)]) == 2
         (vectors,) = (tmp_path / "out" / "vectors").glob("*.bin")
@@ -689,13 +891,6 @@ class TestTraceReuse:
         )
         return counts
 
-    def from_dumps(self, config, tmp_path, cve_id):
-        """The trace built from the dumps alone, with the same model artifact."""
-        art = Artifacts(tmp_path / "from-dumps")
-        art.model_file.parent.mkdir(parents=True)
-        shutil.copy(Artifacts(config.output_dir).model_file, art.model_file)
-        return run_trace(replace(config, output_dir=art.root), cve_id)
-
     def test_fresh_artifacts_reused(self, small_setup, staged, tmp_path, monkeypatch, caplog):
         synth = small_setup[0]
         cve_ids = [r["cve_id"] for r in synth.cve_records]
@@ -712,27 +907,36 @@ class TestTraceReuse:
         assert tree_digests(staged.output_dir) == before
 
     @pytest.mark.parametrize(
-        "change, warning",
+        "change, warning, count, built",
         [
-            ("commit dump edited", "dumps changed"),
-            ("bm25 k1 changed", "bm25 settings"),
-            ("index file rewritten", ".file.json is missing or differs"),
-            ("vector store truncated", ".bin is missing or differs"),
-            ("version-1 manifests", "has manifest version 1"),
+            # A changed dump or setting makes the model stale too, so trace
+            # trains it in memory, which builds every repository.
+            ("commit dump edited", "changed since ingest ran; rerun ingest", 3, 2),
+            ("bm25 k1 changed", "index ran with other k1; rerun index", 3, 2),
+            ("index file rewritten", ".file.json differs from", 1, 1),
+            ("vector store truncated", ".bin differs from", 1, 1),
+            ("version-1 manifests", "malformed or of another version", 3, 2),
+        ],
+        # Each id names the change and what it makes stale.
+        ids=[
+            "commit dump edited-dumps changed",
+            "bm25 k1 changed-bm25 settings",
+            "index file rewritten-.file.json is missing or differs",
+            "vector store truncated-.bin is missing or differs",
+            "version-1 manifests-has manifest version 1",
         ],
     )
     def test_stale_artifacts_rebuilt(
-        self, small_setup, staged, builds, tmp_path, caplog, change, warning
+        self, small_setup, staged, builds, tmp_path, caplog, change, warning, count, built
     ):
+        """Each stale artifact gets one warning; the trace equals one built
+        from the dumps alone."""
         record = small_setup[0].cve_records[0]
         art = Artifacts(staged.output_dir)
         slug = repo_slug(record["repo_id"])
         config = staged
         if change == "commit dump edited":
-            lines = staged.commit_dump.read_text().splitlines()
-            commit = json.loads(lines[0])
-            commit["message"] += " overflow fix"
-            staged.commit_dump.write_text("\n".join([json.dumps(commit), *lines[1:]]) + "\n")
+            edit_commit_dump(staged.commit_dump)
         elif change == "bm25 k1 changed":
             config = replace(staged, bm25_k1=1.5)
         elif change == "index file rewritten":
@@ -758,7 +962,10 @@ class TestTraceReuse:
         builds.update(index=0, vectors=0)
         caplog.clear()
         result = run_trace(config, record["cve_id"])
-        assert builds == {"index": 3, "vectors": 1}
+        assert builds == {"index": 3 * built, "vectors": built}
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-        assert len(warnings) == 1 and warning in warnings[0], warnings
-        assert entries(result) == entries(self.from_dumps(config, tmp_path, record["cve_id"]))
+        assert len(warnings) == count and all(warning in w for w in warnings), warnings
+        retrained = count > built
+        assert result.model_source == ("trained in memory" if retrained else str(art.model_file))
+        from_dumps = run_trace(replace(config, output_dir=tmp_path / "from-dumps"), record["cve_id"])
+        assert entries(result) == entries(from_dumps)
