@@ -18,7 +18,6 @@ from hashlib import blake2b
 from pathlib import Path
 
 import numpy as np
-import requests
 
 from .corpus import Corpus, CveRecord, tokenize, truncate_to_tokens
 
@@ -167,6 +166,10 @@ class HttpEmbedder:
         self.batch_size = batch_size
         self.max_retries = max_retries
         self.backoff_s = backoff_s
+        # Imported here, not at module load: only this provider needs it, and
+        # every stage and trace process would otherwise pay for the import.
+        import requests
+
         self._session = requests.Session()
 
     def _headers(self) -> dict[str, str]:
@@ -177,6 +180,8 @@ class HttpEmbedder:
         return headers
 
     def _post_batch(self, batch: list[str]) -> list[list[float]]:
+        import requests
+
         attempts = 0
         last_error = "no attempt made"
         while attempts < self.max_retries:

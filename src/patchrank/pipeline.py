@@ -137,8 +137,8 @@ class ConfigKey:
     field: str  # the PipelineConfig field it sets
     # The JSON value -> the field value; raises TypeError or ValueError.
     parse: Callable
-    # The stage whose manifest ``config`` records the value, if any.
-    stage: str | None = None
+    # The stages whose manifest ``config`` records the value.
+    stages: tuple[str, ...] = ()
     # The component that bounds the value, called as ``check(key=value)`` at
     # load time, so a bad value fails there rather than mid-stage.
     check: Callable | None = None
@@ -169,10 +169,10 @@ def _expect(kind: type, minimum: int | None = None, *, item=None, nullable=False
 
 # Every optional key, as ``(section, key)``; section None is the top level.
 CONFIG_KEYS: dict[tuple[str | None, str], ConfigKey] = {
-    (None, "seed"): ConfigKey("seed", _expect(int), "featurize", RankerParams),
+    (None, "seed"): ConfigKey("seed", _expect(int), ("featurize", "train"), RankerParams),
     (None, "offline"): ConfigKey("offline", _expect(bool)),
     ("provider", "url"): ConfigKey("provider_url", _expect(str, nullable=True)),
-    ("provider", "model"): ConfigKey("provider_model", _expect(str), "embed"),
+    ("provider", "model"): ConfigKey("provider_model", _expect(str), ("embed",)),
     ("provider", "batch_size"): ConfigKey("provider_batch_size", _expect(int, 1)),
     ("provider", "max_retries"): ConfigKey("provider_max_retries", _expect(int, 1)),
     ("provider", "offline_dimension"): ConfigKey(
@@ -181,23 +181,29 @@ CONFIG_KEYS: dict[tuple[str | None, str], ConfigKey] = {
         check=lambda offline_dimension: OfflineEmbedder(offline_dimension),
     ),
     ("fusion", "weights"): ConfigKey(
-        "fusion_weights", _expect(list, item=_expect(float)), "prerank", FusionConfig
+        "fusion_weights", _expect(list, item=_expect(float)), ("prerank",), FusionConfig
     ),
-    ("fusion", "candidate_k"): ConfigKey("candidate_k", _expect(int), "prerank", FusionConfig),
-    ("budgets", "commit_tokens"): ConfigKey("commit_token_budget", _expect(int, 1), "embed"),
-    ("budgets", "file_tokens"): ConfigKey("file_token_budget", _expect(int, 1), "embed"),
-    ("bm25", "k1"): ConfigKey("bm25_k1", _expect(float), "index", lexical.check_params),
-    ("bm25", "b"): ConfigKey("bm25_b", _expect(float), "index", lexical.check_params),
-    ("paths", "per_entity_cap"): ConfigKey("per_entity_cap", _expect(int, 1), "featurize"),
-    ("ranker", "learning_rate"): ConfigKey("learning_rate", _expect(float), "train", RankerParams),
-    ("ranker", "num_leaves"): ConfigKey("num_leaves", _expect(int), "train", RankerParams),
+    ("fusion", "candidate_k"): ConfigKey("candidate_k", _expect(int), ("prerank",), FusionConfig),
+    ("budgets", "commit_tokens"): ConfigKey("commit_token_budget", _expect(int, 1), ("embed",)),
+    ("budgets", "file_tokens"): ConfigKey("file_token_budget", _expect(int, 1), ("embed",)),
+    ("bm25", "k1"): ConfigKey("bm25_k1", _expect(float), ("index",), lexical.check_params),
+    ("bm25", "b"): ConfigKey("bm25_b", _expect(float), ("index",), lexical.check_params),
+    ("paths", "per_entity_cap"): ConfigKey("per_entity_cap", _expect(int, 1), ("featurize",)),
+    ("ranker", "learning_rate"): ConfigKey(
+        "learning_rate", _expect(float), ("train",), RankerParams
+    ),
+    ("ranker", "num_leaves"): ConfigKey("num_leaves", _expect(int), ("train",), RankerParams),
     ("ranker", "min_data_in_leaf"): ConfigKey(
-        "min_data_in_leaf", _expect(int), "train", RankerParams
+        "min_data_in_leaf", _expect(int), ("train",), RankerParams
     ),
-    ("ranker", "num_trees"): ConfigKey("num_trees", _expect(int), "train", RankerParams),
-    ("ranker", "hard_negatives"): ConfigKey("hard_negatives", _expect(int, 0), "featurize"),
-    ("ranker", "random_negatives"): ConfigKey("random_negatives", _expect(int, 0), "featurize"),
-    ("eval", "metric_ks"): ConfigKey("metric_ks", _expect(list, item=_expect(int, 1)), "eval"),
+    ("ranker", "num_trees"): ConfigKey("num_trees", _expect(int), ("train",), RankerParams),
+    ("ranker", "hard_negatives"): ConfigKey("hard_negatives", _expect(int, 0), ("featurize",)),
+    ("ranker", "random_negatives"): ConfigKey(
+        "random_negatives", _expect(int, 0), ("featurize",)
+    ),
+    ("eval", "metric_ks"): ConfigKey(
+        "metric_ks", _expect(list, item=_expect(int, 1)), ("eval",)
+    ),
 }
 _REQUIRED_KEYS = ("commit_dump", "cve_dump", "output_dir")
 
@@ -318,7 +324,7 @@ def _stage_config(config: PipelineConfig, stage: str) -> dict:
     values = {
         key: getattr(config, spec.field)
         for (_, key), spec in CONFIG_KEYS.items()
-        if spec.stage == stage
+        if stage in spec.stages
     }
     if stage == "embed":
         offline = config.offline or not config.provider_url
@@ -369,7 +375,7 @@ class Artifacts:
         return self.root / "corpus" / f"{slug}.jsonl"
 
     def index_file(self, slug: str, kind: str) -> Path:
-        return self.root / "index" / f"{slug}.{kind}.json"
+        return self.root / "index" / f"{slug}.{kind}.bin"
 
     def vectors_file(self, slug: str) -> Path:
         return self.root / "vectors" / f"{slug}.bin"

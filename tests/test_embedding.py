@@ -7,12 +7,18 @@ throwaway local server implementing the /embed protocol.
 from __future__ import annotations
 
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import patchrank
 from patchrank.embedding import (
     EmbedBuildError,
     EmbeddingDimensionError,
@@ -227,6 +233,26 @@ class TestHttpEmbedder:
         monkeypatch.setenv("PATCHRANK_PROVIDER_TOKEN", "sekrit")
         HttpEmbedder(embed_server, "m").embed(["x"])
         assert _EmbedHandler.auth_headers[-1] == "Bearer sekrit"
+
+    def test_transport_error_is_reported(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        # Nothing listens on the port once the socket is closed.
+        client = HttpEmbedder(f"http://127.0.0.1:{port}", "m", max_retries=1)
+        with pytest.raises(ProviderError, match="transport error"):
+            client.embed(["x"])
+
+    def test_cli_import_leaves_requests_unloaded(self):
+        """Only this provider needs requests, so stage and trace processes,
+        which import patchrank.cli, skip the import."""
+        src_dir = Path(patchrank.__file__).resolve().parent.parent
+        script = "import sys, patchrank.cli; assert 'requests' not in sys.modules"
+        env = dict(os.environ, PYTHONPATH=str(src_dir))
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
 
 
 class TestVectorStore:

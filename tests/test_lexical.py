@@ -13,6 +13,7 @@ import pytest
 import patchrank
 
 from patchrank.lexical import (
+    accumulate_scores,
     build_index,
     load_index,
     query,
@@ -62,7 +63,7 @@ class TestBuildIndex:
             ]
         )
         index = build_index(corpus, "message")
-        assert index.postings["fix"] == {cid(1): 1}
+        assert index.posting("fix") == {cid(1): 1}
         assert index.doc_count == 2
         assert index.avg_doc_length == 2.0
 
@@ -115,6 +116,14 @@ class TestQuery:
         ]
         for doc, score in got:
             assert score == pytest.approx(oracle[doc], abs=1e-6)
+
+    @pytest.mark.parametrize("kind", ["message", "diff", "file"])
+    def test_scores_bit_identical_to_oracle(self, kind):
+        """The array scorer does the oracle's float operations in its order."""
+        corpus = random_corpus(40, seed=12)
+        index = build_index(corpus, kind)
+        for text in ("openssl packet loop", "ssl ssl retry limit", "socket", "zzz"):
+            assert accumulate_scores(index, text) == bm25_oracle_scores(corpus, kind, text)
 
     def test_prefix_consistency(self):
         corpus = random_corpus(30, seed=4)
@@ -227,17 +236,37 @@ class TestPersistence:
         corpus = random_corpus(25, seed=5)
         for kind in ("message", "diff", "file"):
             index = build_index(corpus, kind)
-            path = tmp_path / f"{kind}.json"
+            path = tmp_path / f"{kind}.bin"
             save_index(index, path)
             loaded = load_index(path)
             assert query(loaded, "openssl packet", 10) == query(index, "openssl packet", 10)
+            assert accumulate_scores(loaded, "ssl retry") == accumulate_scores(index, "ssl retry")
+            assert loaded.commit_files == index.commit_files
+            assert loaded.doc_count == index.doc_count
+            assert loaded.avg_doc_length == index.avg_doc_length
+
+    def test_empty_index_round_trip(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        save_index(build_index(make_corpus([]), "file"), path)
+        loaded = load_index(path)
+        assert loaded.doc_count == 0
+        assert query(loaded, "openssl", 5) == []
+
+    def test_non_ascii_strings_round_trip(self, tmp_path):
+        corpus = make_corpus([make_commit(1, files={"src/naïve_ß.java": "größe überlauf"})])
+        path = tmp_path / "file.bin"
+        save_index(build_index(corpus, "file"), path)
+        loaded = load_index(path)
+        assert loaded.commit_files == {cid(1): ["src/naïve_ß.java"]}
+        assert loaded.posting("größe") == {(cid(1), "src/naïve_ß.java"): 1}
 
     def test_saved_bytes_stable_across_rebuilds(self, tmp_path):
         corpus = random_corpus(25, seed=5)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        save_index(build_index(corpus, "diff"), a)
-        save_index(build_index(corpus, "diff"), b)
-        assert a.read_bytes() == b.read_bytes()
+        for kind in ("message", "diff", "file"):
+            a, b = tmp_path / f"a.{kind}.bin", tmp_path / f"b.{kind}.bin"
+            save_index(build_index(corpus, kind), a)
+            save_index(build_index(corpus, kind), b)
+            assert a.read_bytes() == b.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.json"
@@ -250,6 +279,52 @@ class TestPersistence:
         path.write_text("[]")
         with pytest.raises(ValueError, match="not a patchrank index"):
             load_index(path)
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "diff.bin"
+        save_index(build_index(random_corpus(25, seed=5), "diff"), path)
+        return path
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda data: data[:-1], "truncated index"),
+            (lambda data: data[:40], "truncated index"),
+            (lambda data: data + b"\0", "trailing bytes"),
+            (lambda data: data[:4] + (1).to_bytes(2, "little") + data[6:], "index version 1"),
+            (lambda data: data[:6] + b"\x07" + data[7:], "unknown field kind 7"),
+        ],
+        ids=["one byte short", "header cut", "trailing byte", "version 1", "kind"],
+    )
+    def test_damaged_file_rejected_naming_path(self, saved, edit, message):
+        saved.write_bytes(edit(saved.read_bytes()))
+        with pytest.raises(ValueError, match=message) as info:
+            load_index(saved)
+        assert str(saved) in str(info.value)
+
+    def test_version_1_json_index_rejected_naming_path(self, tmp_path):
+        # A one-document index as the version-1 (JSON) format wrote it.
+        path = tmp_path / "repo.message.bin"
+        path.write_text(
+            '{"avg_doc_length":2.0,"b":0.75,"commit_files":{},"doc_count":1,'
+            '"doc_lengths":[["c1",2]],"field_kind":"message","k1":1.2,'
+            '"magic":"patchrank-index","postings":[["fix",[["c1",1]]]],"version":1}'
+        )
+        with pytest.raises(ValueError, match="not a patchrank index") as info:
+            load_index(path)
+        assert str(path) in str(info.value)
+
+    def test_inconsistent_postings_rejected(self, saved):
+        index = load_index(saved)
+        # A doc position past the doc table would index out of range when scored.
+        doc_ids = index.doc_ids.copy()
+        doc_ids[0] = index.doc_count
+        index.doc_ids = doc_ids
+        save_index(index, saved)
+        with pytest.raises(ValueError, match="postings arrays are inconsistent") as info:
+            load_index(saved)
+        assert str(saved) in str(info.value)
 
 
 # The acceptance suite's 50-commit message corpus: on query 9 two commits

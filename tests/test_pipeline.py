@@ -201,7 +201,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("section, key", list(CONFIG_KEYS))
     def test_config_key_sets_field_and_manifest(self, small_setup, tmp_path, section, key):
-        """Each key reaches its field and, if it has one, its stage's manifest."""
+        """Each key reaches its field and the manifests of its stages, in turn."""
         assert set(NON_DEFAULT_VALUES) == set(CONFIG_KEYS)
         value = NON_DEFAULT_VALUES[section, key]
         spec = CONFIG_KEYS[section, key]
@@ -214,10 +214,11 @@ class TestConfig:
         expected = tuple(value) if isinstance(value, list) else value
         default = getattr(PipelineConfig(Path(), Path(), Path()), spec.field)
         assert getattr(config, spec.field) == expected != default
-        if spec.stage is not None:
+        if spec.stages:
             shutil.copytree(staged.output_dir, config.output_dir)
-            STAGE_FUNCTIONS[spec.stage](config)
-            manifest = Artifacts(config.output_dir).manifest_file(spec.stage)
+        for stage in spec.stages:
+            STAGE_FUNCTIONS[stage](config)
+            manifest = Artifacts(config.output_dir).manifest_file(stage)
             assert json.loads(manifest.read_text())["config"][key] == value
 
     @pytest.mark.parametrize(
@@ -345,7 +346,7 @@ class TestArtifacts:
     def test_index_rerun_byte_identical(self, small_setup, tmp_path):
         _, _, config = small_setup
         art = Artifacts(config.output_dir)
-        index_files = sorted((config.output_dir / "index").glob("*.json"))
+        index_files = sorted((config.output_dir / "index").glob("*.bin"))
         before = {p.name: p.read_bytes() for p in index_files}
         stage_index(config)
         after = {p.name: p.read_bytes() for p in index_files}
@@ -384,10 +385,10 @@ class TestArtifactIO:
             "ingest": {"commit_dump", "cve_dump"},
             "index": corpora,
             "embed": corpora | {cves},
-            "prerank": corpora | {cves} | per_repo("index/{}.message.json", "index/{}.diff.json"),
+            "prerank": corpora | {cves} | per_repo("index/{}.message.bin", "index/{}.diff.bin"),
             "featurize": corpora
             | {cves, "prerank/candidates.jsonl"}
-            | per_repo("index/{}.diff.json", "index/{}.file.json", "vectors/{}.bin"),
+            | per_repo("index/{}.diff.bin", "index/{}.file.bin", "vectors/{}.bin"),
             "train": {"features/training.jsonl"},
             "rank": {
                 cves,
@@ -441,8 +442,8 @@ class TestFreshness:
         for key in upstream:
             path, producer = root / key, PRODUCERS[key.split("/")[0]]
             original = path.read_bytes()
-            # A JSON or JSONL file still parses, so only the freshness check
-            # catches the edit.
+            # A JSON or JSONL file still parses, so only the freshness check,
+            # which runs before any loader, catches the edit.
             path.write_bytes(original + b"\n")
             code, err = self.run(stage, staged_config, capsys)
             assert code == 2 and err.count("\n") == 1, (key, err)
@@ -534,6 +535,7 @@ MALFORMED_CASES = [
     ("corpus/repos.json", b"[]", "index", True),
     ("prerank/candidates.jsonl", None, "featurize", True),
     ("vectors/<slug>.bin", None, "featurize", True),
+    ("index/<slug>.file.bin", None, "featurize", True),
 ]
 
 
@@ -689,6 +691,34 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(path) in err
 
+    def test_model_of_another_seed_is_stale(self, tmp_path, capsys):
+        """featurize and train both record the seed, so rank refuses a model
+        trained under another seed even when featurize, rerun with the new
+        seed, rewrites the same training rows."""
+        ranker = {"learning_rate": 0.2, "num_leaves": 7, "min_data_in_leaf": 2}
+        _, config_path = self.write_min_config(
+            tmp_path, seed=1, ranker=ranker | {"random_negatives": 0}
+        )
+        self.run_stages(config_path, STAGES)
+        training = tmp_path / "out" / "features" / "training.jsonl"
+        model = tmp_path / "out" / "model" / "model.json"
+        rows = training.read_bytes()
+
+        def run(stage):
+            return main([stage, "--config", str(config_path), "--seed", "2"])
+
+        assert run("train") == 2
+        assert run("featurize") == 0
+        assert training.read_bytes() == rows
+        capsys.readouterr()
+        assert run("rank") == 2
+        assert capsys.readouterr().err == (
+            f"error: stage rank: stale artifact {model}: train ran with other seed; rerun train\n"
+        )
+        assert run("train") == 0
+        assert run("rank") == 0
+        assert json.loads(model.read_text())["metadata"]["seed"] == 2
+
     def test_truncated_model_exits_2(self, tmp_path, capsys):
         _, config_path = self.write_min_config(tmp_path)
         self.run_stages(config_path, ("ingest", "index", "embed", "prerank", "featurize", "train"))
@@ -737,7 +767,7 @@ class TestCli:
     def test_truncated_index_exits_2(self, tmp_path, capsys):
         _, config_path = self.write_min_config(tmp_path)
         self.run_stages(config_path, ("ingest", "index"))
-        (index,) = (tmp_path / "out" / "index").glob("*.message.json")
+        (index,) = (tmp_path / "out" / "index").glob("*.message.bin")
         index.write_bytes(index.read_bytes()[:100])
         capsys.readouterr()
         assert main(["prerank", "--config", str(config_path)]) == 2
@@ -793,7 +823,7 @@ class TestCli:
     def test_non_object_index_exits_2(self, tmp_path, capsys):
         _, config_path = self.write_min_config(tmp_path)
         self.run_stages(config_path, ("ingest", "index"))
-        (index,) = (tmp_path / "out" / "index").glob("*.message.json")
+        (index,) = (tmp_path / "out" / "index").glob("*.message.bin")
         index.write_text("[]")
         capsys.readouterr()
         assert main(["prerank", "--config", str(config_path)]) == 2
@@ -913,7 +943,7 @@ class TestTraceReuse:
             # trains it in memory, which builds every repository.
             ("commit dump edited", "changed since ingest ran; rerun ingest", 3, 2),
             ("bm25 k1 changed", "index ran with other k1; rerun index", 3, 2),
-            ("index file rewritten", ".file.json differs from", 1, 1),
+            ("index file rewritten", ".file.bin differs from", 1, 1),
             ("vector store truncated", ".bin differs from", 1, 1),
             ("version-1 manifests", "malformed or of another version", 3, 2),
         ],
@@ -921,7 +951,7 @@ class TestTraceReuse:
         ids=[
             "commit dump edited-dumps changed",
             "bm25 k1 changed-bm25 settings",
-            "index file rewritten-.file.json is missing or differs",
+            "index file rewritten-.file.bin is missing or differs",
             "vector store truncated-.bin is missing or differs",
             "version-1 manifests-has manifest version 1",
         ],
