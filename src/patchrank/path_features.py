@@ -1,15 +1,15 @@
 """Path-overlap features bridging CVE descriptions and commit file paths.
 
 Identifier-like entities are pulled from the description with deterministic
-rules (an LLM-backed extractor can be plugged in instead), expanded to
-matching repository paths by substring search, and compared against each
-commit's touched paths by Jaccard overlap and embedded-text cosine.
+rules, expanded to matching repository paths by substring search, and
+compared against each commit's touched paths by Jaccard overlap and
+embedded-text cosine.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -31,10 +31,6 @@ _ENTITY_PATTERNS = (
 )
 
 
-class EntityExtractionError(RuntimeError):
-    """A pluggable entity extractor failed."""
-
-
 def rule_based_entities(description: str) -> list[str]:
     entities: list[str] = []
     for pattern in _ENTITY_PATTERNS:
@@ -42,24 +38,12 @@ def rule_based_entities(description: str) -> list[str]:
     return entities
 
 
-def extract_entities(
-    description: str,
-    extractor: Callable[[str], Iterable[str]] | None = None,
-) -> set[str]:
+def extract_entities(description: str) -> set[str]:
     """Identifier entities from a CVE description, deduplicated
     case-insensitively (first occurrence's casing wins)."""
-    if extractor is None:
-        raw = rule_based_entities(description)
-    else:
-        try:
-            raw = list(extractor(description))
-        except Exception as exc:
-            raise EntityExtractionError(f"entity extractor failed: {exc}") from exc
     seen: dict[str, str] = {}
-    for entity in raw:
-        entity = entity.strip()
-        if entity and entity.lower() not in seen:
-            seen[entity.lower()] = entity
+    for entity in rule_based_entities(description):
+        seen.setdefault(entity.lower(), entity)
     return set(seen.values())
 
 

@@ -6,16 +6,23 @@ temporary file that is then moved into place, and the stage's manifest
 records its settings and the SHA-256 of every file it read and wrote. Every
 read is checked against the manifests, back to the dumps, so no stage and
 no ``trace`` uses an artifact that the current dumps and config do not give.
+
+The per-CVE work is written once and shared by the stages and ``trace``:
+``_embed`` builds a repository's vector store, ``_prerank`` fuses a CVE's
+candidate list, and ``_featurize`` computes its feature rows and samples its
+training group. The stages read their inputs from, and write their results
+to, artifacts; ``run_trace`` runs the same functions for one CVE in memory.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
 import math
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -42,6 +49,7 @@ from .prerank import DEFAULT_CANDIDATE_K, DEFAULT_WEIGHTS, FusionConfig
 from .ranker import (
     DEFAULT_HARD_NEGATIVES,
     DEFAULT_RANDOM_NEGATIVES,
+    NUM_FEATURES,
     FeatureAssembler,
     MissingFeatureError,
     RankerParams,
@@ -359,17 +367,21 @@ class Artifacts:
 
     root: Path
 
+    def __post_init__(self) -> None:
+        self.repos_file = self.root / "corpus" / "repos.json"
+        self.cves_file = self.root / "corpus" / "cves.jsonl"
+        self.candidates_file = self.root / "prerank" / "candidates.jsonl"
+        self.features_file = self.root / "features" / "features.jsonl"
+        self.entities_file = self.root / "features" / "entities.jsonl"
+        self.training_file = self.root / "features" / "training.jsonl"
+        self.model_file = self.root / "model" / "model.json"
+        self.ranking_file = self.root / "rank" / "ranking.jsonl"
+        self.report_json = self.root / "eval" / "report.json"
+        self.report_text = self.root / "eval" / "report.txt"
+
     def key(self, path: Path) -> str:
         """The manifest key of an artifact: its POSIX path relative to the root."""
         return path.relative_to(self.root).as_posix()
-
-    @property
-    def repos_file(self) -> Path:
-        return self.root / "corpus" / "repos.json"
-
-    @property
-    def cves_file(self) -> Path:
-        return self.root / "corpus" / "cves.jsonl"
 
     def corpus_file(self, slug: str) -> Path:
         return self.root / "corpus" / f"{slug}.jsonl"
@@ -382,38 +394,6 @@ class Artifacts:
 
     def manifest_file(self, stage: str) -> Path:
         return self.root / "manifests" / f"{stage}.manifest.json"
-
-    @property
-    def candidates_file(self) -> Path:
-        return self.root / "prerank" / "candidates.jsonl"
-
-    @property
-    def features_file(self) -> Path:
-        return self.root / "features" / "features.jsonl"
-
-    @property
-    def entities_file(self) -> Path:
-        return self.root / "features" / "entities.jsonl"
-
-    @property
-    def training_file(self) -> Path:
-        return self.root / "features" / "training.jsonl"
-
-    @property
-    def model_file(self) -> Path:
-        return self.root / "model" / "model.json"
-
-    @property
-    def ranking_file(self) -> Path:
-        return self.root / "rank" / "ranking.jsonl"
-
-    @property
-    def report_json(self) -> Path:
-        return self.root / "eval" / "report.json"
-
-    @property
-    def report_text(self) -> Path:
-        return self.root / "eval" / "report.txt"
 
 
 class _Run(Artifacts):
@@ -545,15 +525,6 @@ class _Run(Artifacts):
         cves = self.read(corpus_mod.load_cve_dump, self.cves_file)
         return [c for c in cves if self.config.repo_filter in (None, c.repo_id)]
 
-    def indexes(self, slug: str, kinds: tuple[str, ...]) -> dict[str, lexical.InvertedIndex]:
-        return {kind: self.read(lexical.load_index, self.index_file(slug, kind)) for kind in kinds}
-
-    def repo(
-        self, slug: str, kinds: tuple[str, ...]
-    ) -> tuple[dict[str, lexical.InvertedIndex], VectorStore]:
-        """One repo's BM25 indexes of ``kinds`` and its vector store."""
-        return self.indexes(slug, kinds), self.read(VectorStore.load, self.vectors_file(slug))
-
 
 def stage_ingest(config: PipelineConfig) -> None:
     """Normalize the raw dumps into per-repo corpora plus the CVE file."""
@@ -569,19 +540,11 @@ def stage_ingest(config: PipelineConfig) -> None:
     run.finish()
 
 
-def _build_indexes(config: PipelineConfig, corpus: Corpus):
-    """Yield ``(kind, index)`` for each of the repo's BM25 indexes, built in turn."""
-    for kind in lexical.FIELD_KINDS:
-        yield kind, lexical.build_index(corpus, kind, k1=config.bm25_k1, b=config.bm25_b)
-
-
-def _build_store(
-    config: PipelineConfig, corpus: Corpus, cves: list[CveRecord], provider
-) -> VectorStore:
-    """Embed one repo's commits, file diffs and CVEs."""
+def _embed(config: PipelineConfig, corpus: Corpus, cves: list[CveRecord], provider) -> VectorStore:
+    """Embed one repo's commits, file diffs and the CVEs of ``cves`` in it."""
     return build_vectors(
         corpus,
-        cves,
+        [cve for cve in cves if cve.repo_id == corpus.repo_id],
         provider,
         commit_budget=config.commit_token_budget,
         file_budget=config.file_token_budget,
@@ -593,7 +556,8 @@ def stage_index(config: PipelineConfig) -> None:
     """Build message, diff, and per-file BM25 indexes for every repo."""
     run = _Run(config, "index")
     for repo_id, corpus in sorted(run.corpora().items()):
-        for kind, index in _build_indexes(config, corpus):
+        for kind in lexical.FIELD_KINDS:
+            index = lexical.build_index(corpus, kind, k1=config.bm25_k1, b=config.bm25_b)
             path = run.index_file(repo_slug(repo_id), kind)
             run.write(path, lambda tmp: lexical.save_index(index, tmp))
     run.finish()
@@ -606,9 +570,54 @@ def stage_embed(config: PipelineConfig) -> None:
     cves = run.cves()
     provider = config.provider()
     for repo_id, corpus in sorted(corpora.items()):
-        store = _build_store(config, corpus, [c for c in cves if c.repo_id == repo_id], provider)
-        run.write(run.vectors_file(repo_slug(repo_id)), store.save)
+        run.write(run.vectors_file(repo_slug(repo_id)), _embed(config, corpus, cves, provider).save)
     run.finish()
+
+
+def _repo_loader(
+    run: _Run, corpora: dict[str, Corpus], kinds: tuple[str, ...], provider=None, cves=None
+) -> Callable[[str], tuple[dict[str, lexical.InvertedIndex], FeatureAssembler | None]]:
+    """A cached function from a repo id to that repo's BM25 indexes of ``kinds``
+    and, given a ``provider``, a feature assembler over them and its vector
+    store, each read once through ``run``. Given the dumps' ``cves``, a repo
+    whose artifacts are missing or stale is logged and built in memory."""
+    config = run.config
+
+    @functools.cache
+    def load(repo_id: str):
+        corpus, slug = corpora[repo_id], repo_slug(repo_id)
+        try:
+            indexes = {
+                kind: run.read(lexical.load_index, run.index_file(slug, kind)) for kind in kinds
+            }
+            if provider is None:
+                return indexes, None
+            store = run.read(VectorStore.load, run.vectors_file(slug))
+        except StageInputError as exc:
+            if cves is None:
+                raise
+            logger.warning("trace: %s; building %s in memory", exc.detail, repo_id)
+            indexes = {
+                kind: lexical.build_index(corpus, kind, k1=config.bm25_k1, b=config.bm25_b)
+                for kind in kinds
+            }
+            store = _embed(config, corpus, cves, provider)
+        cap = config.per_entity_cap
+        return indexes, FeatureAssembler(
+            corpus, store, indexes["diff"], indexes["file"], provider, per_entity_cap=cap
+        )
+
+    return load
+
+
+def _prerank(
+    corpus: Corpus, cve: CveRecord, indexes: dict[str, lexical.InvertedIndex], fusion: FusionConfig
+) -> tuple[list[tuple[str, float]], dict[str, dict[str, float]]]:
+    """The CVE's fused candidate list and the component maps it was fused from."""
+    components = prerank.prerank_components(
+        corpus, cve, indexes["message"], indexes["diff"], fusion
+    )
+    return prerank.fuse_components(corpus, components, fusion), components
 
 
 def stage_prerank(config: PipelineConfig) -> None:
@@ -617,34 +626,26 @@ def stage_prerank(config: PipelineConfig) -> None:
     corpora = run.corpora()
     cves = run.cves()
     fusion = config.fusion_config()
+    repo = _repo_loader(run, corpora, ("message", "diff"))
     records = []
-    index_cache: dict[str, dict[str, lexical.InvertedIndex]] = {}
     for cve in sorted(cves, key=lambda c: c.cve_id):
         corpus = corpora.get(cve.repo_id)
         if corpus is None:
             logger.warning("skipping %s: repo %s not in corpus", cve.cve_id, cve.repo_id)
             continue
-        slug = repo_slug(cve.repo_id)
-        if slug not in index_cache:
-            index_cache[slug] = run.indexes(slug, ("message", "diff"))
-        indexes = index_cache[slug]
-        components = prerank.prerank_components(
-            corpus, cve, indexes["message"], indexes["diff"], fusion
+        ranked, components = _prerank(corpus, cve, repo(cve.repo_id)[0], fusion)
+        records += (
+            {
+                "cve_id": cve.cve_id,
+                "commit_id": commit_id,
+                "rank": rank,
+                "fused_score": score,
+                "components": {
+                    name: components[name].get(commit_id, 0.0) for name in prerank.COMPONENT_NAMES
+                },
+            }
+            for rank, (commit_id, score) in enumerate(ranked, start=1)
         )
-        ranked = prerank.fuse_components(corpus, components, fusion)
-        for rank, (commit_id, score) in enumerate(ranked, start=1):
-            records.append(
-                {
-                    "cve_id": cve.cve_id,
-                    "commit_id": commit_id,
-                    "rank": rank,
-                    "fused_score": score,
-                    "components": {
-                        name: components[name].get(commit_id, 0.0)
-                        for name in prerank.COMPONENT_NAMES
-                    },
-                }
-            )
     run.write(run.candidates_file, lambda tmp: _write_jsonl(tmp, records))
     run.finish()
 
@@ -657,31 +658,16 @@ def _load_ranked(path: Path, score_key: str) -> dict[str, list[tuple[str, float]
     return by_cve
 
 
-def _assembler(
-    config: PipelineConfig, corpus: Corpus, indexes: dict, store: VectorStore, provider
-) -> FeatureAssembler:
-    return FeatureAssembler(
-        corpus,
-        store,
-        indexes["diff"],
-        indexes["file"],
-        provider,
-        per_entity_cap=config.per_entity_cap,
-    )
-
-
-def _training_group(
+def _featurize(
     config: PipelineConfig,
     assembler: FeatureAssembler,
     cve: CveRecord,
     ranked: list[tuple[str, float]],
-    computed: dict[str, np.ndarray],
-) -> TrainingGroup | None:
-    """The CVE's sampled training group with every row's features filled in.
-
-    Rows found in ``computed`` reuse those features; the rest are computed
-    in one batch and added to it.
-    """
+    commit_ids: Sequence[str],
+) -> tuple[dict[str, np.ndarray], TrainingGroup | None]:
+    """The feature rows of ``commit_ids`` and of the CVE's training group, by
+    commit id and computed in one batch, and that group, sampled from its
+    pre-ranked candidates ``ranked`` (None without a known patch)."""
     group = sample_training_group(
         cve,
         ranked,
@@ -690,14 +676,12 @@ def _training_group(
         hard_negatives=config.hard_negatives,
         random_negatives=config.random_negatives,
     )
-    if group is None:
-        return None
-    missing = [row.commit_id for row in group.rows if row.commit_id not in computed]
-    if missing:
-        computed.update(zip(missing, assembler.matrix(cve, missing)))
-    for row in group.rows:
-        row.features = computed[row.commit_id]
-    return group
+    group_rows = group.rows if group else []
+    wanted = list(dict.fromkeys([*commit_ids, *(row.commit_id for row in group_rows)]))
+    rows = dict(zip(wanted, assembler.matrix(cve, wanted))) if wanted else {}
+    for row in group_rows:
+        row.features = rows[row.commit_id]
+    return rows, group
 
 
 def stage_featurize(config: PipelineConfig) -> None:
@@ -706,68 +690,58 @@ def stage_featurize(config: PipelineConfig) -> None:
     candidates = run.read(_load_ranked, run.candidates_file, "fused_score")
     corpora = run.corpora()
     cves = run.cves()
-    provider = config.provider()
-
+    repo = _repo_loader(run, corpora, ("diff", "file"), config.provider())
     feature_records = []
     entity_records = []
     training_records = []
-    assemblers: dict[str, FeatureAssembler] = {}
     for cve in sorted(cves, key=lambda c: c.cve_id):
         ranked = candidates.get(cve.cve_id)
-        corpus = corpora.get(cve.repo_id)
-        if ranked is None or corpus is None:
+        if ranked is None or cve.repo_id not in corpora:
             continue
-        slug = repo_slug(cve.repo_id)
-        if cve.repo_id not in assemblers:
-            indexes, store = run.repo(slug, ("diff", "file"))
-            assemblers[cve.repo_id] = _assembler(config, corpus, indexes, store, provider)
-        assembler = assemblers[cve.repo_id]
+        assembler = repo(cve.repo_id)[1]
         entity_records.append(
             {"cve_id": cve.cve_id, "entities": sorted(assembler.entities_for(cve))}
         )
         commit_ids = [commit_id for commit_id, _ in ranked]
         try:
-            computed = dict(zip(commit_ids, assembler.matrix(cve, commit_ids)))
-            group = _training_group(config, assembler, cve, ranked, computed)
+            rows, group = _featurize(config, assembler, cve, ranked, commit_ids)
         except MissingVectorError as exc:
-            raise StageInputError("featurize", f"{run.vectors_file(slug)}: {exc.args[0]}") from exc
-        for commit_id in commit_ids:
-            feature_records.append(_feature_record(cve.cve_id, commit_id, computed[commit_id]))
-        if group is None:
-            continue
-        for row in group.rows:
-            training_records.append(
-                {
-                    "cve_id": cve.cve_id,
-                    "commit_id": row.commit_id,
-                    "relevance": row.relevance,
-                    "features": [float(x) for x in row.features],
-                }
-            )
+            path = run.vectors_file(repo_slug(cve.repo_id))
+            raise StageInputError("featurize", f"{path}: {exc.args[0]}") from exc
+        except KeyError as exc:
+            # Corpus.position_of: a candidate that is not a commit of the repo.
+            raise StageInputError("featurize", f"{run.candidates_file}: {exc.args[0]}") from exc
+        feature_records += (
+            {"cve_id": cve.cve_id, "commit_id": commit_id}
+            | {f"f{i}": float(value) for i, value in enumerate(rows[commit_id], start=1)}
+            for commit_id in commit_ids
+        )
+        training_records += (
+            {
+                "cve_id": cve.cve_id,
+                "commit_id": row.commit_id,
+                "relevance": row.relevance,
+                "features": [float(x) for x in row.features],
+            }
+            for row in (group.rows if group else ())
+        )
     run.write(run.features_file, lambda tmp: _write_jsonl(tmp, feature_records))
     run.write(run.entities_file, lambda tmp: _write_jsonl(tmp, entity_records))
     run.write(run.training_file, lambda tmp: _write_jsonl(tmp, training_records))
     run.finish()
 
 
-def _feature_record(cve_id: str, commit_id: str, vector: np.ndarray) -> dict:
-    record = {"cve_id": cve_id, "commit_id": commit_id}
-    for i, value in enumerate(vector, start=1):
-        record[f"f{i}"] = float(value)
-    return record
-
-
 def load_training_groups(path: Path) -> list[TrainingGroup]:
     groups: dict[str, TrainingGroup] = {}
     for record in _read_jsonl(path):
-        group = groups.setdefault(record["cve_id"], TrainingGroup(cve_id=record["cve_id"]))
-        group.rows.append(
-            TrainingRow(
-                commit_id=record["commit_id"],
-                relevance=int(record["relevance"]),
-                features=np.asarray(record["features"], dtype=np.float64),
+        features = np.asarray(record["features"], dtype=np.float64)
+        if features.shape != (NUM_FEATURES,):
+            raise ValueError(
+                f"training row ({record['cve_id']}, {record['commit_id']}) has "
+                f"{features.size} features, expected {NUM_FEATURES}"
             )
-        )
+        group = groups.setdefault(record["cve_id"], TrainingGroup(cve_id=record["cve_id"]))
+        group.rows.append(TrainingRow(record["commit_id"], int(record["relevance"]), features))
     return [groups[cve_id] for cve_id in sorted(groups)]
 
 
@@ -869,57 +843,27 @@ def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
         raise ConfigError(f"CVE {cve_id!r} not found in {config.cve_dump}")
     if target.repo_id not in corpora:
         raise ConfigError(f"repo {target.repo_id!r} of CVE {cve_id} not found in commit dump")
+    repo = _repo_loader(run, corpora, lexical.FIELD_KINDS, config.provider(), cves)
 
-    provider = config.provider()
-    fusion = config.fusion_config()
-    repos: dict[str, tuple[dict[str, lexical.InvertedIndex], FeatureAssembler]] = {}
-
-    def preranked(cve: CveRecord) -> tuple[list[tuple[str, float]], FeatureAssembler]:
-        """The CVE's pre-ranked candidates and its repository's assembler."""
-        if cve.repo_id not in repos:
-            corpus = corpora[cve.repo_id]
-            try:
-                indexes, store = run.repo(repo_slug(cve.repo_id), lexical.FIELD_KINDS)
-            except StageInputError as exc:
-                logger.warning("trace: %s; building %s in memory", exc.detail, cve.repo_id)
-                indexes = dict(_build_indexes(config, corpus))
-                repo_cves = [c for c in cves if c.repo_id == cve.repo_id]
-                store = _build_store(config, corpus, repo_cves, provider)
-            repos[cve.repo_id] = indexes, _assembler(config, corpus, indexes, store, provider)
-        indexes, assembler = repos[cve.repo_id]
-        ranked = prerank.prerank_candidates(
-            assembler.corpus, cve, indexes["message"], indexes["diff"], fusion
-        )
-        return ranked, assembler
+    def preranked(cve: CveRecord) -> list[tuple[str, float]]:
+        indexes, assembler = repo(cve.repo_id)
+        return _prerank(assembler.corpus, cve, indexes, config.fusion_config())[0]
 
     try:
         model, model_source = run.read(RankModel.load, run.model_file), str(run.model_file)
     except StageInputError as exc:
         logger.warning("trace: %s; training the model in memory", exc.detail)
-        model, model_source = None, "none"
-        groups = []
-        for cve in cves:
-            if cve.repo_id not in corpora or not cve.known_patch_ids:
-                continue
-            ranked, assembler = preranked(cve)
-            group = _training_group(config, assembler, cve, ranked, {})
-            if group is not None:
-                groups.append(group)
-        if groups:
-            model = train_lambdarank(groups, config.ranker_params())
-            model_source = "trained in memory"
+        labeled = [c for c in cves if c.repo_id in corpora and c.known_patch_ids]
+        groups = [_featurize(config, repo(c.repo_id)[1], c, preranked(c), ())[1] for c in labeled]
+        groups = [group for group in groups if group is not None]
+        model = train_lambdarank(groups, config.ranker_params()) if groups else None
+        model_source = "trained in memory" if groups else "none"
 
-    prerank_entries, assembler = preranked(target)
+    prerank_entries = preranked(target)
     if model is None:
         logger.warning("no labeled CVEs available; returning pre-ranked order")
-        final = list(prerank_entries)
-    else:
-        commit_ids = [commit_id for commit_id, _ in prerank_entries]
-        feature_map = dict(zip(commit_ids, assembler.matrix(target, commit_ids)))
-        final = score_and_rerank(model, target, prerank_entries, feature_map)
-    return TraceResult(
-        cve=target,
-        prerank_entries=prerank_entries,
-        final_entries=final,
-        model_source=model_source,
-    )
+        return TraceResult(target, prerank_entries, list(prerank_entries), model_source)
+    commit_ids = [commit_id for commit_id, _ in prerank_entries]
+    features = dict(zip(commit_ids, repo(target.repo_id)[1].matrix(target, commit_ids)))
+    final = score_and_rerank(model, target, prerank_entries, features)
+    return TraceResult(target, prerank_entries, final, model_source)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import json
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 from hashlib import blake2b
@@ -284,15 +285,45 @@ class RankModel:
         model = cls(
             learning_rate=obj["learning_rate"], trees=obj["trees"], metadata=obj["metadata"]
         )
+        if not _is_finite_number(model.learning_rate):
+            raise ValueError(f"{path}: learning_rate {model.learning_rate!r} is not a number")
+        if not isinstance(model.metadata, dict):
+            raise ValueError(f"{path}: metadata is not an object")
         names = model.metadata.get("feature_names")
         if names != list(FEATURE_NAMES):
             raise ValueError(f"{path}: unexpected feature order {names}")
-        for tree in model.trees:
-            for node in tree["nodes"]:
-                feature = node.get("feature")
-                if feature is not None and not 0 <= feature < NUM_FEATURES:
-                    raise ValueError(f"{path}: feature index {feature} out of range")
+        for t, tree in enumerate(model.trees):
+            nodes = tree["nodes"]
+            if not isinstance(nodes, list) or not nodes:
+                raise ValueError(f"{path}: tree {t} has no node list")
+            for node_id, node in enumerate(nodes):
+                if reason := _node_error(node, node_id, len(nodes)):
+                    raise ValueError(f"{path}: tree {t} node {node_id}: {reason}")
         return model
+
+
+def _is_finite_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _node_error(node, node_id: int, count: int) -> str | None:
+    """Why ``node`` is neither a leaf with a finite value nor a split on a
+    known feature at a finite threshold whose children follow it in the node
+    list, as ``_grow_tree`` appends them, so that every path ends at a leaf;
+    None when it is one of the two."""
+    if not isinstance(node, dict):
+        return "not an object"
+    if "value" in node:
+        return None if _is_finite_number(node["value"]) else "leaf value is not a number"
+    feature = node.get("feature")
+    if type(feature) is not int or not 0 <= feature < NUM_FEATURES:
+        return f"feature index {feature!r} out of range"
+    if not _is_finite_number(node.get("threshold")):
+        return "threshold is not a number"
+    children = (node.get("left"), node.get("right"))
+    if not all(type(child) is int and node_id < child < count for child in children):
+        return f"child index {children} out of range"
+    return None
 
 
 def _predict_tree(tree: dict, features: np.ndarray) -> np.ndarray:

@@ -7,7 +7,6 @@ import pytest
 from patchrank.embedding import OfflineEmbedder, build_vectors, offline_embed
 from patchrank.lexical import build_index
 from patchrank.path_features import (
-    EntityExtractionError,
     commit_paths,
     extract_entities,
     feature_jaccard,
@@ -73,17 +72,6 @@ class TestExtractEntities:
 
     def test_deterministic(self):
         assert extract_entities(TOMCAT_DESCRIPTION) == extract_entities(TOMCAT_DESCRIPTION)
-
-    def test_pluggable_extractor_used(self):
-        entities = extract_entities("whatever", extractor=lambda text: ["A", "a", "  ", "B"])
-        assert entities == {"A", "B"}
-
-    def test_pluggable_extractor_failure_wrapped(self):
-        def boom(text):
-            raise RuntimeError("llm down")
-
-        with pytest.raises(EntityExtractionError, match="llm down"):
-            extract_entities("x", extractor=boom)
 
 
 class TestSearchPaths:

@@ -539,6 +539,34 @@ MALFORMED_CASES = [
 ]
 
 
+def first_split(model: dict) -> dict:
+    return next(n for tree in model["trees"] for n in tree["nodes"] if "feature" in n)
+
+
+MODEL = "model/model.json"
+
+# Structurally bad records, each written with its digest forged into its
+# stage's manifest: (artifact, edit of the model object or of the first
+# JSONL record, stage that reads it).
+EDITED_CASES = {
+    "child index out of range": (MODEL, lambda m: first_split(m).update(left=999), "rank"),
+    "empty node list": (MODEL, lambda m: m["trees"][0].update(nodes=[]), "rank"),
+    "string threshold": (MODEL, lambda m: first_split(m).update(threshold="0.5"), "rank"),
+    "string learning_rate": (MODEL, lambda m: m.update(learning_rate="0.1"), "rank"),
+    "list metadata": (MODEL, lambda m: m.update(metadata=[]), "rank"),
+    "unknown candidate commit": (
+        "prerank/candidates.jsonl",
+        lambda r: r.update(commit_id="f" * 40),
+        "featurize",
+    ),
+    "8 training features": (
+        "features/training.jsonl",
+        lambda r: r.update(features=r["features"][:8]),
+        "train",
+    ),
+}
+
+
 class TestCli:
     def write_min_config(self, tmp_path, synth_dir="input", **extra):
         # Two positives total, so min_data_in_leaf must stay <= 2 for the
@@ -756,6 +784,31 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err, err
         assert ("malformed artifact" if forged else "stale artifact") in err, err
 
+    @pytest.mark.parametrize("case", EDITED_CASES)
+    def test_structurally_bad_artifact_exits_2(self, tmp_path, capsys, caplog, case):
+        """A fresh but structurally bad artifact ends in one error line naming
+        it; trace, finding the model bad, trains one in memory instead."""
+        artifact, edit, stage = EDITED_CASES[case]
+        synth, config_path = self.write_min_config(tmp_path)
+        self.run_stages(config_path, STAGES[: STAGES.index(stage)])
+        path = tmp_path / "out" / artifact
+        first, *rest = path.read_text().splitlines(keepends=True)
+        record = json.loads(first)
+        edit(record)
+        path.write_text("".join([json.dumps(record) + "\n", *rest]))
+        forge_manifest(tmp_path / "out", artifact)
+        capsys.readouterr()
+        assert main([stage, "--config", str(config_path)]) == 2
+        self.assert_one_line_error(capsys, path)
+        if artifact == MODEL:
+            cve_id = synth.cve_records[0]["cve_id"]
+            caplog.clear()
+            assert main(["trace", "--config", str(config_path), "--cve", cve_id]) == 0
+            assert "(model: trained in memory)" in capsys.readouterr().out
+            (warning,) = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+            assert f"malformed artifact {path}" in warning, warning
+            assert warning.endswith("training the model in memory"), warning
+
     @pytest.mark.parametrize("dump", ["commit_dump", "cve_dump"])
     def test_malformed_input_dump_exits_1(self, tmp_path, capsys, dump):
         _, config_path = self.write_min_config(tmp_path)
@@ -861,6 +914,25 @@ class TestTrace:
         result = run_trace(config, synth.cve_records[0]["cve_id"])
         assert result.model_source.endswith("model.json")
         assert len(result.final_entries) == len(result.prerank_entries)
+
+    def test_trace_equals_batch(self, small_setup, tmp_path):
+        """For every CVE, trace pre-ranks and ranks as the batch stages did,
+        from fresh artifacts and from the dumps alone."""
+        synth, _, config = small_setup
+        art = Artifacts(config.output_dir)
+        batch = {}
+        for path, score in ((art.candidates_file, "fused_score"), (art.ranking_file, "score")):
+            for line in path.read_text().splitlines():
+                record = json.loads(line)
+                rows = batch.setdefault((path, record["cve_id"]), [])
+                rows.append((record["commit_id"], record[score]))
+        for output_dir in (config.output_dir, tmp_path / "empty"):
+            for cve_id in synth.patches_by_cve:
+                result = run_trace(replace(config, output_dir=output_dir), cve_id)
+                assert result.prerank_entries == batch[art.candidates_file, cve_id]
+                assert result.final_entries == batch[art.ranking_file, cve_id]
+                expected = "trained in memory" if output_dir != art.root else str(art.model_file)
+                assert result.model_source == expected
 
     def test_trace_without_labels_falls_back_to_prerank(self, tmp_path, caplog):
         synth = generate(seed=41, n_repos=1, commits_per_repo=45, cves_per_repo=1)
