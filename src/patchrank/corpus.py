@@ -3,20 +3,27 @@
 Loads line-delimited JSON dumps of commit histories and CVE records,
 splits raw unified diffs into per-file units, and provides the
 tokenizer used everywhere else (indexing, embedding, truncation).
+
+Every JSONL file, dump or artifact, is written by :func:`write_jsonl` and
+read by :func:`read_jsonl`, which checks each line with the typed value
+parsers of :func:`expect`, the parsers of the pipeline config's values.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import reprlib
+import sys
 from bisect import bisect_left
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
 
 class DumpFormatError(ValueError):
-    """A commit or CVE dump line violates the expected JSONL schema."""
+    """A commit or CVE dump, or a JSONL artifact, is malformed."""
 
 
 _COMMIT_ID_RE = re.compile(r"^[0-9a-f]{40}$")
@@ -25,10 +32,69 @@ _BINARY_SECTION_RE = re.compile(r"^(?:Binary files .* differ|GIT binary patch)",
 _WORD_RUN_RE = re.compile(r"\w+")
 _SUBTOKEN_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z]+|[a-z]+|[0-9]+")
 
-COMMIT_DUMP_KEYS = frozenset({"commit_id", "repo_id", "author_time", "message", "diff"})
-CVE_DUMP_KEYS = frozenset(
-    {"cve_id", "description", "reserve_time", "publish_time", "repo_id", "known_patch_ids"}
-)
+
+def expect(
+    kind: type, minimum: int | None = None, *, item=None, fields=None, nullable=False
+) -> Callable:
+    """A parser that accepts only a JSON value of ``kind`` (or null, if
+    ``nullable``), at least ``minimum``, with list items parsed by ``item`` and
+    an object's values by their key's parser in ``fields``, which lists its keys
+    exactly. Types match exactly, so JSON true and false are not numbers; a
+    float also takes an integer but not NaN or infinity, which Python's JSON
+    parser accepts."""
+    accepted = (int, float) if kind is float else (kind,)
+
+    def parse(value):
+        if value is None and nullable:
+            return None
+        if type(value) not in accepted:
+            raise TypeError(f"expected {kind.__name__}, got {reprlib.repr(value)}")
+        # Compared, not converted: float() of a huge JSON integer overflows.
+        if kind is float and not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ValueError(f"must be finite, got {reprlib.repr(value)}")
+        if minimum is not None and value < minimum:
+            raise ValueError(f"must be >= {minimum}, got {value}")
+        if item is not None:
+            return tuple(map(item, value))
+        if fields is not None:
+            if value.keys() != fields.keys():
+                raise ValueError(f"expected keys {sorted(fields)}, got {sorted(value)}")
+            parsed = {}
+            for key, parse_field in fields.items():
+                try:
+                    parsed[key] = parse_field(value[key])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{key}: {exc}") from exc
+            return parsed
+        return float(value) if kind is float else value
+
+    return parse
+
+
+def read_jsonl(path: str | Path, fields: dict[str, Callable], build: Callable = dict) -> Iterator:
+    """``build(**record)`` for each non-blank line of ``path``, ``record`` parsed
+    by ``expect(dict, fields=fields)``. Any failure, ``build``'s included, is
+    one DumpFormatError naming the file and the line."""
+    parse = expect(dict, fields=fields)
+    # Decoded line by line, so that invalid UTF-8 is reported with its line.
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = build(**parse(json.loads(line.decode("utf-8"))))
+            except json.JSONDecodeError as exc:
+                raise DumpFormatError(f"{path} line {lineno}: invalid JSON ({exc.msg})") from exc
+            except (TypeError, ValueError) as exc:
+                raise DumpFormatError(f"{path} line {lineno}: {exc}") from exc
+            yield record
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """One JSON object per line, keys sorted, non-ASCII text kept as is."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 @dataclass(frozen=True)
@@ -211,45 +277,40 @@ def truncate_to_tokens(text: str, budget: int) -> str:
     return text
 
 
-def _parse_commit_line(line: str, lineno: int) -> CommitRecord:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DumpFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(obj, dict) or set(obj) != COMMIT_DUMP_KEYS:
-        raise DumpFormatError(
-            f"line {lineno}: expected keys {sorted(COMMIT_DUMP_KEYS)}, "
-            f"got {sorted(obj) if isinstance(obj, dict) else type(obj).__name__}"
-        )
-    try:
-        return CommitRecord(
-            commit_id=obj["commit_id"],
-            repo_id=obj["repo_id"],
-            author_time=int(obj["author_time"]),
-            message=obj["message"],
-            file_diffs=tuple(split_diff_by_file(obj["diff"])),
-        )
-    except (TypeError, ValueError) as exc:
-        raise DumpFormatError(f"line {lineno}: {exc}") from exc
+_STR = expect(str)
+_TIME = expect(int, nullable=True)
+_PATCH_IDS = expect(list, item=_STR)
+
+# The dumps' field tables. A commit's ``diff`` is stored split by file.
+COMMIT_FIELDS = {
+    "commit_id": _STR,
+    "repo_id": _STR,
+    "author_time": expect(int),
+    "message": _STR,
+    "diff": _STR,
+}
+CVE_FIELDS = {
+    "cve_id": _STR,
+    "description": _STR,
+    "reserve_time": _TIME,
+    "publish_time": _TIME,
+    "repo_id": _STR,
+    "known_patch_ids": lambda value: frozenset(_PATCH_IDS(value)),
+}
 
 
 def _read_commit_records(path: str | Path) -> list[CommitRecord]:
-    records: list[CommitRecord] = []
-    seen: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            record = _parse_commit_line(line, lineno)
-            key = (record.repo_id, record.commit_id)
-            if key in seen:
-                raise DumpFormatError(
-                    f"line {lineno}: duplicate commit_id {record.commit_id} "
-                    f"(first seen on line {seen[key]})"
-                )
-            seen[key] = lineno
-            records.append(record)
-    return records
+    seen: set[tuple[str, str]] = set()
+
+    def build(diff: str, **fields) -> CommitRecord:
+        record = CommitRecord(**fields, file_diffs=tuple(split_diff_by_file(diff)))
+        key = (record.repo_id, record.commit_id)
+        if key in seen:
+            raise ValueError(f"duplicate commit_id {record.commit_id} in {record.repo_id}")
+        seen.add(key)
+        return record
+
+    return list(read_jsonl(path, COMMIT_FIELDS, build))
 
 
 def build_corpus(repo_id: str, records: list[CommitRecord]) -> Corpus:
@@ -262,7 +323,7 @@ def ingest_commit_dump(path: str | Path) -> Corpus:
     records = _read_commit_records(path)
     repo_ids = sorted({r.repo_id for r in records})
     if len(repo_ids) > 1:
-        raise DumpFormatError(f"dump mixes repositories {repo_ids}; expected exactly one")
+        raise DumpFormatError(f"{path}: dump mixes repositories {repo_ids}; expected exactly one")
     repo_id = repo_ids[0] if repo_ids else ""
     return build_corpus(repo_id, records)
 
@@ -277,71 +338,19 @@ def ingest_multi_repo_dump(path: str | Path) -> dict[str, Corpus]:
 
 def serialize_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus back to dump format; re-ingesting yields an equal corpus."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for commit in corpus.commits:
-            fh.write(
-                json.dumps(
-                    {
-                        "commit_id": commit.commit_id,
-                        "repo_id": commit.repo_id,
-                        "author_time": commit.author_time,
-                        "message": commit.message,
-                        "diff": commit.diff_text(),
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(path, (_dump_record(c, COMMIT_FIELDS, diff=c.diff_text()) for c in corpus.commits))
 
 
 def load_cve_dump(path: str | Path) -> list[CveRecord]:
     """Load CVE records (JSONL); null timestamps are allowed."""
-    records: list[CveRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DumpFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict) or set(obj) != CVE_DUMP_KEYS:
-                raise DumpFormatError(
-                    f"line {lineno}: expected keys {sorted(CVE_DUMP_KEYS)}, "
-                    f"got {sorted(obj) if isinstance(obj, dict) else type(obj).__name__}"
-                )
-            try:
-                records.append(
-                    CveRecord(
-                        cve_id=obj["cve_id"],
-                        description=obj["description"],
-                        reserve_time=None if obj["reserve_time"] is None else int(obj["reserve_time"]),
-                        publish_time=None if obj["publish_time"] is None else int(obj["publish_time"]),
-                        repo_id=obj["repo_id"],
-                        known_patch_ids=frozenset(obj["known_patch_ids"]),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise DumpFormatError(f"line {lineno}: {exc}") from exc
-    return records
+    return list(read_jsonl(path, CVE_FIELDS, CveRecord))
 
 
 def serialize_cves(cves: list[CveRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for cve in cves:
-            fh.write(
-                json.dumps(
-                    {
-                        "cve_id": cve.cve_id,
-                        "description": cve.description,
-                        "reserve_time": cve.reserve_time,
-                        "publish_time": cve.publish_time,
-                        "repo_id": cve.repo_id,
-                        "known_patch_ids": sorted(cve.known_patch_ids),
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    rows = (_dump_record(c, CVE_FIELDS, known_patch_ids=sorted(c.known_patch_ids)) for c in cves)
+    write_jsonl(path, rows)
+
+
+def _dump_record(record, fields: dict[str, Callable], **derived) -> dict:
+    """``record``'s dump line: each key of ``fields`` from ``derived`` or its attribute."""
+    return {key: derived[key] if key in derived else getattr(record, key) for key in fields}

@@ -20,7 +20,6 @@ import functools
 import hashlib
 import json
 import logging
-import math
 import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import lexical, prerank
-from .corpus import Corpus, CveRecord
+from .corpus import Corpus, CveRecord, expect, read_jsonl, write_jsonl
 from .embedding import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_COMMIT_TOKEN_BUDGET,
@@ -152,65 +151,42 @@ class ConfigKey:
     check: Callable | None = None
 
 
-def _expect(kind: type, minimum: int | None = None, *, item=None, nullable=False) -> Callable:
-    """A parser that accepts only a JSON value of ``kind`` (or null, if
-    ``nullable``), at least ``minimum``, with list items parsed by ``item``.
-    JSON true and false are not numbers; a float key also takes an integer
-    but not NaN or infinity, which Python's JSON parser accepts."""
-
-    def parse(value):
-        if value is None and nullable:
-            return None
-        accepted = (int, float) if kind is float else kind
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-            raise TypeError(f"expected {kind.__name__}, got {value!r}")
-        if kind is float and not math.isfinite(value):
-            raise ValueError(f"must be finite, got {value}")
-        if minimum is not None and value < minimum:
-            raise ValueError(f"must be >= {minimum}, got {value}")
-        if item is not None:
-            return tuple(item(v) for v in value)
-        return float(value) if kind is float else value
-
-    return parse
-
-
 # Every optional key, as ``(section, key)``; section None is the top level.
 CONFIG_KEYS: dict[tuple[str | None, str], ConfigKey] = {
-    (None, "seed"): ConfigKey("seed", _expect(int), ("featurize", "train"), RankerParams),
-    (None, "offline"): ConfigKey("offline", _expect(bool)),
-    ("provider", "url"): ConfigKey("provider_url", _expect(str, nullable=True)),
-    ("provider", "model"): ConfigKey("provider_model", _expect(str), ("embed",)),
-    ("provider", "batch_size"): ConfigKey("provider_batch_size", _expect(int, 1)),
-    ("provider", "max_retries"): ConfigKey("provider_max_retries", _expect(int, 1)),
+    (None, "seed"): ConfigKey("seed", expect(int), ("featurize", "train"), RankerParams),
+    (None, "offline"): ConfigKey("offline", expect(bool)),
+    ("provider", "url"): ConfigKey("provider_url", expect(str, nullable=True)),
+    ("provider", "model"): ConfigKey("provider_model", expect(str), ("embed",)),
+    ("provider", "batch_size"): ConfigKey("provider_batch_size", expect(int, 1)),
+    ("provider", "max_retries"): ConfigKey("provider_max_retries", expect(int, 1)),
     ("provider", "offline_dimension"): ConfigKey(
         "offline_dimension",
-        _expect(int),
+        expect(int),
         check=lambda offline_dimension: OfflineEmbedder(offline_dimension),
     ),
     ("fusion", "weights"): ConfigKey(
-        "fusion_weights", _expect(list, item=_expect(float)), ("prerank",), FusionConfig
+        "fusion_weights", expect(list, item=expect(float)), ("prerank",), FusionConfig
     ),
-    ("fusion", "candidate_k"): ConfigKey("candidate_k", _expect(int), ("prerank",), FusionConfig),
-    ("budgets", "commit_tokens"): ConfigKey("commit_token_budget", _expect(int, 1), ("embed",)),
-    ("budgets", "file_tokens"): ConfigKey("file_token_budget", _expect(int, 1), ("embed",)),
-    ("bm25", "k1"): ConfigKey("bm25_k1", _expect(float), ("index",), lexical.check_params),
-    ("bm25", "b"): ConfigKey("bm25_b", _expect(float), ("index",), lexical.check_params),
-    ("paths", "per_entity_cap"): ConfigKey("per_entity_cap", _expect(int, 1), ("featurize",)),
+    ("fusion", "candidate_k"): ConfigKey("candidate_k", expect(int), ("prerank",), FusionConfig),
+    ("budgets", "commit_tokens"): ConfigKey("commit_token_budget", expect(int, 1), ("embed",)),
+    ("budgets", "file_tokens"): ConfigKey("file_token_budget", expect(int, 1), ("embed",)),
+    ("bm25", "k1"): ConfigKey("bm25_k1", expect(float), ("index",), lexical.check_params),
+    ("bm25", "b"): ConfigKey("bm25_b", expect(float), ("index",), lexical.check_params),
+    ("paths", "per_entity_cap"): ConfigKey("per_entity_cap", expect(int, 1), ("featurize",)),
     ("ranker", "learning_rate"): ConfigKey(
-        "learning_rate", _expect(float), ("train",), RankerParams
+        "learning_rate", expect(float), ("train",), RankerParams
     ),
-    ("ranker", "num_leaves"): ConfigKey("num_leaves", _expect(int), ("train",), RankerParams),
+    ("ranker", "num_leaves"): ConfigKey("num_leaves", expect(int), ("train",), RankerParams),
     ("ranker", "min_data_in_leaf"): ConfigKey(
-        "min_data_in_leaf", _expect(int), ("train",), RankerParams
+        "min_data_in_leaf", expect(int), ("train",), RankerParams
     ),
-    ("ranker", "num_trees"): ConfigKey("num_trees", _expect(int), ("train",), RankerParams),
-    ("ranker", "hard_negatives"): ConfigKey("hard_negatives", _expect(int, 0), ("featurize",)),
+    ("ranker", "num_trees"): ConfigKey("num_trees", expect(int), ("train",), RankerParams),
+    ("ranker", "hard_negatives"): ConfigKey("hard_negatives", expect(int, 0), ("featurize",)),
     ("ranker", "random_negatives"): ConfigKey(
-        "random_negatives", _expect(int, 0), ("featurize",)
+        "random_negatives", expect(int, 0), ("featurize",)
     ),
     ("eval", "metric_ks"): ConfigKey(
-        "metric_ks", _expect(list, item=_expect(int, 1)), ("eval",)
+        "metric_ks", expect(list, item=expect(int, 1)), ("eval",)
     ),
 }
 _REQUIRED_KEYS = ("commit_dump", "cve_dump", "output_dir")
@@ -250,7 +226,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     base = Path(path).resolve().parent
     values = {}
     for name in _REQUIRED_KEYS:
-        value = Path(_parsed(name, obj[name], ConfigKey(name, _expect(str))))
+        value = Path(_parsed(name, obj[name], ConfigKey(name, expect(str))))
         values[name] = value if value.is_absolute() else base / value
     for (section, key), spec in CONFIG_KEYS.items():
         scope = obj if section is None else obj.get(section, {})
@@ -313,19 +289,6 @@ def _json_bytes(obj) -> bytes:
     return text.encode("utf-8")
 
 
-def _write_jsonl(path: Path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
-
-
-def _read_jsonl(path: Path):
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield json.loads(line)
-
-
 def _stage_config(config: PipelineConfig, stage: str) -> dict:
     """The settings ``stage``'s manifest records as ``config``: its CONFIG_KEYS
     values, and for embed whether the offline embedder ran, and its dimension."""
@@ -354,6 +317,28 @@ def _read_repos(path: Path) -> dict[str, str]:
         raise ValueError(f"{path}: no 'repos' list")
     return {entry["repo_id"]: entry["slug"] for entry in repos}
 
+
+_SCORE = expect(float)
+_RANK = expect(int, 1)
+# The keys of a features.jsonl row's values, in FEATURE_NAMES order.
+_FEATURE_KEYS = tuple(f"f{i}" for i in range(1, NUM_FEATURES + 1))
+_FEATURE_LIST = expect(list, item=_SCORE)
+
+
+def _feature_vector(value) -> np.ndarray:
+    features = np.array(_FEATURE_LIST(value))
+    if features.shape != (NUM_FEATURES,):
+        raise ValueError(f"expected {NUM_FEATURES} features, got {features.size}")
+    return features
+
+
+# The field tables of the JSONL artifacts that stages read back.
+_ROW = {"cve_id": expect(str), "commit_id": expect(str)}
+_COMPONENTS = expect(dict, fields=dict.fromkeys(prerank.COMPONENT_NAMES, _SCORE))
+CANDIDATE_FIELDS = _ROW | {"rank": _RANK, "fused_score": _SCORE, "components": _COMPONENTS}
+FEATURE_FIELDS = _ROW | dict.fromkeys(_FEATURE_KEYS, _SCORE)
+TRAINING_FIELDS = _ROW | {"relevance": expect(int, 0), "features": _feature_vector}
+RANKING_FIELDS = _ROW | {"rank": _RANK, "score": _SCORE}
 
 # The stage that writes each top-level directory under output_dir.
 _PRODUCERS = dict(
@@ -646,14 +631,14 @@ def stage_prerank(config: PipelineConfig) -> None:
             }
             for rank, (commit_id, score) in enumerate(ranked, start=1)
         )
-    run.write(run.candidates_file, lambda tmp: _write_jsonl(tmp, records))
+    run.write(run.candidates_file, lambda tmp: write_jsonl(tmp, records))
     run.finish()
 
 
-def _load_ranked(path: Path, score_key: str) -> dict[str, list[tuple[str, float]]]:
+def _load_ranked(path: Path, fields: dict, score_key: str) -> dict[str, list[tuple[str, float]]]:
     """Per-CVE ``(commit_id, score)`` lists of a candidates or ranking file."""
     by_cve: dict[str, list[tuple[str, float]]] = {}
-    for record in _read_jsonl(path):
+    for record in read_jsonl(path, fields):
         by_cve.setdefault(record["cve_id"], []).append((record["commit_id"], record[score_key]))
     return by_cve
 
@@ -687,7 +672,7 @@ def _featurize(
 def stage_featurize(config: PipelineConfig) -> None:
     """Compute the nine features for every candidate and training row."""
     run = _Run(config, "featurize")
-    candidates = run.read(_load_ranked, run.candidates_file, "fused_score")
+    candidates = run.read(_load_ranked, run.candidates_file, CANDIDATE_FIELDS, "fused_score")
     corpora = run.corpora()
     cves = run.cves()
     repo = _repo_loader(run, corpora, ("diff", "file"), config.provider())
@@ -713,7 +698,7 @@ def stage_featurize(config: PipelineConfig) -> None:
             raise StageInputError("featurize", f"{run.candidates_file}: {exc.args[0]}") from exc
         feature_records += (
             {"cve_id": cve.cve_id, "commit_id": commit_id}
-            | {f"f{i}": float(value) for i, value in enumerate(rows[commit_id], start=1)}
+            | dict(zip(_FEATURE_KEYS, map(float, rows[commit_id])))
             for commit_id in commit_ids
         )
         training_records += (
@@ -725,23 +710,17 @@ def stage_featurize(config: PipelineConfig) -> None:
             }
             for row in (group.rows if group else ())
         )
-    run.write(run.features_file, lambda tmp: _write_jsonl(tmp, feature_records))
-    run.write(run.entities_file, lambda tmp: _write_jsonl(tmp, entity_records))
-    run.write(run.training_file, lambda tmp: _write_jsonl(tmp, training_records))
+    run.write(run.features_file, lambda tmp: write_jsonl(tmp, feature_records))
+    run.write(run.entities_file, lambda tmp: write_jsonl(tmp, entity_records))
+    run.write(run.training_file, lambda tmp: write_jsonl(tmp, training_records))
     run.finish()
 
 
 def load_training_groups(path: Path) -> list[TrainingGroup]:
     groups: dict[str, TrainingGroup] = {}
-    for record in _read_jsonl(path):
-        features = np.asarray(record["features"], dtype=np.float64)
-        if features.shape != (NUM_FEATURES,):
-            raise ValueError(
-                f"training row ({record['cve_id']}, {record['commit_id']}) has "
-                f"{features.size} features, expected {NUM_FEATURES}"
-            )
-        group = groups.setdefault(record["cve_id"], TrainingGroup(cve_id=record["cve_id"]))
-        group.rows.append(TrainingRow(record["commit_id"], int(record["relevance"]), features))
+    rows = read_jsonl(path, TRAINING_FIELDS, lambda cve_id, **row: (cve_id, TrainingRow(**row)))
+    for cve_id, row in rows:
+        groups.setdefault(cve_id, TrainingGroup(cve_id)).rows.append(row)
     return [groups[cve_id] for cve_id in sorted(groups)]
 
 
@@ -756,8 +735,8 @@ def stage_train(config: PipelineConfig) -> None:
 
 def _load_feature_rows(path: Path) -> dict[str, dict[str, np.ndarray]]:
     by_cve: dict[str, dict[str, np.ndarray]] = {}
-    for record in _read_jsonl(path):
-        vector = np.array([record[f"f{i}"] for i in range(1, 10)], dtype=np.float64)
+    for record in read_jsonl(path, FEATURE_FIELDS):
+        vector = np.array([record[key] for key in _FEATURE_KEYS])
         by_cve.setdefault(record["cve_id"], {})[record["commit_id"]] = vector
     return by_cve
 
@@ -766,7 +745,7 @@ def stage_rank(config: PipelineConfig) -> None:
     """Re-rank the candidate lists with the trained model."""
     run = _Run(config, "rank")
     model = run.read(RankModel.load, run.model_file)
-    candidates = run.read(_load_ranked, run.candidates_file, "fused_score")
+    candidates = run.read(_load_ranked, run.candidates_file, CANDIDATE_FIELDS, "fused_score")
     features = run.read(_load_feature_rows, run.features_file)
     cves = {c.cve_id: c for c in run.cves()}
     records = []
@@ -783,14 +762,14 @@ def stage_rank(config: PipelineConfig) -> None:
             records.append(
                 {"cve_id": cve_id, "commit_id": commit_id, "rank": rank, "score": score}
             )
-    run.write(run.ranking_file, lambda tmp: _write_jsonl(tmp, records))
+    run.write(run.ranking_file, lambda tmp: write_jsonl(tmp, records))
     run.finish()
 
 
 def stage_eval(config: PipelineConfig) -> None:
     """Score the final rankings against the known patch commits."""
     run = _Run(config, "eval")
-    rankings = run.read(_load_ranked, run.ranking_file, "score")
+    rankings = run.read(_load_ranked, run.ranking_file, RANKING_FIELDS, "score")
     cves = run.cves()
     relevant = {}
     for cve in cves:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 import json
 import logging
-import math
 import random
 from dataclasses import dataclass, field
 from hashlib import blake2b
@@ -22,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, CveRecord
+from .corpus import Corpus, CveRecord, expect
 from .embedding import VectorStore, embed_batch
 from .hier_features import hier_features
 from .lexical import InvertedIndex, RankedList, accumulate_scores, rank_commit_files
@@ -282,11 +281,10 @@ class RankModel:
             raise ValueError(f"{path}: not a patchrank model file")
         if obj.get("version") != _MODEL_VERSION:
             raise ValueError(f"{path}: unsupported model version {obj.get('version')}")
-        model = cls(
-            learning_rate=obj["learning_rate"], trees=obj["trees"], metadata=obj["metadata"]
-        )
-        if not _is_finite_number(model.learning_rate):
-            raise ValueError(f"{path}: learning_rate {model.learning_rate!r} is not a number")
+        try:
+            model = cls(_NUMBER(obj["learning_rate"]), obj["trees"], obj["metadata"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: learning_rate: {exc}") from exc
         if not isinstance(model.metadata, dict):
             raise ValueError(f"{path}: metadata is not an object")
         names = model.metadata.get("feature_names")
@@ -297,33 +295,32 @@ class RankModel:
             if not isinstance(nodes, list) or not nodes:
                 raise ValueError(f"{path}: tree {t} has no node list")
             for node_id, node in enumerate(nodes):
-                if reason := _node_error(node, node_id, len(nodes)):
-                    raise ValueError(f"{path}: tree {t} node {node_id}: {reason}")
+                try:
+                    _check_node(node, node_id, len(nodes))
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}: tree {t} node {node_id}: {exc}") from exc
         return model
 
 
-def _is_finite_number(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
+_NUMBER = expect(float)
 
 
-def _node_error(node, node_id: int, count: int) -> str | None:
-    """Why ``node`` is neither a leaf with a finite value nor a split on a
+def _check_node(node, node_id: int, count: int) -> None:
+    """Raise unless ``node`` is a leaf with a finite value or a split on a
     known feature at a finite threshold whose children follow it in the node
-    list, as ``_grow_tree`` appends them, so that every path ends at a leaf;
-    None when it is one of the two."""
+    list, as ``_grow_tree`` appends them, so that every path ends at a leaf."""
     if not isinstance(node, dict):
-        return "not an object"
+        raise TypeError("not an object")
     if "value" in node:
-        return None if _is_finite_number(node["value"]) else "leaf value is not a number"
+        _NUMBER(node["value"])
+        return
     feature = node.get("feature")
     if type(feature) is not int or not 0 <= feature < NUM_FEATURES:
-        return f"feature index {feature!r} out of range"
-    if not _is_finite_number(node.get("threshold")):
-        return "threshold is not a number"
+        raise ValueError(f"feature index {feature!r} out of range")
+    _NUMBER(node.get("threshold"))
     children = (node.get("left"), node.get("right"))
     if not all(type(child) is int and node_id < child < count for child in children):
-        return f"child index {children} out of range"
-    return None
+        raise ValueError(f"child index {children} out of range")
 
 
 def _predict_tree(tree: dict, features: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -55,6 +56,18 @@ def dump_line(n: int, author_time: int, message: str = "msg", diff: str = "", re
     )
 
 
+def cve_line(**changes) -> str:
+    record = {
+        "cve_id": "CVE-2024-1",
+        "description": "overflow in parser",
+        "reserve_time": 100,
+        "publish_time": 200,
+        "repo_id": "r",
+        "known_patch_ids": [cid(1)],
+    }
+    return json.dumps(record | changes)
+
+
 class TestIngestCommitDump:
     def test_empty_file_gives_empty_corpus(self, tmp_path):
         path = tmp_path / "dump.jsonl"
@@ -83,6 +96,13 @@ class TestIngestCommitDump:
         with pytest.raises(DumpFormatError, match="line 2"):
             ingest_commit_dump(path)
 
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "dump.jsonl"
+        bad = dump_line(2, 5, message="?").encode().replace(b"?", b"\xff")
+        path.write_bytes((dump_line(1, 5) + "\n").encode() + bad + b"\n")
+        with pytest.raises(DumpFormatError, match=f"^{re.escape(str(path))} line 2: 'utf-8' codec"):
+            ingest_commit_dump(path)
+
     def test_unexpected_keys_rejected(self, tmp_path):
         path = tmp_path / "dump.jsonl"
         record = json.loads(dump_line(1, 5))
@@ -91,10 +111,22 @@ class TestIngestCommitDump:
         with pytest.raises(DumpFormatError, match="line 1"):
             ingest_commit_dump(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("author_time", "5"), ("author_time", 12.9), ("author_time", True), ("message", 5)],
+    )
+    def test_wrong_typed_value_rejected(self, tmp_path, key, value):
+        path = tmp_path / "dump.jsonl"
+        record = json.loads(dump_line(2, 5)) | {key: value}
+        path.write_text(dump_line(1, 5) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(DumpFormatError, match=f"^{re.escape(str(path))} line 2: {key}: "):
+            ingest_commit_dump(path)
+
     def test_duplicate_commit_id_rejected(self, tmp_path):
         path = tmp_path / "dump.jsonl"
         path.write_text(dump_line(1, 5) + "\n" + dump_line(1, 6) + "\n")
-        with pytest.raises(DumpFormatError, match="duplicate"):
+        expected = f"^{re.escape(str(path))} line 2: duplicate commit_id {cid(1)}"
+        with pytest.raises(DumpFormatError, match=expected):
             ingest_commit_dump(path)
 
     def test_mixed_repos_rejected_in_single_repo_ingest(self, tmp_path):
@@ -268,6 +300,16 @@ class TestRecordValidation:
         records = load_cve_dump(path)
         assert records[0].cve_id == "CVE-2024-123"
         assert records[0].known_patch_ids == frozenset({cid(1)})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("reserve_time", "100"), ("publish_time", 200.9), ("known_patch_ids", "abc")],
+    )
+    def test_cve_dump_wrong_typed_value_rejected(self, tmp_path, key, value):
+        path = tmp_path / "cves.jsonl"
+        path.write_text(cve_line(**{key: value}) + "\n")
+        with pytest.raises(DumpFormatError, match=f"^{re.escape(str(path))} line 1: {key}: "):
+            load_cve_dump(path)
 
     def test_cve_dump_null_times_allowed(self, tmp_path):
         path = tmp_path / "cves.jsonl"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import shutil
 from dataclasses import replace
 from pathlib import Path, PurePosixPath
@@ -545,6 +546,25 @@ def first_split(model: dict) -> dict:
 
 MODEL = "model/model.json"
 
+# JSONL rows the reader rejects, so the error names the file and line 1.
+# json.dumps writes NaN as the literal NaN.
+ROW_CASES = {
+    "null feature": ("features/features.jsonl", lambda r: r.update(f1=None), "rank"),
+    "NaN feature": ("features/features.jsonl", lambda r: r.update(f1=math.nan), "rank"),
+    "null training feature": (
+        "features/training.jsonl",
+        lambda r: r.update(features=[None, *r["features"][1:]]),
+        "train",
+    ),
+    "string ranking score": ("rank/ranking.jsonl", lambda r: r.update(score="high"), "eval"),
+    "extra candidate key": ("prerank/candidates.jsonl", lambda r: r.update(extra=1), "featurize"),
+    "string known_patch_ids": (
+        "corpus/cves.jsonl",
+        lambda r: r.update(known_patch_ids="abc"),
+        "prerank",
+    ),
+}
+
 # Structurally bad records, each written with its digest forged into its
 # stage's manifest: (artifact, edit of the model object or of the first
 # JSONL record, stage that reads it).
@@ -564,6 +584,7 @@ EDITED_CASES = {
         lambda r: r.update(features=r["features"][:8]),
         "train",
     ),
+    **ROW_CASES,
 }
 
 
@@ -718,6 +739,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(path) in err
+        return err
 
     def test_model_of_another_seed_is_stale(self, tmp_path, capsys):
         """featurize and train both record the seed, so rank refuses a model
@@ -799,7 +821,9 @@ class TestCli:
         forge_manifest(tmp_path / "out", artifact)
         capsys.readouterr()
         assert main([stage, "--config", str(config_path)]) == 2
-        self.assert_one_line_error(capsys, path)
+        err = self.assert_one_line_error(capsys, path)
+        if case in ROW_CASES:
+            assert f"{path} line 1: " in err, err
         if artifact == MODEL:
             cve_id = synth.cve_records[0]["cve_id"]
             caplog.clear()
@@ -816,6 +840,15 @@ class TestCli:
         path.write_bytes(path.read_bytes()[:150])
         assert main(["ingest", "--config", str(config_path)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_wrong_typed_dump_value_exits_1(self, tmp_path, capsys):
+        _, config_path = self.write_min_config(tmp_path)
+        path = Path(json.loads(config_path.read_text())["commit_dump"])
+        first, *rest = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([json.dumps(json.loads(first) | {"message": 5}) + "\n", *rest]))
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        err = self.assert_one_line_error(capsys, path)
+        assert f"{path} line 1: message: expected str, got 5" in err, err
 
     def test_truncated_index_exits_2(self, tmp_path, capsys):
         _, config_path = self.write_min_config(tmp_path)

@@ -1,7 +1,13 @@
-"""Property tests for the tokenizer, token truncation and diff splitting."""
+"""Property tests for the tokenizer, token truncation, diff splitting and
+the feature rows' JSONL round trip."""
 
 from __future__ import annotations
 
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -10,11 +16,16 @@ from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from patchrank.corpus import (  # noqa: E402
+    DumpFormatError,
+    read_jsonl,
     split_diff_by_file,
     token_count,
     tokenize,
     truncate_to_tokens,
+    write_jsonl,
 )
+from patchrank.pipeline import FEATURE_FIELDS  # noqa: E402
+from patchrank.ranker import NUM_FEATURES  # noqa: E402
 
 # Any text without lone surrogates, which cannot be encoded.
 TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=300)
@@ -61,3 +72,36 @@ def test_tokenize_yields_lowercase_non_empty_tokens(text):
     tokens = tokenize(text)
     assert all(token and token == token.lower() for token in tokens)
     assert len(tokens) == token_count(text)
+
+
+def feature_row(values) -> dict:
+    return {"cve_id": "CVE-2024-1", "commit_id": "c" * 40} | {
+        f"f{i}": value for i, value in enumerate(values, start=1)
+    }
+
+
+def write_and_read_feature_row(values) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "features.jsonl"
+        write_jsonl(path, [feature_row(values)])
+        (row,) = read_jsonl(path, FEATURE_FIELDS)
+    return row
+
+
+@given(
+    st.lists(
+        st.floats(allow_nan=False, allow_infinity=False),
+        min_size=NUM_FEATURES,
+        max_size=NUM_FEATURES,
+    )
+)
+def test_feature_row_round_trip_keeps_every_bit(values):
+    row = write_and_read_feature_row(values)
+    read = [row[f"f{i}"] for i in range(1, NUM_FEATURES + 1)]
+    assert np.array(read).tobytes() == np.array(values).tobytes()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_feature_rejected(value):
+    with pytest.raises(DumpFormatError, match="line 1: f3: must be finite"):
+        write_and_read_feature_row([0.0, 0.0, value, *[0.0] * (NUM_FEATURES - 3)])
