@@ -15,10 +15,11 @@ import json
 import re
 import reprlib
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain
 from pathlib import Path
 
 
@@ -30,6 +31,7 @@ _COMMIT_ID_RE = re.compile(r"^[0-9a-f]{40}$")
 _DIFF_HEADER_RE = re.compile(r"^diff --git .*$", re.MULTILINE)
 _BINARY_SECTION_RE = re.compile(r"^(?:Binary files .* differ|GIT binary patch)", re.MULTILINE)
 _WORD_RUN_RE = re.compile(r"\w+")
+_WORD_SPLIT_RE = re.compile(r"(\w+)")
 _SUBTOKEN_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z]+|[a-z]+|[0-9]+")
 
 
@@ -104,12 +106,21 @@ class FileDiff:
     ``path`` is the new-side path with the ``a/``/``b/`` prefix stripped;
     ``header`` is the ``diff --git`` line without its newline; ``body`` is
     the raw remainder of the file section, so ``header + body`` reproduces
-    the original text exactly.
+    the original text exactly (a binary file's body is emptied).
     """
 
     path: str
     header: str
     body: str
+
+    @cached_property
+    def tokens(self) -> list[str]:
+        """``tokenize(header + body)``, computed once; also the tokens of the
+        section's text in :meth:`CommitRecord.section_texts`. Split by
+        :func:`split_diff_by_file`, every section text but a commit's last
+        ends a line, so no word run crosses sections: a commit's diff and
+        file texts tokenize to their sections' tokens joined in order."""
+        return tokenize(self.header + self.body)
 
 
 @dataclass(frozen=True)
@@ -126,15 +137,25 @@ class CommitRecord:
         if self.author_time < 0:
             raise ValueError(f"author_time must be >= 0, got {self.author_time}")
 
+    def section_texts(self) -> list[str]:
+        """Each file section's ``header + body``. An emptied body, such as a
+        binary file's, gives back its header's line break where another
+        section follows, so that no header runs into the next."""
+        last = len(self.file_diffs) - 1
+        return [
+            fd.header + (fd.body if fd.body or i == last else "\n")
+            for i, fd in enumerate(self.file_diffs)
+        ]
+
     def diff_text(self) -> str:
         """Reconstruct the unified diff from the first header onward."""
-        return "".join(fd.header + fd.body for fd in self.file_diffs)
+        return "".join(self.section_texts())
 
     def file_texts(self) -> dict[str, str]:
         """Per-path diff text, merging repeated paths in order of appearance."""
         texts: dict[str, str] = {}
-        for fd in self.file_diffs:
-            texts[fd.path] = texts.get(fd.path, "") + fd.header + fd.body
+        for fd, text in zip(self.file_diffs, self.section_texts()):
+            texts[fd.path] = texts.get(fd.path, "") + text
         return texts
 
 
@@ -248,33 +269,34 @@ def tokenize(text: str) -> list[str]:
     camelCase, snake_case and letter/digit compounds additionally yield
     their subtokens while the full compound token is retained, so
     ``OpenSSLEngine.java`` gives ``opensslengine, open, ssl, engine, java``.
+    One regex scan finds the word runs, and each run's tokens come from the
+    cached :func:`_split_run`; no Python loop runs per word.
     """
-    tokens: list[str] = []
-    for m in _WORD_RUN_RE.finditer(text):
-        tokens.extend(_split_run(m.group(0)))
-    return tokens
+    return list(chain.from_iterable(map(_split_run, _WORD_RUN_RE.findall(text))))
 
 
 def token_count(text: str) -> int:
-    return sum(len(_split_run(m.group(0))) for m in _WORD_RUN_RE.finditer(text))
+    return sum(map(len, map(_split_run, _WORD_RUN_RE.findall(text))))
 
 
 def truncate_to_tokens(text: str, budget: int) -> str:
     """Longest prefix of ``text`` holding at most ``budget`` tokens.
 
     Never cuts inside a token; under-budget text is returned unchanged.
+    Each word run yields at least one token, so the cut falls within the
+    first ``budget + 1`` runs and the text is split no further. The split
+    alternates separators and runs; the prefix is the parts before the first
+    run whose tokens overrun the budget. If every run fits, the split reached
+    the end of the text.
     """
     if budget < 1:
         raise ValueError(f"token budget must be >= 1, got {budget}")
-    used = 0
-    last_end = 0
-    for m in _WORD_RUN_RE.finditer(text):
-        run_tokens = len(_split_run(m.group(0)))
-        if used + run_tokens > budget:
-            return text[:last_end]
-        used += run_tokens
-        last_end = m.end()
-    return text
+    parts = _WORD_SPLIT_RE.split(text, maxsplit=budget + 1)
+    runs = parts[1::2]
+    fitting = bisect_right(list(accumulate(map(len, map(_split_run, runs)))), budget)
+    if fitting == len(runs):
+        return text
+    return text[: sum(map(len, parts[: 2 * fitting]))]
 
 
 _STR = expect(str)
@@ -337,7 +359,9 @@ def ingest_multi_repo_dump(path: str | Path) -> dict[str, Corpus]:
 
 
 def serialize_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus back to dump format; re-ingesting yields an equal corpus."""
+    """Write a corpus back to dump format. Re-ingesting yields an equal corpus,
+    except that a binary section followed by another comes back with its
+    header's line break as its body: paths and section texts are kept."""
     write_jsonl(path, (_dump_record(c, COMMIT_FIELDS, diff=c.diff_text()) for c in corpus.commits))
 
 

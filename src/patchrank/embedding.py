@@ -115,31 +115,43 @@ def offline_embed(text: str, dimension: int, seed: int = 13) -> np.ndarray:
     buckets chosen by a keyed hash; the result is L2-normalized.
     Token-free text maps to the first basis vector.
     """
-    if dimension < 8:
-        raise ValueError(f"embedding dimension must be >= 8, got {dimension}")
-    counts = Counter(tokenize(text))
-    if not counts:
-        return _basis_vector(dimension)
-    vec = np.zeros(dimension, dtype=np.float64)
-    key = seed.to_bytes(8, "little", signed=True)
-    for token, tf in counts.items():
-        bucket = int.from_bytes(blake2b(token.encode("utf-8"), digest_size=8, key=key).digest(), "big")
-        vec[bucket % dimension] += 1.0 + math.log(tf)
-    vec /= np.linalg.norm(vec)
-    return vec.astype(np.float32)
+    return OfflineEmbedder(dimension, seed).vector(text)
 
 
 class OfflineEmbedder:
-    """Provider backed by :func:`offline_embed`; identical across processes."""
+    """The offline provider: :func:`offline_embed` of each text, identical
+    across processes. Each distinct token is hashed once per instance, into
+    a memo of buckets that lives as long as the embedder, since a token's
+    bucket depends on the embedder's dimension and seed."""
 
     def __init__(self, dimension: int = DEFAULT_OFFLINE_DIMENSION, seed: int = 13):
         if dimension < 8:
             raise ValueError(f"embedding dimension must be >= 8, got {dimension}")
         self.dimension = dimension
         self.seed = seed
+        self._key = seed.to_bytes(8, "little", signed=True)
+        self._buckets: dict[str, int] = {}
+
+    def vector(self, text: str) -> np.ndarray:
+        """The :func:`offline_embed` vector of ``text``. Weights are summed into
+        each bucket in the tokens' first-occurrence order, as float64."""
+        counts = Counter(tokenize(text))
+        if not counts:
+            return _basis_vector(self.dimension)
+        sums = [0.0] * self.dimension
+        buckets = self._buckets
+        for token, tf in counts.items():
+            bucket = buckets.get(token)
+            if bucket is None:
+                digest = blake2b(token.encode("utf-8"), digest_size=8, key=self._key).digest()
+                bucket = buckets[token] = int.from_bytes(digest, "big") % self.dimension
+            sums[bucket] += 1.0 + math.log(tf)
+        vec = np.array(sums)
+        vec /= np.linalg.norm(vec)
+        return vec.astype(np.float32)
 
     def embed(self, texts: list[str]) -> list[list[float]]:
-        return [offline_embed(t, self.dimension, self.seed).tolist() for t in texts]
+        return [self.vector(t).tolist() for t in texts]
 
 
 class HttpEmbedder:

@@ -12,6 +12,7 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -79,18 +80,21 @@ class InvertedIndex:
         return {self.docs[i]: tf for i, tf in zip(ids, tfs)}
 
 
-def _doc_tokens(corpus: Corpus, field_kind: str) -> dict[DocId, list[str]]:
-    docs: dict[DocId, list[str]] = {}
+def _doc_tokens(corpus: Corpus, field_kind: str) -> dict[DocId, list[list[str]]]:
+    """Each document's tokens, as lists to be read in order. Diff and file
+    documents take their file sections' cached tokens, so the ``diff`` and
+    ``file`` indexes of one corpus tokenize each section once."""
+    docs: dict[DocId, list[list[str]]] = {}
     if field_kind == "message":
         for commit in corpus.commits:
-            docs[commit.commit_id] = tokenize(commit.message)
+            docs[commit.commit_id] = [tokenize(commit.message)]
     elif field_kind == "diff":
         for commit in corpus.commits:
-            docs[commit.commit_id] = tokenize(commit.diff_text())
+            docs[commit.commit_id] = [fd.tokens for fd in commit.file_diffs]
     elif field_kind == "file":
         for commit in corpus.commits:
-            for path, text in commit.file_texts().items():
-                docs[(commit.commit_id, path)] = tokenize(text)
+            for fd in commit.file_diffs:
+                docs.setdefault((commit.commit_id, fd.path), []).append(fd.tokens)
     else:
         raise ValueError(f"field_kind must be one of {FIELD_KINDS}, got {field_kind!r}")
     return docs
@@ -109,7 +113,7 @@ def build_index(
     check_params(k1=k1, b=b)
     tokens = _doc_tokens(corpus, field_kind)
     docs = sorted(tokens)
-    counts = [Counter(tokens[doc]) for doc in docs]
+    counts = [Counter(chain.from_iterable(tokens[doc])) for doc in docs]
     vocab = sorted(set().union(*counts))
     slots = {term: slot for slot, term in enumerate(vocab)}
     size = sum(len(c) for c in counts)
@@ -121,7 +125,7 @@ def build_index(
     order = np.argsort(terms, kind="stable")
     offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
     np.cumsum(np.bincount(terms, minlength=len(vocab)), out=offsets[1:])
-    lengths = np.array([len(tokens[doc]) for doc in docs], dtype=np.int32)
+    lengths = np.array([sum(map(len, tokens[doc])) for doc in docs], dtype=np.int32)
     return InvertedIndex(
         field_kind, docs, lengths, vocab, offsets, doc_ids[order], tfs[order], k1, b
     )

@@ -9,7 +9,29 @@ from __future__ import annotations
 
 import math
 
-from patchrank.corpus import Corpus, tokenize
+from patchrank.corpus import _WORD_RUN_RE, Corpus, _split_run, tokenize
+
+
+def tokenize_oracle(text: str) -> list[str]:
+    """:func:`patchrank.corpus.tokenize`, one word run at a time."""
+    tokens: list[str] = []
+    for m in _WORD_RUN_RE.finditer(text):
+        tokens.extend(_split_run(m.group(0)))
+    return tokens
+
+
+def truncate_to_tokens_oracle(text: str, budget: int) -> str:
+    """:func:`patchrank.corpus.truncate_to_tokens`, one word run at a time:
+    stop before the first run whose tokens would overrun the budget."""
+    used = 0
+    last_end = 0
+    for m in _WORD_RUN_RE.finditer(text):
+        run_tokens = len(_split_run(m.group(0)))
+        if used + run_tokens > budget:
+            return text[:last_end]
+        used += run_tokens
+        last_end = m.end()
+    return text
 
 
 def bm25_oracle_scores(

@@ -155,6 +155,27 @@ class TestIngestCommitDump:
         serialize_corpus(corpus, out)
         assert ingest_commit_dump(out) == corpus
 
+    def test_round_trip_keeps_the_path_after_a_binary_section(self, tmp_path):
+        """An emptied binary body still ends its header's line, so the next
+        file's header is not glued to it and survives a re-ingest."""
+        binary = (
+            "diff --git a/img.png b/img.png\n"
+            "index 1111111..2222222 100644\n"
+            "Binary files a/img.png and b/img.png differ\n"
+        )
+        path = tmp_path / "dump.jsonl"
+        path.write_text(dump_line(1, 5, diff=binary + file_diff_text("x.c", "fix")) + "\n")
+        corpus = ingest_commit_dump(path)
+        (commit,) = corpus.commits
+        assert [fd.path for fd in commit.file_diffs] == ["img.png", "x.c"]
+        assert "pngdiff" not in tokenize(commit.diff_text())
+        out = tmp_path / "roundtrip.jsonl"
+        serialize_corpus(corpus, out)
+        (again,) = ingest_commit_dump(out).commits
+        assert [fd.path for fd in again.file_diffs] == ["img.png", "x.c"]
+        assert again.diff_text() == commit.diff_text()
+        assert again.file_texts() == commit.file_texts()
+
 
 class TestSplitDiffByFile:
     def test_empty_diff(self):

@@ -35,6 +35,7 @@ from patchrank.embedding import (
 )
 
 from conftest import cid, make_commit, make_corpus, make_cve
+from oracles import truncate_to_tokens_oracle
 
 
 class _EmbedHandler(BaseHTTPRequestHandler):
@@ -44,6 +45,7 @@ class _EmbedHandler(BaseHTTPRequestHandler):
     fail_status = 503
     batch_sizes: list[int] = []
     auth_headers: list[str | None] = []
+    inputs: list[str] = []
     dimension = 32
 
     def do_POST(self):
@@ -51,6 +53,7 @@ class _EmbedHandler(BaseHTTPRequestHandler):
         cls.auth_headers.append(self.headers.get("Authorization"))
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         cls.batch_sizes.append(len(body["inputs"]))
+        cls.inputs.extend(body["inputs"])
         if cls.fail_next > 0:
             cls.fail_next -= 1
             self.send_response(cls.fail_status)
@@ -74,6 +77,7 @@ def embed_server():
     _EmbedHandler.fail_status = 503
     _EmbedHandler.batch_sizes = []
     _EmbedHandler.auth_headers = []
+    _EmbedHandler.inputs = []
     server = ThreadingHTTPServer(("127.0.0.1", 0), _EmbedHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -156,6 +160,41 @@ class TestOfflineEmbed:
             for b in vectors:
                 assert -1e-7 <= float(np.dot(a, b)) <= 1.0 + 1e-7
 
+    # More distinct terms than eight buckets, so some terms share a bucket, and
+    # repeated terms, so weights other than 1 are added.
+    REPEATED_TERMS = [
+        "alpha beta alpha gamma delta alpha",
+        "beta gamma gamma epsilon zeta eta theta iota kappa lambda",
+        "",
+        "OpenSSLEngine open ssl engine engine",
+        "alpha",
+        "kappa kappa kappa kappa lambda alpha beta",
+    ]
+
+    def test_embedder_matches_offline_embed_bit_for_bit(self):
+        texts = self.REPEATED_TERMS
+        embedded = OfflineEmbedder(8).embed(texts)
+        for text, values in zip(texts, embedded):
+            expected = offline_embed(text, 8)
+            assert np.asarray(values, dtype=np.float32).tobytes() == expected.tobytes()
+
+    def test_warm_embedder_matches_a_cold_one(self):
+        texts = self.REPEATED_TERMS
+        warm = OfflineEmbedder(8)
+        warm.embed(texts)
+        assert warm.embed(texts[::-1])[::-1] == OfflineEmbedder(8).embed(texts)
+
+    @pytest.mark.parametrize("dimension, seed", [(16, 13), (8, 5)])
+    def test_bucket_memo_is_per_embedder(self, dimension, seed):
+        """Buckets depend on the dimension and the seed, so an embedder must
+        not see another's memo."""
+        texts = self.REPEATED_TERMS
+        OfflineEmbedder(8).embed(texts)
+        embedded = OfflineEmbedder(dimension, seed).embed(texts)
+        for text, values in zip(texts, embedded):
+            expected = offline_embed(text, dimension, seed)
+            assert np.asarray(values, dtype=np.float32).tobytes() == expected.tobytes()
+
 
 class _ListProvider:
     def __init__(self, vectors):
@@ -233,6 +272,30 @@ class TestHttpEmbedder:
         monkeypatch.setenv("PATCHRANK_PROVIDER_TOKEN", "sekrit")
         HttpEmbedder(embed_server, "m").embed(["x"])
         assert _EmbedHandler.auth_headers[-1] == "Bearer sekrit"
+
+    def test_build_vectors_sends_prompts_truncated_as_by_the_oracle(self, embed_server):
+        words = " ".join(f"word{i} CamelCase{i} snake_case_{i}" for i in range(300))
+        corpus = make_corpus(
+            [
+                make_commit(1, message="fix overflow", files={"a.java": words, "b.c": words}),
+                make_commit(2, message="docs", files={"README": "short text"}),
+            ]
+        )
+        cves = [make_cve(description="overflow in parser")]
+        budgets = {"commit_budget": 700, "file_budget": 90}
+        build_vectors(corpus, cves, HttpEmbedder(embed_server, "m"), **budgets)
+        expected = []
+        for commit in corpus.commits:
+            diff = truncate_to_tokens_oracle(commit.diff_text(), budgets["commit_budget"])
+            expected.append(render_prompt(PromptKind.COMMIT_DOC, message=commit.message, diff=diff))
+            for text in commit.file_texts().values():
+                diff = truncate_to_tokens_oracle(text, budgets["file_budget"])
+                prompt = render_prompt(PromptKind.FILE_DOC, message=commit.message, diff=diff)
+                expected.append(prompt)
+        expected.append(render_prompt(PromptKind.CVE_QUERY, description=cves[0].description))
+        assert _EmbedHandler.inputs == expected
+        full_file = corpus.commits[0].file_texts()["a.java"]
+        assert expected[1] != render_prompt(PromptKind.FILE_DOC, message="fix overflow", diff=full_file)
 
     def test_transport_error_is_reported(self):
         with socket.socket() as sock:
