@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-import struct
 import time
 from collections import Counter
 from enum import Enum
@@ -19,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .container import STR, Format, Section
 from .corpus import Corpus, CveRecord, tokenize, truncate_to_tokens
 
 DEFAULT_COMMIT_TOKEN_BUDGET = 512
@@ -32,10 +32,17 @@ _HTTP_TIMEOUT_S = 60.0
 # Client errors that may succeed on a later attempt: timeout, rate limit.
 _RETRIED_4XX = (408, 429)
 
-_STORE_MAGIC = b"PRVS"
-_STORE_VERSION = 1
 _KIND_CODES = {"commit": 0, "file": 1, "cve": 2}
 _KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
+# Version 1 wrote one record per key. Row i of ``vectors`` is the vector of
+# the key (kind, id) or, for a file, (kind, id, path); other paths are empty.
+STORE_FORMAT = Format(
+    "vector store",
+    b"PRVS",
+    2,
+    dict(kinds=Section("|u1"), ids=Section(STR), paths=Section(STR))
+    | dict(vectors=Section("<f4", columns=None, finite=True)),
+)
 
 
 class PromptKind(Enum):
@@ -302,48 +309,36 @@ class VectorStore:
         return self._get(("cve", cve_id))
 
     def save(self, path: str | Path) -> None:
-        """Binary dump: magic, version, dimension, count, then sorted records."""
-        with open(path, "wb") as fh:
-            fh.write(_STORE_MAGIC)
-            fh.write(struct.pack("<HIQ", _STORE_VERSION, self.dimension, len(self._vectors)))
-            for key in sorted(self._vectors):
-                fh.write(struct.pack("<B", _KIND_CODES[key[0]]))
-                for part in key[1:]:
-                    encoded = part.encode("utf-8")
-                    fh.write(struct.pack("<I", len(encoded)))
-                    fh.write(encoded)
-                fh.write(self._vectors[key].astype("<f4").tobytes())
+        """Write the store in the :data:`STORE_FORMAT` container, keys sorted."""
+        keys = self.keys()
+        matrix = np.array([self._vectors[key] for key in keys], dtype="<f4")
+        STORE_FORMAT.save(
+            path,
+            kinds=[_KIND_CODES[key[0]] for key in keys],
+            ids=[key[1] for key in keys],
+            paths=[key[2] if len(key) == 3 else "" for key in keys],
+            vectors=matrix.reshape(len(keys), self.dimension),
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorStore":
-        """Read a :meth:`save` dump; a short read or trailing bytes is a ValueError."""
-        with open(path, "rb") as fh:
+        """Read a :meth:`save` file: one ``frombuffer`` of the vector matrix and
+        the key table. A damaged file raises a ValueError naming ``path``."""
+        return STORE_FORMAT.load(path, cls._from_sections)
 
-            def read(size: int) -> bytes:
-                data = fh.read(size)
-                if len(data) != size:
-                    raise ValueError(f"{path}: truncated vector store")
-                return data
-
-            if read(4) != _STORE_MAGIC:
-                raise ValueError(f"{path}: not a patchrank vector store")
-            version, dimension, count = struct.unpack("<HIQ", read(14))
-            if version != _STORE_VERSION:
-                raise ValueError(f"{path}: unsupported store version {version}")
-            store = cls(dimension)
-            for _ in range(count):
-                (code,) = struct.unpack("<B", read(1))
-                if code not in _KIND_NAMES:
-                    raise ValueError(f"{path}: unknown vector kind {code}")
-                kind = _KIND_NAMES[code]
-                parts = []
-                for _ in range(2 if kind == "file" else 1):
-                    (length,) = struct.unpack("<I", read(4))
-                    parts.append(read(length).decode("utf-8"))
-                vector = np.frombuffer(read(4 * dimension), dtype="<f4").copy()
-                store._vectors[(kind, *parts)] = vector
-            if fh.read(1):
-                raise ValueError(f"{path}: trailing bytes after {count} vectors")
+    @classmethod
+    def _from_sections(cls, kinds, ids, paths, vectors) -> "VectorStore":
+        if not len(kinds) == len(ids) == len(paths) == len(vectors):
+            sizes = f"{len(kinds)}, {len(ids)} and {len(paths)}"
+            raise ValueError(f"key table of {sizes} rows for {len(vectors)} vectors")
+        if np.any(kinds >= len(_KIND_NAMES)):
+            raise ValueError(f"unknown vector kind {kinds.max()}")
+        names = [_KIND_NAMES[code] for code in kinds.tolist()]
+        keys = [(k, i, p) if k == "file" else (k, i) for k, i, p in zip(names, ids, paths)]
+        store = cls(vectors.shape[1])
+        store._vectors = dict(zip(keys, vectors))
+        if len(store._vectors) != len(keys):
+            raise ValueError("duplicate vector keys")
         return store
 
 

@@ -9,7 +9,6 @@ doc-position array and a term-frequency array, scored with numpy.
 from __future__ import annotations
 
 import math
-import struct
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -17,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .container import STR, Format, Section
 from .corpus import Corpus, CveRecord, tokenize
 
 # A document is a commit (message/diff indexes) or a (commit, path) pair
@@ -29,13 +29,18 @@ FIELD_KINDS = ("message", "diff", "file")
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
-_INDEX_MAGIC = b"PRIX"
-# Version 1 was a JSON file of dict-of-dict postings.
-_INDEX_VERSION = 2
-# magic, version, field kind (its FIELD_KINDS position), k1, b, then the
-# number of docs, terms and postings and the byte sizes of the two string
-# blobs; 64 bytes, so every array after it is 8-byte aligned.
-_HEADER = struct.Struct("<4sHBxdd5Q")
+# Version 1 was JSON, version 2 a hand-written header. The field kind is its
+# FIELD_KINDS position, bm25 holds k1 and b, and a file document is two doc
+# strings, commit id and path. The other sections are InvertedIndex's arrays.
+INDEX_FORMAT = Format(
+    "index",
+    b"PRIX",
+    3,
+    dict(field_kind=Section("|u1"), bm25=Section("<f8", finite=True), docs=Section(STR))
+    | dict(vocab=Section(STR), offsets=Section("<i8"), doc_lengths=Section("<i4"))
+    | dict(doc_ids=Section("<i4"), tfs=Section("<i4")),
+)
+_ARRAYS = ("vocab", "offsets", "doc_lengths", "doc_ids", "tfs")
 
 
 @dataclass(eq=False)
@@ -217,99 +222,46 @@ def rank_commit_files(
     return rank_entries(dict(scored)) + zeros
 
 
-def _pack_strings(strings: list[str]) -> tuple[np.ndarray, bytes]:
-    """The UTF-8 encodings joined, and the end offset of each in the join."""
-    encoded = [s.encode("utf-8") for s in strings]
-    return np.cumsum([len(e) for e in encoded], dtype=np.int64), b"".join(encoded)
-
-
-def _unpack_strings(ends: np.ndarray, blob: bytes) -> list[str]:
-    bounds = np.concatenate(([0], ends))
-    if bounds[-1] != len(blob) or np.any(np.diff(bounds) < 0):
-        raise ValueError("string table offsets do not fit its bytes")
-    cuts = bounds.tolist()
-    return [blob[a:b].decode("utf-8") for a, b in zip(cuts, cuts[1:])]
-
-
 def save_index(index: InvertedIndex, path: str | Path) -> None:
-    """Binary dump, little-endian: the header; the int64 string ends of the doc
-    table and the vocabulary, and the term offsets; the int32 doc lengths, doc
-    positions and term frequencies; then the UTF-8 doc and vocabulary strings.
-    Equal indexes give equal bytes."""
-    parts = index.docs
+    """Write ``index`` in the :data:`INDEX_FORMAT` container. Equal indexes
+    give equal bytes."""
+    docs = index.docs
     if index.field_kind == "file":
-        parts = [part for doc in index.docs for part in doc]
-    doc_ends, doc_blob = _pack_strings(parts)
-    vocab_ends, vocab_blob = _pack_strings(index.vocab)
-    header = _HEADER.pack(
-        _INDEX_MAGIC,
-        _INDEX_VERSION,
-        FIELD_KINDS.index(index.field_kind),
-        index.k1,
-        index.b,
-        index.doc_count,
-        len(index.vocab),
-        len(index.doc_ids),
-        len(doc_blob),
-        len(vocab_blob),
-    )
-    arrays = (doc_ends, vocab_ends, index.offsets, index.doc_lengths, index.doc_ids, index.tfs)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for array, dtype in zip(arrays, ("<i8", "<i8", "<i8", "<i4", "<i4", "<i4")):
-            fh.write(np.asarray(array, dtype=dtype).tobytes())
-        fh.write(doc_blob)
-        fh.write(vocab_blob)
+        docs = [part for doc in index.docs for part in doc]
+    kind = [FIELD_KINDS.index(index.field_kind)]
+    arrays = {name: getattr(index, name) for name in _ARRAYS}
+    INDEX_FORMAT.save(path, field_kind=kind, bm25=[index.k1, index.b], docs=docs, **arrays)
 
 
 def load_index(path: str | Path) -> InvertedIndex:
-    """Read a :meth:`save_index` file. A short file, trailing bytes, another
-    format or version, or arrays that do not fit together raise a ValueError
-    naming ``path``."""
-    try:
-        return _parse_index(Path(path).read_bytes())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    """Read a :func:`save_index` file. A damaged container, or arrays that do
+    not fit together, raise a ValueError naming ``path``."""
+    return INDEX_FORMAT.load(path, _index_from_sections)
 
 
-def _parse_index(data: bytes) -> InvertedIndex:
-    if data[: len(_INDEX_MAGIC)] != _INDEX_MAGIC:
-        raise ValueError("not a patchrank index file")
-    if len(data) < _HEADER.size:
-        raise ValueError("truncated index")
-    _, version, kind, k1, b, n_docs, n_terms, n_postings, doc_bytes, vocab_bytes = (
-        _HEADER.unpack_from(data)
-    )
-    if version != _INDEX_VERSION:
-        raise ValueError(f"unsupported index version {version}")
-    if kind >= len(FIELD_KINDS):
-        raise ValueError(f"unknown field kind {kind}")
+def _index_from_sections(
+    field_kind, bm25, docs, vocab, offsets, doc_lengths, doc_ids, tfs
+) -> InvertedIndex:
+    if len(field_kind) != 1 or field_kind[0] >= len(FIELD_KINDS):
+        raise ValueError(f"unknown field kind {field_kind.tolist()}")
+    if len(bm25) != 2:
+        raise ValueError(f"expected k1 and b, got {bm25.tolist()}")
+    k1, b = bm25.tolist()
     check_params(k1=k1, b=b)
-    field_kind = FIELD_KINDS[kind]
-    parts = 2 if field_kind == "file" else 1
-    layout = (
-        ("<i8", n_docs * parts),
-        ("<i8", n_terms),
-        ("<i8", n_terms + 1),
-        ("<i4", n_docs),
-        ("<i4", n_postings),
-        ("<i4", n_postings),
-    )
-    start = _HEADER.size
-    end = start + sum(np.dtype(dtype).itemsize * count for dtype, count in layout)
-    if len(data) < end + doc_bytes + vocab_bytes:
-        raise ValueError("truncated index")
-    if len(data) > end + doc_bytes + vocab_bytes:
-        raise ValueError("trailing bytes after the index")
-    arrays = []
-    for dtype, count in layout:
-        arrays.append(np.frombuffer(data, dtype, count, start))
-        start += arrays[-1].nbytes
-    doc_ends, vocab_ends, offsets, lengths, doc_ids, tfs = arrays
-    strings = _unpack_strings(doc_ends, data[end : end + doc_bytes])
-    vocab = _unpack_strings(vocab_ends, data[end + doc_bytes :])
-    docs = strings if parts == 1 else list(zip(strings[::2], strings[1::2]))
-    if not (offsets[0] == 0 and offsets[-1] == n_postings and np.all(np.diff(offsets) > 0)):
+    kind = FIELD_KINDS[field_kind[0]]
+    n_docs = len(doc_lengths)
+    if len(docs) != (2 if kind == "file" else 1) * n_docs:
+        raise ValueError(f"{len(docs)} doc strings for {n_docs} documents")
+    if kind == "file":
+        docs = list(zip(docs[::2], docs[1::2]))
+    n_postings = len(doc_ids)
+    if not (
+        len(offsets) == len(vocab) + 1
+        and offsets[0] == 0
+        and offsets[-1] == n_postings
+        and np.all(np.diff(offsets) > 0)
+        and len(tfs) == n_postings
+    ):
         raise ValueError("term offsets do not fit the postings")
     # Within each term's slice the doc positions ascend, so none repeats.
     ascending = np.diff(doc_ids) > 0
@@ -318,7 +270,7 @@ def _parse_index(data: bytes) -> InvertedIndex:
         np.all(ascending)
         and np.all((doc_ids >= 0) & (doc_ids < n_docs))
         and np.all(tfs > 0)
-        and np.all(lengths >= 0)
+        and np.all(doc_lengths >= 0)
     ):
         raise ValueError("postings arrays are inconsistent")
-    return InvertedIndex(field_kind, docs, lengths, vocab, offsets, doc_ids, tfs, k1, b)
+    return InvertedIndex(kind, docs, doc_lengths, vocab, offsets, doc_ids, tfs, k1, b)

@@ -23,12 +23,14 @@ import logging
 import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 from . import corpus as corpus_mod
 from . import lexical, prerank
+from .container import STR, Format, Section
 from .corpus import Corpus, CveRecord, expect, read_jsonl, write_jsonl
 from .embedding import (
     DEFAULT_BATCH_SIZE,
@@ -50,7 +52,6 @@ from .ranker import (
     DEFAULT_RANDOM_NEGATIVES,
     NUM_FEATURES,
     FeatureAssembler,
-    MissingFeatureError,
     RankerParams,
     RankModel,
     TrainingGroup,
@@ -320,25 +321,27 @@ def _read_repos(path: Path) -> dict[str, str]:
 
 _SCORE = expect(float)
 _RANK = expect(int, 1)
-# The keys of a features.jsonl row's values, in FEATURE_NAMES order.
-_FEATURE_KEYS = tuple(f"f{i}" for i in range(1, NUM_FEATURES + 1))
-_FEATURE_LIST = expect(list, item=_SCORE)
-
-
-def _feature_vector(value) -> np.ndarray:
-    features = np.array(_FEATURE_LIST(value))
-    if features.shape != (NUM_FEATURES,):
-        raise ValueError(f"expected {NUM_FEATURES} features, got {features.size}")
-    return features
-
 
 # The field tables of the JSONL artifacts that stages read back.
 _ROW = {"cve_id": expect(str), "commit_id": expect(str)}
-_COMPONENTS = expect(dict, fields=dict.fromkeys(prerank.COMPONENT_NAMES, _SCORE))
-CANDIDATE_FIELDS = _ROW | {"rank": _RANK, "fused_score": _SCORE, "components": _COMPONENTS}
-FEATURE_FIELDS = _ROW | dict.fromkeys(_FEATURE_KEYS, _SCORE)
-TRAINING_FIELDS = _ROW | {"relevance": expect(int, 0), "features": _feature_vector}
+CANDIDATE_FIELDS = _ROW | {"rank": _RANK, "fused_score": _SCORE}
 RANKING_FIELDS = _ROW | {"rank": _RANK, "score": _SCORE}
+
+# The array artifacts. Row i of components.bin and features.bin belongs to
+# line i of candidates.jsonl: its four reciprocal ranks, in COMPONENT_NAMES
+# order, and its features, in FEATURE_NAMES order. In training.bin, group g
+# holds rows offsets[g] to offsets[g + 1] of the row sections.
+_COMPONENTS = Section("<f8", len(prerank.COMPONENT_NAMES), finite=True)
+COMPONENTS_FORMAT = Format("prerank components", b"PRCO", 1, {"components": _COMPONENTS})
+_FEATURES = Section("<f8", NUM_FEATURES, finite=True)
+FEATURES_FORMAT = Format("features", b"PRFT", 1, {"features": _FEATURES})
+TRAINING_FORMAT = Format(
+    "training rows",
+    b"PRTR",
+    1,
+    dict(cve_ids=Section(STR), offsets=Section("<i8"), commit_ids=Section(STR))
+    | dict(relevance=Section("|i1"), features=_FEATURES),
+)
 
 # The stage that writes each top-level directory under output_dir.
 _PRODUCERS = dict(
@@ -356,9 +359,10 @@ class Artifacts:
         self.repos_file = self.root / "corpus" / "repos.json"
         self.cves_file = self.root / "corpus" / "cves.jsonl"
         self.candidates_file = self.root / "prerank" / "candidates.jsonl"
-        self.features_file = self.root / "features" / "features.jsonl"
+        self.components_file = self.root / "prerank" / "components.bin"
+        self.features_file = self.root / "features" / "features.bin"
         self.entities_file = self.root / "features" / "entities.jsonl"
-        self.training_file = self.root / "features" / "training.jsonl"
+        self.training_file = self.root / "features" / "training.bin"
         self.model_file = self.root / "model" / "model.json"
         self.ranking_file = self.root / "rank" / "ranking.jsonl"
         self.report_json = self.root / "eval" / "report.json"
@@ -510,6 +514,17 @@ class _Run(Artifacts):
         cves = self.read(corpus_mod.load_cve_dump, self.cves_file)
         return [c for c in cves if self.config.repo_filter in (None, c.repo_id)]
 
+    def candidates(self) -> dict[str, list[tuple[str, float]]]:
+        return self.read(_load_ranked, self.candidates_file, CANDIDATE_FIELDS, "fused_score")
+
+    def aligned(self, fmt: Format, path: Path, rows: int) -> np.ndarray:
+        """``fmt``'s one array in ``path``: a row per candidates.jsonl line, ``rows`` in all."""
+        (array,) = self.read(fmt.load, path).values()
+        if len(array) != rows:
+            detail = f"{path}: {len(array)} rows for the {rows} lines of {self.candidates_file}"
+            raise StageInputError(self.stage, detail)
+        return array
+
 
 def stage_ingest(config: PipelineConfig) -> None:
     """Normalize the raw dumps into per-repo corpora plus the CVE file."""
@@ -613,6 +628,7 @@ def stage_prerank(config: PipelineConfig) -> None:
     fusion = config.fusion_config()
     repo = _repo_loader(run, corpora, ("message", "diff"))
     records = []
+    component_rows = []
     for cve in sorted(cves, key=lambda c: c.cve_id):
         corpus = corpora.get(cve.repo_id)
         if corpus is None:
@@ -620,26 +636,28 @@ def stage_prerank(config: PipelineConfig) -> None:
             continue
         ranked, components = _prerank(corpus, cve, repo(cve.repo_id)[0], fusion)
         records += (
-            {
-                "cve_id": cve.cve_id,
-                "commit_id": commit_id,
-                "rank": rank,
-                "fused_score": score,
-                "components": {
-                    name: components[name].get(commit_id, 0.0) for name in prerank.COMPONENT_NAMES
-                },
-            }
+            {"cve_id": cve.cve_id, "commit_id": commit_id, "rank": rank, "fused_score": score}
             for rank, (commit_id, score) in enumerate(ranked, start=1)
         )
+        maps = [components[name] for name in prerank.COMPONENT_NAMES]
+        component_rows += ([m.get(commit_id, 0.0) for m in maps] for commit_id, _ in ranked)
+    matrix = np.array(component_rows, dtype=np.float64).reshape(-1, len(prerank.COMPONENT_NAMES))
     run.write(run.candidates_file, lambda tmp: write_jsonl(tmp, records))
+    run.write(run.components_file, lambda tmp: COMPONENTS_FORMAT.save(tmp, components=matrix))
     run.finish()
 
 
 def _load_ranked(path: Path, fields: dict, score_key: str) -> dict[str, list[tuple[str, float]]]:
-    """Per-CVE ``(commit_id, score)`` lists of a candidates or ranking file."""
+    """Per-CVE ``(commit_id, score)`` lists of a candidates or ranking file, in
+    file order. Each CVE's lines must be consecutive, so that its rows in an
+    aligned array artifact are one slice."""
     by_cve: dict[str, list[tuple[str, float]]] = {}
+    last = None
     for record in read_jsonl(path, fields):
-        by_cve.setdefault(record["cve_id"], []).append((record["commit_id"], record[score_key]))
+        if record["cve_id"] in by_cve and record["cve_id"] != last:
+            raise ValueError(f"{path}: the lines of {record['cve_id']} are not consecutive")
+        last = record["cve_id"]
+        by_cve.setdefault(last, []).append((record["commit_id"], record[score_key]))
     return by_cve
 
 
@@ -649,10 +667,11 @@ def _featurize(
     cve: CveRecord,
     ranked: list[tuple[str, float]],
     commit_ids: Sequence[str],
-) -> tuple[dict[str, np.ndarray], TrainingGroup | None]:
-    """The feature rows of ``commit_ids`` and of the CVE's training group, by
-    commit id and computed in one batch, and that group, sampled from its
-    pre-ranked candidates ``ranked`` (None without a known patch)."""
+) -> tuple[np.ndarray, TrainingGroup | None]:
+    """The feature rows of ``commit_ids``, in that order, and the CVE's
+    training group, sampled from its pre-ranked candidates ``ranked`` (None
+    without a known patch), with its rows' features. Every row is computed
+    in one batch."""
     group = sample_training_group(
         cve,
         ranked,
@@ -663,30 +682,31 @@ def _featurize(
     )
     group_rows = group.rows if group else []
     wanted = list(dict.fromkeys([*commit_ids, *(row.commit_id for row in group_rows)]))
-    rows = dict(zip(wanted, assembler.matrix(cve, wanted))) if wanted else {}
+    matrix = assembler.matrix(cve, wanted) if wanted else np.empty((0, NUM_FEATURES))
+    slot = {commit_id: i for i, commit_id in enumerate(wanted)}
     for row in group_rows:
-        row.features = rows[row.commit_id]
-    return rows, group
+        row.features = matrix[slot[row.commit_id]]
+    return matrix[[slot[commit_id] for commit_id in commit_ids]], group
 
 
 def stage_featurize(config: PipelineConfig) -> None:
     """Compute the nine features for every candidate and training row."""
     run = _Run(config, "featurize")
-    candidates = run.read(_load_ranked, run.candidates_file, CANDIDATE_FIELDS, "fused_score")
+    candidates = run.candidates()
+    run.aligned(COMPONENTS_FORMAT, run.components_file, sum(map(len, candidates.values())))
     corpora = run.corpora()
-    cves = run.cves()
+    cves = {cve.cve_id: cve for cve in run.cves()}
     repo = _repo_loader(run, corpora, ("diff", "file"), config.provider())
-    feature_records = []
+    feature_rows = [np.empty((0, NUM_FEATURES))]
     entity_records = []
-    training_records = []
-    for cve in sorted(cves, key=lambda c: c.cve_id):
-        ranked = candidates.get(cve.cve_id)
-        if ranked is None or cve.repo_id not in corpora:
-            continue
+    groups = []
+    for cve_id, ranked in candidates.items():
+        cve = cves.get(cve_id)
+        if cve is None or cve.repo_id not in corpora:  # features.bin has a row per candidate
+            detail = f"{run.candidates_file}: {cve_id} is not a CVE of the repositories read"
+            raise StageInputError("featurize", f"{detail}; rerun prerank with the same --repo")
         assembler = repo(cve.repo_id)[1]
-        entity_records.append(
-            {"cve_id": cve.cve_id, "entities": sorted(assembler.entities_for(cve))}
-        )
+        entity_records.append({"cve_id": cve_id, "entities": sorted(assembler.entities_for(cve))})
         commit_ids = [commit_id for commit_id, _ in ranked]
         try:
             rows, group = _featurize(config, assembler, cve, ranked, commit_ids)
@@ -696,32 +716,44 @@ def stage_featurize(config: PipelineConfig) -> None:
         except KeyError as exc:
             # Corpus.position_of: a candidate that is not a commit of the repo.
             raise StageInputError("featurize", f"{run.candidates_file}: {exc.args[0]}") from exc
-        feature_records += (
-            {"cve_id": cve.cve_id, "commit_id": commit_id}
-            | dict(zip(_FEATURE_KEYS, map(float, rows[commit_id])))
-            for commit_id in commit_ids
-        )
-        training_records += (
-            {
-                "cve_id": cve.cve_id,
-                "commit_id": row.commit_id,
-                "relevance": row.relevance,
-                "features": [float(x) for x in row.features],
-            }
-            for row in (group.rows if group else ())
-        )
-    run.write(run.features_file, lambda tmp: write_jsonl(tmp, feature_records))
+        feature_rows.append(rows)
+        groups += [group] if group else []
+    features = np.concatenate(feature_rows)
+    run.write(run.features_file, lambda tmp: FEATURES_FORMAT.save(tmp, features=features))
     run.write(run.entities_file, lambda tmp: write_jsonl(tmp, entity_records))
-    run.write(run.training_file, lambda tmp: write_jsonl(tmp, training_records))
+    run.write(run.training_file, lambda tmp: save_training_groups(groups, tmp))
     run.finish()
 
 
+def save_training_groups(groups: list[TrainingGroup], path: Path) -> None:
+    """Write ``groups`` in the TRAINING_FORMAT container, sorted by CVE id."""
+    groups = sorted(groups, key=lambda g: g.cve_id)
+    rows = [row for group in groups for row in group.rows]
+    TRAINING_FORMAT.save(
+        path,
+        cve_ids=[group.cve_id for group in groups],
+        offsets=np.cumsum([0, *(len(group.rows) for group in groups)]),
+        commit_ids=[row.commit_id for row in rows],
+        relevance=[row.relevance for row in rows],
+        features=np.array([row.features for row in rows]).reshape(-1, NUM_FEATURES),
+    )
+
+
 def load_training_groups(path: Path) -> list[TrainingGroup]:
-    groups: dict[str, TrainingGroup] = {}
-    rows = read_jsonl(path, TRAINING_FIELDS, lambda cve_id, **row: (cve_id, TrainingRow(**row)))
-    for cve_id, row in rows:
-        groups.setdefault(cve_id, TrainingGroup(cve_id)).rows.append(row)
-    return [groups[cve_id] for cve_id in sorted(groups)]
+    """The groups of a :func:`save_training_groups` file."""
+    return TRAINING_FORMAT.load(path, _training_groups)
+
+
+def _training_groups(cve_ids, offsets, commit_ids, relevance, features) -> list[TrainingGroup]:
+    n, bounds = len(commit_ids), offsets.tolist()
+    if len(bounds) != len(cve_ids) + 1 or bounds[0] != 0 or bounds[-1] != n:
+        raise ValueError(f"group offsets do not fit the {n} rows")
+    if bounds != sorted(bounds) or cve_ids != sorted(set(cve_ids)):
+        raise ValueError("group offsets or CVE ids are not ascending")
+    if not len(relevance) == len(features) == n or np.any(relevance < 0):
+        raise ValueError(f"need {n} relevance labels >= 0 and feature rows")
+    rows = list(map(TrainingRow, commit_ids, relevance.tolist(), features))
+    return [TrainingGroup(c, rows[a:b]) for c, a, b in zip(cve_ids, bounds, bounds[1:])]
 
 
 def stage_train(config: PipelineConfig) -> None:
@@ -733,31 +765,23 @@ def stage_train(config: PipelineConfig) -> None:
     run.finish()
 
 
-def _load_feature_rows(path: Path) -> dict[str, dict[str, np.ndarray]]:
-    by_cve: dict[str, dict[str, np.ndarray]] = {}
-    for record in read_jsonl(path, FEATURE_FIELDS):
-        vector = np.array([record[key] for key in _FEATURE_KEYS])
-        by_cve.setdefault(record["cve_id"], {})[record["commit_id"]] = vector
-    return by_cve
-
-
 def stage_rank(config: PipelineConfig) -> None:
     """Re-rank the candidate lists with the trained model."""
     run = _Run(config, "rank")
     model = run.read(RankModel.load, run.model_file)
-    candidates = run.read(_load_ranked, run.candidates_file, CANDIDATE_FIELDS, "fused_score")
-    features = run.read(_load_feature_rows, run.features_file)
+    candidates = run.candidates()
+    counts = [len(ranked) for ranked in candidates.values()]
+    features = run.aligned(FEATURES_FORMAT, run.features_file, sum(counts))
+    starts = dict(zip(candidates, accumulate(counts, initial=0)))
     cves = {c.cve_id: c for c in run.cves()}
     records = []
-    # Under --repo, candidates of other repositories' CVEs are skipped, as
-    # in featurize.
+    # Under --repo, candidates of other repositories' CVEs are skipped.
     for cve_id in sorted(c for c in candidates if c in cves):
-        try:
-            reranked = score_and_rerank(
-                model, cves[cve_id], candidates[cve_id], features.get(cve_id, {})
-            )
-        except MissingFeatureError as exc:
-            raise StageInputError("rank", f"{run.features_file}: {exc.args[0]}") from exc
+        ranked = candidates[cve_id]
+        rows = features[starts[cve_id] : starts[cve_id] + len(ranked)]
+        reranked = score_and_rerank(
+            model, cves[cve_id], ranked, dict(zip((c for c, _ in ranked), rows))
+        )
         for rank, (commit_id, score) in enumerate(reranked, start=1):
             records.append(
                 {"cve_id": cve_id, "commit_id": commit_id, "rank": rank, "score": score}
@@ -824,6 +848,7 @@ def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
         raise ConfigError(f"repo {target.repo_id!r} of CVE {cve_id} not found in commit dump")
     repo = _repo_loader(run, corpora, lexical.FIELD_KINDS, config.provider(), cves)
 
+    @functools.cache
     def preranked(cve: CveRecord) -> list[tuple[str, float]]:
         indexes, assembler = repo(cve.repo_id)
         return _prerank(assembler.corpus, cve, indexes, config.fusion_config())[0]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -372,6 +373,27 @@ class TestVectorStore:
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(ValueError, match="trailing bytes"):
             VectorStore.load(path)
+
+    def test_version_1_store_rejected_naming_path(self, tmp_path):
+        # An empty store of dimension 8 as version 1 wrote it.
+        path = tmp_path / "v1.bin"
+        path.write_bytes(b"PRVS" + struct.pack("<HIQ", 1, 8, 0))
+        with pytest.raises(ValueError, match="unsupported vector store version 1") as info:
+            VectorStore.load(path)
+        assert str(path) in str(info.value)
+
+    def test_round_trip_keeps_every_bit_and_empty_dimension(self, tmp_path):
+        store = VectorStore(16)
+        store.put_file(cid(2), "naïve/ß.c", offline_embed("two", 16))
+        store.put_cve("CVE-2024-2", np.array([-0.0, 1e-45, *[0.25] * 14], dtype=np.float32))
+        path = tmp_path / "s.bin"
+        store.save(path)
+        loaded = VectorStore.load(path)
+        assert loaded.keys() == store.keys()
+        for key in store.keys():
+            assert loaded._get(key).tobytes() == store._get(key).tobytes()
+        VectorStore(16).save(path)
+        assert VectorStore.load(path).dimension == 16
 
 
 class TestBuildVectors:

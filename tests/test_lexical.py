@@ -13,6 +13,7 @@ import pytest
 import patchrank
 
 from patchrank.lexical import (
+    INDEX_FORMAT,
     accumulate_scores,
     build_index,
     load_index,
@@ -231,6 +232,11 @@ class TestRankFilesWithinCommit:
             assert {doc[1] for doc, _ in ranked} == set(commit.file_texts())
 
 
+# The offset of an index file's field kind: an 8-byte header, then one
+# 40-byte table entry per section, then the field kind section.
+_FIELD_KIND = 8 + 40 * len(INDEX_FORMAT.sections)
+
+
 class TestPersistence:
     def test_round_trip_preserves_queries(self, tmp_path):
         corpus = random_corpus(25, seed=5)
@@ -241,6 +247,9 @@ class TestPersistence:
             loaded = load_index(path)
             assert query(loaded, "openssl packet", 10) == query(index, "openssl packet", 10)
             assert accumulate_scores(loaded, "ssl retry") == accumulate_scores(index, "ssl retry")
+            assert accumulate_scores(loaded, "ssl retry") == bm25_oracle_scores(
+                corpus, kind, "ssl retry"
+            )
             assert loaded.commit_files == index.commit_files
             assert loaded.doc_count == index.doc_count
             assert loaded.avg_doc_length == index.avg_doc_length
@@ -293,9 +302,14 @@ class TestPersistence:
             (lambda data: data[:40], "truncated index"),
             (lambda data: data + b"\0", "trailing bytes"),
             (lambda data: data[:4] + (1).to_bytes(2, "little") + data[6:], "index version 1"),
-            (lambda data: data[:6] + b"\x07" + data[7:], "unknown field kind 7"),
+            (lambda data: data[:4] + (2).to_bytes(2, "little") + data[6:], "index version 2"),
+            # The field kind is the first byte after the header and section table.
+            (
+                lambda data: data[:_FIELD_KIND] + b"\x07" + data[_FIELD_KIND + 1 :],
+                "unknown field kind \\[7\\]",
+            ),
         ],
-        ids=["one byte short", "header cut", "trailing byte", "version 1", "kind"],
+        ids=["one byte short", "header cut", "trailing byte", "version 1", "version 2", "kind"],
     )
     def test_damaged_file_rejected_naming_path(self, saved, edit, message):
         saved.write_bytes(edit(saved.read_bytes()))

@@ -9,6 +9,7 @@ import shutil
 from dataclasses import replace
 from pathlib import Path, PurePosixPath
 
+import numpy as np
 import pytest
 
 from patchrank import lexical
@@ -16,13 +17,16 @@ from patchrank import pipeline as pipeline_mod
 from patchrank.cli import main
 from patchrank.corpus import ingest_commit_dump
 from patchrank.pipeline import (
+    COMPONENTS_FORMAT,
     CONFIG_KEYS,
+    FEATURES_FORMAT,
     STAGE_FUNCTIONS,
     STAGES,
     Artifacts,
     ConfigError,
     PipelineConfig,
     StageInputError,
+    TRAINING_FORMAT,
     apply_overrides,
     load_config,
     repo_slug,
@@ -293,24 +297,30 @@ NON_DEFAULT_VALUES = {
 
 class TestArtifacts:
     def test_candidate_records_schema(self, small_setup):
+        """Each candidates.jsonl line has a row of the four component
+        reciprocal ranks in components.bin."""
         _, _, config = small_setup
         art = Artifacts(config.output_dir)
-        record = json.loads(art.candidates_file.read_text().splitlines()[0])
-        assert set(record) == {"cve_id", "commit_id", "rank", "fused_score", "components"}
-        assert set(record["components"]) == {"msg", "diff", "reserve", "publish"}
+        lines = art.candidates_file.read_text().splitlines()
+        record = json.loads(lines[0])
+        assert set(record) == {"cve_id", "commit_id", "rank", "fused_score"}
+        components = COMPONENTS_FORMAT.load(art.components_file)["components"]
+        assert components.shape == (len(lines), 4)
+        assert np.all((components >= 0) & (components <= 1))
 
     def test_feature_records_schema(self, small_setup):
         _, _, config = small_setup
         art = Artifacts(config.output_dir)
-        record = json.loads(art.features_file.read_text().splitlines()[0])
-        assert set(record) == {"cve_id", "commit_id"} | {f"f{i}" for i in range(1, 10)}
+        features = FEATURES_FORMAT.load(art.features_file)["features"]
+        assert features.shape == (len(art.candidates_file.read_text().splitlines()), 9)
 
     def test_training_records_schema(self, small_setup):
         _, _, config = small_setup
         art = Artifacts(config.output_dir)
-        record = json.loads(art.training_file.read_text().splitlines()[0])
-        assert set(record) == {"cve_id", "commit_id", "relevance", "features"}
-        assert len(record["features"]) == 9
+        training = TRAINING_FORMAT.load(art.training_file)
+        assert set(training) == {"cve_ids", "offsets", "commit_ids", "relevance", "features"}
+        assert training["features"].shape == (len(training["commit_ids"]), 9)
+        assert training["offsets"][-1] == len(training["commit_ids"])
 
     def test_ranking_and_report_written(self, small_setup):
         synth, _, config = small_setup
@@ -388,14 +398,14 @@ class TestArtifactIO:
             "embed": corpora | {cves},
             "prerank": corpora | {cves} | per_repo("index/{}.message.bin", "index/{}.diff.bin"),
             "featurize": corpora
-            | {cves, "prerank/candidates.jsonl"}
+            | {cves, "prerank/candidates.jsonl", "prerank/components.bin"}
             | per_repo("index/{}.diff.bin", "index/{}.file.bin", "vectors/{}.bin"),
-            "train": {"features/training.jsonl"},
+            "train": {"features/training.bin"},
             "rank": {
                 cves,
                 "model/model.json",
                 "prerank/candidates.jsonl",
-                "features/features.jsonl",
+                "features/features.bin",
             },
             "eval": {cves, "rank/ranking.jsonl"},
         }
@@ -531,10 +541,11 @@ MALFORMED_CASES = [
     ("corpus/<slug>.jsonl", None, "index", False),
     ("corpus/cves.jsonl", None, "prerank", False),
     ("prerank/candidates.jsonl", None, "featurize", False),
-    ("features/training.jsonl", None, "train", False),
+    ("features/training.bin", None, "train", False),
     ("rank/ranking.jsonl", None, "eval", False),
     ("corpus/repos.json", b"[]", "index", True),
     ("prerank/candidates.jsonl", None, "featurize", True),
+    ("prerank/components.bin", None, "featurize", True),
     ("vectors/<slug>.bin", None, "featurize", True),
     ("index/<slug>.file.bin", None, "featurize", True),
 ]
@@ -546,16 +557,25 @@ def first_split(model: dict) -> dict:
 
 MODEL = "model/model.json"
 
+# The array artifacts, by key.
+ARRAY_FORMATS = {
+    "prerank/components.bin": COMPONENTS_FORMAT,
+    "features/features.bin": FEATURES_FORMAT,
+    "features/training.bin": TRAINING_FORMAT,
+}
+
+
+def first_feature(value):
+    """An edit of an array artifact's sections that sets its first feature."""
+
+    def edit(sections):
+        sections["features"][0, 0] = value
+
+    return edit
+
+
 # JSONL rows the reader rejects, so the error names the file and line 1.
-# json.dumps writes NaN as the literal NaN.
 ROW_CASES = {
-    "null feature": ("features/features.jsonl", lambda r: r.update(f1=None), "rank"),
-    "NaN feature": ("features/features.jsonl", lambda r: r.update(f1=math.nan), "rank"),
-    "null training feature": (
-        "features/training.jsonl",
-        lambda r: r.update(features=[None, *r["features"][1:]]),
-        "train",
-    ),
     "string ranking score": ("rank/ranking.jsonl", lambda r: r.update(score="high"), "eval"),
     "extra candidate key": ("prerank/candidates.jsonl", lambda r: r.update(extra=1), "featurize"),
     "string known_patch_ids": (
@@ -580,9 +600,24 @@ EDITED_CASES = {
         "featurize",
     ),
     "8 training features": (
-        "features/training.jsonl",
-        lambda r: r.update(features=r["features"][:8]),
+        "features/training.bin",
+        lambda s: s.update(features=s["features"][:, :8]),
         "train",
+    ),
+    "inf feature": ("features/features.bin", first_feature(math.inf), "rank"),
+    "NaN feature": ("features/features.bin", first_feature(math.nan), "rank"),
+    "NaN training feature": ("features/training.bin", first_feature(math.nan), "train"),
+    "one feature row fewer": (
+        "features/features.bin",
+        lambda s: s.update(features=s["features"][:-1]),
+        "rank",
+    ),
+    # The hard CVE's lines follow the other CVE's, so its first line moves
+    # ahead of them.
+    "candidate lines not together": (
+        "prerank/candidates.jsonl",
+        lambda r: r.update(cve_id="CVE-2021-90000"),
+        "featurize",
     ),
     **ROW_CASES,
 }
@@ -731,6 +766,20 @@ class TestCli:
         ranked_cves = {json.loads(line)["cve_id"] for line in ranking.read_text().splitlines()}
         assert ranked_cves == {r["cve_id"] for r in synth.cve_records if r["repo_id"] == "synth/repo1"}
 
+    def test_featurize_under_repo_after_unfiltered_prerank_exits_2(self, tmp_path, capsys):
+        """features.bin has a row per candidate, so featurize refuses the
+        candidates of a repository --repo leaves out."""
+        synth = generate(seed=21, n_repos=2, commits_per_repo=50, cves_per_repo=2)
+        commit_dump, cve_dump = synth.write(tmp_path / "input")
+        config_path = tmp_path / "config.json"
+        config = {"commit_dump": str(commit_dump), "cve_dump": str(cve_dump), "offline": True}
+        config_path.write_text(json.dumps(config | {"output_dir": str(tmp_path / "out")}))
+        self.run_stages(config_path, ("ingest", "index", "embed", "prerank"))
+        capsys.readouterr()
+        assert main(["featurize", "--config", str(config_path), "--repo", "synth/repo1"]) == 2
+        err = self.assert_one_line_error(capsys, tmp_path / "out" / "prerank" / "candidates.jsonl")
+        assert err.endswith("; rerun prerank with the same --repo\n"), err
+
     def run_stages(self, config_path, stages):
         for stage in stages:
             assert main([stage, "--config", str(config_path)]) == 0, stage
@@ -750,7 +799,7 @@ class TestCli:
             tmp_path, seed=1, ranker=ranker | {"random_negatives": 0}
         )
         self.run_stages(config_path, STAGES)
-        training = tmp_path / "out" / "features" / "training.jsonl"
+        training = tmp_path / "out" / "features" / "training.bin"
         model = tmp_path / "out" / "model" / "model.json"
         rows = training.read_bytes()
 
@@ -814,10 +863,19 @@ class TestCli:
         synth, config_path = self.write_min_config(tmp_path)
         self.run_stages(config_path, STAGES[: STAGES.index(stage)])
         path = tmp_path / "out" / artifact
-        first, *rest = path.read_text().splitlines(keepends=True)
-        record = json.loads(first)
-        edit(record)
-        path.write_text("".join([json.dumps(record) + "\n", *rest]))
+        if artifact in ARRAY_FORMATS:
+            fmt = ARRAY_FORMATS[artifact]
+            sections = {
+                name: value.copy() if isinstance(value, np.ndarray) else value
+                for name, value in fmt.load(path).items()
+            }
+            edit(sections)
+            fmt.save(path, **sections)
+        else:
+            first, *rest = path.read_text().splitlines(keepends=True)
+            record = json.loads(first)
+            edit(record)
+            path.write_text("".join([json.dumps(record) + "\n", *rest]))
         forge_manifest(tmp_path / "out", artifact)
         capsys.readouterr()
         assert main([stage, "--config", str(config_path)]) == 2
@@ -862,8 +920,8 @@ class TestCli:
     def test_missing_feature_row_exits_2(self, tmp_path, capsys):
         _, config_path = self.write_min_config(tmp_path)
         self.run_stages(config_path, ("ingest", "index", "embed", "prerank", "featurize", "train"))
-        features = tmp_path / "out" / "features" / "features.jsonl"
-        features.write_text("".join(features.read_text().splitlines(keepends=True)[1:]))
+        features = tmp_path / "out" / "features" / "features.bin"
+        FEATURES_FORMAT.save(features, features=FEATURES_FORMAT.load(features)["features"][1:])
         capsys.readouterr()
         assert main(["rank", "--config", str(config_path)]) == 2
         self.assert_one_line_error(capsys, features)
@@ -914,6 +972,28 @@ class TestCli:
         capsys.readouterr()
         assert main(["prerank", "--config", str(config_path)]) == 2
         self.assert_one_line_error(capsys, index)
+
+    def test_trace_preranks_each_cve_once(self, tmp_path, capsys, monkeypatch):
+        """Training in memory pre-ranks every labelled CVE, the target among
+        them; the target's list is computed once and reused for its ranking."""
+        synth, config_path = self.write_min_config(tmp_path)
+        cve_ids = sorted(r["cve_id"] for r in synth.cve_records)
+        assert len(cve_ids) == 2
+        trace = ["trace", "--config", str(config_path), "--cve", cve_ids[0]]
+        assert main(trace) == 0
+        printed = capsys.readouterr().out
+        calls = []
+        components = pipeline_mod.prerank.prerank_components
+
+        def counting(corpus, cve, *args):
+            calls.append(cve.cve_id)
+            return components(corpus, cve, *args)
+
+        monkeypatch.setattr(pipeline_mod.prerank, "prerank_components", counting)
+        assert main(trace) == 0
+        assert sorted(calls) == cve_ids
+        assert capsys.readouterr().out == printed
+        assert not (tmp_path / "out").exists()
 
     def test_trace_reuses_repo_filtered_artifacts(self, tmp_path, capsys, monkeypatch):
         synth = generate(seed=21, n_repos=2, commits_per_repo=50, cves_per_repo=2)

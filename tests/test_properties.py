@@ -1,6 +1,6 @@
 """Property tests for the tokenizer, token truncation, diff splitting, the
 section tokens the BM25 indexes read, the commit dump round trip and the
-feature rows' JSONL round trip."""
+feature rows' features.bin round trip."""
 
 from __future__ import annotations
 
@@ -20,18 +20,15 @@ from hypothesis import strategies as st  # noqa: E402
 from patchrank import lexical  # noqa: E402
 from patchrank.corpus import (  # noqa: E402
     CommitRecord,
-    DumpFormatError,
     build_corpus,
     ingest_commit_dump,
-    read_jsonl,
     serialize_corpus,
     split_diff_by_file,
     token_count,
     tokenize,
     truncate_to_tokens,
-    write_jsonl,
 )
-from patchrank.pipeline import FEATURE_FIELDS  # noqa: E402
+from patchrank.pipeline import FEATURES_FORMAT  # noqa: E402
 from patchrank.ranker import NUM_FEATURES  # noqa: E402
 
 from oracles import tokenize_oracle, truncate_to_tokens_oracle  # noqa: E402
@@ -135,17 +132,11 @@ def test_tokenize_yields_lowercase_non_empty_tokens(text):
     assert len(tokens) == token_count(text)
 
 
-def feature_row(values) -> dict:
-    return {"cve_id": "CVE-2024-1", "commit_id": "c" * 40} | {
-        f"f{i}": value for i, value in enumerate(values, start=1)
-    }
-
-
-def write_and_read_feature_row(values) -> dict:
+def write_and_read_feature_row(values) -> np.ndarray:
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "features.jsonl"
-        write_jsonl(path, [feature_row(values)])
-        (row,) = read_jsonl(path, FEATURE_FIELDS)
+        path = Path(tmp) / "features.bin"
+        FEATURES_FORMAT.save(path, features=[values])
+        (row,) = FEATURES_FORMAT.load(path)["features"]
     return row
 
 
@@ -157,12 +148,11 @@ def write_and_read_feature_row(values) -> dict:
     )
 )
 def test_feature_row_round_trip_keeps_every_bit(values):
-    row = write_and_read_feature_row(values)
-    read = [row[f"f{i}"] for i in range(1, NUM_FEATURES + 1)]
+    read = write_and_read_feature_row(values)
     assert np.array(read).tobytes() == np.array(values).tobytes()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_feature_rejected(value):
-    with pytest.raises(DumpFormatError, match="line 1: f3: must be finite"):
+    with pytest.raises(ValueError, match="section features: row 0 holds a non-finite value"):
         write_and_read_feature_row([0.0, 0.0, value, *[0.0] * (NUM_FEATURES - 3)])
