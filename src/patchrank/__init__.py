@@ -41,7 +41,6 @@ from .evalkit import (
 )
 from .hier_features import (
     HierConfig,
-    feature_commit_cosine,
     feature_max_file_sim,
     feature_mean_top2_cosine,
     feature_top1_file_cosine,
@@ -50,11 +49,10 @@ from .lexical import InvertedIndex, build_index, query, rank_files_within_commit
 from .path_features import (
     extract_entities,
     feature_jaccard,
-    feature_path_cosine,
     path_universe,
     search_paths,
 )
-from .prerank import FusionConfig, prerank_candidates, reciprocal_rank_transform, time_affinity
+from .prerank import FusionConfig, prerank_candidates, reciprocal_rank_transform
 from .ranker import (
     FEATURE_NAMES,
     FeatureAssembler,
@@ -96,11 +94,9 @@ __all__ = [
     "embed_batch",
     "evaluate_rankings",
     "extract_entities",
-    "feature_commit_cosine",
     "feature_jaccard",
     "feature_max_file_sim",
     "feature_mean_top2_cosine",
-    "feature_path_cosine",
     "feature_top1_file_cosine",
     "ingest_commit_dump",
     "ingest_multi_repo_dump",
@@ -120,7 +116,6 @@ __all__ = [
     "search_paths",
     "split_by_repo",
     "split_diff_by_file",
-    "time_affinity",
     "tokenize",
     "train_lambdarank",
     "truncate_to_tokens",

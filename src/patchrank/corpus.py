@@ -92,11 +92,16 @@ def read_jsonl(path: str | Path, fields: dict[str, Callable], build: Callable = 
             yield record
 
 
+# Shared: json.dumps with keyword arguments would build an encoder per record.
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """One JSON object per line, keys sorted, non-ASCII text kept as is."""
+    encode = _JSONL_ENCODER.encode
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+            fh.write(encode(record) + "\n")
 
 
 @dataclass(frozen=True)

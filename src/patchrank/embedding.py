@@ -12,6 +12,7 @@ import math
 import os
 import time
 from collections import Counter
+from collections.abc import Sequence
 from enum import Enum
 from hashlib import blake2b
 from pathlib import Path
@@ -32,15 +33,17 @@ _HTTP_TIMEOUT_S = 60.0
 # Client errors that may succeed on a later attempt: timeout, rate limit.
 _RETRIED_4XX = (408, 429)
 
-_KIND_CODES = {"commit": 0, "file": 1, "cve": 2}
-_KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
-# Version 1 wrote one record per key. Row i of ``vectors`` is the vector of
-# the key (kind, id) or, for a file, (kind, id, path); other paths are empty.
+# Version 1 wrote one record per key, version 2 a kind, id and path per key.
+# The rows of ``vectors`` are the commit keys', then the CVE keys', then the
+# file keys', each kind in key order, so a commit's file rows are contiguous.
+# ``commits`` names the commits with a vector, then any that only files name;
+# a file key is its commit's index in ``commits`` and its path.
 STORE_FORMAT = Format(
     "vector store",
     b"PRVS",
-    2,
-    dict(kinds=Section("|u1"), ids=Section(STR), paths=Section(STR))
+    3,
+    dict(commits=Section(STR), cves=Section(STR))
+    | dict(file_commits=Section("<i4"), file_paths=Section(STR))
     | dict(vectors=Section("<f4", columns=None, finite=True)),
 )
 
@@ -157,8 +160,9 @@ class OfflineEmbedder:
         vec /= np.linalg.norm(vec)
         return vec.astype(np.float32)
 
-    def embed(self, texts: list[str]) -> list[list[float]]:
-        return [self.vector(t).tolist() for t in texts]
+    def embed(self, texts: list[str]) -> np.ndarray:
+        """One float32 row per text, each its :meth:`vector`."""
+        return np.array([self.vector(t) for t in texts], np.float32).reshape(-1, self.dimension)
 
 
 class HttpEmbedder:
@@ -241,52 +245,60 @@ class HttpEmbedder:
         return vectors
 
 
-def embed_batch(provider, texts: list[str]) -> list[np.ndarray]:
-    """Embed texts in order and L2-normalize, whatever the provider returned."""
+def embed_batch(provider, texts: list[str]) -> np.ndarray:
+    """Embed texts in order and L2-normalize, whatever the provider returned:
+    one float32 row per text. Each row's norm is the square root of its
+    float64 sum of squares, so a row normalizes alike in any batch."""
     if not texts:
-        return []
+        return np.empty((0, 0), dtype=np.float32)
     raw = provider.embed(list(texts))
     if len(raw) != len(texts):
         raise ProviderError(f"provider returned {len(raw)} vectors for {len(texts)} texts", 1)
     dimensions = {len(v) for v in raw}
     if len(dimensions) != 1:
         raise EmbeddingDimensionError(f"mixed vector dimensions in one batch: {sorted(dimensions)}")
-    out: list[np.ndarray] = []
-    for values in raw:
-        vec = np.asarray(values, dtype=np.float64)
-        norm = np.linalg.norm(vec)
-        if not np.isfinite(norm) or norm == 0.0:
-            # A zero (or non-finite) vector cannot be normalized; degrade to
-            # the same fixed basis vector used for token-free text.
-            out.append(_basis_vector(len(values)))
-        else:
-            out.append((vec / norm).astype(np.float32))
+    vectors = np.array(raw, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflowing norm is non-finite, handled below
+        norms = np.sqrt(np.square(vectors).sum(-1))
+    usable = np.isfinite(norms) & (norms > 0.0)
+    # A zero (or non-finite) vector cannot be normalized; it degrades to the
+    # same fixed basis vector used for token-free text.
+    out = np.tile(_basis_vector(vectors.shape[1]), (len(vectors), 1))
+    out[usable] = vectors[usable] / norms[usable, None]
     return out
 
 
 class VectorStore:
-    """Unit vectors keyed by commit, (commit, path), or CVE id."""
+    """Unit vectors keyed by commit, (commit, path), or CVE id: key ``k`` is
+    row ``rows[k]`` of one ``(n, dimension)`` float32 ``matrix``."""
 
-    def __init__(self, dimension: int):
+    def __init__(
+        self, dimension: int, keys: Sequence[tuple] = (), matrix: np.ndarray | None = None
+    ):
         self.dimension = dimension
-        self._vectors: dict[tuple, np.ndarray] = {}
+        self.matrix = np.empty((0, dimension), dtype=np.float32) if matrix is None else matrix
+        self.rows = {key: row for row, key in enumerate(keys)}
+        if not len(self.rows) == len(keys) == len(self.matrix):
+            raise ValueError(f"{len(keys)} keys, {len(self.rows)} distinct, {len(self.matrix)} vectors")
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self.rows)
 
     def keys(self) -> list[tuple]:
-        return sorted(self._vectors)
+        return sorted(self.rows)
 
     def _put(self, key: tuple, vector: np.ndarray) -> None:
         if vector.shape != (self.dimension,):
             raise EmbeddingDimensionError(
                 f"vector for {key!r} has shape {vector.shape}, store dimension is {self.dimension}"
             )
-        self._vectors[key] = np.asarray(vector, dtype=np.float32)
+        row = self.rows.setdefault(key, len(self.matrix))
+        rows = [self.matrix[:row], [vector], self.matrix[row + 1 :]]
+        self.matrix = np.concatenate(rows, dtype=np.float32)
 
     def _get(self, key: tuple) -> np.ndarray:
         try:
-            return self._vectors[key]
+            return self.matrix[self.rows[key]]
         except KeyError:
             raise MissingVectorError(key) from None
 
@@ -310,36 +322,38 @@ class VectorStore:
 
     def save(self, path: str | Path) -> None:
         """Write the store in the :data:`STORE_FORMAT` container, keys sorted."""
-        keys = self.keys()
-        matrix = np.array([self._vectors[key] for key in keys], dtype="<f4")
+        keys = self.keys()  # "commit" < "cve" < "file": the container's row order
+        commits = [key[1] for key in keys if key[0] == "commit"]
+        files = [key[1:] for key in keys if key[0] == "file"]
+        commits += sorted({commit_id for commit_id, _ in files}.difference(commits))
+        index = {commit_id: i for i, commit_id in enumerate(commits)}
         STORE_FORMAT.save(
             path,
-            kinds=[_KIND_CODES[key[0]] for key in keys],
-            ids=[key[1] for key in keys],
-            paths=[key[2] if len(key) == 3 else "" for key in keys],
-            vectors=matrix.reshape(len(keys), self.dimension),
+            commits=commits,
+            cves=[key[1] for key in keys if key[0] == "cve"],
+            file_commits=[index[commit_id] for commit_id, _ in files],
+            file_paths=[file_path for _, file_path in files],
+            vectors=self.matrix[[self.rows[key] for key in keys]],
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorStore":
         """Read a :meth:`save` file: one ``frombuffer`` of the vector matrix and
-        the key table. A damaged file raises a ValueError naming ``path``."""
+        the key tables. A damaged file raises a ValueError naming ``path``."""
         return STORE_FORMAT.load(path, cls._from_sections)
 
     @classmethod
-    def _from_sections(cls, kinds, ids, paths, vectors) -> "VectorStore":
-        if not len(kinds) == len(ids) == len(paths) == len(vectors):
-            sizes = f"{len(kinds)}, {len(ids)} and {len(paths)}"
-            raise ValueError(f"key table of {sizes} rows for {len(vectors)} vectors")
-        if np.any(kinds >= len(_KIND_NAMES)):
-            raise ValueError(f"unknown vector kind {kinds.max()}")
-        names = [_KIND_NAMES[code] for code in kinds.tolist()]
-        keys = [(k, i, p) if k == "file" else (k, i) for k, i, p in zip(names, ids, paths)]
-        store = cls(vectors.shape[1])
-        store._vectors = dict(zip(keys, vectors))
-        if len(store._vectors) != len(keys):
-            raise ValueError("duplicate vector keys")
-        return store
+    def _from_sections(cls, commits, cves, file_commits, file_paths, vectors) -> "VectorStore":
+        with_vectors = len(vectors) - len(cves) - len(file_paths)
+        if len(file_commits) != len(file_paths) or not 0 <= with_vectors <= len(commits):
+            sizes = f"{len(commits)} commits, {len(cves)} CVEs and {len(file_paths)} files"
+            raise ValueError(f"key tables of {sizes} for {len(vectors)} vectors")
+        if np.any((file_commits < 0) | (file_commits >= len(commits))):
+            raise ValueError("a file key names no commit of the key table")
+        keys = [("commit", commit_id) for commit_id in commits[:with_vectors]]
+        keys += [("cve", cve_id) for cve_id in cves]
+        keys += [("file", commits[i], p) for i, p in zip(file_commits.tolist(), file_paths)]
+        return cls(vectors.shape[1], keys, vectors)
 
 
 class EmbedBuildError(RuntimeError):
@@ -386,18 +400,20 @@ def build_vectors(
         keys.append(("cve", cve.cve_id))
         texts.append(render_prompt(PromptKind.CVE_QUERY, description=cve.description))
 
-    vectors: list[np.ndarray] = []
+    matrix = np.empty((0, getattr(provider, "dimension", 0)), dtype=np.float32)
     for start in range(0, len(texts), batch_size):
         batch = texts[start : start + batch_size]
         try:
-            vectors.extend(embed_batch(provider, batch))
+            rows = embed_batch(provider, batch)
+            if start == 0:
+                matrix = np.empty((len(texts), rows.shape[1]), dtype=np.float32)
+            elif rows.shape[1] != matrix.shape[1]:
+                raise EmbeddingDimensionError(
+                    f"vectors of dimension {rows.shape[1]} after {matrix.shape[1]}"
+                )
         except (ProviderError, EmbeddingDimensionError) as exc:
             raise EmbedBuildError(
                 f"embedding failed at key {keys[start]!r} (batch of {len(batch)}): {exc}"
             ) from exc
-
-    dimension = len(vectors[0]) if vectors else getattr(provider, "dimension", 0)
-    store = VectorStore(dimension)
-    for key, vector in zip(keys, vectors):
-        store._put(key, vector)
-    return store
+        matrix[start : start + len(batch)] = rows
+    return VectorStore(matrix.shape[1], keys, matrix)

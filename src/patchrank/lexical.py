@@ -162,17 +162,11 @@ def accumulate_scores(index: InvertedIndex, query_text: str) -> dict[DocId, floa
     """BM25 score of every document matching at least one query term.
 
     One pass over the postings of the query's terms; a document absent
-    from the result scores 0.0. Each score is bit-identical to
-    :func:`score_document` for the same document.
+    from the result scores 0.0.
     """
     acc = _score_array(index, query_text)
     hits = np.flatnonzero(acc)
     return dict(zip([index.docs[i] for i in hits.tolist()], acc[hits].tolist()))
-
-
-def rank_entries(scores: dict[DocId, float]) -> RankedList:
-    """Order (doc, score) pairs by descending score, ascending doc_id on ties."""
-    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def query(index: InvertedIndex, query_text: str, k: int) -> RankedList:
@@ -186,11 +180,6 @@ def query(index: InvertedIndex, query_text: str, k: int) -> RankedList:
     return list(zip([index.docs[i] for i in top.tolist()], acc[top].tolist()))
 
 
-def score_document(index: InvertedIndex, query_text: str, doc_id: DocId) -> float:
-    """BM25 score of one document; 0.0 when it matches no query term."""
-    return accumulate_scores(index, query_text).get(doc_id, 0.0)
-
-
 def rank_files_within_commit(
     file_index: InvertedIndex, cve: CveRecord, commit_id: str
 ) -> RankedList:
@@ -199,17 +188,7 @@ def rank_files_within_commit(
     Files sharing no term with the description are appended with score 0
     in ascending path order so every file of the commit appears.
     """
-    return rank_commit_files(file_index, accumulate_scores(file_index, cve.description), commit_id)
-
-
-def rank_commit_files(
-    file_index: InvertedIndex, file_scores: dict[DocId, float], commit_id: str
-) -> RankedList:
-    """:func:`rank_files_within_commit` from precomputed file scores.
-
-    ``file_scores`` holds BM25 scores of file documents for one CVE, such as
-    :func:`accumulate_scores` over ``file_index``; missing documents score 0.
-    """
+    file_scores = accumulate_scores(file_index, cve.description)
     scored: list[tuple[DocId, float]] = []
     zeros: list[tuple[DocId, float]] = []
     for path in file_index.commit_files.get(commit_id, ()):
@@ -219,7 +198,7 @@ def rank_commit_files(
             scored.append((doc_id, score))
         else:
             zeros.append((doc_id, 0.0))
-    return rank_entries(dict(scored)) + zeros
+    return sorted(scored, key=lambda kv: (-kv[1], kv[0])) + zeros
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:

@@ -11,10 +11,8 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
-import numpy as np
-
 from .corpus import CommitRecord, Corpus
-from .embedding import PromptKind, embed_batch, render_prompt
+from .embedding import PromptKind, render_prompt
 
 DEFAULT_PER_ENTITY_CAP = 10
 
@@ -99,11 +97,3 @@ def feature_jaccard(ner_paths: set[str], commit_paths: set[str]) -> float:
 def path_text(paths: set[str]) -> str:
     """The embedding input for a path set: its paths, sorted, one per line."""
     return render_prompt(PromptKind.PATH_DOC, text="\n".join(sorted(paths)))
-
-
-def feature_path_cosine(provider, ner_paths: set[str], commit_paths: set[str]) -> float:
-    """Cosine between the two path sets embedded as newline-joined text."""
-    if not ner_paths or not commit_paths:
-        return 0.0
-    vec_a, vec_b = embed_batch(provider, [path_text(ner_paths), path_text(commit_paths)])
-    return float(np.dot(vec_a, vec_b))

@@ -705,10 +705,9 @@ def stage_featurize(config: PipelineConfig) -> None:
         if cve is None or cve.repo_id not in corpora:  # features.bin has a row per candidate
             detail = f"{run.candidates_file}: {cve_id} is not a CVE of the repositories read"
             raise StageInputError("featurize", f"{detail}; rerun prerank with the same --repo")
-        assembler = repo(cve.repo_id)[1]
-        entity_records.append({"cve_id": cve_id, "entities": sorted(assembler.entities_for(cve))})
         commit_ids = [commit_id for commit_id, _ in ranked]
         try:
+            assembler = repo(cve.repo_id)[1]
             rows, group = _featurize(config, assembler, cve, ranked, commit_ids)
         except MissingVectorError as exc:
             path = run.vectors_file(repo_slug(cve.repo_id))
@@ -716,6 +715,7 @@ def stage_featurize(config: PipelineConfig) -> None:
         except KeyError as exc:
             # Corpus.position_of: a candidate that is not a commit of the repo.
             raise StageInputError("featurize", f"{run.candidates_file}: {exc.args[0]}") from exc
+        entity_records.append({"cve_id": cve_id, "entities": sorted(assembler.entities_for(cve))})
         feature_rows.append(rows)
         groups += [group] if group else []
     features = np.concatenate(feature_rows)

@@ -31,16 +31,6 @@ class FusionConfig:
             raise ValueError(f"candidate_k must be >= 1, got {self.candidate_k}")
 
 
-def time_affinity(corpus: Corpus, cve_time: int, commit_id: str) -> int:
-    """Number of commits between a commit and a CVE timestamp.
-
-    Both are located in the corpus's time-sorted commit array: the commit
-    by its position, the timestamp by its insertion point.
-    """
-    position = corpus.position_of(commit_id)
-    return abs(position - corpus.insertion_position(cve_time))
-
-
 def reciprocal_rank_transform(ranked: RankedList) -> dict:
     """Map each doc to 1/rank (1-based); absent docs are treated as 0."""
     return {doc_id: 1.0 / rank for rank, (doc_id, _) in enumerate(ranked, start=1)}

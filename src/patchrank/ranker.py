@@ -16,22 +16,22 @@ import logging
 import random
 from dataclasses import dataclass, field
 from hashlib import blake2b
+from itertools import accumulate, count
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, CveRecord, expect
-from .embedding import VectorStore, embed_batch
-from .hier_features import hier_features
-from .lexical import InvertedIndex, RankedList, accumulate_scores, rank_commit_files
+from .embedding import MissingVectorError, VectorStore, embed_batch
+from .hier_features import DEFAULT_HIER_CONFIG, cosine, mean_cosine
+from .lexical import InvertedIndex, RankedList, _score_array
 from .path_features import (
     DEFAULT_PER_ENTITY_CAP,
     commit_paths,
     extract_entities,
     feature_jaccard,
     path_text,
-    path_universe,
     search_paths,
 )
 
@@ -57,6 +57,9 @@ DEFAULT_RANDOM_NEGATIVES = 500
 # time: a provider answers with Python float lists (~8 KB per 256-d vector),
 # and one call for a few hundred texts would raise featurize's peak RSS.
 PATH_EMBED_BATCH = 64
+# Candidates per array pass: ~3 KB per gathered vector at d = 256, up to six
+# per candidate, so a CVE's thousands of candidates add ~2 MB to the peak.
+MATRIX_CHUNK = 128
 
 _MODEL_MAGIC = "patchrank-model"
 _MODEL_VERSION = 1
@@ -87,11 +90,11 @@ def _derive_seed(seed: int, name: str) -> int:
 class FeatureAssembler:
     """Computes the nine-feature rows for one CVE and a batch of commits.
 
-    Each :meth:`matrix` call scores the CVE description once against the
-    diff index and once against the file index, then fills every row from
-    those score maps. Per-CVE entity extraction and path search are cached,
-    and path-set vectors are memoized by their text, so each distinct path
-    set reaches the provider once per assembler.
+    Each commit's store rows, documents and path set are looked up once, and
+    a store lacking a commit or file vector raises MissingVectorError. Each
+    :meth:`matrix` call scores the CVE once against the diff and file indexes
+    and fills the rows with array operations. Per-CVE path search is cached,
+    and each distinct path set reaches the provider once per assembler.
     """
 
     def __init__(
@@ -110,10 +113,28 @@ class FeatureAssembler:
         self.file_index = file_index
         self.per_entity_cap = per_entity_cap
         self._provider = provider
-        self._universe = path_universe(corpus)
         self._cve_cache: dict[str, tuple[set[str], set[str]]] = {}
-        # L2-normalized float32 path-set vectors keyed by path_text().
-        self._path_vectors: dict[str, np.ndarray] = {}
+        commits = corpus.commits
+        self._commit_paths = [commit_paths(commit) for commit in commits]
+        self._path_texts = [path_text(paths) if paths else None for paths in self._commit_paths]
+        self._universe = set().union(*self._commit_paths)
+        # By corpus position: store rows, the diff document and the file documents,
+        # contiguous as the file index's documents ascend by (commit id, path).
+        rows = store.rows
+        try:
+            self._commit_rows = np.array([rows[("commit", c.commit_id)] for c in commits], np.intp)
+            self._doc_rows = np.array([rows[("file", *doc)] for doc in file_index.docs], np.intp)
+        except KeyError as exc:
+            raise MissingVectorError(exc.args[0]) from None
+        diff_docs = {commit_id: i for i, commit_id in enumerate(diff_index.docs)}
+        self._diff_docs = np.array([diff_docs[c.commit_id] for c in commits], dtype=np.intp)
+        counts = {commit_id: len(paths) for commit_id, paths in file_index.commit_files.items()}
+        starts = dict(zip(counts, accumulate(counts.values(), initial=0)))
+        self._file_starts = np.array([starts.get(c.commit_id, 0) for c in commits], dtype=np.intp)
+        self._file_counts = np.array([counts.get(c.commit_id, 0) for c in commits], dtype=np.intp)
+        # The provider's normalized path-set vectors, a row per path_text() in _path_rows.
+        self._path_rows: dict[str, int] = {}
+        self._path_vectors = np.empty((0, 0), dtype=np.float32)  # replaced on first use
 
     def entities_for(self, cve: CveRecord) -> set[str]:
         return self._cve_state(cve)[0]
@@ -130,51 +151,74 @@ class FeatureAssembler:
             self._cve_cache[cve.cve_id] = state
         return state
 
-    def _path_cosines(self, ner_paths: set[str], touched: list[set[str]]) -> list[float]:
+    def _hier_columns(self, query: np.ndarray, file_scores, positions: np.ndarray) -> np.ndarray:
+        """Commit cosine, max over the top five files, top-1 file cosine and
+        cosine with the mean of the top two, the files ranked by their
+        ``file_scores`` as :func:`~patchrank.lexical.rank_files_within_commit`
+        ranks them; 0.0 for the file columns of a commit without files."""
+        out = np.zeros((len(positions), 4))
+        out[:, 0] = cosine(self.store.matrix[self._commit_rows[positions]], query)
+        # One entry per (candidate, file document), grouped by candidate. Sorting
+        # by score descending, then document position (path order), keeps the
+        # groups in place, so an entry's rank is its offset in its group.
+        counts = self._file_counts[positions]
+        owner = np.repeat(np.arange(len(positions)), counts)
+        offset = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+        docs = np.repeat(self._file_starts[positions], counts) + offset
+        docs = docs[np.lexsort((docs, -file_scores[docs], owner))]
+        pool = offset < DEFAULT_HIER_CONFIG.max_pool_files
+        docs, owner, rank = docs[pool], owner[pool], offset[pool]
+        vectors = self.store.matrix[self._doc_rows[docs]]
+        cosines = cosine(vectors, query)
+        top1 = np.flatnonzero(rank == 0)
+        out[owner[top1], 1] = np.maximum.reduceat(cosines, top1)
+        out[owner[top1], 2] = out[owner[top1], 3] = cosines[top1]
+        pairs = top1[counts[owner[top1]] > 1]
+        out[owner[pairs], 3] = mean_cosine(query, vectors[pairs], vectors[pairs + 1])
+        return out
+
+    def _path_cosines(self, ner_paths: set[str], positions: np.ndarray) -> np.ndarray:
         """Cosine of the NER path set with each commit's path set; 0.0 when
         either set is empty. Texts missing from the memo are embedded in
         batches of PATH_EMBED_BATCH."""
         if not ner_paths:
-            return [0.0] * len(touched)
+            return np.zeros(len(positions))
         query_text = path_text(ner_paths)
-        texts = [path_text(paths) if paths else None for paths in touched]
-        missing = [
-            text
-            for text in dict.fromkeys([query_text, *texts])
-            if text is not None and text not in self._path_vectors
-        ]
-        for start in range(0, len(missing), PATH_EMBED_BATCH):
-            batch = missing[start : start + PATH_EMBED_BATCH]
-            self._path_vectors.update(zip(batch, embed_batch(self._provider, batch)))
-        query = self._path_vectors[query_text]
-        return [0.0 if t is None else float(np.dot(query, self._path_vectors[t])) for t in texts]
-
-    def _time_distances(self, cve_time: int | None, positions: list[int]) -> list[int]:
-        if cve_time is None:
-            # No timestamp to compare against: report a distance beyond any
-            # real commit rather than pretending perfect affinity.
-            return [len(self.corpus)] * len(positions)
-        insert_at = self.corpus.insertion_position(cve_time)
-        return [abs(position - insert_at) for position in positions]
+        texts = [self._path_texts[p] for p in positions.tolist()]
+        wanted = dict.fromkeys([query_text, *texts])
+        missing = [t for t in wanted if t is not None and t not in self._path_rows]
+        if missing:
+            batches = range(0, len(missing), PATH_EMBED_BATCH)
+            new = [embed_batch(self._provider, missing[i : i + PATH_EMBED_BATCH]) for i in batches]
+            stacked = [self._path_vectors, *new] if self._path_rows else new
+            self._path_vectors = np.concatenate(stacked)
+            self._path_rows.update(zip(missing, count(len(self._path_rows))))
+        rows = np.array([self._path_rows.get(text, -1) for text in texts], dtype=np.intp)
+        query = self._path_vectors[self._path_rows[query_text]]
+        out = np.empty(len(positions))
+        for start in range(0, len(rows), MATRIX_CHUNK):
+            part = rows[start : start + MATRIX_CHUNK]
+            cosines = cosine(self._path_vectors[part], query)
+            out[start : start + len(part)] = np.where(part >= 0, cosines, 0.0)  # -1: no path set
+        return out
 
     def matrix(self, cve: CveRecord, commit_ids: Sequence[str]) -> np.ndarray:
         """Feature rows for ``commit_ids``, in that order."""
-        positions = [self.corpus.position_of(commit_id) for commit_id in commit_ids]
-        touched = [commit_paths(self.corpus.commits[p]) for p in positions]
+        positions = np.array([self.corpus.position_of(c) for c in commit_ids], dtype=np.intp)
         ner_paths = self.ner_paths_for(cve)
-        diff_scores = accumulate_scores(self.diff_index, cve.description)
-        file_scores = accumulate_scores(self.file_index, cve.description)
         query = self.store.cve_vector(cve.cve_id)
-
+        file_scores = _score_array(self.file_index, cve.description)
         rows = np.empty((len(commit_ids), NUM_FEATURES), dtype=np.float64)
-        for i, commit_id in enumerate(commit_ids):
-            ranked = rank_commit_files(self.file_index, file_scores, commit_id)
-            rows[i, :4] = hier_features(self.store, query, commit_id, ranked)
-        rows[:, 4] = [diff_scores.get(commit_id, 0.0) for commit_id in commit_ids]
-        rows[:, 5] = self._time_distances(cve.reserve_time, positions)
-        rows[:, 6] = self._time_distances(cve.publish_time, positions)
-        rows[:, 7] = [feature_jaccard(ner_paths, paths) for paths in touched]
-        rows[:, 8] = self._path_cosines(ner_paths, touched)
+        for start in range(0, len(positions), MATRIX_CHUNK):
+            part = slice(start, start + MATRIX_CHUNK)
+            rows[part, :4] = self._hier_columns(query, file_scores, positions[part])
+        rows[:, 4] = _score_array(self.diff_index, cve.description)[self._diff_docs[positions]]
+        for column, cve_time in ((5, cve.reserve_time), (6, cve.publish_time)):
+            # Without a timestamp, a distance beyond any real commit, not perfect affinity.
+            at = None if cve_time is None else self.corpus.insertion_position(cve_time)
+            rows[:, column] = len(self.corpus) if at is None else np.abs(positions - at)
+        rows[:, 7] = [feature_jaccard(ner_paths, self._commit_paths[p]) for p in positions.tolist()]
+        rows[:, 8] = self._path_cosines(ner_paths, positions)
         return rows
 
 

@@ -21,6 +21,7 @@ import pytest
 
 import patchrank
 from patchrank.embedding import (
+    STORE_FORMAT,
     EmbedBuildError,
     EmbeddingDimensionError,
     HttpEmbedder,
@@ -35,8 +36,30 @@ from patchrank.embedding import (
     render_prompt,
 )
 
+from patchrank.container import STR, Format, Section
+
 from conftest import cid, make_commit, make_corpus, make_cve
 from oracles import truncate_to_tokens_oracle
+
+# The store as version 2 wrote it: a kind code, an id and a path per key.
+STORE_FORMAT_2 = Format(
+    "vector store",
+    b"PRVS",
+    2,
+    dict(kinds=Section("|u1"), ids=Section(STR), paths=Section(STR))
+    | dict(vectors=Section("<f4", columns=None, finite=True)),
+)
+
+
+def save_version_2(store: VectorStore, path) -> None:
+    keys = store.keys()
+    STORE_FORMAT_2.save(
+        path,
+        kinds=[{"commit": 0, "file": 1, "cve": 2}[key[0]] for key in keys],
+        ids=[key[1] for key in keys],
+        paths=[key[2] if len(key) == 3 else "" for key in keys],
+        vectors=np.array([store._get(key) for key in keys]).reshape(len(keys), store.dimension),
+    )
 
 
 class _EmbedHandler(BaseHTTPRequestHandler):
@@ -129,7 +152,7 @@ class TestOfflineEmbed:
     def test_deterministic_across_instances(self):
         a = OfflineEmbedder(64).embed(["fix ssl"])[0]
         b = OfflineEmbedder(64).embed(["fix ssl"])[0]
-        assert a == b
+        assert a.tobytes() == b.tobytes()
 
     def test_disjoint_tokens_collision_free_cosine_zero(self):
         # Verify the two token sets land in distinct buckets at d=4096,
@@ -183,7 +206,7 @@ class TestOfflineEmbed:
         texts = self.REPEATED_TERMS
         warm = OfflineEmbedder(8)
         warm.embed(texts)
-        assert warm.embed(texts[::-1])[::-1] == OfflineEmbedder(8).embed(texts)
+        assert warm.embed(texts[::-1])[::-1].tobytes() == OfflineEmbedder(8).embed(texts).tobytes()
 
     @pytest.mark.parametrize("dimension, seed", [(16, 13), (8, 5)])
     def test_bucket_memo_is_per_embedder(self, dimension, seed):
@@ -379,6 +402,53 @@ class TestVectorStore:
         path = tmp_path / "v1.bin"
         path.write_bytes(b"PRVS" + struct.pack("<HIQ", 1, 8, 0))
         with pytest.raises(ValueError, match="unsupported vector store version 1") as info:
+            VectorStore.load(path)
+        assert str(path) in str(info.value)
+
+    def test_version_2_store_rejected_naming_path(self, tmp_path):
+        store = VectorStore(16)
+        store.put_commit(cid(1), offline_embed("one", 16))
+        path = tmp_path / "v2.bin"
+        save_version_2(store, path)
+        with pytest.raises(ValueError, match="unsupported vector store version 2") as info:
+            VectorStore.load(path)
+        assert str(path) in str(info.value)
+
+    def test_file_keys_share_their_commit_id(self, tmp_path):
+        """A file key is stored as its commit's index and its path, the commit
+        id once; a commit that only files name keeps no vector of its own."""
+        store = VectorStore(8)
+        store.put_file(cid(2), "b.c", offline_embed("b", 8))
+        store.put_commit(cid(1), offline_embed("one", 8))
+        store.put_file(cid(1), "a.c", offline_embed("a", 8))
+        store.put_file(cid(2), "a.c", offline_embed("c", 8))
+        path = tmp_path / "s.bin"
+        store.save(path)
+        sections = STORE_FORMAT.load(path)
+        assert sections["commits"] == [cid(1), cid(2)]
+        assert sections["file_commits"].tolist() == [0, 1, 1]
+        assert sections["file_paths"] == ["a.c", "a.c", "b.c"]
+        loaded = VectorStore.load(path)
+        assert loaded.keys() == store.keys()
+        with pytest.raises(MissingVectorError):
+            loaded.commit_vector(cid(2))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (dict(file_commits=[2]), "a file key names no commit"),
+            (dict(file_commits=[0, 0]), "key tables of 1 commits, 0 CVEs and 1 files"),
+            (dict(file_commits=[0, 0], file_paths=["a.c", "a.c"]), "2 keys, 1 distinct, 2 vectors"),
+        ],
+    )
+    def test_inconsistent_key_tables_rejected(self, tmp_path, edit, message):
+        store = VectorStore(8)
+        store.put_commit(cid(1), offline_embed("one", 8))
+        store.put_file(cid(1), "a.c", offline_embed("a", 8))
+        path = tmp_path / "s.bin"
+        store.save(path)
+        STORE_FORMAT.save(path, **(STORE_FORMAT.load(path) | edit))
+        with pytest.raises(ValueError, match=message) as info:
             VectorStore.load(path)
         assert str(path) in str(info.value)
 

@@ -11,15 +11,14 @@ import pytest
 from patchrank.embedding import MissingVectorError, OfflineEmbedder, VectorStore, build_vectors
 from patchrank.hier_features import (
     HierConfig,
-    feature_commit_cosine,
     feature_max_file_sim,
     feature_mean_top2_cosine,
     feature_top1_file_cosine,
-    hier_features,
 )
 from patchrank.lexical import build_index, rank_files_within_commit
 
 from conftest import cid, make_commit, make_corpus, make_cve
+from oracles import feature_commit_cosine, hier_features
 
 
 def unit(d: int, axis: int) -> np.ndarray:

@@ -20,11 +20,10 @@ from patchrank.lexical import (
     query,
     rank_files_within_commit,
     save_index,
-    score_document,
 )
 
 from conftest import cid, make_commit, make_corpus, make_cve
-from oracles import bm25_oracle_scores
+from oracles import bm25_oracle_scores, score_document
 
 WORDS = "openssl packet loop ssl handshake buffer parse socket retry limit".split()
 

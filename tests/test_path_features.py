@@ -10,7 +10,6 @@ from patchrank.path_features import (
     commit_paths,
     extract_entities,
     feature_jaccard,
-    feature_path_cosine,
     normalize_path,
     path_text,
     path_universe,
@@ -20,6 +19,7 @@ from patchrank.path_features import (
 from patchrank.ranker import PATH_EMBED_BATCH, FeatureAssembler
 
 from conftest import cid, make_commit, make_corpus, make_cve
+from oracles import feature_path_cosine
 
 TOMCAT_DESCRIPTION = (
     "Apache Tomcat 8.5.0 to 8.5.63, 9.0.0-M1 to 9.0.43 and 10.0.0-M1 to 10.0.2 did "

@@ -15,7 +15,8 @@ import pytest
 from patchrank import lexical
 from patchrank import pipeline as pipeline_mod
 from patchrank.cli import main
-from patchrank.corpus import ingest_commit_dump
+from patchrank.corpus import ingest_commit_dump, load_cve_dump
+from patchrank.embedding import VectorStore
 from patchrank.pipeline import (
     COMPONENTS_FORMAT,
     CONFIG_KEYS,
@@ -45,6 +46,7 @@ from patchrank.prerank import FusionConfig
 from patchrank.ranker import RankerParams, RankModel
 
 from synthcorpus import generate
+from test_embedding import save_version_2
 
 ALL_STAGES = (
     stage_ingest,
@@ -943,6 +945,38 @@ class TestCli:
         (vectors,) = (tmp_path / "out" / "vectors").glob("*.bin")
         self.assert_one_line_error(capsys, vectors)
 
+    def test_missing_top_file_vector_exits_2(self, tmp_path, capsys):
+        """A store without the file vectors of a known patch, whose training
+        row featurize computes, fails naming the store."""
+        _, config_path = self.write_min_config(tmp_path)
+        self.run_stages(config_path, ("ingest", "index", "embed", "prerank"))
+        root = tmp_path / "out"
+        (cve, *_) = load_cve_dump(root / "corpus" / "cves.jsonl")
+        (patch, *_) = sorted(cve.known_patch_ids)
+        (vectors,) = (root / "vectors").glob("*.bin")
+        store = VectorStore.load(vectors)
+        keys = [key for key in store.keys() if key[:2] != ("file", patch)]
+        assert len(keys) < len(store)
+        rows = store.matrix[[store.rows[key] for key in keys]]
+        VectorStore(store.dimension, keys, rows).save(vectors)
+        forge_manifest(root, f"vectors/{vectors.name}")
+        capsys.readouterr()
+        assert main(["featurize", "--config", str(config_path)]) == 2
+        err = self.assert_one_line_error(capsys, vectors)
+        assert f"no vector stored for key ('file', '{patch}'" in err, err
+
+    def test_version_2_vector_store_exits_2(self, tmp_path, capsys):
+        _, config_path = self.write_min_config(tmp_path)
+        self.run_stages(config_path, ("ingest", "index", "embed", "prerank"))
+        root = tmp_path / "out"
+        (vectors,) = (root / "vectors").glob("*.bin")
+        save_version_2(VectorStore.load(vectors), vectors)
+        forge_manifest(root, f"vectors/{vectors.name}")
+        capsys.readouterr()
+        assert main(["featurize", "--config", str(config_path)]) == 2
+        err = self.assert_one_line_error(capsys, vectors)
+        assert "unsupported vector store version 2" in err, err
+
     @pytest.mark.parametrize("cut", ["100 bytes short", "half", "first 10 bytes"])
     def test_truncated_vector_store_exits_2(self, tmp_path, capsys, cut):
         _, config_path = self.write_min_config(tmp_path)
@@ -1130,6 +1164,7 @@ class TestTraceReuse:
             ("bm25 k1 changed", "index ran with other k1; rerun index", 3, 2),
             ("index file rewritten", ".file.bin differs from", 1, 1),
             ("vector store truncated", ".bin differs from", 1, 1),
+            ("version-2 vector store", "unsupported vector store version 2", 1, 1),
             ("version-1 manifests", "malformed or of another version", 3, 2),
         ],
         # Each id names the change and what it makes stale.
@@ -1138,6 +1173,7 @@ class TestTraceReuse:
             "bm25 k1 changed-bm25 settings",
             "index file rewritten-.file.bin is missing or differs",
             "vector store truncated-.bin is missing or differs",
+            "version-2 vector store-malformed",
             "version-1 manifests-has manifest version 1",
         ],
     )
@@ -1161,6 +1197,17 @@ class TestTraceReuse:
         elif change == "vector store truncated":
             vectors = art.vectors_file(slug)
             vectors.write_bytes(vectors.read_bytes()[:-100])
+        elif change == "version-2 vector store":
+            # As an older release left it, every manifest listing the file it wrote.
+            vectors = art.vectors_file(slug)
+            save_version_2(VectorStore.load(vectors), vectors)
+            key, digest = art.key(vectors), hashlib.sha256(vectors.read_bytes()).hexdigest()
+            for path in (staged.output_dir / "manifests").glob("*.manifest.json"):
+                manifest = json.loads(path.read_text())
+                for side in ("inputs", "outputs"):
+                    if key in manifest[side]:
+                        manifest[side][key] = digest
+                path.write_text(json.dumps(manifest))
         else:
             # Manifest version 1 keyed artifacts by name: "cves", "repos", and
             # paths without their file extension.

@@ -9,10 +9,10 @@ from patchrank.prerank import (
     FusionConfig,
     prerank_candidates,
     reciprocal_rank_transform,
-    time_affinity,
 )
 
 from conftest import cid, make_commit, make_corpus, make_cve
+from oracles import time_affinity
 
 
 def fixture_four_commits():

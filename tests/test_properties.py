@@ -1,6 +1,6 @@
 """Property tests for the tokenizer, token truncation, diff splitting, the
-section tokens the BM25 indexes read, the commit dump round trip and the
-feature rows' features.bin round trip."""
+section tokens the BM25 indexes read, the commit dump round trip, the
+feature rows' features.bin round trip and embed_batch's normalization."""
 
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from patchrank.corpus import (  # noqa: E402
     tokenize,
     truncate_to_tokens,
 )
+from patchrank.embedding import embed_batch  # noqa: E402
 from patchrank.pipeline import FEATURES_FORMAT  # noqa: E402
 from patchrank.ranker import NUM_FEATURES  # noqa: E402
 
@@ -156,3 +157,47 @@ def test_feature_row_round_trip_keeps_every_bit(values):
 def test_non_finite_feature_rejected(value):
     with pytest.raises(ValueError, match="section features: row 0 holds a non-finite value"):
         write_and_read_feature_row([0.0, 0.0, value, *[0.0] * (NUM_FEATURES - 3)])
+
+
+class _Returns:
+    """A provider answering with fixed raw vectors."""
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+
+    def embed(self, texts):
+        return self.vectors[: len(texts)]
+
+
+def _normalized_alone(values: list[float]) -> np.ndarray:
+    """One vector normalized on its own: divided by the square root of its
+    float64 sum of squares, or the first basis vector when that is 0."""
+    vec = np.asarray(values, dtype=np.float64)
+    norm = np.sqrt(np.square(vec).sum())
+    if norm == 0.0:
+        return np.eye(1, len(vec), dtype=np.float32)[0]
+    return (vec / norm).astype(np.float32)
+
+
+@given(
+    st.integers(min_value=1, max_value=40).flatmap(
+        lambda dimension: st.lists(
+            st.lists(
+                st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False)
+                | st.just(0.0),
+                min_size=dimension,
+                max_size=dimension,
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+)
+def test_batched_embed_batch_equals_per_vector_normalization(raw):
+    out = embed_batch(_Returns(raw), [str(i) for i in range(len(raw))])
+    alone = np.array([_normalized_alone(values) for values in raw])
+    assert out.dtype == np.float32 and out.tobytes() == alone.tobytes()
+    # And within an ulp of each vector divided by its np.linalg.norm.
+    usable = np.linalg.norm(raw, axis=1) > 0.0
+    each = [(np.asarray(v) / np.linalg.norm(v)).astype(np.float32) for v in np.asarray(raw)[usable]]
+    np.testing.assert_array_max_ulp(out[usable], np.array(each).reshape(-1, len(raw[0])), maxulp=1)

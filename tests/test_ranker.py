@@ -13,21 +13,20 @@ from patchrank.corpus import ingest_multi_repo_dump, load_cve_dump
 from patchrank.embedding import OfflineEmbedder, build_vectors
 from patchrank.evalkit import mrr, ndcg_at_k
 from patchrank.hier_features import (
-    feature_commit_cosine,
     feature_max_file_sim,
     feature_mean_top2_cosine,
     feature_top1_file_cosine,
 )
-from patchrank.lexical import build_index, score_document
+from patchrank.lexical import build_index, rank_files_within_commit
 from patchrank.path_features import (
     commit_paths,
     extract_entities,
     feature_jaccard,
-    feature_path_cosine,
     path_universe,
     search_paths,
 )
-from patchrank.prerank import prerank_candidates, time_affinity
+from patchrank.prerank import prerank_candidates
+from patchrank import ranker as ranker_mod
 from patchrank.ranker import (
     FEATURE_NAMES,
     FeatureAssembler,
@@ -43,6 +42,7 @@ from patchrank.ranker import (
 )
 
 from conftest import cid, make_commit, make_corpus, make_cve
+from oracles import feature_commit_cosine, feature_path_cosine, score_document, time_affinity
 from synthcorpus import generate
 
 
@@ -198,6 +198,81 @@ class TestMatrixOracle:
             assert np.array_equal(permuted, full[order])
             subset = [ids[i] for i in order[:7]]
             assert np.array_equal(assembler.matrix(cve, subset), full[order[:7]])
+
+
+    def test_chunked_passes_equal_one_pass(self, setup, monkeypatch):
+        corpus, cves, assembler, _ = setup
+        ids = corpus.commit_ids
+        whole = [assembler.matrix(cve, ids) for cve in cves]
+        monkeypatch.setattr(ranker_mod, "MATRIX_CHUNK", 7)
+        for cve, expected in zip(cves, whole):
+            assert np.array_equal(assembler.matrix(cve, ids), expected), cve.cve_id
+
+    @pytest.fixture(scope="class")
+    def pooling(self):
+        """Commits whose BM25 file rankings and file vectors make each
+        pooling rule visible. A file's score rises with its count of "probe";
+        files of equal count and length tie, and are ranked by path."""
+
+        def files(prefix, counts):
+            return {
+                f"{prefix}{i}.java": " ".join(["probe"] * c + ["pad"] * (8 - c))
+                for i, c in enumerate(counts)
+            }
+
+        groups = {
+            "wide": [7, 6, 5, 4, 3, 2, 1],  # seven ranked files
+            "tie": [3, 3, 3],  # equal scores
+            "zero": [0, 0, 0],  # no query term at all
+            "one": [2],
+            "opp": [3, 2],  # opposite top-2 vectors
+        }
+        commits = [
+            make_commit(i, author_time=i, files=files(prefix, counts))
+            for i, (prefix, counts) in enumerate(groups.items(), start=1)
+        ]
+        corpus = make_corpus(commits)
+        cve = make_cve(description="probe issue", reserve_time=2, publish_time=4)
+        provider = OfflineEmbedder(64)
+        store = build_vectors(corpus, [cve], provider)
+        rng = np.random.default_rng(11)
+
+        def unit():
+            raw = rng.standard_normal(64)
+            return (raw / np.linalg.norm(raw)).astype(np.float32)
+
+        query = unit()
+        store.put_cve(cve.cve_id, query)
+        for commit in commits:
+            for path in commit.file_texts():
+                store.put_file(commit.commit_id, path, unit())
+        store.put_file(cid(1), "wide5.java", query)  # ranked sixth, the best cosine
+        opposite = unit()
+        store.put_file(cid(5), "opp0.java", opposite)
+        store.put_file(cid(5), "opp1.java", -opposite)
+        assembler = FeatureAssembler(
+            corpus, store, build_index(corpus, "diff"), build_index(corpus, "file"), provider
+        )
+        return corpus, cve, assembler
+
+    def test_pooling_cases_equal_per_pair_reference(self, pooling):
+        corpus, cve, assembler = pooling
+        ids = corpus.commit_ids
+        matrix = assembler.matrix(cve, ids)
+        expected = np.vstack([reference_row(assembler, cve, c) for c in ids])
+        assert np.array_equal(matrix, expected)
+        ranked = {c: rank_files_within_commit(assembler.file_index, cve, c) for c in ids}
+        # The cases occur: the sixth file's cosine tops the five pooled ones,
+        # ties and zero scores fall back to path order, one file gives three
+        # equal columns, and opposite top-2 vectors have a zero mean.
+        store, query = assembler.store, assembler.store.cve_vector(cve.cve_id)
+        assert [doc[1] for doc, _ in ranked[cid(1)]][5] == "wide5.java"
+        assert matrix[0, 1] < float(np.dot(query, store.file_vector(cid(1), "wide5.java"))) - 0.5
+        for n, prefix in ((2, "tie"), (3, "zero")):
+            assert len({score for _, score in ranked[cid(n)]}) == 1
+            assert [doc[1] for doc, _ in ranked[cid(n)]] == [f"{prefix}{i}.java" for i in range(3)]
+        assert matrix[3, 1] == matrix[3, 2] == matrix[3, 3]
+        assert matrix[4, 3] == 0.0 and matrix[4, 2] != 0.0
 
 
 def corpus_of(n, seed_time=0):
