@@ -23,7 +23,7 @@ import logging
 import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import lexical, prerank
 from .container import STR, Format, Section
-from .corpus import Corpus, CveRecord, expect, read_jsonl, write_jsonl
+from .corpus import Corpus, CveRecord, expect, write_jsonl
 from .embedding import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_COMMIT_TOKEN_BUDGET,
@@ -56,6 +56,7 @@ from .ranker import (
     RankModel,
     TrainingGroup,
     TrainingRow,
+    rerank,
     sample_training_group,
     score_and_rerank,
     train_lambdarank,
@@ -319,29 +320,149 @@ def _read_repos(path: Path) -> dict[str, str]:
     return {entry["repo_id"]: entry["slug"] for entry in repos}
 
 
-_SCORE = expect(float)
-_RANK = expect(int, 1)
-
-# The field tables of the JSONL artifacts that stages read back.
-_ROW = {"cve_id": expect(str), "commit_id": expect(str)}
-CANDIDATE_FIELDS = _ROW | {"rank": _RANK, "fused_score": _SCORE}
-RANKING_FIELDS = _ROW | {"rank": _RANK, "score": _SCORE}
-
-# The array artifacts. Row i of components.bin and features.bin belongs to
-# line i of candidates.jsonl: its four reciprocal ranks, in COMPONENT_NAMES
-# order, and its features, in FEATURE_NAMES order. In training.bin, group g
-# holds rows offsets[g] to offsets[g + 1] of the row sections.
-_COMPONENTS = Section("<f8", len(prerank.COMPONENT_NAMES), finite=True)
-COMPONENTS_FORMAT = Format("prerank components", b"PRCO", 1, {"components": _COMPONENTS})
+# The array artifacts. In each, CVE (or group) g holds rows offsets[g] to
+# offsets[g + 1] of the row sections. A candidates.bin row is one pre-ranked
+# candidate, in rank order: commit commit_ids[commits[r]] and its four
+# reciprocal ranks, in COMPONENT_NAMES order. Row r of features.bin holds that
+# candidate's features, in FEATURE_NAMES order, and a ranking.bin row names the
+# candidates.bin row it places, in final order.
+_GROUPS = dict(cve_ids=Section(STR), offsets=Section("<i8"))
 _FEATURES = Section("<f8", NUM_FEATURES, finite=True)
+CANDIDATES_FORMAT = Format(
+    "candidate lists",
+    b"PRCA",
+    1,
+    _GROUPS
+    | dict(commit_ids=Section(STR), commits=Section("<i4"))
+    | dict(components=Section("<f8", len(prerank.COMPONENT_NAMES), finite=True)),
+)
+RANKING_FORMAT = Format("rankings", b"PRRK", 1, _GROUPS | dict(rows=Section("<i4")))
 FEATURES_FORMAT = Format("features", b"PRFT", 1, {"features": _FEATURES})
 TRAINING_FORMAT = Format(
     "training rows",
     b"PRTR",
     1,
-    dict(cve_ids=Section(STR), offsets=Section("<i8"), commit_ids=Section(STR))
-    | dict(relevance=Section("|i1"), features=_FEATURES),
+    _GROUPS | dict(commit_ids=Section(STR), relevance=Section("|i1"), features=_FEATURES),
 )
+
+
+def _ascending(names: list[str]) -> bool:
+    return all(a < b for a, b in zip(names, names[1:]))
+
+
+def _group_owners(cve_ids: list[str], offsets: np.ndarray, rows: int) -> np.ndarray:
+    """The index of the CVE that holds each of ``rows`` rows, after checking
+    that the CVE ids ascend and the offsets ascend from 0 to ``rows``."""
+    bounds = offsets.tolist()
+    if len(bounds) != len(cve_ids) + 1 or bounds[0] != 0 or bounds[-1] != rows:
+        raise ValueError(f"group offsets do not fit the {rows} rows")
+    if bounds != sorted(bounds) or not _ascending(cve_ids):
+        raise ValueError("group offsets or CVE ids are not ascending")
+    return np.repeat(np.arange(len(cve_ids)), np.diff(offsets))
+
+
+def _check_indexes(name: str, index: np.ndarray, size: int) -> None:
+    if len(index) and not 0 <= index.min() <= index.max() < size:
+        raise ValueError(f"{name} index out of range [0, {size})")
+
+
+@dataclass(frozen=True)
+class CandidateLists:
+    """The pre-ranked candidate lists of ``candidates.bin``, by its sections;
+    ``commit_ids`` is an object array, so that a gather yields the ids."""
+
+    cve_ids: list[str]
+    offsets: np.ndarray
+    commit_ids: np.ndarray
+    commits: np.ndarray
+    components: np.ndarray
+
+    def slices(self) -> dict[str, slice]:
+        """Each CVE's rows, in file order."""
+        bounds = self.offsets.tolist()
+        return {cve_id: slice(a, b) for cve_id, a, b in zip(self.cve_ids, bounds, bounds[1:])}
+
+    def ids(self, rows) -> np.ndarray:
+        """The commit ids of candidate rows ``rows`` (a slice or an index array)."""
+        return self.commit_ids[self.commits[rows]]
+
+
+def save_candidates(path: Path, lists: dict[str, Sequence[str]], components) -> None:
+    """Write the pre-ranked commit ids of each CVE of ``lists``, whose keys
+    ascend, and ``components``, a row per candidate in that order, as
+    CANDIDATES_FORMAT."""
+    commit_ids = sorted({commit_id for ids in lists.values() for commit_id in ids})
+    index = {commit_id: i for i, commit_id in enumerate(commit_ids)}
+    CANDIDATES_FORMAT.save(
+        path,
+        cve_ids=list(lists),
+        offsets=np.cumsum([0, *map(len, lists.values())]),
+        commit_ids=commit_ids,
+        commits=[index[commit_id] for ids in lists.values() for commit_id in ids],
+        components=np.reshape(components, (-1, len(prerank.COMPONENT_NAMES))),
+    )
+
+
+def load_candidates(path: Path) -> CandidateLists:
+    """The lists of a :func:`save_candidates` file, checked: the CVE and commit
+    ids ascend, the offsets cover the rows, every commit index is in range, and
+    no commit appears twice in one CVE's list."""
+    return CANDIDATES_FORMAT.load(path, _candidate_lists)
+
+
+def _candidate_lists(cve_ids, offsets, commit_ids, commits, components) -> CandidateLists:
+    owners = _group_owners(cve_ids, offsets, len(commits))
+    if not _ascending(commit_ids):
+        raise ValueError("commit ids are not ascending")
+    _check_indexes("commit", commits, len(commit_ids))
+    if len(components) != len(commits):
+        raise ValueError(f"{len(components)} component rows for {len(commits)} candidates")
+    pairs = np.sort(owners * len(commit_ids) + commits)
+    if len(twice := np.flatnonzero(pairs[1:] == pairs[:-1])):
+        owner, commit = divmod(int(pairs[twice[0]]), len(commit_ids))
+        raise ValueError(f"{commit_ids[commit]} appears twice in the list of {cve_ids[owner]}")
+    ids = np.empty(len(commit_ids), dtype=object)
+    ids[:] = commit_ids
+    return CandidateLists(cve_ids, offsets, ids, commits, components)
+
+
+def save_rankings(path: Path, rankings: dict[str, np.ndarray]) -> None:
+    """Write each CVE's final order of ``rankings``, as the candidates.bin rows
+    it places, its keys ascending, as RANKING_FORMAT."""
+    RANKING_FORMAT.save(
+        path,
+        cve_ids=list(rankings),
+        offsets=np.cumsum([0, *map(len, rankings.values())]),
+        rows=np.concatenate([np.empty(0, np.int32), *rankings.values()]),
+    )
+
+
+def load_rankings(path: Path, candidates: CandidateLists) -> dict[str, np.ndarray]:
+    """CVE id -> the ``candidates`` rows of its :func:`save_rankings` ranking,
+    checked: the CVE ids ascend, the offsets cover the rows, and each CVE's
+    rows are a permutation of its candidate rows."""
+    return RANKING_FORMAT.load(path, functools.partial(_rankings, candidates))
+
+
+def _rankings(candidates: CandidateLists, cve_ids, offsets, rows) -> dict[str, np.ndarray]:
+    owners = _group_owners(cve_ids, offsets, len(rows))
+    _check_indexes("candidate row", rows, len(candidates.commits))
+    lists = {cve_id: i for i, cve_id in enumerate(candidates.cve_ids)}
+    if unknown := [cve_id for cve_id in cve_ids if cve_id not in lists]:
+        raise ValueError(f"{unknown[0]} is ranked but has no candidate list")
+    ranked = np.array([lists[cve_id] for cve_id in cve_ids], dtype=np.intp)
+    # A permutation: as many rows as candidates, each in its CVE's slice, none twice.
+    sizes = np.diff(candidates.offsets)
+    bad = sizes[ranked] != np.diff(offsets)
+    bad[owners[np.repeat(np.arange(len(sizes)), sizes)[rows] != ranked[owners]]] = True
+    order = np.argsort(rows, kind="stable")
+    bad[owners[order[1:][rows[order][1:] == rows[order][:-1]]]] = True
+    if bad.any():
+        cve_id = cve_ids[int(np.argmax(bad))]
+        raise ValueError(f"the ranking of {cve_id} is not a permutation of its candidates")
+    bounds = offsets.tolist()
+    return {cve_id: rows[a:b] for cve_id, a, b in zip(cve_ids, bounds, bounds[1:])}
+
 
 # The stage that writes each top-level directory under output_dir.
 _PRODUCERS = dict(
@@ -358,13 +479,15 @@ class Artifacts:
     def __post_init__(self) -> None:
         self.repos_file = self.root / "corpus" / "repos.json"
         self.cves_file = self.root / "corpus" / "cves.jsonl"
+        # The JSONL lists are readable exports; the stages read the .bin files.
         self.candidates_file = self.root / "prerank" / "candidates.jsonl"
-        self.components_file = self.root / "prerank" / "components.bin"
+        self.candidates_bin = self.root / "prerank" / "candidates.bin"
         self.features_file = self.root / "features" / "features.bin"
         self.entities_file = self.root / "features" / "entities.jsonl"
         self.training_file = self.root / "features" / "training.bin"
         self.model_file = self.root / "model" / "model.json"
         self.ranking_file = self.root / "rank" / "ranking.jsonl"
+        self.ranking_bin = self.root / "rank" / "ranking.bin"
         self.report_json = self.root / "eval" / "report.json"
         self.report_text = self.root / "eval" / "report.txt"
 
@@ -514,14 +637,14 @@ class _Run(Artifacts):
         cves = self.read(corpus_mod.load_cve_dump, self.cves_file)
         return [c for c in cves if self.config.repo_filter in (None, c.repo_id)]
 
-    def candidates(self) -> dict[str, list[tuple[str, float]]]:
-        return self.read(_load_ranked, self.candidates_file, CANDIDATE_FIELDS, "fused_score")
+    def candidates(self) -> CandidateLists:
+        return self.read(load_candidates, self.candidates_bin)
 
-    def aligned(self, fmt: Format, path: Path, rows: int) -> np.ndarray:
-        """``fmt``'s one array in ``path``: a row per candidates.jsonl line, ``rows`` in all."""
+    def aligned(self, fmt: Format, path: Path, candidates: CandidateLists) -> np.ndarray:
+        """``fmt``'s one array in ``path``: a row per row of ``candidates``."""
         (array,) = self.read(fmt.load, path).values()
-        if len(array) != rows:
-            detail = f"{path}: {len(array)} rows for the {rows} lines of {self.candidates_file}"
+        if len(array) != (rows := len(candidates.commits)):
+            detail = f"{path}: {len(array)} rows for the {rows} rows of {self.candidates_bin}"
             raise StageInputError(self.stage, detail)
         return array
 
@@ -575,13 +698,29 @@ def stage_embed(config: PipelineConfig) -> None:
 
 
 def _repo_loader(
-    run: _Run, corpora: dict[str, Corpus], kinds: tuple[str, ...], provider=None, cves=None
+    run: _Run,
+    corpora: dict[str, Corpus],
+    kinds: tuple[str, ...],
+    provider=None,
+    cves: Sequence[CveRecord] = (),
+    build: bool = False,
 ) -> Callable[[str], tuple[dict[str, lexical.InvertedIndex], FeatureAssembler | None]]:
     """A cached function from a repo id to that repo's BM25 indexes of ``kinds``
     and, given a ``provider``, a feature assembler over them and its vector
-    store, each read once through ``run``. Given the dumps' ``cves``, a repo
-    whose artifacts are missing or stale is logged and built in memory."""
+    store, each read once through ``run``. A store that lacks a vector of a
+    commit, a file or one of the repo's ``cves`` is malformed. With ``build``,
+    a repo whose artifacts are missing, malformed or stale is logged and built
+    in memory, its store embedding ``cves``."""
     config = run.config
+
+    def assemble(corpus: Corpus, indexes, store: VectorStore) -> FeatureAssembler:
+        for cve in cves:
+            if cve.repo_id == corpus.repo_id:
+                store.cve_vector(cve.cve_id)
+        cap = config.per_entity_cap
+        return FeatureAssembler(
+            corpus, store, indexes["diff"], indexes["file"], provider, per_entity_cap=cap
+        )
 
     @functools.cache
     def load(repo_id: str):
@@ -592,20 +731,22 @@ def _repo_loader(
             }
             if provider is None:
                 return indexes, None
-            store = run.read(VectorStore.load, run.vectors_file(slug))
+            path = run.vectors_file(slug)
+            store = run.read(VectorStore.load, path)
+            try:
+                return indexes, assemble(corpus, indexes, store)
+            except MissingVectorError as exc:
+                detail = f"malformed artifact {path}: {exc.args[0]}"
+                raise StageInputError(run.stage, detail) from exc
         except StageInputError as exc:
-            if cves is None:
+            if not build:
                 raise
             logger.warning("trace: %s; building %s in memory", exc.detail, repo_id)
-            indexes = {
-                kind: lexical.build_index(corpus, kind, k1=config.bm25_k1, b=config.bm25_b)
-                for kind in kinds
-            }
-            store = _embed(config, corpus, cves, provider)
-        cap = config.per_entity_cap
-        return indexes, FeatureAssembler(
-            corpus, store, indexes["diff"], indexes["file"], provider, per_entity_cap=cap
-        )
+        indexes = {
+            kind: lexical.build_index(corpus, kind, k1=config.bm25_k1, b=config.bm25_b)
+            for kind in kinds
+        }
+        return indexes, assemble(corpus, indexes, _embed(config, corpus, list(cves), provider))
 
     return load
 
@@ -628,6 +769,7 @@ def stage_prerank(config: PipelineConfig) -> None:
     fusion = config.fusion_config()
     repo = _repo_loader(run, corpora, ("message", "diff"))
     records = []
+    lists = {}
     component_rows = []
     for cve in sorted(cves, key=lambda c: c.cve_id):
         corpus = corpora.get(cve.repo_id)
@@ -635,90 +777,93 @@ def stage_prerank(config: PipelineConfig) -> None:
             logger.warning("skipping %s: repo %s not in corpus", cve.cve_id, cve.repo_id)
             continue
         ranked, components = _prerank(corpus, cve, repo(cve.repo_id)[0], fusion)
+        if not ranked:  # as in candidates.jsonl, a CVE without lines has no list
+            continue
         records += (
             {"cve_id": cve.cve_id, "commit_id": commit_id, "rank": rank, "fused_score": score}
             for rank, (commit_id, score) in enumerate(ranked, start=1)
         )
+        lists[cve.cve_id] = [commit_id for commit_id, _ in ranked]
         maps = [components[name] for name in prerank.COMPONENT_NAMES]
         component_rows += ([m.get(commit_id, 0.0) for m in maps] for commit_id, _ in ranked)
-    matrix = np.array(component_rows, dtype=np.float64).reshape(-1, len(prerank.COMPONENT_NAMES))
+    matrix = np.array(component_rows, dtype=np.float64)
     run.write(run.candidates_file, lambda tmp: write_jsonl(tmp, records))
-    run.write(run.components_file, lambda tmp: COMPONENTS_FORMAT.save(tmp, components=matrix))
+    run.write(run.candidates_bin, lambda tmp: save_candidates(tmp, lists, matrix))
     run.finish()
-
-
-def _load_ranked(path: Path, fields: dict, score_key: str) -> dict[str, list[tuple[str, float]]]:
-    """Per-CVE ``(commit_id, score)`` lists of a candidates or ranking file, in
-    file order. Each CVE's lines must be consecutive, so that its rows in an
-    aligned array artifact are one slice."""
-    by_cve: dict[str, list[tuple[str, float]]] = {}
-    last = None
-    for record in read_jsonl(path, fields):
-        if record["cve_id"] in by_cve and record["cve_id"] != last:
-            raise ValueError(f"{path}: the lines of {record['cve_id']} are not consecutive")
-        last = record["cve_id"]
-        by_cve.setdefault(last, []).append((record["commit_id"], record[score_key]))
-    return by_cve
 
 
 def _featurize(
     config: PipelineConfig,
     assembler: FeatureAssembler,
     cve: CveRecord,
-    ranked: list[tuple[str, float]],
-    commit_ids: Sequence[str],
+    preranked: Sequence[str],
+    positions: np.ndarray,
 ) -> tuple[np.ndarray, TrainingGroup | None]:
-    """The feature rows of ``commit_ids``, in that order, and the CVE's
-    training group, sampled from its pre-ranked candidates ``ranked`` (None
-    without a known patch), with its rows' features. Every row is computed
-    in one batch."""
+    """The feature rows of the commits at corpus ``positions``, in that order,
+    and the CVE's training group, sampled from its pre-ranked commit ids
+    ``preranked`` (None without a known patch), with its rows' features.
+    Every distinct commit's row is computed once, in one batch."""
     group = sample_training_group(
         cve,
-        ranked,
+        preranked,
         assembler.corpus,
         config.seed,
         hard_negatives=config.hard_negatives,
         random_negatives=config.random_negatives,
     )
     group_rows = group.rows if group else []
-    wanted = list(dict.fromkeys([*commit_ids, *(row.commit_id for row in group_rows)]))
-    matrix = assembler.matrix(cve, wanted) if wanted else np.empty((0, NUM_FEATURES))
-    slot = {commit_id: i for i, commit_id in enumerate(wanted)}
-    for row in group_rows:
-        row.features = matrix[slot[row.commit_id]]
-    return matrix[[slot[commit_id] for commit_id in commit_ids]], group
+    grouped = np.array([assembler.corpus.position_of(row.commit_id) for row in group_rows], np.intp)
+    wanted, slot = np.unique(np.concatenate([positions, grouped]), return_inverse=True)
+    rows = assembler.matrix(cve, wanted)[slot] if len(wanted) else np.empty((0, NUM_FEATURES))
+    for row, features in zip(group_rows, rows[len(positions) :]):
+        row.features = features
+    return rows[: len(positions)], group
+
+
+def _corpus_positions(
+    candidates: CandidateLists, cves: list[CveRecord], corpora: dict[str, Corpus]
+) -> np.ndarray:
+    """The position of each candidate row's commit in the corpus of its CVE,
+    ``cves[i]`` for list i, each distinct commit of a repo looked up once. A
+    KeyError names a candidate that is not a commit of its CVE's repo."""
+    repos = sorted({cve.repo_id for cve in cves})
+    owners = np.repeat([repos.index(cve.repo_id) for cve in cves], np.diff(candidates.offsets))
+    positions = np.empty(len(candidates.commits), dtype=np.intp)
+    for i, repo_id in enumerate(repos):
+        rows = np.flatnonzero(owners == i)
+        distinct, inverse = np.unique(candidates.commits[rows], return_inverse=True)
+        found = [corpora[repo_id].position_of(c) for c in candidates.commit_ids[distinct]]
+        positions[rows] = np.array(found, dtype=np.intp)[inverse]
+    return positions
 
 
 def stage_featurize(config: PipelineConfig) -> None:
     """Compute the nine features for every candidate and training row."""
     run = _Run(config, "featurize")
     candidates = run.candidates()
-    run.aligned(COMPONENTS_FORMAT, run.components_file, sum(map(len, candidates.values())))
     corpora = run.corpora()
     cves = {cve.cve_id: cve for cve in run.cves()}
-    repo = _repo_loader(run, corpora, ("diff", "file"), config.provider())
-    feature_rows = [np.empty((0, NUM_FEATURES))]
+    listed = [cves.get(cve_id) for cve_id in candidates.cve_ids]
+    for cve_id, cve in zip(candidates.cve_ids, listed):
+        if cve is None or cve.repo_id not in corpora:  # features.bin has a row per candidate
+            detail = f"{run.candidates_bin}: {cve_id} is not a CVE of the repositories read"
+            raise StageInputError("featurize", f"{detail}; rerun prerank with the same --repo")
+    try:
+        positions = _corpus_positions(candidates, listed, corpora)
+    except KeyError as exc:
+        raise StageInputError("featurize", f"{run.candidates_bin}: {exc.args[0]}") from exc
+    repo = _repo_loader(run, corpora, ("diff", "file"), config.provider(), list(cves.values()))
+    features = np.empty((len(positions), NUM_FEATURES))
     entity_records = []
     groups = []
-    for cve_id, ranked in candidates.items():
-        cve = cves.get(cve_id)
-        if cve is None or cve.repo_id not in corpora:  # features.bin has a row per candidate
-            detail = f"{run.candidates_file}: {cve_id} is not a CVE of the repositories read"
-            raise StageInputError("featurize", f"{detail}; rerun prerank with the same --repo")
-        commit_ids = [commit_id for commit_id, _ in ranked]
-        try:
-            assembler = repo(cve.repo_id)[1]
-            rows, group = _featurize(config, assembler, cve, ranked, commit_ids)
-        except MissingVectorError as exc:
-            path = run.vectors_file(repo_slug(cve.repo_id))
-            raise StageInputError("featurize", f"{path}: {exc.args[0]}") from exc
-        except KeyError as exc:
-            # Corpus.position_of: a candidate that is not a commit of the repo.
-            raise StageInputError("featurize", f"{run.candidates_file}: {exc.args[0]}") from exc
-        entity_records.append({"cve_id": cve_id, "entities": sorted(assembler.entities_for(cve))})
-        feature_rows.append(rows)
+    for cve, rows in zip(listed, candidates.slices().values()):
+        assembler = repo(cve.repo_id)[1]
+        preranked = candidates.ids(rows)
+        features[rows], group = _featurize(config, assembler, cve, preranked, positions[rows])
+        entity_records.append(
+            {"cve_id": cve.cve_id, "entities": sorted(assembler.entities_for(cve))}
+        )
         groups += [group] if group else []
-    features = np.concatenate(feature_rows)
     run.write(run.features_file, lambda tmp: FEATURES_FORMAT.save(tmp, features=features))
     run.write(run.entities_file, lambda tmp: write_jsonl(tmp, entity_records))
     run.write(run.training_file, lambda tmp: save_training_groups(groups, tmp))
@@ -746,10 +891,7 @@ def load_training_groups(path: Path) -> list[TrainingGroup]:
 
 def _training_groups(cve_ids, offsets, commit_ids, relevance, features) -> list[TrainingGroup]:
     n, bounds = len(commit_ids), offsets.tolist()
-    if len(bounds) != len(cve_ids) + 1 or bounds[0] != 0 or bounds[-1] != n:
-        raise ValueError(f"group offsets do not fit the {n} rows")
-    if bounds != sorted(bounds) or cve_ids != sorted(set(cve_ids)):
-        raise ValueError("group offsets or CVE ids are not ascending")
+    _group_owners(cve_ids, offsets, n)
     if not len(relevance) == len(features) == n or np.any(relevance < 0):
         raise ValueError(f"need {n} relevance labels >= 0 and feature rows")
     rows = list(map(TrainingRow, commit_ids, relevance.tolist(), features))
@@ -770,30 +912,35 @@ def stage_rank(config: PipelineConfig) -> None:
     run = _Run(config, "rank")
     model = run.read(RankModel.load, run.model_file)
     candidates = run.candidates()
-    counts = [len(ranked) for ranked in candidates.values()]
-    features = run.aligned(FEATURES_FORMAT, run.features_file, sum(counts))
-    starts = dict(zip(candidates, accumulate(counts, initial=0)))
-    cves = {c.cve_id: c for c in run.cves()}
+    features = run.aligned(FEATURES_FORMAT, run.features_file, candidates)
+    cves = {c.cve_id for c in run.cves()}
     records = []
+    rankings = {}
     # Under --repo, candidates of other repositories' CVEs are skipped.
-    for cve_id in sorted(c for c in candidates if c in cves):
-        ranked = candidates[cve_id]
-        rows = features[starts[cve_id] : starts[cve_id] + len(ranked)]
-        reranked = score_and_rerank(
-            model, cves[cve_id], ranked, dict(zip((c for c, _ in ranked), rows))
+    for cve_id, rows in candidates.slices().items():
+        if cve_id not in cves:
+            continue
+        order, scores = rerank(model, features[rows])
+        rankings[cve_id] = rows.start + order
+        ranked = zip(count(1), candidates.ids(rankings[cve_id]), scores[order].tolist())
+        records += (
+            {"cve_id": cve_id, "commit_id": commit_id, "rank": rank, "score": score}
+            for rank, commit_id, score in ranked
         )
-        for rank, (commit_id, score) in enumerate(reranked, start=1):
-            records.append(
-                {"cve_id": cve_id, "commit_id": commit_id, "rank": rank, "score": score}
-            )
     run.write(run.ranking_file, lambda tmp: write_jsonl(tmp, records))
+    run.write(run.ranking_bin, lambda tmp: save_rankings(tmp, rankings))
     run.finish()
 
 
 def stage_eval(config: PipelineConfig) -> None:
     """Score the final rankings against the known patch commits."""
     run = _Run(config, "eval")
-    rankings = run.read(_load_ranked, run.ranking_file, RANKING_FIELDS, "score")
+    candidates = run.candidates()
+    # eval reads only the order: ranking.bin holds no scores.
+    rankings = {
+        cve_id: [(commit_id, 0.0) for commit_id in candidates.ids(rows)]
+        for cve_id, rows in run.read(load_rankings, run.ranking_bin, candidates).items()
+    }
     cves = run.cves()
     relevant = {}
     for cve in cves:
@@ -846,7 +993,7 @@ def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
         raise ConfigError(f"CVE {cve_id!r} not found in {config.cve_dump}")
     if target.repo_id not in corpora:
         raise ConfigError(f"repo {target.repo_id!r} of CVE {cve_id} not found in commit dump")
-    repo = _repo_loader(run, corpora, lexical.FIELD_KINDS, config.provider(), cves)
+    repo = _repo_loader(run, corpora, lexical.FIELD_KINDS, config.provider(), cves, build=True)
 
     @functools.cache
     def preranked(cve: CveRecord) -> list[tuple[str, float]]:
@@ -858,8 +1005,11 @@ def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
     except StageInputError as exc:
         logger.warning("trace: %s; training the model in memory", exc.detail)
         labeled = [c for c in cves if c.repo_id in corpora and c.known_patch_ids]
-        groups = [_featurize(config, repo(c.repo_id)[1], c, preranked(c), ())[1] for c in labeled]
-        groups = [group for group in groups if group is not None]
+        groups = []
+        for cve in labeled:
+            ids = [commit_id for commit_id, _ in preranked(cve)]
+            group = _featurize(config, repo(cve.repo_id)[1], cve, ids, np.empty(0, np.intp))[1]
+            groups += [group] if group else []
         model = train_lambdarank(groups, config.ranker_params()) if groups else None
         model_source = "trained in memory" if groups else "none"
 
@@ -868,6 +1018,8 @@ def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
         logger.warning("no labeled CVEs available; returning pre-ranked order")
         return TraceResult(target, prerank_entries, list(prerank_entries), model_source)
     commit_ids = [commit_id for commit_id, _ in prerank_entries]
-    features = dict(zip(commit_ids, repo(target.repo_id)[1].matrix(target, commit_ids)))
+    assembler = repo(target.repo_id)[1]
+    positions = [assembler.corpus.position_of(commit_id) for commit_id in commit_ids]
+    features = dict(zip(commit_ids, assembler.matrix(target, positions)))
     final = score_and_rerank(model, target, prerank_entries, features)
     return TraceResult(target, prerank_entries, final, model_source)

@@ -202,13 +202,13 @@ class FeatureAssembler:
             out[start : start + len(part)] = np.where(part >= 0, cosines, 0.0)  # -1: no path set
         return out
 
-    def matrix(self, cve: CveRecord, commit_ids: Sequence[str]) -> np.ndarray:
-        """Feature rows for ``commit_ids``, in that order."""
-        positions = np.array([self.corpus.position_of(c) for c in commit_ids], dtype=np.intp)
+    def matrix(self, cve: CveRecord, positions: Sequence[int]) -> np.ndarray:
+        """Feature rows for the commits at corpus ``positions``, in that order."""
+        positions = np.asarray(positions, dtype=np.intp)
         ner_paths = self.ner_paths_for(cve)
         query = self.store.cve_vector(cve.cve_id)
         file_scores = _score_array(self.file_index, cve.description)
-        rows = np.empty((len(commit_ids), NUM_FEATURES), dtype=np.float64)
+        rows = np.empty((len(positions), NUM_FEATURES), dtype=np.float64)
         for start in range(0, len(positions), MATRIX_CHUNK):
             part = slice(start, start + MATRIX_CHUNK)
             rows[part, :4] = self._hier_columns(query, file_scores, positions[part])
@@ -237,7 +237,7 @@ class TrainingGroup:
 
 def sample_training_group(
     cve: CveRecord,
-    prerank_list: RankedList,
+    preranked: Sequence[str],
     corpus: Corpus,
     seed: int,
     *,
@@ -246,6 +246,7 @@ def sample_training_group(
 ) -> TrainingGroup | None:
     """Known patches plus hard (top pre-ranked) and random negatives.
 
+    The hard negatives come from the pre-ranked commit ids ``preranked``.
     Returns None with a warning when the CVE has no patch in the corpus.
     The random draw is seeded per CVE, so resampling is reproducible.
     """
@@ -254,7 +255,7 @@ def sample_training_group(
         logger.warning("skipping %s: no known patch commit in corpus", cve.cve_id)
         return None
     positive_set = set(positives)
-    hard = [doc for doc, _ in prerank_list[:hard_negatives] if doc not in positive_set]
+    hard = [doc for doc in preranked[:hard_negatives] if doc not in positive_set]
     remaining = sorted(set(corpus.commit_ids) - positive_set - set(hard))
     rng = random.Random(_derive_seed(seed, cve.cve_id))
     randoms = rng.sample(remaining, min(random_negatives, len(remaining)))
@@ -646,17 +647,25 @@ def train_lambdarank(
     return RankModel(learning_rate=params.learning_rate, trees=kept, metadata=metadata)
 
 
+def rerank(model: RankModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order that re-ranks pre-ranked candidates, given their feature rows
+    in pre-rank order, and their model scores.
+
+    The order is by score, descending. Ties keep the pre-rank order (not the
+    usual doc-id order): the model is a refinement of the candidate list, so
+    equal scores defer to it.
+    """
+    scores = model.predict(features)
+    return np.lexsort((np.arange(len(scores)), -scores)), scores
+
+
 def score_and_rerank(
     model: RankModel,
     cve: CveRecord,
     candidates: RankedList,
     features: Mapping[str, np.ndarray],
 ) -> RankedList:
-    """Reorder pre-ranked candidates by model score, descending.
-
-    Ties keep the pre-rank order (not the usual doc-id order): the model
-    is a refinement of the candidate list, so equal scores defer to it.
-    """
+    """Reorder pre-ranked candidates by model score, as :func:`rerank` orders them."""
     if not candidates:
         return []
     commit_ids = [doc_id for doc_id, _ in candidates]
@@ -664,6 +673,5 @@ def score_and_rerank(
         matrix = np.vstack([features[c] for c in commit_ids])
     except KeyError as exc:
         raise MissingFeatureError(cve.cve_id, exc.args[0]) from None
-    scores = model.predict(matrix)
-    order = np.lexsort((np.arange(len(scores)), -scores))
+    order, scores = rerank(model, matrix)
     return [(commit_ids[i], float(scores[i])) for i in order]

@@ -71,6 +71,11 @@ def make_cve(
     )
 
 
+def feature_rows(assembler, cve: CveRecord, commit_ids):
+    """``assembler.matrix`` of the commits ``commit_ids`` of its corpus."""
+    return assembler.matrix(cve, [assembler.corpus.position_of(c) for c in commit_ids])
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     """Print one PASS/FAIL line per acceptance criterion test."""

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from patchrank.corpus import _WORD_RUN_RE, Corpus, _split_run, tokenize
+from patchrank.corpus import _WORD_RUN_RE, Corpus, _split_run, expect, read_jsonl, tokenize
 from patchrank.embedding import embed_batch
 from patchrank.lexical import accumulate_scores
 from patchrank.path_features import path_text
@@ -156,3 +156,23 @@ def feature_path_cosine(provider, ner_paths: set, commit_paths: set) -> float:
         return 0.0
     vec_a, vec_b = embed_batch(provider, [path_text(ner_paths), path_text(commit_paths)])
     return cosine_oracle(vec_a, vec_b)
+
+
+# The field tables of the candidates.jsonl and ranking.jsonl exports.
+_ROW = {"cve_id": expect(str), "commit_id": expect(str), "rank": expect(int, 1)}
+CANDIDATE_FIELDS = _ROW | {"fused_score": expect(float)}
+RANKING_FIELDS = _ROW | {"score": expect(float)}
+
+
+def load_ranked_oracle(path, fields: dict, score_key: str) -> dict[str, list[tuple[str, float]]]:
+    """Per-CVE ``(commit_id, score)`` lists of a candidates.jsonl or
+    ranking.jsonl export, in file order, each CVE's lines consecutive: the
+    reader the stages used before they read the array files."""
+    by_cve: dict[str, list[tuple[str, float]]] = {}
+    last = None
+    for record in read_jsonl(path, fields):
+        if record["cve_id"] in by_cve and record["cve_id"] != last:
+            raise ValueError(f"{path}: the lines of {record['cve_id']} are not consecutive")
+        last = record["cve_id"]
+        by_cve.setdefault(last, []).append((record["commit_id"], record[score_key]))
+    return by_cve

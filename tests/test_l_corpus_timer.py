@@ -1,0 +1,31 @@
+"""The L-corpus stage timer, run on a 200-commit corpus."""
+
+from __future__ import annotations
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "l_corpus_timer.py"
+
+
+def test_timer_prints_a_row_the_output_size_and_the_mrr(tmp_path):
+    argv = [sys.executable, str(SCRIPT), "--commits", "200", "--work", str(tmp_path), "--label", "x"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    header, rule, row, size, mrr = done.stdout.splitlines()
+    assert header.split(" | ")[1:9] == [
+        "ingest", "index", "embed", "prerank", "featurize", "train", "rank", "eval"
+    ]
+    assert rule == "|---" * 11 + "|"
+    cells = row.strip("| ").split(" | ")
+    assert cells[0] == "x" and len(cells) == 11
+    walls = [float(cell.removesuffix(" s")) for cell in cells[1:10]]
+    assert all(wall > 0 for wall in walls) and abs(sum(walls[:8]) - walls[8]) < 0.05
+    assert re.fullmatch(r"\d+ MB", cells[10])
+    out_mb = sum(p.stat().st_size for p in (tmp_path / "out").rglob("*") if p.is_file()) / 1e6
+    assert size == f"output: {out_mb:.1f} MB"
+    assert re.fullmatch(r"macro MRR: [01]\.\d{3}", mrr)
+    commits = (tmp_path / "input" / "commits.jsonl").read_text().splitlines()
+    assert len(commits) == 200

@@ -18,7 +18,7 @@ from patchrank.path_features import (
 
 from patchrank.ranker import PATH_EMBED_BATCH, FeatureAssembler
 
-from conftest import cid, make_commit, make_corpus, make_cve
+from conftest import cid, feature_rows, make_commit, make_corpus, make_cve
 from oracles import feature_path_cosine
 
 TOMCAT_DESCRIPTION = (
@@ -186,9 +186,9 @@ class TestPathPlumbing:
 
         first = assembler()
         ids = [cid(n) for n in (1, 2, 3, 4)]
-        first.matrix(cves[0], ids)
-        first.matrix(cves[1], ids)
-        first.matrix(cves[0], [cid(3)])[0]
+        feature_rows(first, cves[0], ids)
+        feature_rows(first, cves[1], ids)
+        feature_rows(first, cves[0], [cid(3)])[0]
         requested = [text for call in calls for text in call]
         # Both CVEs find the same NER paths; commits 1 and 2 share a path set
         # and commit 4 has none.
@@ -197,7 +197,7 @@ class TestPathPlumbing:
         assert len(calls) == 1
 
         calls.clear()
-        assembler().matrix(cves[0], ids)
+        feature_rows(assembler(), cves[0], ids)
         assert [text for call in calls for text in call] == requested
 
     def test_assembler_embeds_missing_paths_in_batches(self):
@@ -217,7 +217,7 @@ class TestPathPlumbing:
         assembler = FeatureAssembler(
             corpus, store, build_index(corpus, "diff"), build_index(corpus, "file"), Counting()
         )
-        assembler.matrix(cve, corpus.commit_ids)
+        feature_rows(assembler, cve, corpus.commit_ids)
         # One text per commit; the NER path set is commit 0's.
         assert assembler.ner_paths_for(cve) == {"src/parser0.java"}
         assert sizes == [PATH_EMBED_BATCH, PATH_EMBED_BATCH, 1]

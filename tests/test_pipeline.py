@@ -18,7 +18,7 @@ from patchrank.cli import main
 from patchrank.corpus import ingest_commit_dump, load_cve_dump
 from patchrank.embedding import VectorStore
 from patchrank.pipeline import (
-    COMPONENTS_FORMAT,
+    CANDIDATES_FORMAT,
     CONFIG_KEYS,
     FEATURES_FORMAT,
     STAGE_FUNCTIONS,
@@ -26,9 +26,11 @@ from patchrank.pipeline import (
     Artifacts,
     ConfigError,
     PipelineConfig,
+    RANKING_FORMAT,
     StageInputError,
     TRAINING_FORMAT,
     apply_overrides,
+    load_candidates,
     load_config,
     repo_slug,
     run_trace,
@@ -133,6 +135,18 @@ def forge_manifest(root: Path, key: str) -> None:
     manifest = json.loads(path.read_text())
     manifest["outputs"][key] = hashlib.sha256((root / key).read_bytes()).hexdigest()
     path.write_text(json.dumps(manifest))
+
+
+def forge_manifests(root: Path, key: str) -> None:
+    """Record the current digest of ``key`` wherever a manifest lists it, as
+    a run that wrote and read the edited file would have."""
+    digest = hashlib.sha256((root / key).read_bytes()).hexdigest()
+    for path in (root / "manifests").glob("*.manifest.json"):
+        manifest = json.loads(path.read_text())
+        for side in ("inputs", "outputs"):
+            if key in manifest[side]:
+                manifest[side][key] = digest
+        path.write_text(json.dumps(manifest))
 
 
 def edit_commit_dump(path: Path) -> None:
@@ -299,16 +313,21 @@ NON_DEFAULT_VALUES = {
 
 class TestArtifacts:
     def test_candidate_records_schema(self, small_setup):
-        """Each candidates.jsonl line has a row of the four component
-        reciprocal ranks in components.bin."""
+        """Each candidates.jsonl line is a candidates.bin row, with its four
+        component reciprocal ranks."""
         _, _, config = small_setup
         art = Artifacts(config.output_dir)
         lines = art.candidates_file.read_text().splitlines()
         record = json.loads(lines[0])
         assert set(record) == {"cve_id", "commit_id", "rank", "fused_score"}
-        components = COMPONENTS_FORMAT.load(art.components_file)["components"]
-        assert components.shape == (len(lines), 4)
-        assert np.all((components >= 0) & (components <= 1))
+        candidates = load_candidates(art.candidates_bin)
+        assert candidates.components.shape == (len(lines), 4)
+        assert np.all((candidates.components >= 0) & (candidates.components <= 1))
+        rows = [json.loads(line) for line in lines]
+        slices = candidates.slices()
+        assert [(r["cve_id"], r["commit_id"]) for r in rows] == [
+            (cve_id, commit_id) for cve_id in slices for commit_id in candidates.ids(slices[cve_id])
+        ]
 
     def test_feature_records_schema(self, small_setup):
         _, _, config = small_setup
@@ -383,6 +402,25 @@ class TestArtifactIO:
         assert model_file.read_bytes() == before
         assert [p.name for p in model_file.parent.iterdir()] == ["model.json"]
 
+    def test_jsonl_exports_are_not_read(self, small_setup, staged, staged_config):
+        """No stage reads candidates.jsonl or ranking.jsonl: overwritten with
+        garbage as soon as they are written, every other file stays the same."""
+        art = Artifacts(staged.output_dir)
+        garbage = b"\x00 not JSON\n"
+        for stages, export in (
+            (("prerank",), art.candidates_file),
+            (("featurize", "train", "rank"), art.ranking_file),
+            (("eval",), None),
+        ):
+            for stage in stages:
+                assert main([stage, "--config", str(staged_config)]) == 0, stage
+            if export is not None:
+                export.write_bytes(garbage)
+        expected = tree_digests(small_setup[2].output_dir)
+        digest = hashlib.sha256(garbage).hexdigest()
+        expected.update({art.key(p): digest for p in (art.candidates_file, art.ranking_file)})
+        assert tree_digests(staged.output_dir) == expected
+
     def test_manifest_inputs_are_the_files_read(self, small_setup):
         _, _, config = small_setup
         art = Artifacts(config.output_dir)
@@ -400,16 +438,11 @@ class TestArtifactIO:
             "embed": corpora | {cves},
             "prerank": corpora | {cves} | per_repo("index/{}.message.bin", "index/{}.diff.bin"),
             "featurize": corpora
-            | {cves, "prerank/candidates.jsonl", "prerank/components.bin"}
+            | {cves, "prerank/candidates.bin"}
             | per_repo("index/{}.diff.bin", "index/{}.file.bin", "vectors/{}.bin"),
             "train": {"features/training.bin"},
-            "rank": {
-                cves,
-                "model/model.json",
-                "prerank/candidates.jsonl",
-                "features/features.bin",
-            },
-            "eval": {cves, "rank/ranking.jsonl"},
+            "rank": {cves, "model/model.json", "prerank/candidates.bin", "features/features.bin"},
+            "eval": {cves, "prerank/candidates.bin", "rank/ranking.bin"},
         }
         assert set(expected) == set(STAGES)
         dumps = {"commit_dump": config.commit_dump, "cve_dump": config.cve_dump}
@@ -542,12 +575,13 @@ MALFORMED_CASES = [
     ("corpus/repos.json", b"{}", "index", False),
     ("corpus/<slug>.jsonl", None, "index", False),
     ("corpus/cves.jsonl", None, "prerank", False),
-    ("prerank/candidates.jsonl", None, "featurize", False),
+    ("prerank/candidates.bin", None, "featurize", False),
     ("features/training.bin", None, "train", False),
-    ("rank/ranking.jsonl", None, "eval", False),
+    ("rank/ranking.bin", None, "eval", False),
     ("corpus/repos.json", b"[]", "index", True),
-    ("prerank/candidates.jsonl", None, "featurize", True),
-    ("prerank/components.bin", None, "featurize", True),
+    ("prerank/candidates.bin", None, "featurize", True),
+    ("prerank/candidates.bin", None, "eval", True),
+    ("rank/ranking.bin", None, "eval", True),
     ("vectors/<slug>.bin", None, "featurize", True),
     ("index/<slug>.file.bin", None, "featurize", True),
 ]
@@ -561,7 +595,8 @@ MODEL = "model/model.json"
 
 # The array artifacts, by key.
 ARRAY_FORMATS = {
-    "prerank/components.bin": COMPONENTS_FORMAT,
+    "prerank/candidates.bin": CANDIDATES_FORMAT,
+    "rank/ranking.bin": RANKING_FORMAT,
     "features/features.bin": FEATURES_FORMAT,
     "features/training.bin": TRAINING_FORMAT,
 }
@@ -576,10 +611,20 @@ def first_feature(value):
     return edit
 
 
+def setting(section, index, value):
+    """An edit of an array artifact's sections that sets ``section[index]``
+    to ``value(sections)``."""
+
+    def edit(sections):
+        sections[section][index] = value(sections)
+
+    return edit
+
+
 # JSONL rows the reader rejects, so the error names the file and line 1.
 ROW_CASES = {
-    "string ranking score": ("rank/ranking.jsonl", lambda r: r.update(score="high"), "eval"),
-    "extra candidate key": ("prerank/candidates.jsonl", lambda r: r.update(extra=1), "featurize"),
+    "string commit message": ("corpus/<slug>.jsonl", lambda r: r.update(message=5), "index"),
+    "extra CVE key": ("corpus/cves.jsonl", lambda r: r.update(extra=1), "prerank"),
     "string known_patch_ids": (
         "corpus/cves.jsonl",
         lambda r: r.update(known_patch_ids="abc"),
@@ -596,9 +641,10 @@ EDITED_CASES = {
     "string threshold": (MODEL, lambda m: first_split(m).update(threshold="0.5"), "rank"),
     "string learning_rate": (MODEL, lambda m: m.update(learning_rate="0.1"), "rank"),
     "list metadata": (MODEL, lambda m: m.update(metadata=[]), "rank"),
+    # The commit ids ascend, so the last one is the largest.
     "unknown candidate commit": (
-        "prerank/candidates.jsonl",
-        lambda r: r.update(commit_id="f" * 40),
+        "prerank/candidates.bin",
+        setting("commit_ids", -1, lambda s: "f" * 40),
         "featurize",
     ),
     "8 training features": (
@@ -614,14 +660,61 @@ EDITED_CASES = {
         lambda s: s.update(features=s["features"][:-1]),
         "rank",
     ),
-    # The hard CVE's lines follow the other CVE's, so its first line moves
-    # ahead of them.
+    # The second list is the first CVE's too, so its rows are in two places.
     "candidate lines not together": (
-        "prerank/candidates.jsonl",
-        lambda r: r.update(cve_id="CVE-2021-90000"),
+        "prerank/candidates.bin",
+        setting("cve_ids", 1, lambda s: s["cve_ids"][0]),
         "featurize",
     ),
+    "candidate offsets past the rows": (
+        "prerank/candidates.bin",
+        setting("offsets", -1, lambda s: s["offsets"][-1] + 1),
+        "featurize",
+    ),
+    "ranked CVEs not ascending": (
+        "rank/ranking.bin",
+        lambda s: s["cve_ids"].reverse(),
+        "eval",
+    ),
+    "candidate commit ids not ascending": (
+        "prerank/candidates.bin",
+        lambda s: s["commit_ids"].reverse(),
+        "eval",
+    ),
+    "candidate commit index out of range": (
+        "prerank/candidates.bin",
+        setting("commits", 0, lambda s: len(s["commit_ids"])),
+        "featurize",
+    ),
+    "ranking row out of range": (
+        "rank/ranking.bin",
+        setting("rows", 0, lambda s: len(s["rows"])),
+        "eval",
+    ),
+    "commit twice in one list": (
+        "prerank/candidates.bin",
+        setting("commits", 1, lambda s: s["commits"][0]),
+        "featurize",
+    ),
+    # Each CVE's ranking places one row of the other CVE's list.
+    "ranking not a permutation of its candidates": (
+        "rank/ranking.bin",
+        setting("rows", [0, -1], lambda s: s["rows"][[-1, 0]]),
+        "eval",
+    ),
     **ROW_CASES,
+}
+
+# The reason each candidates.bin and ranking.bin case is rejected for.
+LIST_REJECTIONS = {
+    "candidate lines not together": "group offsets or CVE ids are not ascending",
+    "candidate offsets past the rows": "group offsets do not fit the 100 rows",
+    "ranked CVEs not ascending": "group offsets or CVE ids are not ascending",
+    "candidate commit ids not ascending": "commit ids are not ascending",
+    "candidate commit index out of range": "commit index out of range",
+    "ranking row out of range": "candidate row index out of range",
+    "commit twice in one list": "appears twice in the list of CVE-",
+    "ranking not a permutation of its candidates": "is not a permutation of its candidates",
 }
 
 
@@ -779,7 +872,7 @@ class TestCli:
         self.run_stages(config_path, ("ingest", "index", "embed", "prerank"))
         capsys.readouterr()
         assert main(["featurize", "--config", str(config_path), "--repo", "synth/repo1"]) == 2
-        err = self.assert_one_line_error(capsys, tmp_path / "out" / "prerank" / "candidates.jsonl")
+        err = self.assert_one_line_error(capsys, tmp_path / "out" / "prerank" / "candidates.bin")
         assert err.endswith("; rerun prerank with the same --repo\n"), err
 
     def run_stages(self, config_path, stages):
@@ -864,6 +957,7 @@ class TestCli:
         artifact, edit, stage = EDITED_CASES[case]
         synth, config_path = self.write_min_config(tmp_path)
         self.run_stages(config_path, STAGES[: STAGES.index(stage)])
+        artifact = artifact.replace("<slug>", repo_slug(synth.cve_records[0]["repo_id"]))
         path = tmp_path / "out" / artifact
         if artifact in ARRAY_FORMATS:
             fmt = ARRAY_FORMATS[artifact]
@@ -884,6 +978,7 @@ class TestCli:
         err = self.assert_one_line_error(capsys, path)
         if case in ROW_CASES:
             assert f"{path} line 1: " in err, err
+        assert LIST_REJECTIONS.get(case, "") in err, err
         if artifact == MODEL:
             cve_id = synth.cve_records[0]["cve_id"]
             caplog.clear()
@@ -964,6 +1059,28 @@ class TestCli:
         assert main(["featurize", "--config", str(config_path)]) == 2
         err = self.assert_one_line_error(capsys, vectors)
         assert f"no vector stored for key ('file', '{patch}'" in err, err
+
+    def test_trace_builds_store_without_file_vectors(self, tmp_path, capsys, caplog):
+        """A store that its manifests call fresh but that lacks every file
+        vector is malformed: trace warns once, naming it, and builds the
+        repository in memory."""
+        synth, config_path = self.write_min_config(tmp_path)
+        self.run_stages(config_path, STAGES)
+        trace = ["trace", "--config", str(config_path), "--cve", synth.cve_records[0]["cve_id"]]
+        capsys.readouterr()
+        assert main(trace) == 0
+        intact = capsys.readouterr().out
+        root = tmp_path / "out"
+        (vectors,) = (root / "vectors").glob("*.bin")
+        store = VectorStore.load(vectors)
+        keys = [key for key in store.keys() if key[0] != "file"]
+        VectorStore(store.dimension, keys, store.matrix[[store.rows[k] for k in keys]]).save(vectors)
+        forge_manifests(root, f"vectors/{vectors.name}")
+        caplog.clear()
+        assert main(trace) == 0
+        (warning,) = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert f"malformed artifact {vectors}: no vector stored for key ('file', " in warning
+        assert capsys.readouterr().out == intact
 
     def test_version_2_vector_store_exits_2(self, tmp_path, capsys):
         _, config_path = self.write_min_config(tmp_path)
@@ -1201,13 +1318,7 @@ class TestTraceReuse:
             # As an older release left it, every manifest listing the file it wrote.
             vectors = art.vectors_file(slug)
             save_version_2(VectorStore.load(vectors), vectors)
-            key, digest = art.key(vectors), hashlib.sha256(vectors.read_bytes()).hexdigest()
-            for path in (staged.output_dir / "manifests").glob("*.manifest.json"):
-                manifest = json.loads(path.read_text())
-                for side in ("inputs", "outputs"):
-                    if key in manifest[side]:
-                        manifest[side][key] = digest
-                path.write_text(json.dumps(manifest))
+            forge_manifests(staged.output_dir, art.key(vectors))
         else:
             # Manifest version 1 keyed artifacts by name: "cves", "repos", and
             # paths without their file extension.

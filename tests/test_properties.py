@@ -1,6 +1,7 @@
 """Property tests for the tokenizer, token truncation, diff splitting, the
 section tokens the BM25 indexes read, the commit dump round trip, the
-feature rows' features.bin round trip and embed_batch's normalization."""
+feature rows' features.bin round trip, the candidate and ranking lists'
+round trip and embed_batch's normalization."""
 
 from __future__ import annotations
 
@@ -28,11 +29,24 @@ from patchrank.corpus import (  # noqa: E402
     tokenize,
     truncate_to_tokens,
 )
+from patchrank.corpus import write_jsonl  # noqa: E402
 from patchrank.embedding import embed_batch  # noqa: E402
-from patchrank.pipeline import FEATURES_FORMAT  # noqa: E402
+from patchrank.pipeline import (  # noqa: E402
+    FEATURES_FORMAT,
+    load_candidates,
+    load_rankings,
+    save_candidates,
+    save_rankings,
+)
 from patchrank.ranker import NUM_FEATURES  # noqa: E402
 
-from oracles import tokenize_oracle, truncate_to_tokens_oracle  # noqa: E402
+from oracles import (  # noqa: E402
+    CANDIDATE_FIELDS,
+    RANKING_FIELDS,
+    load_ranked_oracle,
+    tokenize_oracle,
+    truncate_to_tokens_oracle,
+)
 
 # Any text without lone surrogates, which cannot be encoded.
 TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=300)
@@ -157,6 +171,57 @@ def test_feature_row_round_trip_keeps_every_bit(values):
 def test_non_finite_feature_rejected(value):
     with pytest.raises(ValueError, match="section features: row 0 holds a non-finite value"):
         write_and_read_feature_row([0.0, 0.0, value, *[0.0] * (NUM_FEATURES - 3)])
+
+
+@st.composite
+def ranked_lists(draw) -> tuple[dict[str, list[str]], dict[str, list[int]]]:
+    """Pre-ranked lists of CVEs in id order, drawn from a small commit pool so
+    that CVEs share commits, some of one row; and a permutation of each."""
+    pool = draw(st.lists(st.from_regex(r"[0-9a-f]{6}", fullmatch=True), min_size=1, unique=True))
+    cve_ids = sorted(draw(st.sets(st.from_regex(r"CVE-20[0-9]{2}-[0-9]{4,5}", fullmatch=True))))
+    lists = {
+        cve_id: draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+        for cve_id in cve_ids
+    }
+    orders = {cve_id: draw(st.permutations(range(len(ids)))) for cve_id, ids in lists.items()}
+    return lists, orders
+
+
+@given(ranked_lists(), st.floats(min_value=0.0, max_value=1.0))
+def test_candidate_and_ranking_lists_round_trip(drawn, component):
+    """The lists read back from candidates.bin and ranking.bin are those the
+    JSONL reference reader gives for the same lists as JSONL exports."""
+    lists, orders = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        components = np.full((sum(map(len, lists.values())), 4), component)
+        save_candidates(root / "candidates.bin", lists, components)
+        candidates = load_candidates(root / "candidates.bin")
+        starts = dict(zip(candidates.cve_ids, candidates.offsets.tolist()))
+        ranked = {c: np.add(starts[c], order, dtype=np.int32) for c, order in orders.items()}
+        save_rankings(root / "ranking.bin", ranked)
+        rankings = load_rankings(root / "ranking.bin", candidates)
+        records = [
+            {"cve_id": c, "commit_id": commit_id, "rank": rank, "fused_score": 0.5}
+            for c, ids in lists.items()
+            for rank, commit_id in enumerate(ids, start=1)
+        ]
+        write_jsonl(root / "candidates.jsonl", records)
+        records = [
+            {"cve_id": c, "commit_id": lists[c][i], "rank": rank, "score": -rank / 2}
+            for c, order in orders.items()
+            for rank, i in enumerate(order, start=1)
+        ]
+        write_jsonl(root / "ranking.jsonl", records)
+        expected = load_ranked_oracle(root / "candidates.jsonl", CANDIDATE_FIELDS, "fused_score")
+        assert {c: list(candidates.ids(s)) for c, s in candidates.slices().items()} == {
+            c: [commit_id for commit_id, _ in entries] for c, entries in expected.items()
+        }
+        expected = load_ranked_oracle(root / "ranking.jsonl", RANKING_FIELDS, "score")
+        assert {c: list(candidates.ids(r)) for c, r in rankings.items()} == {
+            c: [commit_id for commit_id, _ in entries] for c, entries in expected.items()
+        }
+        assert candidates.components.tobytes() == components.tobytes()
 
 
 class _Returns:

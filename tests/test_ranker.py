@@ -41,7 +41,7 @@ from patchrank.ranker import (
     train_lambdarank,
 )
 
-from conftest import cid, make_commit, make_corpus, make_cve
+from conftest import cid, feature_rows, make_commit, make_corpus, make_cve
 from oracles import feature_commit_cosine, feature_path_cosine, score_document, time_affinity
 from synthcorpus import generate
 
@@ -81,8 +81,8 @@ class TestFeatureAssembly:
             description=description, reserve_time=99, publish_time=101, known_patch_ids={cid(1)}
         )
         assembler = assembler_for(corpus, [cve])
-        aligned = assembler.matrix(cve, [cid(1)])[0]
-        other = assembler.matrix(cve, [cid(2)])[0]
+        aligned = feature_rows(assembler, cve, [cid(1)])[0]
+        other = feature_rows(assembler, cve, [cid(2)])[0]
         assert aligned[0] > 0.9
         assert aligned[0] > other[0]
         assert aligned[7] == 1.0  # identical path sets
@@ -93,7 +93,7 @@ class TestFeatureAssembly:
         corpus = make_corpus([make_commit(1, author_time=5, message="docs change only")])
         cve = make_cve(description="docs change", reserve_time=5, publish_time=5)
         assembler = assembler_for(corpus, [cve])
-        vector = assembler.matrix(cve, [cid(1)])[0]
+        vector = feature_rows(assembler, cve, [cid(1)])[0]
         assert vector[1] == vector[2] == vector[3] == 0.0
 
     def test_commit_at_publish_time_has_zero_distance(self):
@@ -102,7 +102,7 @@ class TestFeatureAssembly:
         )
         cve = make_cve(description="d", reserve_time=100, publish_time=200)
         assembler = assembler_for(corpus, [cve])
-        vector = assembler.matrix(cve, [cid(2)])[0]
+        vector = feature_rows(assembler, cve, [cid(2)])[0]
         assert vector[6] == 0.0  # publish distance
         assert vector[5] == 1.0  # reserve points at commit 1
 
@@ -110,16 +110,16 @@ class TestFeatureAssembly:
         corpus = make_corpus([make_commit(i, author_time=i) for i in (1, 2, 3)])
         cve = make_cve(description="d", reserve_time=None, publish_time=None)
         assembler = assembler_for(corpus, [cve])
-        vector = assembler.matrix(cve, [cid(1)])[0]
+        vector = feature_rows(assembler, cve, [cid(1)])[0]
         assert vector[5] == vector[6] == float(len(corpus))
 
     def test_matrix_stacks_rows_in_order(self):
         corpus = make_corpus([make_commit(i, author_time=i, message=f"m{i}") for i in (1, 2)])
         cve = make_cve(description="m1", reserve_time=1, publish_time=2)
         assembler = assembler_for(corpus, [cve])
-        matrix = assembler.matrix(cve, [cid(2), cid(1)])
+        matrix = feature_rows(assembler, cve, [cid(2), cid(1)])
         assert matrix.shape == (2, 9)
-        assert np.array_equal(matrix[0], assembler.matrix(cve, [cid(2)])[0])
+        assert np.array_equal(matrix[0], feature_rows(assembler, cve, [cid(2)])[0])
 
 
 def reference_row(assembler, cve, commit_id):
@@ -181,32 +181,32 @@ class TestMatrixOracle:
         assert not corpus.get(empty_id).file_diffs
         assert assembler.ner_paths_for(cves[-1]) == set()
         for cve in cves:
-            matrix = assembler.matrix(cve, ids)
+            matrix = feature_rows(assembler, cve, ids)
             expected = np.vstack([reference_row(assembler, cve, c) for c in ids])
             assert np.array_equal(matrix, expected), cve.cve_id
         # The cases the reference must cover actually occur.
-        assert np.any(assembler.matrix(cves[0], ids)[:, 8] > 0.0)
-        assert np.all(assembler.matrix(cves[3], ids)[:, 5:7] == float(len(corpus)))
+        assert np.any(feature_rows(assembler, cves[0], ids)[:, 8] > 0.0)
+        assert np.all(feature_rows(assembler, cves[3], ids)[:, 5:7] == float(len(corpus)))
 
     def test_permuted_ids_permute_rows(self, setup):
         corpus, cves, assembler, _ = setup
         ids = corpus.commit_ids
         order = np.random.default_rng(0).permutation(len(ids))
         for cve in cves:
-            full = assembler.matrix(cve, ids)
-            permuted = assembler.matrix(cve, [ids[i] for i in order])
+            full = feature_rows(assembler, cve, ids)
+            permuted = feature_rows(assembler, cve, [ids[i] for i in order])
             assert np.array_equal(permuted, full[order])
             subset = [ids[i] for i in order[:7]]
-            assert np.array_equal(assembler.matrix(cve, subset), full[order[:7]])
+            assert np.array_equal(feature_rows(assembler, cve, subset), full[order[:7]])
 
 
     def test_chunked_passes_equal_one_pass(self, setup, monkeypatch):
         corpus, cves, assembler, _ = setup
         ids = corpus.commit_ids
-        whole = [assembler.matrix(cve, ids) for cve in cves]
+        whole = [feature_rows(assembler, cve, ids) for cve in cves]
         monkeypatch.setattr(ranker_mod, "MATRIX_CHUNK", 7)
         for cve, expected in zip(cves, whole):
-            assert np.array_equal(assembler.matrix(cve, ids), expected), cve.cve_id
+            assert np.array_equal(feature_rows(assembler, cve, ids), expected), cve.cve_id
 
     @pytest.fixture(scope="class")
     def pooling(self):
@@ -258,7 +258,7 @@ class TestMatrixOracle:
     def test_pooling_cases_equal_per_pair_reference(self, pooling):
         corpus, cve, assembler = pooling
         ids = corpus.commit_ids
-        matrix = assembler.matrix(cve, ids)
+        matrix = feature_rows(assembler, cve, ids)
         expected = np.vstack([reference_row(assembler, cve, c) for c in ids])
         assert np.array_equal(matrix, expected)
         ranked = {c: rank_files_within_commit(assembler.file_index, cve, c) for c in ids}
@@ -283,9 +283,10 @@ def corpus_of(n, seed_time=0):
 
 class TestSampleTrainingGroup:
     def prerank_for(self, corpus, cve):
+        """The pre-ranked commit ids."""
         msg_index = build_index(corpus, "message")
         diff_index = build_index(corpus, "diff")
-        return prerank_candidates(corpus, cve, msg_index, diff_index)
+        return [doc for doc, _ in prerank_candidates(corpus, cve, msg_index, diff_index)]
 
     def test_small_corpus_exhausts_negatives(self):
         corpus = corpus_of(300)
@@ -312,7 +313,7 @@ class TestSampleTrainingGroup:
         corpus = corpus_of(50)
         cve = make_cve(description="word1", reserve_time=1, publish_time=1, known_patch_ids={cid(1)})
         ranked = self.prerank_for(corpus, cve)
-        assert ranked[0][0] == cid(1)  # the patch pre-ranks first
+        assert ranked[0] == cid(1)  # the patch pre-ranks first
         group = sample_training_group(cve, ranked, corpus, seed=2)
         occurrences = [r for r in group.rows if r.commit_id == cid(1)]
         assert len(occurrences) == 1
@@ -330,7 +331,7 @@ class TestSampleTrainingGroup:
         corpus = corpus_of(100)
         cve = make_cve(description="word2", reserve_time=2, publish_time=2, known_patch_ids={cid(2)})
         ranked = self.prerank_for(corpus, cve)
-        assert ranked[0][0] == cid(2)
+        assert ranked[0] == cid(2)
         group = sample_training_group(
             cve, ranked, corpus, seed=0, hard_negatives=10, random_negatives=5
         )
@@ -338,7 +339,7 @@ class TestSampleTrainingGroup:
         # negatives remain after excluding it.
         assert len(group.rows) == 1 + 9 + 5
         hard_ids = {r.commit_id for r in group.rows[1:10]}
-        assert hard_ids == {doc for doc, _ in ranked[:10]} - {cid(2)}
+        assert hard_ids == set(ranked[:10]) - {cid(2)}
 
 
 def separable_groups(n_groups=8, rows=80, seed=0):

@@ -1,0 +1,106 @@
+"""Time the eight pipeline stages on the L corpus, each as a CLI child.
+
+The L corpus is ``tests/synthcorpus.generate(seed=7, n_repos=1,
+commits_per_repo=15000, cves_per_repo=6)``, embedded offline, with run
+seed 11. Each stage runs as ``python -m patchrank.cli <stage>`` in its own
+child process: its wall time is taken with ``time.perf_counter`` around the
+child, and its peak RSS from ``os.wait4``. The corpus is written by a child
+too, so that this process stays small and adds little to the children's
+peak RSS.
+
+The script prints one Markdown table row (stage walls, their total, the
+largest peak RSS) under its header, then the size of the output directory
+and the macro MRR of ``eval/report.json``::
+
+    python3 tools/l_corpus_timer.py [--commits 15000] [--work DIR] [--label HEAD]
+
+``--commits`` shrinks the corpus for a quick check. Without ``--work`` the
+corpus and the artifacts go to a temporary directory that is removed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+STAGES = ("ingest", "index", "embed", "prerank", "featurize", "train", "rank", "eval")
+GENERATE = (
+    "import sys; from pathlib import Path; from synthcorpus import generate; "
+    "generate(seed=7, n_repos=1, commits_per_repo=int(sys.argv[1]), cves_per_repo=6)"
+    ".write(Path(sys.argv[2]))"
+)
+
+
+def run_child(argv: list[str], env: dict[str, str]) -> tuple[float, float]:
+    """Wall seconds and peak RSS in MB of one child; exits if it fails."""
+    start = time.perf_counter()
+    with subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) as proc:
+        stderr = proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    wall = time.perf_counter() - start
+    if proc.returncode != 0:
+        sys.exit(f"{' '.join(argv[2:])} exited {proc.returncode}:\n{stderr.decode()}")
+    return wall, usage.ru_maxrss / 1024  # KiB on Linux
+
+
+def time_stages(work: Path, commits: int) -> dict[str, tuple[float, float]]:
+    """Each stage's wall seconds and peak RSS in MB, its output in ``work/out``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    run_child([sys.executable, "-c", GENERATE, str(commits), str(work / "input")], env)
+    config = work / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "commit_dump": str(work / "input" / "commits.jsonl"),
+                "cve_dump": str(work / "input" / "cves.jsonl"),
+                "output_dir": str(work / "out"),
+                "seed": 11,
+                "offline": True,
+            }
+        ),
+        encoding="utf-8",
+    )
+    cli = [sys.executable, "-m", "patchrank.cli"]
+    return {stage: run_child([*cli, stage, "--config", str(config)], env) for stage in STAGES}
+
+
+def report(label: str, stages: dict[str, tuple[float, float]], out: Path) -> str:
+    walls = [wall for wall, _ in stages.values()]
+    cells = [label, *(f"{wall:.2f} s" for wall in walls), f"{sum(walls):.2f} s"]
+    cells.append(f"{max(rss for _, rss in stages.values()):.0f} MB")
+    size = sum(p.stat().st_size for p in out.rglob("*") if p.is_file())
+    mrr = json.loads((out / "eval" / "report.json").read_text(encoding="utf-8"))["macro"]["mrr"]
+    return "\n".join(
+        [
+            "| code | " + " | ".join(STAGES) + " | total | peak RSS |",
+            "|---" * (len(STAGES) + 3) + "|",
+            "| " + " | ".join(cells) + " |",
+            f"output: {size / 1e6:.1f} MB",
+            f"macro MRR: {mrr:.3f}",
+        ]
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--commits", type=int, default=15000, help="commits in the one repository")
+    parser.add_argument("--work", type=Path, help="directory for the corpus and the artifacts")
+    parser.add_argument("--label", default="HEAD", help="the row's first cell")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = args.work or Path(tmp)
+        work.mkdir(parents=True, exist_ok=True)
+        print(report(args.label, time_stages(work, args.commits), work / "out"))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
