@@ -152,6 +152,11 @@ class CommitRecord:
             for i, fd in enumerate(self.file_diffs)
         ]
 
+    def tokenized_sections(self) -> list[tuple[str, list[str]]]:
+        """Each section text with its tokens, those :attr:`FileDiff.tokens`
+        caches, here not kept: for a reader of one commit at a time."""
+        return [(text, tokenize(text)) for text in self.section_texts()]
+
     def diff_text(self) -> str:
         """Reconstruct the unified diff from the first header onward."""
         return "".join(self.section_texts())
@@ -284,10 +289,9 @@ def token_count(text: str) -> int:
     return sum(map(len, map(_split_run, _WORD_RUN_RE.findall(text))))
 
 
-def truncate_to_tokens(text: str, budget: int) -> str:
-    """Longest prefix of ``text`` holding at most ``budget`` tokens.
+def _token_cut(text: str, budget: int) -> tuple[int, int]:
+    """The length of :func:`truncate_to_tokens`'s prefix, and its token count.
 
-    Never cuts inside a token; under-budget text is returned unchanged.
     Each word run yields at least one token, so the cut falls within the
     first ``budget + 1`` runs and the text is split no further. The split
     alternates separators and runs; the prefix is the parts before the first
@@ -297,11 +301,30 @@ def truncate_to_tokens(text: str, budget: int) -> str:
     if budget < 1:
         raise ValueError(f"token budget must be >= 1, got {budget}")
     parts = _WORD_SPLIT_RE.split(text, maxsplit=budget + 1)
-    runs = parts[1::2]
-    fitting = bisect_right(list(accumulate(map(len, map(_split_run, runs)))), budget)
-    if fitting == len(runs):
-        return text
-    return text[: sum(map(len, parts[: 2 * fitting]))]
+    counts = list(accumulate(map(len, map(_split_run, parts[1::2]))))
+    fitting = bisect_right(counts, budget)
+    kept = counts[fitting - 1] if fitting else 0
+    if fitting == len(counts):
+        return len(text), kept
+    return sum(map(len, parts[: 2 * fitting])), kept
+
+
+def truncate_to_tokens(text: str, budget: int) -> str:
+    """Longest prefix of ``text`` holding at most ``budget`` tokens.
+
+    Never cuts inside a token; under-budget text is returned unchanged.
+    """
+    return text[: _token_cut(text, budget)[0]]
+
+
+def truncate_tokenized(text: str, tokens: list[str], budget: int) -> tuple[str, list[str]]:
+    """``truncate_to_tokens(text, budget)`` and its tokens, given ``tokens ==
+    tokenize(text)``. The cut ends a word run, so its tokens are a prefix of
+    ``tokens``; text within the budget comes back as is, without a scan."""
+    if budget >= 1 and len(tokens) <= budget:
+        return text, tokens
+    end, kept = _token_cut(text, budget)
+    return text[:end], tokens[:kept]
 
 
 _STR = expect(str)

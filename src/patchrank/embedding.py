@@ -11,16 +11,16 @@ from __future__ import annotations
 import math
 import os
 import time
-from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from enum import Enum
 from hashlib import blake2b
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from .container import STR, Format, Section
-from .corpus import Corpus, CveRecord, tokenize, truncate_to_tokens
+from .corpus import Corpus, CveRecord, tokenize, truncate_tokenized
 
 DEFAULT_COMMIT_TOKEN_BUDGET = 512
 DEFAULT_FILE_TOKEN_BUDGET = 512
@@ -60,6 +60,10 @@ _DOC_TEMPLATE = (
     "Represent it to retrieve the patching commit for a CVE description: "
     "Commit message: {message}; Diff code: {diff}"
 )
+# The document template's tokens before the message and between the message
+# and the diff. Both parts meet a field at a separator, never inside a word
+# run, so a document prompt's tokens are these, the message's and the diff's.
+_DOC_TOKENS = tuple(map(tokenize, _DOC_TEMPLATE.removesuffix("{diff}").split("{message}")))
 _QUERY_TEMPLATE = (
     "Represent this CVE description to retrieve the commit "
     "(commit message + diff code) that patches this CVE: {description}"
@@ -125,7 +129,31 @@ def offline_embed(text: str, dimension: int, seed: int = 13) -> np.ndarray:
     buckets chosen by a keyed hash; the result is L2-normalized.
     Token-free text maps to the first basis vector.
     """
-    return OfflineEmbedder(dimension, seed).vector(text)
+    return OfflineEmbedder(dimension, seed).embed([text])[0]
+
+
+class _TermIds(dict):
+    """Term -> id, numbered in order of first sight. Each new term is hashed
+    once, into its bucket: ``buckets()[id]``."""
+
+    def __init__(self, dimension: int, seed: int):
+        super().__init__()
+        self._dimension = dimension
+        self._key = seed.to_bytes(8, "little", signed=True)
+        self._table = np.empty(0, dtype=np.intp)
+        self._fresh: list[int] = []
+
+    def __missing__(self, term: str) -> int:
+        digest = blake2b(term.encode("utf-8"), digest_size=8, key=self._key).digest()
+        self._fresh.append(int.from_bytes(digest, "big") % self._dimension)
+        term_id = self[term] = len(self)
+        return term_id
+
+    def buckets(self) -> np.ndarray:
+        if self._fresh:
+            self._table = np.concatenate([self._table, np.array(self._fresh, dtype=np.intp)])
+            self._fresh.clear()
+        return self._table
 
 
 class OfflineEmbedder:
@@ -139,30 +167,39 @@ class OfflineEmbedder:
             raise ValueError(f"embedding dimension must be >= 8, got {dimension}")
         self.dimension = dimension
         self.seed = seed
-        self._key = seed.to_bytes(8, "little", signed=True)
-        self._buckets: dict[str, int] = {}
+        self._terms = _TermIds(dimension, seed)
 
-    def vector(self, text: str) -> np.ndarray:
-        """The :func:`offline_embed` vector of ``text``. Weights are summed into
-        each bucket in the tokens' first-occurrence order, as float64."""
-        counts = Counter(tokenize(text))
-        if not counts:
-            return _basis_vector(self.dimension)
-        sums = [0.0] * self.dimension
-        buckets = self._buckets
-        for token, tf in counts.items():
-            bucket = buckets.get(token)
-            if bucket is None:
-                digest = blake2b(token.encode("utf-8"), digest_size=8, key=self._key).digest()
-                bucket = buckets[token] = int.from_bytes(digest, "big") % self.dimension
-            sums[bucket] += 1.0 + math.log(tf)
-        vec = np.array(sums)
-        vec /= np.linalg.norm(vec)
-        return vec.astype(np.float32)
+    def embed(self, texts: list[str], tokens: list[list[str]] | None = None) -> np.ndarray:
+        """One float32 row per text, its :func:`offline_embed` vector, built
+        from ``tokens[i]`` when given, which must equal ``tokenize(texts[i])``.
 
-    def embed(self, texts: list[str]) -> np.ndarray:
-        """One float32 row per text, each its :meth:`vector`."""
-        return np.array([self.vector(t) for t in texts], np.float32).reshape(-1, self.dimension)
+        Each row's weights are added to its float64 bucket sums in the order
+        its distinct tokens first occur, and the row is divided by its
+        ``np.linalg.norm``, so a text gets the same bits in any batch.
+        """
+        if tokens is None:
+            tokens = [tokenize(text) for text in texts]
+        lengths = np.fromiter(map(len, tokens), np.intp, len(tokens))
+        terms = self._terms
+        flat = chain.from_iterable(tokens)
+        ids = np.fromiter(map(terms.__getitem__, flat), np.intp, lengths.sum())
+        # One key per (row, distinct term), counted; sorting the keys by their
+        # first occurrence restores each row's token order.
+        keys = np.repeat(np.arange(len(tokens)), lengths) * len(terms) + ids
+        keys, first, tf = np.unique(keys, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        rows, term_ids = np.divmod(keys[order], len(terms))
+        tf = tf[order]
+        # math.log, not np.log, whose last bit may differ.
+        weights = np.array([1.0 + math.log(n) for n in range(1, tf.max(initial=0) + 1)])
+        sums = np.zeros((len(tokens), self.dimension))
+        np.add.at(sums, (rows, terms.buckets()[term_ids]), weights[tf - 1])
+        norms = np.fromiter(map(np.linalg.norm, sums), np.float64, len(sums))
+        empty = lengths == 0
+        norms[empty] = 1.0
+        vectors = (sums / norms[:, None]).astype(np.float32)
+        vectors[empty] = _basis_vector(self.dimension)
+        return vectors
 
 
 class HttpEmbedder:
@@ -238,20 +275,23 @@ class HttpEmbedder:
                 time.sleep(self.backoff_s * (2 ** (attempts - 1)))
         raise ProviderError(f"embedding request failed: {last_error}", attempts)
 
-    def embed(self, texts: list[str]) -> list[list[float]]:
+    def embed(self, texts: list[str], tokens=None) -> list[list[float]]:
+        """The service's vectors of ``texts``; ``tokens`` is not used."""
         vectors: list[list[float]] = []
         for start in range(0, len(texts), self.batch_size):
             vectors.extend(self._post_batch(texts[start : start + self.batch_size]))
         return vectors
 
 
-def embed_batch(provider, texts: list[str]) -> np.ndarray:
+def embed_batch(provider, texts: list[str], tokens: list[list[str]] | None = None) -> np.ndarray:
     """Embed texts in order and L2-normalize, whatever the provider returned:
     one float32 row per text. Each row's norm is the square root of its
-    float64 sum of squares, so a row normalizes alike in any batch."""
+    float64 sum of squares, so a row normalizes alike in any batch. Given
+    ``tokens``, each text's tokens, they are passed on to the provider."""
     if not texts:
         return np.empty((0, 0), dtype=np.float32)
-    raw = provider.embed(list(texts))
+    texts = list(texts)
+    raw = provider.embed(texts) if tokens is None else provider.embed(texts, tokens=tokens)
     if len(raw) != len(texts):
         raise ProviderError(f"provider returned {len(raw)} vectors for {len(texts)} texts", 1)
     dimensions = {len(v) for v in raw}
@@ -360,6 +400,37 @@ class EmbedBuildError(RuntimeError):
     """A provider failure during store construction, naming the failed keys."""
 
 
+def _documents(
+    corpus: Corpus, cves: list[CveRecord], commit_budget: int, file_budget: int
+) -> Iterator[tuple[tuple, str, list[str]]]:
+    """Each key of the store, in store order, with its prompt and the prompt's
+    tokens. A commit or file prompt's tokens are the template's, the
+    message's and those of its diff sections, each tokenized once per commit:
+    no word run crosses a section. Only a diff over its budget is cut."""
+    head, middle = _DOC_TOKENS
+    for commit in corpus.commits:
+        message = tokenize(commit.message)
+        sections = commit.tokenized_sections()
+        files: dict[str, list[tuple[str, list[str]]]] = {}
+        for fd, section in zip(commit.file_diffs, sections):
+            files.setdefault(fd.path, []).append(section)
+        documents = [(("commit", commit.commit_id), PromptKind.COMMIT_DOC, sections, commit_budget)]
+        for path, parts in files.items():
+            key = ("file", commit.commit_id, path)
+            documents.append((key, PromptKind.FILE_DOC, parts, file_budget))
+        for key, kind, parts, budget in documents:
+            diff, tokens = truncate_tokenized(
+                "".join(text for text, _ in parts),
+                list(chain.from_iterable(section for _, section in parts)),
+                budget,
+            )
+            prompt = render_prompt(kind, message=commit.message, diff=diff)
+            yield key, prompt, [*head, *message, *middle, *tokens]
+    for cve in cves:
+        prompt = render_prompt(PromptKind.CVE_QUERY, description=cve.description)
+        yield ("cve", cve.cve_id), prompt, tokenize(prompt)
+
+
 def build_vectors(
     corpus: Corpus,
     cves: list[CveRecord],
@@ -372,41 +443,23 @@ def build_vectors(
     """Embed every commit, every (commit, file) diff, and every CVE.
 
     Diff payloads are truncated to their token budgets before prompting;
-    the templates themselves are never truncated.
+    the templates themselves are never truncated. Prompts and their tokens
+    are made one provider batch at a time; the provider gets both.
     """
     if commit_budget < 1 or file_budget < 1:
         raise ValueError("token budgets must be >= 1")
+    count = len(cves) + sum(1 + len({fd.path for fd in c.file_diffs}) for c in corpus.commits)
     keys: list[tuple] = []
-    texts: list[str] = []
-    for commit in corpus.commits:
-        keys.append(("commit", commit.commit_id))
-        texts.append(
-            render_prompt(
-                PromptKind.COMMIT_DOC,
-                message=commit.message,
-                diff=truncate_to_tokens(commit.diff_text(), commit_budget),
-            )
-        )
-        for path, text in commit.file_texts().items():
-            keys.append(("file", commit.commit_id, path))
-            texts.append(
-                render_prompt(
-                    PromptKind.FILE_DOC,
-                    message=commit.message,
-                    diff=truncate_to_tokens(text, file_budget),
-                )
-            )
-    for cve in cves:
-        keys.append(("cve", cve.cve_id))
-        texts.append(render_prompt(PromptKind.CVE_QUERY, description=cve.description))
-
     matrix = np.empty((0, getattr(provider, "dimension", 0)), dtype=np.float32)
-    for start in range(0, len(texts), batch_size):
-        batch = texts[start : start + batch_size]
+    documents = _documents(corpus, cves, commit_budget, file_budget)
+    while batch := list(islice(documents, batch_size)):
+        start = len(keys)
+        batch_keys, texts, tokens = zip(*batch)
+        keys += batch_keys
         try:
-            rows = embed_batch(provider, batch)
+            rows = embed_batch(provider, list(texts), list(tokens))
             if start == 0:
-                matrix = np.empty((len(texts), rows.shape[1]), dtype=np.float32)
+                matrix = np.empty((count, rows.shape[1]), dtype=np.float32)
             elif rows.shape[1] != matrix.shape[1]:
                 raise EmbeddingDimensionError(
                     f"vectors of dimension {rows.shape[1]} after {matrix.shape[1]}"

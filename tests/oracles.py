@@ -8,6 +8,8 @@ they verify.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from hashlib import blake2b
 
 import numpy as np
 
@@ -37,6 +39,24 @@ def truncate_to_tokens_oracle(text: str, budget: int) -> str:
         used += run_tokens
         last_end = m.end()
     return text
+
+
+def offline_vector_oracle(text: str, dimension: int, seed: int = 13) -> np.ndarray:
+    """:func:`patchrank.embedding.offline_embed`, one distinct token at a time:
+    each adds ``1 + ln(tf)`` to its keyed-hash bucket, the sums kept as
+    float64 and added in the order the tokens first occur; the sums are then
+    divided by their norm. Token-free text is the first basis vector."""
+    counts = Counter(tokenize_oracle(text))
+    if not counts:
+        return np.eye(1, dimension, dtype=np.float32)[0]
+    key = seed.to_bytes(8, "little", signed=True)
+    sums = [0.0] * dimension
+    for token, tf in counts.items():
+        digest = blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
+        sums[int.from_bytes(digest, "big") % dimension] += 1.0 + math.log(tf)
+    vec = np.array(sums)
+    vec /= np.linalg.norm(vec)
+    return vec.astype(np.float32)
 
 
 def bm25_oracle_scores(

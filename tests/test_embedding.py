@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import patchrank
+from patchrank.corpus import CommitRecord, split_diff_by_file, token_count
 from patchrank.embedding import (
     STORE_FORMAT,
     EmbedBuildError,
@@ -38,8 +39,8 @@ from patchrank.embedding import (
 
 from patchrank.container import STR, Format, Section
 
-from conftest import cid, make_commit, make_corpus, make_cve
-from oracles import truncate_to_tokens_oracle
+from conftest import cid, file_diff_text, make_commit, make_corpus, make_cve
+from oracles import offline_vector_oracle, truncate_to_tokens_oracle
 
 # The store as version 2 wrote it: a kind code, an id and a path per key.
 STORE_FORMAT_2 = Format(
@@ -201,6 +202,7 @@ class TestOfflineEmbed:
         for text, values in zip(texts, embedded):
             expected = offline_embed(text, 8)
             assert np.asarray(values, dtype=np.float32).tobytes() == expected.tobytes()
+            assert expected.tobytes() == offline_vector_oracle(text, 8).tobytes()
 
     def test_warm_embedder_matches_a_cold_one(self):
         texts = self.REPEATED_TERMS
@@ -218,6 +220,7 @@ class TestOfflineEmbed:
         for text, values in zip(texts, embedded):
             expected = offline_embed(text, dimension, seed)
             assert np.asarray(values, dtype=np.float32).tobytes() == expected.tobytes()
+            assert expected.tobytes() == offline_vector_oracle(text, dimension, seed).tobytes()
 
 
 class _ListProvider:
@@ -299,14 +302,31 @@ class TestHttpEmbedder:
 
     def test_build_vectors_sends_prompts_truncated_as_by_the_oracle(self, embed_server):
         words = " ".join(f"word{i} CamelCase{i} snake_case_{i}" for i in range(300))
+        # A binary section followed by another, and a path in two sections
+        # that fit the file budget alone but not together.
+        binary_and_repeated = (
+            "diff --git a/img.png b/img.png\nBinary files a/img.png and b/img.png differ\n"
+            + file_diff_text("a.c", " ".join(f"w{i}" for i in range(20)))
+            + file_diff_text("a.c", " ".join(f"v{i}" for i in range(20)))
+        )
+        # Files that each fit the file budget, in a diff over the commit budget.
+        small_files = {f"f{n}.c": " ".join(f"x{i}" for i in range(20)) for n in range(12)}
         corpus = make_corpus(
             [
                 make_commit(1, message="fix overflow", files={"a.java": words, "b.c": words}),
                 make_commit(2, message="docs", files={"README": "short text"}),
+                CommitRecord(
+                    cid(3), "test/repo", 1000, "ünïcode", tuple(split_diff_by_file(binary_and_repeated))
+                ),
+                make_commit(4, message="", files=small_files),
             ]
         )
         cves = [make_cve(description="overflow in parser")]
         budgets = {"commit_budget": 700, "file_budget": 90}
+        _, first, second = corpus.commits[2].section_texts()
+        assert token_count(first) <= 90 and token_count(second) <= 90 < token_count(first + second)
+        sections = corpus.commits[3].section_texts()
+        assert max(map(token_count, sections)) <= 90 and token_count("".join(sections)) > 700
         build_vectors(corpus, cves, HttpEmbedder(embed_server, "m"), **budgets)
         expected = []
         for commit in corpus.commits:
@@ -530,7 +550,7 @@ class TestBuildVectors:
 
     def test_provider_failure_names_key(self):
         class Exploding:
-            def embed(self, texts):
+            def embed(self, texts, tokens=None):
                 raise ProviderError("boom", 3)
 
         with pytest.raises(EmbedBuildError, match="commit"):

@@ -224,8 +224,8 @@ class TestCombined:
                 self.factor = factor
                 self.inner = OfflineEmbedder(64)
 
-            def embed(self, texts):
-                return [[x * self.factor for x in v] for v in self.inner.embed(texts)]
+            def embed(self, texts, tokens=None):
+                return [[x * self.factor for x in v] for v in self.inner.embed(texts, tokens)]
 
         corpus = make_corpus(
             [make_commit(1, message="fix ssl", files={"a.java": "ssl code", "b.java": "other"})]

@@ -1,7 +1,8 @@
 """Property tests for the tokenizer, token truncation, diff splitting, the
 section tokens the BM25 indexes read, the commit dump round trip, the
 feature rows' features.bin round trip, the candidate and ranking lists'
-round trip and embed_batch's normalization."""
+round trip, embed_batch's normalization and the offline vectors
+build_vectors stores."""
 
 from __future__ import annotations
 
@@ -15,12 +16,13 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given  # noqa: E402
+from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from patchrank import lexical  # noqa: E402
 from patchrank.corpus import (  # noqa: E402
     CommitRecord,
+    CveRecord,
     build_corpus,
     ingest_commit_dump,
     serialize_corpus,
@@ -30,7 +32,13 @@ from patchrank.corpus import (  # noqa: E402
     truncate_to_tokens,
 )
 from patchrank.corpus import write_jsonl  # noqa: E402
-from patchrank.embedding import embed_batch  # noqa: E402
+from patchrank.embedding import (  # noqa: E402
+    OfflineEmbedder,
+    PromptKind,
+    build_vectors,
+    embed_batch,
+    render_prompt,
+)
 from patchrank.pipeline import (  # noqa: E402
     FEATURES_FORMAT,
     load_candidates,
@@ -44,6 +52,7 @@ from oracles import (  # noqa: E402
     CANDIDATE_FIELDS,
     RANKING_FIELDS,
     load_ranked_oracle,
+    offline_vector_oracle,
     tokenize_oracle,
     truncate_to_tokens_oracle,
 )
@@ -58,16 +67,18 @@ DIFF_LINE = st.text(
 ).filter(lambda line: not line.startswith(("diff --git ", "Binary files", "GIT binary patch")))
 
 PATH = st.from_regex(r"[a-z]{1,8}(/[a-z_]{1,8}){0,2}\.[ch]", fullmatch=True)
+# Few paths, so that a commit often names one path in two sections.
+FEW_PATHS = st.sampled_from(["a.c", "lib/b.h", "naïve/ß.c"])
 
 
 @st.composite
-def diffs(draw, binary=False) -> tuple[str, list[str]]:
+def diffs(draw, binary=False, paths=PATH) -> tuple[str, list[str]]:
     """A preamble before the first header, and the file sections after it;
     the last may end without a line break. With ``binary``, some sections
     are binary files."""
     preamble = "".join(line + "\n" for line in draw(st.lists(DIFF_LINE, max_size=3)))
     sections = []
-    for path in draw(st.lists(PATH, max_size=4)):
+    for path in draw(st.lists(paths, max_size=4)):
         header = f"diff --git a/{path} b/{path}\n"
         if binary and draw(st.booleans()):
             sections.append(f"{header}Binary files a/{path} and b/{path} differ\n")
@@ -266,3 +277,93 @@ def test_batched_embed_batch_equals_per_vector_normalization(raw):
     usable = np.linalg.norm(raw, axis=1) > 0.0
     each = [(np.asarray(v) / np.linalg.norm(v)).astype(np.float32) for v in np.asarray(raw)[usable]]
     np.testing.assert_array_max_ulp(out[usable], np.array(each).reshape(-1, len(raw[0])), maxulp=1)
+
+
+@st.composite
+def embedded_corpora(draw) -> tuple[list[tuple[str, str]], list[str], int, int]:
+    """One to three commits, each a message (maybe empty, any Unicode) and a
+    diff with binary sections and repeated paths; up to two CVE
+    descriptions; and a commit and a file token budget, each from 1 to
+    above the longest diff's token count."""
+    commits = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        preamble, sections = draw(diffs(binary=True, paths=FEW_PATHS))
+        commits.append((draw(TEXT), preamble + "".join(sections)))
+    budget = st.integers(min_value=1, max_value=max(token_count(d) for _, d in commits) + 2)
+    return commits, draw(st.lists(TEXT, max_size=2)), draw(budget), draw(budget)
+
+
+def _section(path: str, lines: int, binary: bool = False) -> str:
+    body = "".join(f"+w{i} fooBar\n" for i in range(lines))
+    if binary:
+        body = f"Binary files a/{path} and b/{path} differ\n"
+    return f"diff --git a/{path} b/{path}\n{body}"
+
+
+# The cases a drawn corpus may miss: a binary section followed by another,
+# a path repeated in one diff, a section that alone overruns the file budget,
+# and a commit diff over its budget whose files each fit theirs.
+PINNED_DIFFS = [
+    _section("img.png", 0, binary=True) + _section("a.c", 2),
+    _section("a.c", 1) + _section("b.c", 1) + _section("a.c", 2),
+    _section("big.c", 30) + _section("small.c", 1),
+    _section("x.c", 3) + _section("y.c", 3) + _section("z.c", 3),
+]
+
+
+class _RecordingEmbedder(OfflineEmbedder):
+    """The offline provider, recording the texts, tokens and vectors of each call."""
+
+    def __init__(self, dimension: int):
+        super().__init__(dimension)
+        self.calls: list[tuple[list[str], list[list[str]] | None, np.ndarray]] = []
+
+    def embed(self, texts, tokens=None):
+        vectors = super().embed(texts, tokens)
+        self.calls.append((list(texts), tokens, vectors))
+        return vectors
+
+
+@given(embedded_corpora())
+@example(([("", PINNED_DIFFS[0]), ("fix ünïcode", PINNED_DIFFS[1])], ["a CVE"], 6, 5))
+@example(([("m", PINNED_DIFFS[2])], [], 210, 20))
+@example(([("m", PINNED_DIFFS[3])], [""], 30, 30))
+def test_build_vectors_stores_the_oracle_vectors_of_the_oracle_prompts(drawn):
+    """The provider gets the prompts made from the oracle's cut, each with
+    its own tokens, and returns, bit for bit, the oracle's vector of each;
+    the store holds that vector as embed_batch normalizes it; and batch
+    sizes 1 and 64 store the same bytes."""
+    commits, descriptions, commit_budget, file_budget = drawn
+    records = [
+        CommitRecord(f"{n:040x}", "r", n, message, tuple(split_diff_by_file(diff)))
+        for n, (message, diff) in enumerate(commits)
+    ]
+    corpus = build_corpus("r", records)
+    cves = [CveRecord(f"CVE-2024-{n:04d}", d, None, None, "r") for n, d in enumerate(descriptions)]
+    budgets = {"commit_budget": commit_budget, "file_budget": file_budget}
+    provider = _RecordingEmbedder(16)
+    store = build_vectors(corpus, cves, provider, **budgets, batch_size=64)
+    alone = build_vectors(corpus, cves, OfflineEmbedder(16), **budgets, batch_size=1)
+    assert alone.keys() == store.keys()
+    assert alone.matrix.tobytes() == store.matrix.tobytes()
+
+    expected: dict[tuple, str] = {}
+    for commit in corpus.commits:
+        diff = truncate_to_tokens_oracle(commit.diff_text(), commit_budget)
+        prompt = render_prompt(PromptKind.COMMIT_DOC, message=commit.message, diff=diff)
+        expected[("commit", commit.commit_id)] = prompt
+        for path, text in commit.file_texts().items():
+            diff = truncate_to_tokens_oracle(text, file_budget)
+            prompt = render_prompt(PromptKind.FILE_DOC, message=commit.message, diff=diff)
+            expected[("file", commit.commit_id, path)] = prompt
+    for cve in cves:
+        prompt = render_prompt(PromptKind.CVE_QUERY, description=cve.description)
+        expected[("cve", cve.cve_id)] = prompt
+    assert [text for texts, _, _ in provider.calls for text in texts] == list(expected.values())
+    for texts, tokens, vectors in provider.calls:
+        assert tokens == [tokenize(text) for text in texts]
+        oracle = np.array([offline_vector_oracle(text, 16) for text in texts])
+        assert vectors.tobytes() == oracle.tobytes()
+    for key, prompt in expected.items():
+        stored = embed_batch(_Returns([offline_vector_oracle(prompt, 16)]), [prompt])
+        assert store.matrix[store.rows[key]].tobytes() == stored.tobytes()

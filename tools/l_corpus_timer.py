@@ -8,9 +8,10 @@ child, and its peak RSS from ``os.wait4``. The corpus is written by a child
 too, so that this process stays small and adds little to the children's
 peak RSS.
 
-The script prints one Markdown table row (stage walls, their total, the
-largest peak RSS) under its header, then the size of the output directory
-and the macro MRR of ``eval/report.json``::
+The script prints two Markdown table rows under their header: the stage
+walls, their total and the largest peak RSS; then each stage's peak RSS.
+Then it prints the size of the output directory and the macro MRR of
+``eval/report.json``::
 
     python3 tools/l_corpus_timer.py [--commits 15000] [--work DIR] [--label HEAD]
 
@@ -74,8 +75,10 @@ def time_stages(work: Path, commits: int) -> dict[str, tuple[float, float]]:
 
 def report(label: str, stages: dict[str, tuple[float, float]], out: Path) -> str:
     walls = [wall for wall, _ in stages.values()]
-    cells = [label, *(f"{wall:.2f} s" for wall in walls), f"{sum(walls):.2f} s"]
-    cells.append(f"{max(rss for _, rss in stages.values()):.0f} MB")
+    peaks = [f"{rss:.0f} MB" for _, rss in stages.values()]
+    top = f"{max(rss for _, rss in stages.values()):.0f} MB"
+    cells = [label, *(f"{wall:.2f} s" for wall in walls), f"{sum(walls):.2f} s", top]
+    rss_cells = [f"{label} peak RSS", *peaks, "–", top]
     size = sum(p.stat().st_size for p in out.rglob("*") if p.is_file())
     mrr = json.loads((out / "eval" / "report.json").read_text(encoding="utf-8"))["macro"]["mrr"]
     return "\n".join(
@@ -83,6 +86,7 @@ def report(label: str, stages: dict[str, tuple[float, float]], out: Path) -> str
             "| code | " + " | ".join(STAGES) + " | total | peak RSS |",
             "|---" * (len(STAGES) + 3) + "|",
             "| " + " | ".join(cells) + " |",
+            "| " + " | ".join(rss_cells) + " |",
             f"output: {size / 1e6:.1f} MB",
             f"macro MRR: {mrr:.3f}",
         ]
@@ -96,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", default="HEAD", help="the row's first cell")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        work = args.work or Path(tmp)
+        work = (args.work or Path(tmp)).resolve()
         work.mkdir(parents=True, exist_ok=True)
         print(report(args.label, time_stages(work, args.commits), work / "out"))
     return 0
