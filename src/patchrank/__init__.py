@@ -49,10 +49,9 @@ from .lexical import InvertedIndex, build_index, query, rank_files_within_commit
 from .path_features import (
     extract_entities,
     feature_jaccard,
-    path_universe,
     search_paths,
 )
-from .prerank import FusionConfig, prerank_candidates, reciprocal_rank_transform
+from .prerank import FusionConfig, prerank_candidates
 from .ranker import (
     FEATURE_NAMES,
     FeatureAssembler,
@@ -61,7 +60,6 @@ from .ranker import (
     TrainingGroup,
     TrainingRow,
     sample_training_group,
-    score_and_rerank,
     train_lambdarank,
 )
 
@@ -104,15 +102,12 @@ __all__ = [
     "mrr",
     "ndcg_at_k",
     "offline_embed",
-    "path_universe",
     "prerank_candidates",
     "query",
     "rank_files_within_commit",
     "recall_at_k",
-    "reciprocal_rank_transform",
     "render_prompt",
     "sample_training_group",
-    "score_and_rerank",
     "search_paths",
     "split_by_repo",
     "split_diff_by_file",

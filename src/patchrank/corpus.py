@@ -22,6 +22,8 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from pathlib import Path
 
+import numpy as np
+
 
 class DumpFormatError(ValueError):
     """A commit or CVE dump, or a JSONL artifact, is malformed."""
@@ -161,13 +163,6 @@ class CommitRecord:
         """Reconstruct the unified diff from the first header onward."""
         return "".join(self.section_texts())
 
-    def file_texts(self) -> dict[str, str]:
-        """Per-path diff text, merging repeated paths in order of appearance."""
-        texts: dict[str, str] = {}
-        for fd, text in zip(self.file_diffs, self.section_texts()):
-            texts[fd.path] = texts.get(fd.path, "") + text
-        return texts
-
 
 @dataclass(frozen=True)
 class CveRecord:
@@ -218,18 +213,22 @@ class Corpus:
         except KeyError:
             raise KeyError(f"unknown commit {commit_id!r} in repo {self.repo_id!r}") from None
 
-    def get(self, commit_id: str) -> CommitRecord:
-        return self.commits[self.position_of(commit_id)]
-
     def insertion_position(self, timestamp: int) -> int:
         return bisect_left(self.time_index, timestamp)
 
-    def is_sorted(self) -> bool:
-        """O(n) check of the (author_time, commit_id) sort invariant."""
-        keys = [(c.author_time, c.commit_id) for c in self.commits]
-        return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1)) and self.time_index == [
-            c.author_time for c in self.commits
-        ]
+    @cached_property
+    def id_order(self) -> np.ndarray:
+        """The positions in commit-id order: document ``j`` of a message or
+        diff index, whose documents ascend by commit id, is at ``id_order[j]``."""
+        ids = self.commit_ids
+        return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+
+    @cached_property
+    def id_ranks(self) -> np.ndarray:
+        """Each position's rank in commit-id order; :attr:`id_order` inverted."""
+        ranks = np.empty(len(self), dtype=np.intp)
+        ranks[self.id_order] = np.arange(len(self))
+        return ranks
 
 
 def split_diff_by_file(diff_text: str) -> list[FileDiff]:
@@ -283,10 +282,6 @@ def tokenize(text: str) -> list[str]:
     cached :func:`_split_run`; no Python loop runs per word.
     """
     return list(chain.from_iterable(map(_split_run, _WORD_RUN_RE.findall(text))))
-
-
-def token_count(text: str) -> int:
-    return sum(map(len, map(_split_run, _WORD_RUN_RE.findall(text))))
 
 
 def _token_cut(text: str, budget: int) -> tuple[int, int]:

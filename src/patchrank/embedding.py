@@ -9,6 +9,7 @@ L2-normalized here, never trusted from the provider.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import time
 from collections.abc import Iterator, Sequence
@@ -310,7 +311,9 @@ def embed_batch(provider, texts: list[str], tokens: list[list[str]] | None = Non
 
 class VectorStore:
     """Unit vectors keyed by commit, (commit, path), or CVE id: key ``k`` is
-    row ``rows[k]`` of one ``(n, dimension)`` float32 ``matrix``."""
+    row ``rows[k]`` of one ``(n, dimension)`` float32 ``matrix``. The keys
+    ascend, so ``("commit", ...)`` < ``("cve", ...)`` < ``("file", ...)`` and
+    a commit's file rows are contiguous."""
 
     def __init__(
         self, dimension: int, keys: Sequence[tuple] = (), matrix: np.ndarray | None = None
@@ -320,36 +323,20 @@ class VectorStore:
         self.rows = {key: row for row, key in enumerate(keys)}
         if not len(self.rows) == len(keys) == len(self.matrix):
             raise ValueError(f"{len(keys)} keys, {len(self.rows)} distinct, {len(self.matrix)} vectors")
+        if not all(map(operator.lt, keys, keys[1:])):
+            raise ValueError("vector store keys do not ascend")
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def keys(self) -> list[tuple]:
-        return sorted(self.rows)
-
-    def _put(self, key: tuple, vector: np.ndarray) -> None:
-        if vector.shape != (self.dimension,):
-            raise EmbeddingDimensionError(
-                f"vector for {key!r} has shape {vector.shape}, store dimension is {self.dimension}"
-            )
-        row = self.rows.setdefault(key, len(self.matrix))
-        rows = [self.matrix[:row], [vector], self.matrix[row + 1 :]]
-        self.matrix = np.concatenate(rows, dtype=np.float32)
+        return list(self.rows)
 
     def _get(self, key: tuple) -> np.ndarray:
         try:
             return self.matrix[self.rows[key]]
         except KeyError:
             raise MissingVectorError(key) from None
-
-    def put_commit(self, commit_id: str, vector: np.ndarray) -> None:
-        self._put(("commit", commit_id), vector)
-
-    def put_file(self, commit_id: str, path: str, vector: np.ndarray) -> None:
-        self._put(("file", commit_id, path), vector)
-
-    def put_cve(self, cve_id: str, vector: np.ndarray) -> None:
-        self._put(("cve", cve_id), vector)
 
     def commit_vector(self, commit_id: str) -> np.ndarray:
         return self._get(("commit", commit_id))
@@ -361,8 +348,8 @@ class VectorStore:
         return self._get(("cve", cve_id))
 
     def save(self, path: str | Path) -> None:
-        """Write the store in the :data:`STORE_FORMAT` container, keys sorted."""
-        keys = self.keys()  # "commit" < "cve" < "file": the container's row order
+        """Write the store in the :data:`STORE_FORMAT` container."""
+        keys = self.keys()
         commits = [key[1] for key in keys if key[0] == "commit"]
         files = [key[1:] for key in keys if key[0] == "file"]
         commits += sorted({commit_id for commit_id, _ in files}.difference(commits))
@@ -373,7 +360,7 @@ class VectorStore:
             cves=[key[1] for key in keys if key[0] == "cve"],
             file_commits=[index[commit_id] for commit_id, _ in files],
             file_paths=[file_path for _, file_path in files],
-            vectors=self.matrix[[self.rows[key] for key in keys]],
+            vectors=self.matrix,
         )
 
     @classmethod
@@ -444,29 +431,30 @@ def build_vectors(
 
     Diff payloads are truncated to their token budgets before prompting;
     the templates themselves are never truncated. Prompts and their tokens
-    are made one provider batch at a time; the provider gets both.
+    are made one provider batch at a time; the provider gets both, and each
+    batch's vectors go straight to their keys' rows of the store's matrix.
     """
     if commit_budget < 1 or file_budget < 1:
         raise ValueError("token budgets must be >= 1")
-    count = len(cves) + sum(1 + len({fd.path for fd in c.file_diffs}) for c in corpus.commits)
-    keys: list[tuple] = []
+    keys = [("commit", c.commit_id) for c in corpus.commits] + [("cve", c.cve_id) for c in cves]
+    keys += {("file", c.commit_id, fd.path): None for c in corpus.commits for fd in c.file_diffs}
+    keys.sort()
+    rows = {key: row for row, key in enumerate(keys)}
     matrix = np.empty((0, getattr(provider, "dimension", 0)), dtype=np.float32)
     documents = _documents(corpus, cves, commit_budget, file_budget)
     while batch := list(islice(documents, batch_size)):
-        start = len(keys)
         batch_keys, texts, tokens = zip(*batch)
-        keys += batch_keys
         try:
-            rows = embed_batch(provider, list(texts), list(tokens))
-            if start == 0:
-                matrix = np.empty((count, rows.shape[1]), dtype=np.float32)
-            elif rows.shape[1] != matrix.shape[1]:
+            vectors = embed_batch(provider, list(texts), list(tokens))
+            if not len(matrix):
+                matrix = np.empty((len(keys), vectors.shape[1]), dtype=np.float32)
+            elif vectors.shape[1] != matrix.shape[1]:
                 raise EmbeddingDimensionError(
-                    f"vectors of dimension {rows.shape[1]} after {matrix.shape[1]}"
+                    f"vectors of dimension {vectors.shape[1]} after {matrix.shape[1]}"
                 )
         except (ProviderError, EmbeddingDimensionError) as exc:
             raise EmbedBuildError(
-                f"embedding failed at key {keys[start]!r} (batch of {len(batch)}): {exc}"
+                f"embedding failed at key {batch_keys[0]!r} (batch of {len(batch)}): {exc}"
             ) from exc
-        matrix[start : start + len(batch)] = rows
+        matrix[[rows[key] for key in batch_keys]] = vectors
     return VectorStore(matrix.shape[1], keys, matrix)

@@ -169,15 +169,22 @@ def accumulate_scores(index: InvertedIndex, query_text: str) -> dict[DocId, floa
     return dict(zip([index.docs[i] for i in hits.tolist()], acc[hits].tolist()))
 
 
-def query(index: InvertedIndex, query_text: str, k: int) -> RankedList:
-    """Top-k documents by BM25 score; zero-score documents are excluded."""
+def top_k(index: InvertedIndex, query_text: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the top-k documents by BM25 score, and their scores.
+    Zero-score documents are excluded; ties go to the lower position."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     acc = _score_array(index, query_text)
     hits = np.flatnonzero(acc)
-    # Positions ascend with doc_id, so a stable sort breaks ties by doc_id.
     top = hits[np.argsort(-acc[hits], kind="stable")[:k]]
-    return list(zip([index.docs[i] for i in top.tolist()], acc[top].tolist()))
+    return top, acc[top]
+
+
+def query(index: InvertedIndex, query_text: str, k: int) -> RankedList:
+    """Top-k documents by BM25 score, as :func:`top_k` ranks them. Positions
+    ascend with doc_id, so ties go to the lower doc_id."""
+    top, scores = top_k(index, query_text, k)
+    return list(zip([index.docs[i] for i in top.tolist()], scores.tolist()))
 
 
 def rank_files_within_commit(

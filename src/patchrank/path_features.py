@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
-from .corpus import CommitRecord, Corpus
+from .corpus import CommitRecord
 from .embedding import PromptKind, render_prompt
 
 DEFAULT_PER_ENTITY_CAP = 10
@@ -58,14 +58,6 @@ def path_set(paths: Iterable[str]) -> set[str]:
 
 def commit_paths(commit: CommitRecord) -> set[str]:
     return path_set(fd.path for fd in commit.file_diffs)
-
-
-def path_universe(corpus: Corpus) -> set[str]:
-    """Every path ever touched by any commit of the corpus, normalized."""
-    universe: set[str] = set()
-    for commit in corpus.commits:
-        universe |= commit_paths(commit)
-    return universe
 
 
 def search_paths(

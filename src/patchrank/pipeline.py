@@ -58,7 +58,6 @@ from .ranker import (
     TrainingRow,
     rerank,
     sample_training_group,
-    score_and_rerank,
     train_lambdarank,
 )
 
@@ -727,7 +726,7 @@ def _repo_loader(
         corpus, slug = corpora[repo_id], repo_slug(repo_id)
         try:
             indexes = {
-                kind: run.read(lexical.load_index, run.index_file(slug, kind)) for kind in kinds
+                kind: run.read(_load_index, run.index_file(slug, kind), corpus) for kind in kinds
             }
             if provider is None:
                 return indexes, None
@@ -751,14 +750,30 @@ def _repo_loader(
     return load
 
 
+def _load_index(path: Path, corpus: Corpus) -> lexical.InvertedIndex:
+    """The index at ``path``; a message or diff index must hold exactly the
+    commits of ``corpus``, as pre-ranking and the features read it by
+    :attr:`Corpus.id_order`."""
+    index = lexical.load_index(path)
+    if index.field_kind != "file" and index.docs != sorted(corpus.commit_ids):
+        raise ValueError(f"its documents are not the commits of {corpus.repo_id}")
+    return index
+
+
 def _prerank(
     corpus: Corpus, cve: CveRecord, indexes: dict[str, lexical.InvertedIndex], fusion: FusionConfig
-) -> tuple[list[tuple[str, float]], dict[str, dict[str, float]]]:
-    """The CVE's fused candidate list and the component maps it was fused from."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CVE's candidates, as corpus positions in fused order, their fused
+    scores and their rows of the components they were fused from."""
     components = prerank.prerank_components(
         corpus, cve, indexes["message"], indexes["diff"], fusion
     )
-    return prerank.fuse_components(corpus, components, fusion), components
+    positions, scores = prerank.fuse_components(corpus, components, fusion)
+    return positions, scores, components[positions]
+
+
+def _commit_ids(corpus: Corpus, positions: np.ndarray) -> list[str]:
+    return [corpus.commits[p].commit_id for p in positions.tolist()]
 
 
 def stage_prerank(config: PipelineConfig) -> None:
@@ -770,23 +785,22 @@ def stage_prerank(config: PipelineConfig) -> None:
     repo = _repo_loader(run, corpora, ("message", "diff"))
     records = []
     lists = {}
-    component_rows = []
+    component_rows = [np.empty((0, len(prerank.COMPONENT_NAMES)))]
     for cve in sorted(cves, key=lambda c: c.cve_id):
         corpus = corpora.get(cve.repo_id)
         if corpus is None:
             logger.warning("skipping %s: repo %s not in corpus", cve.cve_id, cve.repo_id)
             continue
-        ranked, components = _prerank(corpus, cve, repo(cve.repo_id)[0], fusion)
-        if not ranked:  # as in candidates.jsonl, a CVE without lines has no list
+        positions, scores, rows = _prerank(corpus, cve, repo(cve.repo_id)[0], fusion)
+        if not len(positions):  # as in candidates.jsonl, a CVE without lines has no list
             continue
+        lists[cve.cve_id] = ids = _commit_ids(corpus, positions)
         records += (
             {"cve_id": cve.cve_id, "commit_id": commit_id, "rank": rank, "fused_score": score}
-            for rank, (commit_id, score) in enumerate(ranked, start=1)
+            for rank, commit_id, score in zip(count(1), ids, scores.tolist())
         )
-        lists[cve.cve_id] = [commit_id for commit_id, _ in ranked]
-        maps = [components[name] for name in prerank.COMPONENT_NAMES]
-        component_rows += ([m.get(commit_id, 0.0) for m in maps] for commit_id, _ in ranked)
-    matrix = np.array(component_rows, dtype=np.float64)
+        component_rows.append(rows)
+    matrix = np.concatenate(component_rows)
     run.write(run.candidates_file, lambda tmp: write_jsonl(tmp, records))
     run.write(run.candidates_bin, lambda tmp: save_candidates(tmp, lists, matrix))
     run.finish()
@@ -996,9 +1010,9 @@ def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
     repo = _repo_loader(run, corpora, lexical.FIELD_KINDS, config.provider(), cves, build=True)
 
     @functools.cache
-    def preranked(cve: CveRecord) -> list[tuple[str, float]]:
+    def preranked(cve: CveRecord) -> tuple[np.ndarray, np.ndarray]:
         indexes, assembler = repo(cve.repo_id)
-        return _prerank(assembler.corpus, cve, indexes, config.fusion_config())[0]
+        return _prerank(assembler.corpus, cve, indexes, config.fusion_config())[:2]
 
     try:
         model, model_source = run.read(RankModel.load, run.model_file), str(run.model_file)
@@ -1007,19 +1021,21 @@ def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
         labeled = [c for c in cves if c.repo_id in corpora and c.known_patch_ids]
         groups = []
         for cve in labeled:
-            ids = [commit_id for commit_id, _ in preranked(cve)]
-            group = _featurize(config, repo(cve.repo_id)[1], cve, ids, np.empty(0, np.intp))[1]
+            assembler = repo(cve.repo_id)[1]
+            ids = _commit_ids(assembler.corpus, preranked(cve)[0])
+            group = _featurize(config, assembler, cve, ids, np.empty(0, np.intp))[1]
             groups += [group] if group else []
         model = train_lambdarank(groups, config.ranker_params()) if groups else None
         model_source = "trained in memory" if groups else "none"
 
-    prerank_entries = preranked(target)
+    assembler = repo(target.repo_id)[1]
+    positions, scores = preranked(target)
+    ids = _commit_ids(assembler.corpus, positions)
+    prerank_entries = list(zip(ids, scores.tolist()))
     if model is None:
         logger.warning("no labeled CVEs available; returning pre-ranked order")
         return TraceResult(target, prerank_entries, list(prerank_entries), model_source)
-    commit_ids = [commit_id for commit_id, _ in prerank_entries]
-    assembler = repo(target.repo_id)[1]
-    positions = [assembler.corpus.position_of(commit_id) for commit_id in commit_ids]
-    features = dict(zip(commit_ids, assembler.matrix(target, positions)))
-    final = score_and_rerank(model, target, prerank_entries, features)
-    return TraceResult(target, prerank_entries, final, model_source)
+    # As stage_rank re-ranks a candidate list.
+    order, final = rerank(model, assembler.matrix(target, positions))
+    final_entries = list(zip([ids[i] for i in order.tolist()], final[order].tolist()))
+    return TraceResult(target, prerank_entries, final_entries, model_source)

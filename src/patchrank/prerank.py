@@ -1,13 +1,18 @@
 """Candidate pre-ranking: BM25 over messages and diffs fused with
 reserve/publish time affinity via a weighted sum of reciprocal ranks.
+
+The components and their fusion are array code over corpus positions. Every
+ranking breaks ties by ascending commit id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import Corpus, CveRecord
-from .lexical import InvertedIndex, RankedList, query
+from .lexical import InvertedIndex, RankedList, top_k
 
 DEFAULT_WEIGHTS = (0.35, 0.15, 0.3, 0.2)
 DEFAULT_CANDIDATE_K = 10_000
@@ -31,24 +36,9 @@ class FusionConfig:
             raise ValueError(f"candidate_k must be >= 1, got {self.candidate_k}")
 
 
-def reciprocal_rank_transform(ranked: RankedList) -> dict:
-    """Map each doc to 1/rank (1-based); absent docs are treated as 0."""
-    return {doc_id: 1.0 / rank for rank, (doc_id, _) in enumerate(ranked, start=1)}
-
-
-def _time_rank_map(corpus: Corpus, cve_time: int | None) -> dict[str, float]:
-    if cve_time is None or not corpus.commits:
-        return {}
-    insert_at = corpus.insertion_position(cve_time)
-    # Equal distances are broken by ascending commit_id before ranks are
-    # assigned, keeping the transform deterministic.
-    order = sorted(
-        range(len(corpus)),
-        key=lambda i: (abs(i - insert_at), corpus.commits[i].commit_id),
-    )
-    return {
-        corpus.commits[i].commit_id: 1.0 / rank for rank, i in enumerate(order, start=1)
-    }
+def _reciprocals(n: int) -> np.ndarray:
+    """1/rank for the 1-based ranks 1 to ``n``."""
+    return 1.0 / np.arange(1, n + 1)
 
 
 def prerank_components(
@@ -57,37 +47,38 @@ def prerank_components(
     msg_index: InvertedIndex,
     diff_index: InvertedIndex,
     config: FusionConfig = FusionConfig(),
-) -> dict[str, dict[str, float]]:
-    """Per-component reciprocal-rank maps keyed by COMPONENT_NAMES.
+) -> np.ndarray:
+    """Each commit's reciprocal rank (1-based) in each component, a row per
+    corpus position and a column per COMPONENT_NAMES entry; 0.0 where the
+    component does not rank the commit.
 
-    BM25 lists are truncated at candidate_k before the transform; a missing
-    reserve/publish timestamp yields an identically-zero component.
+    The documents of both indexes are the corpus's commits. Their BM25 lists
+    are truncated at candidate_k. A time component ranks every commit by its
+    distance from the timestamp's insertion point; a missing timestamp
+    yields an identically-zero column.
     """
-    return {
-        "msg": reciprocal_rank_transform(query(msg_index, cve.description, config.candidate_k)),
-        "diff": reciprocal_rank_transform(query(diff_index, cve.description, config.candidate_k)),
-        "reserve": _time_rank_map(corpus, cve.reserve_time),
-        "publish": _time_rank_map(corpus, cve.publish_time),
-    }
+    out = np.zeros((len(corpus), len(COMPONENT_NAMES)))
+    for column, index in enumerate((msg_index, diff_index)):
+        docs, _ = top_k(index, cve.description, config.candidate_k)
+        out[corpus.id_order[docs], column] = _reciprocals(len(docs))
+    for column, cve_time in ((2, cve.reserve_time), (3, cve.publish_time)):
+        if cve_time is not None:
+            distance = np.abs(np.arange(len(corpus)) - corpus.insertion_position(cve_time))
+            out[np.lexsort((corpus.id_ranks, distance)), column] = _reciprocals(len(corpus))
+    return out
 
 
 def fuse_components(
-    corpus: Corpus,
-    components: dict[str, dict[str, float]],
-    config: FusionConfig = FusionConfig(),
-) -> RankedList:
+    corpus: Corpus, components: np.ndarray, config: FusionConfig = FusionConfig()
+) -> tuple[np.ndarray, np.ndarray]:
+    """The corpus positions of the top candidate_k commits by fused score, the
+    weighted sum of their :func:`prerank_components` row, and those scores."""
     w_msg, w_diff, w_res, w_pub = config.weights
-    fused = {
-        commit_id: (
-            w_msg * components["msg"].get(commit_id, 0.0)
-            + w_diff * components["diff"].get(commit_id, 0.0)
-            + w_res * components["reserve"].get(commit_id, 0.0)
-            + w_pub * components["publish"].get(commit_id, 0.0)
-        )
-        for commit_id in corpus.commit_ids
-    }
-    ordered = sorted(fused.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ordered[: config.candidate_k]
+    msg, diff, res, pub = components.T
+    # Summed left to right, as a scalar w_msg * msg + ... would be.
+    fused = w_msg * msg + w_diff * diff + w_res * res + w_pub * pub
+    top = np.lexsort((corpus.id_ranks, -fused))[: config.candidate_k]
+    return top, fused[top]
 
 
 def prerank_candidates(
@@ -99,4 +90,5 @@ def prerank_candidates(
 ) -> RankedList:
     """Every commit scored by the weighted reciprocal-rank sum, top-k kept."""
     components = prerank_components(corpus, cve, msg_index, diff_index, config)
-    return fuse_components(corpus, components, config)
+    positions, scores = fuse_components(corpus, components, config)
+    return [(corpus.commits[p].commit_id, s) for p, s in zip(positions.tolist(), scores.tolist())]

@@ -18,14 +18,14 @@ from dataclasses import dataclass, field
 from hashlib import blake2b
 from itertools import accumulate, count
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import Corpus, CveRecord, expect
 from .embedding import MissingVectorError, VectorStore, embed_batch
 from .hier_features import DEFAULT_HIER_CONFIG, cosine, mean_cosine
-from .lexical import InvertedIndex, RankedList, _score_array
+from .lexical import InvertedIndex, _score_array
 from .path_features import (
     DEFAULT_PER_ENTITY_CAP,
     commit_paths,
@@ -75,13 +75,6 @@ class TrainingDataError(ValueError):
     """Training input cannot produce a model (empty, degenerate, bad params)."""
 
 
-class MissingFeatureError(KeyError):
-    def __init__(self, cve_id: str, commit_id: str):
-        super().__init__(f"no feature row for ({cve_id}, {commit_id})")
-        self.cve_id = cve_id
-        self.commit_id = commit_id
-
-
 def _derive_seed(seed: int, name: str) -> int:
     key = seed.to_bytes(8, "little", signed=True)
     return int.from_bytes(blake2b(name.encode("utf-8"), digest_size=8, key=key).digest(), "big")
@@ -118,16 +111,16 @@ class FeatureAssembler:
         self._commit_paths = [commit_paths(commit) for commit in commits]
         self._path_texts = [path_text(paths) if paths else None for paths in self._commit_paths]
         self._universe = set().union(*self._commit_paths)
-        # By corpus position: store rows, the diff document and the file documents,
-        # contiguous as the file index's documents ascend by (commit id, path).
+        # By corpus position: store rows and the file documents, contiguous as
+        # the file index's documents ascend by (commit id, path). The diff
+        # index's documents are the corpus's commits, so position p is document
+        # corpus.id_ranks[p].
         rows = store.rows
         try:
             self._commit_rows = np.array([rows[("commit", c.commit_id)] for c in commits], np.intp)
             self._doc_rows = np.array([rows[("file", *doc)] for doc in file_index.docs], np.intp)
         except KeyError as exc:
             raise MissingVectorError(exc.args[0]) from None
-        diff_docs = {commit_id: i for i, commit_id in enumerate(diff_index.docs)}
-        self._diff_docs = np.array([diff_docs[c.commit_id] for c in commits], dtype=np.intp)
         counts = {commit_id: len(paths) for commit_id, paths in file_index.commit_files.items()}
         starts = dict(zip(counts, accumulate(counts.values(), initial=0)))
         self._file_starts = np.array([starts.get(c.commit_id, 0) for c in commits], dtype=np.intp)
@@ -212,7 +205,7 @@ class FeatureAssembler:
         for start in range(0, len(positions), MATRIX_CHUNK):
             part = slice(start, start + MATRIX_CHUNK)
             rows[part, :4] = self._hier_columns(query, file_scores, positions[part])
-        rows[:, 4] = _score_array(self.diff_index, cve.description)[self._diff_docs[positions]]
+        rows[:, 4] = _score_array(self.diff_index, cve.description)[self.corpus.id_ranks[positions]]
         for column, cve_time in ((5, cve.reserve_time), (6, cve.publish_time)):
             # Without a timestamp, a distance beyond any real commit, not perfect affinity.
             at = None if cve_time is None else self.corpus.insertion_position(cve_time)
@@ -658,20 +651,3 @@ def rerank(model: RankModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarr
     scores = model.predict(features)
     return np.lexsort((np.arange(len(scores)), -scores)), scores
 
-
-def score_and_rerank(
-    model: RankModel,
-    cve: CveRecord,
-    candidates: RankedList,
-    features: Mapping[str, np.ndarray],
-) -> RankedList:
-    """Reorder pre-ranked candidates by model score, as :func:`rerank` orders them."""
-    if not candidates:
-        return []
-    commit_ids = [doc_id for doc_id, _ in candidates]
-    try:
-        matrix = np.vstack([features[c] for c in commit_ids])
-    except KeyError as exc:
-        raise MissingFeatureError(cve.cve_id, exc.args[0]) from None
-    order, scores = rerank(model, matrix)
-    return [(commit_ids[i], float(scores[i])) for i in order]

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from hashlib import blake2b
 
+import numpy as np
 import pytest
 
 from patchrank.corpus import CommitRecord, Corpus, CveRecord, build_corpus, split_diff_by_file
+from patchrank.embedding import VectorStore
 
 
 def cid(n: int) -> str:
@@ -69,6 +71,17 @@ def make_cve(
         repo_id=repo_id,
         known_patch_ids=frozenset(known_patch_ids or set()),
     )
+
+
+def vector_store(dimension: int, vectors: dict, base: VectorStore | None = None) -> VectorStore:
+    """A store of ``base``'s vectors, if given, with ``vectors`` ({key: vector},
+    keys such as ``("commit", id)``, ``("file", id, path)`` or ``("cve", id)``)
+    put over them."""
+    merged = {} if base is None else {key: base.matrix[row] for key, row in base.rows.items()}
+    merged.update(vectors)
+    keys = sorted(merged)
+    matrix = np.array([merged[key] for key in keys], dtype=np.float32)
+    return VectorStore(dimension, keys, matrix.reshape(len(keys), dimension))
 
 
 def feature_rows(assembler, cve: CveRecord, commit_ids):

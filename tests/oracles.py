@@ -13,10 +13,20 @@ from hashlib import blake2b
 
 import numpy as np
 
-from patchrank.corpus import _WORD_RUN_RE, Corpus, _split_run, expect, read_jsonl, tokenize
+from patchrank.corpus import (
+    _WORD_RUN_RE,
+    CommitRecord,
+    Corpus,
+    CveRecord,
+    _split_run,
+    expect,
+    read_jsonl,
+    tokenize,
+)
 from patchrank.embedding import embed_batch
-from patchrank.lexical import accumulate_scores
-from patchrank.path_features import path_text
+from patchrank.lexical import InvertedIndex, RankedList, accumulate_scores, query
+from patchrank.path_features import commit_paths, path_text
+from patchrank.prerank import FusionConfig
 
 
 def tokenize_oracle(text: str) -> list[str]:
@@ -25,6 +35,38 @@ def tokenize_oracle(text: str) -> list[str]:
     for m in _WORD_RUN_RE.finditer(text):
         tokens.extend(_split_run(m.group(0)))
     return tokens
+
+
+def token_count(text: str) -> int:
+    return sum(map(len, map(_split_run, _WORD_RUN_RE.findall(text))))
+
+
+def file_texts(commit: CommitRecord) -> dict[str, str]:
+    """Per-path diff text, merging repeated paths in order of appearance."""
+    texts: dict[str, str] = {}
+    for fd, text in zip(commit.file_diffs, commit.section_texts()):
+        texts[fd.path] = texts.get(fd.path, "") + text
+    return texts
+
+
+def commit_of(corpus: Corpus, commit_id: str) -> CommitRecord:
+    return corpus.commits[corpus.position_of(commit_id)]
+
+
+def is_sorted(corpus: Corpus) -> bool:
+    """O(n) check of the (author_time, commit_id) sort invariant."""
+    keys = [(c.author_time, c.commit_id) for c in corpus.commits]
+    return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1)) and corpus.time_index == [
+        c.author_time for c in corpus.commits
+    ]
+
+
+def path_universe(corpus: Corpus) -> set[str]:
+    """Every path ever touched by any commit of the corpus, normalized."""
+    universe: set[str] = set()
+    for commit in corpus.commits:
+        universe |= commit_paths(commit)
+    return universe
 
 
 def truncate_to_tokens_oracle(text: str, budget: int) -> str:
@@ -72,7 +114,7 @@ def bm25_oracle_scores(
             docs[commit.commit_id] = tokenize(commit.diff_text())
     else:
         for commit in corpus.commits:
-            for path, text in commit.file_texts().items():
+            for path, text in file_texts(commit).items():
                 docs[(commit.commit_id, path)] = tokenize(text)
 
     n_docs = len(docs)
@@ -95,6 +137,69 @@ def bm25_oracle_scores(
         if score > 0.0:
             scores[doc_id] = score
     return scores
+
+
+# The pre-ranker as dict code over commit ids, one dict per component: the
+# reference for prerank's array code, which must give the same ids and bits.
+
+
+def reciprocal_rank_transform(ranked: RankedList) -> dict:
+    """Map each doc to 1/rank (1-based); absent docs are treated as 0."""
+    return {doc_id: 1.0 / rank for rank, (doc_id, _) in enumerate(ranked, start=1)}
+
+
+def _time_rank_map(corpus: Corpus, cve_time: int | None) -> dict[str, float]:
+    if cve_time is None or not corpus.commits:
+        return {}
+    insert_at = corpus.insertion_position(cve_time)
+    # Equal distances are broken by ascending commit_id before ranks are
+    # assigned, keeping the transform deterministic.
+    order = sorted(
+        range(len(corpus)),
+        key=lambda i: (abs(i - insert_at), corpus.commits[i].commit_id),
+    )
+    return {
+        corpus.commits[i].commit_id: 1.0 / rank for rank, i in enumerate(order, start=1)
+    }
+
+
+def prerank_components_oracle(
+    corpus: Corpus,
+    cve: CveRecord,
+    msg_index: InvertedIndex,
+    diff_index: InvertedIndex,
+    config: FusionConfig = FusionConfig(),
+) -> dict[str, dict[str, float]]:
+    """Per-component reciprocal-rank maps keyed by COMPONENT_NAMES.
+
+    BM25 lists are truncated at candidate_k before the transform; a missing
+    reserve/publish timestamp yields an identically-zero component.
+    """
+    return {
+        "msg": reciprocal_rank_transform(query(msg_index, cve.description, config.candidate_k)),
+        "diff": reciprocal_rank_transform(query(diff_index, cve.description, config.candidate_k)),
+        "reserve": _time_rank_map(corpus, cve.reserve_time),
+        "publish": _time_rank_map(corpus, cve.publish_time),
+    }
+
+
+def fuse_components_oracle(
+    corpus: Corpus,
+    components: dict[str, dict[str, float]],
+    config: FusionConfig = FusionConfig(),
+) -> RankedList:
+    w_msg, w_diff, w_res, w_pub = config.weights
+    fused = {
+        commit_id: (
+            w_msg * components["msg"].get(commit_id, 0.0)
+            + w_diff * components["diff"].get(commit_id, 0.0)
+            + w_res * components["reserve"].get(commit_id, 0.0)
+            + w_pub * components["publish"].get(commit_id, 0.0)
+        )
+        for commit_id in corpus.commit_ids
+    }
+    ordered = sorted(fused.items(), key=lambda kv: (-kv[1], kv[0]))
+    return ordered[: config.candidate_k]
 
 
 def mrr_oracle(ranked: list, relevant: set) -> float:

@@ -17,12 +17,12 @@ from patchrank.corpus import (
     load_cve_dump,
     serialize_corpus,
     split_diff_by_file,
-    token_count,
     tokenize,
     truncate_to_tokens,
 )
 
 from conftest import cid, file_diff_text, make_commit, make_corpus
+from oracles import commit_of, file_texts, is_sorted, token_count
 
 SINGLE_FILE_DIFF = (
     "diff --git a/src/a.java b/src/a.java\n"
@@ -174,7 +174,7 @@ class TestIngestCommitDump:
         (again,) = ingest_commit_dump(out).commits
         assert [fd.path for fd in again.file_diffs] == ["img.png", "x.c"]
         assert again.diff_text() == commit.diff_text()
-        assert again.file_texts() == commit.file_texts()
+        assert file_texts(again) == file_texts(commit)
 
 
 class TestSplitDiffByFile:
@@ -355,13 +355,13 @@ class TestCorpusStructure:
         corpus = make_corpus(
             [make_commit(1, author_time=30), make_commit(2, author_time=10)]
         )
-        assert corpus.is_sorted()
+        assert is_sorted(corpus)
         assert corpus.commits[0].author_time == 10
 
     def test_position_and_lookup(self):
         corpus = make_corpus([make_commit(1, author_time=5), make_commit(2, author_time=9)])
         assert corpus.position_of(cid(2)) == 1
-        assert corpus.get(cid(1)).author_time == 5
+        assert commit_of(corpus, cid(1)).author_time == 5
         with pytest.raises(KeyError, match="unknown commit"):
             corpus.position_of(cid(99))
 
@@ -374,6 +374,6 @@ class TestCorpusStructure:
             message="",
             file_diffs=tuple(split_diff_by_file(diff)),
         )
-        texts = commit.file_texts()
+        texts = file_texts(commit)
         assert list(texts) == ["a.java"]
         assert "one" in texts["a.java"] and "two" in texts["a.java"]

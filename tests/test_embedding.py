@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import patchrank
-from patchrank.corpus import CommitRecord, split_diff_by_file, token_count
+from patchrank.corpus import CommitRecord, split_diff_by_file
 from patchrank.embedding import (
     STORE_FORMAT,
     EmbedBuildError,
@@ -39,8 +39,8 @@ from patchrank.embedding import (
 
 from patchrank.container import STR, Format, Section
 
-from conftest import cid, file_diff_text, make_commit, make_corpus, make_cve
-from oracles import offline_vector_oracle, truncate_to_tokens_oracle
+from conftest import cid, file_diff_text, make_commit, make_corpus, make_cve, vector_store
+from oracles import file_texts, offline_vector_oracle, token_count, truncate_to_tokens_oracle
 
 # The store as version 2 wrote it: a kind code, an id and a path per key.
 STORE_FORMAT_2 = Format(
@@ -332,13 +332,13 @@ class TestHttpEmbedder:
         for commit in corpus.commits:
             diff = truncate_to_tokens_oracle(commit.diff_text(), budgets["commit_budget"])
             expected.append(render_prompt(PromptKind.COMMIT_DOC, message=commit.message, diff=diff))
-            for text in commit.file_texts().values():
+            for text in file_texts(commit).values():
                 diff = truncate_to_tokens_oracle(text, budgets["file_budget"])
                 prompt = render_prompt(PromptKind.FILE_DOC, message=commit.message, diff=diff)
                 expected.append(prompt)
         expected.append(render_prompt(PromptKind.CVE_QUERY, description=cves[0].description))
         assert _EmbedHandler.inputs == expected
-        full_file = corpus.commits[0].file_texts()["a.java"]
+        full_file = file_texts(corpus.commits[0])["a.java"]
         assert expected[1] != render_prompt(PromptKind.FILE_DOC, message="fix overflow", diff=full_file)
 
     def test_transport_error_is_reported(self):
@@ -364,11 +364,9 @@ class TestHttpEmbedder:
 
 class TestVectorStore:
     def test_put_get_all_key_kinds(self):
-        store = VectorStore(8)
         vec = offline_embed("x", 8)
-        store.put_commit(cid(1), vec)
-        store.put_file(cid(1), "a.java", vec)
-        store.put_cve("CVE-2024-1", vec)
+        keys = [("commit", cid(1)), ("file", cid(1), "a.java"), ("cve", "CVE-2024-1")]
+        store = vector_store(8, dict.fromkeys(keys, vec))
         assert np.array_equal(store.commit_vector(cid(1)), vec)
         assert np.array_equal(store.file_vector(cid(1), "a.java"), vec)
         assert np.array_equal(store.cve_vector("CVE-2024-1"), vec)
@@ -379,10 +377,14 @@ class TestVectorStore:
             store.commit_vector(cid(1))
 
     def test_save_load_round_trip_byte_identical(self, tmp_path):
-        store = VectorStore(16)
-        store.put_commit(cid(1), offline_embed("one", 16))
-        store.put_file(cid(1), "p/q.java", offline_embed("two", 16))
-        store.put_cve("CVE-2024-2", offline_embed("three", 16))
+        store = vector_store(
+            16,
+            {
+                ("commit", cid(1)): offline_embed("one", 16),
+                ("file", cid(1), "p/q.java"): offline_embed("two", 16),
+                ("cve", "CVE-2024-2"): offline_embed("three", 16),
+            },
+        )
         first = tmp_path / "a.bin"
         second = tmp_path / "b.bin"
         store.save(first)
@@ -396,9 +398,13 @@ class TestVectorStore:
             VectorStore.load(path)
 
     def saved_store(self, tmp_path):
-        store = VectorStore(16)
-        store.put_commit(cid(1), offline_embed("one", 16))
-        store.put_file(cid(1), "p/q.java", offline_embed("two", 16))
+        store = vector_store(
+            16,
+            {
+                ("commit", cid(1)): offline_embed("one", 16),
+                ("file", cid(1), "p/q.java"): offline_embed("two", 16),
+            },
+        )
         path = tmp_path / "s.bin"
         store.save(path)
         return path
@@ -426,8 +432,7 @@ class TestVectorStore:
         assert str(path) in str(info.value)
 
     def test_version_2_store_rejected_naming_path(self, tmp_path):
-        store = VectorStore(16)
-        store.put_commit(cid(1), offline_embed("one", 16))
+        store = vector_store(16, {("commit", cid(1)): offline_embed("one", 16)})
         path = tmp_path / "v2.bin"
         save_version_2(store, path)
         with pytest.raises(ValueError, match="unsupported vector store version 2") as info:
@@ -437,11 +442,15 @@ class TestVectorStore:
     def test_file_keys_share_their_commit_id(self, tmp_path):
         """A file key is stored as its commit's index and its path, the commit
         id once; a commit that only files name keeps no vector of its own."""
-        store = VectorStore(8)
-        store.put_file(cid(2), "b.c", offline_embed("b", 8))
-        store.put_commit(cid(1), offline_embed("one", 8))
-        store.put_file(cid(1), "a.c", offline_embed("a", 8))
-        store.put_file(cid(2), "a.c", offline_embed("c", 8))
+        store = vector_store(
+            8,
+            {
+                ("file", cid(2), "b.c"): offline_embed("b", 8),
+                ("commit", cid(1)): offline_embed("one", 8),
+                ("file", cid(1), "a.c"): offline_embed("a", 8),
+                ("file", cid(2), "a.c"): offline_embed("c", 8),
+            },
+        )
         path = tmp_path / "s.bin"
         store.save(path)
         sections = STORE_FORMAT.load(path)
@@ -462,9 +471,10 @@ class TestVectorStore:
         ],
     )
     def test_inconsistent_key_tables_rejected(self, tmp_path, edit, message):
-        store = VectorStore(8)
-        store.put_commit(cid(1), offline_embed("one", 8))
-        store.put_file(cid(1), "a.c", offline_embed("a", 8))
+        store = vector_store(
+            8,
+            {("commit", cid(1)): offline_embed("one", 8), ("file", cid(1), "a.c"): offline_embed("a", 8)},
+        )
         path = tmp_path / "s.bin"
         store.save(path)
         STORE_FORMAT.save(path, **(STORE_FORMAT.load(path) | edit))
@@ -472,10 +482,19 @@ class TestVectorStore:
             VectorStore.load(path)
         assert str(path) in str(info.value)
 
+    def test_keys_must_ascend(self):
+        vectors = np.stack([offline_embed("a", 8), offline_embed("b", 8)])
+        with pytest.raises(ValueError, match="vector store keys do not ascend"):
+            VectorStore(8, [("cve", "CVE-2"), ("cve", "CVE-1")], vectors)
+
     def test_round_trip_keeps_every_bit_and_empty_dimension(self, tmp_path):
-        store = VectorStore(16)
-        store.put_file(cid(2), "naïve/ß.c", offline_embed("two", 16))
-        store.put_cve("CVE-2024-2", np.array([-0.0, 1e-45, *[0.25] * 14], dtype=np.float32))
+        store = vector_store(
+            16,
+            {
+                ("file", cid(2), "naïve/ß.c"): offline_embed("two", 16),
+                ("cve", "CVE-2024-2"): np.array([-0.0, 1e-45, *[0.25] * 14], dtype=np.float32),
+            },
+        )
         path = tmp_path / "s.bin"
         store.save(path)
         loaded = VectorStore.load(path)
@@ -516,7 +535,7 @@ class TestBuildVectors:
             render_prompt(
                 PromptKind.FILE_DOC,
                 message=commit.message,
-                diff=commit.file_texts()["a.java"],
+                diff=file_texts(commit)["a.java"],
             ),
             64,
         )
@@ -547,6 +566,20 @@ class TestBuildVectors:
         build_vectors(corpus, cves, OfflineEmbedder(32)).save(first)
         build_vectors(corpus, cves, OfflineEmbedder(32)).save(second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_built_rows_are_in_loaded_order(self, tmp_path):
+        """Two commits whose time order is not their id order, a repeated
+        path, and a CVE: the built matrix is the loaded one, row for row."""
+        commits = [
+            make_commit(2, author_time=1, files={"b.c": "x", "a.c": "y"}),
+            make_commit(1, author_time=2, files={"z.c": "w"}),
+        ]
+        store = build_vectors(make_corpus(commits), [make_cve()], OfflineEmbedder(16))
+        path = tmp_path / "s.bin"
+        store.save(path)
+        loaded = VectorStore.load(path)
+        assert store.keys() == loaded.keys() == sorted(store.keys())
+        assert store.matrix.tobytes() == loaded.matrix.tobytes()
 
     def test_provider_failure_names_key(self):
         class Exploding:

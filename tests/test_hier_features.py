@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from patchrank.embedding import MissingVectorError, OfflineEmbedder, VectorStore, build_vectors
+from patchrank.embedding import MissingVectorError, OfflineEmbedder, build_vectors
 from patchrank.hier_features import (
     HierConfig,
     feature_max_file_sim,
@@ -17,7 +17,7 @@ from patchrank.hier_features import (
 )
 from patchrank.lexical import build_index, rank_files_within_commit
 
-from conftest import cid, make_commit, make_corpus, make_cve
+from conftest import cid, make_commit, make_corpus, make_cve, vector_store
 from oracles import feature_commit_cosine, hier_features
 
 
@@ -28,13 +28,11 @@ def unit(d: int, axis: int) -> np.ndarray:
 
 
 def store_with(d: int, cve_vec, file_vecs: dict, commit_vec=None, cve_id="CVE-2024-0001"):
-    store = VectorStore(d)
-    store.put_cve(cve_id, cve_vec)
+    vectors = {("cve", cve_id): cve_vec}
     if commit_vec is not None:
-        store.put_commit(cid(1), commit_vec)
-    for path, vec in file_vecs.items():
-        store.put_file(cid(1), path, vec)
-    return store
+        vectors["commit", cid(1)] = commit_vec
+    vectors.update({("file", cid(1), path): vec for path, vec in file_vecs.items()})
+    return vector_store(d, vectors)
 
 
 def hier_of(store, index, cve, commit):

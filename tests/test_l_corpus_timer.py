@@ -11,25 +11,26 @@ SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "l_corpus_timer.py"
 
 
 def test_timer_prints_a_row_the_output_size_and_the_mrr(tmp_path):
-    """Also a second row, of each stage's peak RSS."""
+    """Also a second row, of each stage's peak RSS, and in both the trace's
+    column after the total."""
     argv = [sys.executable, str(SCRIPT), "--commits", "200", "--work", str(tmp_path), "--label", "x"]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     header, rule, row, rss_row, size, mrr = done.stdout.splitlines()
-    assert header.split(" | ")[1:9] == [
-        "ingest", "index", "embed", "prerank", "featurize", "train", "rank", "eval"
+    assert header.split(" | ")[1:11] == [
+        "ingest", "index", "embed", "prerank", "featurize", "train", "rank", "eval", "total", "trace"
     ]
-    assert rule == "|---" * 11 + "|"
+    assert rule == "|---" * 12 + "|"
     cells = row.strip("| ").split(" | ")
-    assert cells[0] == "x" and len(cells) == 11
-    walls = [float(cell.removesuffix(" s")) for cell in cells[1:10]]
+    assert cells[0] == "x" and len(cells) == 12
+    walls = [float(cell.removesuffix(" s")) for cell in cells[1:11]]
     assert all(wall > 0 for wall in walls) and abs(sum(walls[:8]) - walls[8]) < 0.05
-    assert re.fullmatch(r"\d+ MB", cells[10])
+    assert re.fullmatch(r"\d+ MB", cells[11])
     rss_cells = rss_row.strip("| ").split(" | ")
-    assert rss_cells[0] == "x peak RSS" and rss_cells[9:] == ["–", cells[10]]
-    peaks = rss_cells[1:9]
+    assert rss_cells[0] == "x peak RSS" and rss_cells[9] == "–" and rss_cells[11] == cells[11]
+    peaks = rss_cells[1:9] + rss_cells[10:11]
     assert all(re.fullmatch(r"\d+ MB", cell) for cell in peaks)
-    assert max(peaks, key=lambda cell: int(cell.removesuffix(" MB"))) == cells[10]
+    assert max(peaks, key=lambda cell: int(cell.removesuffix(" MB"))) == cells[11]
     out_mb = sum(p.stat().st_size for p in (tmp_path / "out").rglob("*") if p.is_file()) / 1e6
     assert size == f"output: {out_mb:.1f} MB"
     assert re.fullmatch(r"macro MRR: [01]\.\d{3}", mrr)

@@ -23,7 +23,7 @@ from patchrank.lexical import (
 )
 
 from conftest import cid, make_commit, make_corpus, make_cve
-from oracles import bm25_oracle_scores, score_document
+from oracles import bm25_oracle_scores, file_texts, score_document
 
 WORDS = "openssl packet loop ssl handshake buffer parse socket retry limit".split()
 
@@ -228,7 +228,7 @@ class TestRankFilesWithinCommit:
         cve = make_cve(description="openssl")
         for commit in corpus.commits:
             ranked = rank_files_within_commit(index, cve, commit.commit_id)
-            assert {doc[1] for doc, _ in ranked} == set(commit.file_texts())
+            assert {doc[1] for doc, _ in ranked} == set(file_texts(commit))
 
 
 # The offset of an index file's field kind: an 8-byte header, then one

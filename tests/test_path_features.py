@@ -12,14 +12,13 @@ from patchrank.path_features import (
     feature_jaccard,
     normalize_path,
     path_text,
-    path_universe,
     search_paths,
 )
 
 from patchrank.ranker import PATH_EMBED_BATCH, FeatureAssembler
 
 from conftest import cid, feature_rows, make_commit, make_corpus, make_cve
-from oracles import feature_path_cosine
+from oracles import feature_path_cosine, path_universe
 
 TOMCAT_DESCRIPTION = (
     "Apache Tomcat 8.5.0 to 8.5.63, 9.0.0-M1 to 9.0.43 and 10.0.0-M1 to 10.0.2 did "

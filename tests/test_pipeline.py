@@ -16,7 +16,7 @@ from patchrank import lexical
 from patchrank import pipeline as pipeline_mod
 from patchrank.cli import main
 from patchrank.corpus import ingest_commit_dump, load_cve_dump
-from patchrank.embedding import VectorStore
+from patchrank.embedding import STORE_FORMAT, VectorStore
 from patchrank.pipeline import (
     CANDIDATES_FORMAT,
     CONFIG_KEYS,
@@ -599,6 +599,8 @@ ARRAY_FORMATS = {
     "rank/ranking.bin": RANKING_FORMAT,
     "features/features.bin": FEATURES_FORMAT,
     "features/training.bin": TRAINING_FORMAT,
+    "index/<slug>.message.bin": lexical.INDEX_FORMAT,
+    "vectors/<slug>.bin": STORE_FORMAT,
 }
 
 
@@ -702,11 +704,21 @@ EDITED_CASES = {
         setting("rows", [0, -1], lambda s: s["rows"][[-1, 0]]),
         "eval",
     ),
+    # Its CVE keys come in descending order.
+    "store keys not ascending": ("vectors/<slug>.bin", lambda s: s["cves"].reverse(), "featurize"),
+    # The last document, the largest commit id, becomes a commit of no corpus.
+    "message index of other commits": (
+        "index/<slug>.message.bin",
+        setting("docs", -1, lambda s: "f" * 40),
+        "prerank",
+    ),
     **ROW_CASES,
 }
 
-# The reason each candidates.bin and ranking.bin case is rejected for.
+# The reason each array-artifact case is rejected for.
 LIST_REJECTIONS = {
+    "store keys not ascending": "vector store keys do not ascend",
+    "message index of other commits": "its documents are not the commits of",
     "candidate lines not together": "group offsets or CVE ids are not ascending",
     "candidate offsets past the rows": "group offsets do not fit the 100 rows",
     "ranked CVEs not ascending": "group offsets or CVE ids are not ascending",
@@ -957,10 +969,10 @@ class TestCli:
         artifact, edit, stage = EDITED_CASES[case]
         synth, config_path = self.write_min_config(tmp_path)
         self.run_stages(config_path, STAGES[: STAGES.index(stage)])
+        fmt = ARRAY_FORMATS.get(artifact)
         artifact = artifact.replace("<slug>", repo_slug(synth.cve_records[0]["repo_id"]))
         path = tmp_path / "out" / artifact
-        if artifact in ARRAY_FORMATS:
-            fmt = ARRAY_FORMATS[artifact]
+        if fmt is not None:
             sections = {
                 name: value.copy() if isinstance(value, np.ndarray) else value
                 for name, value in fmt.load(path).items()

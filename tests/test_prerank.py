@@ -5,14 +5,10 @@ from __future__ import annotations
 import pytest
 
 from patchrank.lexical import build_index, query
-from patchrank.prerank import (
-    FusionConfig,
-    prerank_candidates,
-    reciprocal_rank_transform,
-)
+from patchrank.prerank import FusionConfig, prerank_candidates
 
 from conftest import cid, make_commit, make_corpus, make_cve
-from oracles import time_affinity
+from oracles import reciprocal_rank_transform, time_affinity
 
 
 def fixture_four_commits():

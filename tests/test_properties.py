@@ -1,8 +1,8 @@
 """Property tests for the tokenizer, token truncation, diff splitting, the
 section tokens the BM25 indexes read, the commit dump round trip, the
 feature rows' features.bin round trip, the candidate and ranking lists'
-round trip, embed_batch's normalization and the offline vectors
-build_vectors stores."""
+round trip, embed_batch's normalization, the offline vectors
+build_vectors stores and the array pre-ranker."""
 
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from patchrank.corpus import (  # noqa: E402
     ingest_commit_dump,
     serialize_corpus,
     split_diff_by_file,
-    token_count,
     tokenize,
     truncate_to_tokens,
 )
@@ -46,13 +45,24 @@ from patchrank.pipeline import (  # noqa: E402
     save_candidates,
     save_rankings,
 )
+from patchrank.prerank import (  # noqa: E402
+    COMPONENT_NAMES,
+    FusionConfig,
+    fuse_components,
+    prerank_candidates,
+    prerank_components,
+)
 from patchrank.ranker import NUM_FEATURES  # noqa: E402
 
 from oracles import (  # noqa: E402
     CANDIDATE_FIELDS,
     RANKING_FIELDS,
+    file_texts,
+    fuse_components_oracle,
     load_ranked_oracle,
     offline_vector_oracle,
+    prerank_components_oracle,
+    token_count,
     tokenize_oracle,
     truncate_to_tokens_oracle,
 )
@@ -137,7 +147,7 @@ def test_section_tokens_join_to_the_diff_and_file_tokens(diff):
         path: list(chain.from_iterable(parts))
         for (_, path), parts in lexical._doc_tokens(corpus, "file").items()
     }
-    assert file_docs == {path: tokenize(text) for path, text in commit.file_texts().items()}
+    assert file_docs == {path: tokenize(text) for path, text in file_texts(commit).items()}
 
 
 @given(diffs(binary=True))
@@ -352,7 +362,7 @@ def test_build_vectors_stores_the_oracle_vectors_of_the_oracle_prompts(drawn):
         diff = truncate_to_tokens_oracle(commit.diff_text(), commit_budget)
         prompt = render_prompt(PromptKind.COMMIT_DOC, message=commit.message, diff=diff)
         expected[("commit", commit.commit_id)] = prompt
-        for path, text in commit.file_texts().items():
+        for path, text in file_texts(commit).items():
             diff = truncate_to_tokens_oracle(text, file_budget)
             prompt = render_prompt(PromptKind.FILE_DOC, message=commit.message, diff=diff)
             expected[("file", commit.commit_id, path)] = prompt
@@ -367,3 +377,75 @@ def test_build_vectors_stores_the_oracle_vectors_of_the_oracle_prompts(drawn):
     for key, prompt in expected.items():
         stored = embed_batch(_Returns([offline_vector_oracle(prompt, 16)]), [prompt])
         assert store.matrix[store.rows[key]].tobytes() == stored.tobytes()
+
+
+PRERANK_WORDS = st.sampled_from(["alpha", "beta", "gamma", "delta"])
+# A CVE timestamp: none, or one before, among or after the commits' times.
+CVE_TIME = st.one_of(st.none(), st.integers(min_value=-10, max_value=60))
+
+
+@st.composite
+def preranked_corpora(draw):
+    """Up to ten commits, as (id number, author time, message, {path: diff
+    words}), over four words and three author times, so that BM25 scores,
+    distances and times tie; a CVE's (description, reserve time, publish
+    time), the description maybe sharing no term with any commit; a
+    candidate_k from 1 to above the corpus size; and weights that may be 0."""
+    words = st.lists(PRERANK_WORDS, max_size=4).map(" ".join)
+    numbers = draw(st.lists(st.integers(0, 2**32), max_size=10, unique=True))
+    commits = [
+        (
+            number,
+            draw(st.sampled_from([0, 20, 40])),
+            draw(words),
+            draw(st.dictionaries(st.sampled_from(["a.c", "b.c"]), words, max_size=2)),
+        )
+        for number in numbers
+    ]
+    description = draw(st.one_of(words, st.just("unshared words only")))
+    reserve, publish = draw(CVE_TIME), draw(CVE_TIME)
+    if reserve is not None and publish is not None and reserve > publish:
+        reserve, publish = publish, reserve
+    candidate_k = draw(st.integers(min_value=1, max_value=len(commits) + 2))
+    # Weights without an exact binary value, so that sums in another order differ.
+    weight = st.one_of(st.sampled_from([0.0, 0.15, 0.2, 0.3, 0.35]), st.floats(0.0, 2.0))
+    return commits, (description, reserve, publish), candidate_k, draw(st.tuples(*[weight] * 4))
+
+
+@given(preranked_corpora())
+# Equal author times and scores, no timestamps, k below the corpus size.
+@example(([(3, 20, "alpha", {}), (1, 20, "alpha", {})], ("alpha", None, None), 1, (1.0,) * 4))
+# Timestamps outside the commits' times, no shared term, k above the size.
+@example(([(5, 0, "", {}), (4, 40, "gamma", {})], ("unshared", -10, 60), 5, (0.0, 0.2, 0.0, 0.2)))
+# Both timestamps among the commits' times, and every weight 0.
+@example(([(2, 40, "beta", {"a.c": "beta"}), (7, 0, "beta", {})], ("beta", 20, 20), 2, (0.0,) * 4))
+def test_array_prerank_equals_dict_oracle(drawn):
+    """prerank_components and fuse_components give the dict pre-ranker's
+    candidate ids, fused-score bits and component-row bits."""
+    commits, (description, reserve, publish), candidate_k, weights = drawn
+    records = []
+    for number, author_time, message, files in commits:
+        diff = "".join(
+            f"diff --git a/{path} b/{path}\n" + "".join(f"+{w}\n" for w in body.split())
+            for path, body in files.items()
+        )
+        records.append(
+            CommitRecord(f"{number:040x}", "r", author_time, message, tuple(split_diff_by_file(diff)))
+        )
+    corpus = build_corpus("r", records)
+    cve = CveRecord("CVE-2024-0001", description, reserve, publish, "r")
+    config = FusionConfig(weights=weights, candidate_k=candidate_k)
+    indexes = [lexical.build_index(corpus, kind) for kind in ("message", "diff")]
+
+    components = prerank_components(corpus, cve, *indexes, config)
+    positions, scores = fuse_components(corpus, components, config)
+    maps = prerank_components_oracle(corpus, cve, *indexes, config)
+    expected = fuse_components_oracle(corpus, maps, config)
+
+    assert [corpus.commits[p].commit_id for p in positions] == [c for c, _ in expected]
+    assert scores.tobytes() == np.array([s for _, s in expected], dtype=np.float64).tobytes()
+    oracle_rows = [[maps[name].get(c.commit_id, 0.0) for name in COMPONENT_NAMES] for c in corpus.commits]
+    assert components.tobytes() == np.array(oracle_rows, dtype=np.float64).tobytes()
+    ranked = prerank_candidates(corpus, cve, *indexes, config)
+    assert [c for c, _ in ranked] == [c for c, _ in expected]
+    assert np.array([s for _, s in ranked]).tobytes() == np.array([s for _, s in expected]).tobytes()

@@ -22,7 +22,6 @@ from patchrank.path_features import (
     commit_paths,
     extract_entities,
     feature_jaccard,
-    path_universe,
     search_paths,
 )
 from patchrank.prerank import prerank_candidates
@@ -30,19 +29,26 @@ from patchrank import ranker as ranker_mod
 from patchrank.ranker import (
     FEATURE_NAMES,
     FeatureAssembler,
-    MissingFeatureError,
     RankerParams,
     RankModel,
     TrainingDataError,
     TrainingGroup,
     TrainingRow,
+    rerank,
     sample_training_group,
-    score_and_rerank,
     train_lambdarank,
 )
 
-from conftest import cid, feature_rows, make_commit, make_corpus, make_cve
-from oracles import feature_commit_cosine, feature_path_cosine, score_document, time_affinity
+from conftest import cid, feature_rows, make_commit, make_corpus, make_cve, vector_store
+from oracles import (
+    commit_of,
+    feature_commit_cosine,
+    feature_path_cosine,
+    file_texts,
+    path_universe,
+    score_document,
+    time_affinity,
+)
 from synthcorpus import generate
 
 
@@ -125,7 +131,7 @@ class TestFeatureAssembly:
 def reference_row(assembler, cve, commit_id):
     """The nine features of one pair from the per-pair functions."""
     corpus, store, file_index = assembler.corpus, assembler.store, assembler.file_index
-    commit = corpus.get(commit_id)
+    commit = commit_of(corpus, commit_id)
     ner_paths = search_paths(path_universe(corpus), extract_entities(cve.description))
     touched = commit_paths(commit)
 
@@ -178,7 +184,7 @@ class TestMatrixOracle:
     def test_matrix_equals_per_pair_reference(self, setup):
         corpus, cves, assembler, empty_id = setup
         ids = corpus.commit_ids
-        assert not corpus.get(empty_id).file_diffs
+        assert not commit_of(corpus, empty_id).file_diffs
         assert assembler.ner_paths_for(cves[-1]) == set()
         for cve in cves:
             matrix = feature_rows(assembler, cve, ids)
@@ -242,14 +248,15 @@ class TestMatrixOracle:
             return (raw / np.linalg.norm(raw)).astype(np.float32)
 
         query = unit()
-        store.put_cve(cve.cve_id, query)
+        vectors = {("cve", cve.cve_id): query}
         for commit in commits:
-            for path in commit.file_texts():
-                store.put_file(commit.commit_id, path, unit())
-        store.put_file(cid(1), "wide5.java", query)  # ranked sixth, the best cosine
+            for path in file_texts(commit):
+                vectors["file", commit.commit_id, path] = unit()
+        vectors["file", cid(1), "wide5.java"] = query  # ranked sixth, the best cosine
         opposite = unit()
-        store.put_file(cid(5), "opp0.java", opposite)
-        store.put_file(cid(5), "opp1.java", -opposite)
+        vectors["file", cid(5), "opp0.java"] = opposite
+        vectors["file", cid(5), "opp1.java"] = -opposite
+        store = vector_store(64, vectors, base=store)
         assembler = FeatureAssembler(
             corpus, store, build_index(corpus, "diff"), build_index(corpus, "file"), provider
         )
@@ -531,31 +538,22 @@ def stump_model(feature: int, threshold: float, low: float, high: float) -> Rank
     )
 
 
-class TestScoreAndRerank:
+class TestRerank:
+    """rerank orders a candidate list's feature rows, given in pre-rank order."""
+
     def test_stump_on_first_feature_follows_it(self):
         model = stump_model(0, 0.5, low=0.0, high=1.0)
-        cve = make_cve()
-        candidates = [(cid(1), 0.9), (cid(2), 0.8)]
-        features = {
-            cid(1): np.array([0.2] + [0.0] * 8),
-            cid(2): np.array([0.9] + [0.0] * 8),
-        }
-        reranked = score_and_rerank(model, cve, candidates, features)
-        assert [doc for doc, _ in reranked] == [cid(2), cid(1)]
+        features = np.array([[0.2] + [0.0] * 8, [0.9] + [0.0] * 8])
+        order, scores = rerank(model, features)
+        assert order.tolist() == [1, 0]
+        assert scores.tolist() == [0.0, 1.0]
 
     def test_empty_candidates(self):
         model = stump_model(0, 0.5, 0.0, 1.0)
-        assert score_and_rerank(model, make_cve(), [], {}) == []
+        order, scores = rerank(model, np.empty((0, 9)))
+        assert order.tolist() == [] and scores.tolist() == []
 
     def test_ties_keep_prerank_order(self):
         model = RankModel(learning_rate=1.0, trees=[], metadata={"feature_names": list(FEATURE_NAMES)})
-        cve = make_cve()
-        candidates = [(cid(3), 0.9), (cid(1), 0.8), (cid(2), 0.7)]
-        features = {c: np.zeros(9) for c, _ in candidates}
-        reranked = score_and_rerank(model, cve, candidates, features)
-        assert [doc for doc, _ in reranked] == [cid(3), cid(1), cid(2)]
-
-    def test_missing_feature_row_raises(self):
-        model = stump_model(0, 0.5, 0.0, 1.0)
-        with pytest.raises(MissingFeatureError):
-            score_and_rerank(model, make_cve(), [(cid(1), 0.5)], {})
+        order, _ = rerank(model, np.zeros((3, 9)))
+        assert order.tolist() == [0, 1, 2]

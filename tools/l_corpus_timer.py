@@ -1,17 +1,19 @@
-"""Time the eight pipeline stages on the L corpus, each as a CLI child.
+"""Time the eight pipeline stages and ``trace`` on the L corpus, each as a
+CLI child.
 
 The L corpus is ``tests/synthcorpus.generate(seed=7, n_repos=1,
 commits_per_repo=15000, cves_per_repo=6)``, embedded offline, with run
 seed 11. Each stage runs as ``python -m patchrank.cli <stage>`` in its own
 child process: its wall time is taken with ``time.perf_counter`` around the
-child, and its peak RSS from ``os.wait4``. The corpus is written by a child
-too, so that this process stays small and adds little to the children's
-peak RSS.
+child, and its peak RSS from ``os.wait4``. After the stages, one ``trace``
+child ranks the CVE dump's first CVE from their artifacts. The corpus is
+written by a child too, so that this process stays small and adds little to
+the children's peak RSS.
 
 The script prints two Markdown table rows under their header: the stage
-walls, their total and the largest peak RSS; then each stage's peak RSS.
-Then it prints the size of the output directory and the macro MRR of
-``eval/report.json``::
+walls, their total, the trace wall and the largest peak RSS; then each
+stage's and the trace's peak RSS. Then it prints the size of the output
+directory and the macro MRR of ``eval/report.json``::
 
     python3 tools/l_corpus_timer.py [--commits 15000] [--work DIR] [--label HEAD]
 
@@ -53,7 +55,8 @@ def run_child(argv: list[str], env: dict[str, str]) -> tuple[float, float]:
 
 
 def time_stages(work: Path, commits: int) -> dict[str, tuple[float, float]]:
-    """Each stage's wall seconds and peak RSS in MB, its output in ``work/out``."""
+    """Each stage's and the trace's wall seconds and peak RSS in MB, the
+    stages' output in ``work/out``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
     run_child([sys.executable, "-c", GENERATE, str(commits), str(work / "input")], env)
     config = work / "config.json"
@@ -70,21 +73,27 @@ def time_stages(work: Path, commits: int) -> dict[str, tuple[float, float]]:
         encoding="utf-8",
     )
     cli = [sys.executable, "-m", "patchrank.cli"]
-    return {stage: run_child([*cli, stage, "--config", str(config)], env) for stage in STAGES}
+    timed = {stage: run_child([*cli, stage, "--config", str(config)], env) for stage in STAGES}
+    with open(work / "input" / "cves.jsonl", encoding="utf-8") as fh:
+        cve_id = json.loads(fh.readline())["cve_id"]
+    timed["trace"] = run_child([*cli, "trace", "--config", str(config), "--cve", cve_id], env)
+    return timed
 
 
-def report(label: str, stages: dict[str, tuple[float, float]], out: Path) -> str:
-    walls = [wall for wall, _ in stages.values()]
-    peaks = [f"{rss:.0f} MB" for _, rss in stages.values()]
-    top = f"{max(rss for _, rss in stages.values()):.0f} MB"
-    cells = [label, *(f"{wall:.2f} s" for wall in walls), f"{sum(walls):.2f} s", top]
-    rss_cells = [f"{label} peak RSS", *peaks, "–", top]
+def report(label: str, timed: dict[str, tuple[float, float]], out: Path) -> str:
+    walls = [timed[stage][0] for stage in STAGES]
+    peaks = [f"{timed[stage][1]:.0f} MB" for stage in STAGES]
+    trace_wall, trace_rss = timed["trace"]
+    top = f"{max(rss for _, rss in timed.values()):.0f} MB"
+    cells = [label, *(f"{wall:.2f} s" for wall in walls), f"{sum(walls):.2f} s"]
+    cells += [f"{trace_wall:.2f} s", top]
+    rss_cells = [f"{label} peak RSS", *peaks, "–", f"{trace_rss:.0f} MB", top]
     size = sum(p.stat().st_size for p in out.rglob("*") if p.is_file())
     mrr = json.loads((out / "eval" / "report.json").read_text(encoding="utf-8"))["macro"]["mrr"]
     return "\n".join(
         [
-            "| code | " + " | ".join(STAGES) + " | total | peak RSS |",
-            "|---" * (len(STAGES) + 3) + "|",
+            "| code | " + " | ".join(STAGES) + " | total | trace | peak RSS |",
+            "|---" * (len(STAGES) + 4) + "|",
             "| " + " | ".join(cells) + " |",
             "| " + " | ".join(rss_cells) + " |",
             f"output: {size / 1e6:.1f} MB",
