@@ -1,4 +1,5 @@
-"""Okapi BM25 inverted index over commit messages, diffs, and per-file diffs.
+"""Okapi BM25 inverted index over commit messages and per-file diffs, and
+the diff index, which :func:`diff_index` sums from the per-file one.
 
 Serves both the pre-ranking stage and the per-commit file selection used
 by the hierarchical similarity features. The index is held in
@@ -86,16 +87,12 @@ class InvertedIndex:
 
 
 def _doc_tokens(corpus: Corpus, field_kind: str) -> dict[DocId, list[list[str]]]:
-    """Each document's tokens, as lists to be read in order. Diff and file
-    documents take their file sections' cached tokens, so the ``diff`` and
-    ``file`` indexes of one corpus tokenize each section once."""
+    """Each message or file document's tokens, as lists to be read in order.
+    File documents take their file sections' cached tokens."""
     docs: dict[DocId, list[list[str]]] = {}
     if field_kind == "message":
         for commit in corpus.commits:
             docs[commit.commit_id] = [tokenize(commit.message)]
-    elif field_kind == "diff":
-        for commit in corpus.commits:
-            docs[commit.commit_id] = [fd.tokens for fd in commit.file_diffs]
     elif field_kind == "file":
         for commit in corpus.commits:
             for fd in commit.file_diffs:
@@ -116,6 +113,8 @@ def build_index(
 ) -> InvertedIndex:
     """Index one field of every commit; one document per commit (or per file)."""
     check_params(k1=k1, b=b)
+    if field_kind == "diff":
+        return diff_index(build_index(corpus, "file", k1=k1, b=b), corpus.commit_ids)
     tokens = _doc_tokens(corpus, field_kind)
     docs = sorted(tokens)
     counts = [Counter(chain.from_iterable(tokens[doc])) for doc in docs]
@@ -134,6 +133,42 @@ def build_index(
     return InvertedIndex(
         field_kind, docs, lengths, vocab, offsets, doc_ids[order], tfs[order], k1, b
     )
+
+
+def commit_ranks(file_index: InvertedIndex, commit_ids: list[str]) -> np.ndarray:
+    """Each file document's commit, as its position in the ascending
+    ``commit_ids``. A document of any other commit, or documents out of
+    commit order, raise a ValueError."""
+    ranks = {commit_id: rank for rank, commit_id in enumerate(commit_ids)}
+    try:
+        owners = np.array([ranks[commit_id] for commit_id, _ in file_index.docs], dtype=np.int32)
+    except KeyError as exc:
+        raise ValueError(f"a file document names commit {exc.args[0]}, not in the corpus") from None
+    if np.any(np.diff(owners) < 0):
+        raise ValueError("the file documents do not ascend by commit")
+    return owners
+
+
+def diff_index(file_index: InvertedIndex, commit_ids: list[str]) -> InvertedIndex:
+    """The diff index of the commits ``commit_ids``, summed from their file
+    index. A commit's diff document is its file sections, so each of its
+    term frequencies, and its length, is the sum of its file documents'. A
+    commit without sections is an empty document."""
+    docs = sorted(commit_ids)
+    owners = commit_ranks(file_index, docs)
+    lengths = np.bincount(owners, file_index.doc_lengths, len(docs)).astype(np.int32)
+    # Within a term the file documents ascend, so their commits do too: each
+    # (term, commit) pair is one run of postings, which starts where the term
+    # or the commit does, and is summed into one posting.
+    commits = owners[file_index.doc_ids]
+    first = np.ones(len(commits), dtype=bool)
+    np.not_equal(commits[1:], commits[:-1], out=first[1:])
+    first[file_index.offsets[:-1]] = True
+    starts = np.flatnonzero(first)
+    tfs = np.add.reduceat(file_index.tfs, starts, dtype=np.int32)
+    offsets = np.searchsorted(starts, file_index.offsets)
+    vocab, k1, b = file_index.vocab, file_index.k1, file_index.b
+    return InvertedIndex("diff", docs, lengths, vocab, offsets, commits[starts], tfs, k1, b)
 
 
 def _score_array(index: InvertedIndex, query_text: str) -> np.ndarray:

@@ -64,6 +64,8 @@ from .ranker import (
 logger = logging.getLogger(__name__)
 
 STAGES = ("ingest", "index", "embed", "prerank", "featurize", "train", "rank", "eval")
+# The BM25 indexes that index writes; the diff index is summed from the file index.
+STORED_KINDS = ("message", "file")
 
 # Version 2: manifest keys are paths relative to output_dir, and a stage
 # lists every file it read.
@@ -675,10 +677,11 @@ def _embed(config: PipelineConfig, corpus: Corpus, cves: list[CveRecord], provid
 
 
 def stage_index(config: PipelineConfig) -> None:
-    """Build message, diff, and per-file BM25 indexes for every repo."""
+    """Build message and per-file BM25 indexes for every repo; readers sum
+    the diff index from the file index."""
     run = _Run(config, "index")
     for repo_id, corpus in sorted(run.corpora().items()):
-        for kind in lexical.FIELD_KINDS:
+        for kind in STORED_KINDS:
             index = lexical.build_index(corpus, kind, k1=config.bm25_k1, b=config.bm25_b)
             path = run.index_file(repo_slug(repo_id), kind)
             run.write(path, lambda tmp: lexical.save_index(index, tmp))
@@ -704,8 +707,9 @@ def _repo_loader(
     cves: Sequence[CveRecord] = (),
     build: bool = False,
 ) -> Callable[[str], tuple[dict[str, lexical.InvertedIndex], FeatureAssembler | None]]:
-    """A cached function from a repo id to that repo's BM25 indexes of ``kinds``
-    and, given a ``provider``, a feature assembler over them and its vector
+    """A cached function from a repo id to that repo's BM25 indexes of the
+    stored ``kinds``, with the diff index summed from a file index, and, given
+    a ``provider``, a feature assembler over them and its vector
     store, each read once through ``run``. A store that lacks a vector of a
     commit, a file or one of the repo's ``cves`` is malformed. With ``build``,
     a repo whose artifacts are missing, malformed or stale is logged and built
@@ -725,9 +729,9 @@ def _repo_loader(
     def load(repo_id: str):
         corpus, slug = corpora[repo_id], repo_slug(repo_id)
         try:
-            indexes = {
-                kind: run.read(_load_index, run.index_file(slug, kind), corpus) for kind in kinds
-            }
+            indexes = {}
+            for kind in kinds:
+                indexes |= run.read(_load_index, run.index_file(slug, kind), corpus, kind)
             if provider is None:
                 return indexes, None
             path = run.vectors_file(slug)
@@ -741,23 +745,33 @@ def _repo_loader(
             if not build:
                 raise
             logger.warning("trace: %s; building %s in memory", exc.detail, repo_id)
-        indexes = {
-            kind: lexical.build_index(corpus, kind, k1=config.bm25_k1, b=config.bm25_b)
-            for kind in kinds
-        }
+        indexes = {}
+        for kind in kinds:
+            index = lexical.build_index(corpus, kind, k1=config.bm25_k1, b=config.bm25_b)
+            indexes |= _with_diff(index, corpus)
         return indexes, assemble(corpus, indexes, _embed(config, corpus, list(cves), provider))
 
     return load
 
 
-def _load_index(path: Path, corpus: Corpus) -> lexical.InvertedIndex:
-    """The index at ``path``; a message or diff index must hold exactly the
-    commits of ``corpus``, as pre-ranking and the features read it by
-    :attr:`Corpus.id_order`."""
+def _load_index(path: Path, corpus: Corpus, kind: str) -> dict[str, lexical.InvertedIndex]:
+    """The index of ``kind`` at ``path``, by :func:`_with_diff`. A message
+    index must hold exactly the commits of ``corpus``, as pre-ranking reads
+    it by :attr:`Corpus.id_order`; a file index, only commits of ``corpus``."""
     index = lexical.load_index(path)
-    if index.field_kind != "file" and index.docs != sorted(corpus.commit_ids):
+    if index.field_kind != kind:
+        raise ValueError(f"it holds a {index.field_kind} index, not a {kind} index")
+    if kind == "message" and index.docs != sorted(corpus.commit_ids):
         raise ValueError(f"its documents are not the commits of {corpus.repo_id}")
-    return index
+    return _with_diff(index, corpus)
+
+
+def _with_diff(index: lexical.InvertedIndex, corpus: Corpus) -> dict[str, lexical.InvertedIndex]:
+    """``index`` by its kind, and with a file index the diff index of
+    ``corpus`` summed from it."""
+    if index.field_kind != "file":
+        return {index.field_kind: index}
+    return {"file": index, "diff": lexical.diff_index(index, corpus.commit_ids)}
 
 
 def _prerank(
@@ -782,7 +796,7 @@ def stage_prerank(config: PipelineConfig) -> None:
     corpora = run.corpora()
     cves = run.cves()
     fusion = config.fusion_config()
-    repo = _repo_loader(run, corpora, ("message", "diff"))
+    repo = _repo_loader(run, corpora, STORED_KINDS)
     records = []
     lists = {}
     component_rows = [np.empty((0, len(prerank.COMPONENT_NAMES)))]
@@ -866,7 +880,7 @@ def stage_featurize(config: PipelineConfig) -> None:
         positions = _corpus_positions(candidates, listed, corpora)
     except KeyError as exc:
         raise StageInputError("featurize", f"{run.candidates_bin}: {exc.args[0]}") from exc
-    repo = _repo_loader(run, corpora, ("diff", "file"), config.provider(), list(cves.values()))
+    repo = _repo_loader(run, corpora, ("file",), config.provider(), list(cves.values()))
     features = np.empty((len(positions), NUM_FEATURES))
     entity_records = []
     groups = []
@@ -1007,7 +1021,7 @@ def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
         raise ConfigError(f"CVE {cve_id!r} not found in {config.cve_dump}")
     if target.repo_id not in corpora:
         raise ConfigError(f"repo {target.repo_id!r} of CVE {cve_id} not found in commit dump")
-    repo = _repo_loader(run, corpora, lexical.FIELD_KINDS, config.provider(), cves, build=True)
+    repo = _repo_loader(run, corpora, STORED_KINDS, config.provider(), cves, build=True)
 
     @functools.cache
     def preranked(cve: CveRecord) -> tuple[np.ndarray, np.ndarray]:

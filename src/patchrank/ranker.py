@@ -16,7 +16,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from itertools import accumulate, count
+from itertools import count
 from pathlib import Path
 from typing import Sequence
 
@@ -25,7 +25,7 @@ import numpy as np
 from .corpus import Corpus, CveRecord, expect
 from .embedding import MissingVectorError, VectorStore, embed_batch
 from .hier_features import DEFAULT_HIER_CONFIG, cosine, mean_cosine
-from .lexical import InvertedIndex, _score_array
+from .lexical import InvertedIndex, _score_array, commit_ranks
 from .path_features import (
     DEFAULT_PER_ENTITY_CAP,
     commit_paths,
@@ -121,10 +121,10 @@ class FeatureAssembler:
             self._doc_rows = np.array([rows[("file", *doc)] for doc in file_index.docs], np.intp)
         except KeyError as exc:
             raise MissingVectorError(exc.args[0]) from None
-        counts = {commit_id: len(paths) for commit_id, paths in file_index.commit_files.items()}
-        starts = dict(zip(counts, accumulate(counts.values(), initial=0)))
-        self._file_starts = np.array([starts.get(c.commit_id, 0) for c in commits], dtype=np.intp)
-        self._file_counts = np.array([counts.get(c.commit_id, 0) for c in commits], dtype=np.intp)
+        owners = commit_ranks(file_index, sorted(corpus.commit_ids))
+        counts = np.bincount(owners, minlength=len(commits))
+        self._file_starts = (np.cumsum(counts) - counts)[corpus.id_ranks]
+        self._file_counts = counts[corpus.id_ranks]
         # The provider's normalized path-set vectors, a row per path_text() in _path_rows.
         self._path_rows: dict[str, int] = {}
         self._path_vectors = np.empty((0, 0), dtype=np.float32)  # replaced on first use

@@ -139,6 +139,29 @@ def bm25_oracle_scores(
     return scores
 
 
+def diff_index_oracle(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> InvertedIndex:
+    """The diff index built from tokens: each commit's document is its file
+    sections' tokens joined, counted term by term."""
+    docs = sorted(corpus.commit_ids)
+    by_id = {commit.commit_id: commit for commit in corpus.commits}
+    counts = [Counter(t for fd in by_id[doc].file_diffs for t in fd.tokens) for doc in docs]
+    vocab = sorted(set().union(*counts))
+    postings = sorted((term, doc, tf) for doc, c in enumerate(counts) for term, tf in c.items())
+    per_term = Counter(term for term, _, _ in postings)
+    offsets = np.cumsum([0] + [per_term[term] for term in vocab])
+    return InvertedIndex(
+        "diff",
+        docs,
+        np.array([c.total() for c in counts], dtype=np.int32),
+        vocab,
+        np.array(offsets, dtype=np.int64),
+        np.array([doc for _, doc, _ in postings], dtype=np.int32),
+        np.array([tf for _, _, tf in postings], dtype=np.int32),
+        k1,
+        b,
+    )
+
+
 # The pre-ranker as dict code over commit ids, one dict per component: the
 # reference for prerank's array code, which must give the same ids and bits.
 

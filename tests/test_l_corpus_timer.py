@@ -1,4 +1,4 @@
-"""The L-corpus stage timer, run on a 200-commit corpus."""
+"""The L-corpus stage timer, run on a 200-commit corpus with 3 CVEs."""
 
 from __future__ import annotations
 
@@ -12,11 +12,11 @@ SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "l_corpus_timer.py"
 
 def test_timer_prints_a_row_the_output_size_and_the_mrr(tmp_path):
     """Also a second row, of each stage's peak RSS, and in both the trace's
-    column after the total."""
-    argv = [sys.executable, str(SCRIPT), "--commits", "200", "--work", str(tmp_path), "--label", "x"]
-    done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    column after the total; and the size of each top-level directory."""
+    argv = [sys.executable, str(SCRIPT), "--commits", "200", "--cves", "3", "--work", str(tmp_path)]
+    done = subprocess.run([*argv, "--label", "x"], capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    header, rule, row, rss_row, size, mrr = done.stdout.splitlines()
+    header, rule, row, rss_row, size, by_directory, mrr = done.stdout.splitlines()
     assert header.split(" | ")[1:11] == [
         "ingest", "index", "embed", "prerank", "featurize", "train", "rank", "eval", "total", "trace"
     ]
@@ -33,6 +33,16 @@ def test_timer_prints_a_row_the_output_size_and_the_mrr(tmp_path):
     assert max(peaks, key=lambda cell: int(cell.removesuffix(" MB"))) == cells[11]
     out_mb = sum(p.stat().st_size for p in (tmp_path / "out").rglob("*") if p.is_file()) / 1e6
     assert size == f"output: {out_mb:.1f} MB"
+    tops = sorted(p for p in (tmp_path / "out").iterdir() if p.is_dir())
+    assert [top.name for top in tops] == [
+        "corpus", "eval", "features", "index", "manifests", "model", "prerank", "rank", "vectors"
+    ]
+    sized = [
+        f"{top.name} {sum(p.stat().st_size for p in top.rglob('*') if p.is_file()) / 1e6:.2f} MB"
+        for top in tops
+    ]
+    assert by_directory == "by directory: " + ", ".join(sized)
     assert re.fullmatch(r"macro MRR: [01]\.\d{3}", mrr)
     commits = (tmp_path / "input" / "commits.jsonl").read_text().splitlines()
     assert len(commits) == 200
+    assert len((tmp_path / "input" / "cves.jsonl").read_text().splitlines()) == 3

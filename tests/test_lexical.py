@@ -16,6 +16,7 @@ from patchrank.lexical import (
     INDEX_FORMAT,
     accumulate_scores,
     build_index,
+    diff_index,
     load_index,
     query,
     rank_files_within_commit,
@@ -164,6 +165,23 @@ class TestQuery:
         once = query(index, "ssl", 1)
         thrice = query(index, "ssl ssl ssl", 1)
         assert once == thrice
+
+
+class TestDiffIndex:
+    def test_file_document_of_another_commit_rejected(self):
+        corpus = random_corpus(5, seed=2)
+        files = build_index(corpus, "file")
+        last = max(corpus.commit_ids)
+        others = [c for c in corpus.commit_ids if c != last]
+        with pytest.raises(ValueError, match=f"names commit {last}, not in the corpus"):
+            diff_index(files, others)
+
+    def test_file_documents_out_of_commit_order_rejected(self):
+        corpus = random_corpus(5, seed=2)
+        files = build_index(corpus, "file")
+        files.docs = files.docs[::-1]
+        with pytest.raises(ValueError, match="do not ascend by commit"):
+            diff_index(files, corpus.commit_ids)
 
 
 class TestScoreDocument:

@@ -436,10 +436,10 @@ class TestArtifactIO:
             "ingest": {"commit_dump", "cve_dump"},
             "index": corpora,
             "embed": corpora | {cves},
-            "prerank": corpora | {cves} | per_repo("index/{}.message.bin", "index/{}.diff.bin"),
+            "prerank": corpora | {cves} | per_repo("index/{}.message.bin", "index/{}.file.bin"),
             "featurize": corpora
             | {cves, "prerank/candidates.bin"}
-            | per_repo("index/{}.diff.bin", "index/{}.file.bin", "vectors/{}.bin"),
+            | per_repo("index/{}.file.bin", "vectors/{}.bin"),
             "train": {"features/training.bin"},
             "rank": {cves, "model/model.json", "prerank/candidates.bin", "features/features.bin"},
             "eval": {cves, "prerank/candidates.bin", "rank/ranking.bin"},
@@ -583,7 +583,7 @@ MALFORMED_CASES = [
     ("prerank/candidates.bin", None, "eval", True),
     ("rank/ranking.bin", None, "eval", True),
     ("vectors/<slug>.bin", None, "featurize", True),
-    ("index/<slug>.file.bin", None, "featurize", True),
+    ("index/<slug>.file.bin", None, "prerank", True),
 ]
 
 
@@ -600,6 +600,7 @@ ARRAY_FORMATS = {
     "features/features.bin": FEATURES_FORMAT,
     "features/training.bin": TRAINING_FORMAT,
     "index/<slug>.message.bin": lexical.INDEX_FORMAT,
+    "index/<slug>.file.bin": lexical.INDEX_FORMAT,
     "vectors/<slug>.bin": STORE_FORMAT,
 }
 
@@ -712,6 +713,19 @@ EDITED_CASES = {
         setting("docs", -1, lambda s: "f" * 40),
         "prerank",
     ),
+    # A message index stored under the field kind code of the diff index.
+    "index of another kind": (
+        "index/<slug>.message.bin",
+        setting("field_kind", 0, lambda s: lexical.FIELD_KINDS.index("diff")),
+        "prerank",
+    ),
+    # The last file document's commit, the largest, becomes a commit of no
+    # corpus; its doc strings are (commit id, path) pairs.
+    "file index of other commits": (
+        "index/<slug>.file.bin",
+        setting("docs", -2, lambda s: "f" * 40),
+        "prerank",
+    ),
     **ROW_CASES,
 }
 
@@ -719,6 +733,8 @@ EDITED_CASES = {
 LIST_REJECTIONS = {
     "store keys not ascending": "vector store keys do not ascend",
     "message index of other commits": "its documents are not the commits of",
+    "index of another kind": "it holds a diff index, not a message index",
+    "file index of other commits": f"a file document names commit {'f' * 40}, not in the corpus",
     "candidate lines not together": "group offsets or CVE ids are not ascending",
     "candidate offsets past the rows": "group offsets do not fit the 100 rows",
     "ranked CVEs not ascending": "group offsets or CVE ids are not ascending",
@@ -1347,7 +1363,7 @@ class TestTraceReuse:
         builds.update(index=0, vectors=0)
         caplog.clear()
         result = run_trace(config, record["cve_id"])
-        assert builds == {"index": 3 * built, "vectors": built}
+        assert builds == {"index": 2 * built, "vectors": built}
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == count and all(warning in w for w in warnings), warnings
         retrained = count > built

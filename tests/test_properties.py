@@ -1,5 +1,6 @@
 """Property tests for the tokenizer, token truncation, diff splitting, the
-section tokens the BM25 indexes read, the commit dump round trip, the
+section tokens the BM25 indexes read, the diff index summed from the file
+index, the commit dump round trip, the
 feature rows' features.bin round trip, the candidate and ranking lists'
 round trip, embed_batch's normalization, the offline vectors
 build_vectors stores and the array pre-ranker."""
@@ -57,6 +58,7 @@ from patchrank.ranker import NUM_FEATURES  # noqa: E402
 from oracles import (  # noqa: E402
     CANDIDATE_FIELDS,
     RANKING_FIELDS,
+    diff_index_oracle,
     file_texts,
     fuse_components_oracle,
     load_ranked_oracle,
@@ -137,17 +139,52 @@ def test_split_diff_by_file_concatenates_back(diff):
 
 @given(diffs(binary=True))
 def test_section_tokens_join_to_the_diff_and_file_tokens(diff):
-    """The diff and file documents the BM25 indexes read, built from each
-    section's tokens, are the tokens of the diff and file texts."""
+    """The file documents the BM25 indexes read, built from each section's
+    tokens, are the tokens of the file texts, and all sections' tokens,
+    which the diff index sums, are the tokens of the diff text."""
     commit = commit_of(diff)
     corpus = build_corpus("r", [commit])
-    (diff_doc,) = lexical._doc_tokens(corpus, "diff").values()
-    assert list(chain.from_iterable(diff_doc)) == tokenize(commit.diff_text())
+    sections = [fd.tokens for fd in commit.file_diffs]
+    assert list(chain.from_iterable(sections)) == tokenize(commit.diff_text())
     file_docs = {
         path: list(chain.from_iterable(parts))
         for (_, path), parts in lexical._doc_tokens(corpus, "file").items()
     }
     assert file_docs == {path: tokenize(text) for path, text in file_texts(commit).items()}
+
+
+@st.composite
+def diff_corpora(draw):
+    """Up to six commits, each of a diff drawn by :func:`diffs` with binary
+    sections and paths often repeated, maybe without sections; and BM25
+    parameters."""
+    numbers = draw(st.lists(st.integers(0, 2**32), max_size=6, unique=True))
+    commits = []
+    for number in numbers:
+        preamble, sections = draw(diffs(binary=True, paths=st.one_of(FEW_PATHS, PATH)))
+        file_diffs = tuple(split_diff_by_file(preamble + "".join(sections)))
+        author_time = draw(st.sampled_from([0, 5]))
+        commits.append(CommitRecord(f"{number:040x}", "r", author_time, "", file_diffs))
+    return commits, draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 1.0))
+
+
+@given(diff_corpora())
+# No commits, and commits whose diffs hold no section: no postings at all.
+@example(([], 1.2, 0.75))
+@example(([CommitRecord(f"{n:040x}", "r", 0, "", ()) for n in (2, 1)], 1.2, 0.75))
+def test_diff_index_equals_the_token_oracle(drawn):
+    """The diff index summed from the file index has the arrays and BM25
+    parameters of the one built from each commit's joined section tokens."""
+    commits, k1, b = drawn
+    corpus = build_corpus("r", commits)
+    derived = lexical.diff_index(lexical.build_index(corpus, "file", k1=k1, b=b), corpus.commit_ids)
+    expected = diff_index_oracle(corpus, k1, b)
+    assert derived.field_kind == "diff"
+    assert (derived.docs, derived.vocab) == (expected.docs, expected.vocab)
+    for name in ("doc_lengths", "offsets", "doc_ids", "tfs"):
+        got, want = getattr(derived, name), getattr(expected, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert (derived.k1, derived.b) == (k1, b)
 
 
 @given(diffs(binary=True))

@@ -13,12 +13,14 @@ the children's peak RSS.
 The script prints two Markdown table rows under their header: the stage
 walls, their total, the trace wall and the largest peak RSS; then each
 stage's and the trace's peak RSS. Then it prints the size of the output
-directory and the macro MRR of ``eval/report.json``::
+directory, the size of each of its top-level directories (``index``,
+``vectors``, ...), and the macro MRR of ``eval/report.json``::
 
-    python3 tools/l_corpus_timer.py [--commits 15000] [--work DIR] [--label HEAD]
+    python3 tools/l_corpus_timer.py [--commits 15000] [--cves 6] [--work DIR] [--label HEAD]
 
-``--commits`` shrinks the corpus for a quick check. Without ``--work`` the
-corpus and the artifacts go to a temporary directory that is removed.
+``--commits`` shrinks the corpus for a quick check; ``--cves 30`` gives the
+L-30 corpus. Without ``--work`` the corpus and the artifacts go to a
+temporary directory that is removed.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ ROOT = Path(__file__).resolve().parents[1]
 STAGES = ("ingest", "index", "embed", "prerank", "featurize", "train", "rank", "eval")
 GENERATE = (
     "import sys; from pathlib import Path; from synthcorpus import generate; "
-    "generate(seed=7, n_repos=1, commits_per_repo=int(sys.argv[1]), cves_per_repo=6)"
-    ".write(Path(sys.argv[2]))"
+    "generate(seed=7, n_repos=1, commits_per_repo=int(sys.argv[1]), "
+    "cves_per_repo=int(sys.argv[2])).write(Path(sys.argv[3]))"
 )
 
 
@@ -54,11 +56,11 @@ def run_child(argv: list[str], env: dict[str, str]) -> tuple[float, float]:
     return wall, usage.ru_maxrss / 1024  # KiB on Linux
 
 
-def time_stages(work: Path, commits: int) -> dict[str, tuple[float, float]]:
+def time_stages(work: Path, commits: int, cves: int) -> dict[str, tuple[float, float]]:
     """Each stage's and the trace's wall seconds and peak RSS in MB, the
     stages' output in ``work/out``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
-    run_child([sys.executable, "-c", GENERATE, str(commits), str(work / "input")], env)
+    run_child([sys.executable, "-c", GENERATE, str(commits), str(cves), str(work / "input")], env)
     config = work / "config.json"
     config.write_text(
         json.dumps(
@@ -89,6 +91,11 @@ def report(label: str, timed: dict[str, tuple[float, float]], out: Path) -> str:
     cells += [f"{trace_wall:.2f} s", top]
     rss_cells = [f"{label} peak RSS", *peaks, "–", f"{trace_rss:.0f} MB", top]
     size = sum(p.stat().st_size for p in out.rglob("*") if p.is_file())
+    sizes = {
+        top.name: sum(p.stat().st_size for p in top.rglob("*") if p.is_file())
+        for top in sorted(out.iterdir())
+        if top.is_dir()
+    }
     mrr = json.loads((out / "eval" / "report.json").read_text(encoding="utf-8"))["macro"]["mrr"]
     return "\n".join(
         [
@@ -97,6 +104,7 @@ def report(label: str, timed: dict[str, tuple[float, float]], out: Path) -> str:
             "| " + " | ".join(cells) + " |",
             "| " + " | ".join(rss_cells) + " |",
             f"output: {size / 1e6:.1f} MB",
+            "by directory: " + ", ".join(f"{n} {b / 1e6:.2f} MB" for n, b in sizes.items()),
             f"macro MRR: {mrr:.3f}",
         ]
     )
@@ -105,13 +113,14 @@ def report(label: str, timed: dict[str, tuple[float, float]], out: Path) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--commits", type=int, default=15000, help="commits in the one repository")
+    parser.add_argument("--cves", type=int, default=6, help="CVEs of the one repository")
     parser.add_argument("--work", type=Path, help="directory for the corpus and the artifacts")
     parser.add_argument("--label", default="HEAD", help="the row's first cell")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         work = (args.work or Path(tmp)).resolve()
         work.mkdir(parents=True, exist_ok=True)
-        print(report(args.label, time_stages(work, args.commits), work / "out"))
+        print(report(args.label, time_stages(work, args.commits, args.cves), work / "out"))
     return 0
 
 
