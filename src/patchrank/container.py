@@ -44,24 +44,27 @@ class Format:
         else anything numpy converts to the section's dtype and shape."""
         if arrays.keys() != self.sections.keys():
             raise ValueError(f"{self.name} sections are {list(self.sections)}, got {list(arrays)}")
-        entries, chunks = [], []
-        for name, spec in self.sections.items():
-            if spec.dtype == STR:
-                encoded = [s.encode("utf-8") for s in arrays[name]]
-                ends = np.cumsum([len(e) for e in encoded], dtype="<i8")
-                shape = (len(encoded), int(ends[-1]) if encoded else 0)
-                data = ends.tobytes() + b"".join(encoded)
-            else:
-                array = np.ascontiguousarray(arrays[name], dtype=spec.dtype)
-                if array.ndim != (1 if spec.columns == 1 else 2):
-                    raise ValueError(f"section {name}: array of shape {array.shape}")
-                shape = (len(array), array.shape[1] if array.ndim == 2 else 1)
-                data = array.tobytes()
-            entries.append(_ENTRY.pack(name.encode("ascii"), spec.dtype.encode("ascii"), *shape))
-            chunks.append(data + bytes(-len(data) % 8))
+        # Sections are written one at a time, and the table of their shapes last.
+        entries = []
         with open(path, "wb") as fh:
+            fh.seek(_HEAD.size + len(self.sections) * _ENTRY.size)
+            for name, spec in self.sections.items():
+                if spec.dtype == STR:
+                    encoded = [s.encode("utf-8") for s in arrays[name]]
+                    ends = np.cumsum([len(e) for e in encoded], dtype="<i8")
+                    shape = (len(encoded), int(ends[-1]) if encoded else 0)
+                    data = [ends.tobytes(), *encoded]
+                else:
+                    array = np.ascontiguousarray(arrays[name], dtype=spec.dtype)
+                    if array.ndim != (1 if spec.columns == 1 else 2):
+                        raise ValueError(f"section {name}: array of shape {array.shape}")
+                    shape = (len(array), array.shape[1] if array.ndim == 2 else 1)
+                    data = [array.reshape(-1).view(np.uint8)]  # the array's bytes, not a copy
+                fh.writelines([*data, bytes(-sum(map(len, data)) % 8)])
+                entries.append(_ENTRY.pack(name.encode(), spec.dtype.encode(), *shape))
+            fh.seek(0)
             fh.write(_HEAD.pack(self.magic, self.version, len(entries)))
-            fh.writelines(entries + chunks)
+            fh.writelines(entries)
 
     def load(self, path: str | Path, build: Callable = dict):
         """``build(**sections)`` of a :meth:`save` file. A short file, another

@@ -1,8 +1,8 @@
 """Commit and CVE corpus handling.
 
 Loads line-delimited JSON dumps of commit histories and CVE records,
-splits raw unified diffs into per-file units, and provides the
-tokenizer used everywhere else (indexing, embedding, truncation).
+splits raw unified diffs into per-file units, saves and loads a corpus as
+one binary file, and provides the tokenizer used everywhere else.
 
 Every JSONL file, dump or artifact, is written by :func:`write_jsonl` and
 read by :func:`read_jsonl`, which checks each line with the typed value
@@ -17,12 +17,14 @@ import reprlib
 import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import asdict, dataclass, field
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
+
+from .container import STR, Format, Section
 
 
 class DumpFormatError(ValueError):
@@ -381,11 +383,54 @@ def ingest_multi_repo_dump(path: str | Path) -> dict[str, Corpus]:
     return {repo: build_corpus(repo, records) for repo, records in sorted(by_repo.items())}
 
 
-def serialize_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus back to dump format. Re-ingesting yields an equal corpus,
-    except that a binary section followed by another comes back with its
-    header's line break as its body: paths and section texts are kept."""
-    write_jsonl(path, (_dump_record(c, COMMIT_FIELDS, diff=c.diff_text()) for c in corpus.commits))
+# corpus/<slug>.bin: the commits in corpus order, then their file sections in
+# that order, commit i's ending at section_ends[i]. A path is its header's.
+CORPUS_FORMAT = Format(
+    "corpus",
+    b"PRCM",
+    1,
+    dict(repo_id=Section(STR), commit_ids=Section(STR), author_times=Section("<i8"))
+    | dict(messages=Section(STR), section_ends=Section("<i8"))
+    | dict(headers=Section(STR), bodies=Section(STR)),
+)
+
+
+def save_corpus(corpus: Corpus, path: str | Path) -> None:
+    """Write ``corpus`` as CORPUS_FORMAT; :func:`load_corpus` gives it back equal."""
+    sections = [fd for commit in corpus.commits for fd in commit.file_diffs]
+    CORPUS_FORMAT.save(
+        path,
+        repo_id=[corpus.repo_id],
+        commit_ids=corpus.commit_ids,
+        author_times=corpus.time_index,
+        messages=[commit.message for commit in corpus.commits],
+        section_ends=np.cumsum([len(commit.file_diffs) for commit in corpus.commits]),
+        headers=[fd.header for fd in sections],
+        bodies=[fd.body for fd in sections],
+    )
+
+
+def load_corpus(path: str | Path, repo_id: str) -> Corpus:
+    """Repository ``repo_id``'s corpus in a :func:`save_corpus` file, checked as
+    a dump is, and that its section ends fit; a ValueError names ``path``."""
+    return CORPUS_FORMAT.load(path, partial(_corpus, repo_id))
+
+
+def _corpus(expected, repo_id, commit_ids, author_times, messages, section_ends, headers, bodies):
+    if repo_id != [expected]:
+        raise ValueError(f"it holds repository {', '.join(map(repr, repo_id))}, not {expected!r}")
+    bounds = [0, *section_ends.tolist()]
+    if bounds != sorted(bounds) or bounds[-1] != len(headers) or len(bodies) != len(headers):
+        raise ValueError(f"section ends do not fit the {len(headers)} sections")
+    diffs = list(map(FileDiff, map(_path_from_header, headers), headers, bodies))
+    rows = zip(commit_ids, author_times.tolist(), messages, bounds[:-1], bounds[1:], strict=True)
+    commits = [CommitRecord(c, expected, t, m, tuple(diffs[a:b])) for c, t, m, a, b in rows]
+    corpus = build_corpus(expected, commits)
+    if len(corpus._positions) < len(commits):
+        raise ValueError("a commit id repeats")
+    if corpus.commits != commits:
+        raise ValueError("commits do not ascend by (author_time, commit_id)")
+    return corpus
 
 
 def load_cve_dump(path: str | Path) -> list[CveRecord]:
@@ -394,10 +439,4 @@ def load_cve_dump(path: str | Path) -> list[CveRecord]:
 
 
 def serialize_cves(cves: list[CveRecord], path: str | Path) -> None:
-    rows = (_dump_record(c, CVE_FIELDS, known_patch_ids=sorted(c.known_patch_ids)) for c in cves)
-    write_jsonl(path, rows)
-
-
-def _dump_record(record, fields: dict[str, Callable], **derived) -> dict:
-    """``record``'s dump line: each key of ``fields`` from ``derived`` or its attribute."""
-    return {key: derived[key] if key in derived else getattr(record, key) for key in fields}
+    write_jsonl(path, ({**asdict(c), "known_patch_ids": sorted(c.known_patch_ids)} for c in cves))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -70,11 +71,14 @@ class InvertedIndex:
         self._norm = np.zeros(self.doc_count)
         if total:
             self._norm = self.k1 * (1.0 - self.b + self.b * self.doc_lengths / self.avg_doc_length)
-        # file kind only: commit_id -> paths in ascending path order
-        self.commit_files: dict[str, list[str]] = {}
-        if self.field_kind == "file":
-            for commit_id, path in self.docs:
-                self.commit_files.setdefault(commit_id, []).append(path)
+
+    @cached_property
+    def commit_files(self) -> dict[str, list[str]]:
+        """A file index's commit id -> paths, ascending; built on first use."""
+        files: dict[str, list[str]] = {}
+        for commit_id, path in self.docs if self.field_kind == "file" else ():
+            files.setdefault(commit_id, []).append(path)
+        return files
 
     def posting(self, term: str) -> dict[DocId, int]:
         """Each document containing ``term``, with the term's frequency in it."""

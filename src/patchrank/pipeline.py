@@ -21,7 +21,7 @@ import hashlib
 import json
 import logging
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Container, Sequence
 from dataclasses import dataclass, replace
 from itertools import count
 from pathlib import Path
@@ -497,7 +497,7 @@ class Artifacts:
         return path.relative_to(self.root).as_posix()
 
     def corpus_file(self, slug: str) -> Path:
-        return self.root / "corpus" / f"{slug}.jsonl"
+        return self.root / "corpus" / f"{slug}.bin"
 
     def index_file(self, slug: str, kind: str) -> Path:
         return self.root / "index" / f"{slug}.{kind}.bin"
@@ -626,12 +626,13 @@ class _Run(Artifacts):
             [c for c in cves if keep in (None, c.repo_id)],
         )
 
-    def corpora(self) -> dict[str, Corpus]:
+    def corpora(self, wanted: Container[str] | None = None) -> dict[str, Corpus]:
+        """The corpora of ``repos.json``: ``--repo``'s if set, of ``wanted`` if given."""
         slugs = self.read(_read_repos, self.repos_file)
         return {
-            repo_id: self.read(corpus_mod.ingest_commit_dump, self.corpus_file(slug))
+            repo_id: self.read(corpus_mod.load_corpus, self.corpus_file(slug), repo_id)
             for repo_id, slug in slugs.items()
-            if self.config.repo_filter in (None, repo_id)
+            if self.config.repo_filter in (None, repo_id) and (wanted is None or repo_id in wanted)
         }
 
     def cves(self) -> list[CveRecord]:
@@ -658,7 +659,7 @@ def stage_ingest(config: PipelineConfig) -> None:
     for repo_id, corpus in sorted(corpora.items()):
         slug = repo_slug(repo_id)
         repo_entries.append({"repo_id": repo_id, "slug": slug, "commits": len(corpus)})
-        run.write(run.corpus_file(slug), lambda tmp: corpus_mod.serialize_corpus(corpus, tmp))
+        run.write(run.corpus_file(slug), lambda tmp: corpus_mod.save_corpus(corpus, tmp))
     run.write(run.repos_file, lambda tmp: tmp.write_bytes(_json_bytes({"repos": repo_entries})))
     run.write(run.cves_file, lambda tmp: corpus_mod.serialize_cves(cves, tmp))
     run.finish()
@@ -1008,14 +1009,26 @@ class TraceResult:
 def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
     """Run the whole pipeline for one CVE, writing nothing under ``output_dir``.
 
-    Each repo's indexes and vector store, and the model, are read through
+    The model, the CVE file and the corpora it needs (with a fresh model, the
+    target's only), and each repo's indexes and vector store, are read through
     ``_Run.read``. Where one is missing or stale, one warning names it and the
-    repo is built, or the model trained on every labeled CVE in the dumps, in
-    memory. Without any labels the pre-ranked order is returned unchanged.
-    Under ``config.repo_filter`` only that repository is read.
+    dumps are parsed, the repo built, or the model trained on every labeled
+    CVE, in memory. Without any labels the pre-ranked order is returned
+    unchanged. Under ``config.repo_filter`` only that repository is read.
     """
     run = _Run(config, "trace")
-    corpora, cves = run.dumps()
+    try:
+        model, model_source = run.read(RankModel.load, run.model_file), str(run.model_file)
+    except StageInputError as exc:
+        logger.warning("trace: %s; training the model in memory", exc.detail)
+        model = None
+    try:
+        cves = run.cves()
+        target_repo = {c.repo_id for c in cves if c.cve_id == cve_id}
+        corpora = run.corpora(None if model is None else target_repo)
+    except StageInputError as exc:
+        logger.warning("trace: %s; parsing the dumps", exc.detail)
+        corpora, cves = run.dumps()
     target = next((c for c in cves if c.cve_id == cve_id), None)
     if target is None:
         raise ConfigError(f"CVE {cve_id!r} not found in {config.cve_dump}")
@@ -1028,10 +1041,7 @@ def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
         indexes, assembler = repo(cve.repo_id)
         return _prerank(assembler.corpus, cve, indexes, config.fusion_config())[:2]
 
-    try:
-        model, model_source = run.read(RankModel.load, run.model_file), str(run.model_file)
-    except StageInputError as exc:
-        logger.warning("trace: %s; training the model in memory", exc.detail)
+    if model is None:
         labeled = [c for c in cves if c.repo_id in corpora and c.known_patch_ids]
         groups = []
         for cve in labeled:

@@ -14,8 +14,9 @@ from patchrank.corpus import (
     DumpFormatError,
     ingest_commit_dump,
     ingest_multi_repo_dump,
+    load_corpus,
     load_cve_dump,
-    serialize_corpus,
+    save_corpus,
     split_diff_by_file,
     tokenize,
     truncate_to_tokens,
@@ -151,13 +152,13 @@ class TestIngestCommitDump:
         ]
         path.write_text("\n".join(lines) + "\n")
         corpus = ingest_commit_dump(path)
-        out = tmp_path / "roundtrip.jsonl"
-        serialize_corpus(corpus, out)
-        assert ingest_commit_dump(out) == corpus
+        out = tmp_path / "corpus.bin"
+        save_corpus(corpus, out)
+        assert load_corpus(out, corpus.repo_id) == corpus
 
     def test_round_trip_keeps_the_path_after_a_binary_section(self, tmp_path):
         """An emptied binary body still ends its header's line, so the next
-        file's header is not glued to it and survives a re-ingest."""
+        file's header is not glued to it and survives a save and load."""
         binary = (
             "diff --git a/img.png b/img.png\n"
             "index 1111111..2222222 100644\n"
@@ -169,9 +170,9 @@ class TestIngestCommitDump:
         (commit,) = corpus.commits
         assert [fd.path for fd in commit.file_diffs] == ["img.png", "x.c"]
         assert "pngdiff" not in tokenize(commit.diff_text())
-        out = tmp_path / "roundtrip.jsonl"
-        serialize_corpus(corpus, out)
-        (again,) = ingest_commit_dump(out).commits
+        out = tmp_path / "corpus.bin"
+        save_corpus(corpus, out)
+        (again,) = load_corpus(out, corpus.repo_id).commits
         assert [fd.path for fd in again.file_diffs] == ["img.png", "x.c"]
         assert again.diff_text() == commit.diff_text()
         assert file_texts(again) == file_texts(commit)

@@ -15,7 +15,7 @@ import pytest
 from patchrank import lexical
 from patchrank import pipeline as pipeline_mod
 from patchrank.cli import main
-from patchrank.corpus import ingest_commit_dump, load_cve_dump
+from patchrank.corpus import CORPUS_FORMAT, load_corpus, load_cve_dump
 from patchrank.embedding import STORE_FORMAT, VectorStore
 from patchrank.pipeline import (
     CANDIDATES_FORMAT,
@@ -430,7 +430,7 @@ class TestArtifactIO:
         def per_repo(*patterns):
             return {pattern.format(slug) for slug in slugs for pattern in patterns}
 
-        corpora = {"corpus/repos.json"} | per_repo("corpus/{}.jsonl")
+        corpora = {"corpus/repos.json"} | per_repo("corpus/{}.bin")
         cves = "corpus/cves.jsonl"
         expected = {
             "ingest": {"commit_dump", "cve_dump"},
@@ -573,7 +573,7 @@ class TestStageInputChecks:
 MALFORMED_CASES = [
     ("corpus/repos.json", b"[]", "index", False),
     ("corpus/repos.json", b"{}", "index", False),
-    ("corpus/<slug>.jsonl", None, "index", False),
+    ("corpus/<slug>.bin", None, "index", False),
     ("corpus/cves.jsonl", None, "prerank", False),
     ("prerank/candidates.bin", None, "featurize", False),
     ("features/training.bin", None, "train", False),
@@ -584,6 +584,7 @@ MALFORMED_CASES = [
     ("rank/ranking.bin", None, "eval", True),
     ("vectors/<slug>.bin", None, "featurize", True),
     ("index/<slug>.file.bin", None, "prerank", True),
+    ("corpus/<slug>.bin", None, "index", True),
 ]
 
 
@@ -602,6 +603,7 @@ ARRAY_FORMATS = {
     "index/<slug>.message.bin": lexical.INDEX_FORMAT,
     "index/<slug>.file.bin": lexical.INDEX_FORMAT,
     "vectors/<slug>.bin": STORE_FORMAT,
+    "corpus/<slug>.bin": CORPUS_FORMAT,
 }
 
 
@@ -624,9 +626,28 @@ def setting(section, index, value):
     return edit
 
 
+class NotUtf8(str):
+    """A string that ``Format.save`` writes as bytes that are not UTF-8."""
+
+    def encode(self, *args):
+        return b"\xff"
+
+
+# The edits of a corpus file, each against one of the loader's checks.
+CORPUS_CASES = {
+    "corpus section ends past the sections": setting(
+        "section_ends", -1, lambda s: len(s["headers"]) + 1
+    ),
+    "corpus commit id not hex": setting("commit_ids", 0, lambda s: "g" * 40),
+    "corpus author time negative": setting("author_times", 0, lambda s: -1),
+    "corpus commits out of order": setting("author_times", 0, lambda s: s["author_times"][-1] + 1),
+    "corpus commit id repeated": setting("commit_ids", 1, lambda s: s["commit_ids"][0]),
+    "corpus message not UTF-8": setting("messages", 0, lambda s: NotUtf8()),
+    "corpus of another repository": setting("repo_id", 0, lambda s: "other/repo"),
+}
+
 # JSONL rows the reader rejects, so the error names the file and line 1.
 ROW_CASES = {
-    "string commit message": ("corpus/<slug>.jsonl", lambda r: r.update(message=5), "index"),
     "extra CVE key": ("corpus/cves.jsonl", lambda r: r.update(extra=1), "prerank"),
     "string known_patch_ids": (
         "corpus/cves.jsonl",
@@ -726,6 +747,7 @@ EDITED_CASES = {
         setting("docs", -2, lambda s: "f" * 40),
         "prerank",
     ),
+    **{case: ("corpus/<slug>.bin", edit, "index") for case, edit in CORPUS_CASES.items()},
     **ROW_CASES,
 }
 
@@ -743,6 +765,13 @@ LIST_REJECTIONS = {
     "ranking row out of range": "candidate row index out of range",
     "commit twice in one list": "appears twice in the list of CVE-",
     "ranking not a permutation of its candidates": "is not a permutation of its candidates",
+    "corpus section ends past the sections": "section ends do not fit the",
+    "corpus commit id not hex": "commit_id must be 40 lowercase hex chars: 'gggg",
+    "corpus author time negative": "author_time must be >= 0, got -1",
+    "corpus commits out of order": "commits do not ascend by (author_time, commit_id)",
+    "corpus commit id repeated": "a commit id repeats",
+    "corpus message not UTF-8": "'utf-8' codec can't decode byte 0xff",
+    "corpus of another repository": "it holds repository 'other/repo', not 'synth/repo0'",
 }
 
 
@@ -1304,13 +1333,14 @@ class TestTraceReuse:
         "change, warning, count, built",
         [
             # A changed dump or setting makes the model stale too, so trace
-            # trains it in memory, which builds every repository.
-            ("commit dump edited", "changed since ingest ran; rerun ingest", 3, 2),
+            # trains it in memory, which builds every repository. A changed
+            # dump or ingest manifest also makes trace parse the dumps.
+            ("commit dump edited", "changed since ingest ran; rerun ingest", 4, 2),
             ("bm25 k1 changed", "index ran with other k1; rerun index", 3, 2),
             ("index file rewritten", ".file.bin differs from", 1, 1),
             ("vector store truncated", ".bin differs from", 1, 1),
             ("version-2 vector store", "unsupported vector store version 2", 1, 1),
-            ("version-1 manifests", "malformed or of another version", 3, 2),
+            ("version-1 manifests", "malformed or of another version", 4, 2),
         ],
         # Each id names the change and what it makes stale.
         ids=[
@@ -1336,7 +1366,7 @@ class TestTraceReuse:
         elif change == "bm25 k1 changed":
             config = replace(staged, bm25_k1=1.5)
         elif change == "index file rewritten":
-            corpus = ingest_commit_dump(art.corpus_file(slug))
+            corpus = load_corpus(art.corpus_file(slug), record["repo_id"])
             rewritten = lexical.build_index(corpus, "file", k1=2.0)
             lexical.save_index(rewritten, art.index_file(slug, "file"))
         elif change == "vector store truncated":
@@ -1370,3 +1400,100 @@ class TestTraceReuse:
         assert result.model_source == ("trained in memory" if retrained else str(art.model_file))
         from_dumps = run_trace(replace(config, output_dir=tmp_path / "from-dumps"), record["cve_id"])
         assert entries(result) == entries(from_dumps)
+
+
+@pytest.fixture(scope="module")
+def three_repos(tmp_path_factory):
+    """A 3-repo synthetic corpus with all stages run once through the CLI."""
+    tmp = tmp_path_factory.mktemp("three-repos")
+    synth = generate(seed=13, n_repos=3, commits_per_repo=50, cves_per_repo=2)
+    commit_dump, cve_dump = synth.write(tmp / "input")
+    config_path = write_trace_config(tmp, commit_dump, cve_dump, tmp / "out")
+    for stage in STAGES:
+        assert main([stage, "--config", str(config_path)]) == 0, stage
+    return synth, config_path
+
+
+def write_trace_config(tmp: Path, commit_dump: Path, cve_dump: Path, output_dir: Path) -> Path:
+    path = tmp / "config.json"
+    obj = {"commit_dump": str(commit_dump), "cve_dump": str(cve_dump), "offline": True}
+    obj["ranker"] = {"learning_rate": 0.2, "num_leaves": 7, "min_data_in_leaf": 2}
+    path.write_text(json.dumps(obj | {"output_dir": str(output_dir)}))
+    return path
+
+
+def trace_rows(out: str) -> list[str]:
+    """The printed trace without its first line, which names the model."""
+    return out.splitlines()[1:]
+
+
+class TestTraceCorpusFiles:
+    """``trace`` reads the fresh corpus files it needs, and parses the dumps
+    only when one is missing, malformed or stale."""
+
+    def trace(self, config_path, cve_id, capsys, *extra) -> str:
+        capsys.readouterr()
+        assert main(["trace", "--config", str(config_path), "--cve", cve_id, *extra]) == 0
+        return capsys.readouterr().out
+
+    def test_fresh_model_reads_only_the_target_corpus(self, three_repos, monkeypatch, capsys, caplog):
+        synth, config_path = three_repos
+        record = synth.cve_records[-1]
+        calls = {"dumps": 0, "corpora": []}
+        ingest, load = pipeline_mod.corpus_mod.ingest_multi_repo_dump, load_corpus
+
+        def counted_ingest(path):
+            calls["dumps"] += 1
+            return ingest(path)
+
+        def counted_load(path, repo_id):
+            calls["corpora"].append(Path(path).name)
+            return load(path, repo_id)
+
+        monkeypatch.setattr(pipeline_mod.corpus_mod, "ingest_multi_repo_dump", counted_ingest)
+        monkeypatch.setattr(pipeline_mod.corpus_mod, "load_corpus", counted_load)
+        caplog.clear()
+        out = self.trace(config_path, record["cve_id"], capsys)
+        assert out.startswith(f"{record['cve_id']} in {record['repo_id']} (model: ")
+        assert "model.json)" in out.splitlines()[0]
+        assert calls == {"dumps": 0, "corpora": [f"{repo_slug(record['repo_id'])}.bin"]}
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
+    def test_edited_dump_warns_once_and_ranks_as_fresh_artifacts(
+        self, three_repos, tmp_path, capsys, caplog
+    ):
+        synth, config_path = three_repos
+        source = json.loads(config_path.read_text())
+        shutil.copytree(Path(source["commit_dump"]).parent, tmp_path / "input")
+        shutil.copytree(source["output_dir"], tmp_path / "out")
+        commit_dump = tmp_path / "input" / Path(source["commit_dump"]).name
+        cve_dump = tmp_path / "input" / Path(source["cve_dump"]).name
+        config = write_trace_config(tmp_path, commit_dump, cve_dump, tmp_path / "out")
+        edit_commit_dump(commit_dump)
+        cve_id = synth.cve_records[0]["cve_id"]
+        caplog.clear()
+        stale = self.trace(config, cve_id, capsys)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        (warning,) = [w for w in warnings if str(tmp_path / "out" / "corpus") in w]
+        assert warning.startswith("trace: stale artifact ") and "rerun ingest" in warning, warning
+        assert warning.endswith("; parsing the dumps"), warning
+        for stage in STAGES:
+            assert main([stage, "--config", str(config)]) == 0, stage
+        caplog.clear()
+        assert trace_rows(stale) == trace_rows(self.trace(config, cve_id, capsys))
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
+    def test_trace_prints_the_same_from_fresh_artifacts_and_from_the_dumps(
+        self, three_repos, tmp_path, capsys
+    ):
+        synth, config_path = three_repos
+        source = json.loads(config_path.read_text())
+        empty = write_trace_config(
+            tmp_path, Path(source["commit_dump"]), Path(source["cve_dump"]), tmp_path / "empty"
+        )
+        for record in synth.cve_records:
+            fresh = self.trace(config_path, record["cve_id"], capsys, "--top-k", "1000")
+            from_dumps = self.trace(empty, record["cve_id"], capsys, "--top-k", "1000")
+            assert "(model: trained in memory)" in from_dumps.splitlines()[0]
+            assert len(trace_rows(fresh)) > 2 and trace_rows(fresh) == trace_rows(from_dumps)
+        assert not (tmp_path / "empty").exists()

@@ -1,6 +1,6 @@
 """Property tests for the tokenizer, token truncation, diff splitting, the
 section tokens the BM25 indexes read, the diff index summed from the file
-index, the commit dump round trip, the
+index, the corpus file round trip from a commit and from a dump, the
 feature rows' features.bin round trip, the candidate and ranking lists'
 round trip, embed_batch's normalization, the offline vectors
 build_vectors stores and the array pre-ranker."""
@@ -26,7 +26,8 @@ from patchrank.corpus import (  # noqa: E402
     CveRecord,
     build_corpus,
     ingest_commit_dump,
-    serialize_corpus,
+    load_corpus,
+    save_corpus,
     split_diff_by_file,
     tokenize,
     truncate_to_tokens,
@@ -191,11 +192,68 @@ def test_diff_index_equals_the_token_oracle(drawn):
 def test_serialize_then_ingest_keeps_paths_and_texts(diff):
     commit = commit_of(diff)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "commits.jsonl"
-        serialize_corpus(build_corpus("r", [commit]), path)
-        (again,) = ingest_commit_dump(path).commits
+        path = Path(tmp) / "corpus.bin"
+        save_corpus(build_corpus("r", [commit]), path)
+        (again,) = load_corpus(path, "r").commits
     assert [fd.path for fd in again.file_diffs] == [fd.path for fd in commit.file_diffs]
     assert again.section_texts() == commit.section_texts()
+
+
+# Paths that hold a space or a quote, as a header names them.
+ODD_PATHS = st.sampled_from(["my file.c", '"quoted.h"', 'sp ace/"q.c', "naïve/ß.c"])
+BINARY_THEN_TEXT = (
+    "diff --git a/img.png b/img.png\nBinary files a/img.png and b/img.png differ\n"
+    "diff --git a/x.c b/x.c\n+fix\n"
+)
+
+
+@st.composite
+def commit_dumps(draw) -> list[dict]:
+    """A one-repository commit dump's records: up to five commits, of equal or
+    differing times, with any message, the empty one included, and diffs drawn
+    by :func:`diffs` with binary sections, odd paths, or no section at all."""
+    numbers = draw(st.lists(st.integers(0, 2**32), max_size=5, unique=True))
+    records = []
+    for number in numbers:
+        preamble, sections = draw(diffs(binary=True, paths=st.one_of(PATH, ODD_PATHS)))
+        records.append(
+            {
+                "commit_id": f"{number:040x}",
+                "repo_id": "r/ü",
+                "author_time": draw(st.sampled_from([0, 5, 2**40])),
+                "message": draw(TEXT),
+                "diff": preamble + "".join(sections),
+            }
+        )
+    return records
+
+
+def _sections(corpus) -> list[tuple]:
+    return [
+        (fd.path, fd.header, fd.body, fd.tokens) for c in corpus.commits for fd in c.file_diffs
+    ]
+
+
+@given(commit_dumps())
+@example([])
+# A binary section's emptied body, followed by another section, is kept empty.
+@example(
+    [{"commit_id": "1" * 40, "repo_id": "r", "author_time": 1, "message": "", "diff": BINARY_THEN_TEXT}]
+)
+def test_corpus_file_round_trip_equals_the_ingested_dump(records):
+    """A dump-ingested corpus, saved as a corpus file and loaded, is equal:
+    commit ids, times, messages, and each section's path, header, body and
+    tokens."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dump, saved = Path(tmp) / "commits.jsonl", Path(tmp) / "corpus.bin"
+        write_jsonl(dump, records)
+        corpus = ingest_commit_dump(dump)
+        save_corpus(corpus, saved)
+        loaded = load_corpus(saved, corpus.repo_id)
+    assert loaded == corpus
+    assert (loaded.commit_ids, loaded.time_index) == (corpus.commit_ids, corpus.time_index)
+    assert [c.message for c in loaded.commits] == [c.message for c in corpus.commits]
+    assert _sections(loaded) == _sections(corpus)
 
 
 @given(TEXT)
