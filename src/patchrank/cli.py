@@ -14,8 +14,6 @@ import argparse
 import logging
 import sys
 
-from .corpus import DumpFormatError
-from .embedding import EmbedBuildError, ProviderError
 from .pipeline import (
     STAGE_FUNCTIONS,
     STAGES,
@@ -25,7 +23,20 @@ from .pipeline import (
     load_config,
     run_trace,
 )
-from .ranker import TrainingDataError
+
+# The input errors that exit 1 besides ConfigError, by the module that defines
+# them. They are looked up, not imported: a stage loads only the modules it
+# runs, and a module this process has not loaded raised none of its errors.
+_INPUT_ERRORS = {
+    "patchrank.corpus": ("DumpFormatError",),
+    "patchrank.embedding": ("EmbedBuildError", "ProviderError"),
+    "patchrank.ranker": ("TrainingDataError",),
+}
+
+
+def _input_errors() -> tuple[type[Exception], ...]:
+    loaded = ((sys.modules.get(name), classes) for name, classes in _INPUT_ERRORS.items())
+    return (ConfigError, *(getattr(m, c) for m, classes in loaded if m for c in classes))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
     except StageInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, DumpFormatError, TrainingDataError, EmbedBuildError, ProviderError) as exc:
+    except _input_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -50,17 +50,25 @@ class Format:
             fh.seek(_HEAD.size + len(self.sections) * _ENTRY.size)
             for name, spec in self.sections.items():
                 if spec.dtype == STR:
-                    encoded = [s.encode("utf-8") for s in arrays[name]]
-                    ends = np.cumsum([len(e) for e in encoded], dtype="<i8")
-                    shape = (len(encoded), int(ends[-1]) if encoded else 0)
-                    data = [ends.tobytes(), *encoded]
+                    # Each string is written as it is encoded, after room for
+                    # the end offsets, which are written once they are known.
+                    strings = arrays[name]
+                    table = fh.tell()
+                    fh.seek(8 * len(strings), 1)
+                    ends = np.cumsum([fh.write(s.encode("utf-8")) for s in strings], dtype="<i8")
+                    after = fh.tell()
+                    fh.seek(table)
+                    fh.write(ends.tobytes())
+                    fh.seek(after)
+                    shape = (len(strings), int(ends[-1]) if len(ends) else 0)
+                    size = after - table
                 else:
                     array = np.ascontiguousarray(arrays[name], dtype=spec.dtype)
                     if array.ndim != (1 if spec.columns == 1 else 2):
                         raise ValueError(f"section {name}: array of shape {array.shape}")
                     shape = (len(array), array.shape[1] if array.ndim == 2 else 1)
-                    data = [array.reshape(-1).view(np.uint8)]  # the array's bytes, not a copy
-                fh.writelines([*data, bytes(-sum(map(len, data)) % 8)])
+                    size = fh.write(array.reshape(-1).view(np.uint8))  # the bytes, not a copy
+                fh.write(bytes(-size % 8))
                 entries.append(_ENTRY.pack(name.encode(), spec.dtype.encode(), *shape))
             fh.seek(0)
             fh.write(_HEAD.pack(self.magic, self.version, len(entries)))

@@ -4,8 +4,9 @@ Loads line-delimited JSON dumps of commit histories and CVE records,
 splits raw unified diffs into per-file units, saves and loads a corpus as
 one binary file, and provides the tokenizer used everywhere else.
 
-Every JSONL file, dump or artifact, is written by :func:`write_jsonl` and
-read by :func:`read_jsonl`, which checks each line with the typed value
+Every JSONL file, dump or artifact, is written by :func:`write_jsonl`, or
+by :func:`write_ranked_jsonl` with the same bytes for a ranked-list export,
+and read by :func:`read_jsonl`, which checks each line with the typed value
 parsers of :func:`expect`, the parsers of the pipeline config's values.
 """
 
@@ -106,6 +107,24 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(encode(record) + "\n")
+
+
+def write_ranked_jsonl(
+    path: str | Path, score_key: str, lists: Iterable[tuple[str, Iterable[str], Iterable[float]]]
+) -> None:
+    """What :func:`write_jsonl` writes of the records ``{"cve_id", "commit_id",
+    "rank", score_key}`` of each ranked list ``(cve_id, commit_ids, scores)``
+    in ``lists``, ranks from 1, each list written as it comes. A line is one
+    format of fixed keys: each CVE id is encoded once per list, and each score,
+    a finite float, is written by ``float.__repr__``, as ``json`` writes it."""
+    encode = _JSONL_ENCODER.encode
+    fields = {"commit_id": "{0}", "cve_id": "{1}", "rank": "{2}", score_key: "{3!r}"}
+    line = "{{" + ", ".join(f"{encode(k)}: {fields[k]}" for k in sorted(fields)) + "}}\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        for cve_id, commit_ids, scores in lists:
+            cve = encode(cve_id)
+            ranked = enumerate(zip(commit_ids, scores), 1)
+            fh.writelines([line.format(encode(c), cve, rank, score) for rank, (c, score) in ranked])
 
 
 @dataclass(frozen=True)

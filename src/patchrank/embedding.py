@@ -22,12 +22,14 @@ import numpy as np
 
 from .container import STR, Format, Section
 from .corpus import Corpus, CveRecord, tokenize, truncate_tokenized
-
-DEFAULT_COMMIT_TOKEN_BUDGET = 512
-DEFAULT_FILE_TOKEN_BUDGET = 512
-DEFAULT_OFFLINE_DIMENSION = 256
-DEFAULT_BATCH_SIZE = 64
-DEFAULT_MAX_RETRIES = 3
+from .settings import (
+    DEFAULT_BATCH_SIZE,
+    DEFAULT_COMMIT_TOKEN_BUDGET,
+    DEFAULT_FILE_TOKEN_BUDGET,
+    DEFAULT_MAX_RETRIES,
+    DEFAULT_OFFLINE_DIMENSION,
+    check_dimension,
+)
 
 PROVIDER_TOKEN_ENV = "PATCHRANK_PROVIDER_TOKEN"
 _HTTP_TIMEOUT_S = 60.0
@@ -164,8 +166,7 @@ class OfflineEmbedder:
     bucket depends on the embedder's dimension and seed."""
 
     def __init__(self, dimension: int = DEFAULT_OFFLINE_DIMENSION, seed: int = 13):
-        if dimension < 8:
-            raise ValueError(f"embedding dimension must be >= 8, got {dimension}")
+        check_dimension(dimension)
         self.dimension = dimension
         self.seed = seed
         self._terms = _TermIds(dimension, seed)

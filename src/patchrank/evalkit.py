@@ -7,11 +7,12 @@ import json
 import math
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .lexical import RankedList
+from .settings import DEFAULT_METRIC_KS
 
-DEFAULT_METRIC_KS = (10, 100, 1000, 5000)
+if TYPE_CHECKING:
+    from .lexical import RankedList
 
 # Repositories at or above this commit count use the raw difficulty score;
 # smaller ones are damped by ln(100 + #commits).

@@ -20,6 +20,7 @@ import numpy as np
 
 from .container import STR, Format, Section
 from .corpus import Corpus, CveRecord, tokenize
+from .settings import DEFAULT_B, DEFAULT_K1, check_bm25
 
 # A document is a commit (message/diff indexes) or a (commit, path) pair
 # (file index). Ranked lists are (doc_id, score) pairs sorted by descending
@@ -28,8 +29,6 @@ DocId = str | tuple[str, str]
 RankedList = list[tuple[DocId, float]]
 
 FIELD_KINDS = ("message", "diff", "file")
-DEFAULT_K1 = 1.2
-DEFAULT_B = 0.75
 
 # Version 1 was JSON, version 2 a hand-written header. The field kind is its
 # FIELD_KINDS position, bm25 holds k1 and b, and a file document is two doc
@@ -106,17 +105,11 @@ def _doc_tokens(corpus: Corpus, field_kind: str) -> dict[DocId, list[list[str]]]
     return docs
 
 
-def check_params(*, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> None:
-    """Reject BM25 parameters outside ``k1 >= 0`` and ``0 <= b <= 1``."""
-    if not (k1 >= 0 and 0 <= b <= 1):
-        raise ValueError(f"BM25 needs k1 >= 0 and 0 <= b <= 1, got k1={k1}, b={b}")
-
-
 def build_index(
     corpus: Corpus, field_kind: str, *, k1: float = DEFAULT_K1, b: float = DEFAULT_B
 ) -> InvertedIndex:
     """Index one field of every commit; one document per commit (or per file)."""
-    check_params(k1=k1, b=b)
+    check_bm25(k1=k1, b=b)
     if field_kind == "diff":
         return diff_index(build_index(corpus, "file", k1=k1, b=b), corpus.commit_ids)
     tokens = _doc_tokens(corpus, field_kind)
@@ -272,7 +265,7 @@ def _index_from_sections(
     if len(bm25) != 2:
         raise ValueError(f"expected k1 and b, got {bm25.tolist()}")
     k1, b = bm25.tolist()
-    check_params(k1=k1, b=b)
+    check_bm25(k1=k1, b=b)
     kind = FIELD_KINDS[field_kind[0]]
     n_docs = len(doc_lengths)
     if len(docs) != (2 if kind == "file" else 1) * n_docs:

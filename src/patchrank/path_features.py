@@ -13,8 +13,7 @@ from typing import Iterable
 
 from .corpus import CommitRecord
 from .embedding import PromptKind, render_prompt
-
-DEFAULT_PER_ENTITY_CAP = 10
+from .settings import DEFAULT_PER_ENTITY_CAP
 
 # Identifier shapes worth searching for: paths, dotted names, filenames,
 # camelCase / snake_case tokens, and letter+digit tokens such as "NIO2".

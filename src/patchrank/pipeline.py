@@ -12,6 +12,10 @@ The per-CVE work is written once and shared by the stages and ``trace``:
 candidate list, and ``_featurize`` computes its feature rows and samples its
 training group. The stages read their inputs from, and write their results
 to, artifacts; ``run_trace`` runs the same functions for one CVE in memory.
+
+Each function imports the layers it calls where it calls them, and the
+config's defaults and checks come from ``settings``, so that a CLI child
+loads, and compiles, only the modules of its own stage.
 """
 
 from __future__ import annotations
@@ -23,43 +27,22 @@ import logging
 import os
 from collections.abc import Callable, Container, Sequence
 from dataclasses import dataclass, replace
-from itertools import count
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import corpus as corpus_mod
-from . import lexical, prerank
+from . import settings
 from .container import STR, Format, Section
-from .corpus import Corpus, CveRecord, expect, write_jsonl
-from .embedding import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_COMMIT_TOKEN_BUDGET,
-    DEFAULT_FILE_TOKEN_BUDGET,
-    DEFAULT_MAX_RETRIES,
-    DEFAULT_OFFLINE_DIMENSION,
-    HttpEmbedder,
-    MissingVectorError,
-    OfflineEmbedder,
-    VectorStore,
-    build_vectors,
-)
-from .evalkit import DEFAULT_METRIC_KS, evaluate_rankings
-from .path_features import DEFAULT_PER_ENTITY_CAP
-from .prerank import DEFAULT_CANDIDATE_K, DEFAULT_WEIGHTS, FusionConfig
-from .ranker import (
-    DEFAULT_HARD_NEGATIVES,
-    DEFAULT_RANDOM_NEGATIVES,
-    NUM_FEATURES,
-    FeatureAssembler,
-    RankerParams,
-    RankModel,
-    TrainingGroup,
-    TrainingRow,
-    rerank,
-    sample_training_group,
-    train_lambdarank,
-)
+from .corpus import Corpus, CveRecord, expect, write_jsonl, write_ranked_jsonl
+
+if TYPE_CHECKING:
+    from .embedding import VectorStore
+    from .hier_features import FeatureAssembler
+    from .lexical import InvertedIndex
+    from .prerank import FusionConfig
+    from .ranker import RankerParams, TrainingGroup
 
 logger = logging.getLogger(__name__)
 
@@ -85,9 +68,6 @@ class StageInputError(RuntimeError):
         self.detail = message
 
 
-_RANKER_DEFAULTS = RankerParams()
-
-
 @dataclass
 class PipelineConfig:
     commit_dump: Path
@@ -97,30 +77,34 @@ class PipelineConfig:
     offline: bool = False
     provider_url: str | None = None
     provider_model: str = "default"
-    provider_batch_size: int = DEFAULT_BATCH_SIZE
-    provider_max_retries: int = DEFAULT_MAX_RETRIES
-    offline_dimension: int = DEFAULT_OFFLINE_DIMENSION
-    fusion_weights: tuple[float, float, float, float] = DEFAULT_WEIGHTS
-    candidate_k: int = DEFAULT_CANDIDATE_K
-    commit_token_budget: int = DEFAULT_COMMIT_TOKEN_BUDGET
-    file_token_budget: int = DEFAULT_FILE_TOKEN_BUDGET
-    bm25_k1: float = lexical.DEFAULT_K1
-    bm25_b: float = lexical.DEFAULT_B
-    per_entity_cap: int = DEFAULT_PER_ENTITY_CAP
-    learning_rate: float = _RANKER_DEFAULTS.learning_rate
-    num_leaves: int = _RANKER_DEFAULTS.num_leaves
-    min_data_in_leaf: int = _RANKER_DEFAULTS.min_data_in_leaf
-    num_trees: int = _RANKER_DEFAULTS.num_trees
-    hard_negatives: int = DEFAULT_HARD_NEGATIVES
-    random_negatives: int = DEFAULT_RANDOM_NEGATIVES
-    metric_ks: tuple[int, ...] = DEFAULT_METRIC_KS
+    provider_batch_size: int = settings.DEFAULT_BATCH_SIZE
+    provider_max_retries: int = settings.DEFAULT_MAX_RETRIES
+    offline_dimension: int = settings.DEFAULT_OFFLINE_DIMENSION
+    fusion_weights: tuple[float, float, float, float] = settings.DEFAULT_WEIGHTS
+    candidate_k: int = settings.DEFAULT_CANDIDATE_K
+    commit_token_budget: int = settings.DEFAULT_COMMIT_TOKEN_BUDGET
+    file_token_budget: int = settings.DEFAULT_FILE_TOKEN_BUDGET
+    bm25_k1: float = settings.DEFAULT_K1
+    bm25_b: float = settings.DEFAULT_B
+    per_entity_cap: int = settings.DEFAULT_PER_ENTITY_CAP
+    learning_rate: float = settings.DEFAULT_LEARNING_RATE
+    num_leaves: int = settings.DEFAULT_NUM_LEAVES
+    min_data_in_leaf: int = settings.DEFAULT_MIN_DATA_IN_LEAF
+    num_trees: int = settings.DEFAULT_NUM_TREES
+    hard_negatives: int = settings.DEFAULT_HARD_NEGATIVES
+    random_negatives: int = settings.DEFAULT_RANDOM_NEGATIVES
+    metric_ks: tuple[int, ...] = settings.DEFAULT_METRIC_KS
     # Set via the --repo flag, never from the config file.
     repo_filter: str | None = None
 
     def fusion_config(self) -> FusionConfig:
+        from .prerank import FusionConfig
+
         return FusionConfig(weights=tuple(self.fusion_weights), candidate_k=self.candidate_k)
 
     def ranker_params(self) -> RankerParams:
+        from .ranker import RankerParams
+
         return RankerParams(
             learning_rate=self.learning_rate,
             num_leaves=self.num_leaves,
@@ -130,6 +114,8 @@ class PipelineConfig:
         )
 
     def provider(self):
+        from .embedding import HttpEmbedder, OfflineEmbedder
+
         if self.offline or not self.provider_url:
             return OfflineEmbedder(self.offline_dimension)
         return HttpEmbedder(
@@ -149,41 +135,47 @@ class ConfigKey:
     parse: Callable
     # The stages whose manifest ``config`` records the value.
     stages: tuple[str, ...] = ()
-    # The component that bounds the value, called as ``check(key=value)`` at
-    # load time, so a bad value fails there rather than mid-stage.
+    # The settings check that bounds the value, called as ``check(key=value)``
+    # at load time, so a bad value fails there rather than mid-stage.
     check: Callable | None = None
 
 
 # Every optional key, as ``(section, key)``; section None is the top level.
 CONFIG_KEYS: dict[tuple[str | None, str], ConfigKey] = {
-    (None, "seed"): ConfigKey("seed", expect(int), ("featurize", "train"), RankerParams),
+    (None, "seed"): ConfigKey(
+        "seed", expect(int), ("featurize", "train"), settings.check_ranker
+    ),
     (None, "offline"): ConfigKey("offline", expect(bool)),
     ("provider", "url"): ConfigKey("provider_url", expect(str, nullable=True)),
     ("provider", "model"): ConfigKey("provider_model", expect(str), ("embed",)),
     ("provider", "batch_size"): ConfigKey("provider_batch_size", expect(int, 1)),
     ("provider", "max_retries"): ConfigKey("provider_max_retries", expect(int, 1)),
     ("provider", "offline_dimension"): ConfigKey(
-        "offline_dimension",
-        expect(int),
-        check=lambda offline_dimension: OfflineEmbedder(offline_dimension),
+        "offline_dimension", expect(int), check=settings.check_dimension
     ),
     ("fusion", "weights"): ConfigKey(
-        "fusion_weights", expect(list, item=expect(float)), ("prerank",), FusionConfig
+        "fusion_weights", expect(list, item=expect(float)), ("prerank",), settings.check_fusion
     ),
-    ("fusion", "candidate_k"): ConfigKey("candidate_k", expect(int), ("prerank",), FusionConfig),
+    ("fusion", "candidate_k"): ConfigKey(
+        "candidate_k", expect(int), ("prerank",), settings.check_fusion
+    ),
     ("budgets", "commit_tokens"): ConfigKey("commit_token_budget", expect(int, 1), ("embed",)),
     ("budgets", "file_tokens"): ConfigKey("file_token_budget", expect(int, 1), ("embed",)),
-    ("bm25", "k1"): ConfigKey("bm25_k1", expect(float), ("index",), lexical.check_params),
-    ("bm25", "b"): ConfigKey("bm25_b", expect(float), ("index",), lexical.check_params),
+    ("bm25", "k1"): ConfigKey("bm25_k1", expect(float), ("index",), settings.check_bm25),
+    ("bm25", "b"): ConfigKey("bm25_b", expect(float), ("index",), settings.check_bm25),
     ("paths", "per_entity_cap"): ConfigKey("per_entity_cap", expect(int, 1), ("featurize",)),
     ("ranker", "learning_rate"): ConfigKey(
-        "learning_rate", expect(float), ("train",), RankerParams
+        "learning_rate", expect(float), ("train",), settings.check_ranker
     ),
-    ("ranker", "num_leaves"): ConfigKey("num_leaves", expect(int), ("train",), RankerParams),
+    ("ranker", "num_leaves"): ConfigKey(
+        "num_leaves", expect(int), ("train",), settings.check_ranker
+    ),
     ("ranker", "min_data_in_leaf"): ConfigKey(
-        "min_data_in_leaf", expect(int), ("train",), RankerParams
+        "min_data_in_leaf", expect(int), ("train",), settings.check_ranker
     ),
-    ("ranker", "num_trees"): ConfigKey("num_trees", expect(int), ("train",), RankerParams),
+    ("ranker", "num_trees"): ConfigKey(
+        "num_trees", expect(int), ("train",), settings.check_ranker
+    ),
     ("ranker", "hard_negatives"): ConfigKey("hard_negatives", expect(int, 0), ("featurize",)),
     ("ranker", "random_negatives"): ConfigKey(
         "random_negatives", expect(int, 0), ("featurize",)
@@ -328,14 +320,14 @@ def _read_repos(path: Path) -> dict[str, str]:
 # candidate's features, in FEATURE_NAMES order, and a ranking.bin row names the
 # candidates.bin row it places, in final order.
 _GROUPS = dict(cve_ids=Section(STR), offsets=Section("<i8"))
-_FEATURES = Section("<f8", NUM_FEATURES, finite=True)
+_FEATURES = Section("<f8", settings.NUM_FEATURES, finite=True)
 CANDIDATES_FORMAT = Format(
     "candidate lists",
     b"PRCA",
     1,
     _GROUPS
     | dict(commit_ids=Section(STR), commits=Section("<i4"))
-    | dict(components=Section("<f8", len(prerank.COMPONENT_NAMES), finite=True)),
+    | dict(components=Section("<f8", len(settings.COMPONENT_NAMES), finite=True)),
 )
 RANKING_FORMAT = Format("rankings", b"PRRK", 1, _GROUPS | dict(rows=Section("<i4")))
 FEATURES_FORMAT = Format("features", b"PRFT", 1, {"features": _FEATURES})
@@ -400,7 +392,7 @@ def save_candidates(path: Path, lists: dict[str, Sequence[str]], components) -> 
         offsets=np.cumsum([0, *map(len, lists.values())]),
         commit_ids=commit_ids,
         commits=[index[commit_id] for ids in lists.values() for commit_id in ids],
-        components=np.reshape(components, (-1, len(prerank.COMPONENT_NAMES))),
+        components=np.reshape(components, (-1, len(settings.COMPONENT_NAMES))),
     )
 
 
@@ -667,6 +659,8 @@ def stage_ingest(config: PipelineConfig) -> None:
 
 def _embed(config: PipelineConfig, corpus: Corpus, cves: list[CveRecord], provider) -> VectorStore:
     """Embed one repo's commits, file diffs and the CVEs of ``cves`` in it."""
+    from .embedding import build_vectors
+
     return build_vectors(
         corpus,
         [cve for cve in cves if cve.repo_id == corpus.repo_id],
@@ -680,12 +674,14 @@ def _embed(config: PipelineConfig, corpus: Corpus, cves: list[CveRecord], provid
 def stage_index(config: PipelineConfig) -> None:
     """Build message and per-file BM25 indexes for every repo; readers sum
     the diff index from the file index."""
+    from .lexical import build_index, save_index
+
     run = _Run(config, "index")
     for repo_id, corpus in sorted(run.corpora().items()):
         for kind in STORED_KINDS:
-            index = lexical.build_index(corpus, kind, k1=config.bm25_k1, b=config.bm25_b)
+            index = build_index(corpus, kind, k1=config.bm25_k1, b=config.bm25_b)
             path = run.index_file(repo_slug(repo_id), kind)
-            run.write(path, lambda tmp: lexical.save_index(index, tmp))
+            run.write(path, lambda tmp: save_index(index, tmp))
     run.finish()
 
 
@@ -707,7 +703,7 @@ def _repo_loader(
     provider=None,
     cves: Sequence[CveRecord] = (),
     build: bool = False,
-) -> Callable[[str], tuple[dict[str, lexical.InvertedIndex], FeatureAssembler | None]]:
+) -> Callable[[str], tuple[dict[str, InvertedIndex], FeatureAssembler | None]]:
     """A cached function from a repo id to that repo's BM25 indexes of the
     stored ``kinds``, with the diff index summed from a file index, and, given
     a ``provider``, a feature assembler over them and its vector
@@ -715,9 +711,13 @@ def _repo_loader(
     commit, a file or one of the repo's ``cves`` is malformed. With ``build``,
     a repo whose artifacts are missing, malformed or stale is logged and built
     in memory, its store embedding ``cves``."""
+    from .lexical import build_index
+
     config = run.config
 
     def assemble(corpus: Corpus, indexes, store: VectorStore) -> FeatureAssembler:
+        from .hier_features import FeatureAssembler
+
         for cve in cves:
             if cve.repo_id == corpus.repo_id:
                 store.cve_vector(cve.cve_id)
@@ -735,6 +735,8 @@ def _repo_loader(
                 indexes |= run.read(_load_index, run.index_file(slug, kind), corpus, kind)
             if provider is None:
                 return indexes, None
+            from .embedding import MissingVectorError, VectorStore
+
             path = run.vectors_file(slug)
             store = run.read(VectorStore.load, path)
             try:
@@ -748,18 +750,20 @@ def _repo_loader(
             logger.warning("trace: %s; building %s in memory", exc.detail, repo_id)
         indexes = {}
         for kind in kinds:
-            index = lexical.build_index(corpus, kind, k1=config.bm25_k1, b=config.bm25_b)
+            index = build_index(corpus, kind, k1=config.bm25_k1, b=config.bm25_b)
             indexes |= _with_diff(index, corpus)
         return indexes, assemble(corpus, indexes, _embed(config, corpus, list(cves), provider))
 
     return load
 
 
-def _load_index(path: Path, corpus: Corpus, kind: str) -> dict[str, lexical.InvertedIndex]:
+def _load_index(path: Path, corpus: Corpus, kind: str) -> dict[str, InvertedIndex]:
     """The index of ``kind`` at ``path``, by :func:`_with_diff`. A message
     index must hold exactly the commits of ``corpus``, as pre-ranking reads
     it by :attr:`Corpus.id_order`; a file index, only commits of ``corpus``."""
-    index = lexical.load_index(path)
+    from .lexical import load_index
+
+    index = load_index(path)
     if index.field_kind != kind:
         raise ValueError(f"it holds a {index.field_kind} index, not a {kind} index")
     if kind == "message" and index.docs != sorted(corpus.commit_ids):
@@ -767,23 +771,25 @@ def _load_index(path: Path, corpus: Corpus, kind: str) -> dict[str, lexical.Inve
     return _with_diff(index, corpus)
 
 
-def _with_diff(index: lexical.InvertedIndex, corpus: Corpus) -> dict[str, lexical.InvertedIndex]:
+def _with_diff(index: InvertedIndex, corpus: Corpus) -> dict[str, InvertedIndex]:
     """``index`` by its kind, and with a file index the diff index of
     ``corpus`` summed from it."""
+    from .lexical import diff_index
+
     if index.field_kind != "file":
         return {index.field_kind: index}
-    return {"file": index, "diff": lexical.diff_index(index, corpus.commit_ids)}
+    return {"file": index, "diff": diff_index(index, corpus.commit_ids)}
 
 
 def _prerank(
-    corpus: Corpus, cve: CveRecord, indexes: dict[str, lexical.InvertedIndex], fusion: FusionConfig
+    corpus: Corpus, cve: CveRecord, indexes: dict[str, InvertedIndex], fusion: FusionConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The CVE's candidates, as corpus positions in fused order, their fused
     scores and their rows of the components they were fused from."""
-    components = prerank.prerank_components(
-        corpus, cve, indexes["message"], indexes["diff"], fusion
-    )
-    positions, scores = prerank.fuse_components(corpus, components, fusion)
+    from .prerank import fuse_components, prerank_components
+
+    components = prerank_components(corpus, cve, indexes["message"], indexes["diff"], fusion)
+    positions, scores = fuse_components(corpus, components, fusion)
     return positions, scores, components[positions]
 
 
@@ -798,25 +804,26 @@ def stage_prerank(config: PipelineConfig) -> None:
     cves = run.cves()
     fusion = config.fusion_config()
     repo = _repo_loader(run, corpora, STORED_KINDS)
-    records = []
     lists = {}
-    component_rows = [np.empty((0, len(prerank.COMPONENT_NAMES)))]
-    for cve in sorted(cves, key=lambda c: c.cve_id):
-        corpus = corpora.get(cve.repo_id)
-        if corpus is None:
-            logger.warning("skipping %s: repo %s not in corpus", cve.cve_id, cve.repo_id)
-            continue
-        positions, scores, rows = _prerank(corpus, cve, repo(cve.repo_id)[0], fusion)
-        if not len(positions):  # as in candidates.jsonl, a CVE without lines has no list
-            continue
-        lists[cve.cve_id] = ids = _commit_ids(corpus, positions)
-        records += (
-            {"cve_id": cve.cve_id, "commit_id": commit_id, "rank": rank, "fused_score": score}
-            for rank, commit_id, score in zip(count(1), ids, scores.tolist())
-        )
-        component_rows.append(rows)
+    component_rows = [np.empty((0, len(settings.COMPONENT_NAMES)))]
+
+    def ranked():
+        """Each CVE's list for candidates.jsonl, as it is fused; its commit
+        ids and component rows are kept for candidates.bin."""
+        for cve in sorted(cves, key=lambda c: c.cve_id):
+            corpus = corpora.get(cve.repo_id)
+            if corpus is None:
+                logger.warning("skipping %s: repo %s not in corpus", cve.cve_id, cve.repo_id)
+                continue
+            positions, scores, rows = _prerank(corpus, cve, repo(cve.repo_id)[0], fusion)
+            if not len(positions):  # as in candidates.jsonl, a CVE without lines has no list
+                continue
+            lists[cve.cve_id] = ids = _commit_ids(corpus, positions)
+            component_rows.append(rows)
+            yield cve.cve_id, ids, scores.tolist()
+
+    run.write(run.candidates_file, lambda tmp: write_ranked_jsonl(tmp, "fused_score", ranked()))
     matrix = np.concatenate(component_rows)
-    run.write(run.candidates_file, lambda tmp: write_jsonl(tmp, records))
     run.write(run.candidates_bin, lambda tmp: save_candidates(tmp, lists, matrix))
     run.finish()
 
@@ -832,6 +839,8 @@ def _featurize(
     and the CVE's training group, sampled from its pre-ranked commit ids
     ``preranked`` (None without a known patch), with its rows' features.
     Every distinct commit's row is computed once, in one batch."""
+    from .ranker import sample_training_group
+
     group = sample_training_group(
         cve,
         preranked,
@@ -843,7 +852,10 @@ def _featurize(
     group_rows = group.rows if group else []
     grouped = np.array([assembler.corpus.position_of(row.commit_id) for row in group_rows], np.intp)
     wanted, slot = np.unique(np.concatenate([positions, grouped]), return_inverse=True)
-    rows = assembler.matrix(cve, wanted)[slot] if len(wanted) else np.empty((0, NUM_FEATURES))
+    if len(wanted):
+        rows = assembler.matrix(cve, wanted)[slot]
+    else:
+        rows = np.empty((0, settings.NUM_FEATURES))
     for row, features in zip(group_rows, rows[len(positions) :]):
         row.features = features
     return rows[: len(positions)], group
@@ -882,7 +894,7 @@ def stage_featurize(config: PipelineConfig) -> None:
     except KeyError as exc:
         raise StageInputError("featurize", f"{run.candidates_bin}: {exc.args[0]}") from exc
     repo = _repo_loader(run, corpora, ("file",), config.provider(), list(cves.values()))
-    features = np.empty((len(positions), NUM_FEATURES))
+    features = np.empty((len(positions), settings.NUM_FEATURES))
     entity_records = []
     groups = []
     for cve, rows in zip(listed, candidates.slices().values()):
@@ -909,7 +921,7 @@ def save_training_groups(groups: list[TrainingGroup], path: Path) -> None:
         offsets=np.cumsum([0, *(len(group.rows) for group in groups)]),
         commit_ids=[row.commit_id for row in rows],
         relevance=[row.relevance for row in rows],
-        features=np.array([row.features for row in rows]).reshape(-1, NUM_FEATURES),
+        features=np.array([row.features for row in rows]).reshape(-1, settings.NUM_FEATURES),
     )
 
 
@@ -919,6 +931,8 @@ def load_training_groups(path: Path) -> list[TrainingGroup]:
 
 
 def _training_groups(cve_ids, offsets, commit_ids, relevance, features) -> list[TrainingGroup]:
+    from .ranker import TrainingGroup, TrainingRow
+
     n, bounds = len(commit_ids), offsets.tolist()
     _group_owners(cve_ids, offsets, n)
     if not len(relevance) == len(features) == n or np.any(relevance < 0):
@@ -929,6 +943,8 @@ def _training_groups(cve_ids, offsets, commit_ids, relevance, features) -> list[
 
 def stage_train(config: PipelineConfig) -> None:
     """Train the LambdaRank model from the sampled training rows."""
+    from .ranker import train_lambdarank
+
     run = _Run(config, "train")
     groups = run.read(load_training_groups, run.training_file)
     model = train_lambdarank(groups, config.ranker_params())
@@ -938,31 +954,34 @@ def stage_train(config: PipelineConfig) -> None:
 
 def stage_rank(config: PipelineConfig) -> None:
     """Re-rank the candidate lists with the trained model."""
+    from .ranker import RankModel, rerank
+
     run = _Run(config, "rank")
     model = run.read(RankModel.load, run.model_file)
     candidates = run.candidates()
     features = run.aligned(FEATURES_FORMAT, run.features_file, candidates)
     cves = {c.cve_id for c in run.cves()}
-    records = []
     rankings = {}
-    # Under --repo, candidates of other repositories' CVEs are skipped.
-    for cve_id, rows in candidates.slices().items():
-        if cve_id not in cves:
-            continue
-        order, scores = rerank(model, features[rows])
-        rankings[cve_id] = rows.start + order
-        ranked = zip(count(1), candidates.ids(rankings[cve_id]), scores[order].tolist())
-        records += (
-            {"cve_id": cve_id, "commit_id": commit_id, "rank": rank, "score": score}
-            for rank, commit_id, score in ranked
-        )
-    run.write(run.ranking_file, lambda tmp: write_jsonl(tmp, records))
+
+    def ranked():
+        """Each CVE's final order for ranking.jsonl, as it is re-ranked; its
+        candidate rows are kept for ranking.bin. Under --repo, candidates of
+        other repositories' CVEs are skipped."""
+        for cve_id, rows in candidates.slices().items():
+            if cve_id in cves:
+                order, scores = rerank(model, features[rows])
+                rankings[cve_id] = rows.start + order
+                yield cve_id, candidates.ids(rankings[cve_id]), scores[order].tolist()
+
+    run.write(run.ranking_file, lambda tmp: write_ranked_jsonl(tmp, "score", ranked()))
     run.write(run.ranking_bin, lambda tmp: save_rankings(tmp, rankings))
     run.finish()
 
 
 def stage_eval(config: PipelineConfig) -> None:
     """Score the final rankings against the known patch commits."""
+    from .evalkit import evaluate_rankings
+
     run = _Run(config, "eval")
     candidates = run.candidates()
     # eval reads only the order: ranking.bin holds no scores.
@@ -1016,6 +1035,8 @@ def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
     CVE, in memory. Without any labels the pre-ranked order is returned
     unchanged. Under ``config.repo_filter`` only that repository is read.
     """
+    from .ranker import RankModel, rerank, train_lambdarank
+
     run = _Run(config, "trace")
     try:
         model, model_source = run.read(RankModel.load, run.model_file), str(run.model_file)

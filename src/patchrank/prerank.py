@@ -13,11 +13,7 @@ import numpy as np
 
 from .corpus import Corpus, CveRecord
 from .lexical import InvertedIndex, RankedList, top_k
-
-DEFAULT_WEIGHTS = (0.35, 0.15, 0.3, 0.2)
-DEFAULT_CANDIDATE_K = 10_000
-
-COMPONENT_NAMES = ("msg", "diff", "reserve", "publish")
+from .settings import COMPONENT_NAMES, DEFAULT_CANDIDATE_K, DEFAULT_WEIGHTS, check_fusion
 
 
 @dataclass(frozen=True)
@@ -28,12 +24,7 @@ class FusionConfig:
     candidate_k: int = DEFAULT_CANDIDATE_K
 
     def __post_init__(self) -> None:
-        if len(self.weights) != 4:
-            raise ValueError(f"expected 4 fusion weights, got {len(self.weights)}")
-        if any(w < 0 for w in self.weights):
-            raise ValueError(f"fusion weights must be non-negative: {self.weights}")
-        if self.candidate_k < 1:
-            raise ValueError(f"candidate_k must be >= 1, got {self.candidate_k}")
+        check_fusion(weights=self.weights, candidate_k=self.candidate_k)
 
 
 def _reciprocals(n: int) -> np.ndarray:

@@ -1,11 +1,12 @@
-"""Feature assembly and the listwise learning-to-rank model.
+"""The listwise learning-to-rank model.
 
-The nine per-(CVE, commit) features are combined by a gradient-boosted
-tree ensemble trained with LambdaRank: pairwise logistic gradients
-weighted by the NDCG@k change of swapping the pair. The tree learner is
-histogram-based with best-first leaf growth, capped by ``num_leaves``
-and ``min_data_in_leaf``. Training is deterministic for a fixed seed and
-models serialize to a versioned JSON tree dump.
+The nine per-(CVE, commit) features, in FEATURE_NAMES order, are combined
+by a gradient-boosted tree ensemble trained with LambdaRank: pairwise
+logistic gradients weighted by the NDCG@k change of swapping the pair. The
+tree learner is histogram-based with best-first leaf growth, capped by
+``num_leaves`` and ``min_data_in_leaf``. Training is deterministic for a
+fixed seed and models serialize to a versioned JSON tree dump. The features
+themselves are computed by :class:`~patchrank.hier_features.FeatureAssembler`.
 """
 
 from __future__ import annotations
@@ -14,52 +15,27 @@ import heapq
 import json
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from hashlib import blake2b
-from itertools import count
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import Corpus, CveRecord, expect
-from .embedding import MissingVectorError, VectorStore, embed_batch
-from .hier_features import DEFAULT_HIER_CONFIG, cosine, mean_cosine
-from .lexical import InvertedIndex, _score_array, commit_ranks
-from .path_features import (
-    DEFAULT_PER_ENTITY_CAP,
-    commit_paths,
-    extract_entities,
-    feature_jaccard,
-    path_text,
-    search_paths,
+from .settings import (
+    DEFAULT_HARD_NEGATIVES,
+    DEFAULT_LEARNING_RATE,
+    DEFAULT_MIN_DATA_IN_LEAF,
+    DEFAULT_NUM_LEAVES,
+    DEFAULT_NUM_TREES,
+    DEFAULT_RANDOM_NEGATIVES,
+    FEATURE_NAMES,
+    NUM_FEATURES,
+    check_ranker,
 )
 
 logger = logging.getLogger(__name__)
-
-FEATURE_NAMES = (
-    "commit_cosine",
-    "max_file_similarity",
-    "top1_file_cosine",
-    "mean_top2_cosine",
-    "diff_bm25",
-    "reserve_distance",
-    "publish_distance",
-    "path_jaccard",
-    "path_cosine",
-)
-NUM_FEATURES = len(FEATURE_NAMES)
-
-DEFAULT_HARD_NEGATIVES = 500
-DEFAULT_RANDOM_NEGATIVES = 500
-
-# Path texts missing from the assembler's memo are embedded this many at a
-# time: a provider answers with Python float lists (~8 KB per 256-d vector),
-# and one call for a few hundred texts would raise featurize's peak RSS.
-PATH_EMBED_BATCH = 64
-# Candidates per array pass: ~3 KB per gathered vector at d = 256, up to six
-# per candidate, so a CVE's thousands of candidates add ~2 MB to the peak.
-MATRIX_CHUNK = 128
 
 _MODEL_MAGIC = "patchrank-model"
 _MODEL_VERSION = 1
@@ -78,141 +54,6 @@ class TrainingDataError(ValueError):
 def _derive_seed(seed: int, name: str) -> int:
     key = seed.to_bytes(8, "little", signed=True)
     return int.from_bytes(blake2b(name.encode("utf-8"), digest_size=8, key=key).digest(), "big")
-
-
-class FeatureAssembler:
-    """Computes the nine-feature rows for one CVE and a batch of commits.
-
-    Each commit's store rows, documents and path set are looked up once, and
-    a store lacking a commit or file vector raises MissingVectorError. Each
-    :meth:`matrix` call scores the CVE once against the diff and file indexes
-    and fills the rows with array operations. Per-CVE path search is cached,
-    and each distinct path set reaches the provider once per assembler.
-    """
-
-    def __init__(
-        self,
-        corpus: Corpus,
-        store: VectorStore,
-        diff_index: InvertedIndex,
-        file_index: InvertedIndex,
-        provider,
-        *,
-        per_entity_cap: int = DEFAULT_PER_ENTITY_CAP,
-    ):
-        self.corpus = corpus
-        self.store = store
-        self.diff_index = diff_index
-        self.file_index = file_index
-        self.per_entity_cap = per_entity_cap
-        self._provider = provider
-        self._cve_cache: dict[str, tuple[set[str], set[str]]] = {}
-        commits = corpus.commits
-        self._commit_paths = [commit_paths(commit) for commit in commits]
-        self._path_texts = [path_text(paths) if paths else None for paths in self._commit_paths]
-        self._universe = set().union(*self._commit_paths)
-        # By corpus position: store rows and the file documents, contiguous as
-        # the file index's documents ascend by (commit id, path). The diff
-        # index's documents are the corpus's commits, so position p is document
-        # corpus.id_ranks[p].
-        rows = store.rows
-        try:
-            self._commit_rows = np.array([rows[("commit", c.commit_id)] for c in commits], np.intp)
-            self._doc_rows = np.array([rows[("file", *doc)] for doc in file_index.docs], np.intp)
-        except KeyError as exc:
-            raise MissingVectorError(exc.args[0]) from None
-        owners = commit_ranks(file_index, sorted(corpus.commit_ids))
-        counts = np.bincount(owners, minlength=len(commits))
-        self._file_starts = (np.cumsum(counts) - counts)[corpus.id_ranks]
-        self._file_counts = counts[corpus.id_ranks]
-        # The provider's normalized path-set vectors, a row per path_text() in _path_rows.
-        self._path_rows: dict[str, int] = {}
-        self._path_vectors = np.empty((0, 0), dtype=np.float32)  # replaced on first use
-
-    def entities_for(self, cve: CveRecord) -> set[str]:
-        return self._cve_state(cve)[0]
-
-    def ner_paths_for(self, cve: CveRecord) -> set[str]:
-        return self._cve_state(cve)[1]
-
-    def _cve_state(self, cve: CveRecord) -> tuple[set[str], set[str]]:
-        state = self._cve_cache.get(cve.cve_id)
-        if state is None:
-            entities = extract_entities(cve.description)
-            ner_paths = search_paths(self._universe, entities, self.per_entity_cap)
-            state = (entities, ner_paths)
-            self._cve_cache[cve.cve_id] = state
-        return state
-
-    def _hier_columns(self, query: np.ndarray, file_scores, positions: np.ndarray) -> np.ndarray:
-        """Commit cosine, max over the top five files, top-1 file cosine and
-        cosine with the mean of the top two, the files ranked by their
-        ``file_scores`` as :func:`~patchrank.lexical.rank_files_within_commit`
-        ranks them; 0.0 for the file columns of a commit without files."""
-        out = np.zeros((len(positions), 4))
-        out[:, 0] = cosine(self.store.matrix[self._commit_rows[positions]], query)
-        # One entry per (candidate, file document), grouped by candidate. Sorting
-        # by score descending, then document position (path order), keeps the
-        # groups in place, so an entry's rank is its offset in its group.
-        counts = self._file_counts[positions]
-        owner = np.repeat(np.arange(len(positions)), counts)
-        offset = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-        docs = np.repeat(self._file_starts[positions], counts) + offset
-        docs = docs[np.lexsort((docs, -file_scores[docs], owner))]
-        pool = offset < DEFAULT_HIER_CONFIG.max_pool_files
-        docs, owner, rank = docs[pool], owner[pool], offset[pool]
-        vectors = self.store.matrix[self._doc_rows[docs]]
-        cosines = cosine(vectors, query)
-        top1 = np.flatnonzero(rank == 0)
-        out[owner[top1], 1] = np.maximum.reduceat(cosines, top1)
-        out[owner[top1], 2] = out[owner[top1], 3] = cosines[top1]
-        pairs = top1[counts[owner[top1]] > 1]
-        out[owner[pairs], 3] = mean_cosine(query, vectors[pairs], vectors[pairs + 1])
-        return out
-
-    def _path_cosines(self, ner_paths: set[str], positions: np.ndarray) -> np.ndarray:
-        """Cosine of the NER path set with each commit's path set; 0.0 when
-        either set is empty. Texts missing from the memo are embedded in
-        batches of PATH_EMBED_BATCH."""
-        if not ner_paths:
-            return np.zeros(len(positions))
-        query_text = path_text(ner_paths)
-        texts = [self._path_texts[p] for p in positions.tolist()]
-        wanted = dict.fromkeys([query_text, *texts])
-        missing = [t for t in wanted if t is not None and t not in self._path_rows]
-        if missing:
-            batches = range(0, len(missing), PATH_EMBED_BATCH)
-            new = [embed_batch(self._provider, missing[i : i + PATH_EMBED_BATCH]) for i in batches]
-            stacked = [self._path_vectors, *new] if self._path_rows else new
-            self._path_vectors = np.concatenate(stacked)
-            self._path_rows.update(zip(missing, count(len(self._path_rows))))
-        rows = np.array([self._path_rows.get(text, -1) for text in texts], dtype=np.intp)
-        query = self._path_vectors[self._path_rows[query_text]]
-        out = np.empty(len(positions))
-        for start in range(0, len(rows), MATRIX_CHUNK):
-            part = rows[start : start + MATRIX_CHUNK]
-            cosines = cosine(self._path_vectors[part], query)
-            out[start : start + len(part)] = np.where(part >= 0, cosines, 0.0)  # -1: no path set
-        return out
-
-    def matrix(self, cve: CveRecord, positions: Sequence[int]) -> np.ndarray:
-        """Feature rows for the commits at corpus ``positions``, in that order."""
-        positions = np.asarray(positions, dtype=np.intp)
-        ner_paths = self.ner_paths_for(cve)
-        query = self.store.cve_vector(cve.cve_id)
-        file_scores = _score_array(self.file_index, cve.description)
-        rows = np.empty((len(positions), NUM_FEATURES), dtype=np.float64)
-        for start in range(0, len(positions), MATRIX_CHUNK):
-            part = slice(start, start + MATRIX_CHUNK)
-            rows[part, :4] = self._hier_columns(query, file_scores, positions[part])
-        rows[:, 4] = _score_array(self.diff_index, cve.description)[self.corpus.id_ranks[positions]]
-        for column, cve_time in ((5, cve.reserve_time), (6, cve.publish_time)):
-            # Without a timestamp, a distance beyond any real commit, not perfect affinity.
-            at = None if cve_time is None else self.corpus.insertion_position(cve_time)
-            rows[:, column] = len(self.corpus) if at is None else np.abs(positions - at)
-        rows[:, 7] = [feature_jaccard(ner_paths, self._commit_paths[p]) for p in positions.tolist()]
-        rows[:, 8] = self._path_cosines(ner_paths, positions)
-        return rows
 
 
 @dataclass
@@ -260,26 +101,17 @@ def sample_training_group(
 
 @dataclass(frozen=True)
 class RankerParams:
-    learning_rate: float = 0.1
-    num_leaves: int = 31
-    min_data_in_leaf: int = 20
-    num_trees: int = 100
+    learning_rate: float = DEFAULT_LEARNING_RATE
+    num_leaves: int = DEFAULT_NUM_LEAVES
+    min_data_in_leaf: int = DEFAULT_MIN_DATA_IN_LEAF
+    num_trees: int = DEFAULT_NUM_TREES
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_trees < 1:
-            raise TrainingDataError(f"num_trees must be >= 1, got {self.num_trees}")
-        if self.learning_rate <= 0:
-            raise TrainingDataError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.num_leaves < 2:
-            raise TrainingDataError(f"num_leaves must be >= 2, got {self.num_leaves}")
-        if self.min_data_in_leaf < 1:
-            raise TrainingDataError(
-                f"min_data_in_leaf must be >= 1, got {self.min_data_in_leaf}"
-            )
-        # _derive_seed keys blake2b with the seed as 8 signed bytes.
-        if not -(2**63) <= self.seed < 2**63:
-            raise TrainingDataError(f"seed must be in [-2**63, 2**63), got {self.seed}")
+        try:
+            check_ranker(**asdict(self))
+        except ValueError as exc:
+            raise TrainingDataError(*exc.args) from None
 
 
 @dataclass

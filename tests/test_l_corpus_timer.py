@@ -11,12 +11,13 @@ SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "l_corpus_timer.py"
 
 
 def test_timer_prints_a_row_the_output_size_and_the_mrr(tmp_path):
-    """Also a second row, of each stage's peak RSS, and in both the trace's
+    """Also a second row, of each stage's peak RSS, and a third, of each
+    stage's patchrank import time and their total, and in each the trace's
     column after the total; and the size of each top-level directory."""
     argv = [sys.executable, str(SCRIPT), "--commits", "200", "--cves", "3", "--work", str(tmp_path)]
     done = subprocess.run([*argv, "--label", "x"], capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    header, rule, row, rss_row, size, by_directory, mrr = done.stdout.splitlines()
+    header, rule, row, rss_row, import_row, size, by_directory, mrr = done.stdout.splitlines()
     assert header.split(" | ")[1:11] == [
         "ingest", "index", "embed", "prerank", "featurize", "train", "rank", "eval", "total", "trace"
     ]
@@ -31,6 +32,13 @@ def test_timer_prints_a_row_the_output_size_and_the_mrr(tmp_path):
     peaks = rss_cells[1:9] + rss_cells[10:11]
     assert all(re.fullmatch(r"\d+ MB", cell) for cell in peaks)
     assert max(peaks, key=lambda cell: int(cell.removesuffix(" MB"))) == cells[11]
+    import_cells = import_row.strip("| ").split(" | ")
+    assert import_cells[0] == "x patchrank imports" and import_cells[11] == "–"
+    assert all(re.fullmatch(r"\d+ ms", cell) for cell in import_cells[1:11])
+    imports = [int(cell.removesuffix(" ms")) for cell in import_cells[1:11]]
+    # Every child imports the package and the pipeline; the total is of the
+    # unrounded times.
+    assert all(ms > 0 for ms in imports) and abs(sum(imports[:8]) - imports[8]) <= 4
     out_mb = sum(p.stat().st_size for p in (tmp_path / "out").rglob("*") if p.is_file()) / 1e6
     assert size == f"output: {out_mb:.1f} MB"
     tops = sorted(p for p in (tmp_path / "out").iterdir() if p.is_dir())

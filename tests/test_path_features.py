@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from patchrank.embedding import OfflineEmbedder, build_vectors, offline_embed
+from patchrank.hier_features import PATH_EMBED_BATCH, FeatureAssembler
 from patchrank.lexical import build_index
 from patchrank.path_features import (
     commit_paths,
@@ -15,7 +16,6 @@ from patchrank.path_features import (
     search_paths,
 )
 
-from patchrank.ranker import PATH_EMBED_BATCH, FeatureAssembler
 
 from conftest import cid, feature_rows, make_commit, make_corpus, make_cve
 from oracles import feature_path_cosine, path_universe

@@ -5,14 +5,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import shutil
+import socket
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path, PurePosixPath
 
 import numpy as np
 import pytest
 
-from patchrank import lexical
+from patchrank import embedding, lexical, prerank
 from patchrank import pipeline as pipeline_mod
 from patchrank.cli import main
 from patchrank.corpus import CORPUS_FORMAT, load_corpus, load_cve_dump
@@ -1062,6 +1066,25 @@ class TestCli:
         err = self.assert_one_line_error(capsys, path)
         assert f"{path} line 1: message: expected str, got 5" in err, err
 
+    def test_training_and_provider_errors_exit_1(self, tmp_path, capsys):
+        """The CLI maps the errors of modules it imports only in some stages:
+        a ranker TrainingDataError and an embedding ProviderError exit 1."""
+        ranker = {"num_leaves": 7, "min_data_in_leaf": 2, "hard_negatives": 0}
+        _, config_path = self.write_min_config(tmp_path, ranker=ranker | {"random_negatives": 0})
+        self.run_stages(config_path, ("ingest", "index", "embed", "prerank", "featurize"))
+        capsys.readouterr()
+        assert main(["train", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == "error: every group is degenerate (uniform relevance)\n"
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        # Nothing listens on the port once the socket is closed.
+        provider = {"url": f"http://127.0.0.1:{port}", "max_retries": 1}
+        _, config_path = self.write_min_config(tmp_path, offline=False, provider=provider)
+        assert main(["embed", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "transport error" in err, err
+
     def test_truncated_index_exits_2(self, tmp_path, capsys):
         _, config_path = self.write_min_config(tmp_path)
         self.run_stages(config_path, ("ingest", "index"))
@@ -1083,9 +1106,9 @@ class TestCli:
     def test_missing_vector_exits_2(self, tmp_path, capsys, monkeypatch):
         _, config_path = self.write_min_config(tmp_path)
         # A vector store embedded without the CVEs lacks their query vectors.
-        build_vectors = pipeline_mod.build_vectors
+        build_vectors = embedding.build_vectors
         monkeypatch.setattr(
-            pipeline_mod,
+            embedding,
             "build_vectors",
             lambda corpus, cves, *args, **kwargs: build_vectors(corpus, [], *args, **kwargs),
         )
@@ -1191,13 +1214,13 @@ class TestCli:
         assert main(trace) == 0
         printed = capsys.readouterr().out
         calls = []
-        components = pipeline_mod.prerank.prerank_components
+        components = prerank.prerank_components
 
         def counting(corpus, cve, *args):
             calls.append(cve.cve_id)
             return components(corpus, cve, *args)
 
-        monkeypatch.setattr(pipeline_mod.prerank, "prerank_components", counting)
+        monkeypatch.setattr(prerank, "prerank_components", counting)
         assert main(trace) == 0
         assert sorted(calls) == cve_ids
         assert capsys.readouterr().out == printed
@@ -1279,7 +1302,7 @@ def forbid_builds(monkeypatch):
         raise AssertionError("built in memory despite fresh artifacts")
 
     monkeypatch.setattr(lexical, "build_index", refuse)
-    monkeypatch.setattr(pipeline_mod, "build_vectors", refuse)
+    monkeypatch.setattr(embedding, "build_vectors", refuse)
 
 
 def tree_digests(root):
@@ -1310,7 +1333,7 @@ class TestTraceReuse:
 
         monkeypatch.setattr(lexical, "build_index", counted("index", lexical.build_index))
         monkeypatch.setattr(
-            pipeline_mod, "build_vectors", counted("vectors", pipeline_mod.build_vectors)
+            embedding, "build_vectors", counted("vectors", embedding.build_vectors)
         )
         return counts
 
@@ -1497,3 +1520,74 @@ class TestTraceCorpusFiles:
             assert "(model: trained in memory)" in from_dumps.splitlines()[0]
             assert len(trace_rows(fresh)) > 2 and trace_rows(fresh) == trace_rows(from_dumps)
         assert not (tmp_path / "empty").exists()
+
+
+# The patchrank modules a CLI child of each stage and of trace imports: the
+# package, the CLI's own modules, and the layers that the stage runs.
+CLI_MODULES = {
+    "patchrank",
+    "patchrank.container",
+    "patchrank.corpus",
+    "patchrank.pipeline",
+    "patchrank.settings",
+}
+STAGE_MODULES = {
+    "ingest": set(),
+    "index": {"lexical"},
+    "embed": {"embedding"},
+    "prerank": {"lexical", "prerank"},
+    "featurize": {"embedding", "hier_features", "lexical", "path_features", "ranker"},
+    "train": {"ranker"},
+    "rank": {"ranker"},
+    "eval": {"evalkit"},
+    "trace": {"embedding", "hier_features", "lexical", "path_features", "prerank", "ranker"},
+}
+
+
+def imported_modules(stderr: str) -> set[str]:
+    """The modules a ``python -X importtime`` child names on its stderr."""
+    lines = [line.split("|") for line in stderr.splitlines() if line.startswith("import time:")]
+    return {fields[2].strip() for fields in lines[1:]}  # the first line is the header
+
+
+@pytest.fixture(scope="module")
+def stage_imports(tmp_path_factory):
+    """Each stage's and trace's imported modules, each run as the benchmark
+    runs it, ``python -m patchrank.cli``, in order, on a small corpus, with a
+    config that sets the keys that every benchmark config sets."""
+    tmp = tmp_path_factory.mktemp("imports")
+    synth = generate(seed=21, n_repos=1, commits_per_repo=50, cves_per_repo=2)
+    commit_dump, cve_dump = synth.write(tmp / "input")
+    config = {
+        "commit_dump": str(commit_dump),
+        "cve_dump": str(cve_dump),
+        "output_dir": str(tmp / "out"),
+        "seed": 11,
+        "provider": {"offline_dimension": 64},
+        "fusion": {"candidate_k": 30},
+        "ranker": {"num_leaves": 7, "min_data_in_leaf": 2},
+    }
+    (tmp / "config.json").write_text(json.dumps(config))
+    src = Path(pipeline_mod.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cve_id = synth.cve_records[0]["cve_id"]
+    argv = {stage: [stage] for stage in STAGES} | {"trace": ["trace", "--cve", cve_id]}
+    modules = {}
+    for name, args in argv.items():
+        cli = [sys.executable, "-X", "importtime", "-m", "patchrank.cli", *args]
+        child = subprocess.run(
+            [*cli, "--config", str(tmp / "config.json")], env=env, capture_output=True, text=True
+        )
+        assert child.returncode == 0, child.stderr
+        modules[name] = imported_modules(child.stderr)
+    return modules
+
+
+@pytest.mark.parametrize("name", list(STAGE_MODULES))
+def test_cli_child_imports_only_its_stage_modules(stage_imports, name):
+    """A stage child compiles and loads the CLI's modules and its own layers'
+    only; trace loads every layer but evalkit. None imports requests."""
+    modules = stage_imports[name]
+    loaded = {module for module in modules if module.split(".")[0] == "patchrank"}
+    assert loaded == CLI_MODULES | {f"patchrank.{leaf}" for leaf in STAGE_MODULES[name]}
+    assert "requests" not in modules

@@ -2,7 +2,7 @@
 section tokens the BM25 indexes read, the diff index summed from the file
 index, the corpus file round trip from a commit and from a dump, the
 feature rows' features.bin round trip, the candidate and ranking lists'
-round trip, embed_batch's normalization, the offline vectors
+round trip, the ranked-list JSONL writer, embed_batch's normalization, the offline vectors
 build_vectors stores and the array pre-ranker."""
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from patchrank.corpus import (  # noqa: E402
     tokenize,
     truncate_to_tokens,
 )
-from patchrank.corpus import write_jsonl  # noqa: E402
+from patchrank.corpus import write_jsonl, write_ranked_jsonl  # noqa: E402
 from patchrank.embedding import (  # noqa: E402
     OfflineEmbedder,
     PromptKind,
@@ -338,6 +338,33 @@ def test_candidate_and_ranking_lists_round_trip(drawn, component):
             c: [commit_id for commit_id, _ in entries] for c, entries in expected.items()
         }
         assert candidates.components.tobytes() == components.tobytes()
+
+
+# CVE ids with characters that JSON escapes or keeps as they are: quotes,
+# backslashes, control characters, non-ASCII letters and an astral symbol.
+CVE_ID = st.text(st.sampled_from('CVE-2024-1 "\\\n\t\x00\x7fé漢\U0001f600{}'), max_size=12)
+RANKED_LIST = st.tuples(
+    CVE_ID,
+    st.lists(st.text(max_size=6), max_size=4),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+)
+
+
+@given(st.sampled_from(["fused_score", "score"]), st.lists(RANKED_LIST, max_size=4))
+@example("score", [("CVE-\"é\"\\x", ["a"], [-0.0, 0.1, 1e300, 5e-324])])
+def test_ranked_writer_writes_the_bytes_of_write_jsonl(score_key, lists):
+    """write_ranked_jsonl writes what write_jsonl writes of one record per
+    ranked commit, for either score key."""
+    records = [
+        {"cve_id": cve_id, "commit_id": commit_id, "rank": rank, score_key: score}
+        for cve_id, commit_ids, scores in lists
+        for rank, commit_id, score in zip(range(1, 5), commit_ids, scores)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        expected, written = Path(tmp) / "expected.jsonl", Path(tmp) / "written.jsonl"
+        write_jsonl(expected, records)
+        write_ranked_jsonl(written, score_key, iter(lists))
+        assert written.read_bytes() == expected.read_bytes()
 
 
 class _Returns:

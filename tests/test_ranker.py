@@ -12,7 +12,9 @@ import pytest
 from patchrank.corpus import ingest_multi_repo_dump, load_cve_dump
 from patchrank.embedding import OfflineEmbedder, build_vectors
 from patchrank.evalkit import mrr, ndcg_at_k
+from patchrank import hier_features
 from patchrank.hier_features import (
+    FeatureAssembler,
     feature_max_file_sim,
     feature_mean_top2_cosine,
     feature_top1_file_cosine,
@@ -25,10 +27,8 @@ from patchrank.path_features import (
     search_paths,
 )
 from patchrank.prerank import prerank_candidates
-from patchrank import ranker as ranker_mod
 from patchrank.ranker import (
     FEATURE_NAMES,
-    FeatureAssembler,
     RankerParams,
     RankModel,
     TrainingDataError,
@@ -210,7 +210,7 @@ class TestMatrixOracle:
         corpus, cves, assembler, _ = setup
         ids = corpus.commit_ids
         whole = [feature_rows(assembler, cve, ids) for cve in cves]
-        monkeypatch.setattr(ranker_mod, "MATRIX_CHUNK", 7)
+        monkeypatch.setattr(hier_features, "MATRIX_CHUNK", 7)
         for cve, expected in zip(cves, whole):
             assert np.array_equal(feature_rows(assembler, cve, ids), expected), cve.cve_id
 

@@ -3,16 +3,19 @@ CLI child.
 
 The L corpus is ``tests/synthcorpus.generate(seed=7, n_repos=1,
 commits_per_repo=15000, cves_per_repo=6)``, embedded offline, with run
-seed 11. Each stage runs as ``python -m patchrank.cli <stage>`` in its own
-child process: its wall time is taken with ``time.perf_counter`` around the
-child, and its peak RSS from ``os.wait4``. After the stages, one ``trace``
-child ranks the CVE dump's first CVE from their artifacts. The corpus is
-written by a child too, so that this process stays small and adds little to
-the children's peak RSS.
+seed 11. Each stage runs as ``python -X importtime -m patchrank.cli <stage>``
+in its own child process: its wall time is taken with ``time.perf_counter``
+around the child, its peak RSS from ``os.wait4``, and the summed self time of
+the ``patchrank`` modules it imported (which includes compiling them when no
+bytecode is cached) from the ``-X importtime`` lines on its stderr. After the
+stages, one ``trace`` child ranks the CVE dump's first CVE from their
+artifacts. The corpus is written by a child too, so that this process stays
+small and adds little to the children's peak RSS.
 
-The script prints two Markdown table rows under their header: the stage
+The script prints three Markdown table rows under their header: the stage
 walls, their total, the trace wall and the largest peak RSS; then each
-stage's and the trace's peak RSS. Then it prints the size of the output
+stage's and the trace's peak RSS; then each stage's, their total and the
+trace's ``patchrank`` import time. Then it prints the size of the output
 directory, the size of each of its top-level directories (``index``,
 ``vectors``, ...), and the macro MRR of ``eval/report.json``::
 
@@ -43,22 +46,37 @@ GENERATE = (
 )
 
 
-def run_child(argv: list[str], env: dict[str, str]) -> tuple[float, float]:
-    """Wall seconds and peak RSS in MB of one child; exits if it fails."""
+def run_child(argv: list[str], env: dict[str, str]) -> tuple[float, float, float]:
+    """Wall seconds, peak RSS in MB and ``patchrank`` import seconds of one
+    child; exits if it fails."""
     start = time.perf_counter()
     with subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) as proc:
-        stderr = proc.stderr.read()
+        stderr = proc.stderr.read().decode()
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
     wall = time.perf_counter() - start
+    imports, other = [], []
+    for line in stderr.splitlines():
+        (imports if line.startswith("import time:") else other).append(line)
     if proc.returncode != 0:
-        sys.exit(f"{' '.join(argv[2:])} exited {proc.returncode}:\n{stderr.decode()}")
-    return wall, usage.ru_maxrss / 1024  # KiB on Linux
+        sys.exit(f"{' '.join(argv[1:])} exited {proc.returncode}:\n" + "\n".join(other))
+    return wall, usage.ru_maxrss / 1024, patchrank_import_s(imports)  # KiB on Linux
 
 
-def time_stages(work: Path, commits: int, cves: int) -> dict[str, tuple[float, float]]:
-    """Each stage's and the trace's wall seconds and peak RSS in MB, the
-    stages' output in ``work/out``."""
+def patchrank_import_s(lines: list[str]) -> float:
+    """The summed self seconds of the ``patchrank`` modules in ``-X importtime``
+    lines, ``import time: <self us> | <cumulative us> | <module>``."""
+    fields = [line.removeprefix("import time:").split("|") for line in lines]
+    return sum(
+        int(us) / 1e6
+        for us, _, module in fields
+        if module.strip().split(".")[0] == "patchrank" and us.strip().isdigit()
+    )
+
+
+def time_stages(work: Path, commits: int, cves: int) -> dict[str, tuple[float, float, float]]:
+    """Each stage's and the trace's wall seconds, peak RSS in MB and
+    ``patchrank`` import seconds, the stages' output in ``work/out``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
     run_child([sys.executable, "-c", GENERATE, str(commits), str(cves), str(work / "input")], env)
     config = work / "config.json"
@@ -74,7 +92,7 @@ def time_stages(work: Path, commits: int, cves: int) -> dict[str, tuple[float, f
         ),
         encoding="utf-8",
     )
-    cli = [sys.executable, "-m", "patchrank.cli"]
+    cli = [sys.executable, "-X", "importtime", "-m", "patchrank.cli"]
     timed = {stage: run_child([*cli, stage, "--config", str(config)], env) for stage in STAGES}
     with open(work / "input" / "cves.jsonl", encoding="utf-8") as fh:
         cve_id = json.loads(fh.readline())["cve_id"]
@@ -82,14 +100,17 @@ def time_stages(work: Path, commits: int, cves: int) -> dict[str, tuple[float, f
     return timed
 
 
-def report(label: str, timed: dict[str, tuple[float, float]], out: Path) -> str:
+def report(label: str, timed: dict[str, tuple[float, float, float]], out: Path) -> str:
     walls = [timed[stage][0] for stage in STAGES]
     peaks = [f"{timed[stage][1]:.0f} MB" for stage in STAGES]
-    trace_wall, trace_rss = timed["trace"]
-    top = f"{max(rss for _, rss in timed.values()):.0f} MB"
+    imports = [timed[stage][2] for stage in STAGES]
+    trace_wall, trace_rss, trace_imports = timed["trace"]
+    top = f"{max(rss for _, rss, _ in timed.values()):.0f} MB"
     cells = [label, *(f"{wall:.2f} s" for wall in walls), f"{sum(walls):.2f} s"]
     cells += [f"{trace_wall:.2f} s", top]
     rss_cells = [f"{label} peak RSS", *peaks, "–", f"{trace_rss:.0f} MB", top]
+    import_cells = [f"{label} patchrank imports", *(f"{1e3 * s:.0f} ms" for s in imports)]
+    import_cells += [f"{1e3 * sum(imports):.0f} ms", f"{1e3 * trace_imports:.0f} ms", "–"]
     size = sum(p.stat().st_size for p in out.rglob("*") if p.is_file())
     sizes = {
         top.name: sum(p.stat().st_size for p in top.rglob("*") if p.is_file())
@@ -103,6 +124,7 @@ def report(label: str, timed: dict[str, tuple[float, float]], out: Path) -> str:
             "|---" * (len(STAGES) + 4) + "|",
             "| " + " | ".join(cells) + " |",
             "| " + " | ".join(rss_cells) + " |",
+            "| " + " | ".join(import_cells) + " |",
             f"output: {size / 1e6:.1f} MB",
             "by directory: " + ", ".join(f"{n} {b / 1e6:.2f} MB" for n, b in sizes.items()),
             f"macro MRR: {mrr:.3f}",
