@@ -12,7 +12,11 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
+
+# Set before numpy loads: OpenBLAS workers only spin here; the one BLAS call is a short ddot.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .pipeline import (
     STAGE_FUNCTIONS,
@@ -107,6 +111,12 @@ def main(argv: list[str] | None = None) -> int:
             _print_trace(result, args.top_k)
         else:
             STAGE_FUNCTIONS[args.command](config)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``trace ... | head``): point it at devnull so
+        # that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except StageInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,12 +12,14 @@ SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "l_corpus_timer.py"
 
 def test_timer_prints_a_row_the_output_size_and_the_mrr(tmp_path):
     """Also a second row, of each stage's peak RSS, and a third, of each
-    stage's patchrank import time and their total, and in each the trace's
-    column after the total; and the size of each top-level directory."""
+    stage's patchrank import time and their total, and a fourth, of each
+    stage's CPU time and their total, and in each the trace's column after the
+    total; and the size of each top-level directory."""
     argv = [sys.executable, str(SCRIPT), "--commits", "200", "--cves", "3", "--work", str(tmp_path)]
     done = subprocess.run([*argv, "--label", "x"], capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    header, rule, row, rss_row, import_row, size, by_directory, mrr = done.stdout.splitlines()
+    lines = done.stdout.splitlines()
+    header, rule, row, rss_row, import_row, cpu_row, size, by_directory, mrr = lines
     assert header.split(" | ")[1:11] == [
         "ingest", "index", "embed", "prerank", "featurize", "train", "rank", "eval", "total", "trace"
     ]
@@ -39,6 +41,11 @@ def test_timer_prints_a_row_the_output_size_and_the_mrr(tmp_path):
     # Every child imports the package and the pipeline; the total is of the
     # unrounded times.
     assert all(ms > 0 for ms in imports) and abs(sum(imports[:8]) - imports[8]) <= 4
+    cpu_cells = cpu_row.strip("| ").split(" | ")
+    assert cpu_cells[0] == "x CPU" and cpu_cells[11] == "–"
+    assert all(re.fullmatch(r"\d+\.\d\d s", cell) for cell in cpu_cells[1:11])
+    cpus = [float(cell.removesuffix(" s")) for cell in cpu_cells[1:11]]
+    assert all(cpu > 0 for cpu in cpus) and abs(sum(cpus[:8]) - cpus[8]) < 0.05
     out_mb = sum(p.stat().st_size for p in (tmp_path / "out").rglob("*") if p.is_file()) / 1e6
     assert size == f"output: {out_mb:.1f} MB"
     tops = sorted(p for p in (tmp_path / "out").iterdir() if p.is_dir())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import math
@@ -1591,3 +1592,66 @@ def test_cli_child_imports_only_its_stage_modules(stage_imports, name):
     loaded = {module for module in modules if module.split(".")[0] == "patchrank"}
     assert loaded == CLI_MODULES | {f"patchrank.{leaf}" for leaf in STAGE_MODULES[name]}
     assert "requests" not in modules
+
+
+def test_cli_runs_one_blas_thread_unless_told_otherwise():
+    """``import patchrank.cli`` sets OPENBLAS_NUM_THREADS to 1 before numpy
+    starts its pool, so the process runs one OS thread; a value set before is
+    kept, and a library import leaves the environment as it is."""
+    src = Path(pipeline_mod.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(src)
+
+    def probe(module: str, **extra: str) -> list[str]:
+        code = (
+            f"import os, {module}; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))"
+        )
+        argv = [sys.executable, "-c", code]
+        child = subprocess.run(argv, env=env | extra, capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        return child.stdout.split()
+
+    assert probe("patchrank.cli") == ["1", "1"]
+    assert probe("patchrank.cli", OPENBLAS_NUM_THREADS="2")[0] == "2"
+    assert probe("patchrank.pipeline")[0] == "None"
+
+
+def test_trace_into_a_closed_pipe_exits_0_quietly(tmp_path):
+    """``trace --top-k 1000 | head -1``: the reader closes the pipe after one
+    line while trace is still writing rows, with stdout buffered or not; or
+    before trace writes, so that the rows still sit in stdout's buffer. trace
+    exits 0 and writes nothing to stderr, where it ended in a BrokenPipeError
+    traceback (exit 1) or, from the flush at exit, an ignored one (exit 120)."""
+    synth = generate(seed=21, n_repos=1, commits_per_repo=300, cves_per_repo=2)
+    commit_dump, cve_dump = synth.write(tmp_path / "input")
+    config = {
+        "commit_dump": str(commit_dump),
+        "cve_dump": str(cve_dump),
+        "output_dir": str(tmp_path / "out"),
+        "offline": True,
+        "provider": {"offline_dimension": 64},
+        "ranker": {"learning_rate": 0.2, "num_leaves": 7, "min_data_in_leaf": 2},
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    for stage in STAGES:  # fresh artifacts, so trace logs no warning
+        assert main([stage, "--config", str(config_path)]) == 0, stage
+    src = Path(pipeline_mod.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    cve_id = synth.cve_records[0]["cve_id"]
+    trace = ["-m", "patchrank.cli", "trace", "--config", str(config_path), "--cve", cve_id]
+    for flags, top_k, lines in (([], 1000, 1), (["-u"], 1000, 1), ([], 1, 0)):
+        read_fd, write_fd = os.pipe()
+        # One page: ~300 rows (~22 kB) overflow it, so the child is still
+        # writing when the pipe closes after one line.
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+        argv = [sys.executable, *flags, *trace, "--top-k", str(top_k)]
+        with subprocess.Popen(argv, env=env, stdout=write_fd, stderr=subprocess.PIPE) as child:
+            os.close(write_fd)
+            with open(read_fd, "rb") as out:
+                head = [out.readline() for _ in range(lines)]
+            _, stderr = child.communicate(timeout=120)
+        assert all(line.startswith(cve_id.encode()) for line in head)
+        assert (child.returncode, stderr) == (0, b""), (flags, top_k)

@@ -5,19 +5,21 @@ The L corpus is ``tests/synthcorpus.generate(seed=7, n_repos=1,
 commits_per_repo=15000, cves_per_repo=6)``, embedded offline, with run
 seed 11. Each stage runs as ``python -X importtime -m patchrank.cli <stage>``
 in its own child process: its wall time is taken with ``time.perf_counter``
-around the child, its peak RSS from ``os.wait4``, and the summed self time of
-the ``patchrank`` modules it imported (which includes compiling them when no
-bytecode is cached) from the ``-X importtime`` lines on its stderr. After the
-stages, one ``trace`` child ranks the CVE dump's first CVE from their
-artifacts. The corpus is written by a child too, so that this process stays
-small and adds little to the children's peak RSS.
+around the child, its CPU seconds (user plus system) and peak RSS from
+``os.wait4``, and the summed self time of the ``patchrank`` modules it
+imported (which includes compiling them when no bytecode is cached) from the
+``-X importtime`` lines on its stderr. After the stages, one ``trace`` child
+ranks the CVE dump's first CVE from their artifacts. The corpus is written by
+a child too, so that this process stays small and adds little to the
+children's peak RSS.
 
-The script prints three Markdown table rows under their header: the stage
+The script prints four Markdown table rows under their header: the stage
 walls, their total, the trace wall and the largest peak RSS; then each
 stage's and the trace's peak RSS; then each stage's, their total and the
-trace's ``patchrank`` import time. Then it prints the size of the output
-directory, the size of each of its top-level directories (``index``,
-``vectors``, ...), and the macro MRR of ``eval/report.json``::
+trace's ``patchrank`` import time; then each stage's, their total and the
+trace's CPU time. Then it prints the size of the output directory, the size
+of each of its top-level directories (``index``, ``vectors``, ...), and the
+macro MRR of ``eval/report.json``::
 
     python3 tools/l_corpus_timer.py [--commits 15000] [--cves 6] [--work DIR] [--label HEAD]
 
@@ -44,11 +46,13 @@ GENERATE = (
     "generate(seed=7, n_repos=1, commits_per_repo=int(sys.argv[1]), "
     "cves_per_repo=int(sys.argv[2])).write(Path(sys.argv[3]))"
 )
+# One child's wall seconds, peak RSS in MB, patchrank import seconds and CPU seconds.
+Timing = tuple[float, float, float, float]
 
 
-def run_child(argv: list[str], env: dict[str, str]) -> tuple[float, float, float]:
-    """Wall seconds, peak RSS in MB and ``patchrank`` import seconds of one
-    child; exits if it fails."""
+def run_child(argv: list[str], env: dict[str, str]) -> Timing:
+    """Wall seconds, peak RSS in MB, ``patchrank`` import seconds and CPU
+    seconds of one child; exits if it fails."""
     start = time.perf_counter()
     with subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) as proc:
         stderr = proc.stderr.read().decode()
@@ -60,7 +64,8 @@ def run_child(argv: list[str], env: dict[str, str]) -> tuple[float, float, float
         (imports if line.startswith("import time:") else other).append(line)
     if proc.returncode != 0:
         sys.exit(f"{' '.join(argv[1:])} exited {proc.returncode}:\n" + "\n".join(other))
-    return wall, usage.ru_maxrss / 1024, patchrank_import_s(imports)  # KiB on Linux
+    cpu = usage.ru_utime + usage.ru_stime
+    return wall, usage.ru_maxrss / 1024, patchrank_import_s(imports), cpu  # KiB on Linux
 
 
 def patchrank_import_s(lines: list[str]) -> float:
@@ -74,9 +79,9 @@ def patchrank_import_s(lines: list[str]) -> float:
     )
 
 
-def time_stages(work: Path, commits: int, cves: int) -> dict[str, tuple[float, float, float]]:
-    """Each stage's and the trace's wall seconds, peak RSS in MB and
-    ``patchrank`` import seconds, the stages' output in ``work/out``."""
+def time_stages(work: Path, commits: int, cves: int) -> dict[str, Timing]:
+    """Each stage's and the trace's wall seconds, peak RSS in MB, ``patchrank``
+    import seconds and CPU seconds, the stages' output in ``work/out``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
     run_child([sys.executable, "-c", GENERATE, str(commits), str(cves), str(work / "input")], env)
     config = work / "config.json"
@@ -100,17 +105,20 @@ def time_stages(work: Path, commits: int, cves: int) -> dict[str, tuple[float, f
     return timed
 
 
-def report(label: str, timed: dict[str, tuple[float, float, float]], out: Path) -> str:
+def report(label: str, timed: dict[str, Timing], out: Path) -> str:
     walls = [timed[stage][0] for stage in STAGES]
     peaks = [f"{timed[stage][1]:.0f} MB" for stage in STAGES]
     imports = [timed[stage][2] for stage in STAGES]
-    trace_wall, trace_rss, trace_imports = timed["trace"]
-    top = f"{max(rss for _, rss, _ in timed.values()):.0f} MB"
+    cpus = [timed[stage][3] for stage in STAGES]
+    trace_wall, trace_rss, trace_imports, trace_cpu = timed["trace"]
+    top = f"{max(rss for _, rss, _, _ in timed.values()):.0f} MB"
     cells = [label, *(f"{wall:.2f} s" for wall in walls), f"{sum(walls):.2f} s"]
     cells += [f"{trace_wall:.2f} s", top]
     rss_cells = [f"{label} peak RSS", *peaks, "–", f"{trace_rss:.0f} MB", top]
     import_cells = [f"{label} patchrank imports", *(f"{1e3 * s:.0f} ms" for s in imports)]
     import_cells += [f"{1e3 * sum(imports):.0f} ms", f"{1e3 * trace_imports:.0f} ms", "–"]
+    cpu_cells = [f"{label} CPU", *(f"{s:.2f} s" for s in cpus)]
+    cpu_cells += [f"{sum(cpus):.2f} s", f"{trace_cpu:.2f} s", "–"]
     size = sum(p.stat().st_size for p in out.rglob("*") if p.is_file())
     sizes = {
         top.name: sum(p.stat().st_size for p in top.rglob("*") if p.is_file())
@@ -125,6 +133,7 @@ def report(label: str, timed: dict[str, tuple[float, float, float]], out: Path) 
             "| " + " | ".join(cells) + " |",
             "| " + " | ".join(rss_cells) + " |",
             "| " + " | ".join(import_cells) + " |",
+            "| " + " | ".join(cpu_cells) + " |",
             f"output: {size / 1e6:.1f} MB",
             "by directory: " + ", ".join(f"{n} {b / 1e6:.2f} MB" for n, b in sizes.items()),
             f"macro MRR: {mrr:.3f}",
