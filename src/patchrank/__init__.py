@@ -32,8 +32,7 @@ _HOMES = {
         "lexical": "InvertedIndex build_index query rank_files_within_commit",
         "path_features": "extract_entities feature_jaccard search_paths",
         "prerank": "FusionConfig prerank_candidates",
-        "ranker": """RankerParams RankModel TrainingGroup TrainingRow sample_training_group
-            train_lambdarank""",
+        "ranker": "RankerParams RankModel TrainingSet sample_training_group train_lambdarank",
         "settings": "FEATURE_NAMES",
     }.items()
     for name in names.split()

@@ -18,6 +18,7 @@ import sys
 # Set before numpy loads: OpenBLAS workers only spin here; the one BLAS call is a short ddot.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from .corpus import InputError
 from .pipeline import (
     STAGE_FUNCTIONS,
     STAGES,
@@ -27,21 +28,6 @@ from .pipeline import (
     load_config,
     run_trace,
 )
-
-# The input errors that exit 1 besides ConfigError, by the module that defines
-# them. They are looked up, not imported: a stage loads only the modules it
-# runs, and a module this process has not loaded raised none of its errors.
-_INPUT_ERRORS = {
-    "patchrank.corpus": ("DumpFormatError",),
-    "patchrank.embedding": ("EmbedBuildError", "ProviderError"),
-    "patchrank.ranker": ("TrainingDataError",),
-}
-
-
-def _input_errors() -> tuple[type[Exception], ...]:
-    loaded = ((sys.modules.get(name), classes) for name, classes in _INPUT_ERRORS.items())
-    return (ConfigError, *(getattr(m, c) for m, classes in loaded if m for c in classes))
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -120,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
     except StageInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _input_errors() as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -28,7 +28,12 @@ import numpy as np
 from .container import STR, Format, Section
 
 
-class DumpFormatError(ValueError):
+class InputError(Exception):
+    """Bad input of the user's: a dump, the config, the training data or the
+    embedding provider. The CLI exits 1 on it."""
+
+
+class DumpFormatError(ValueError, InputError):
     """A commit or CVE dump, or a JSONL artifact, is malformed."""
 
 

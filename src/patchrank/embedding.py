@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import STR, Format, Section
-from .corpus import Corpus, CveRecord, tokenize, truncate_tokenized
+from .corpus import Corpus, CveRecord, InputError, tokenize, truncate_tokenized
 from .settings import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_COMMIT_TOKEN_BUDGET,
@@ -73,7 +73,7 @@ _QUERY_TEMPLATE = (
 )
 
 
-class ProviderError(RuntimeError):
+class ProviderError(RuntimeError, InputError):
     """Embedding request failure; carries the number of attempts made."""
 
     def __init__(self, message: str, attempts: int):
@@ -384,7 +384,7 @@ class VectorStore:
         return cls(vectors.shape[1], keys, vectors)
 
 
-class EmbedBuildError(RuntimeError):
+class EmbedBuildError(RuntimeError, InputError):
     """A provider failure during store construction, naming the failed keys."""
 
 

@@ -10,8 +10,10 @@ no ``trace`` uses an artifact that the current dumps and config do not give.
 The per-CVE work is written once and shared by the stages and ``trace``:
 ``_embed`` builds a repository's vector store, ``_prerank`` fuses a CVE's
 candidate list, and ``_featurize`` computes its feature rows and samples its
-training group. The stages read their inputs from, and write their results
-to, artifacts; ``run_trace`` runs the same functions for one CVE in memory.
+training group, by corpus position. The groups make one ``TrainingSet``,
+which ``featurize`` writes as ``training.bin`` and ``trace`` trains on in
+memory. The stages read their inputs from, and write their results to,
+artifacts; ``run_trace`` runs the same functions for one CVE in memory.
 
 Each function imports the layers it calls where it calls them, and the
 config's defaults and checks come from ``settings``, so that a CLI child
@@ -35,14 +37,14 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import settings
 from .container import STR, Format, Section
-from .corpus import Corpus, CveRecord, expect, write_jsonl, write_ranked_jsonl
+from .corpus import Corpus, CveRecord, InputError, expect, write_jsonl, write_ranked_jsonl
 
 if TYPE_CHECKING:
     from .embedding import VectorStore
     from .hier_features import FeatureAssembler
     from .lexical import InvertedIndex
     from .prerank import FusionConfig
-    from .ranker import RankerParams, TrainingGroup
+    from .ranker import RankerParams, TrainingSet
 
 logger = logging.getLogger(__name__)
 
@@ -55,7 +57,7 @@ STORED_KINDS = ("message", "file")
 MANIFEST_VERSION = 2
 
 
-class ConfigError(ValueError):
+class ConfigError(ValueError, InputError):
     """The pipeline configuration file is invalid."""
 
 
@@ -832,33 +834,34 @@ def _featurize(
     config: PipelineConfig,
     assembler: FeatureAssembler,
     cve: CveRecord,
-    preranked: Sequence[str],
+    preranked: np.ndarray,
     positions: np.ndarray,
-) -> tuple[np.ndarray, TrainingGroup | None]:
+) -> tuple[np.ndarray, tuple | None]:
     """The feature rows of the commits at corpus ``positions``, in that order,
-    and the CVE's training group, sampled from its pre-ranked commit ids
-    ``preranked`` (None without a known patch), with its rows' features.
-    Every distinct commit's row is computed once, in one batch."""
+    and the CVE's training group, sampled from its pre-ranked corpus positions
+    ``preranked``, as :meth:`TrainingSet.of_groups` takes a group (None without
+    a known patch). Every distinct commit's row is computed once, in one batch."""
     from .ranker import sample_training_group
 
-    group = sample_training_group(
+    corpus = assembler.corpus
+    sampled = sample_training_group(
         cve,
         preranked,
-        assembler.corpus,
+        corpus,
         config.seed,
         hard_negatives=config.hard_negatives,
         random_negatives=config.random_negatives,
     )
-    group_rows = group.rows if group else []
-    grouped = np.array([assembler.corpus.position_of(row.commit_id) for row in group_rows], np.intp)
+    grouped = np.empty(0, np.intp) if sampled is None else sampled[0]
     wanted, slot = np.unique(np.concatenate([positions, grouped]), return_inverse=True)
     if len(wanted):
         rows = assembler.matrix(cve, wanted)[slot]
     else:
         rows = np.empty((0, settings.NUM_FEATURES))
-    for row, features in zip(group_rows, rows[len(positions) :]):
-        row.features = features
-    return rows[: len(positions)], group
+    listed, grouped_rows = rows[: len(positions)], rows[len(positions) :]
+    if sampled is None:
+        return listed, None
+    return listed, (cve.cve_id, _commit_ids(corpus, grouped), sampled[1], grouped_rows)
 
 
 def _corpus_positions(
@@ -880,6 +883,8 @@ def _corpus_positions(
 
 def stage_featurize(config: PipelineConfig) -> None:
     """Compute the nine features for every candidate and training row."""
+    from .ranker import TrainingSet
+
     run = _Run(config, "featurize")
     candidates = run.candidates()
     corpora = run.corpora()
@@ -899,46 +904,29 @@ def stage_featurize(config: PipelineConfig) -> None:
     groups = []
     for cve, rows in zip(listed, candidates.slices().values()):
         assembler = repo(cve.repo_id)[1]
-        preranked = candidates.ids(rows)
-        features[rows], group = _featurize(config, assembler, cve, preranked, positions[rows])
+        preranked = positions[rows]
+        features[rows], group = _featurize(config, assembler, cve, preranked, preranked)
         entity_records.append(
             {"cve_id": cve.cve_id, "entities": sorted(assembler.entities_for(cve))}
         )
         groups += [group] if group else []
     run.write(run.features_file, lambda tmp: FEATURES_FORMAT.save(tmp, features=features))
     run.write(run.entities_file, lambda tmp: write_jsonl(tmp, entity_records))
-    run.write(run.training_file, lambda tmp: save_training_groups(groups, tmp))
+    training = TrainingSet.of_groups(groups)
+    run.write(run.training_file, lambda tmp: TRAINING_FORMAT.save(tmp, **vars(training)))
     run.finish()
 
 
-def save_training_groups(groups: list[TrainingGroup], path: Path) -> None:
-    """Write ``groups`` in the TRAINING_FORMAT container, sorted by CVE id."""
-    groups = sorted(groups, key=lambda g: g.cve_id)
-    rows = [row for group in groups for row in group.rows]
-    TRAINING_FORMAT.save(
-        path,
-        cve_ids=[group.cve_id for group in groups],
-        offsets=np.cumsum([0, *(len(group.rows) for group in groups)]),
-        commit_ids=[row.commit_id for row in rows],
-        relevance=[row.relevance for row in rows],
-        features=np.array([row.features for row in rows]).reshape(-1, settings.NUM_FEATURES),
-    )
+def _training_set(cve_ids, offsets, commit_ids, relevance, features) -> TrainingSet:
+    """The TRAINING_FORMAT sections, checked: the CVE ids ascend, the offsets
+    cover the rows, and each row has a relevance label >= 0 and a feature row."""
+    from .ranker import TrainingSet
 
-
-def load_training_groups(path: Path) -> list[TrainingGroup]:
-    """The groups of a :func:`save_training_groups` file."""
-    return TRAINING_FORMAT.load(path, _training_groups)
-
-
-def _training_groups(cve_ids, offsets, commit_ids, relevance, features) -> list[TrainingGroup]:
-    from .ranker import TrainingGroup, TrainingRow
-
-    n, bounds = len(commit_ids), offsets.tolist()
+    n = len(commit_ids)
     _group_owners(cve_ids, offsets, n)
     if not len(relevance) == len(features) == n or np.any(relevance < 0):
         raise ValueError(f"need {n} relevance labels >= 0 and feature rows")
-    rows = list(map(TrainingRow, commit_ids, relevance.tolist(), features))
-    return [TrainingGroup(c, rows[a:b]) for c, a, b in zip(cve_ids, bounds, bounds[1:])]
+    return TrainingSet(cve_ids, offsets, commit_ids, relevance, features)
 
 
 def stage_train(config: PipelineConfig) -> None:
@@ -946,8 +934,8 @@ def stage_train(config: PipelineConfig) -> None:
     from .ranker import train_lambdarank
 
     run = _Run(config, "train")
-    groups = run.read(load_training_groups, run.training_file)
-    model = train_lambdarank(groups, config.ranker_params())
+    training = run.read(TRAINING_FORMAT.load, run.training_file, _training_set)
+    model = train_lambdarank(training, config.ranker_params())
     run.write(run.model_file, model.save)
     run.finish()
 
@@ -1035,7 +1023,7 @@ def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
     CVE, in memory. Without any labels the pre-ranked order is returned
     unchanged. Under ``config.repo_filter`` only that repository is read.
     """
-    from .ranker import RankModel, rerank, train_lambdarank
+    from .ranker import RankModel, TrainingSet, rerank, train_lambdarank
 
     run = _Run(config, "trace")
     try:
@@ -1067,10 +1055,10 @@ def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
         groups = []
         for cve in labeled:
             assembler = repo(cve.repo_id)[1]
-            ids = _commit_ids(assembler.corpus, preranked(cve)[0])
-            group = _featurize(config, assembler, cve, ids, np.empty(0, np.intp))[1]
+            group = _featurize(config, assembler, cve, preranked(cve)[0], np.empty(0, np.intp))[1]
             groups += [group] if group else []
-        model = train_lambdarank(groups, config.ranker_params()) if groups else None
+        if groups:
+            model = train_lambdarank(TrainingSet.of_groups(groups), config.ranker_params())
         model_source = "trained in memory" if groups else "none"
 
     assembler = repo(target.repo_id)[1]

@@ -7,6 +7,9 @@ tree learner is histogram-based with best-first leaf growth, capped by
 ``num_leaves`` and ``min_data_in_leaf``. Training is deterministic for a
 fixed seed and models serialize to a versioned JSON tree dump. The features
 themselves are computed by :class:`~patchrank.hier_features.FeatureAssembler`.
+
+The training input is one :class:`TrainingSet`, the arrays of ``training.bin``;
+:func:`sample_training_group` picks each CVE's group by corpus position.
 """
 
 from __future__ import annotations
@@ -15,14 +18,14 @@ import heapq
 import json
 import logging
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from hashlib import blake2b
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, CveRecord, expect
+from .corpus import Corpus, CveRecord, InputError, expect
 from .settings import (
     DEFAULT_HARD_NEGATIVES,
     DEFAULT_LEARNING_RATE,
@@ -47,7 +50,7 @@ _NDCG_TRUNCATION = 10
 _EARLY_STOP_PATIENCE = 10
 
 
-class TrainingDataError(ValueError):
+class TrainingDataError(ValueError, InputError):
     """Training input cannot produce a model (empty, degenerate, bad params)."""
 
 
@@ -56,47 +59,70 @@ def _derive_seed(seed: int, name: str) -> int:
     return int.from_bytes(blake2b(name.encode("utf-8"), digest_size=8, key=key).digest(), "big")
 
 
-@dataclass
-class TrainingRow:
-    commit_id: str
-    relevance: int
-    features: np.ndarray | None = None
+@dataclass(frozen=True)
+class TrainingSet:
+    """The LambdaRank input, by the sections of ``training.bin``: group ``g``,
+    the sampled rows of CVE ``cve_ids[g]``, is rows ``offsets[g]`` to
+    ``offsets[g + 1]``, and row ``r`` is commit ``commit_ids[r]``, its
+    ``int8`` relevance and its ``float64`` feature row, in FEATURE_NAMES order."""
 
+    cve_ids: list[str]
+    offsets: np.ndarray
+    commit_ids: list[str]
+    relevance: np.ndarray
+    features: np.ndarray
 
-@dataclass
-class TrainingGroup:
-    cve_id: str
-    rows: list[TrainingRow] = field(default_factory=list)
+    @classmethod
+    def of_groups(
+        cls, groups: Iterable[tuple[str, list[str], np.ndarray, np.ndarray]]
+    ) -> TrainingSet:
+        """The set of ``groups``, in order, each a CVE id and its rows' commit
+        ids, relevance and feature rows."""
+        cve_ids, commit_ids = [], []
+        relevance, features = [np.empty(0, np.int8)], [np.empty((0, NUM_FEATURES))]
+        for cve_id, ids, labels, rows in groups:
+            cve_ids.append(cve_id)
+            commit_ids += ids
+            relevance.append(labels)
+            features.append(rows)
+        offsets = np.cumsum([0, *map(len, relevance[1:])], dtype=np.int64)
+        return cls(cve_ids, offsets, commit_ids, np.concatenate(relevance), np.concatenate(features))
 
 
 def sample_training_group(
     cve: CveRecord,
-    preranked: Sequence[str],
+    preranked: Sequence[int],
     corpus: Corpus,
     seed: int,
     *,
     hard_negatives: int = DEFAULT_HARD_NEGATIVES,
     random_negatives: int = DEFAULT_RANDOM_NEGATIVES,
-) -> TrainingGroup | None:
-    """Known patches plus hard (top pre-ranked) and random negatives.
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The corpus positions of a CVE's training group and their relevance:
+    its known patches (1), in commit-id order, then as hard negatives (0) the
+    non-patches among the first ``hard_negatives`` pre-ranked positions of
+    ``preranked``, then up to ``random_negatives`` random negatives (0).
 
-    The hard negatives come from the pre-ranked commit ids ``preranked``.
-    Returns None with a warning when the CVE has no patch in the corpus.
-    The random draw is seeded per CVE, so resampling is reproducible.
+    Returns None with a warning when the CVE has no patch in the corpus. The
+    random draw is seeded per CVE and made from the commits not yet taken, in
+    commit-id order, so resampling is reproducible.
     """
-    positives = sorted(pid for pid in cve.known_patch_ids if pid in corpus)
+    positives = [corpus.position_of(c) for c in sorted(cve.known_patch_ids) if c in corpus]
     if not positives:
         logger.warning("skipping %s: no known patch commit in corpus", cve.cve_id)
         return None
-    positive_set = set(positives)
-    hard = [doc for doc in preranked[:hard_negatives] if doc not in positive_set]
-    remaining = sorted(set(corpus.commit_ids) - positive_set - set(hard))
+    taken = np.zeros(len(corpus), dtype=bool)
+    taken[positives] = True
+    hard = np.asarray(preranked[:hard_negatives], dtype=np.intp)
+    hard = hard[~taken[hard]]
+    taken[hard] = True
+    remaining = corpus.id_order[~taken[corpus.id_order]]
     rng = random.Random(_derive_seed(seed, cve.cve_id))
-    randoms = rng.sample(remaining, min(random_negatives, len(remaining)))
-    rows = [TrainingRow(commit_id=c, relevance=1) for c in positives]
-    rows += [TrainingRow(commit_id=c, relevance=0) for c in hard]
-    rows += [TrainingRow(commit_id=c, relevance=0) for c in randoms]
-    return TrainingGroup(cve_id=cve.cve_id, rows=rows)
+    drawn = rng.sample(range(len(remaining)), min(random_negatives, len(remaining)))
+    positions = np.concatenate([np.array(positives, dtype=np.intp), hard, remaining[drawn]])
+    relevance = np.zeros(len(positions), dtype=np.int8)
+    relevance[: len(positives)] = 1
+    return positions, relevance
 
 
 @dataclass(frozen=True)
@@ -330,15 +356,6 @@ def _grow_tree(
     return {"nodes": nodes}
 
 
-def _group_slices(groups: Sequence[TrainingGroup]) -> list[tuple[int, int]]:
-    slices = []
-    start = 0
-    for group in groups:
-        slices.append((start, start + len(group.rows)))
-        start += len(group.rows)
-    return slices
-
-
 def _ranked_positions(scores: np.ndarray) -> np.ndarray:
     """1-based position of each row when sorted by descending score,
     ties broken by row order."""
@@ -397,30 +414,25 @@ def _accumulate_lambdas(
     np.add.at(hessians, negatives, hess.sum(axis=0))
 
 
-def train_lambdarank(
-    groups: Sequence[TrainingGroup], params: RankerParams = RankerParams()
-) -> RankModel:
-    """Fit the boosted ensemble on per-group LambdaRank gradients.
+def train_lambdarank(training: TrainingSet, params: RankerParams = RankerParams()) -> RankModel:
+    """Fit the boosted ensemble on per-group LambdaRank gradients; a group
+    without rows is skipped.
 
     Boosting stops early once mean training NDCG stops improving for
     ``_EARLY_STOP_PATIENCE`` rounds; the model keeps the best round's trees.
     """
-    groups = [g for g in groups if g.rows]
-    if not groups:
+    bounds = training.offsets.tolist()
+    slices = [(start, end) for start, end in zip(bounds, bounds[1:]) if start < end]
+    if not slices:
         raise TrainingDataError("no training groups")
-    for group in groups:
-        for row in group.rows:
-            if row.features is None or len(row.features) != NUM_FEATURES:
-                raise TrainingDataError(
-                    f"group {group.cve_id}: row {row.commit_id} lacks a "
-                    f"{NUM_FEATURES}-feature vector"
-                )
-    if all(len({row.relevance for row in g.rows}) < 2 for g in groups):
+    features, labels = training.features, training.relevance
+    if len(labels) != bounds[-1] or features.shape != (bounds[-1], NUM_FEATURES):
+        raise TrainingDataError(
+            f"{bounds[-1]} training rows need as many labels and {NUM_FEATURES}-feature rows, "
+            f"got {len(labels)} labels and a feature matrix of shape {features.shape}"
+        )
+    if all((labels[start:end] == labels[start]).all() for start, end in slices):
         raise TrainingDataError("every group is degenerate (uniform relevance)")
-
-    features = np.vstack([row.features for g in groups for row in g.rows]).astype(np.float64)
-    labels = np.array([row.relevance for g in groups for row in g.rows], dtype=np.int8)
-    slices = _group_slices(groups)
 
     binner = _Binner(features, _MAX_BINS)
     scores = np.zeros(len(labels), dtype=np.float64)
@@ -467,7 +479,7 @@ def train_lambdarank(
         "max_bins": _MAX_BINS,
         "ndcg_truncation": _NDCG_TRUNCATION,
         "train_ndcg": best_ndcg,
-        "num_groups": len(groups),
+        "num_groups": len(slices),
     }
     return RankModel(learning_rate=params.learning_rate, trees=kept, metadata=metadata)
 

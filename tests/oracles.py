@@ -7,9 +7,12 @@ they verify.
 
 from __future__ import annotations
 
+import logging
 import math
+import random
 from collections import Counter
 from hashlib import blake2b
+from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +30,9 @@ from patchrank.embedding import embed_batch
 from patchrank.lexical import InvertedIndex, RankedList, accumulate_scores, query
 from patchrank.path_features import commit_paths, path_text
 from patchrank.prerank import FusionConfig
+from patchrank.ranker import _derive_seed
+
+logger = logging.getLogger(__name__)
 
 
 def tokenize_oracle(text: str) -> list[str]:
@@ -324,3 +330,30 @@ def load_ranked_oracle(path, fields: dict, score_key: str) -> dict[str, list[tup
         last = record["cve_id"]
         by_cve.setdefault(last, []).append((record["commit_id"], record[score_key]))
     return by_cve
+
+
+def sample_training_group_oracle(
+    cve: CveRecord,
+    preranked: Sequence[str],
+    corpus: Corpus,
+    seed: int,
+    *,
+    hard_negatives: int,
+    random_negatives: int,
+) -> list[tuple[str, int]] | None:
+    """:func:`patchrank.ranker.sample_training_group` by commit id: the
+    group's (commit id, relevance) rows, with ``preranked`` the pre-ranked
+    commit ids."""
+    positives = sorted(pid for pid in cve.known_patch_ids if pid in corpus)
+    if not positives:
+        logger.warning("skipping %s: no known patch commit in corpus", cve.cve_id)
+        return None
+    positive_set = set(positives)
+    hard = [doc for doc in preranked[:hard_negatives] if doc not in positive_set]
+    remaining = sorted(set(corpus.commit_ids) - positive_set - set(hard))
+    rng = random.Random(_derive_seed(seed, cve.cve_id))
+    randoms = rng.sample(remaining, min(random_negatives, len(remaining)))
+    rows = [(c, 1) for c in positives]
+    rows += [(c, 0) for c in hard]
+    rows += [(c, 0) for c in randoms]
+    return rows

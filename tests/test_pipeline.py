@@ -50,7 +50,7 @@ from patchrank.pipeline import (
 )
 
 from patchrank.prerank import FusionConfig
-from patchrank.ranker import RankerParams, RankModel
+from patchrank.ranker import RankerParams, RankModel, TrainingSet, train_lambdarank
 
 from synthcorpus import generate
 from test_embedding import save_version_2
@@ -347,6 +347,43 @@ class TestArtifacts:
         assert set(training) == {"cve_ids", "offsets", "commit_ids", "relevance", "features"}
         assert training["features"].shape == (len(training["commit_ids"]), 9)
         assert training["offsets"][-1] == len(training["commit_ids"])
+
+    def test_training_group_without_rows_trains_the_same_trees(self, staged):
+        """A training.bin forged with a group of no rows between two real ones
+        trains the same trees, and the model does not count that group."""
+        art = Artifacts(staged.output_dir)
+        before = json.loads(art.model_file.read_text())
+        sections = TRAINING_FORMAT.load(art.training_file)
+        cve_ids, offsets = sections["cve_ids"], sections["offsets"]
+        assert len(cve_ids) >= 2 and np.all(np.diff(offsets) > 0)
+        # Between the first two CVE ids, so that the ids still ascend.
+        sections["cve_ids"] = [cve_ids[0], f"{cve_ids[0]}-empty", *cve_ids[1:]]
+        sections["offsets"] = np.insert(offsets, 1, offsets[1])
+        TRAINING_FORMAT.save(art.training_file, **sections)
+        forge_manifest(staged.output_dir, "features/training.bin")
+        stage_train(staged)
+        after = json.loads(art.model_file.read_text())
+        assert after["trees"] == before["trees"]
+        assert after["metadata"] == before["metadata"]
+        assert after["metadata"]["num_groups"] == len(cve_ids)
+
+    def test_train_from_the_file_equals_training_in_memory(self, staged, monkeypatch, tmp_path):
+        """train's model.json, from training.bin as loaded, has the bytes of
+        train_lambdarank on the TrainingSet that featurize built and wrote."""
+        built = []
+        of_groups = TrainingSet.of_groups
+
+        def recording(groups):
+            built.append(of_groups(groups))
+            return built[-1]
+
+        monkeypatch.setattr(TrainingSet, "of_groups", recording)
+        stage_featurize(staged)
+        stage_train(staged)
+        (training,) = built
+        path = tmp_path / "in-memory.json"
+        train_lambdarank(training, staged.ranker_params()).save(path)
+        assert path.read_bytes() == Artifacts(staged.output_dir).model_file.read_bytes()
 
     def test_ranking_and_report_written(self, small_setup):
         synth, _, config = small_setup

@@ -3,7 +3,7 @@ section tokens the BM25 indexes read, the diff index summed from the file
 index, the corpus file round trip from a commit and from a dump, the
 feature rows' features.bin round trip, the candidate and ranking lists'
 round trip, the ranked-list JSONL writer, embed_batch's normalization, the offline vectors
-build_vectors stores and the array pre-ranker."""
+build_vectors stores, the array pre-ranker and the training-group sampler."""
 
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ from patchrank.prerank import (  # noqa: E402
     prerank_candidates,
     prerank_components,
 )
-from patchrank.ranker import NUM_FEATURES  # noqa: E402
+from patchrank.ranker import NUM_FEATURES, sample_training_group  # noqa: E402
 
 from oracles import (  # noqa: E402
     CANDIDATE_FIELDS,
@@ -65,6 +65,7 @@ from oracles import (  # noqa: E402
     load_ranked_oracle,
     offline_vector_oracle,
     prerank_components_oracle,
+    sample_training_group_oracle,
     token_count,
     tokenize_oracle,
     truncate_to_tokens_oracle,
@@ -571,3 +572,54 @@ def test_array_prerank_equals_dict_oracle(drawn):
     ranked = prerank_candidates(corpus, cve, *indexes, config)
     assert [c for c, _ in ranked] == [c for c, _ in expected]
     assert np.array([s for _, s in ranked]).tobytes() == np.array([s for _, s in expected]).tobytes()
+
+
+# A negative budget: none, a few, any, or more than any corpus has commits.
+BUDGET = st.one_of(st.just(0), st.integers(1, 5), st.integers(0, 70), st.integers(61, 10_000))
+
+
+@st.composite
+def sampled_corpora(draw):
+    """1 to 60 commits whose author times do not follow their ids, so that
+    corpus order is not commit-id order; known patches none, one or several of
+    them, maybe with ids outside the corpus; a pre-ranked list that is a
+    prefix, empty to full, of a permutation of the corpus positions; both
+    negative budgets; and a seed of the full signed 64-bit range."""
+    numbers = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=60, unique=True))
+    times = draw(st.lists(st.integers(0, 5), min_size=len(numbers), max_size=len(numbers)))
+    patches = draw(st.sets(st.sampled_from(numbers), max_size=min(4, len(numbers))))
+    outside = draw(st.sets(st.integers(2**32 + 1, 2**33), max_size=2))
+    order = draw(st.permutations(range(len(numbers))))
+    preranked = order[: draw(st.integers(0, len(numbers)))]
+    seed = draw(st.one_of(st.sampled_from([0, 11, -5]), st.integers(-(2**63), 2**63 - 1)))
+    return numbers, times, patches | outside, preranked, draw(BUDGET), draw(BUDGET), seed
+
+
+@given(sampled_corpora())
+# No patch in the corpus: only ids outside it.
+@example(([3, 1], [0, 0], {2**32 + 5}, [1, 0], 1, 1, 0))
+# Every commit a patch, the full list, budgets above the commit count.
+@example(([9, 4, 7], [2, 0, 1], {9, 4, 7}, [2, 0, 1], 100, 100, -5))
+# One patch, an empty list, no random negatives and the extreme seeds.
+@example(([5, 2, 8, 6], [1, 1, 0, 0], {8}, [], 3, 0, 2**63 - 1))
+@example(([5, 2, 8, 6], [1, 1, 0, 0], {8}, [3, 2], 0, 2, -(2**63)))
+def test_position_sampler_equals_the_id_oracle(drawn):
+    """sample_training_group over corpus positions, mapped back to commit
+    ids, draws the id-based oracle's group: the same rows, relevance and order."""
+    numbers, times, patches, preranked, hard, randoms, seed = drawn
+    records = [CommitRecord(f"{n:040x}", "r", t, "", ()) for n, t in zip(numbers, times)]
+    corpus = build_corpus("r", records)
+    cve = CveRecord("CVE-2024-0001", "", None, None, "r", frozenset(f"{n:040x}" for n in patches))
+    budgets = dict(hard_negatives=hard, random_negatives=randoms)
+
+    group = sample_training_group(cve, np.array(preranked, np.intp), corpus, seed, **budgets)
+    ids = [corpus.commits[p].commit_id for p in preranked]
+    expected = sample_training_group_oracle(cve, ids, corpus, seed, **budgets)
+
+    if expected is None:
+        assert group is None
+        return
+    positions, relevance = group
+    assert positions.dtype == np.intp and relevance.dtype == np.int8
+    rows = [(corpus.commits[p].commit_id, r) for p, r in zip(positions.tolist(), relevance.tolist())]
+    assert rows == expected

@@ -32,8 +32,7 @@ from patchrank.ranker import (
     RankerParams,
     RankModel,
     TrainingDataError,
-    TrainingGroup,
-    TrainingRow,
+    TrainingSet,
     rerank,
     sample_training_group,
     train_lambdarank,
@@ -290,10 +289,11 @@ def corpus_of(n, seed_time=0):
 
 class TestSampleTrainingGroup:
     def prerank_for(self, corpus, cve):
-        """The pre-ranked commit ids."""
+        """The pre-ranked commits' corpus positions."""
         msg_index = build_index(corpus, "message")
         diff_index = build_index(corpus, "diff")
-        return [doc for doc, _ in prerank_candidates(corpus, cve, msg_index, diff_index)]
+        ranked = prerank_candidates(corpus, cve, msg_index, diff_index)
+        return np.array([corpus.position_of(doc) for doc, _ in ranked], dtype=np.intp)
 
     def test_small_corpus_exhausts_negatives(self):
         corpus = corpus_of(300)
@@ -302,9 +302,10 @@ class TestSampleTrainingGroup:
         )
         group = sample_training_group(cve, self.prerank_for(corpus, cve), corpus, seed=1)
         assert group is not None
-        assert len(group.rows) <= 300
-        assert sum(r.relevance for r in group.rows) == 1
-        assert len({r.commit_id for r in group.rows}) == len(group.rows)
+        positions, relevance = group
+        assert len(positions) == len(relevance) <= 300
+        assert relevance.sum() == 1
+        assert len(set(positions.tolist())) == len(positions)
 
     def test_same_seed_identical_groups(self):
         corpus = corpus_of(100)
@@ -312,19 +313,16 @@ class TestSampleTrainingGroup:
         ranked = self.prerank_for(corpus, cve)
         a = sample_training_group(cve, ranked, corpus, seed=9)
         b = sample_training_group(cve, ranked, corpus, seed=9)
-        assert [(r.commit_id, r.relevance) for r in a.rows] == [
-            (r.commit_id, r.relevance) for r in b.rows
-        ]
+        assert [x.tolist() for x in a] == [x.tolist() for x in b]
 
     def test_positive_in_top_ranks_stays_positive_only(self):
         corpus = corpus_of(50)
         cve = make_cve(description="word1", reserve_time=1, publish_time=1, known_patch_ids={cid(1)})
         ranked = self.prerank_for(corpus, cve)
-        assert ranked[0] == cid(1)  # the patch pre-ranks first
-        group = sample_training_group(cve, ranked, corpus, seed=2)
-        occurrences = [r for r in group.rows if r.commit_id == cid(1)]
-        assert len(occurrences) == 1
-        assert occurrences[0].relevance == 1
+        patch = corpus.position_of(cid(1))
+        assert ranked[0] == patch  # the patch pre-ranks first
+        positions, relevance = sample_training_group(cve, ranked, corpus, seed=2)
+        assert relevance[positions == patch].tolist() == [1]
 
     def test_no_positives_skipped_with_warning(self, caplog):
         corpus = corpus_of(10)
@@ -338,15 +336,15 @@ class TestSampleTrainingGroup:
         corpus = corpus_of(100)
         cve = make_cve(description="word2", reserve_time=2, publish_time=2, known_patch_ids={cid(2)})
         ranked = self.prerank_for(corpus, cve)
-        assert ranked[0] == cid(2)
-        group = sample_training_group(
+        patch = corpus.position_of(cid(2))
+        assert ranked[0] == patch
+        positions, _ = sample_training_group(
             cve, ranked, corpus, seed=0, hard_negatives=10, random_negatives=5
         )
         # The positive sits inside the top-10 window, so only 9 hard
         # negatives remain after excluding it.
-        assert len(group.rows) == 1 + 9 + 5
-        hard_ids = {r.commit_id for r in group.rows[1:10]}
-        assert hard_ids == set(ranked[:10]) - {cid(2)}
+        assert len(positions) == 1 + 9 + 5
+        assert set(positions[1:10].tolist()) == set(ranked[:10].tolist()) - {patch}
 
 
 def separable_groups(n_groups=8, rows=80, seed=0):
@@ -354,21 +352,13 @@ def separable_groups(n_groups=8, rows=80, seed=0):
     rng = np.random.default_rng(seed)
     groups = []
     for g in range(n_groups):
-        rows_list = []
-        for i in range(rows):
-            features = rng.random(9)
-            rows_list.append(
-                TrainingRow(
-                    commit_id=f"{i:040x}",
-                    relevance=1 if features[0] > 0.9 else 0,
-                    features=features,
-                )
-            )
-        if not any(r.relevance for r in rows_list):
-            rows_list[0].features[0] = 0.95
-            rows_list[0].relevance = 1
-        groups.append(TrainingGroup(cve_id=f"CVE-2024-{g}", rows=rows_list))
-    return groups
+        features = rng.random((rows, 9))
+        relevance = (features[:, 0] > 0.9).astype(np.int8)
+        if not relevance.any():
+            features[0, 0] = 0.95
+            relevance[0] = 1
+        groups.append((f"CVE-2024-{g}", [f"{i:040x}" for i in range(rows)], relevance, features))
+    return TrainingSet.of_groups(groups)
 
 
 def noisy_interaction_groups(n_groups=12, rows=120, seed=5):
@@ -379,29 +369,23 @@ def noisy_interaction_groups(n_groups=12, rows=120, seed=5):
     for g in range(n_groups):
         features = rng.random((rows, 9))
         signal = 0.5 * features[:, 0] + 0.5 * features[:, 3] + rng.normal(0.0, 0.05, rows)
-        relevance = np.zeros(rows, dtype=int)
+        relevance = np.zeros(rows, dtype=np.int8)
         relevance[np.argsort(-signal)[:3]] = 1
-        groups.append(
-            TrainingGroup(
-                cve_id=f"CVE-2024-{g}",
-                rows=[
-                    TrainingRow(f"{i:040x}", int(relevance[i]), features[i]) for i in range(rows)
-                ],
-            )
-        )
-    return groups
+        groups.append((f"CVE-2024-{g}", [f"{i:040x}" for i in range(rows)], relevance, features))
+    return TrainingSet.of_groups(groups)
 
 
-def group_metric(groups, scores_fn, metric):
+def group_metric(training, scores_fn, metric):
     values = []
-    for group in groups:
-        matrix = np.vstack([r.features for r in group.rows])
-        scores = scores_fn(matrix)
+    bounds = training.offsets.tolist()
+    for start, end in zip(bounds, bounds[1:]):
+        ids = training.commit_ids[start:end]
+        scores = scores_fn(training.features[start:end])
         ranked = sorted(
-            ((r.commit_id, float(s)) for r, s in zip(group.rows, scores)),
+            ((commit_id, float(s)) for commit_id, s in zip(ids, scores)),
             key=lambda kv: (-kv[1], kv[0]),
         )
-        relevant = {r.commit_id for r in group.rows if r.relevance}
+        relevant = {c for c, r in zip(ids, training.relevance[start:end].tolist()) if r}
         values.append(metric(ranked, relevant))
     return float(np.mean(values))
 
@@ -412,19 +396,17 @@ class TestTrainLambdarank:
             RankerParams(num_trees=0)
 
     def test_all_degenerate_groups_rejected(self):
-        groups = [
-            TrainingGroup(
-                cve_id="CVE-2024-1",
-                rows=[TrainingRow(cid(i), 1, np.zeros(9)) for i in range(4)],
-            )
-        ]
+        group = ("CVE-2024-1", [cid(i) for i in range(4)], np.ones(4, np.int8), np.zeros((4, 9)))
         with pytest.raises(TrainingDataError, match="degenerate"):
-            train_lambdarank(groups)
+            train_lambdarank(TrainingSet.of_groups([group]))
 
     def test_missing_features_rejected(self):
-        groups = [TrainingGroup(cve_id="CVE-2024-1", rows=[TrainingRow(cid(1), 1)])]
-        with pytest.raises(TrainingDataError, match="feature"):
-            train_lambdarank(groups)
+        """A feature matrix that is not a nine-feature row per training row."""
+        ids, relevance = [cid(1), cid(2)], np.array([1, 0], np.int8)
+        for features in (np.zeros((2, 8)), np.zeros((1, 9)), np.zeros(18)):
+            training = TrainingSet(["CVE-2024-1"], np.array([0, 2]), ids, relevance, features)
+            with pytest.raises(TrainingDataError, match="feature"):
+                train_lambdarank(training)
 
     def test_separable_data_reaches_perfect_in_sample_mrr(self):
         groups = separable_groups()
@@ -464,15 +446,14 @@ class TestTrainLambdarank:
     def test_scores_finite(self):
         groups = separable_groups(n_groups=3, rows=40)
         model = train_lambdarank(groups, RankerParams(learning_rate=0.5, num_leaves=5, min_data_in_leaf=3))
-        matrix = np.vstack([r.features for g in groups for r in g.rows])
-        assert np.isfinite(model.predict(matrix)).all()
+        assert np.isfinite(model.predict(groups.features)).all()
 
     def test_each_tree_shifts_scores_within_leaf_bound(self):
         groups = noisy_interaction_groups(n_groups=4, rows=60)
         model = train_lambdarank(
             groups, RankerParams(learning_rate=0.3, num_leaves=7, min_data_in_leaf=5)
         )
-        matrix = np.vstack([r.features for g in groups for r in g.rows])
+        matrix = groups.features
         previous = np.zeros(len(matrix))
         for i in range(len(model.trees)):
             partial = RankModel(
@@ -495,7 +476,7 @@ class TestModelSerialization:
         path = tmp_path / "model.json"
         model.save(path)
         loaded = RankModel.load(path)
-        matrix = np.vstack([r.features for r in groups[0].rows])
+        matrix = groups.features[: groups.offsets[1]]
         assert np.array_equal(model.predict(matrix), loaded.predict(matrix))
         assert loaded.metadata["feature_names"] == list(FEATURE_NAMES)
 
