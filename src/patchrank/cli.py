@@ -10,24 +10,39 @@ stale upstream artifact.
 
 from __future__ import annotations
 
-import argparse
-import logging
+import gc
 import os
 import sys
 
 # Set before numpy loads: OpenBLAS workers only spin here; the one BLAS call is a short ddot.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .corpus import InputError
-from .pipeline import (
-    STAGE_FUNCTIONS,
-    STAGES,
-    ConfigError,
-    StageInputError,
-    apply_overrides,
-    load_config,
-    run_trace,
-)
+# The imports make ~24,000 objects that live until exit, and little garbage: pause the
+# collector while they load, then move them to the oldest generation at once (freeze,
+# unfreeze), so that re-enabling it does not start a pass over them all.
+_gc_enabled = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import logging
+
+    from .corpus import InputError
+    from .pipeline import (
+        STAGE_FUNCTIONS,
+        STAGES,
+        ConfigError,
+        StageInputError,
+        apply_overrides,
+        load_config,
+        run_trace,
+    )
+finally:
+    if not gc.get_freeze_count():  # objects frozen by the importer stay frozen
+        gc.freeze()
+        gc.unfreeze()
+    if _gc_enabled:
+        gc.enable()
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -113,8 +128,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """One command per process; what is alive before and after it is frozen out of passes."""
+    gc.freeze()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

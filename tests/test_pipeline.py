@@ -1654,6 +1654,87 @@ def test_cli_runs_one_blas_thread_unless_told_otherwise():
     assert probe("patchrank.pipeline")[0] == "None"
 
 
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``python -c code args`` with ``src`` on the path."""
+    src = Path(pipeline_mod.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-c", code, *args]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.fixture
+def ingest_config(tmp_path):
+    """A config for a small one-repo corpus, nothing run yet."""
+    synth = generate(seed=21, n_repos=1, commits_per_repo=50, cves_per_repo=2)
+    commit_dump, cve_dump = synth.write(tmp_path / "input")
+    obj = {"commit_dump": str(commit_dump), "cve_dump": str(cve_dump), "offline": True}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj | {"output_dir": str(tmp_path / "out")}))
+    return path
+
+
+def test_library_import_of_the_cli_leaves_the_collector_as_it_found_it():
+    """``import patchrank.cli`` pauses the collector while its imports load, and
+    restores the importer's state: enabled or not, and the same objects frozen
+    (none, or those the importer froze)."""
+    probe = "import patchrank.cli; print(gc.isenabled(), gc.get_freeze_count() - frozen)"
+    for prelude, expected in (
+        ("import gc; frozen = 0; ", "True 0"),
+        ("import gc; gc.disable(); frozen = 0; ", "False 0"),
+        ("import gc; gc.freeze(); frozen = gc.get_freeze_count(); ", "True 0"),
+    ):
+        child = run_python(prelude + probe)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == expected
+
+
+def test_cli_child_collects_nothing_before_its_command(ingest_config):
+    """A CLI child, started as ``python -m patchrank.cli`` starts it, runs no
+    collector pass from the first line of the CLI module until its stage opens
+    the commit dump; the stage then runs with the collector enabled and the
+    objects of the imports frozen."""
+    code = """if True:
+        import gc, json, runpy, sys
+        dump = json.load(open(sys.argv[1]))["commit_dump"]
+        passes, marks = [], {}
+        gc.callbacks.append(lambda phase, info: phase == "start" and passes.append(1))
+
+        def hook(event, args):
+            if event == "exec" and getattr(args[0], "co_filename", "").endswith("cli.py"):
+                marks["cli"] = len(passes)
+            elif event == "open" and "stage" not in marks and str(args[0]) == dump:
+                passes_since_cli = len(passes) - marks["cli"]
+                marks["stage"] = [passes_since_cli, gc.get_freeze_count() > 0, gc.isenabled()]
+
+        sys.addaudithook(hook)
+        sys.argv = ["patchrank", "ingest", "--config", sys.argv[1]]
+        try:
+            runpy.run_module("patchrank.cli", run_name="__main__")
+        except SystemExit as exc:
+            print(json.dumps([exc.code, marks["stage"]]))
+    """
+    child = run_python(code, str(ingest_config))
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == [0, [0, True, True]]
+
+
+def test_console_entry_exits_with_mains_codes(ingest_config, tmp_path):
+    """``patchrank`` runs ``cli.entry``: 0 for a stage on fresh inputs, 1 for a
+    bad config value, 2 for a missing upstream artifact."""
+    entry = "from patchrank.cli import entry; entry()"
+    ok = run_python(entry, "ingest", "--config", str(ingest_config))
+    assert ok.returncode == 0, ok.stderr
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(json.loads(ingest_config.read_text()) | {"seed": "11"}))
+    child = run_python(entry, "ingest", "--config", str(bad))
+    assert child.returncode == 1 and "seed" in child.stderr, child.stderr
+    missing = tmp_path / "missing.json"
+    config = json.loads(ingest_config.read_text()) | {"output_dir": str(tmp_path / "empty")}
+    missing.write_text(json.dumps(config))
+    child = run_python(entry, "index", "--config", str(missing))
+    assert child.returncode == 2 and "error: stage index:" in child.stderr, child.stderr
+
+
 def test_trace_into_a_closed_pipe_exits_0_quietly(tmp_path):
     """``trace --top-k 1000 | head -1``: the reader closes the pipe after one
     line while trace is still writing rows, with stdout buffered or not; or
