@@ -6,10 +6,10 @@ lexically relevant to the CVE are selected with BM25, and their embedding
 vectors are aggregated three ways (max cosine over the top five, cosine of
 the top one, cosine with the mean of the top two).
 
-:class:`FeatureAssembler` computes these, with the BM25, time-distance and
-path features, for a CVE's candidates in array passes with :func:`cosine`
-and :func:`mean_cosine`; the per-commit functions here are the references
-it is tested against.
+:func:`file_columns` is the one ranking and pooling of a commit's files.
+:class:`FeatureAssembler` runs it, with the commit cosine and the BM25,
+time-distance and path features, over a CVE's candidates in array passes;
+the three ``feature_*`` functions are views of it for one commit.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import numpy as np
 
 from .corpus import CommitRecord, Corpus, CveRecord
 from .embedding import MissingVectorError, VectorStore, embed_batch
-from .lexical import InvertedIndex, _score_array, commit_ranks, rank_files_within_commit
+from .lexical import InvertedIndex, _score_array, commit_docs, commit_ranks
 from .path_features import commit_paths, extract_entities, feature_jaccard, path_text, search_paths
-from .settings import DEFAULT_PER_ENTITY_CAP, NUM_FEATURES
+from .settings import DEFAULT_PER_ENTITY_CAP, NUM_FEATURES, check_pool
 
 # Path texts missing from the assembler's memo are embedded this many at a
 # time: a provider answers with Python float lists (~8 KB per 256-d vector),
@@ -41,6 +41,9 @@ class HierConfig:
     configurable for ablation runs."""
 
     max_pool_files: int = 5
+
+    def __post_init__(self) -> None:
+        check_pool(self.max_pool_files)
 
 
 DEFAULT_HIER_CONFIG = HierConfig()
@@ -62,15 +65,42 @@ def mean_cosine(query: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.
     return np.divide(cosine(query, mean), norm, out=np.zeros(np.shape(norm)), where=norm > 0.0)
 
 
-def _top_file_vectors(
-    store: VectorStore,
-    file_index: InvertedIndex,
-    cve: CveRecord,
-    commit: CommitRecord,
-    limit: int,
-) -> list[np.ndarray]:
-    ranked = rank_files_within_commit(file_index, cve, commit.commit_id)
-    return [store.file_vector(*doc_id) for doc_id, _ in ranked[:limit]]
+def file_columns(query, matrix, doc_rows, file_scores, starts, counts, pool: int) -> np.ndarray:
+    """Per commit: max cosine with ``query`` over its top ``pool`` files, top-1
+    file cosine and cosine with the mean of the top two; 0.0 without files.
+    Commit ``i``'s files are the ``counts[i]`` documents from ``starts[i]``, in
+    path order; document ``j`` has vector ``matrix[doc_rows[j]]`` and BM25 score
+    ``file_scores[j]``, and they rank as ``rank_files_within_commit`` ranks them."""
+    out = np.zeros((len(counts), 3))
+    # One entry per (commit, file document), grouped by commit. Sorting by
+    # score descending, then document position (path order), keeps the groups
+    # in place, so an entry's rank is its offset in its group.
+    owner = np.repeat(np.arange(len(counts)), counts)
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    docs = np.repeat(starts, counts) + offset
+    docs = docs[np.lexsort((docs, -file_scores[docs], owner))]
+    keep = offset < max(pool, 2)  # the mean reads the top two whatever the pool
+    docs, owner, rank = docs[keep], owner[keep], offset[keep]
+    vectors = matrix[doc_rows[docs]]
+    cosines = cosine(vectors, query)
+    top1 = np.flatnonzero(rank == 0)
+    out[owner[top1], 0] = np.maximum.reduceat(np.where(rank < pool, cosines, -np.inf), top1)
+    out[owner[top1], 1] = out[owner[top1], 2] = cosines[top1]
+    pairs = top1[counts[owner[top1]] > 1]
+    out[owner[pairs], 2] = mean_cosine(query, vectors[pairs], vectors[pairs + 1])
+    return out
+
+
+def _commit_file_columns(store, file_index, cve, commit, pool: int) -> np.ndarray:
+    """:func:`file_columns` of one commit, every file of which needs a vector."""
+    docs = commit_docs(file_index, commit.commit_id)
+    try:
+        rows = np.array([store.rows[("file", *file_index.docs[j])] for j in docs], np.intp)
+    except KeyError as exc:
+        raise MissingVectorError(exc.args[0]) from None
+    scores = _score_array(file_index, cve.description)[docs.start : docs.stop]
+    query, starts, counts = store.cve_vector(cve.cve_id), np.array([0]), np.array([len(docs)])
+    return file_columns(query, store.matrix, rows, scores, starts, counts, pool)[0]
 
 
 def feature_max_file_sim(
@@ -81,11 +111,7 @@ def feature_max_file_sim(
     config: HierConfig = DEFAULT_HIER_CONFIG,
 ) -> float:
     """Max cosine with the CVE over the top BM25-ranked file diffs."""
-    vectors = _top_file_vectors(store, file_index, cve, commit, config.max_pool_files)
-    if not vectors:
-        return 0.0
-    query = store.cve_vector(cve.cve_id)
-    return max(float(cosine(query, v)) for v in vectors)
+    return float(_commit_file_columns(store, file_index, cve, commit, config.max_pool_files)[0])
 
 
 def feature_top1_file_cosine(
@@ -95,10 +121,7 @@ def feature_top1_file_cosine(
     commit: CommitRecord,
 ) -> float:
     """Cosine with the single best BM25-ranked file diff."""
-    vectors = _top_file_vectors(store, file_index, cve, commit, 1)
-    if not vectors:
-        return 0.0
-    return float(cosine(store.cve_vector(cve.cve_id), vectors[0]))
+    return float(_commit_file_columns(store, file_index, cve, commit, 1)[1])
 
 
 def feature_mean_top2_cosine(
@@ -108,13 +131,7 @@ def feature_mean_top2_cosine(
     commit: CommitRecord,
 ) -> float:
     """Cosine with the mean of the top-two file vectors."""
-    vectors = _top_file_vectors(store, file_index, cve, commit, 2)
-    if not vectors:
-        return 0.0
-    query = store.cve_vector(cve.cve_id)
-    if len(vectors) == 1:
-        return float(cosine(query, vectors[0]))
-    return float(mean_cosine(query, *vectors))
+    return float(_commit_file_columns(store, file_index, cve, commit, 2)[2])
 
 
 class FeatureAssembler:
@@ -182,29 +199,12 @@ class FeatureAssembler:
         return state
 
     def _hier_columns(self, query: np.ndarray, file_scores, positions: np.ndarray) -> np.ndarray:
-        """Commit cosine, max over the top five files, top-1 file cosine and
-        cosine with the mean of the top two, the files ranked by their
-        ``file_scores`` as :func:`~patchrank.lexical.rank_files_within_commit`
-        ranks them; 0.0 for the file columns of a commit without files."""
-        out = np.zeros((len(positions), 4))
+        """Commit cosine, then :func:`file_columns`, of the commits at ``positions``."""
+        out = np.empty((len(positions), 4))
         out[:, 0] = cosine(self.store.matrix[self._commit_rows[positions]], query)
-        # One entry per (candidate, file document), grouped by candidate. Sorting
-        # by score descending, then document position (path order), keeps the
-        # groups in place, so an entry's rank is its offset in its group.
-        counts = self._file_counts[positions]
-        owner = np.repeat(np.arange(len(positions)), counts)
-        offset = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-        docs = np.repeat(self._file_starts[positions], counts) + offset
-        docs = docs[np.lexsort((docs, -file_scores[docs], owner))]
-        pool = offset < DEFAULT_HIER_CONFIG.max_pool_files
-        docs, owner, rank = docs[pool], owner[pool], offset[pool]
-        vectors = self.store.matrix[self._doc_rows[docs]]
-        cosines = cosine(vectors, query)
-        top1 = np.flatnonzero(rank == 0)
-        out[owner[top1], 1] = np.maximum.reduceat(cosines, top1)
-        out[owner[top1], 2] = out[owner[top1], 3] = cosines[top1]
-        pairs = top1[counts[owner[top1]] > 1]
-        out[owner[pairs], 3] = mean_cosine(query, vectors[pairs], vectors[pairs + 1])
+        starts, counts = self._file_starts[positions], self._file_counts[positions]
+        matrix, pool = self.store.matrix, DEFAULT_HIER_CONFIG.max_pool_files
+        out[:, 1:] = file_columns(query, matrix, self._doc_rows, file_scores, starts, counts, pool)
         return out
 
     def _path_cosines(self, ner_paths: set[str], positions: np.ndarray) -> np.ndarray:

@@ -4,16 +4,18 @@ the diff index, which :func:`diff_index` sums from the per-file one.
 Serves both the pre-ranking stage and the per-commit file selection used
 by the hierarchical similarity features. The index is held in
 compressed-sparse-row form: each term's postings are one slice of a
-doc-position array and a term-frequency array, scored with numpy.
+doc-position array and a term-frequency array, scored by one function,
+:func:`_score_array`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -70,23 +72,6 @@ class InvertedIndex:
         self._norm = np.zeros(self.doc_count)
         if total:
             self._norm = self.k1 * (1.0 - self.b + self.b * self.doc_lengths / self.avg_doc_length)
-
-    @cached_property
-    def commit_files(self) -> dict[str, list[str]]:
-        """A file index's commit id -> paths, ascending; built on first use."""
-        files: dict[str, list[str]] = {}
-        for commit_id, path in self.docs if self.field_kind == "file" else ():
-            files.setdefault(commit_id, []).append(path)
-        return files
-
-    def posting(self, term: str) -> dict[DocId, int]:
-        """Each document containing ``term``, with the term's frequency in it."""
-        slot = self._slots.get(term)
-        if slot is None:
-            return {}
-        start, end = self.offsets[slot : slot + 2].tolist()
-        ids, tfs = self.doc_ids[start:end].tolist(), self.tfs[start:end].tolist()
-        return {self.docs[i]: tf for i, tf in zip(ids, tfs)}
 
 
 def _doc_tokens(corpus: Corpus, field_kind: str) -> dict[DocId, list[list[str]]]:
@@ -190,17 +175,6 @@ def _score_array(index: InvertedIndex, query_text: str) -> np.ndarray:
     return acc
 
 
-def accumulate_scores(index: InvertedIndex, query_text: str) -> dict[DocId, float]:
-    """BM25 score of every document matching at least one query term.
-
-    One pass over the postings of the query's terms; a document absent
-    from the result scores 0.0.
-    """
-    acc = _score_array(index, query_text)
-    hits = np.flatnonzero(acc)
-    return dict(zip([index.docs[i] for i in hits.tolist()], acc[hits].tolist()))
-
-
 def top_k(index: InvertedIndex, query_text: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The positions of the top-k documents by BM25 score, and their scores.
     Zero-score documents are excluded; ties go to the lower position."""
@@ -219,25 +193,26 @@ def query(index: InvertedIndex, query_text: str, k: int) -> RankedList:
     return list(zip([index.docs[i] for i in top.tolist()], scores.tolist()))
 
 
+def commit_docs(file_index: InvertedIndex, commit_id: str) -> range:
+    """The positions of one commit's file documents: contiguous, as the
+    documents ascend by (commit id, path), and empty for a commit with none.
+    Another index kind raises a ValueError naming it."""
+    if file_index.field_kind != "file":
+        raise ValueError(f"expected a file index, got a {file_index.field_kind} index")
+    docs, key = file_index.docs, itemgetter(0)
+    return range(bisect_left(docs, commit_id, key=key), bisect_right(docs, commit_id, key=key))
+
+
 def rank_files_within_commit(
     file_index: InvertedIndex, cve: CveRecord, commit_id: str
 ) -> RankedList:
-    """Rank one commit's file documents against the CVE description.
-
-    Files sharing no term with the description are appended with score 0
-    in ascending path order so every file of the commit appears.
-    """
-    file_scores = accumulate_scores(file_index, cve.description)
-    scored: list[tuple[DocId, float]] = []
-    zeros: list[tuple[DocId, float]] = []
-    for path in file_index.commit_files.get(commit_id, ()):
-        doc_id = (commit_id, path)
-        score = file_scores.get(doc_id, 0.0)
-        if score > 0.0:
-            scored.append((doc_id, score))
-        else:
-            zeros.append((doc_id, 0.0))
-    return sorted(scored, key=lambda kv: (-kv[1], kv[0])) + zeros
+    """Every file document of one commit, ranked by BM25 score against the
+    CVE description; ties, and the zero scores of files sharing no term
+    with it, in ascending path order."""
+    docs = commit_docs(file_index, commit_id)
+    scores = _score_array(file_index, cve.description)[docs.start : docs.stop]
+    order = np.argsort(-scores, kind="stable").tolist()
+    return [(file_index.docs[docs[i]], float(scores[i])) for i in order]
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:

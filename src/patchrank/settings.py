@@ -58,6 +58,12 @@ def check_bm25(*, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> None:
         raise ValueError(f"BM25 needs k1 >= 0 and 0 <= b <= 1, got k1={k1}, b={b}")
 
 
+def check_pool(max_pool_files: int) -> None:
+    """Reject a file pool of fewer than one file."""
+    if max_pool_files < 1:
+        raise ValueError(f"max_pool_files must be >= 1, got {max_pool_files}")
+
+
 def check_fusion(*, weights=DEFAULT_WEIGHTS, candidate_k: int = DEFAULT_CANDIDATE_K) -> None:
     """Reject other than four non-negative fusion weights, or a candidate_k below 1."""
     if len(weights) != 4:

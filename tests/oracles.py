@@ -2,7 +2,8 @@
 
 These deliberately re-derive everything from raw inputs (no inverted
 index, no incremental state) so they stay independent of the code paths
-they verify.
+they verify. :func:`accumulate_scores` is the exception: the index's own
+scores as a dict, for the tests that compare them with the formula's.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from patchrank.corpus import (
     tokenize,
 )
 from patchrank.embedding import embed_batch
-from patchrank.lexical import InvertedIndex, RankedList, accumulate_scores, query
+from patchrank.lexical import DocId, InvertedIndex, RankedList, _score_array, query
 from patchrank.path_features import commit_paths, path_text
 from patchrank.prerank import FusionConfig
 from patchrank.ranker import _derive_seed
@@ -127,8 +128,8 @@ def bm25_oracle_scores(
     if n_docs == 0:
         return {}
     avgdl = sum(len(t) for t in docs.values()) / n_docs
-    # Summed in sorted term order, the order lexical.accumulate_scores
-    # documents, so equal scores stay bit-equal whatever the hash seed.
+    # Summed in sorted term order, the order lexical._score_array sums
+    # them in, so equal scores stay bit-equal whatever the hash seed.
     terms = sorted(set(tokenize(query_text)))
     scores = {}
     for doc_id, doc_tokens in docs.items():
@@ -143,6 +144,23 @@ def bm25_oracle_scores(
         if score > 0.0:
             scores[doc_id] = score
     return scores
+
+
+def accumulate_scores(index: InvertedIndex, query_text: str) -> dict[DocId, float]:
+    """The index's BM25 score of every document matching a query term, as a
+    dict to compare with :func:`bm25_oracle_scores`."""
+    acc = _score_array(index, query_text)
+    hits = np.flatnonzero(acc)
+    return dict(zip([index.docs[i] for i in hits.tolist()], acc[hits].tolist()))
+
+
+def rank_files_oracle(commit: CommitRecord, file_scores: dict) -> RankedList:
+    """Every file document of ``commit`` by descending score, then ascending
+    path, with ``file_scores`` the :func:`bm25_oracle_scores` of the file
+    kind; a file absent from them scores 0.0."""
+    docs = [(commit.commit_id, path) for path in file_texts(commit)]
+    scored = [(doc, file_scores.get(doc, 0.0)) for doc in docs]
+    return sorted(scored, key=lambda kv: (-kv[1], kv[0]))
 
 
 def diff_index_oracle(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> InvertedIndex:
@@ -273,18 +291,20 @@ def _mean_cosine(query, vectors) -> float:
     return 0.0 if norm == 0.0 else cosine_oracle(query, mean) / norm
 
 
-def hier_features(store, query, commit_id: str, ranked_files) -> tuple[float, float, float, float]:
+def hier_features(
+    store, query, commit_id: str, ranked_files, pool: int = 5
+) -> tuple[float, float, float, float]:
     """The four hierarchical features of one commit, given the CVE vector
-    ``query`` and the commit's BM25 file ranking (``rank_files_within_commit``
-    order): commit cosine, max cosine over the top five files, top-1 file
+    ``query`` and the commit's BM25 file ranking (:func:`rank_files_oracle`
+    order): commit cosine, max cosine over the top ``pool`` files, top-1 file
     cosine, and cosine with the mean of the top two."""
     commit_cosine = cosine_oracle(query, store.commit_vector(commit_id))
     if not ranked_files:
         return commit_cosine, 0.0, 0.0, 0.0
-    vectors = [store.file_vector(*doc_id) for doc_id, _ in ranked_files[:5]]
+    vectors = [store.file_vector(*doc_id) for doc_id, _ in ranked_files]
     cosines = [cosine_oracle(query, v) for v in vectors]
     mean_cosine = cosines[0] if len(vectors) == 1 else _mean_cosine(query, vectors[:2])
-    return commit_cosine, max(cosines), cosines[0], mean_cosine
+    return commit_cosine, max(cosines[:pool]), cosines[0], mean_cosine
 
 
 def feature_commit_cosine(store, cve_id: str, commit_id: str) -> float:

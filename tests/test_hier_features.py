@@ -18,7 +18,7 @@ from patchrank.hier_features import (
 from patchrank.lexical import build_index, rank_files_within_commit
 
 from conftest import cid, make_commit, make_corpus, make_cve, vector_store
-from oracles import feature_commit_cosine, hier_features
+from oracles import bm25_oracle_scores, feature_commit_cosine, hier_features, rank_files_oracle
 
 
 def unit(d: int, axis: int) -> np.ndarray:
@@ -35,9 +35,9 @@ def store_with(d: int, cve_vec, file_vecs: dict, commit_vec=None, cve_id="CVE-20
     return vector_store(d, vectors)
 
 
-def hier_of(store, index, cve, commit):
-    """hier_features on the commit's per-pair BM25 file ranking."""
-    ranked = rank_files_within_commit(index, cve, commit.commit_id)
+def hier_of(store, corpus, cve, commit):
+    """hier_features on the commit's file ranking by the BM25 formula."""
+    ranked = rank_files_oracle(commit, bm25_oracle_scores(corpus, "file", cve.description))
     return hier_features(store, store.cve_vector(cve.cve_id), commit.commit_id, ranked)
 
 
@@ -198,7 +198,7 @@ class TestCombined:
             file_vecs[f"f{i}.java"] = (raw / np.linalg.norm(raw)).astype(np.float32)
         store = store_with(8, unit(8, 0), file_vecs, commit_vec=unit(8, 2))
         commit = corpus.commits[0]
-        combined = hier_of(store, index, cve, commit)
+        combined = hier_of(store, corpus, cve, commit)
         assert combined[0] == feature_commit_cosine(store, cve.cve_id, cid(1))
         assert combined[1] == feature_max_file_sim(store, index, cve, commit)
         assert combined[2] == feature_top1_file_cosine(store, index, cve, commit)
@@ -210,8 +210,7 @@ class TestCombined:
         )
         cve = make_cve(description="ssl bug")
         store = build_vectors(corpus, [cve], OfflineEmbedder(64))
-        index = build_index(corpus, "file")
-        values = hier_of(store, index, cve, corpus.commits[0])
+        values = hier_of(store, corpus, cve, corpus.commits[0])
         assert all(-1.0 - 1e-9 <= v <= 1.0 + 1e-9 for v in values)
 
     def test_invariant_under_raw_vector_rescaling(self):
@@ -229,7 +228,23 @@ class TestCombined:
             [make_commit(1, message="fix ssl", files={"a.java": "ssl code", "b.java": "other"})]
         )
         cve = make_cve(description="ssl bug")
-        index = build_index(corpus, "file")
-        baseline = hier_of(build_vectors(corpus, [cve], Scaled(1.0)), index, cve, corpus.commits[0])
-        scaled = hier_of(build_vectors(corpus, [cve], Scaled(37.5)), index, cve, corpus.commits[0])
+        commit = corpus.commits[0]
+        baseline = hier_of(build_vectors(corpus, [cve], Scaled(1.0)), corpus, cve, commit)
+        scaled = hier_of(build_vectors(corpus, [cve], Scaled(37.5)), corpus, cve, commit)
         assert all(a == pytest.approx(b, abs=1e-6) for a, b in zip(baseline, scaled))
+
+
+class TestViews:
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_pool_below_one_file_rejected(self, k):
+        with pytest.raises(ValueError, match=f"max_pool_files must be >= 1, got {k}"):
+            HierConfig(max_pool_files=k)
+
+    def test_every_file_of_the_commit_needs_a_vector(self):
+        # Seven ranked files; the last, outside every pool, has no vector.
+        corpus, cve, index = ranked_file_fixture(7, [7, 6, 5, 4, 3, 2, 1])
+        store = store_with(8, unit(8, 0), {f"f{i}.java": unit(8, 1) for i in range(6)})
+        commit = corpus.commits[0]
+        for view in (feature_max_file_sim, feature_top1_file_cosine, feature_mean_top2_cosine):
+            with pytest.raises(MissingVectorError, match="f6.java"):
+                view(store, index, cve, commit)

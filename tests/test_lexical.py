@@ -14,8 +14,8 @@ import patchrank
 
 from patchrank.lexical import (
     INDEX_FORMAT,
-    accumulate_scores,
     build_index,
+    commit_docs,
     diff_index,
     load_index,
     query,
@@ -24,7 +24,13 @@ from patchrank.lexical import (
 )
 
 from conftest import cid, make_commit, make_corpus, make_cve
-from oracles import bm25_oracle_scores, file_texts, score_document
+from oracles import (
+    accumulate_scores,
+    bm25_oracle_scores,
+    file_texts,
+    rank_files_oracle,
+    score_document,
+)
 
 WORDS = "openssl packet loop ssl handshake buffer parse socket retry limit".split()
 
@@ -50,6 +56,19 @@ def random_corpus(n_docs: int, seed: int, n_files=(1, 3)):
     return make_corpus(commits)
 
 
+def postings(index, term: str) -> dict:
+    """Each document holding ``term``, with its frequency, read from the
+    index's arrays."""
+    slot = index.vocab.index(term)
+    start, end = index.offsets[slot : slot + 2].tolist()
+    docs = [index.docs[i] for i in index.doc_ids[start:end].tolist()]
+    return dict(zip(docs, index.tfs[start:end].tolist()))
+
+
+def commit_paths_of(index, commit_id: str) -> list[str]:
+    return [index.docs[i][1] for i in commit_docs(index, commit_id)]
+
+
 class TestBuildIndex:
     def test_empty_corpus(self):
         index = build_index(make_corpus([]), "message")
@@ -64,7 +83,7 @@ class TestBuildIndex:
             ]
         )
         index = build_index(corpus, "message")
-        assert index.posting("fix") == {cid(1): 1}
+        assert postings(index, "fix") == {cid(1): 1}
         assert index.doc_count == 2
         assert index.avg_doc_length == 2.0
 
@@ -74,7 +93,7 @@ class TestBuildIndex:
         )
         index = build_index(corpus, "file")
         assert index.doc_count == 3
-        assert index.commit_files[cid(1)] == ["a.java", "b.java", "c.java"]
+        assert commit_paths_of(index, cid(1)) == ["a.java", "b.java", "c.java"]
 
     def test_unknown_field_kind(self):
         with pytest.raises(ValueError, match="field_kind"):
@@ -240,6 +259,22 @@ class TestRankFilesWithinCommit:
         index = build_index(corpus, "file")
         assert rank_files_within_commit(index, make_cve(), cid(5)) == []
 
+    @pytest.mark.parametrize("kind", ["message", "diff"])
+    def test_commit_level_index_rejected_naming_its_kind(self, kind):
+        corpus = make_corpus([make_commit(1, message="ssl", files={"a.java": "ssl"})])
+        index = build_index(corpus, kind)
+        with pytest.raises(ValueError, match=f"expected a file index, got a {kind} index"):
+            rank_files_within_commit(index, make_cve(description="ssl"), cid(1))
+
+    def test_equals_the_formula_ranking(self):
+        corpus = random_corpus(12, seed=8, n_files=(0, 5))
+        for text in ("openssl", "ssl retry loop", "zzz"):
+            scores = bm25_oracle_scores(corpus, "file", text)
+            index, cve = build_index(corpus, "file"), make_cve(description=text)
+            for commit in corpus.commits:
+                expected = rank_files_oracle(commit, scores)
+                assert rank_files_within_commit(index, cve, commit.commit_id) == expected
+
     def test_every_file_appears(self):
         corpus = random_corpus(10, seed=11)
         index = build_index(corpus, "file")
@@ -267,7 +302,7 @@ class TestPersistence:
             assert accumulate_scores(loaded, "ssl retry") == bm25_oracle_scores(
                 corpus, kind, "ssl retry"
             )
-            assert loaded.commit_files == index.commit_files
+            assert loaded.docs == index.docs
             assert loaded.doc_count == index.doc_count
             assert loaded.avg_doc_length == index.avg_doc_length
 
@@ -283,8 +318,8 @@ class TestPersistence:
         path = tmp_path / "file.bin"
         save_index(build_index(corpus, "file"), path)
         loaded = load_index(path)
-        assert loaded.commit_files == {cid(1): ["src/naïve_ß.java"]}
-        assert loaded.posting("größe") == {(cid(1), "src/naïve_ß.java"): 1}
+        assert commit_paths_of(loaded, cid(1)) == ["src/naïve_ß.java"]
+        assert postings(loaded, "größe") == {(cid(1), "src/naïve_ß.java"): 1}
 
     def test_saved_bytes_stable_across_rebuilds(self, tmp_path):
         corpus = random_corpus(25, seed=5)

@@ -3,7 +3,8 @@ section tokens the BM25 indexes read, the diff index summed from the file
 index, the corpus file round trip from a commit and from a dump, the
 feature rows' features.bin round trip, the candidate and ranking lists'
 round trip, the ranked-list JSONL writer, embed_batch's normalization, the offline vectors
-build_vectors stores, the array pre-ranker and the training-group sampler."""
+build_vectors stores, the array pre-ranker, the training-group sampler and
+the pooling of a commit's top-ranked file vectors."""
 
 from __future__ import annotations
 
@@ -40,6 +41,13 @@ from patchrank.embedding import (  # noqa: E402
     embed_batch,
     render_prompt,
 )
+from patchrank.hier_features import (  # noqa: E402
+    HierConfig,
+    feature_max_file_sim,
+    feature_mean_top2_cosine,
+    feature_top1_file_cosine,
+    file_columns,
+)
 from patchrank.pipeline import (  # noqa: E402
     FEATURES_FORMAT,
     load_candidates,
@@ -56,15 +64,19 @@ from patchrank.prerank import (  # noqa: E402
 )
 from patchrank.ranker import NUM_FEATURES, sample_training_group  # noqa: E402
 
+from conftest import cid, make_commit, make_cve, vector_store  # noqa: E402
 from oracles import (  # noqa: E402
     CANDIDATE_FIELDS,
     RANKING_FIELDS,
+    bm25_oracle_scores,
     diff_index_oracle,
     file_texts,
     fuse_components_oracle,
+    hier_features,
     load_ranked_oracle,
     offline_vector_oracle,
     prerank_components_oracle,
+    rank_files_oracle,
     sample_training_group_oracle,
     token_count,
     tokenize_oracle,
@@ -623,3 +635,50 @@ def test_position_sampler_equals_the_id_oracle(drawn):
     assert positions.dtype == np.intp and relevance.dtype == np.int8
     rows = [(corpus.commits[p].commit_id, r) for p, r in zip(positions.tolist(), relevance.tolist())]
     assert rows == expected
+
+
+@st.composite
+def pooled_commits(draw):
+    """A commit of 0 to 8 files, named out of path order, each holding the
+    query term 0 to 3 times in a document of fixed length, so scores tie and
+    some are zero; a seed for the CVE's and the files' unit vectors, maybe
+    with opposite top-two vectors; and a pool of 1 to 8 files."""
+    names = draw(st.lists(st.sampled_from("kqbxdmfa"), max_size=8, unique=True))
+    counts = draw(st.lists(st.integers(0, 3), min_size=len(names), max_size=len(names)))
+    files = {f"{n}.c": " ".join(["probe"] * c + ["pad"] * (3 - c)) for n, c in zip(names, counts)}
+    return files, draw(st.integers(0, 2**32)), draw(st.booleans()), draw(st.integers(1, 8))
+
+
+@given(pooled_commits())
+@example(({}, 0, False, 1))
+@example(({"b.c": "probe pad pad", "a.c": "probe pad pad"}, 3, True, 1))
+def test_feature_views_equal_the_pooled_oracle(drawn):
+    """Each feature_* view, and file_columns fed the formula's scores, gives
+    the oracle's pooling of the formula's file ranking, bit for bit. The
+    commit lies between two others, whose files also hold the query term."""
+    files, seed, opposite, pool = drawn
+    neighbours = {0: {"z.c": "probe"}, 1: files, 2: {"a.c": "probe"}}
+    corpus = build_corpus("test/repo", [make_commit(n, files=f) for n, f in neighbours.items()])
+    commit, cve = corpus.commits[1], make_cve(description="probe issue")
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((len(files) + 2, 16))
+    unit = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).astype(np.float32)
+    index = lexical.build_index(corpus, "file")
+    file_scores = bm25_oracle_scores(corpus, "file", cve.description)
+    ranked = rank_files_oracle(commit, file_scores)
+    vectors = {("cve", cve.cve_id): unit[0], ("commit", cid(1)): unit[1]}
+    vectors |= {("file", *doc): vector for (doc, _), vector in zip(ranked, unit[2:])}
+    if opposite and len(ranked) > 1:
+        vectors["file", *ranked[1][0]] = -vectors["file", *ranked[0][0]]
+    store = vector_store(16, vectors)
+    _, top_pool, top1, mean2 = hier_features(store, unit[0], cid(1), ranked, pool)
+
+    assert feature_max_file_sim(store, index, cve, commit, HierConfig(pool)) == top_pool
+    assert feature_top1_file_cosine(store, index, cve, commit) == top1
+    assert feature_mean_top2_cosine(store, index, cve, commit) == mean2
+    docs = lexical.commit_docs(index, cid(1))
+    rows = np.array([store.rows[("file", *index.docs[j])] for j in docs], np.intp)
+    scores = np.array([file_scores.get(index.docs[j], 0.0) for j in docs])
+    starts, counts = np.zeros(1, np.intp), np.array([len(docs)])
+    row = file_columns(unit[0], store.matrix, rows, scores, starts, counts, pool)
+    assert row.tolist() == [[top_pool, top1, mean2]]

@@ -13,13 +13,8 @@ from patchrank.corpus import ingest_multi_repo_dump, load_cve_dump
 from patchrank.embedding import OfflineEmbedder, build_vectors
 from patchrank.evalkit import mrr, ndcg_at_k
 from patchrank import hier_features
-from patchrank.hier_features import (
-    FeatureAssembler,
-    feature_max_file_sim,
-    feature_mean_top2_cosine,
-    feature_top1_file_cosine,
-)
-from patchrank.lexical import build_index, rank_files_within_commit
+from patchrank.hier_features import FeatureAssembler
+from patchrank.lexical import build_index
 from patchrank.path_features import (
     commit_paths,
     extract_entities,
@@ -40,12 +35,13 @@ from patchrank.ranker import (
 
 from conftest import cid, feature_rows, make_commit, make_corpus, make_cve, vector_store
 from oracles import (
+    bm25_oracle_scores,
     commit_of,
-    feature_commit_cosine,
     feature_path_cosine,
     file_texts,
+    hier_features as hier_oracle,
     path_universe,
-    score_document,
+    rank_files_oracle,
     time_affinity,
 )
 from synthcorpus import generate
@@ -127,30 +123,37 @@ class TestFeatureAssembly:
         assert np.array_equal(matrix[0], feature_rows(assembler, cve, [cid(2)])[0])
 
 
-def reference_row(assembler, cve, commit_id):
-    """The nine features of one pair from the per-pair functions."""
-    corpus, store, file_index = assembler.corpus, assembler.store, assembler.file_index
-    commit = commit_of(corpus, commit_id)
+def reference_rows(assembler, cve, commit_ids):
+    """The nine features of each pair from the brute-force oracles: BM25
+    from the formula, the files ranked by those scores, and cosines pooled
+    one commit at a time."""
+    corpus, store = assembler.corpus, assembler.store
+    file_scores = bm25_oracle_scores(corpus, "file", cve.description)
+    diff_scores = bm25_oracle_scores(corpus, "diff", cve.description)
     ner_paths = search_paths(path_universe(corpus), extract_entities(cve.description))
-    touched = commit_paths(commit)
+    query = store.cve_vector(cve.cve_id)
 
-    def distance(cve_time):
-        return float(len(corpus)) if cve_time is None else float(time_affinity(corpus, cve_time, commit_id))
+    def distance(cve_time, commit_id):
+        if cve_time is None:
+            return float(len(corpus))
+        return float(time_affinity(corpus, cve_time, commit_id))
 
-    return np.array(
-        [
-            feature_commit_cosine(store, cve.cve_id, commit_id),
-            feature_max_file_sim(store, file_index, cve, commit),
-            feature_top1_file_cosine(store, file_index, cve, commit),
-            feature_mean_top2_cosine(store, file_index, cve, commit),
-            score_document(assembler.diff_index, cve.description, commit_id),
-            distance(cve.reserve_time),
-            distance(cve.publish_time),
-            feature_jaccard(ner_paths, touched),
-            feature_path_cosine(OfflineEmbedder(64), ner_paths, touched),
-        ],
-        dtype=np.float64,
-    )
+    rows = []
+    for commit_id in commit_ids:
+        commit = commit_of(corpus, commit_id)
+        touched = commit_paths(commit)
+        ranked = rank_files_oracle(commit, file_scores)
+        rows.append(
+            [
+                *hier_oracle(store, query, commit_id, ranked),
+                diff_scores.get(commit_id, 0.0),
+                distance(cve.reserve_time, commit_id),
+                distance(cve.publish_time, commit_id),
+                feature_jaccard(ner_paths, touched),
+                feature_path_cosine(OfflineEmbedder(64), ner_paths, touched),
+            ]
+        )
+    return np.array(rows, dtype=np.float64).reshape(len(commit_ids), 9)
 
 
 class TestMatrixOracle:
@@ -187,8 +190,7 @@ class TestMatrixOracle:
         assert assembler.ner_paths_for(cves[-1]) == set()
         for cve in cves:
             matrix = feature_rows(assembler, cve, ids)
-            expected = np.vstack([reference_row(assembler, cve, c) for c in ids])
-            assert np.array_equal(matrix, expected), cve.cve_id
+            assert np.array_equal(matrix, reference_rows(assembler, cve, ids)), cve.cve_id
         # The cases the reference must cover actually occur.
         assert np.any(feature_rows(assembler, cves[0], ids)[:, 8] > 0.0)
         assert np.all(feature_rows(assembler, cves[3], ids)[:, 5:7] == float(len(corpus)))
@@ -265,9 +267,9 @@ class TestMatrixOracle:
         corpus, cve, assembler = pooling
         ids = corpus.commit_ids
         matrix = feature_rows(assembler, cve, ids)
-        expected = np.vstack([reference_row(assembler, cve, c) for c in ids])
-        assert np.array_equal(matrix, expected)
-        ranked = {c: rank_files_within_commit(assembler.file_index, cve, c) for c in ids}
+        assert np.array_equal(matrix, reference_rows(assembler, cve, ids))
+        file_scores = bm25_oracle_scores(corpus, "file", cve.description)
+        ranked = {c: rank_files_oracle(commit_of(corpus, c), file_scores) for c in ids}
         # The cases occur: the sixth file's cosine tops the five pooled ones,
         # ties and zero scores fall back to path order, one file gives three
         # equal columns, and opposite top-2 vectors have a zero mean.
