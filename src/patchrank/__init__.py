@@ -23,8 +23,8 @@ _HOMES = {
         "corpus": """CommitRecord Corpus CveRecord FileDiff ingest_commit_dump
             ingest_multi_repo_dump load_cve_dump split_diff_by_file tokenize
             truncate_to_tokens""",
-        "embedding": """HttpEmbedder OfflineEmbedder PromptKind VectorStore build_vectors
-            embed_batch offline_embed render_prompt""",
+        "embedding": """HttpEmbedder OfflineEmbedder VectorStore build_vectors
+            document_prompt embed_batch offline_embed query_prompt""",
         "evalkit": """DifficultyScore EvalReport RepoSummary difficulty evaluate_rankings
             mrr ndcg_at_k recall_at_k split_by_repo""",
         "hier_features": """FeatureAssembler HierConfig feature_max_file_sim

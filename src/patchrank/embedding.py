@@ -12,8 +12,7 @@ import math
 import operator
 import os
 import time
-from collections.abc import Iterator, Sequence
-from enum import Enum
+from collections.abc import Iterable, Iterator, Sequence
 from hashlib import blake2b
 from itertools import chain, islice
 from pathlib import Path
@@ -51,13 +50,6 @@ STORE_FORMAT = Format(
 )
 
 
-class PromptKind(Enum):
-    CVE_QUERY = "cve_query"
-    COMMIT_DOC = "commit_doc"
-    FILE_DOC = "file_doc"
-    PATH_DOC = "path_doc"
-
-
 _DOC_TEMPLATE = (
     "This is a commit (commit message + diff code) of a repository. "
     "Represent it to retrieve the patching commit for a CVE description: "
@@ -74,15 +66,12 @@ _QUERY_TEMPLATE = (
 
 
 class ProviderError(RuntimeError, InputError):
-    """Embedding request failure; carries the number of attempts made."""
+    """An embedding provider's failure or malformed answer; ``attempts`` counts
+    the requests made for it."""
 
-    def __init__(self, message: str, attempts: int):
-        super().__init__(f"{message} (after {attempts} attempt{'s' if attempts != 1 else ''})")
+    def __init__(self, message: str, attempts: int = 1):
+        super().__init__(message)
         self.attempts = attempts
-
-
-class EmbeddingDimensionError(ValueError):
-    """Vectors of differing dimensions inside one batch; not retriable."""
 
 
 class MissingVectorError(KeyError):
@@ -91,32 +80,15 @@ class MissingVectorError(KeyError):
         self.key = key
 
 
-def render_prompt(
-    kind: PromptKind,
-    *,
-    message: str | None = None,
-    diff: str | None = None,
-    description: str | None = None,
-    text: str | None = None,
-) -> str:
-    """Fill the prompt template for one embedding input.
+def document_prompt(message: str, diff: str) -> str:
+    """The embedding input of a commit or file: the document template around
+    the commit message and the (commit's or file's) diff."""
+    return _DOC_TEMPLATE.format(message=message, diff=diff)
 
-    Commit and file documents share the commit template; path documents
-    have no template and pass through unchanged.
-    """
-    if kind in (PromptKind.COMMIT_DOC, PromptKind.FILE_DOC):
-        if message is None or diff is None:
-            raise ValueError(f"{kind.value} prompt requires message and diff")
-        return _DOC_TEMPLATE.format(message=message, diff=diff)
-    if kind is PromptKind.CVE_QUERY:
-        if description is None:
-            raise ValueError("cve_query prompt requires description")
-        return _QUERY_TEMPLATE.format(description=description)
-    if kind is PromptKind.PATH_DOC:
-        if text is None:
-            raise ValueError("path_doc prompt requires text")
-        return text
-    raise ValueError(f"unknown prompt kind {kind!r}")
+
+def query_prompt(description: str) -> str:
+    """The embedding input of a CVE: the query template around its description."""
+    return _QUERY_TEMPLATE.format(description=description)
 
 
 def _basis_vector(dimension: int) -> np.ndarray:
@@ -260,22 +232,22 @@ class HttpEmbedder:
             else:
                 if response.status_code == 200:
                     try:
-                        vectors = response.json().get("vectors")
+                        answer = response.json()
                     except ValueError:
                         raise ProviderError("provider returned unparseable JSON", attempts) from None
+                    vectors = answer.get("vectors") if isinstance(answer, dict) else None
                     if not isinstance(vectors, list) or len(vectors) != len(batch):
-                        raise ProviderError(
-                            f"provider returned {0 if vectors is None else len(vectors)} "
-                            f"vectors for {len(batch)} inputs",
-                            attempts,
-                        )
+                        count = len(vectors) if isinstance(vectors, list) else "no"
+                        reason = f"provider returned {count} vectors for {len(batch)} inputs"
+                        raise ProviderError(reason, attempts)
                     return vectors
                 last_error = f"HTTP {response.status_code}"
                 if 400 <= response.status_code < 500 and response.status_code not in _RETRIED_4XX:
                     break
             if attempts < self.max_retries:
                 time.sleep(self.backoff_s * (2 ** (attempts - 1)))
-        raise ProviderError(f"embedding request failed: {last_error}", attempts)
+        plural = "s" if attempts != 1 else ""
+        raise ProviderError(f"{last_error}, after {attempts} attempt{plural}", attempts)
 
     def embed(self, texts: list[str], tokens=None) -> list[list[float]]:
         """The service's vectors of ``texts``; ``tokens`` is not used."""
@@ -289,17 +261,22 @@ def embed_batch(provider, texts: list[str], tokens: list[list[str]] | None = Non
     """Embed texts in order and L2-normalize, whatever the provider returned:
     one float32 row per text. Each row's norm is the square root of its
     float64 sum of squares, so a row normalizes alike in any batch. Given
-    ``tokens``, each text's tokens, they are passed on to the provider."""
+    ``tokens``, each text's tokens, they are passed on to the provider. An
+    answer other than one non-empty list of numbers per text, all of one
+    length, raises ProviderError."""
     if not texts:
         return np.empty((0, 0), dtype=np.float32)
     texts = list(texts)
     raw = provider.embed(texts) if tokens is None else provider.embed(texts, tokens=tokens)
     if len(raw) != len(texts):
-        raise ProviderError(f"provider returned {len(raw)} vectors for {len(texts)} texts", 1)
-    dimensions = {len(v) for v in raw}
-    if len(dimensions) != 1:
-        raise EmbeddingDimensionError(f"mixed vector dimensions in one batch: {sorted(dimensions)}")
-    vectors = np.array(raw, dtype=np.float64)
+        raise ProviderError(f"provider returned {len(raw)} vectors for {len(texts)} texts")
+    try:
+        vectors = np.array(raw)
+    except ValueError:  # rows of differing lengths
+        vectors = np.empty(0)
+    if vectors.ndim != 2 or not vectors.shape[1] or vectors.dtype.kind not in "iuf":
+        raise ProviderError("provider vectors are not non-empty lists of numbers of one length")
+    vectors = vectors.astype(np.float64, copy=False)
     with np.errstate(over="ignore"):  # an overflowing norm is non-finite, handled below
         norms = np.sqrt(np.square(vectors).sum(-1))
     usable = np.isfinite(norms) & (norms > 0.0)
@@ -308,6 +285,28 @@ def embed_batch(provider, texts: list[str], tokens: list[list[str]] | None = Non
     out = np.tile(_basis_vector(vectors.shape[1]), (len(vectors), 1))
     out[usable] = vectors[usable] / norms[usable, None]
     return out
+
+
+def embed_rows(provider, documents: Iterable, matrix: np.ndarray, batch_size: int) -> np.ndarray:
+    """``matrix`` with each ``(row, key, text, tokens)`` document's unit vector
+    in its row, ``batch_size`` texts per :func:`embed_batch` call, given their
+    tokens unless they are None. A matrix without columns takes the first
+    batch's dimension. A failed call, or a batch of another dimension, raises
+    ProviderError naming the batch's first key."""
+    documents = iter(documents)
+    while batch := list(islice(documents, batch_size)):
+        rows, keys, texts, tokens = zip(*batch)
+        try:
+            vectors = embed_batch(provider, texts, None if tokens[0] is None else list(tokens))
+            if not matrix.shape[1]:
+                matrix = np.empty((len(matrix), vectors.shape[1]), dtype=np.float32)
+            elif vectors.shape[1] != matrix.shape[1]:
+                raise ProviderError(f"dimension {vectors.shape[1]}, not {matrix.shape[1]}")
+        except ProviderError as exc:
+            reason = f"embedding failed at {keys[0]!r} (batch of {len(batch)}): {exc}"
+            raise ProviderError(reason, exc.attempts) from exc
+        matrix[list(rows)] = vectors
+    return matrix
 
 
 class VectorStore:
@@ -333,11 +332,16 @@ class VectorStore:
     def keys(self) -> list[tuple]:
         return list(self.rows)
 
-    def _get(self, key: tuple) -> np.ndarray:
+    def rows_of(self, keys: Iterable[tuple]) -> np.ndarray:
+        """The matrix rows of ``keys``, in order; the first key without a
+        vector raises MissingVectorError."""
         try:
-            return self.matrix[self.rows[key]]
-        except KeyError:
-            raise MissingVectorError(key) from None
+            return np.array([self.rows[key] for key in keys], dtype=np.intp)
+        except KeyError as exc:
+            raise MissingVectorError(exc.args[0]) from None
+
+    def _get(self, key: tuple) -> np.ndarray:
+        return self.matrix[self.rows_of([key])[0]]
 
     def commit_vector(self, commit_id: str) -> np.ndarray:
         return self._get(("commit", commit_id))
@@ -384,10 +388,6 @@ class VectorStore:
         return cls(vectors.shape[1], keys, vectors)
 
 
-class EmbedBuildError(RuntimeError, InputError):
-    """A provider failure during store construction, naming the failed keys."""
-
-
 def _documents(
     corpus: Corpus, cves: list[CveRecord], commit_budget: int, file_budget: int
 ) -> Iterator[tuple[tuple, str, list[str]]]:
@@ -402,20 +402,18 @@ def _documents(
         files: dict[str, list[tuple[str, list[str]]]] = {}
         for fd, section in zip(commit.file_diffs, sections):
             files.setdefault(fd.path, []).append(section)
-        documents = [(("commit", commit.commit_id), PromptKind.COMMIT_DOC, sections, commit_budget)]
+        documents = [(("commit", commit.commit_id), sections, commit_budget)]
         for path, parts in files.items():
-            key = ("file", commit.commit_id, path)
-            documents.append((key, PromptKind.FILE_DOC, parts, file_budget))
-        for key, kind, parts, budget in documents:
+            documents.append((("file", commit.commit_id, path), parts, file_budget))
+        for key, parts, budget in documents:
             diff, tokens = truncate_tokenized(
                 "".join(text for text, _ in parts),
                 list(chain.from_iterable(section for _, section in parts)),
                 budget,
             )
-            prompt = render_prompt(kind, message=commit.message, diff=diff)
-            yield key, prompt, [*head, *message, *middle, *tokens]
+            yield key, document_prompt(commit.message, diff), [*head, *message, *middle, *tokens]
     for cve in cves:
-        prompt = render_prompt(PromptKind.CVE_QUERY, description=cve.description)
+        prompt = query_prompt(cve.description)
         yield ("cve", cve.cve_id), prompt, tokenize(prompt)
 
 
@@ -441,21 +439,7 @@ def build_vectors(
     keys += {("file", c.commit_id, fd.path): None for c in corpus.commits for fd in c.file_diffs}
     keys.sort()
     rows = {key: row for row, key in enumerate(keys)}
-    matrix = np.empty((0, getattr(provider, "dimension", 0)), dtype=np.float32)
+    matrix = np.empty((len(keys), getattr(provider, "dimension", 0)), dtype=np.float32)
     documents = _documents(corpus, cves, commit_budget, file_budget)
-    while batch := list(islice(documents, batch_size)):
-        batch_keys, texts, tokens = zip(*batch)
-        try:
-            vectors = embed_batch(provider, list(texts), list(tokens))
-            if not len(matrix):
-                matrix = np.empty((len(keys), vectors.shape[1]), dtype=np.float32)
-            elif vectors.shape[1] != matrix.shape[1]:
-                raise EmbeddingDimensionError(
-                    f"vectors of dimension {vectors.shape[1]} after {matrix.shape[1]}"
-                )
-        except (ProviderError, EmbeddingDimensionError) as exc:
-            raise EmbedBuildError(
-                f"embedding failed at key {batch_keys[0]!r} (batch of {len(batch)}): {exc}"
-            ) from exc
-        matrix[[rows[key] for key in batch_keys]] = vectors
+    matrix = embed_rows(provider, ((rows[k], k, *doc) for k, *doc in documents), matrix, batch_size)
     return VectorStore(matrix.shape[1], keys, matrix)

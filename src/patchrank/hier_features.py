@@ -21,15 +21,11 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import CommitRecord, Corpus, CveRecord
-from .embedding import MissingVectorError, VectorStore, embed_batch
+from .embedding import VectorStore, embed_rows
 from .lexical import InvertedIndex, _score_array, commit_docs, commit_ranks
 from .path_features import commit_paths, extract_entities, feature_jaccard, path_text, search_paths
-from .settings import DEFAULT_PER_ENTITY_CAP, NUM_FEATURES, check_pool
+from .settings import DEFAULT_BATCH_SIZE, DEFAULT_PER_ENTITY_CAP, NUM_FEATURES, check_pool
 
-# Path texts missing from the assembler's memo are embedded this many at a
-# time: a provider answers with Python float lists (~8 KB per 256-d vector),
-# and one call for a few hundred texts would raise featurize's peak RSS.
-PATH_EMBED_BATCH = 64
 # Candidates per array pass: ~3 KB per gathered vector at d = 256, up to six
 # per candidate, so a CVE's thousands of candidates add ~2 MB to the peak.
 MATRIX_CHUNK = 128
@@ -94,10 +90,7 @@ def file_columns(query, matrix, doc_rows, file_scores, starts, counts, pool: int
 def _commit_file_columns(store, file_index, cve, commit, pool: int) -> np.ndarray:
     """:func:`file_columns` of one commit, every file of which needs a vector."""
     docs = commit_docs(file_index, commit.commit_id)
-    try:
-        rows = np.array([store.rows[("file", *file_index.docs[j])] for j in docs], np.intp)
-    except KeyError as exc:
-        raise MissingVectorError(exc.args[0]) from None
+    rows = store.rows_of([("file", *file_index.docs[j]) for j in docs])
     scores = _score_array(file_index, cve.description)[docs.start : docs.stop]
     query, starts, counts = store.cve_vector(cve.cve_id), np.array([0]), np.array([len(docs)])
     return file_columns(query, store.matrix, rows, scores, starts, counts, pool)[0]
@@ -169,19 +162,15 @@ class FeatureAssembler:
         # the file index's documents ascend by (commit id, path). The diff
         # index's documents are the corpus's commits, so position p is document
         # corpus.id_ranks[p].
-        rows = store.rows
-        try:
-            self._commit_rows = np.array([rows[("commit", c.commit_id)] for c in commits], np.intp)
-            self._doc_rows = np.array([rows[("file", *doc)] for doc in file_index.docs], np.intp)
-        except KeyError as exc:
-            raise MissingVectorError(exc.args[0]) from None
+        self._commit_rows = store.rows_of([("commit", c.commit_id) for c in commits])
+        self._doc_rows = store.rows_of([("file", *doc) for doc in file_index.docs])
         owners = commit_ranks(file_index, sorted(corpus.commit_ids))
         counts = np.bincount(owners, minlength=len(commits))
         self._file_starts = (np.cumsum(counts) - counts)[corpus.id_ranks]
         self._file_counts = counts[corpus.id_ranks]
         # The provider's normalized path-set vectors, a row per path_text() in _path_rows.
         self._path_rows: dict[str, int] = {}
-        self._path_vectors = np.empty((0, 0), dtype=np.float32)  # replaced on first use
+        self._path_vectors = np.empty((0, 0), dtype=np.float32)  # takes the provider's dimension
 
     def entities_for(self, cve: CveRecord) -> set[str]:
         return self._cve_state(cve)[0]
@@ -210,7 +199,9 @@ class FeatureAssembler:
     def _path_cosines(self, ner_paths: set[str], positions: np.ndarray) -> np.ndarray:
         """Cosine of the NER path set with each commit's path set; 0.0 when
         either set is empty. Texts missing from the memo are embedded in
-        batches of PATH_EMBED_BATCH."""
+        batches of DEFAULT_BATCH_SIZE: a provider answers with Python float
+        lists (~8 KB per 256-d vector), so one call for a few hundred texts
+        would raise featurize's peak RSS."""
         if not ner_paths:
             return np.zeros(len(positions))
         query_text = path_text(ner_paths)
@@ -218,11 +209,11 @@ class FeatureAssembler:
         wanted = dict.fromkeys([query_text, *texts])
         missing = [t for t in wanted if t is not None and t not in self._path_rows]
         if missing:
-            batches = range(0, len(missing), PATH_EMBED_BATCH)
-            new = [embed_batch(self._provider, missing[i : i + PATH_EMBED_BATCH]) for i in batches]
-            stacked = [self._path_vectors, *new] if self._path_rows else new
-            self._path_vectors = np.concatenate(stacked)
-            self._path_rows.update(zip(missing, count(len(self._path_rows))))
+            known, width = self._path_vectors.shape
+            grown = np.concatenate([self._path_vectors, np.empty((len(missing), width), np.float32)])
+            documents = [(row, text, text, None) for row, text in enumerate(missing, known)]
+            self._path_vectors = embed_rows(self._provider, documents, grown, DEFAULT_BATCH_SIZE)
+            self._path_rows.update(zip(missing, count(known)))
         rows = np.array([self._path_rows.get(text, -1) for text in texts], dtype=np.intp)
         query = self._path_vectors[self._path_rows[query_text]]
         out = np.empty(len(positions))

@@ -9,10 +9,8 @@ embedded-text cosine.
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 from .corpus import CommitRecord
-from .embedding import PromptKind, render_prompt
 from .settings import DEFAULT_PER_ENTITY_CAP
 
 # Identifier shapes worth searching for: paths, dotted names, filenames,
@@ -44,19 +42,9 @@ def extract_entities(description: str) -> set[str]:
     return set(seen.values())
 
 
-def normalize_path(path: str) -> str:
-    p = path.strip().lower()
-    if p.startswith(("a/", "b/")):
-        p = p[2:]
-    return p
-
-
-def path_set(paths: Iterable[str]) -> set[str]:
-    return {normalize_path(p) for p in paths if p.strip()}
-
-
 def commit_paths(commit: CommitRecord) -> set[str]:
-    return path_set(fd.path for fd in commit.file_diffs)
+    """The commit's file paths, lowercased; an empty path is dropped."""
+    return {fd.path.lower() for fd in commit.file_diffs if fd.path}
 
 
 def search_paths(
@@ -87,4 +75,4 @@ def feature_jaccard(ner_paths: set[str], commit_paths: set[str]) -> float:
 
 def path_text(paths: set[str]) -> str:
     """The embedding input for a path set: its paths, sorted, one per line."""
-    return render_prompt(PromptKind.PATH_DOC, text="\n".join(sorted(paths)))
+    return "\n".join(sorted(paths))

@@ -69,7 +69,7 @@ def is_sorted(corpus: Corpus) -> bool:
 
 
 def path_universe(corpus: Corpus) -> set[str]:
-    """Every path ever touched by any commit of the corpus, normalized."""
+    """Every path ever touched by any commit of the corpus, lowercased."""
     universe: set[str] = set()
     for commit in corpus.commits:
         universe |= commit_paths(commit)

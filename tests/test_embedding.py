@@ -7,7 +7,9 @@ throwaway local server implementing the /embed protocol.
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import socket
 import struct
 import subprocess
@@ -23,21 +25,20 @@ import patchrank
 from patchrank.corpus import CommitRecord, split_diff_by_file
 from patchrank.embedding import (
     STORE_FORMAT,
-    EmbedBuildError,
-    EmbeddingDimensionError,
     HttpEmbedder,
     MissingVectorError,
     OfflineEmbedder,
-    PromptKind,
     ProviderError,
     VectorStore,
     build_vectors,
+    document_prompt,
     embed_batch,
     offline_embed,
-    render_prompt,
+    query_prompt,
 )
 
 from patchrank.container import STR, Format, Section
+from patchrank.path_features import path_text
 
 from conftest import cid, file_diff_text, make_commit, make_corpus, make_cve, vector_store
 from oracles import file_texts, offline_vector_oracle, token_count, truncate_to_tokens_oracle
@@ -72,6 +73,7 @@ class _EmbedHandler(BaseHTTPRequestHandler):
     auth_headers: list[str | None] = []
     inputs: list[str] = []
     dimension = 32
+    body: bytes | None = None  # answered as is, when set
 
     def do_POST(self):
         cls = type(self)
@@ -85,7 +87,7 @@ class _EmbedHandler(BaseHTTPRequestHandler):
             self.end_headers()
             return
         vectors = [offline_embed(t, cls.dimension).tolist() for t in body["inputs"]]
-        payload = json.dumps({"vectors": vectors}).encode()
+        payload = cls.body or json.dumps({"vectors": vectors}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -103,6 +105,7 @@ def embed_server():
     _EmbedHandler.batch_sizes = []
     _EmbedHandler.auth_headers = []
     _EmbedHandler.inputs = []
+    _EmbedHandler.body = None
     server = ThreadingHTTPServer(("127.0.0.1", 0), _EmbedHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -112,28 +115,31 @@ def embed_server():
 
 
 class TestRenderPrompt:
+    """The two templates: document_prompt for commits and files, query_prompt
+    for CVEs. A path set is embedded as its joined paths, with no template."""
+
     def test_cve_query_ends_with_description(self):
-        out = render_prompt(PromptKind.CVE_QUERY, description="X")
+        out = query_prompt("X")
         assert out.endswith("patches this CVE: X")
 
     def test_commit_doc_with_empty_diff(self):
-        out = render_prompt(PromptKind.COMMIT_DOC, message="m", diff="")
+        out = document_prompt("m", "")
         assert out.endswith("Diff code: ")
         assert "Commit message: m;" in out
 
     def test_file_doc_diff_section_starts_at_header(self):
         diff = "diff --git a/f.java b/f.java\n+x"
-        out = render_prompt(PromptKind.FILE_DOC, message="m", diff=diff)
+        out = document_prompt("m", diff)
         assert "Diff code: diff --git a/f.java" in out
 
     def test_path_doc_passes_through(self):
-        assert render_prompt(PromptKind.PATH_DOC, text="a\nb") == "a\nb"
+        assert path_text({"b", "a"}) == "a\nb"
 
     def test_missing_payload_rejected(self):
-        with pytest.raises(ValueError):
-            render_prompt(PromptKind.COMMIT_DOC, message="m")
-        with pytest.raises(ValueError):
-            render_prompt(PromptKind.CVE_QUERY)
+        with pytest.raises(TypeError):
+            document_prompt("m")
+        with pytest.raises(TypeError):
+            query_prompt()
 
 
 class TestOfflineEmbed:
@@ -227,7 +233,7 @@ class _ListProvider:
     def __init__(self, vectors):
         self.vectors = vectors
 
-    def embed(self, texts):
+    def embed(self, texts, tokens=None):
         return self.vectors[: len(texts)]
 
 
@@ -252,8 +258,22 @@ class TestEmbedBatch:
         assert out[0].tolist() == [1.0, 0.0, 0.0]
 
     def test_mixed_dimensions_hard_error(self):
-        with pytest.raises(EmbeddingDimensionError):
+        with pytest.raises(ProviderError, match="of one length"):
             embed_batch(_ListProvider([[1.0, 0.0], [1.0, 0.0, 0.0]]), ["x", "y"])
+
+    @pytest.mark.parametrize("answer", [[[1.0, "x"]], [3.0], [None], [[]]], ids=repr)
+    def test_malformed_row_is_a_provider_error(self, answer):
+        """Each row must be a non-empty list of numbers; in a store build the
+        error names the batch's first key."""
+        with pytest.raises(ProviderError, match="non-empty lists of numbers"):
+            embed_batch(_ListProvider(answer), ["x"])
+        corpus = make_corpus([make_commit(1)])
+        with pytest.raises(ProviderError, match=re.escape(f"at {('commit', cid(1))!r} (batch of 1)")):
+            build_vectors(corpus, [], _ListProvider(answer), batch_size=1)
+
+    def test_non_finite_row_degrades_to_basis(self):
+        out = embed_batch(_ListProvider([[math.inf, 1.0], [math.nan, 0.0]]), ["x", "y"])
+        assert out.tolist() == [[1.0, 0.0], [1.0, 0.0]]
 
 
 class TestHttpEmbedder:
@@ -331,15 +351,40 @@ class TestHttpEmbedder:
         expected = []
         for commit in corpus.commits:
             diff = truncate_to_tokens_oracle(commit.diff_text(), budgets["commit_budget"])
-            expected.append(render_prompt(PromptKind.COMMIT_DOC, message=commit.message, diff=diff))
+            expected.append(document_prompt(commit.message, diff))
             for text in file_texts(commit).values():
                 diff = truncate_to_tokens_oracle(text, budgets["file_budget"])
-                prompt = render_prompt(PromptKind.FILE_DOC, message=commit.message, diff=diff)
-                expected.append(prompt)
-        expected.append(render_prompt(PromptKind.CVE_QUERY, description=cves[0].description))
+                expected.append(document_prompt(commit.message, diff))
+        expected.append(query_prompt(cves[0].description))
         assert _EmbedHandler.inputs == expected
         full_file = file_texts(corpus.commits[0])["a.java"]
-        assert expected[1] != render_prompt(PromptKind.FILE_DOC, message="fix overflow", diff=full_file)
+        assert expected[1] != document_prompt("fix overflow", full_file)
+
+    @pytest.mark.parametrize(
+        "body, reason",
+        [
+            (b"not json", "provider returned unparseable JSON"),
+            (b"[]", "provider returned no vectors for 2 inputs"),
+            (b'{"vectors": 5}', "provider returned no vectors for 2 inputs"),
+            (b'{"other": []}', "provider returned no vectors for 2 inputs"),
+            (b'{"vectors": [[1.0]]}', "provider returned 1 vectors for 2 inputs"),
+        ],
+    )
+    def test_malformed_answer_is_a_provider_error(self, embed_server, body, reason):
+        _EmbedHandler.body = body
+        with pytest.raises(ProviderError) as info:
+            HttpEmbedder(embed_server, "m").embed(["x", "y"])
+        assert str(info.value) == reason
+
+    def test_store_build_failure_gives_the_reason_once(self, embed_server):
+        _EmbedHandler.fail_next = 99
+        client = HttpEmbedder(embed_server, "m", max_retries=2, backoff_s=0.01)
+        corpus = make_corpus([make_commit(1, files={"a.c": "x"})])
+        with pytest.raises(ProviderError) as info:
+            build_vectors(corpus, [], client)
+        first = ("commit", cid(1))
+        assert str(info.value) == f"embedding failed at {first!r} (batch of 2): HTTP 503, after 2 attempts"
+        assert info.value.attempts == 2
 
     def test_transport_error_is_reported(self):
         with socket.socket() as sock:
@@ -375,6 +420,16 @@ class TestVectorStore:
         store = VectorStore(8)
         with pytest.raises(MissingVectorError, match="commit"):
             store.commit_vector(cid(1))
+
+    def test_rows_of_names_the_first_key_without_a_vector(self):
+        keys = [("commit", cid(1)), ("cve", "CVE-2024-1"), ("file", cid(1), "a.c")]
+        store = vector_store(8, dict.fromkeys(keys, offline_embed("x", 8)))
+        assert store.rows_of(keys[::-1]).tolist() == [2, 1, 0]
+        assert store.rows_of([]).dtype == np.intp
+        wanted = [keys[0], ("file", cid(1), "b.c"), ("commit", cid(2))]
+        with pytest.raises(MissingVectorError) as info:
+            store.rows_of(wanted)
+        assert info.value.key == ("file", cid(1), "b.c")
 
     def test_save_load_round_trip_byte_identical(self, tmp_path):
         store = vector_store(
@@ -531,14 +586,7 @@ class TestBuildVectors:
         corpus = self.corpus_with_files()
         store = build_vectors(corpus, [], OfflineEmbedder(64), file_budget=512)
         commit = corpus.commits[0]
-        expected = offline_embed(
-            render_prompt(
-                PromptKind.FILE_DOC,
-                message=commit.message,
-                diff=file_texts(commit)["a.java"],
-            ),
-            64,
-        )
+        expected = offline_embed(document_prompt(commit.message, file_texts(commit)["a.java"]), 64)
         assert np.array_equal(store.file_vector(commit.commit_id, "a.java"), expected)
 
     def test_commit_diff_truncated_to_budget(self):
@@ -548,14 +596,7 @@ class TestBuildVectors:
         store = build_vectors(corpus, [], OfflineEmbedder(64), commit_budget=20)
         from patchrank.corpus import truncate_to_tokens
 
-        expected = offline_embed(
-            render_prompt(
-                PromptKind.COMMIT_DOC,
-                message="m",
-                diff=truncate_to_tokens(commit.diff_text(), 20),
-            ),
-            64,
-        )
+        expected = offline_embed(document_prompt("m", truncate_to_tokens(commit.diff_text(), 20)), 64)
         assert np.array_equal(store.commit_vector(commit.commit_id), expected)
 
     def test_rebuild_is_idempotent(self, tmp_path):
@@ -582,12 +623,30 @@ class TestBuildVectors:
         assert store.matrix.tobytes() == loaded.matrix.tobytes()
 
     def test_provider_failure_names_key(self):
+        """The error names the batch's first key and gives the provider's
+        reason once."""
+
         class Exploding:
             def embed(self, texts, tokens=None):
                 raise ProviderError("boom", 3)
 
-        with pytest.raises(EmbedBuildError, match="commit"):
+        with pytest.raises(ProviderError) as info:
             build_vectors(self.corpus_with_files(), [], Exploding())
+        first = ("commit", cid(1))
+        assert str(info.value) == f"embedding failed at {first!r} (batch of 4): boom"
+        assert info.value.attempts == 3
+
+    def test_batch_of_another_dimension_names_its_first_key(self):
+        class Shrinking:
+            dimensions = iter([16, 8])
+
+            def embed(self, texts, tokens=None):
+                return OfflineEmbedder(next(self.dimensions)).embed(texts)
+
+        with pytest.raises(ProviderError) as info:
+            build_vectors(self.corpus_with_files(), [], Shrinking(), batch_size=2)
+        first = ("file", cid(1), "b.java")
+        assert str(info.value) == f"embedding failed at {first!r} (batch of 2): dimension 8, not 16"
 
     def test_all_stored_vectors_unit_norm(self):
         store = build_vectors(

@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from patchrank import path_features
 from patchrank.embedding import OfflineEmbedder, build_vectors, offline_embed
-from patchrank.hier_features import PATH_EMBED_BATCH, FeatureAssembler
+from patchrank.hier_features import FeatureAssembler
 from patchrank.lexical import build_index
 from patchrank.path_features import (
     commit_paths,
     extract_entities,
     feature_jaccard,
-    normalize_path,
     path_text,
     search_paths,
 )
+from patchrank.settings import DEFAULT_BATCH_SIZE
 
 
 from conftest import cid, feature_rows, make_commit, make_corpus, make_cve
@@ -139,11 +145,6 @@ class TestPathCosine:
 
 
 class TestPathPlumbing:
-    def test_normalize_strips_prefixes_and_case(self):
-        assert normalize_path("a/Src/Main.java") == "src/main.java"
-        assert normalize_path("b/x") == "x"
-        assert normalize_path("lib/y") == "lib/y"
-
     def test_universe_covers_all_commits(self):
         corpus = make_corpus(
             [
@@ -151,11 +152,29 @@ class TestPathPlumbing:
                 make_commit(2, author_time=2, files={"b/B.java": "y", "c.java": "z"}),
             ]
         )
-        assert path_universe(corpus) == {"a.java", "b.java", "c.java"}
+        assert path_universe(corpus) == {"a.java", "b/b.java", "c.java"}
 
     def test_commit_paths_normalized(self):
         commit = make_commit(1, files={"Dir/File.java": "w"})
         assert commit_paths(commit) == {"dir/file.java"}
+
+    def test_commit_path_keeps_a_leading_b_directory(self):
+        """The corpus has already taken the diff's ``a/`` and ``b/`` prefixes
+        off each path, so a repository directory named ``b`` stays, and the
+        description entity that names it finds the commit's path."""
+        corpus = make_corpus([make_commit(1, files={"b/net/Frame.c": "x", "a/x.c": "y"})])
+        assert commit_paths(corpus.commits[0]) == {"b/net/frame.c", "a/x.c"}
+        entities = extract_entities("overflow in b/net/Frame.c")
+        assert search_paths(path_universe(corpus), entities) == {"b/net/frame.c"}
+
+    def test_import_leaves_embedding_unloaded(self):
+        """A path set's embedding input is its joined paths, with no template,
+        so path_features imports no embedding code."""
+        src = Path(path_features.__file__).resolve().parents[1]
+        script = "import sys, patchrank.path_features; assert 'patchrank.embedding' not in sys.modules"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
 
     def test_assembler_embeds_each_path_text_once(self):
         calls = []
@@ -207,7 +226,7 @@ class TestPathPlumbing:
                 sizes.append(len(texts))
                 return [offline_embed(t, 32).tolist() for t in texts]
 
-        n = PATH_EMBED_BATCH * 2 + 1
+        n = DEFAULT_BATCH_SIZE * 2 + 1
         corpus = make_corpus(
             [make_commit(i, author_time=i, files={f"src/parser{i}.java": "x"}) for i in range(n)]
         )
@@ -219,4 +238,4 @@ class TestPathPlumbing:
         feature_rows(assembler, cve, corpus.commit_ids)
         # One text per commit; the NER path set is commit 0's.
         assert assembler.ner_paths_for(cve) == {"src/parser0.java"}
-        assert sizes == [PATH_EMBED_BATCH, PATH_EMBED_BATCH, 1]
+        assert sizes == [DEFAULT_BATCH_SIZE, DEFAULT_BATCH_SIZE, 1]

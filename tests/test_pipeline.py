@@ -11,7 +11,10 @@ import shutil
 import socket
 import subprocess
 import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import replace
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path, PurePosixPath
 
 import numpy as np
@@ -21,7 +24,7 @@ from patchrank import embedding, lexical, prerank
 from patchrank import pipeline as pipeline_mod
 from patchrank.cli import main
 from patchrank.corpus import CORPUS_FORMAT, load_corpus, load_cve_dump
-from patchrank.embedding import STORE_FORMAT, VectorStore
+from patchrank.embedding import STORE_FORMAT, VectorStore, document_prompt, offline_embed, query_prompt
 from patchrank.pipeline import (
     CANDIDATES_FORMAT,
     CONFIG_KEYS,
@@ -1773,3 +1776,130 @@ def test_trace_into_a_closed_pipe_exits_0_quietly(tmp_path):
             _, stderr = child.communicate(timeout=120)
         assert all(line.startswith(cve_id.encode()) for line in head)
         assert (child.returncode, stderr) == (0, b""), (flags, top_k)
+
+
+@contextmanager
+def embed_service(answer):
+    """A localhost ``/embed`` service that answers each request's inputs with
+    ``answer(inputs)``; yields its URL."""
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            inputs = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["inputs"]
+            payload = json.dumps({"vectors": answer(inputs)}).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        thread.join()
+        server.server_close()
+
+
+# The texts embed sends begin with a template; the path-set texts that
+# featurize and trace send are paths.
+PROMPT_HEADS = (document_prompt("", "")[:20], query_prompt("")[:20])
+
+
+def offline_vectors(inputs, dimension=32):
+    return [offline_embed(text, dimension).tolist() for text in inputs]
+
+
+@pytest.fixture(scope="module")
+def http_runs(tmp_path_factory):
+    """The eight stages and ``trace --top-k 1000``, run in process on a small
+    corpus, offline at dimension 32 and over a localhost service answering
+    with the same vectors. Returns each run's config, output directory and
+    trace output, and the path-set texts each HTTP stage sent."""
+    tmp = tmp_path_factory.mktemp("http")
+    synth = generate(seed=21, n_repos=1, commits_per_repo=150, cves_per_repo=2)
+    commit_dump, cve_dump = synth.write(tmp / "input")
+    cve_id = synth.cve_records[0]["cve_id"]
+    sent: dict[str, list[str]] = {}
+    stage = None
+
+    def answer(inputs):
+        if not inputs[0].startswith(PROMPT_HEADS):
+            sent.setdefault(stage, []).extend(inputs)
+        return offline_vectors(inputs)
+
+    runs = {}
+    with embed_service(answer) as url:
+        for name, provider in (("offline", {}), ("http", {"url": url})):
+            config = {
+                "commit_dump": str(commit_dump),
+                "cve_dump": str(cve_dump),
+                "output_dir": str(tmp / name),
+                "provider": {"offline_dimension": 32} | provider,
+                "ranker": {"learning_rate": 0.2, "num_leaves": 7, "min_data_in_leaf": 2},
+            }
+            config_path = tmp / f"{name}.json"
+            config_path.write_text(json.dumps(config))
+            for stage in STAGES:
+                assert main([stage, "--config", str(config_path)]) == 0, (name, stage)
+            stage = "trace"
+            trace = cli_child("trace", "--config", str(config_path), "--cve", cve_id, "--top-k", "1000")
+            assert (trace.returncode, trace.stderr) == (0, ""), trace.stderr
+            runs[name] = (config_path, tmp / name, trace.stdout)
+    return runs, sent, cve_id
+
+
+def cli_child(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m patchrank.cli argv`` with ``src`` on the path."""
+    src = Path(pipeline_mod.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cli = [sys.executable, "-m", "patchrank.cli", *argv]
+    return subprocess.run(cli, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_http_provider_run_writes_the_offline_files(http_runs):
+    """Over a service that answers with the offline vectors, every file but
+    embed's manifest, which records the provider, equals the offline run's,
+    and trace prints the same rows; featurize and trace sent path-set texts."""
+    runs, sent, _ = http_runs
+    (_, offline, offline_trace), (_, http, http_trace) = runs["offline"], runs["http"]
+    files = sorted(path.relative_to(offline) for path in offline.rglob("*") if path.is_file())
+    assert files == sorted(path.relative_to(http) for path in http.rglob("*") if path.is_file())
+    differing = [rel for rel in files if (offline / rel).read_bytes() != (http / rel).read_bytes()]
+    assert differing == [Path("manifests/embed.manifest.json")]
+    assert trace_rows(http_trace) == trace_rows(offline_trace) and len(trace_rows(http_trace)) > 100
+    assert sorted(sent) == ["featurize", "trace"]
+
+
+@pytest.mark.parametrize("failing", ["mixed", "changing"])
+def test_bad_path_set_dimensions_exit_1_naming_the_batch(http_runs, failing):
+    """A service that answers a path-set batch with rows of two dimensions
+    ("mixed"), or its second batch with another dimension than the first
+    ("changing"): featurize and trace, each a CLI child, exit 1 with one error
+    line naming the failed batch's first text, not a traceback."""
+    runs, _, cve_id = http_runs
+    config_path = runs["http"][0]
+    for argv in (["trace", "--cve", cve_id], ["featurize"]):
+        batches = []
+
+        def answer(inputs):
+            if inputs[0].startswith(PROMPT_HEADS):
+                return offline_vectors(inputs)
+            batches.append(inputs)
+            if failing == "mixed":
+                return [offline_embed(text, 32 >> i % 2).tolist() for i, text in enumerate(inputs)]
+            return offline_vectors(inputs, 32 if len(batches) == 1 else 16)
+
+        with embed_service(answer) as url:
+            child = cli_child(*argv, "--config", str(config_path), "--provider-url", url)
+        assert len(batches) == (1 if failing == "mixed" else 2), argv
+        err = child.stderr
+        assert child.returncode == 1, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"embedding failed at {batches[-1][0]!r} (batch of {len(batches[-1])}): " in err

@@ -36,10 +36,10 @@ from patchrank.corpus import (  # noqa: E402
 from patchrank.corpus import write_jsonl, write_ranked_jsonl  # noqa: E402
 from patchrank.embedding import (  # noqa: E402
     OfflineEmbedder,
-    PromptKind,
     build_vectors,
+    document_prompt,
     embed_batch,
-    render_prompt,
+    query_prompt,
 )
 from patchrank.hier_features import (  # noqa: E402
     HierConfig,
@@ -495,15 +495,12 @@ def test_build_vectors_stores_the_oracle_vectors_of_the_oracle_prompts(drawn):
     expected: dict[tuple, str] = {}
     for commit in corpus.commits:
         diff = truncate_to_tokens_oracle(commit.diff_text(), commit_budget)
-        prompt = render_prompt(PromptKind.COMMIT_DOC, message=commit.message, diff=diff)
-        expected[("commit", commit.commit_id)] = prompt
+        expected[("commit", commit.commit_id)] = document_prompt(commit.message, diff)
         for path, text in file_texts(commit).items():
             diff = truncate_to_tokens_oracle(text, file_budget)
-            prompt = render_prompt(PromptKind.FILE_DOC, message=commit.message, diff=diff)
-            expected[("file", commit.commit_id, path)] = prompt
+            expected[("file", commit.commit_id, path)] = document_prompt(commit.message, diff)
     for cve in cves:
-        prompt = render_prompt(PromptKind.CVE_QUERY, description=cve.description)
-        expected[("cve", cve.cve_id)] = prompt
+        expected[("cve", cve.cve_id)] = query_prompt(cve.description)
     assert [text for texts, _, _ in provider.calls for text in texts] == list(expected.values())
     for texts, tokens, vectors in provider.calls:
         assert tokens == [tokenize(text) for text in texts]
