@@ -26,16 +26,10 @@ try:
     import argparse
     import logging
 
+    from .artifacts import STAGES, StageInputError
+    from .config import ConfigError, apply_overrides, load_config
     from .corpus import InputError
-    from .pipeline import (
-        STAGE_FUNCTIONS,
-        STAGES,
-        ConfigError,
-        StageInputError,
-        apply_overrides,
-        load_config,
-        run_trace,
-    )
+    from .pipeline import STAGE_FUNCTIONS, run_trace
 finally:
     if not gc.get_freeze_count():  # objects frozen by the importer stay frozen
         gc.freeze()

@@ -185,10 +185,6 @@ class CommitRecord:
         caches, here not kept: for a reader of one commit at a time."""
         return [(text, tokenize(text)) for text in self.section_texts()]
 
-    def diff_text(self) -> str:
-        """Reconstruct the unified diff from the first header onward."""
-        return "".join(self.section_texts())
-
 
 @dataclass(frozen=True)
 class CveRecord:

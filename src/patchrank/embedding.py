@@ -274,6 +274,9 @@ def embed_batch(provider, texts: list[str], tokens: list[list[str]] | None = Non
         vectors = np.array(raw)
     except ValueError:  # rows of differing lengths
         vectors = np.empty(0)
+    # np.array promotes a boolean beside numbers, so a list answer is checked element by element.
+    if vectors.ndim == 2 and not isinstance(raw, np.ndarray):
+        vectors = np.empty(0) if any(type(x) is bool for row in raw for x in row) else vectors
     if vectors.ndim != 2 or not vectors.shape[1] or vectors.dtype.kind not in "iuf":
         raise ProviderError("provider vectors are not non-empty lists of numbers of one length")
     vectors = vectors.astype(np.float64, copy=False)
@@ -326,12 +329,6 @@ class VectorStore:
         if not all(map(operator.lt, keys, keys[1:])):
             raise ValueError("vector store keys do not ascend")
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def keys(self) -> list[tuple]:
-        return list(self.rows)
-
     def rows_of(self, keys: Iterable[tuple]) -> np.ndarray:
         """The matrix rows of ``keys``, in order; the first key without a
         vector raises MissingVectorError."""
@@ -340,21 +337,12 @@ class VectorStore:
         except KeyError as exc:
             raise MissingVectorError(exc.args[0]) from None
 
-    def _get(self, key: tuple) -> np.ndarray:
-        return self.matrix[self.rows_of([key])[0]]
-
-    def commit_vector(self, commit_id: str) -> np.ndarray:
-        return self._get(("commit", commit_id))
-
-    def file_vector(self, commit_id: str, path: str) -> np.ndarray:
-        return self._get(("file", commit_id, path))
-
     def cve_vector(self, cve_id: str) -> np.ndarray:
-        return self._get(("cve", cve_id))
+        return self.matrix[self.rows_of([("cve", cve_id)])[0]]
 
     def save(self, path: str | Path) -> None:
         """Write the store in the :data:`STORE_FORMAT` container."""
-        keys = self.keys()
+        keys = list(self.rows)
         commits = [key[1] for key in keys if key[0] == "commit"]
         files = [key[1:] for key in keys if key[0] == "file"]
         commits += sorted({commit_id for commit_id, _ in files}.difference(commits))

@@ -3,7 +3,6 @@ train/test splitting."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from hashlib import blake2b
@@ -126,9 +125,6 @@ class EvalReport:
                 for cve, metrics in sorted(self.per_cve.items())
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
 
     def to_table(self) -> str:
         if not self.per_cve:

@@ -26,19 +26,13 @@ _ENTITY_PATTERNS = (
 )
 
 
-def rule_based_entities(description: str) -> list[str]:
-    entities: list[str] = []
-    for pattern in _ENTITY_PATTERNS:
-        entities.extend(m.group(0) for m in pattern.finditer(description))
-    return entities
-
-
 def extract_entities(description: str) -> set[str]:
     """Identifier entities from a CVE description, deduplicated
     case-insensitively (first occurrence's casing wins)."""
     seen: dict[str, str] = {}
-    for entity in rule_based_entities(description):
-        seen.setdefault(entity.lower(), entity)
+    for pattern in _ENTITY_PATTERNS:
+        for m in pattern.finditer(description):
+            seen.setdefault(m.group(0).lower(), m.group(0))
     return set(seen.values())
 
 

@@ -118,7 +118,7 @@ def bm25_oracle_scores(
             docs[commit.commit_id] = tokenize(commit.message)
     elif field_kind == "diff":
         for commit in corpus.commits:
-            docs[commit.commit_id] = tokenize(commit.diff_text())
+            docs[commit.commit_id] = tokenize("".join(commit.section_texts()))
     else:
         for commit in corpus.commits:
             for path, text in file_texts(commit).items():
@@ -298,18 +298,23 @@ def hier_features(
     ``query`` and the commit's BM25 file ranking (:func:`rank_files_oracle`
     order): commit cosine, max cosine over the top ``pool`` files, top-1 file
     cosine, and cosine with the mean of the top two."""
-    commit_cosine = cosine_oracle(query, store.commit_vector(commit_id))
+    commit_cosine = cosine_oracle(query, stored_vector(store, "commit", commit_id))
     if not ranked_files:
         return commit_cosine, 0.0, 0.0, 0.0
-    vectors = [store.file_vector(*doc_id) for doc_id, _ in ranked_files]
+    vectors = [stored_vector(store, "file", *doc_id) for doc_id, _ in ranked_files]
     cosines = [cosine_oracle(query, v) for v in vectors]
     mean_cosine = cosines[0] if len(vectors) == 1 else _mean_cosine(query, vectors[:2])
     return commit_cosine, max(cosines[:pool]), cosines[0], mean_cosine
 
 
+def stored_vector(store, *key) -> np.ndarray:
+    """The store's vector of ``key``; a key without one raises MissingVectorError."""
+    return store.matrix[store.rows_of([key])[0]]
+
+
 def feature_commit_cosine(store, cve_id: str, commit_id: str) -> float:
     """Cosine between the CVE vector and the whole-commit vector."""
-    return cosine_oracle(store.cve_vector(cve_id), store.commit_vector(commit_id))
+    return cosine_oracle(store.cve_vector(cve_id), stored_vector(store, "commit", commit_id))
 
 
 def score_document(index, query_text: str, doc_id) -> float:

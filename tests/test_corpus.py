@@ -169,12 +169,12 @@ class TestIngestCommitDump:
         corpus = ingest_commit_dump(path)
         (commit,) = corpus.commits
         assert [fd.path for fd in commit.file_diffs] == ["img.png", "x.c"]
-        assert "pngdiff" not in tokenize(commit.diff_text())
+        assert "pngdiff" not in tokenize("".join(commit.section_texts()))
         out = tmp_path / "corpus.bin"
         save_corpus(corpus, out)
         (again,) = load_corpus(out, corpus.repo_id).commits
         assert [fd.path for fd in again.file_diffs] == ["img.png", "x.c"]
-        assert again.diff_text() == commit.diff_text()
+        assert again.section_texts() == commit.section_texts()
         assert file_texts(again) == file_texts(commit)
 
 

@@ -54,13 +54,13 @@ STORE_FORMAT_2 = Format(
 
 
 def save_version_2(store: VectorStore, path) -> None:
-    keys = store.keys()
+    keys = list(store.rows)
     STORE_FORMAT_2.save(
         path,
         kinds=[{"commit": 0, "file": 1, "cve": 2}[key[0]] for key in keys],
         ids=[key[1] for key in keys],
         paths=[key[2] if len(key) == 3 else "" for key in keys],
-        vectors=np.array([store._get(key) for key in keys]).reshape(len(keys), store.dimension),
+        vectors=store.matrix[store.rows_of(keys)].reshape(len(keys), store.dimension),
     )
 
 
@@ -261,7 +261,9 @@ class TestEmbedBatch:
         with pytest.raises(ProviderError, match="of one length"):
             embed_batch(_ListProvider([[1.0, 0.0], [1.0, 0.0, 0.0]]), ["x", "y"])
 
-    @pytest.mark.parametrize("answer", [[[1.0, "x"]], [3.0], [None], [[]]], ids=repr)
+    @pytest.mark.parametrize(
+        "answer", [[[1.0, "x"]], [3.0], [None], [[]], [[True, 0.5]], [[1, False]]], ids=repr
+    )
     def test_malformed_row_is_a_provider_error(self, answer):
         """Each row must be a non-empty list of numbers; in a store build the
         error names the batch's first key."""
@@ -350,7 +352,8 @@ class TestHttpEmbedder:
         build_vectors(corpus, cves, HttpEmbedder(embed_server, "m"), **budgets)
         expected = []
         for commit in corpus.commits:
-            diff = truncate_to_tokens_oracle(commit.diff_text(), budgets["commit_budget"])
+            diff = "".join(commit.section_texts())
+            diff = truncate_to_tokens_oracle(diff, budgets["commit_budget"])
             expected.append(document_prompt(commit.message, diff))
             for text in file_texts(commit).values():
                 diff = truncate_to_tokens_oracle(text, budgets["file_budget"])
@@ -412,14 +415,13 @@ class TestVectorStore:
         vec = offline_embed("x", 8)
         keys = [("commit", cid(1)), ("file", cid(1), "a.java"), ("cve", "CVE-2024-1")]
         store = vector_store(8, dict.fromkeys(keys, vec))
-        assert np.array_equal(store.commit_vector(cid(1)), vec)
-        assert np.array_equal(store.file_vector(cid(1), "a.java"), vec)
+        assert np.array_equal(store.matrix[store.rows_of(keys)], [vec] * 3)
         assert np.array_equal(store.cve_vector("CVE-2024-1"), vec)
 
     def test_missing_vector_names_key(self):
         store = VectorStore(8)
         with pytest.raises(MissingVectorError, match="commit"):
-            store.commit_vector(cid(1))
+            store.rows_of([("commit", cid(1))])
 
     def test_rows_of_names_the_first_key_without_a_vector(self):
         keys = [("commit", cid(1)), ("cve", "CVE-2024-1"), ("file", cid(1), "a.c")]
@@ -513,9 +515,9 @@ class TestVectorStore:
         assert sections["file_commits"].tolist() == [0, 1, 1]
         assert sections["file_paths"] == ["a.c", "a.c", "b.c"]
         loaded = VectorStore.load(path)
-        assert loaded.keys() == store.keys()
+        assert loaded.rows == store.rows
         with pytest.raises(MissingVectorError):
-            loaded.commit_vector(cid(2))
+            loaded.rows_of([("commit", cid(2))])
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -553,9 +555,8 @@ class TestVectorStore:
         path = tmp_path / "s.bin"
         store.save(path)
         loaded = VectorStore.load(path)
-        assert loaded.keys() == store.keys()
-        for key in store.keys():
-            assert loaded._get(key).tobytes() == store._get(key).tobytes()
+        assert loaded.rows == store.rows
+        assert loaded.matrix.tobytes() == store.matrix.tobytes()
         VectorStore(16).save(path)
         assert VectorStore.load(path).dimension == 16
 
@@ -575,7 +576,7 @@ class TestBuildVectors:
 
     def test_commit_with_three_files_stores_four_vectors(self):
         store = build_vectors(self.corpus_with_files(), [], OfflineEmbedder(32))
-        assert len(store) == 4
+        assert len(store.rows) == 4
 
     def test_cve_vectors_included(self):
         cve = make_cve(description="overflow")
@@ -587,7 +588,8 @@ class TestBuildVectors:
         store = build_vectors(corpus, [], OfflineEmbedder(64), file_budget=512)
         commit = corpus.commits[0]
         expected = offline_embed(document_prompt(commit.message, file_texts(commit)["a.java"]), 64)
-        assert np.array_equal(store.file_vector(commit.commit_id, "a.java"), expected)
+        key = ("file", commit.commit_id, "a.java")
+        assert np.array_equal(store.matrix[store.rows[key]], expected)
 
     def test_commit_diff_truncated_to_budget(self):
         long_words = " ".join(f"word{i}" for i in range(200))
@@ -596,8 +598,9 @@ class TestBuildVectors:
         store = build_vectors(corpus, [], OfflineEmbedder(64), commit_budget=20)
         from patchrank.corpus import truncate_to_tokens
 
-        expected = offline_embed(document_prompt("m", truncate_to_tokens(commit.diff_text(), 20)), 64)
-        assert np.array_equal(store.commit_vector(commit.commit_id), expected)
+        diff = "".join(commit.section_texts())
+        expected = offline_embed(document_prompt("m", truncate_to_tokens(diff, 20)), 64)
+        assert np.array_equal(store.matrix[store.rows["commit", commit.commit_id]], expected)
 
     def test_rebuild_is_idempotent(self, tmp_path):
         corpus = self.corpus_with_files()
@@ -619,7 +622,7 @@ class TestBuildVectors:
         path = tmp_path / "s.bin"
         store.save(path)
         loaded = VectorStore.load(path)
-        assert store.keys() == loaded.keys() == sorted(store.keys())
+        assert list(store.rows) == list(loaded.rows) == sorted(store.rows)
         assert store.matrix.tobytes() == loaded.matrix.tobytes()
 
     def test_provider_failure_names_key(self):
@@ -652,13 +655,5 @@ class TestBuildVectors:
         store = build_vectors(
             self.corpus_with_files(), [make_cve(description="overflow")], OfflineEmbedder(32)
         )
-        for key in store.keys():
-            kind = key[0]
-            vec = (
-                store.commit_vector(key[1])
-                if kind == "commit"
-                else store.file_vector(*key[1:])
-                if kind == "file"
-                else store.cve_vector(key[1])
-            )
-            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-6)
+        assert {key[0] for key in store.rows} == {"commit", "cve", "file"}
+        assert np.linalg.norm(store.matrix, axis=1) == pytest.approx(1.0, abs=1e-6)

@@ -187,7 +187,7 @@ class TestEvaluateRankings:
     def test_json_and_table_render(self):
         rankings = {"CVE-1": ranked_list(["a", "b"])}
         report = evaluate_rankings(rankings, {"CVE-1": {"b"}}, metric_ks=(1, 2))
-        parsed = json.loads(report.to_json())
+        parsed = json.loads(json.dumps(report.to_json_obj()))
         assert "macro" in parsed and "per_cve" in parsed
         table = report.to_table()
         assert "CVE-1" in table and "MACRO" in table and "recall@2" in table

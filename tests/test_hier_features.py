@@ -70,7 +70,8 @@ class TestCommitCosine:
         corpus = make_corpus([make_commit(1, message="fix ssl", files={"a.java": "ssl"})])
         cve = make_cve(description="ssl handshake broken")
         store = build_vectors(corpus, [cve], OfflineEmbedder(128))
-        expected = float(np.dot(store.cve_vector(cve.cve_id), store.commit_vector(cid(1))))
+        commit_vector = store.matrix[store.rows["commit", cid(1)]]
+        expected = float(np.dot(store.cve_vector(cve.cve_id), commit_vector))
         assert feature_commit_cosine(store, cve.cve_id, cid(1)) == pytest.approx(expected)
 
     def test_missing_vector_names_key(self):

@@ -21,26 +21,25 @@ import numpy as np
 import pytest
 
 from patchrank import embedding, lexical, prerank
+from patchrank import corpus as corpus_mod
 from patchrank import pipeline as pipeline_mod
+from patchrank.artifacts import (
+    CANDIDATES_FORMAT,
+    FEATURES_FORMAT,
+    RANKING_FORMAT,
+    STAGES,
+    TRAINING_FORMAT,
+    Artifacts,
+    StageInputError,
+    load_candidates,
+    repo_slug,
+)
 from patchrank.cli import main
+from patchrank.config import CONFIG_KEYS, ConfigError, PipelineConfig, apply_overrides, load_config
 from patchrank.corpus import CORPUS_FORMAT, load_corpus, load_cve_dump
 from patchrank.embedding import STORE_FORMAT, VectorStore, document_prompt, offline_embed, query_prompt
 from patchrank.pipeline import (
-    CANDIDATES_FORMAT,
-    CONFIG_KEYS,
-    FEATURES_FORMAT,
     STAGE_FUNCTIONS,
-    STAGES,
-    Artifacts,
-    ConfigError,
-    PipelineConfig,
-    RANKING_FORMAT,
-    StageInputError,
-    TRAINING_FORMAT,
-    apply_overrides,
-    load_candidates,
-    load_config,
-    repo_slug,
     run_trace,
     stage_embed,
     stage_eval,
@@ -1171,8 +1170,8 @@ class TestCli:
         (patch, *_) = sorted(cve.known_patch_ids)
         (vectors,) = (root / "vectors").glob("*.bin")
         store = VectorStore.load(vectors)
-        keys = [key for key in store.keys() if key[:2] != ("file", patch)]
-        assert len(keys) < len(store)
+        keys = [key for key in store.rows if key[:2] != ("file", patch)]
+        assert len(keys) < len(store.rows)
         rows = store.matrix[[store.rows[key] for key in keys]]
         VectorStore(store.dimension, keys, rows).save(vectors)
         forge_manifest(root, f"vectors/{vectors.name}")
@@ -1194,7 +1193,7 @@ class TestCli:
         root = tmp_path / "out"
         (vectors,) = (root / "vectors").glob("*.bin")
         store = VectorStore.load(vectors)
-        keys = [key for key in store.keys() if key[0] != "file"]
+        keys = [key for key in store.rows if key[0] != "file"]
         VectorStore(store.dimension, keys, store.matrix[[store.rows[k] for k in keys]]).save(vectors)
         forge_manifests(root, f"vectors/{vectors.name}")
         caplog.clear()
@@ -1504,7 +1503,7 @@ class TestTraceCorpusFiles:
         synth, config_path = three_repos
         record = synth.cve_records[-1]
         calls = {"dumps": 0, "corpora": []}
-        ingest, load = pipeline_mod.corpus_mod.ingest_multi_repo_dump, load_corpus
+        ingest, load = corpus_mod.ingest_multi_repo_dump, load_corpus
 
         def counted_ingest(path):
             calls["dumps"] += 1
@@ -1514,8 +1513,8 @@ class TestTraceCorpusFiles:
             calls["corpora"].append(Path(path).name)
             return load(path, repo_id)
 
-        monkeypatch.setattr(pipeline_mod.corpus_mod, "ingest_multi_repo_dump", counted_ingest)
-        monkeypatch.setattr(pipeline_mod.corpus_mod, "load_corpus", counted_load)
+        monkeypatch.setattr(corpus_mod, "ingest_multi_repo_dump", counted_ingest)
+        monkeypatch.setattr(corpus_mod, "load_corpus", counted_load)
         caplog.clear()
         out = self.trace(config_path, record["cve_id"], capsys)
         assert out.startswith(f"{record['cve_id']} in {record['repo_id']} (model: ")
@@ -1567,6 +1566,8 @@ class TestTraceCorpusFiles:
 # package, the CLI's own modules, and the layers that the stage runs.
 CLI_MODULES = {
     "patchrank",
+    "patchrank.artifacts",
+    "patchrank.config",
     "patchrank.container",
     "patchrank.corpus",
     "patchrank.pipeline",
@@ -1663,6 +1664,29 @@ def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = [sys.executable, "-c", code, *args]
     return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_pipeline_module_keeps_the_names_its_callers_read():
+    """The benchmark reads load_config, run_trace and STAGE_FUNCTIONS from
+    ``patchrank.pipeline``, and the acceptance test Artifacts and
+    PipelineConfig: each is its home module's object."""
+    assert pipeline_mod.load_config is load_config
+    assert pipeline_mod.Artifacts is Artifacts
+    assert pipeline_mod.PipelineConfig is PipelineConfig
+    assert pipeline_mod.run_trace is run_trace
+    assert list(pipeline_mod.STAGE_FUNCTIONS) == list(STAGES)
+
+
+def test_config_import_loads_no_stage_layer():
+    """Importing ``patchrank.config`` loads neither a stage's layers nor the
+    artifact layer; its settings come from ``settings``."""
+    code = "import sys, patchrank.config; print(*sorted(m for m in sys.modules if 'patchrank' in m))"
+    child = run_python(code)
+    assert child.returncode == 0, child.stderr
+    loaded = set(child.stdout.split())
+    assert "patchrank.config" in loaded
+    layers = "artifacts embedding evalkit hier_features lexical path_features pipeline prerank ranker"
+    assert not loaded & {f"patchrank.{layer}" for layer in layers.split()}
 
 
 @pytest.fixture

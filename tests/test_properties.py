@@ -22,6 +22,13 @@ from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from patchrank import lexical  # noqa: E402
+from patchrank.artifacts import (  # noqa: E402
+    FEATURES_FORMAT,
+    load_candidates,
+    load_rankings,
+    save_candidates,
+    save_rankings,
+)
 from patchrank.corpus import (  # noqa: E402
     CommitRecord,
     CveRecord,
@@ -47,13 +54,6 @@ from patchrank.hier_features import (  # noqa: E402
     feature_mean_top2_cosine,
     feature_top1_file_cosine,
     file_columns,
-)
-from patchrank.pipeline import (  # noqa: E402
-    FEATURES_FORMAT,
-    load_candidates,
-    load_rankings,
-    save_candidates,
-    save_rankings,
 )
 from patchrank.prerank import (  # noqa: E402
     COMPONENT_NAMES,
@@ -159,7 +159,7 @@ def test_section_tokens_join_to_the_diff_and_file_tokens(diff):
     commit = commit_of(diff)
     corpus = build_corpus("r", [commit])
     sections = [fd.tokens for fd in commit.file_diffs]
-    assert list(chain.from_iterable(sections)) == tokenize(commit.diff_text())
+    assert list(chain.from_iterable(sections)) == tokenize("".join(commit.section_texts()))
     file_docs = {
         path: list(chain.from_iterable(parts))
         for (_, path), parts in lexical._doc_tokens(corpus, "file").items()
@@ -489,12 +489,12 @@ def test_build_vectors_stores_the_oracle_vectors_of_the_oracle_prompts(drawn):
     provider = _RecordingEmbedder(16)
     store = build_vectors(corpus, cves, provider, **budgets, batch_size=64)
     alone = build_vectors(corpus, cves, OfflineEmbedder(16), **budgets, batch_size=1)
-    assert alone.keys() == store.keys()
+    assert alone.rows == store.rows
     assert alone.matrix.tobytes() == store.matrix.tobytes()
 
     expected: dict[tuple, str] = {}
     for commit in corpus.commits:
-        diff = truncate_to_tokens_oracle(commit.diff_text(), commit_budget)
+        diff = truncate_to_tokens_oracle("".join(commit.section_texts()), commit_budget)
         expected[("commit", commit.commit_id)] = document_prompt(commit.message, diff)
         for path, text in file_texts(commit).items():
             diff = truncate_to_tokens_oracle(text, file_budget)
