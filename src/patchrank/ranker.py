@@ -366,7 +366,7 @@ def _ranked_positions(scores: np.ndarray) -> np.ndarray:
 
 
 def _ndcg_of_scores(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
-    positions = _ranked_positions(scores)
+    positions = np.argsort(np.lexsort((labels, -scores))) + 1  # a tie ranks positives last
     rel_positions = positions[labels > 0]
     dcg = float(np.sum(1.0 / np.log2(1.0 + rel_positions[rel_positions <= k])))
     n_ideal = min(int((labels > 0).sum()), k)

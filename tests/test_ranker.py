@@ -28,6 +28,7 @@ from patchrank.ranker import (
     RankModel,
     TrainingDataError,
     TrainingSet,
+    _ndcg_of_scores,
     rerank,
     sample_training_group,
     train_lambdarank,
@@ -410,6 +411,17 @@ class TestTrainLambdarank:
             training = TrainingSet(["CVE-2024-1"], np.array([0, 2]), ids, relevance, features)
             with pytest.raises(TrainingDataError, match="feature"):
                 train_lambdarank(training)
+
+    def test_stopping_ndcg_ranks_positives_after_the_rows_they_tie(self):
+        """The NDCG that early stopping reads does not credit a tie to the
+        patch: a constant score on a group whose positives come first, as
+        sample_training_group orders a group, ranks them last."""
+        labels = np.array([1, 1, 0, 0, 0], np.int8)
+        ideal = 1.0 + 1.0 / np.log2(3.0)
+        tied = (1.0 / np.log2(5.0) + 1.0 / np.log2(6.0)) / ideal
+        assert _ndcg_of_scores(np.zeros(5), labels, 10) == pytest.approx(tied)
+        assert _ndcg_of_scores(np.array([0.0, 1.0, 1.0, 0.0, 1.0]), labels, 10) < 1.0
+        assert _ndcg_of_scores(np.array([2.0, 1.0, 0.0, 0.0, 0.0]), labels, 10) == 1.0
 
     def test_separable_data_reaches_perfect_in_sample_mrr(self):
         groups = separable_groups()
