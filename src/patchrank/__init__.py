@@ -32,8 +32,9 @@ _HOMES = {
         "lexical": "InvertedIndex build_index query rank_files_within_commit",
         "path_features": "extract_entities feature_jaccard search_paths",
         "prerank": "FusionConfig prerank_candidates",
-        "ranker": "RankerParams RankModel TrainingSet sample_training_group train_lambdarank",
+        "ranker": "RankModel",
         "settings": "FEATURE_NAMES",
+        "training": "RankerParams TrainingSet sample_training_group train_lambdarank",
     }.items()
     for name in names.split()
 }

@@ -14,7 +14,7 @@ import functools
 import hashlib
 import json
 import os
-from collections.abc import Callable, Container, Sequence
+from collections.abc import Callable, Container, Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -25,10 +25,10 @@ from . import corpus as corpus_mod
 from . import settings
 from .config import PipelineConfig, stage_config
 from .container import STR, Format, Section
-from .corpus import Corpus, CveRecord
+from .corpus import JSONL_ENCODER, Corpus, CveRecord
 
 if TYPE_CHECKING:
-    from .ranker import TrainingSet
+    from .training import TrainingSet
 
 STAGES = ("ingest", "index", "embed", "prerank", "featurize", "train", "rank", "eval")
 
@@ -56,8 +56,8 @@ def repo_slug(repo_id: str) -> str:
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        # 64 KiB chunks: featurize hashes its index and vector inputs at its
-        # peak memory, and larger chunks raise that peak.
+        # 64 KiB chunks, so that hashing a dump holds little of it at once; a
+        # .bin artifact is hashed from the bytes its loader parses (Run.read).
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
@@ -145,6 +145,25 @@ class CandidateLists:
         return self.commit_ids[self.commits[rows]]
 
 
+def write_ranked_jsonl(
+    path: str | Path, score_key: str, lists: Iterable[tuple[str, Iterable[str], Iterable[float]]]
+) -> None:
+    """What ``corpus.write_jsonl`` writes of the records ``{"cve_id",
+    "commit_id", "rank", score_key}`` of each ranked list ``(cve_id,
+    commit_ids, scores)`` in ``lists``, ranks from 1, each list written as it
+    comes. A line is one format of fixed keys: each CVE id is encoded once per
+    list, and each score, a finite float, is written by ``float.__repr__``, as
+    ``json`` writes it."""
+    encode = JSONL_ENCODER.encode
+    fields = {"commit_id": "{0}", "cve_id": "{1}", "rank": "{2}", score_key: "{3!r}"}
+    line = "{{" + ", ".join(f"{encode(k)}: {fields[k]}" for k in sorted(fields)) + "}}\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        for cve_id, commit_ids, scores in lists:
+            cve = encode(cve_id)
+            ranked = enumerate(zip(commit_ids, scores), 1)
+            fh.writelines([line.format(encode(c), cve, rank, score) for rank, (c, score) in ranked])
+
+
 def save_candidates(path: Path, lists: dict[str, Sequence[str]], components) -> None:
     """Write the pre-ranked commit ids of each CVE of ``lists``, whose keys
     ascend, and ``components``, a row per candidate in that order, as
@@ -161,7 +180,7 @@ def save_candidates(path: Path, lists: dict[str, Sequence[str]], components) -> 
     )
 
 
-def load_candidates(path: Path) -> CandidateLists:
+def load_candidates(path: Path | bytes) -> CandidateLists:
     """The lists of a :func:`save_candidates` file, checked: the CVE and commit
     ids ascend, the offsets cover the rows, every commit index is in range, and
     no commit appears twice in one CVE's list."""
@@ -169,6 +188,7 @@ def load_candidates(path: Path) -> CandidateLists:
 
 
 def _candidate_lists(cve_ids, offsets, commit_ids, commits, components) -> CandidateLists:
+    cve_ids, commit_ids = cve_ids.tolist(), commit_ids.tolist()
     owners = _group_owners(cve_ids, offsets, len(commits))
     if not _ascending(commit_ids):
         raise ValueError("commit ids are not ascending")
@@ -195,7 +215,7 @@ def save_rankings(path: Path, rankings: dict[str, np.ndarray]) -> None:
     )
 
 
-def load_rankings(path: Path, candidates: CandidateLists) -> dict[str, np.ndarray]:
+def load_rankings(path: Path | bytes, candidates: CandidateLists) -> dict[str, np.ndarray]:
     """CVE id -> the ``candidates`` rows of its :func:`save_rankings` ranking,
     checked: the CVE ids ascend, the offsets cover the rows, and each CVE's
     rows are a permutation of its candidate rows."""
@@ -203,6 +223,7 @@ def load_rankings(path: Path, candidates: CandidateLists) -> dict[str, np.ndarra
 
 
 def _rankings(candidates: CandidateLists, cve_ids, offsets, rows) -> dict[str, np.ndarray]:
+    cve_ids = cve_ids.tolist()
     owners = _group_owners(cve_ids, offsets, len(rows))
     _check_indexes("candidate row", rows, len(candidates.commits))
     lists = {cve_id: i for i, cve_id in enumerate(candidates.cve_ids)}
@@ -225,9 +246,9 @@ def _rankings(candidates: CandidateLists, cve_ids, offsets, rows) -> dict[str, n
 def training_set(cve_ids, offsets, commit_ids, relevance, features) -> TrainingSet:
     """The TRAINING_FORMAT sections, checked: the CVE ids ascend, the offsets
     cover the rows, and each row has a relevance label >= 0 and a feature row."""
-    from .ranker import TrainingSet
+    from .training import TrainingSet
 
-    n = len(commit_ids)
+    cve_ids, commit_ids, n = cve_ids.tolist(), commit_ids.tolist(), len(commit_ids)
     _group_owners(cve_ids, offsets, n)
     if not len(relevance) == len(features) == n or np.any(relevance < 0):
         raise ValueError(f"need {n} relevance labels >= 0 and feature rows")
@@ -296,14 +317,17 @@ class Run(Artifacts):
 
     def read(self, loader, path: Path, *args):
         """``loader(path, *args)``, reporting a missing, stale or unreadable file
-        as a StageInputError that names it."""
+        as a StageInputError that names it. An array container (``.bin``) is
+        read once: its bytes are hashed, and given to the loader for ``path``."""
         if not path.exists():
             raise StageInputError(self.stage, f"missing input artifact {path}")
-        key, digest = self.key(path), _sha256(path)
+        source = path.read_bytes() if path.suffix == ".bin" else path
+        digest = hashlib.sha256(source).hexdigest() if source is not path else _sha256(path)
+        key = self.key(path)
         if stale := self._stale(key, digest):
             raise StageInputError(self.stage, f"stale artifact {path}: {stale}")
         try:
-            value = loader(path, *args)
+            value = loader(source, *args)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             detail = str(exc)
             if str(path) not in detail:

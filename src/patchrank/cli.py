@@ -38,7 +38,9 @@ finally:
         gc.enable()
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(commands=(*STAGES, "trace")) -> argparse.ArgumentParser:
+    """The parser of ``commands``; each one adds a subparser, so a child
+    builds only its own command's."""
     parser = argparse.ArgumentParser(
         prog="patchrank",
         description="Rank a repository's commits by likelihood of fixing a CVE.",
@@ -57,9 +59,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--repo", default=None, help="restrict to one repository id")
 
     for stage in STAGES:
-        p = sub.add_parser(stage, help=f"run the {stage} stage")
-        add_common(p)
-
+        if stage in commands:
+            add_common(sub.add_parser(stage, help=f"run the {stage} stage"))
+    if "trace" not in commands:
+        return parser
     trace = sub.add_parser(
         "trace",
         help="rank one CVE and print the top-k, reusing index/, vectors/ and model/model.json "
@@ -85,8 +88,13 @@ def _print_trace(result, top_k: int) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
+    argv = sys.argv[1:] if argv is None else argv
+    commands = (*STAGES, "trace")
     try:
-        args = _build_parser().parse_args(argv)
+        # A known command is parsed by its own subparser alone; anything else,
+        # such as a top-level --help or an unknown command, by all of them.
+        parser = _build_parser(argv[:1] if argv[:1] and argv[0] in commands else commands)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error, but 2 means a bad upstream artifact.
         return 1 if exc.code else 0

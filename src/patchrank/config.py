@@ -17,7 +17,7 @@ from .corpus import InputError, expect
 
 if TYPE_CHECKING:
     from .prerank import FusionConfig
-    from .ranker import RankerParams
+    from .training import RankerParams
 
 
 class ConfigError(ValueError, InputError):
@@ -59,7 +59,7 @@ class PipelineConfig:
         return FusionConfig(weights=tuple(self.fusion_weights), candidate_k=self.candidate_k)
 
     def ranker_params(self) -> RankerParams:
-        from .ranker import RankerParams
+        from .training import RankerParams
 
         return RankerParams(
             learning_rate=self.learning_rate,

@@ -6,19 +6,22 @@ and a ``uint16`` section count; one 40-byte entry per section (its name as
 rows and columns); then each section's bytes, zero-padded to a multiple of
 8 so that every array is 8-byte aligned. Nothing follows the last section.
 A 1-D section has one column. A string section (dtype ``str``) holds its
-``rows`` strings' ``<i8`` end offsets, then ``columns`` bytes of UTF-8.
+``rows`` strings' ``<i8`` end offsets, then ``columns`` bytes of UTF-8; it
+loads as :class:`Strings`, whose strings are decoded when read.
 """
 
 from __future__ import annotations
 
 import struct
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 STR = "str"
+# Items a Rows iteration makes at a time.
+ROWS_READ = 256
 _HEAD = struct.Struct("<4sHH")
 _ENTRY = struct.Struct("<16s4s4xQQ")
 
@@ -74,15 +77,24 @@ class Format:
             fh.write(_HEAD.pack(self.magic, self.version, len(entries)))
             fh.writelines(entries)
 
-    def load(self, path: str | Path, build: Callable = dict):
-        """``build(**sections)`` of a :meth:`save` file. A short file, another
-        magic, version or section list, counts that do not fit the file,
-        trailing bytes, a non-finite value in a finite section, or a
-        ValueError of ``build`` raise a ValueError naming ``path``."""
+    def load(self, source: str | Path | bytes, build: Callable | None = None):
+        """``build(**sections)`` of a :meth:`save` file, given its path or its
+        bytes, each string section a :class:`Strings`; without ``build``, the
+        sections as a dict, each string section a list. A short file, another
+        magic, version or section list, counts that do not fit the file, bytes
+        that are not UTF-8, trailing bytes, a non-finite value in a finite
+        section, or a ValueError of ``build`` raise a ValueError, which names
+        the path if given one."""
+        data = source if isinstance(source, bytes) else Path(source).read_bytes()
         try:
-            return build(**self._parse(Path(path).read_bytes()))
+            sections = self._parse(data)
+            if build is None:
+                return {k: v.tolist() if type(v) is Strings else v for k, v in sections.items()}
+            return build(**sections)
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            if data is source:
+                raise
+            raise ValueError(f"{source}: {exc}") from None
 
     def _parse(self, data: bytes) -> dict:
         if data[: len(self.magic)] != self.magic:
@@ -113,7 +125,9 @@ class Format:
                     f"needs {size} bytes, {len(data) - offset} remain"
                 )
             if dtype == STR:
-                arrays[name] = _strings(data, offset, rows, columns)
+                ends = np.frombuffer(data, "<i8", rows, offset)
+                text = data[offset + 8 * rows : offset + 8 * rows + columns]
+                arrays[name] = Strings(text, np.concatenate(([0], ends)))
             else:
                 array = np.frombuffer(data, dtype, rows * columns, offset)
                 arrays[name] = array if spec.columns == 1 else array.reshape(rows, columns)
@@ -128,9 +142,87 @@ class Format:
         return arrays
 
 
-def _strings(data: bytes, offset: int, rows: int, size: int) -> list[str]:
-    bounds = np.concatenate(([0], np.frombuffer(data, "<i8", rows, offset)))
-    if bounds[-1] != size or np.any(np.diff(bounds) < 0):
-        raise ValueError("string offsets do not fit their bytes")
-    text, cuts = data[offset + 8 * rows : offset + 8 * rows + size], bounds.tolist()
-    return [text[a:b].decode("utf-8") for a, b in zip(cuts, cuts[1:])]
+class Rows(Sequence):
+    """A read-only sequence whose item ``i`` is ``item(i)``, made when it is
+    read, and whose items ``start`` to ``stop`` are ``items(start, stop)``, made
+    together: a slice of step 1 reads them so, and an iteration ROWS_READ at a
+    time, so that the items already iterated over can be freed. It equals any
+    sequence of equal items."""
+
+    def __init__(self, count: int, item: Callable, items: Callable | None = None):
+        self._count, self._item = count, item
+        self._items = items or (lambda start, stop: [item(j) for j in range(start, stop)])
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i):
+        if not isinstance(i, slice):
+            return self._item(range(self._count)[i])
+        start, stop, step = i.indices(self._count)
+        if step == 1:
+            return self._items(start, max(start, stop))
+        return [self._item(j) for j in range(start, stop, step)]
+
+    def __iter__(self):
+        for start in range(0, self._count, ROWS_READ):
+            yield from self._items(start, min(start + ROWS_READ, self._count))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
+class Strings(Rows):
+    """A string section: string ``i`` is the UTF-8 ``data[bounds[i]:bounds[i + 1]]``
+    of a bytes-like ``data``, decoded when read. The bounds must ascend from 0
+    to ``len(data)``, and every string be whole UTF-8, which is checked here."""
+
+    def __init__(self, data, bounds: np.ndarray):
+        if bounds[-1] != len(data) or np.any(np.diff(bounds) < 0):
+            raise ValueError("string offsets do not fit their bytes")
+        octets = np.frombuffer(data, np.uint8)
+        if octets.max(initial=0) >= 0x80:  # not ASCII
+            str(data, "utf-8")  # raises on bytes that are not UTF-8
+            if np.any(octets[bounds[:-1][bounds[:-1] < len(data)]] & 0xC0 == 0x80):
+                raise ValueError("a string starts inside a UTF-8 character")
+        self.data, self.bounds = data, bounds
+        super().__init__(len(bounds) - 1, self._decode, self._decoded)
+
+    def _decode(self, i: int) -> str:
+        return str(self.data[self.bounds.item(i) : self.bounds.item(i + 1)], "utf-8")
+
+    def _decoded(self, start: int, stop: int) -> list[str]:
+        cuts, data = self.bounds[start : stop + 1].tolist(), self.data
+        return [str(data[a:b], "utf-8") for a, b in zip(cuts, cuts[1:])]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is Strings:
+            return self.data == other.data and np.array_equal(self.bounds, other.bounds)
+        return super().__eq__(other)
+
+    def tolist(self) -> list[str]:
+        return self._decoded(0, len(self))
+
+    def part(self, start: int, step: int) -> Strings:
+        """The strings ``start::step``, as their own Strings."""
+        lengths = np.diff(self.bounds)
+        keep = np.zeros(len(lengths), dtype=bool)
+        keep[start::step] = True
+        data = np.frombuffer(self.data, np.uint8)[np.repeat(keep, lengths)].tobytes()
+        return Strings(data, np.concatenate(([0], np.cumsum(lengths[keep]))))
+
+
+def byte_array(strings: Sequence[str]) -> np.ndarray:
+    """The UTF-8 bytes of ``strings`` as a numpy ``S`` array, which orders and
+    compares them as Python does the strings, short of trailing NULs, which it
+    drops. Of Strings, it is made without decoding them, zero-copy if all are
+    of one width."""
+    if type(strings) is not Strings:
+        return np.array([s.encode("utf-8") for s in strings], dtype=bytes)
+    lengths = np.diff(strings.bounds)
+    width = max(int(lengths.max(initial=0)), 1)
+    if np.all(lengths == width):
+        return np.frombuffer(strings.data, f"S{width}")
+    padded = np.zeros((len(lengths), width), dtype=np.uint8)
+    padded[np.arange(width) < lengths[:, None]] = np.frombuffer(strings.data, np.uint8)
+    return padded.view(f"S{width}").ravel()

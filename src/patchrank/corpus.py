@@ -5,9 +5,9 @@ splits raw unified diffs into per-file units, saves and loads a corpus as
 one binary file, and provides the tokenizer used everywhere else.
 
 Every JSONL file, dump or artifact, is written by :func:`write_jsonl`, or
-by :func:`write_ranked_jsonl` with the same bytes for a ranked-list export,
-and read by :func:`read_jsonl`, which checks each line with the typed value
-parsers of :func:`expect`, the parsers of the pipeline config's values.
+by ``artifacts.write_ranked_jsonl`` with the same bytes for a ranked-list
+export, and read by :func:`read_jsonl`, which checks each line with the typed
+value parsers of :func:`expect`, the parsers of the pipeline config's values.
 """
 
 from __future__ import annotations
@@ -16,16 +16,16 @@ import json
 import re
 import reprlib
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
 
-from .container import STR, Format, Section
+from .container import STR, Format, Rows, Section, byte_array
 
 
 class InputError(Exception):
@@ -38,6 +38,7 @@ class DumpFormatError(ValueError, InputError):
 
 
 _COMMIT_ID_RE = re.compile(r"^[0-9a-f]{40}$")
+_HEX = np.array([chr(i) in "0123456789abcdef" for i in range(256)])  # by byte value
 _DIFF_HEADER_RE = re.compile(r"^diff --git .*$", re.MULTILINE)
 _BINARY_SECTION_RE = re.compile(r"^(?:Binary files .* differ|GIT binary patch)", re.MULTILINE)
 _WORD_RUN_RE = re.compile(r"\w+")
@@ -103,33 +104,15 @@ def read_jsonl(path: str | Path, fields: dict[str, Callable], build: Callable = 
 
 
 # Shared: json.dumps with keyword arguments would build an encoder per record.
-_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+JSONL_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """One JSON object per line, keys sorted, non-ASCII text kept as is."""
-    encode = _JSONL_ENCODER.encode
+    encode = JSONL_ENCODER.encode
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(encode(record) + "\n")
-
-
-def write_ranked_jsonl(
-    path: str | Path, score_key: str, lists: Iterable[tuple[str, Iterable[str], Iterable[float]]]
-) -> None:
-    """What :func:`write_jsonl` writes of the records ``{"cve_id", "commit_id",
-    "rank", score_key}`` of each ranked list ``(cve_id, commit_ids, scores)``
-    in ``lists``, ranks from 1, each list written as it comes. A line is one
-    format of fixed keys: each CVE id is encoded once per list, and each score,
-    a finite float, is written by ``float.__repr__``, as ``json`` writes it."""
-    encode = _JSONL_ENCODER.encode
-    fields = {"commit_id": "{0}", "cve_id": "{1}", "rank": "{2}", score_key: "{3!r}"}
-    line = "{{" + ", ".join(f"{encode(k)}: {fields[k]}" for k in sorted(fields)) + "}}\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        for cve_id, commit_ids, scores in lists:
-            cve = encode(cve_id)
-            ranked = enumerate(zip(commit_ids, scores), 1)
-            fh.writelines([line.format(encode(c), cve, rank, score) for rank, (c, score) in ranked])
 
 
 @dataclass(frozen=True)
@@ -204,46 +187,68 @@ class CveRecord:
             raise ValueError(f"{self.cve_id}: reserve_time after publish_time")
 
 
-@dataclass
 class Corpus:
-    """All commits of one repository, sorted by (author_time, commit_id)."""
+    """All commits of one repository, sorted by (author_time, commit_id), as
+    the columns of ``corpus.bin``: the ``S40`` array of ``ids``, ``author_times``,
+    ``messages``, and the ``headers`` and ``bodies`` of the file sections,
+    commit ``i``'s being ``bounds[i]`` to ``bounds[i + 1]``. ``commits[i]``
+    builds commit ``i``'s CommitRecord, decoding the strings it reads."""
 
-    repo_id: str
-    commits: list[CommitRecord]
-    time_index: list[int] = field(default_factory=list)
-    _positions: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.time_index:
-            self.time_index = [c.author_time for c in self.commits]
-        if not self._positions:
-            self._positions = {c.commit_id: i for i, c in enumerate(self.commits)}
+    def __init__(self, repo_id: str, ids, author_times, messages, section_ends, headers, bodies):
+        self.repo_id = repo_id
+        self.ids = np.asarray(ids, dtype="S40")
+        self.author_times = np.asarray(author_times, dtype=np.int64)
+        self.messages, self.headers, self.bodies = messages, headers, bodies
+        self.bounds = np.concatenate(([0], section_ends)).astype(np.intp)
+        self.commits = Rows(len(self.ids), lambda i: self._records(i, i + 1)[0], self._records)
 
     def __len__(self) -> int:
-        return len(self.commits)
+        return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        same_repo = isinstance(other, Corpus) and self.repo_id == other.repo_id
+        return same_repo and self.commits == other.commits
 
     def __contains__(self, commit_id: str) -> bool:
-        return commit_id in self._positions
+        return self._position(commit_id) >= 0
 
     @property
     def commit_ids(self) -> list[str]:
-        return [c.commit_id for c in self.commits]
+        return list(self._id_strings)
+
+    @property
+    def time_index(self) -> list[int]:
+        return self.author_times.tolist()
+
+    def commit_ids_at(self, positions: np.ndarray) -> list[str]:
+        """The ids at ``positions``: the same str objects for every list that names one."""
+        return [self._id_strings[p] for p in positions.tolist()]
+
+    @cached_property
+    def _id_strings(self) -> list[str]:
+        return [commit_id.decode() for commit_id in self.ids.tolist()]
+
+    def _position(self, commit_id: str) -> int:
+        """``commit_id``'s position, by a binary search of :attr:`sorted_ids`; -1 if none."""
+        at = int(self.sorted_ids.searchsorted(commit_id.encode()))
+        found = at < len(self) and self.sorted_ids[at].decode() == commit_id
+        return int(self.id_order[at]) if found else -1
 
     def position_of(self, commit_id: str) -> int:
-        try:
-            return self._positions[commit_id]
-        except KeyError:
-            raise KeyError(f"unknown commit {commit_id!r} in repo {self.repo_id!r}") from None
+        if (position := self._position(commit_id)) < 0:
+            raise KeyError(f"unknown commit {commit_id!r} in repo {self.repo_id!r}")
+        return position
 
     def insertion_position(self, timestamp: int) -> int:
-        return bisect_left(self.time_index, timestamp)
+        """How many commits are older than ``timestamp``, which may be any int."""
+        later = timestamp > np.iinfo(np.int64).max  # than any author time
+        return len(self) if later else int(self.author_times.searchsorted(max(timestamp, 0)))
 
     @cached_property
     def id_order(self) -> np.ndarray:
         """The positions in commit-id order: document ``j`` of a message or
         diff index, whose documents ascend by commit id, is at ``id_order[j]``."""
-        ids = self.commit_ids
-        return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+        return np.argsort(self.ids, kind="stable").astype(np.intp)
 
     @cached_property
     def id_ranks(self) -> np.ndarray:
@@ -251,6 +256,27 @@ class Corpus:
         ranks = np.empty(len(self), dtype=np.intp)
         ranks[self.id_order] = np.arange(len(self))
         return ranks
+
+    @cached_property
+    def sorted_ids(self) -> np.ndarray:
+        return self.ids[self.id_order]
+
+    @cached_property
+    def paths(self) -> list[str]:
+        """Each file section's path, derived from its header."""
+        return list(map(_path_from_header, self.headers))
+
+    def file_paths(self, position: int) -> list[str]:
+        return self.paths[self.bounds[position] : self.bounds[position + 1]]
+
+    def _records(self, start: int, stop: int) -> list[CommitRecord]:
+        """The records of the commits ``start`` to ``stop``, each column read once."""
+        a, b = self.bounds[start], self.bounds[stop]
+        diffs = list(map(FileDiff, self.paths[a:b], self.headers[a:b], self.bodies[a:b]))
+        cuts = (self.bounds[start : stop + 1] - a).tolist()
+        ids, times = self._id_strings[start:stop], self.author_times[start:stop].tolist()
+        rows = zip(ids, times, self.messages[start:stop], cuts, cuts[1:])
+        return [CommitRecord(c, self.repo_id, t, m, tuple(diffs[i:j])) for c, t, m, i, j in rows]
 
 
 def split_diff_by_file(diff_text: str) -> list[FileDiff]:
@@ -381,8 +407,15 @@ def _read_commit_records(path: str | Path) -> list[CommitRecord]:
 
 
 def build_corpus(repo_id: str, records: list[CommitRecord]) -> Corpus:
+    """The corpus of ``records``, which must be valid commits of distinct ids."""
     ordered = sorted(records, key=lambda c: (c.author_time, c.commit_id))
-    return Corpus(repo_id=repo_id, commits=ordered)
+    ids, times = [c.commit_id.encode() for c in ordered], [c.author_time for c in ordered]
+    ends = np.cumsum([len(c.file_diffs) for c in ordered], dtype=np.int64)
+    diffs = [fd for commit in ordered for fd in commit.file_diffs]
+    headers, bodies = [fd.header for fd in diffs], [fd.body for fd in diffs]
+    corpus = Corpus(repo_id, ids, times, [c.message for c in ordered], ends, headers, bodies)
+    corpus.paths = [fd.path for fd in diffs]
+    return corpus
 
 
 def ingest_commit_dump(path: str | Path) -> Corpus:
@@ -417,38 +450,43 @@ CORPUS_FORMAT = Format(
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write ``corpus`` as CORPUS_FORMAT; :func:`load_corpus` gives it back equal."""
-    sections = [fd for commit in corpus.commits for fd in commit.file_diffs]
     CORPUS_FORMAT.save(
         path,
         repo_id=[corpus.repo_id],
         commit_ids=corpus.commit_ids,
-        author_times=corpus.time_index,
-        messages=[commit.message for commit in corpus.commits],
-        section_ends=np.cumsum([len(commit.file_diffs) for commit in corpus.commits]),
-        headers=[fd.header for fd in sections],
-        bodies=[fd.body for fd in sections],
+        author_times=corpus.author_times,
+        messages=corpus.messages,
+        section_ends=corpus.bounds[1:],
+        headers=corpus.headers,
+        bodies=corpus.bodies,
     )
 
 
-def load_corpus(path: str | Path, repo_id: str) -> Corpus:
-    """Repository ``repo_id``'s corpus in a :func:`save_corpus` file, checked as
-    a dump is, and that its section ends fit; a ValueError names ``path``."""
+def load_corpus(path: str | Path | bytes, repo_id: str) -> Corpus:
+    """Repository ``repo_id``'s corpus in a :func:`save_corpus` file, given its path or
+    bytes, checked as a dump is, and that its section ends fit; a ValueError names ``path``."""
     return CORPUS_FORMAT.load(path, partial(_corpus, repo_id))
 
 
 def _corpus(expected, repo_id, commit_ids, author_times, messages, section_ends, headers, bodies):
     if repo_id != [expected]:
         raise ValueError(f"it holds repository {', '.join(map(repr, repo_id))}, not {expected!r}")
-    bounds = [0, *section_ends.tolist()]
-    if bounds != sorted(bounds) or bounds[-1] != len(headers) or len(bodies) != len(headers):
+    bounds = np.concatenate(([0], section_ends))
+    if np.any(np.diff(bounds) < 0) or bounds[-1] != len(headers) or len(bodies) != len(headers):
         raise ValueError(f"section ends do not fit the {len(headers)} sections")
-    diffs = list(map(FileDiff, map(_path_from_header, headers), headers, bodies))
-    rows = zip(commit_ids, author_times.tolist(), messages, bounds[:-1], bounds[1:], strict=True)
-    commits = [CommitRecord(c, expected, t, m, tuple(diffs[a:b])) for c, t, m, a, b in rows]
-    corpus = build_corpus(expected, commits)
-    if len(corpus._positions) < len(commits):
+    if not len(commit_ids) == len(author_times) == len(messages) == len(section_ends):
+        raise ValueError("the commit sections differ in length")
+    ids = byte_array(commit_ids)
+    if len(ids) and not (ids.dtype.itemsize == 40 and _HEX[ids.view("u1")].all()):
+        for commit_id in commit_ids:
+            CommitRecord(commit_id, expected, 0, "")  # raises for the first bad id
+    if np.any(author_times < 0):
+        raise ValueError(f"author_time must be >= 0, got {author_times[author_times < 0][0]}")
+    corpus = Corpus(expected, ids, author_times, messages, section_ends, headers, bodies)
+    if np.any(corpus.sorted_ids[1:] == corpus.sorted_ids[:-1]):
         raise ValueError("a commit id repeats")
-    if corpus.commits != commits:
+    later = (np.diff(author_times) > 0) | (np.diff(author_times) == 0) & (ids[1:] > ids[:-1])
+    if not later.all():
         raise ValueError("commits do not ascend by (author_time, commit_id)")
     return corpus
 

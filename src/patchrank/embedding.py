@@ -13,13 +13,14 @@ import operator
 import os
 import time
 from collections.abc import Iterable, Iterator, Sequence
+from functools import cached_property
 from hashlib import blake2b
 from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
-from .container import STR, Format, Section
+from .container import STR, Format, Section, byte_array
 from .corpus import Corpus, CveRecord, InputError, tokenize, truncate_tokenized
 from .settings import (
     DEFAULT_BATCH_SIZE,
@@ -313,53 +314,112 @@ def embed_rows(provider, documents: Iterable, matrix: np.ndarray, batch_size: in
 
 
 class VectorStore:
-    """Unit vectors keyed by commit, (commit, path), or CVE id: key ``k`` is
-    row ``rows[k]`` of one ``(n, dimension)`` float32 ``matrix``. The keys
-    ascend, so ``("commit", ...)`` < ``("cve", ...)`` < ``("file", ...)`` and
-    a commit's file rows are contiguous."""
+    """Unit vectors keyed by commit, (commit, path), or CVE id, each a row of
+    one ``(n, dimension)`` float32 ``matrix``. The keys ascend, so the commit
+    keys' rows come first, then the CVE keys', then the file keys', and a
+    commit's file rows are contiguous. The store keeps STORE_FORMAT's key
+    tables, and a key's row is found by searching them."""
 
-    def __init__(
-        self, dimension: int, keys: Sequence[tuple] = (), matrix: np.ndarray | None = None
-    ):
-        self.dimension = dimension
-        self.matrix = np.empty((0, dimension), dtype=np.float32) if matrix is None else matrix
-        self.rows = {key: row for row, key in enumerate(keys)}
-        if not len(self.rows) == len(keys) == len(self.matrix):
-            raise ValueError(f"{len(keys)} keys, {len(self.rows)} distinct, {len(self.matrix)} vectors")
-        if not all(map(operator.lt, keys, keys[1:])):
+    def __init__(self, dimension: int, keys: Sequence[tuple] = (), matrix: np.ndarray | None = None):
+        matrix = np.empty((0, dimension), dtype=np.float32) if matrix is None else matrix
+        if len(keys) != len(matrix) or not all(map(operator.lt, keys, keys[1:])):
+            if not len(set(keys)) == len(keys) == len(matrix):
+                raise ValueError(f"{len(keys)} keys, {len(set(keys))} distinct, {len(matrix)} vectors")
             raise ValueError("vector store keys do not ascend")
+        commits = [key[1] for key in keys if key[0] == "commit"]
+        files = [key[1:] for key in keys if key[0] == "file"]
+        table = commits + sorted({commit_id for commit_id, _ in files}.difference(commits))
+        index = {commit_id: i for i, commit_id in enumerate(table)}
+        cves = [key[1] for key in keys if key[0] == "cve"]
+        if len(commits) + len(cves) + len(files) != len(keys):
+            raise ValueError("a key is not of a commit, a CVE or a file")
+        owners = np.array([index[commit_id] for commit_id, _ in files], dtype=np.int32)
+        self._tables(dimension, table, cves, owners, [path for _, path in files], matrix)
+
+    def _tables(self, dimension, commits, cves, file_commits, file_paths, matrix) -> None:
+        self.dimension, self.matrix, self.commits, self.cves = dimension, matrix, commits, cves
+        self.file_commits, self.file_paths = file_commits, file_paths
+        self.with_vectors = len(matrix) - len(cves) - len(file_paths)
+        self.file_base = self.with_vectors + len(cves)
+        self._cve_rows = {cve_id: row for row, cve_id in enumerate(cves, self.with_vectors)}
+
+    @cached_property
+    def _commit_ids(self) -> np.ndarray:
+        return byte_array(self.commits)
+
+    @cached_property
+    def _file_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each file key's commit id and path, as ``S`` arrays."""
+        return self._commit_ids[self.file_commits], byte_array(self.file_paths)
+
+    @cached_property
+    def rows(self) -> dict[tuple, int]:
+        """Each key's row, built when first read."""
+        return {key: row for row, key in enumerate(self._keys())}
+
+    def _keys(self) -> list[tuple]:
+        commits = self.commits
+        keys = [("commit", commit_id) for commit_id in commits[: self.with_vectors]]
+        keys += [("cve", cve_id) for cve_id in self.cves]
+        files = zip(self.file_commits.tolist(), self.file_paths)
+        return keys + [("file", commits[i], path) for i, path in files]
 
     def rows_of(self, keys: Iterable[tuple]) -> np.ndarray:
         """The matrix rows of ``keys``, in order; the first key without a
         vector raises MissingVectorError."""
-        try:
-            return np.array([self.rows[key] for key in keys], dtype=np.intp)
-        except KeyError as exc:
-            raise MissingVectorError(exc.args[0]) from None
+        keys = list(keys)
+        rows = np.array([self._row(key) for key in keys], dtype=np.intp)
+        if len(rows) and rows.min() < 0:
+            raise MissingVectorError(keys[int(np.argmin(rows >= 0))])
+        return rows
+
+    def _row(self, key: tuple) -> int:
+        """``key``'s row, by a binary search of its table; -1 without a vector."""
+        kind, *name = key
+        if kind == "cve" and len(name) == 1:
+            return self._cve_rows.get(name[0], -1)
+        if not all(isinstance(part, str) for part in name):
+            return -1
+        if kind == "commit" and len(name) == 1:
+            at = int(self._commit_ids[: self.with_vectors].searchsorted(name[0].encode()))
+            return at if at < self.with_vectors and self.commits[at] == name[0] else -1
+        if kind == "file" and len(name) == 2:
+            owners, paths = self._file_keys
+            start, end = (owners.searchsorted(name[0].encode(), side) for side in ("left", "right"))
+            at = start + int(paths[start:end].searchsorted(name[1].encode()))
+            if at < end and self.file_paths[at] == name[1]:
+                return self.file_base + at if self.commits[self.file_commits[at]] == name[0] else -1
+        return -1
+
+    def aligned(self, commit_ids: np.ndarray, owners: np.ndarray, paths: Sequence[str]) -> bool:
+        """Whether the store's keys are exactly the commits of ``commit_ids``,
+        an ascending ``S`` array of their ids, the CVEs, and the files
+        ``(owners[j], paths[j])``, ascending: then commit ``commit_ids[i]`` has
+        row ``i``, and file ``j`` row ``file_base + j``."""
+        return (
+            np.array_equal(self._commit_ids[: self.with_vectors], commit_ids)
+            and np.array_equal(self._file_keys[0], owners)
+            and self.file_paths == paths
+        )
 
     def cve_vector(self, cve_id: str) -> np.ndarray:
         return self.matrix[self.rows_of([("cve", cve_id)])[0]]
 
     def save(self, path: str | Path) -> None:
         """Write the store in the :data:`STORE_FORMAT` container."""
-        keys = list(self.rows)
-        commits = [key[1] for key in keys if key[0] == "commit"]
-        files = [key[1:] for key in keys if key[0] == "file"]
-        commits += sorted({commit_id for commit_id, _ in files}.difference(commits))
-        index = {commit_id: i for i, commit_id in enumerate(commits)}
         STORE_FORMAT.save(
             path,
-            commits=commits,
-            cves=[key[1] for key in keys if key[0] == "cve"],
-            file_commits=[index[commit_id] for commit_id, _ in files],
-            file_paths=[file_path for _, file_path in files],
+            commits=self.commits,
+            cves=self.cves,
+            file_commits=self.file_commits,
+            file_paths=self.file_paths,
             vectors=self.matrix,
         )
 
     @classmethod
-    def load(cls, path: str | Path) -> "VectorStore":
-        """Read a :meth:`save` file: one ``frombuffer`` of the vector matrix and
-        the key tables. A damaged file raises a ValueError naming ``path``."""
+    def load(cls, path: str | Path | bytes) -> "VectorStore":
+        """Read a :meth:`save` file, or its bytes: one ``frombuffer`` of the vector
+        matrix and the key tables. A damaged file raises a ValueError naming ``path``."""
         return STORE_FORMAT.load(path, cls._from_sections)
 
     @classmethod
@@ -370,10 +430,14 @@ class VectorStore:
             raise ValueError(f"key tables of {sizes} for {len(vectors)} vectors")
         if np.any((file_commits < 0) | (file_commits >= len(commits))):
             raise ValueError("a file key names no commit of the key table")
-        keys = [("commit", commit_id) for commit_id in commits[:with_vectors]]
-        keys += [("cve", cve_id) for cve_id in cves]
-        keys += [("file", commits[i], p) for i, p in zip(file_commits.tolist(), file_paths)]
-        return cls(vectors.shape[1], keys, vectors)
+        store = cls.__new__(cls)
+        store._tables(vectors.shape[1], commits, cves.tolist(), file_commits, file_paths, vectors)
+        ids, (owners, paths) = store._commit_ids[:with_vectors], store._file_keys
+        later = (owners[1:] > owners[:-1]) | (owners[1:] == owners[:-1]) & (paths[1:] > paths[:-1])
+        ascending = np.all(ids[1:] > ids[:-1]) and later.all()
+        if not (ascending and all(map(operator.lt, store.cves, store.cves[1:]))):
+            cls(store.dimension, store._keys(), vectors)  # raises for repeated or unordered keys
+        return store
 
 
 def _documents(
@@ -423,8 +487,9 @@ def build_vectors(
     """
     if commit_budget < 1 or file_budget < 1:
         raise ValueError("token budgets must be >= 1")
-    keys = [("commit", c.commit_id) for c in corpus.commits] + [("cve", c.cve_id) for c in cves]
-    keys += {("file", c.commit_id, fd.path): None for c in corpus.commits for fd in c.file_diffs}
+    keys = [("commit", c) for c in corpus.commit_ids] + [("cve", c.cve_id) for c in cves]
+    ids = enumerate(corpus.commit_ids)
+    keys += dict.fromkeys(("file", c, path) for i, c in ids for path in corpus.file_paths(i))
     keys.sort()
     rows = {key: row for row, key in enumerate(keys)}
     matrix = np.empty((len(keys), getattr(provider, "dimension", 0)), dtype=np.float32)

@@ -23,7 +23,7 @@ import numpy as np
 from .corpus import CommitRecord, Corpus, CveRecord
 from .embedding import VectorStore, embed_rows
 from .lexical import InvertedIndex, _score_array, commit_docs, commit_ranks
-from .path_features import commit_paths, extract_entities, feature_jaccard, path_text, search_paths
+from .path_features import extract_entities, feature_jaccard, path_set, path_text, search_paths
 from .settings import DEFAULT_BATCH_SIZE, DEFAULT_PER_ENTITY_CAP, NUM_FEATURES, check_pool
 
 # Candidates per array pass: ~3 KB per gathered vector at d = 256, up to six
@@ -130,11 +130,12 @@ def feature_mean_top2_cosine(
 class FeatureAssembler:
     """Computes the nine-feature rows for one CVE and a batch of commits.
 
-    Each commit's store rows, documents and path set are looked up once, and
-    a store lacking a commit or file vector raises MissingVectorError. Each
-    :meth:`matrix` call scores the CVE once against the diff and file indexes
-    and fills the rows with array operations. Per-CVE path search is cached,
-    and each distinct path set reaches the provider once per assembler.
+    A store lacking a commit or file vector raises MissingVectorError. A
+    commit's path set and path text, and its span of file documents, are
+    computed when a :meth:`matrix` call first asks for its position. Each call
+    scores the CVE once against the diff and file indexes and fills the rows
+    with array operations. Per-CVE path search is cached, and each distinct
+    path set reaches the provider once per assembler.
     """
 
     def __init__(
@@ -154,20 +155,24 @@ class FeatureAssembler:
         self.per_entity_cap = per_entity_cap
         self._provider = provider
         self._cve_cache: dict[str, tuple[set[str], set[str]]] = {}
-        commits = corpus.commits
-        self._commit_paths = [commit_paths(commit) for commit in commits]
-        self._path_texts = [path_text(paths) if paths else None for paths in self._commit_paths]
-        self._universe = set().union(*self._commit_paths)
-        # By corpus position: store rows and the file documents, contiguous as
-        # the file index's documents ascend by (commit id, path). The diff
-        # index's documents are the corpus's commits, so position p is document
-        # corpus.id_ranks[p].
-        self._commit_rows = store.rows_of([("commit", c.commit_id) for c in commits])
-        self._doc_rows = store.rows_of([("file", *doc) for doc in file_index.docs])
-        owners = commit_ranks(file_index, sorted(corpus.commit_ids))
-        counts = np.bincount(owners, minlength=len(commits))
-        self._file_starts = (np.cumsum(counts) - counts)[corpus.id_ranks]
-        self._file_counts = counts[corpus.id_ranks]
+        # A commit's paths are those of its file documents, and the
+        # repository's paths those of all of them.
+        self._universe = path_set(set(file_index.doc_paths))
+        # By position, once computed: a commit's lowercased path set, and its
+        # path_text, or None without paths.
+        self._known = np.zeros(len(corpus), dtype=bool)
+        self._path_sets: list[set[str] | None] = [None] * len(corpus)
+        self._path_texts: list[str | None] = [None] * len(corpus)
+        # Each file document's commit, by rank in commit-id order: the diff
+        # index's documents are the corpus's commits, so position p is
+        # document corpus.id_ranks[p], and its file documents are contiguous.
+        self._owners = commit_ranks(file_index, corpus.sorted_ids)
+        docs = file_index.doc_count
+        if store.aligned(corpus.sorted_ids, file_index.doc_commits, file_index.doc_paths):
+            self._commit_rows, self._doc_rows = corpus.id_ranks, store.file_base + np.arange(docs)
+        else:  # looked up by key, naming the first missing vector
+            self._commit_rows = store.rows_of(("commit", c) for c in corpus.commit_ids)
+            self._doc_rows = store.rows_of(("file", *doc) for doc in file_index.docs)
         # The provider's normalized path-set vectors, a row per path_text() in _path_rows.
         self._path_rows: dict[str, int] = {}
         self._path_vectors = np.empty((0, 0), dtype=np.float32)  # takes the provider's dimension
@@ -187,11 +192,25 @@ class FeatureAssembler:
             self._cve_cache[cve.cve_id] = state
         return state
 
+    def _file_docs(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The first file document of each commit at ``positions``, and their count."""
+        ranks = self.corpus.id_ranks[positions]
+        starts = self._owners.searchsorted(ranks, "left")
+        return starts, self._owners.searchsorted(ranks, "right") - starts
+
+    def _compute_paths(self, positions: np.ndarray) -> None:
+        """The path set and path text of each position not yet computed."""
+        new = positions[~self._known[positions]]
+        for p, start, count in zip(new.tolist(), *map(np.ndarray.tolist, self._file_docs(new))):
+            paths = self._path_sets[p] = path_set(self.file_index.doc_paths[start : start + count])
+            self._path_texts[p] = path_text(paths) if paths else None
+        self._known[new] = True
+
     def _hier_columns(self, query: np.ndarray, file_scores, positions: np.ndarray) -> np.ndarray:
         """Commit cosine, then :func:`file_columns`, of the commits at ``positions``."""
         out = np.empty((len(positions), 4))
         out[:, 0] = cosine(self.store.matrix[self._commit_rows[positions]], query)
-        starts, counts = self._file_starts[positions], self._file_counts[positions]
+        starts, counts = self._file_docs(positions)
         matrix, pool = self.store.matrix, DEFAULT_HIER_CONFIG.max_pool_files
         out[:, 1:] = file_columns(query, matrix, self._doc_rows, file_scores, starts, counts, pool)
         return out
@@ -238,6 +257,8 @@ class FeatureAssembler:
             # Without a timestamp, a distance beyond any real commit, not perfect affinity.
             at = None if cve_time is None else self.corpus.insertion_position(cve_time)
             rows[:, column] = len(self.corpus) if at is None else np.abs(positions - at)
-        rows[:, 7] = [feature_jaccard(ner_paths, self._commit_paths[p]) for p in positions.tolist()]
+        self._compute_paths(positions)
+        path_sets = [self._path_sets[p] for p in positions.tolist()]
+        rows[:, 7] = [feature_jaccard(ner_paths, paths) for paths in path_sets]
         rows[:, 8] = self._path_cosines(ner_paths, positions)
         return rows

@@ -11,16 +11,16 @@ doc-position array and a term-frequency array, scored by one function,
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .container import STR, Format, Section
+from .container import STR, Format, Rows, Section, byte_array
 from .corpus import Corpus, CveRecord, tokenize
 from .settings import DEFAULT_B, DEFAULT_K1, check_bm25
 
@@ -53,7 +53,7 @@ class InvertedIndex:
     (ascending) with their term frequencies at the same positions of ``tfs``."""
 
     field_kind: str
-    docs: list[DocId]  # ascending, so position order is doc_id order
+    docs: Sequence[DocId]  # ascending, so position order is doc_id order
     doc_lengths: np.ndarray  # int32 token count per document
     vocab: list[str]  # ascending
     offsets: np.ndarray  # int64, len(vocab) + 1
@@ -66,12 +66,25 @@ class InvertedIndex:
         self.doc_count = len(self.docs)
         total = int(self.doc_lengths.sum(dtype=np.int64))
         self.avg_doc_length = total / self.doc_count if self.doc_count else 0.0
-        self._slots = {term: slot for slot, term in enumerate(self.vocab)}
         # Each document's BM25 length normalisation, k1 * (1 - b + b * dl / avgdl).
         # With no tokens there are no postings, so the zeros are never read.
         self._norm = np.zeros(self.doc_count)
         if total:
             self._norm = self.k1 * (1.0 - self.b + self.b * self.doc_lengths / self.avg_doc_length)
+
+    @cached_property
+    def _slots(self) -> dict[str, int]:
+        return {term: slot for slot, term in enumerate(self.vocab)}
+
+    @cached_property
+    def doc_commits(self) -> np.ndarray:
+        """Each document's commit id, as a numpy ``S`` array of its bytes."""
+        return byte_array([doc if self.field_kind != "file" else doc[0] for doc in self.docs])
+
+    @cached_property
+    def doc_paths(self) -> Sequence[str]:
+        """Each file document's path."""
+        return [path for _, path in self.docs]
 
 
 def _doc_tokens(corpus: Corpus, field_kind: str) -> dict[DocId, list[list[str]]]:
@@ -79,8 +92,8 @@ def _doc_tokens(corpus: Corpus, field_kind: str) -> dict[DocId, list[list[str]]]
     File documents take their file sections' cached tokens."""
     docs: dict[DocId, list[list[str]]] = {}
     if field_kind == "message":
-        for commit in corpus.commits:
-            docs[commit.commit_id] = [tokenize(commit.message)]
+        for commit_id, message in zip(corpus.commit_ids, corpus.messages):
+            docs[commit_id] = [tokenize(message)]
     elif field_kind == "file":
         for commit in corpus.commits:
             for fd in commit.file_diffs:
@@ -96,7 +109,7 @@ def build_index(
     """Index one field of every commit; one document per commit (or per file)."""
     check_bm25(k1=k1, b=b)
     if field_kind == "diff":
-        return diff_index(build_index(corpus, "file", k1=k1, b=b), corpus.commit_ids)
+        return diff_index(build_index(corpus, "file", k1=k1, b=b), corpus.ids)
     tokens = _doc_tokens(corpus, field_kind)
     docs = sorted(tokens)
     counts = [Counter(chain.from_iterable(tokens[doc])) for doc in docs]
@@ -117,27 +130,35 @@ def build_index(
     )
 
 
-def commit_ranks(file_index: InvertedIndex, commit_ids: list[str]) -> np.ndarray:
+def commit_ranks(file_index: InvertedIndex, commit_ids: Sequence[str] | np.ndarray) -> np.ndarray:
     """Each file document's commit, as its position in the ascending
-    ``commit_ids``. A document of any other commit, or documents out of
-    commit order, raise a ValueError."""
-    ranks = {commit_id: rank for rank, commit_id in enumerate(commit_ids)}
-    try:
-        owners = np.array([ranks[commit_id] for commit_id, _ in file_index.docs], dtype=np.int32)
-    except KeyError as exc:
-        raise ValueError(f"a file document names commit {exc.args[0]}, not in the corpus") from None
+    ``commit_ids``, strings or their ``S`` array. A document of any other
+    commit, or documents out of commit order, raise a ValueError."""
+    ids, docs = _id_array(commit_ids), file_index.doc_commits
+    owners = ids.searchsorted(docs).astype(np.int32)
+    known = owners < len(ids)
+    known[known] = ids[owners[known]] == docs[known]
+    if not known.all():
+        unknown = docs[np.argmin(known)].decode()
+        raise ValueError(f"a file document names commit {unknown}, not in the corpus")
     if np.any(np.diff(owners) < 0):
         raise ValueError("the file documents do not ascend by commit")
     return owners
 
 
-def diff_index(file_index: InvertedIndex, commit_ids: list[str]) -> InvertedIndex:
-    """The diff index of the commits ``commit_ids``, summed from their file
-    index. A commit's diff document is its file sections, so each of its
-    term frequencies, and its length, is the sum of its file documents'. A
-    commit without sections is an empty document."""
-    docs = sorted(commit_ids)
-    owners = commit_ranks(file_index, docs)
+def _id_array(commit_ids: Sequence[str] | np.ndarray) -> np.ndarray:
+    return commit_ids if isinstance(commit_ids, np.ndarray) else byte_array(commit_ids)
+
+
+def diff_index(file_index: InvertedIndex, commit_ids: Sequence[str] | np.ndarray) -> InvertedIndex:
+    """The diff index of the commits ``commit_ids``, strings or their ``S``
+    array, summed from their file index. A commit's diff document is its file
+    sections, so each of its term frequencies, and its length, is the sum of
+    its file documents'. A commit without sections is an empty document."""
+    ids = _id_array(commit_ids)
+    ids = np.sort(ids) if np.any(ids[1:] < ids[:-1]) else ids
+    docs = Rows(len(ids), lambda j: ids[j].decode())
+    owners = commit_ranks(file_index, ids)
     lengths = np.bincount(owners, file_index.doc_lengths, len(docs)).astype(np.int32)
     # Within a term the file documents ascend, so their commits do too: each
     # (term, commit) pair is one run of postings, which starts where the term
@@ -150,7 +171,9 @@ def diff_index(file_index: InvertedIndex, commit_ids: list[str]) -> InvertedInde
     tfs = np.add.reduceat(file_index.tfs, starts, dtype=np.int32)
     offsets = np.searchsorted(starts, file_index.offsets)
     vocab, k1, b = file_index.vocab, file_index.k1, file_index.b
-    return InvertedIndex("diff", docs, lengths, vocab, offsets, commits[starts], tfs, k1, b)
+    index = InvertedIndex("diff", docs, lengths, vocab, offsets, commits[starts], tfs, k1, b)
+    index.doc_commits, index._slots = ids, file_index._slots  # the same vocabulary
+    return index
 
 
 def _score_array(index: InvertedIndex, query_text: str) -> np.ndarray:
@@ -199,8 +222,8 @@ def commit_docs(file_index: InvertedIndex, commit_id: str) -> range:
     Another index kind raises a ValueError naming it."""
     if file_index.field_kind != "file":
         raise ValueError(f"expected a file index, got a {file_index.field_kind} index")
-    docs, key = file_index.docs, itemgetter(0)
-    return range(bisect_left(docs, commit_id, key=key), bisect_right(docs, commit_id, key=key))
+    ids, key = file_index.doc_commits, commit_id.encode()
+    return range(ids.searchsorted(key, "left"), ids.searchsorted(key, "right"))
 
 
 def rank_files_within_commit(
@@ -226,9 +249,9 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
     INDEX_FORMAT.save(path, field_kind=kind, bm25=[index.k1, index.b], docs=docs, **arrays)
 
 
-def load_index(path: str | Path) -> InvertedIndex:
-    """Read a :func:`save_index` file. A damaged container, or arrays that do
-    not fit together, raise a ValueError naming ``path``."""
+def load_index(path: str | Path | bytes) -> InvertedIndex:
+    """Read a :func:`save_index` file, or its bytes. A damaged container, or
+    arrays that do not fit together, raise a ValueError naming ``path``."""
     return INDEX_FORMAT.load(path, _index_from_sections)
 
 
@@ -245,8 +268,10 @@ def _index_from_sections(
     n_docs = len(doc_lengths)
     if len(docs) != (2 if kind == "file" else 1) * n_docs:
         raise ValueError(f"{len(docs)} doc strings for {n_docs} documents")
+    commits = docs
     if kind == "file":
-        docs = list(zip(docs[::2], docs[1::2]))
+        commits, paths = docs.part(0, 2), docs.part(1, 2)
+        docs = Rows(n_docs, lambda j: (commits[j], paths[j]))
     n_postings = len(doc_ids)
     if not (
         len(offsets) == len(vocab) + 1
@@ -266,4 +291,8 @@ def _index_from_sections(
         and np.all(doc_lengths >= 0)
     ):
         raise ValueError("postings arrays are inconsistent")
-    return InvertedIndex(kind, docs, doc_lengths, vocab, offsets, doc_ids, tfs, k1, b)
+    index = InvertedIndex(kind, docs, doc_lengths, vocab, offsets, doc_ids, tfs, k1, b)
+    index.doc_commits = byte_array(commits)
+    if kind == "file":
+        index.doc_paths = paths
+    return index

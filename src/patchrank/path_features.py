@@ -9,8 +9,8 @@ embedded-text cosine.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 
-from .corpus import CommitRecord
 from .settings import DEFAULT_PER_ENTITY_CAP
 
 # Identifier shapes worth searching for: paths, dotted names, filenames,
@@ -36,9 +36,10 @@ def extract_entities(description: str) -> set[str]:
     return set(seen.values())
 
 
-def commit_paths(commit: CommitRecord) -> set[str]:
-    """The commit's file paths, lowercased; an empty path is dropped."""
-    return {fd.path.lower() for fd in commit.file_diffs if fd.path}
+def path_set(paths: Iterable[str]) -> set[str]:
+    """``paths`` lowercased, without the empty path: a commit's path set, of
+    its file sections' paths."""
+    return {path.lower() for path in paths if path}
 
 
 def search_paths(

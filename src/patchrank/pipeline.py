@@ -40,9 +40,10 @@ from .artifacts import (
     save_candidates,
     save_rankings,
     training_set,
+    write_ranked_jsonl,
 )
 from .config import ConfigError, PipelineConfig, load_config
-from .corpus import Corpus, CveRecord, write_jsonl, write_ranked_jsonl
+from .corpus import Corpus, CveRecord, write_jsonl
 
 if TYPE_CHECKING:
     from .embedding import VectorStore
@@ -170,7 +171,7 @@ def _repo_loader(
     return load
 
 
-def _load_index(path: Path, corpus: Corpus, kind: str) -> dict[str, InvertedIndex]:
+def _load_index(path: Path | bytes, corpus: Corpus, kind: str) -> dict[str, InvertedIndex]:
     """The index of ``kind`` at ``path``, by :func:`_with_diff`. A message
     index must hold exactly the commits of ``corpus``, as pre-ranking reads
     it by :attr:`Corpus.id_order`; a file index, only commits of ``corpus``."""
@@ -179,7 +180,7 @@ def _load_index(path: Path, corpus: Corpus, kind: str) -> dict[str, InvertedInde
     index = load_index(path)
     if index.field_kind != kind:
         raise ValueError(f"it holds a {index.field_kind} index, not a {kind} index")
-    if kind == "message" and index.docs != sorted(corpus.commit_ids):
+    if kind == "message" and not np.array_equal(index.doc_commits, corpus.sorted_ids):
         raise ValueError(f"its documents are not the commits of {corpus.repo_id}")
     return _with_diff(index, corpus)
 
@@ -191,7 +192,7 @@ def _with_diff(index: InvertedIndex, corpus: Corpus) -> dict[str, InvertedIndex]
 
     if index.field_kind != "file":
         return {index.field_kind: index}
-    return {"file": index, "diff": diff_index(index, corpus.commit_ids)}
+    return {"file": index, "diff": diff_index(index, corpus.sorted_ids)}
 
 
 def _prerank(
@@ -204,10 +205,6 @@ def _prerank(
     components = prerank_components(corpus, cve, indexes["message"], indexes["diff"], fusion)
     positions, scores = fuse_components(corpus, components, fusion)
     return positions, scores, components[positions]
-
-
-def _commit_ids(corpus: Corpus, positions: np.ndarray) -> list[str]:
-    return [corpus.commits[p].commit_id for p in positions.tolist()]
 
 
 def stage_prerank(config: PipelineConfig) -> None:
@@ -231,7 +228,7 @@ def stage_prerank(config: PipelineConfig) -> None:
             positions, scores, rows = _prerank(corpus, cve, repo(cve.repo_id)[0], fusion)
             if not len(positions):  # as in candidates.jsonl, a CVE without lines has no list
                 continue
-            lists[cve.cve_id] = ids = _commit_ids(corpus, positions)
+            lists[cve.cve_id] = ids = corpus.commit_ids_at(positions)
             component_rows.append(rows)
             yield cve.cve_id, ids, scores.tolist()
 
@@ -252,7 +249,7 @@ def _featurize(
     and the CVE's training group, sampled from its pre-ranked corpus positions
     ``preranked``, as :meth:`TrainingSet.of_groups` takes a group (None without
     a known patch). Every distinct commit's row is computed once, in one batch."""
-    from .ranker import sample_training_group
+    from .training import sample_training_group
 
     corpus = assembler.corpus
     sampled = sample_training_group(
@@ -272,7 +269,7 @@ def _featurize(
     listed, grouped_rows = rows[: len(positions)], rows[len(positions) :]
     if sampled is None:
         return listed, None
-    return listed, (cve.cve_id, _commit_ids(corpus, grouped), sampled[1], grouped_rows)
+    return listed, (cve.cve_id, corpus.commit_ids_at(grouped), sampled[1], grouped_rows)
 
 
 def _corpus_positions(
@@ -294,7 +291,7 @@ def _corpus_positions(
 
 def stage_featurize(config: PipelineConfig) -> None:
     """Compute the nine features for every candidate and training row."""
-    from .ranker import TrainingSet
+    from .training import TrainingSet
 
     run = Run(config, "featurize")
     candidates = run.candidates()
@@ -330,7 +327,7 @@ def stage_featurize(config: PipelineConfig) -> None:
 
 def stage_train(config: PipelineConfig) -> None:
     """Train the LambdaRank model from the sampled training rows."""
-    from .ranker import train_lambdarank
+    from .training import train_lambdarank
 
     run = Run(config, "train")
     training = run.read(TRAINING_FORMAT.load, run.training_file, training_set)
@@ -422,7 +419,7 @@ def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
     CVE, in memory. Without any labels the pre-ranked order is returned
     unchanged. Under ``config.repo_filter`` only that repository is read.
     """
-    from .ranker import RankModel, TrainingSet, rerank, train_lambdarank
+    from .ranker import RankModel, rerank
 
     run = Run(config, "trace")
     try:
@@ -439,6 +436,10 @@ def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
         corpora, cves = run.dumps()
     target = next((c for c in cves if c.cve_id == cve_id), None)
     if target is None:
+        dump = corpus_mod.load_cve_dump(config.cve_dump)
+        if repos := {c.repo_id for c in dump if c.cve_id == cve_id}:  # excluded by --repo
+            detail = f"is of repository {repos.pop()!r}, not of --repo {config.repo_filter!r}"
+            raise ConfigError(f"CVE {cve_id!r} {detail}")
         raise ConfigError(f"CVE {cve_id!r} not found in {config.cve_dump}")
     if target.repo_id not in corpora:
         raise ConfigError(f"repo {target.repo_id!r} of CVE {cve_id} not found in commit dump")
@@ -450,6 +451,8 @@ def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
         return _prerank(assembler.corpus, cve, indexes, config.fusion_config())[:2]
 
     if model is None:
+        from .training import TrainingSet, train_lambdarank
+
         labeled = [c for c in cves if c.repo_id in corpora and c.known_patch_ids]
         groups = []
         for cve in labeled:
@@ -462,7 +465,7 @@ def run_trace(config: PipelineConfig, cve_id: str) -> TraceResult:
 
     assembler = repo(target.repo_id)[1]
     positions, scores = preranked(target)
-    ids = _commit_ids(assembler.corpus, positions)
+    ids = assembler.corpus.commit_ids_at(positions)
     prerank_entries = list(zip(ids, scores.tolist()))
     if model is None:
         logger.warning("no labeled CVEs available; returning pre-ranked order")

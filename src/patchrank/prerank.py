@@ -82,4 +82,4 @@ def prerank_candidates(
     """Every commit scored by the weighted reciprocal-rank sum, top-k kept."""
     components = prerank_components(corpus, cve, msg_index, diff_index, config)
     positions, scores = fuse_components(corpus, components, config)
-    return [(corpus.commits[p].commit_id, s) for p, s in zip(positions.tolist(), scores.tolist())]
+    return list(zip(corpus.commit_ids_at(positions), scores.tolist()))

@@ -29,9 +29,9 @@ from patchrank.corpus import (
 )
 from patchrank.embedding import embed_batch
 from patchrank.lexical import DocId, InvertedIndex, RankedList, _score_array, query
-from patchrank.path_features import commit_paths, path_text
+from patchrank.path_features import path_set, path_text
 from patchrank.prerank import FusionConfig
-from patchrank.ranker import _derive_seed
+from patchrank.training import _derive_seed
 
 logger = logging.getLogger(__name__)
 
@@ -72,7 +72,7 @@ def path_universe(corpus: Corpus) -> set[str]:
     """Every path ever touched by any commit of the corpus, lowercased."""
     universe: set[str] = set()
     for commit in corpus.commits:
-        universe |= commit_paths(commit)
+        universe |= path_set(fd.path for fd in commit.file_diffs)
     return universe
 
 
@@ -366,7 +366,7 @@ def sample_training_group_oracle(
     hard_negatives: int,
     random_negatives: int,
 ) -> list[tuple[str, int]] | None:
-    """:func:`patchrank.ranker.sample_training_group` by commit id: the
+    """:func:`patchrank.training.sample_training_group` by commit id: the
     group's (commit id, relevance) rows, with ``preranked`` the pre-ranked
     commit ids."""
     positives = sorted(pid for pid in cve.known_patch_ids if pid in corpus)

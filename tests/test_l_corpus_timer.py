@@ -1,4 +1,5 @@
-"""The L-corpus stage timer, run on a 200-commit corpus with 3 CVEs."""
+"""The L-corpus stage timer, run on a 200-commit corpus with 3 CVEs, and with
+``--repeat 2`` on a 100-commit corpus with 2 CVEs."""
 
 from __future__ import annotations
 
@@ -61,3 +62,33 @@ def test_timer_prints_a_row_the_output_size_and_the_mrr(tmp_path):
     commits = (tmp_path / "input" / "commits.jsonl").read_text().splitlines()
     assert len(commits) == 200
     assert len((tmp_path / "input" / "cves.jsonl").read_text().splitlines()) == 3
+
+
+def test_repeat_gives_each_cell_the_median_and_its_range(tmp_path):
+    """With ``--repeat 2`` every timed cell reads ``median (min–max)`` of the
+    two runs, the minimum at most the median and the median at most the
+    maximum; the layout is the single run's."""
+    argv = [sys.executable, str(SCRIPT), "--commits", "100", "--cves", "2", "--repeat", "2"]
+    argv += ["--work", str(tmp_path)]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    _, rule, row, rss_row, import_row, cpu_row, size, by_directory, mrr = done.stdout.splitlines()
+    assert rule == "|---" * 12 + "|"
+    shapes = {
+        row: r"(\d+\.\d\d) s \((\d+\.\d\d)–(\d+\.\d\d)\)",
+        rss_row: r"(\d+) MB \((\d+)–(\d+)\)",
+        import_row: r"(\d+) ms \((\d+)–(\d+)\)",
+        cpu_row: r"(\d+\.\d\d) s \((\d+\.\d\d)–(\d+\.\d\d)\)",
+    }
+    for line, shape in shapes.items():
+        cells = line.strip("| ").split(" | ")
+        assert len(cells) == 12
+        timed = [cell for cell in cells[1:] if cell != "–"]
+        assert len(timed) == (11 if line == row else 10), line
+        for cell in timed:
+            match = re.fullmatch(shape, cell) or re.fullmatch(shapes[rss_row], cell)
+            assert match, cell
+            middle, low, high = map(float, match.groups())
+            assert low <= middle <= high, cell
+    assert re.fullmatch(r"macro MRR: [01]\.\d{3}", mrr)
+    assert size.startswith("output: ") and by_directory.startswith("by directory: corpus ")

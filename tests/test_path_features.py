@@ -14,9 +14,9 @@ from patchrank.embedding import OfflineEmbedder, build_vectors, offline_embed
 from patchrank.hier_features import FeatureAssembler
 from patchrank.lexical import build_index
 from patchrank.path_features import (
-    commit_paths,
     extract_entities,
     feature_jaccard,
+    path_set,
     path_text,
     search_paths,
 )
@@ -156,14 +156,14 @@ class TestPathPlumbing:
 
     def test_commit_paths_normalized(self):
         commit = make_commit(1, files={"Dir/File.java": "w"})
-        assert commit_paths(commit) == {"dir/file.java"}
+        assert path_set(fd.path for fd in commit.file_diffs) == {"dir/file.java"}
 
     def test_commit_path_keeps_a_leading_b_directory(self):
         """The corpus has already taken the diff's ``a/`` and ``b/`` prefixes
         off each path, so a repository directory named ``b`` stays, and the
         description entity that names it finds the commit's path."""
         corpus = make_corpus([make_commit(1, files={"b/net/Frame.c": "x", "a/x.c": "y"})])
-        assert commit_paths(corpus.commits[0]) == {"b/net/frame.c", "a/x.c"}
+        assert path_set(corpus.file_paths(0)) == {"b/net/frame.c", "a/x.c"}
         entities = extract_entities("overflow in b/net/Frame.c")
         assert search_paths(path_universe(corpus), entities) == {"b/net/frame.c"}
 

@@ -52,7 +52,8 @@ from patchrank.pipeline import (
 )
 
 from patchrank.prerank import FusionConfig
-from patchrank.ranker import RankerParams, RankModel, TrainingSet, train_lambdarank
+from patchrank.ranker import RankModel
+from patchrank.training import RankerParams, TrainingSet, train_lambdarank
 
 from synthcorpus import generate
 from test_embedding import save_version_2
@@ -980,6 +981,39 @@ class TestCli:
         for stage in stages:
             assert main([stage, "--config", str(config_path)]) == 0, stage
 
+    def test_fresh_trace_builds_records_of_its_candidates_only(self, tmp_path, monkeypatch):
+        """On fresh artifacts trace reads the corpus's columns: any commit or
+        file section it builds a record of is one of its 5 candidates', of 50
+        commits."""
+        synth, config_path = self.write_min_config(tmp_path, fusion={"candidate_k": 5})
+        self.run_stages(config_path, STAGES)
+        config = load_config(config_path)
+        commits, files = [], []
+        commit_init, file_init = corpus_mod.CommitRecord.__init__, corpus_mod.FileDiff.__init__
+
+        def commit_counting(self, commit_id, *args, **kwargs):
+            commits.append(commit_id)
+            commit_init(self, commit_id, *args, **kwargs)
+
+        def file_counting(self, *args, **kwargs):
+            files.append(args)
+            file_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(corpus_mod.CommitRecord, "__init__", commit_counting)
+        monkeypatch.setattr(corpus_mod.FileDiff, "__init__", file_counting)
+        for record in synth.cve_records:
+            commits.clear()
+            files.clear()
+            result = run_trace(config, record["cve_id"])
+            assert result.model_source.endswith("model.json")
+            candidates = [commit_id for commit_id, _ in result.prerank_entries]
+            assert len(candidates) == 5 and set(commits) <= set(candidates)
+            slug = repo_slug(record["repo_id"])
+            corpus = load_corpus(config.output_dir / "corpus" / f"{slug}.bin", record["repo_id"])
+            assert len(corpus) == 50
+            sections = sum(len(corpus.file_paths(corpus.position_of(c))) for c in commits)
+            assert len(files) == sections
+
     def assert_one_line_error(self, capsys, path):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -1299,6 +1333,19 @@ class TestTrace:
         assert result.model_source.endswith("model.json")
         assert len(result.final_entries) == len(result.prerank_entries)
 
+    def test_cve_of_another_repo_than_repo_filter_exits_1_naming_both(self, small_setup, capsys):
+        """Under --repo, a CVE of the dump's other repository is not "not
+        found": the error names its repository and the --repo value."""
+        synth, config_path, _ = small_setup
+        cve = next(r for r in synth.cve_records if r["repo_id"] == "synth/repo1")
+        argv = ["trace", "--config", str(config_path), "--cve", cve["cve_id"]]
+        assert main([*argv, "--repo", "synth/repo0"]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: CVE '{cve['cve_id']}' is of repository 'synth/repo1', "
+            "not of --repo 'synth/repo0'\n"
+        )
+
     def test_trace_equals_batch(self, small_setup, tmp_path):
         """For every CVE, trace pre-ranks and ranks as the batch stages did,
         from fresh artifacts and from the dumps alone."""
@@ -1510,7 +1557,7 @@ class TestTraceCorpusFiles:
             return ingest(path)
 
         def counted_load(path, repo_id):
-            calls["corpora"].append(Path(path).name)
+            calls["corpora"].append(repo_id)
             return load(path, repo_id)
 
         monkeypatch.setattr(corpus_mod, "ingest_multi_repo_dump", counted_ingest)
@@ -1519,7 +1566,7 @@ class TestTraceCorpusFiles:
         out = self.trace(config_path, record["cve_id"], capsys)
         assert out.startswith(f"{record['cve_id']} in {record['repo_id']} (model: ")
         assert "model.json)" in out.splitlines()[0]
-        assert calls == {"dumps": 0, "corpora": [f"{repo_slug(record['repo_id'])}.bin"]}
+        assert calls == {"dumps": 0, "corpora": [record["repo_id"]]}
         assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
     def test_edited_dump_warns_once_and_ranks_as_fresh_artifacts(
@@ -1578,8 +1625,8 @@ STAGE_MODULES = {
     "index": {"lexical"},
     "embed": {"embedding"},
     "prerank": {"lexical", "prerank"},
-    "featurize": {"embedding", "hier_features", "lexical", "path_features", "ranker"},
-    "train": {"ranker"},
+    "featurize": {"embedding", "hier_features", "lexical", "path_features", "ranker", "training"},
+    "train": {"ranker", "training"},
     "rank": {"ranker"},
     "eval": {"evalkit"},
     "trace": {"embedding", "hier_features", "lexical", "path_features", "prerank", "ranker"},
@@ -1628,11 +1675,14 @@ def stage_imports(tmp_path_factory):
 @pytest.mark.parametrize("name", list(STAGE_MODULES))
 def test_cli_child_imports_only_its_stage_modules(stage_imports, name):
     """A stage child compiles and loads the CLI's modules and its own layers'
-    only; trace loads every layer but evalkit. None imports requests."""
+    only; trace, with a fresh model, loads every layer but evalkit and the
+    training code, as rank does. None imports requests or ``numpy.ma``, which
+    ``np.unique`` and ``np.quantile`` would load for train."""
     modules = stage_imports[name]
     loaded = {module for module in modules if module.split(".")[0] == "patchrank"}
     assert loaded == CLI_MODULES | {f"patchrank.{leaf}" for leaf in STAGE_MODULES[name]}
     assert "requests" not in modules
+    assert "numpy.ma" not in modules
 
 
 def test_cli_runs_one_blas_thread_unless_told_otherwise():

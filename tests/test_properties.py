@@ -40,9 +40,12 @@ from patchrank.corpus import (  # noqa: E402
     tokenize,
     truncate_to_tokens,
 )
-from patchrank.corpus import write_jsonl, write_ranked_jsonl  # noqa: E402
+from patchrank.artifacts import write_ranked_jsonl  # noqa: E402
+from patchrank.corpus import write_jsonl  # noqa: E402
 from patchrank.embedding import (  # noqa: E402
+    MissingVectorError,
     OfflineEmbedder,
+    VectorStore,
     build_vectors,
     document_prompt,
     embed_batch,
@@ -62,7 +65,8 @@ from patchrank.prerank import (  # noqa: E402
     prerank_candidates,
     prerank_components,
 )
-from patchrank.ranker import NUM_FEATURES, sample_training_group  # noqa: E402
+from patchrank.ranker import NUM_FEATURES  # noqa: E402
+from patchrank.training import _distinct, _quantiles, sample_training_group  # noqa: E402
 
 from conftest import cid, make_commit, make_cve, vector_store  # noqa: E402
 from oracles import (  # noqa: E402
@@ -267,6 +271,117 @@ def test_corpus_file_round_trip_equals_the_ingested_dump(records):
     assert (loaded.commit_ids, loaded.time_index) == (corpus.commit_ids, corpus.time_index)
     assert [c.message for c in loaded.commits] == [c.message for c in corpus.commits]
     assert _sections(loaded) == _sections(corpus)
+
+
+# Headers as dumps hold them: both sides named, an a/ or b/ prefix kept in a
+# path that starts with one, quoted names, and one side alone.
+HEADERS = st.sampled_from(
+    [
+        "diff --git a/a/b.c b/a/b.c",
+        "diff --git a/b/x.h b/b/x.h",
+        'diff --git "a/q x.c" "b/q x.c"',
+        "diff --git a/naïve/ß.c b/naïve/ß.c",
+        "diff --git a/only.c",
+        "diff --git b/one side.c",
+        "diff --git ",
+    ]
+)
+
+
+@st.composite
+def commit_records(draw) -> list[CommitRecord]:
+    """Up to five commits of one repository, each with file sections of any
+    header of HEADERS or PATH, binary or not, or none at all."""
+    numbers = draw(st.lists(st.integers(0, 2**32), max_size=5, unique=True))
+    records = []
+    for number in numbers:
+        sections = []
+        for header in draw(st.lists(st.one_of(HEADERS, PATH.map("diff --git a/{0} b/{0}".format)))):
+            lines = ["Binary files differ"] if draw(st.booleans()) else draw(st.lists(DIFF_LINE))
+            sections.append("".join(f"{line}\n" for line in [header, *lines]))
+        diffs = tuple(split_diff_by_file("".join(sections)))
+        time, message = draw(st.sampled_from([0, 5, 2**40])), draw(TEXT)
+        records.append(CommitRecord(f"{number:040x}", "r/ü", time, message, diffs))
+    return records
+
+
+@given(commit_records())
+@example([])
+def test_loaded_corpus_builds_the_records_of_the_eager_build(records):
+    """Each commit a loaded corpus builds from its columns equals the record
+    the dump gave, in (author_time, commit_id) order, with every path as its
+    header gives it; the id lookups agree with the order."""
+    eager = sorted(records, key=lambda c: (c.author_time, c.commit_id))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.bin"
+        save_corpus(build_corpus("r/ü", records), path)
+        loaded = load_corpus(path, "r/ü")
+    assert len(loaded) == len(eager) and list(loaded.commits) == eager
+    assert [loaded.commits[i] for i in range(-len(eager), 0)] == eager
+    assert loaded.paths == [fd.path for c in eager for fd in c.file_diffs]
+    for position, commit in enumerate(eager):
+        assert loaded.file_paths(position) == [fd.path for fd in commit.file_diffs]
+        assert loaded.position_of(commit.commit_id) == position and commit.commit_id in loaded
+    assert loaded.commit_ids_at(np.arange(len(eager))) == [c.commit_id for c in eager]
+    assert "0" * 39 + "g" not in loaded
+    ids = [c.commit_id for c in eager]
+    assert loaded.id_order.tolist() == sorted(range(len(ids)), key=ids.__getitem__)
+
+
+STORE_IDS = st.sampled_from([f"{n:040x}" for n in range(1, 5)] + ["c", "c0", "ü"])
+STORE_PATHS = st.sampled_from(["a.c", "a.c0", "b/ü.h", "", "q x.c"])
+STORE_KEYS = st.one_of(
+    st.tuples(st.just("commit"), STORE_IDS),
+    st.tuples(st.just("cve"), st.sampled_from(["CVE-1", "CVE-2", "CVE-10"])),
+    st.tuples(st.just("file"), STORE_IDS, STORE_PATHS),
+)
+
+
+@given(st.sets(STORE_KEYS, max_size=12), st.lists(st.one_of(STORE_KEYS, st.just(("x", "y")))))
+def test_store_rows_by_key_tables_equal_the_key_dict(keys, wanted):
+    """A store, built from its keys or loaded from its file, finds each key's
+    row by searching its key tables: the rows a dict of its keys gives, or
+    MissingVectorError for the first key without a vector."""
+    keys = sorted(keys)
+    oracle = {key: row for row, key in enumerate(keys)}
+    matrix = np.arange(len(keys) * 2, dtype=np.float32).reshape(len(keys), 2)
+    built = VectorStore(2, keys, matrix)
+    with tempfile.TemporaryDirectory() as tmp:
+        built.save(Path(tmp) / "store.bin")
+        loaded = VectorStore.load(Path(tmp) / "store.bin")
+    missing = [key for key in wanted if key not in oracle]
+    for store in (built, loaded):
+        assert store.rows == oracle
+        if missing:
+            with pytest.raises(MissingVectorError) as info:
+                store.rows_of(wanted)
+            assert info.value.key == missing[0]
+        else:
+            assert store.rows_of(wanted).tolist() == [oracle[key] for key in wanted]
+
+
+FEATURE_COLUMNS = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.0]), st.floats(-1e6, 1e6)),
+    min_size=1,
+    max_size=200,
+)
+
+
+@given(FEATURE_COLUMNS, st.integers(2, 70), st.lists(st.floats(0.0, 1.0), max_size=4))
+@example([-0.0, 0.0, 1.0, -0.0], 3, [0.0, 1.0])
+def test_learner_quantiles_equal_np_quantile_bit_for_bit(values, bins, extra):
+    """The learner's quantiles and distinct values, computed without
+    numpy.ma, are np.quantile's by its default linear method and np.unique's,
+    to the bit, on columns with ties, duplicates, signed zeros and negatives;
+    a distinct zero takes the sign of the column's first zero."""
+    column = np.array(values)
+    q = np.concatenate([np.linspace(0.0, 1.0, bins + 1)[1:-1], extra])
+    assert _quantiles(column, q).tobytes() == np.quantile(column, q).tobytes()
+    distinct = _distinct(column)
+    assert np.array_equal(distinct, np.unique(column))
+    zeros = column[column == 0]
+    if len(zeros):
+        assert distinct[distinct == 0].tobytes() == zeros[:1].tobytes()
 
 
 @given(TEXT)

@@ -16,20 +16,18 @@ from patchrank import hier_features
 from patchrank.hier_features import FeatureAssembler
 from patchrank.lexical import build_index
 from patchrank.path_features import (
-    commit_paths,
     extract_entities,
     feature_jaccard,
+    path_set,
     search_paths,
 )
 from patchrank.prerank import prerank_candidates
-from patchrank.ranker import (
-    FEATURE_NAMES,
+from patchrank.ranker import FEATURE_NAMES, RankModel, rerank
+from patchrank.training import (
     RankerParams,
-    RankModel,
     TrainingDataError,
     TrainingSet,
     _ndcg_of_scores,
-    rerank,
     sample_training_group,
     train_lambdarank,
 )
@@ -142,7 +140,7 @@ def reference_rows(assembler, cve, commit_ids):
     rows = []
     for commit_id in commit_ids:
         commit = commit_of(corpus, commit_id)
-        touched = commit_paths(commit)
+        touched = path_set(fd.path for fd in commit.file_diffs)
         ranked = rank_files_oracle(commit, file_scores)
         rows.append(
             [

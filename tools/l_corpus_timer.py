@@ -21,11 +21,15 @@ trace's CPU time. Then it prints the size of the output directory, the size
 of each of its top-level directories (``index``, ``vectors``, ...), and the
 macro MRR of ``eval/report.json``::
 
-    python3 tools/l_corpus_timer.py [--commits 15000] [--cves 6] [--work DIR] [--label HEAD]
+    python3 tools/l_corpus_timer.py [--commits 15000] [--cves 6] [--repeat 1]
+        [--work DIR] [--label HEAD]
 
-``--commits`` shrinks the corpus for a quick check; ``--cves 30`` gives the
-L-30 corpus. Without ``--work`` the corpus and the artifacts go to a
-temporary directory that is removed.
+``--commits`` shrinks the corpus for a quick check, or grows it (60000 gives
+the XL-60k corpus); ``--cves 30`` gives the L-30 corpus. ``--repeat N`` runs
+the stages and the trace N times on the one corpus, each time into an empty
+output directory, and each cell is then the median of the N runs with their
+minimum and maximum beside it, as ``1.23 s (1.20–1.31)``. Without ``--work``
+the corpus and the artifacts go to a temporary directory that is removed.
 """
 
 from __future__ import annotations
@@ -33,11 +37,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+from statistics import median
 
 ROOT = Path(__file__).resolve().parents[1]
 STAGES = ("ingest", "index", "embed", "prerank", "featurize", "train", "rank", "eval")
@@ -79,9 +85,10 @@ def patchrank_import_s(lines: list[str]) -> float:
     )
 
 
-def time_stages(work: Path, commits: int, cves: int) -> dict[str, Timing]:
-    """Each stage's and the trace's wall seconds, peak RSS in MB, ``patchrank``
-    import seconds and CPU seconds, the stages' output in ``work/out``."""
+def time_stages(work: Path, commits: int, cves: int, repeat: int) -> list[dict[str, Timing]]:
+    """Each run's stage and trace wall seconds, peak RSS in MB, ``patchrank``
+    import seconds and CPU seconds, ``repeat`` runs on one corpus, the last
+    run's output in ``work/out``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
     run_child([sys.executable, "-c", GENERATE, str(commits), str(cves), str(work / "input")], env)
     config = work / "config.json"
@@ -98,27 +105,34 @@ def time_stages(work: Path, commits: int, cves: int) -> dict[str, Timing]:
         encoding="utf-8",
     )
     cli = [sys.executable, "-X", "importtime", "-m", "patchrank.cli"]
-    timed = {stage: run_child([*cli, stage, "--config", str(config)], env) for stage in STAGES}
     with open(work / "input" / "cves.jsonl", encoding="utf-8") as fh:
         cve_id = json.loads(fh.readline())["cve_id"]
-    timed["trace"] = run_child([*cli, "trace", "--config", str(config), "--cve", cve_id], env)
-    return timed
+    runs = []
+    for _ in range(repeat):
+        shutil.rmtree(work / "out", ignore_errors=True)
+        timed = {stage: run_child([*cli, stage, "--config", str(config)], env) for stage in STAGES}
+        timed["trace"] = run_child([*cli, "trace", "--config", str(config), "--cve", cve_id], env)
+        runs.append(timed)
+    return runs
 
 
-def report(label: str, timed: dict[str, Timing], out: Path) -> str:
-    walls = [timed[stage][0] for stage in STAGES]
-    peaks = [f"{timed[stage][1]:.0f} MB" for stage in STAGES]
-    imports = [timed[stage][2] for stage in STAGES]
-    cpus = [timed[stage][3] for stage in STAGES]
-    trace_wall, trace_rss, trace_imports, trace_cpu = timed["trace"]
-    top = f"{max(rss for _, rss, _, _ in timed.values()):.0f} MB"
-    cells = [label, *(f"{wall:.2f} s" for wall in walls), f"{sum(walls):.2f} s"]
-    cells += [f"{trace_wall:.2f} s", top]
-    rss_cells = [f"{label} peak RSS", *peaks, "–", f"{trace_rss:.0f} MB", top]
-    import_cells = [f"{label} patchrank imports", *(f"{1e3 * s:.0f} ms" for s in imports)]
-    import_cells += [f"{1e3 * sum(imports):.0f} ms", f"{1e3 * trace_imports:.0f} ms", "–"]
-    cpu_cells = [f"{label} CPU", *(f"{s:.2f} s" for s in cpus)]
-    cpu_cells += [f"{sum(cpus):.2f} s", f"{trace_cpu:.2f} s", "–"]
+def cell(values: list[float], digits: int, unit: str, scale: float = 1.0) -> str:
+    """The median of ``values`` times ``scale``, and with several values their
+    minimum and maximum beside it."""
+    shown = [f"{scale * value:.{digits}f}" for value in (median(values), min(values), max(values))]
+    return f"{shown[0]} {unit}" + (f" ({shown[1]}–{shown[2]})" if len(values) > 1 else "")
+
+
+def report(label: str, runs: list[dict[str, Timing]], out: Path) -> str:
+    def cells(column: int, digits: int, unit: str, scale: float = 1.0) -> list[str]:
+        """Each stage's, their total's and the trace's cell of one measure."""
+        per_stage = [[run[stage][column] for run in runs] for stage in (*STAGES, "trace")]
+        totals = [sum(run[stage][column] for stage in STAGES) for run in runs]
+        return [cell(v, digits, unit, scale) for v in (*per_stage[:-1], totals, per_stage[-1])]
+
+    walls, peaks = cells(0, 2, "s"), cells(1, 0, "MB")
+    peaks[len(STAGES)] = "–"  # a total of peaks means nothing
+    top = cell([max(rss for _, rss, _, _ in run.values()) for run in runs], 0, "MB")
     size = sum(p.stat().st_size for p in out.rglob("*") if p.is_file())
     sizes = {
         top.name: sum(p.stat().st_size for p in top.rglob("*") if p.is_file())
@@ -126,14 +140,17 @@ def report(label: str, timed: dict[str, Timing], out: Path) -> str:
         if top.is_dir()
     }
     mrr = json.loads((out / "eval" / "report.json").read_text(encoding="utf-8"))["macro"]["mrr"]
+    rows = [
+        [label, *walls, top],
+        [f"{label} peak RSS", *peaks, top],
+        [f"{label} patchrank imports", *cells(2, 0, "ms", 1e3), "–"],
+        [f"{label} CPU", *cells(3, 2, "s"), "–"],
+    ]
     return "\n".join(
         [
             "| code | " + " | ".join(STAGES) + " | total | trace | peak RSS |",
             "|---" * (len(STAGES) + 4) + "|",
-            "| " + " | ".join(cells) + " |",
-            "| " + " | ".join(rss_cells) + " |",
-            "| " + " | ".join(import_cells) + " |",
-            "| " + " | ".join(cpu_cells) + " |",
+            *("| " + " | ".join(row) + " |" for row in rows),
             f"output: {size / 1e6:.1f} MB",
             "by directory: " + ", ".join(f"{n} {b / 1e6:.2f} MB" for n, b in sizes.items()),
             f"macro MRR: {mrr:.3f}",
@@ -145,13 +162,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--commits", type=int, default=15000, help="commits in the one repository")
     parser.add_argument("--cves", type=int, default=6, help="CVEs of the one repository")
+    parser.add_argument("--repeat", type=int, default=1, help="runs whose median each cell is")
     parser.add_argument("--work", type=Path, help="directory for the corpus and the artifacts")
     parser.add_argument("--label", default="HEAD", help="the row's first cell")
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error(f"--repeat must be >= 1, got {args.repeat}")
     with tempfile.TemporaryDirectory() as tmp:
         work = (args.work or Path(tmp)).resolve()
         work.mkdir(parents=True, exist_ok=True)
-        print(report(args.label, time_stages(work, args.commits, args.cves), work / "out"))
+        runs = time_stages(work, args.commits, args.cves, args.repeat)
+        print(report(args.label, runs, work / "out"))
     return 0
 
 
