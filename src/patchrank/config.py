@@ -77,7 +77,6 @@ class PipelineConfig:
         return HttpEmbedder(
             self.provider_url,
             self.provider_model,
-            batch_size=self.provider_batch_size,
             max_retries=self.provider_max_retries,
         )
 

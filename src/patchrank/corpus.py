@@ -216,10 +216,6 @@ class Corpus:
     def commit_ids(self) -> list[str]:
         return list(self._id_strings)
 
-    @property
-    def time_index(self) -> list[int]:
-        return self.author_times.tolist()
-
     def commit_ids_at(self, positions: np.ndarray) -> list[str]:
         """The ids at ``positions``: the same str objects for every list that names one."""
         return [self._id_strings[p] for p in positions.tolist()]

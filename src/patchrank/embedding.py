@@ -9,14 +9,14 @@ L2-normalized here, never trusted from the provider.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import time
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from hashlib import blake2b
 from itertools import chain, islice
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from .settings import (
     check_dimension,
 )
 
+if TYPE_CHECKING:
+    from .lexical import InvertedIndex
+
 PROVIDER_TOKEN_ENV = "PATCHRANK_PROVIDER_TOKEN"
 _HTTP_TIMEOUT_S = 60.0
 # Client errors that may succeed on a later attempt: timeout, rate limit.
@@ -39,8 +42,7 @@ _RETRIED_4XX = (408, 429)
 # Version 1 wrote one record per key, version 2 a kind, id and path per key.
 # The rows of ``vectors`` are the commit keys', then the CVE keys', then the
 # file keys', each kind in key order, so a commit's file rows are contiguous.
-# ``commits`` names the commits with a vector, then any that only files name;
-# a file key is its commit's index in ``commits`` and its path.
+# A file key is its commit's index in ``commits`` and its path.
 STORE_FORMAT = Format(
     "vector store",
     b"PRVS",
@@ -192,13 +194,11 @@ class HttpEmbedder:
         base_url: str,
         model: str,
         *,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         max_retries: int = DEFAULT_MAX_RETRIES,
         backoff_s: float = 0.5,
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
-        self.batch_size = batch_size
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         # Imported here, not at module load: only this provider needs it, and
@@ -214,7 +214,8 @@ class HttpEmbedder:
             headers["Authorization"] = f"Bearer {token}"
         return headers
 
-    def _post_batch(self, batch: list[str]) -> list[list[float]]:
+    def embed(self, texts: list[str], tokens=None) -> list[list[float]]:
+        """The service's vectors of ``texts``, in one request; ``tokens`` is not used."""
         import requests
 
         attempts = 0
@@ -224,7 +225,7 @@ class HttpEmbedder:
             try:
                 response = self._session.post(
                     f"{self.base_url}/embed",
-                    json={"model": self.model, "inputs": batch},
+                    json={"model": self.model, "inputs": texts},
                     headers=self._headers(),
                     timeout=_HTTP_TIMEOUT_S,
                 )
@@ -237,9 +238,9 @@ class HttpEmbedder:
                     except ValueError:
                         raise ProviderError("provider returned unparseable JSON", attempts) from None
                     vectors = answer.get("vectors") if isinstance(answer, dict) else None
-                    if not isinstance(vectors, list) or len(vectors) != len(batch):
+                    if not isinstance(vectors, list) or len(vectors) != len(texts):
                         count = len(vectors) if isinstance(vectors, list) else "no"
-                        reason = f"provider returned {count} vectors for {len(batch)} inputs"
+                        reason = f"provider returned {count} vectors for {len(texts)} inputs"
                         raise ProviderError(reason, attempts)
                     return vectors
                 last_error = f"HTTP {response.status_code}"
@@ -249,13 +250,6 @@ class HttpEmbedder:
                 time.sleep(self.backoff_s * (2 ** (attempts - 1)))
         plural = "s" if attempts != 1 else ""
         raise ProviderError(f"{last_error}, after {attempts} attempt{plural}", attempts)
-
-    def embed(self, texts: list[str], tokens=None) -> list[list[float]]:
-        """The service's vectors of ``texts``; ``tokens`` is not used."""
-        vectors: list[list[float]] = []
-        for start in range(0, len(texts), self.batch_size):
-            vectors.extend(self._post_batch(texts[start : start + self.batch_size]))
-        return vectors
 
 
 def embed_batch(provider, texts: list[str], tokens: list[list[str]] | None = None) -> np.ndarray:
@@ -315,54 +309,36 @@ def embed_rows(provider, documents: Iterable, matrix: np.ndarray, batch_size: in
 
 class VectorStore:
     """Unit vectors keyed by commit, (commit, path), or CVE id, each a row of
-    one ``(n, dimension)`` float32 ``matrix``. The keys ascend, so the commit
-    keys' rows come first, then the CVE keys', then the file keys', and a
-    commit's file rows are contiguous. The store keeps STORE_FORMAT's key
-    tables, and a key's row is found by searching them."""
+    one ``(n, dimension)`` float32 ``matrix``, in :data:`STORE_FORMAT`'s order,
+    and its key tables, ascending: ``commits``, ``cves``, and the file keys'
+    ``file_commits`` (int32 indexes into ``commits``) and ``file_paths``. A
+    key's row is found by searching its table. Tables that do not fit the
+    matrix, a file key naming no commit, or a table that does not ascend
+    raise a ValueError."""
 
-    def __init__(self, dimension: int, keys: Sequence[tuple] = (), matrix: np.ndarray | None = None):
-        matrix = np.empty((0, dimension), dtype=np.float32) if matrix is None else matrix
-        if len(keys) != len(matrix) or not all(map(operator.lt, keys, keys[1:])):
-            if not len(set(keys)) == len(keys) == len(matrix):
-                raise ValueError(f"{len(keys)} keys, {len(set(keys))} distinct, {len(matrix)} vectors")
-            raise ValueError("vector store keys do not ascend")
-        commits = [key[1] for key in keys if key[0] == "commit"]
-        files = [key[1:] for key in keys if key[0] == "file"]
-        table = commits + sorted({commit_id for commit_id, _ in files}.difference(commits))
-        index = {commit_id: i for i, commit_id in enumerate(table)}
-        cves = [key[1] for key in keys if key[0] == "cve"]
-        if len(commits) + len(cves) + len(files) != len(keys):
-            raise ValueError("a key is not of a commit, a CVE or a file")
-        owners = np.array([index[commit_id] for commit_id, _ in files], dtype=np.int32)
-        self._tables(dimension, table, cves, owners, [path for _, path in files], matrix)
-
-    def _tables(self, dimension, commits, cves, file_commits, file_paths, matrix) -> None:
-        self.dimension, self.matrix, self.commits, self.cves = dimension, matrix, commits, cves
+    def __init__(self, commits, cves, file_commits, file_paths, vectors):
+        if not len(file_commits) == len(file_paths) == len(vectors) - len(commits) - len(cves):
+            sizes = f"{len(commits)} commits, {len(cves)} CVEs and {len(file_paths)} files"
+            raise ValueError(f"key tables of {sizes} for {len(vectors)} vectors")
+        if np.any((file_commits < 0) | (file_commits >= len(commits))):
+            raise ValueError("a file key names no commit of the key table")
+        self.commits, self.cves, self.matrix = commits, cves, vectors
         self.file_commits, self.file_paths = file_commits, file_paths
-        self.with_vectors = len(matrix) - len(cves) - len(file_paths)
-        self.file_base = self.with_vectors + len(cves)
-        self._cve_rows = {cve_id: row for row, cve_id in enumerate(cves, self.with_vectors)}
+        self.dimension = vectors.shape[1]
+        self._commit_ids, self._paths = byte_array(commits), byte_array(file_paths)
+        ids, cve_ids, owners, paths = self._commit_ids, byte_array(cves), file_commits, self._paths
+        later = (owners[1:] > owners[:-1]) | (owners[1:] == owners[:-1]) & (paths[1:] > paths[:-1])
+        tables = (ids[1:] > ids[:-1], cve_ids[1:] > cve_ids[:-1], later)
+        for kind, ascending in zip(("commit", "CVE", "file"), tables):
+            if not ascending.all():
+                raise ValueError(f"vector store keys do not ascend, in its {kind} table")
+        self._file_base = len(commits) + len(cves)
+        self._cve_rows = {cve_id: row for row, cve_id in enumerate(cves, len(commits))}
 
     @cached_property
-    def _commit_ids(self) -> np.ndarray:
-        return byte_array(self.commits)
-
-    @cached_property
-    def _file_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each file key's commit id and path, as ``S`` arrays."""
-        return self._commit_ids[self.file_commits], byte_array(self.file_paths)
-
-    @cached_property
-    def rows(self) -> dict[tuple, int]:
-        """Each key's row, built when first read."""
-        return {key: row for row, key in enumerate(self._keys())}
-
-    def _keys(self) -> list[tuple]:
-        commits = self.commits
-        keys = [("commit", commit_id) for commit_id in commits[: self.with_vectors]]
-        keys += [("cve", cve_id) for cve_id in self.cves]
-        files = zip(self.file_commits.tolist(), self.file_paths)
-        return keys + [("file", commits[i], path) for i, path in files]
+    def _file_owners(self) -> np.ndarray:
+        """Each file key's commit id, as an ``S`` array."""
+        return self._commit_ids[self.file_commits]
 
     def rows_of(self, keys: Iterable[tuple]) -> np.ndarray:
         """The matrix rows of ``keys``, in order; the first key without a
@@ -381,26 +357,31 @@ class VectorStore:
         if not all(isinstance(part, str) for part in name):
             return -1
         if kind == "commit" and len(name) == 1:
-            at = int(self._commit_ids[: self.with_vectors].searchsorted(name[0].encode()))
-            return at if at < self.with_vectors and self.commits[at] == name[0] else -1
+            at = int(self._commit_ids.searchsorted(name[0].encode()))
+            return at if at < len(self.commits) and self.commits[at] == name[0] else -1
         if kind == "file" and len(name) == 2:
-            owners, paths = self._file_keys
+            owners = self._file_owners
             start, end = (owners.searchsorted(name[0].encode(), side) for side in ("left", "right"))
-            at = start + int(paths[start:end].searchsorted(name[1].encode()))
+            at = start + int(self._paths[start:end].searchsorted(name[1].encode()))
             if at < end and self.file_paths[at] == name[1]:
-                return self.file_base + at if self.commits[self.file_commits[at]] == name[0] else -1
+                owned = self.commits[self.file_commits[at]] == name[0]
+                return self._file_base + at if owned else -1
         return -1
 
-    def aligned(self, commit_ids: np.ndarray, owners: np.ndarray, paths: Sequence[str]) -> bool:
-        """Whether the store's keys are exactly the commits of ``commit_ids``,
-        an ascending ``S`` array of their ids, the CVEs, and the files
-        ``(owners[j], paths[j])``, ascending: then commit ``commit_ids[i]`` has
-        row ``i``, and file ``j`` row ``file_base + j``."""
-        return (
-            np.array_equal(self._commit_ids[: self.with_vectors], commit_ids)
-            and np.array_equal(self._file_keys[0], owners)
-            and self.file_paths == paths
-        )
+    def corpus_rows(self, corpus: Corpus, file_index: InvertedIndex) -> tuple[np.ndarray, ...]:
+        """The rows of ``corpus``'s commits, by position, and of ``file_index``'s
+        documents, in order. Where the store's commits are exactly the corpus's,
+        and its file keys the index's documents, commit ``p``'s row is its rank
+        in commit-id order and document ``j``'s the ``j``-th file row; else each
+        key is looked up, and the first without a vector raises MissingVectorError."""
+        if (
+            np.array_equal(self._commit_ids, corpus.sorted_ids)
+            and np.array_equal(self._file_owners, file_index.doc_commits)
+            and self.file_paths == file_index.doc_paths
+        ):
+            return corpus.id_ranks, self._file_base + np.arange(len(self.file_paths))
+        commit_rows = self.rows_of(("commit", commit_id) for commit_id in corpus.commit_ids)
+        return commit_rows, self.rows_of(("file", *doc) for doc in file_index.docs)
 
     def cve_vector(self, cve_id: str) -> np.ndarray:
         return self.matrix[self.rows_of([("cve", cve_id)])[0]]
@@ -420,24 +401,7 @@ class VectorStore:
     def load(cls, path: str | Path | bytes) -> "VectorStore":
         """Read a :meth:`save` file, or its bytes: one ``frombuffer`` of the vector
         matrix and the key tables. A damaged file raises a ValueError naming ``path``."""
-        return STORE_FORMAT.load(path, cls._from_sections)
-
-    @classmethod
-    def _from_sections(cls, commits, cves, file_commits, file_paths, vectors) -> "VectorStore":
-        with_vectors = len(vectors) - len(cves) - len(file_paths)
-        if len(file_commits) != len(file_paths) or not 0 <= with_vectors <= len(commits):
-            sizes = f"{len(commits)} commits, {len(cves)} CVEs and {len(file_paths)} files"
-            raise ValueError(f"key tables of {sizes} for {len(vectors)} vectors")
-        if np.any((file_commits < 0) | (file_commits >= len(commits))):
-            raise ValueError("a file key names no commit of the key table")
-        store = cls.__new__(cls)
-        store._tables(vectors.shape[1], commits, cves.tolist(), file_commits, file_paths, vectors)
-        ids, (owners, paths) = store._commit_ids[:with_vectors], store._file_keys
-        later = (owners[1:] > owners[:-1]) | (owners[1:] == owners[:-1]) & (paths[1:] > paths[:-1])
-        ascending = np.all(ids[1:] > ids[:-1]) and later.all()
-        if not (ascending and all(map(operator.lt, store.cves, store.cves[1:]))):
-            cls(store.dimension, store._keys(), vectors)  # raises for repeated or unordered keys
-        return store
+        return STORE_FORMAT.load(path, cls)
 
 
 def _documents(
@@ -487,12 +451,17 @@ def build_vectors(
     """
     if commit_budget < 1 or file_budget < 1:
         raise ValueError("token budgets must be >= 1")
-    keys = [("commit", c) for c in corpus.commit_ids] + [("cve", c.cve_id) for c in cves]
-    ids = enumerate(corpus.commit_ids)
-    keys += dict.fromkeys(("file", c, path) for i, c in ids for path in corpus.file_paths(i))
-    keys.sort()
+    ids = corpus.commit_ids_at(corpus.id_order)
+    # Each commit's distinct section paths, ascending, by rank in commit-id order,
+    # then flattened: the lists are not kept through the embedding.
+    paths = [sorted(set(corpus.file_paths(p))) for p in corpus.id_order.tolist()]
+    owners = np.repeat(np.arange(len(ids), dtype=np.int32), list(map(len, paths)))
+    paths = list(chain.from_iterable(paths))
+    cve_ids = sorted(cve.cve_id for cve in cves)
+    keys = [("commit", c) for c in ids] + [("cve", c) for c in cve_ids]
+    keys += [("file", ids[i], path) for i, path in zip(owners.tolist(), paths)]
     rows = {key: row for row, key in enumerate(keys)}
     matrix = np.empty((len(keys), getattr(provider, "dimension", 0)), dtype=np.float32)
     documents = _documents(corpus, cves, commit_budget, file_budget)
     matrix = embed_rows(provider, ((rows[k], k, *doc) for k, *doc in documents), matrix, batch_size)
-    return VectorStore(matrix.shape[1], keys, matrix)
+    return VectorStore(ids, cve_ids, owners, paths, matrix)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import CommitRecord, Corpus, CveRecord
 from .embedding import VectorStore, embed_rows
-from .lexical import InvertedIndex, _score_array, commit_docs, commit_ranks
+from .lexical import InvertedIndex, _score_array, commit_docs
 from .path_features import extract_entities, feature_jaccard, path_set, path_text, search_paths
 from .settings import DEFAULT_BATCH_SIZE, DEFAULT_PER_ENTITY_CAP, NUM_FEATURES, check_pool
 
@@ -130,12 +130,14 @@ def feature_mean_top2_cosine(
 class FeatureAssembler:
     """Computes the nine-feature rows for one CVE and a batch of commits.
 
-    A store lacking a commit or file vector raises MissingVectorError. A
-    commit's path set and path text, and its span of file documents, are
-    computed when a :meth:`matrix` call first asks for its position. Each call
-    scores the CVE once against the diff and file indexes and fills the rows
-    with array operations. Per-CVE path search is cached, and each distinct
-    path set reaches the provider once per assembler.
+    ``diff_index`` is the one :func:`lexical.diff_index` sums from
+    ``file_index``. A store lacking a commit or file vector raises
+    MissingVectorError. A commit's path set and path text, and its span of
+    file documents, are computed when a :meth:`matrix` call first asks for
+    its position. Each call scores the CVE once against the diff and file
+    indexes and fills the rows with array operations. Per-CVE path search is
+    cached, and each distinct path set reaches the provider once per
+    assembler, ``batch_size`` texts per call.
     """
 
     def __init__(
@@ -147,12 +149,14 @@ class FeatureAssembler:
         provider,
         *,
         per_entity_cap: int = DEFAULT_PER_ENTITY_CAP,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ):
         self.corpus = corpus
         self.store = store
         self.diff_index = diff_index
         self.file_index = file_index
         self.per_entity_cap = per_entity_cap
+        self.batch_size = batch_size
         self._provider = provider
         self._cve_cache: dict[str, tuple[set[str], set[str]]] = {}
         # A commit's paths are those of its file documents, and the
@@ -166,13 +170,8 @@ class FeatureAssembler:
         # Each file document's commit, by rank in commit-id order: the diff
         # index's documents are the corpus's commits, so position p is
         # document corpus.id_ranks[p], and its file documents are contiguous.
-        self._owners = commit_ranks(file_index, corpus.sorted_ids)
-        docs = file_index.doc_count
-        if store.aligned(corpus.sorted_ids, file_index.doc_commits, file_index.doc_paths):
-            self._commit_rows, self._doc_rows = corpus.id_ranks, store.file_base + np.arange(docs)
-        else:  # looked up by key, naming the first missing vector
-            self._commit_rows = store.rows_of(("commit", c) for c in corpus.commit_ids)
-            self._doc_rows = store.rows_of(("file", *doc) for doc in file_index.docs)
+        self._owners = diff_index.file_owners
+        self._commit_rows, self._doc_rows = store.corpus_rows(corpus, file_index)
         # The provider's normalized path-set vectors, a row per path_text() in _path_rows.
         self._path_rows: dict[str, int] = {}
         self._path_vectors = np.empty((0, 0), dtype=np.float32)  # takes the provider's dimension
@@ -218,9 +217,9 @@ class FeatureAssembler:
     def _path_cosines(self, ner_paths: set[str], positions: np.ndarray) -> np.ndarray:
         """Cosine of the NER path set with each commit's path set; 0.0 when
         either set is empty. Texts missing from the memo are embedded in
-        batches of DEFAULT_BATCH_SIZE: a provider answers with Python float
-        lists (~8 KB per 256-d vector), so one call for a few hundred texts
-        would raise featurize's peak RSS."""
+        batches of ``batch_size``: a provider answers with Python float lists
+        (~8 KB per 256-d vector), so one call for a few hundred texts would
+        raise featurize's peak RSS."""
         if not ner_paths:
             return np.zeros(len(positions))
         query_text = path_text(ner_paths)
@@ -231,7 +230,7 @@ class FeatureAssembler:
             known, width = self._path_vectors.shape
             grown = np.concatenate([self._path_vectors, np.empty((len(missing), width), np.float32)])
             documents = [(row, text, text, None) for row, text in enumerate(missing, known)]
-            self._path_vectors = embed_rows(self._provider, documents, grown, DEFAULT_BATCH_SIZE)
+            self._path_vectors = embed_rows(self._provider, documents, grown, self.batch_size)
             self._path_rows.update(zip(missing, count(known)))
         rows = np.array([self._path_rows.get(text, -1) for text in texts], dtype=np.intp)
         query = self._path_vectors[self._path_rows[query_text]]

@@ -154,7 +154,8 @@ def diff_index(file_index: InvertedIndex, commit_ids: Sequence[str] | np.ndarray
     """The diff index of the commits ``commit_ids``, strings or their ``S``
     array, summed from their file index. A commit's diff document is its file
     sections, so each of its term frequencies, and its length, is the sum of
-    its file documents'. A commit without sections is an empty document."""
+    its file documents'. A commit without sections is an empty document. Its
+    ``file_owners`` are :func:`commit_ranks`: each file document's diff document."""
     ids = _id_array(commit_ids)
     ids = np.sort(ids) if np.any(ids[1:] < ids[:-1]) else ids
     docs = Rows(len(ids), lambda j: ids[j].decode())
@@ -173,6 +174,7 @@ def diff_index(file_index: InvertedIndex, commit_ids: Sequence[str] | np.ndarray
     vocab, k1, b = file_index.vocab, file_index.k1, file_index.b
     index = InvertedIndex("diff", docs, lengths, vocab, offsets, commits[starts], tfs, k1, b)
     index.doc_commits, index._slots = ids, file_index._slots  # the same vocabulary
+    index.file_owners = owners
     return index
 
 

@@ -135,9 +135,10 @@ def _repo_loader(
         for cve in cves:
             if cve.repo_id == corpus.repo_id:
                 store.cve_vector(cve.cve_id)
-        cap = config.per_entity_cap
+        cap, batch_size = config.per_entity_cap, config.provider_batch_size
+        diff, files = indexes["diff"], indexes["file"]
         return FeatureAssembler(
-            corpus, store, indexes["diff"], indexes["file"], provider, per_entity_cap=cap
+            corpus, store, diff, files, provider, per_entity_cap=cap, batch_size=batch_size
         )
 
     @functools.cache

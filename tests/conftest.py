@@ -76,12 +76,24 @@ def make_cve(
 def vector_store(dimension: int, vectors: dict, base: VectorStore | None = None) -> VectorStore:
     """A store of ``base``'s vectors, if given, with ``vectors`` ({key: vector},
     keys such as ``("commit", id)``, ``("file", id, path)`` or ``("cve", id)``)
-    put over them."""
-    merged = {} if base is None else {key: base.matrix[row] for key, row in base.rows.items()}
+    put over them. Each file key's commit must have a vector."""
+    merged = {} if base is None else dict(zip(store_keys(base), base.matrix))
     merged.update(vectors)
     keys = sorted(merged)
-    matrix = np.array([merged[key] for key in keys], dtype=np.float32)
-    return VectorStore(dimension, keys, matrix.reshape(len(keys), dimension))
+    commits = [key[1] for key in keys if key[0] == "commit"]
+    files = [key[1:] for key in keys if key[0] == "file"]
+    owners = np.array([commits.index(commit_id) for commit_id, _ in files], dtype=np.int32)
+    cves = [key[1] for key in keys if key[0] == "cve"]
+    matrix = np.array([merged[key] for key in keys], dtype=np.float32).reshape(len(keys), dimension)
+    return VectorStore(commits, cves, owners, [path for _, path in files], matrix)
+
+
+def store_keys(store: VectorStore) -> list[tuple]:
+    """The store's keys, in row order, from its key tables."""
+    commits = list(store.commits)
+    keys = [("commit", commit_id) for commit_id in commits] + [("cve", c) for c in store.cves]
+    files = zip(store.file_commits.tolist(), store.file_paths)
+    return keys + [("file", commits[i], path) for i, path in files]
 
 
 def feature_rows(assembler, cve: CveRecord, commit_ids):

@@ -63,9 +63,10 @@ def commit_of(corpus: Corpus, commit_id: str) -> CommitRecord:
 def is_sorted(corpus: Corpus) -> bool:
     """O(n) check of the (author_time, commit_id) sort invariant."""
     keys = [(c.author_time, c.commit_id) for c in corpus.commits]
-    return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1)) and corpus.time_index == [
-        c.author_time for c in corpus.commits
-    ]
+    times = [c.author_time for c in corpus.commits]
+    return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1)) and (
+        corpus.author_times.tolist() == times
+    )
 
 
 def path_universe(corpus: Corpus) -> set[str]:

@@ -82,7 +82,7 @@ class TestIngestCommitDump:
         path.write_text("\n".join(lines) + "\n")
         corpus = ingest_commit_dump(path)
         assert [c.author_time for c in corpus.commits] == [10, 20, 30]
-        assert corpus.time_index == [10, 20, 30]
+        assert corpus.author_times.tolist() == [10, 20, 30]
 
     def test_diff_with_two_headers_gives_two_file_diffs(self, tmp_path):
         assert TWO_FILE_DIFF.count("diff --git") == 2

@@ -40,7 +40,15 @@ from patchrank.embedding import (
 from patchrank.container import STR, Format, Section
 from patchrank.path_features import path_text
 
-from conftest import cid, file_diff_text, make_commit, make_corpus, make_cve, vector_store
+from conftest import (
+    cid,
+    file_diff_text,
+    make_commit,
+    make_corpus,
+    make_cve,
+    store_keys,
+    vector_store,
+)
 from oracles import file_texts, offline_vector_oracle, token_count, truncate_to_tokens_oracle
 
 # The store as version 2 wrote it: a kind code, an id and a path per key.
@@ -54,7 +62,7 @@ STORE_FORMAT_2 = Format(
 
 
 def save_version_2(store: VectorStore, path) -> None:
-    keys = list(store.rows)
+    keys = store_keys(store)
     STORE_FORMAT_2.save(
         path,
         kinds=[{"commit": 0, "file": 1, "cve": 2}[key[0]] for key in keys],
@@ -285,9 +293,15 @@ class TestHttpEmbedder:
         assert np.allclose(out[0], offline_embed("fix ssl", _EmbedHandler.dimension), atol=1e-6)
 
     def test_batching_respects_batch_size(self, embed_server):
-        client = HttpEmbedder(embed_server, "m", batch_size=2)
-        client.embed([f"t{i}" for i in range(5)])
+        """build_vectors is the one batch loop: each request holds at most
+        batch_size texts, and the client posts each batch as it is."""
+        corpus = make_corpus([make_commit(1, files={"a.c": "x", "b.c": "y"}), make_commit(2)])
+        client = HttpEmbedder(embed_server, "m")
+        store = build_vectors(corpus, [make_cve()], client, batch_size=2)
         assert _EmbedHandler.batch_sizes == [2, 2, 1]
+        assert len(store.matrix) == 5
+        client.embed([f"t{i}" for i in range(5)])
+        assert _EmbedHandler.batch_sizes[-1] == 5
 
     def test_retries_after_transient_failures(self, embed_server):
         _EmbedHandler.fail_next = 2
@@ -419,7 +433,7 @@ class TestVectorStore:
         assert np.array_equal(store.cve_vector("CVE-2024-1"), vec)
 
     def test_missing_vector_names_key(self):
-        store = VectorStore(8)
+        store = vector_store(8, {})
         with pytest.raises(MissingVectorError, match="commit"):
             store.rows_of([("commit", cid(1))])
 
@@ -498,12 +512,13 @@ class TestVectorStore:
 
     def test_file_keys_share_their_commit_id(self, tmp_path):
         """A file key is stored as its commit's index and its path, the commit
-        id once; a commit that only files name keeps no vector of its own."""
+        id once."""
         store = vector_store(
             8,
             {
                 ("file", cid(2), "b.c"): offline_embed("b", 8),
                 ("commit", cid(1)): offline_embed("one", 8),
+                ("commit", cid(2)): offline_embed("two", 8),
                 ("file", cid(1), "a.c"): offline_embed("a", 8),
                 ("file", cid(2), "a.c"): offline_embed("c", 8),
             },
@@ -515,16 +530,41 @@ class TestVectorStore:
         assert sections["file_commits"].tolist() == [0, 1, 1]
         assert sections["file_paths"] == ["a.c", "a.c", "b.c"]
         loaded = VectorStore.load(path)
-        assert loaded.rows == store.rows
-        with pytest.raises(MissingVectorError):
-            loaded.rows_of([("commit", cid(2))])
+        assert store_keys(loaded) == store_keys(store)
+        assert loaded.rows_of([("commit", cid(2)), ("file", cid(2), "b.c")]).tolist() == [1, 4]
 
     @pytest.mark.parametrize(
         "edit, message",
         [
             (dict(file_commits=[2]), "a file key names no commit"),
             (dict(file_commits=[0, 0]), "key tables of 1 commits, 0 CVEs and 1 files"),
-            (dict(file_commits=[0, 0], file_paths=["a.c", "a.c"]), "2 keys, 1 distinct, 2 vectors"),
+            (
+                dict(file_commits=[0, 0], file_paths=["a.c", "a.c"], vectors=np.zeros((3, 8))),
+                "vector store keys do not ascend, in its file table",
+            ),
+            (dict(file_commits=[-1]), "a file key names no commit"),
+            (dict(cves=["CVE-1"]), "key tables of 1 commits, 1 CVEs and 1 files for 2 vectors"),
+            (
+                dict(commits=[cid(2), cid(1)], vectors=np.zeros((3, 8))),
+                "vector store keys do not ascend, in its commit table",
+            ),
+            (
+                dict(commits=[cid(1), cid(1)], vectors=np.zeros((3, 8))),
+                "vector store keys do not ascend, in its commit table",
+            ),
+            (
+                dict(cves=["CVE-2", "CVE-1"], vectors=np.zeros((4, 8))),
+                "vector store keys do not ascend, in its CVE table",
+            ),
+            (
+                dict(commits=[cid(1), cid(2)], file_commits=[1, 0], file_paths=["a.c", "b.c"])
+                | dict(vectors=np.zeros((4, 8))),
+                "vector store keys do not ascend, in its file table",
+            ),
+            (
+                dict(file_commits=[0, 0], file_paths=["b.c", "a.c"], vectors=np.zeros((3, 8))),
+                "vector store keys do not ascend, in its file table",
+            ),
         ],
     )
     def test_inconsistent_key_tables_rejected(self, tmp_path, edit, message):
@@ -541,13 +581,15 @@ class TestVectorStore:
 
     def test_keys_must_ascend(self):
         vectors = np.stack([offline_embed("a", 8), offline_embed("b", 8)])
-        with pytest.raises(ValueError, match="vector store keys do not ascend"):
-            VectorStore(8, [("cve", "CVE-2"), ("cve", "CVE-1")], vectors)
+        no_files = np.empty(0, dtype=np.int32)
+        with pytest.raises(ValueError, match="vector store keys do not ascend, in its CVE table"):
+            VectorStore([], ["CVE-2", "CVE-1"], no_files, [], vectors)
 
     def test_round_trip_keeps_every_bit_and_empty_dimension(self, tmp_path):
         store = vector_store(
             16,
             {
+                ("commit", cid(2)): offline_embed("one", 16),
                 ("file", cid(2), "naïve/ß.c"): offline_embed("two", 16),
                 ("cve", "CVE-2024-2"): np.array([-0.0, 1e-45, *[0.25] * 14], dtype=np.float32),
             },
@@ -555,9 +597,9 @@ class TestVectorStore:
         path = tmp_path / "s.bin"
         store.save(path)
         loaded = VectorStore.load(path)
-        assert loaded.rows == store.rows
+        assert store_keys(loaded) == store_keys(store)
         assert loaded.matrix.tobytes() == store.matrix.tobytes()
-        VectorStore(16).save(path)
+        vector_store(16, {}).save(path)
         assert VectorStore.load(path).dimension == 16
 
 
@@ -576,7 +618,8 @@ class TestBuildVectors:
 
     def test_commit_with_three_files_stores_four_vectors(self):
         store = build_vectors(self.corpus_with_files(), [], OfflineEmbedder(32))
-        assert len(store.rows) == 4
+        files = [("file", cid(1), path) for path in ("a.java", "b.java", "c.java")]
+        assert store_keys(store) == [("commit", cid(1)), *files]
 
     def test_cve_vectors_included(self):
         cve = make_cve(description="overflow")
@@ -589,7 +632,7 @@ class TestBuildVectors:
         commit = corpus.commits[0]
         expected = offline_embed(document_prompt(commit.message, file_texts(commit)["a.java"]), 64)
         key = ("file", commit.commit_id, "a.java")
-        assert np.array_equal(store.matrix[store.rows[key]], expected)
+        assert np.array_equal(store.matrix[store.rows_of([key])[0]], expected)
 
     def test_commit_diff_truncated_to_budget(self):
         long_words = " ".join(f"word{i}" for i in range(200))
@@ -600,7 +643,8 @@ class TestBuildVectors:
 
         diff = "".join(commit.section_texts())
         expected = offline_embed(document_prompt("m", truncate_to_tokens(diff, 20)), 64)
-        assert np.array_equal(store.matrix[store.rows["commit", commit.commit_id]], expected)
+        key = ("commit", commit.commit_id)
+        assert np.array_equal(store.matrix[store.rows_of([key])[0]], expected)
 
     def test_rebuild_is_idempotent(self, tmp_path):
         corpus = self.corpus_with_files()
@@ -622,7 +666,7 @@ class TestBuildVectors:
         path = tmp_path / "s.bin"
         store.save(path)
         loaded = VectorStore.load(path)
-        assert list(store.rows) == list(loaded.rows) == sorted(store.rows)
+        assert store_keys(store) == store_keys(loaded) == sorted(store_keys(store))
         assert store.matrix.tobytes() == loaded.matrix.tobytes()
 
     def test_provider_failure_names_key(self):
@@ -655,5 +699,5 @@ class TestBuildVectors:
         store = build_vectors(
             self.corpus_with_files(), [make_cve(description="overflow")], OfflineEmbedder(32)
         )
-        assert {key[0] for key in store.rows} == {"commit", "cve", "file"}
+        assert {key[0] for key in store_keys(store)} == {"commit", "cve", "file"}
         assert np.linalg.norm(store.matrix, axis=1) == pytest.approx(1.0, abs=1e-6)

@@ -18,7 +18,13 @@ from patchrank.hier_features import (
 from patchrank.lexical import build_index, rank_files_within_commit
 
 from conftest import cid, make_commit, make_corpus, make_cve, vector_store
-from oracles import bm25_oracle_scores, feature_commit_cosine, hier_features, rank_files_oracle
+from oracles import (
+    bm25_oracle_scores,
+    feature_commit_cosine,
+    hier_features,
+    rank_files_oracle,
+    stored_vector,
+)
 
 
 def unit(d: int, axis: int) -> np.ndarray:
@@ -28,9 +34,11 @@ def unit(d: int, axis: int) -> np.ndarray:
 
 
 def store_with(d: int, cve_vec, file_vecs: dict, commit_vec=None, cve_id="CVE-2024-0001"):
+    """The CVE's vector and commit 1's files'. Commit 1 has ``commit_vec``,
+    or else with files the CVE's vector, as each file key's commit has one."""
     vectors = {("cve", cve_id): cve_vec}
-    if commit_vec is not None:
-        vectors["commit", cid(1)] = commit_vec
+    if commit_vec is not None or file_vecs:
+        vectors["commit", cid(1)] = cve_vec if commit_vec is None else commit_vec
     vectors.update({("file", cid(1), path): vec for path, vec in file_vecs.items()})
     return vector_store(d, vectors)
 
@@ -70,7 +78,7 @@ class TestCommitCosine:
         corpus = make_corpus([make_commit(1, message="fix ssl", files={"a.java": "ssl"})])
         cve = make_cve(description="ssl handshake broken")
         store = build_vectors(corpus, [cve], OfflineEmbedder(128))
-        commit_vector = store.matrix[store.rows["commit", cid(1)]]
+        commit_vector = stored_vector(store, "commit", cid(1))
         expected = float(np.dot(store.cve_vector(cve.cve_id), commit_vector))
         assert feature_commit_cosine(store, cve.cve_id, cid(1)) == pytest.approx(expected)
 

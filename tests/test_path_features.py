@@ -219,6 +219,7 @@ class TestPathPlumbing:
         assert [text for call in calls for text in call] == requested
 
     def test_assembler_embeds_missing_paths_in_batches(self):
+        """Of DEFAULT_BATCH_SIZE texts by default, else of ``batch_size``."""
         sizes = []
 
         class Counting:
@@ -232,10 +233,13 @@ class TestPathPlumbing:
         )
         cve = make_cve(description="overflow in parser0.java")
         store = build_vectors(corpus, [cve], OfflineEmbedder(32))
-        assembler = FeatureAssembler(
-            corpus, store, build_index(corpus, "diff"), build_index(corpus, "file"), Counting()
-        )
+        indexes = build_index(corpus, "diff"), build_index(corpus, "file")
+        assembler = FeatureAssembler(corpus, store, *indexes, Counting())
         feature_rows(assembler, cve, corpus.commit_ids)
         # One text per commit; the NER path set is commit 0's.
         assert assembler.ner_paths_for(cve) == {"src/parser0.java"}
         assert sizes == [DEFAULT_BATCH_SIZE, DEFAULT_BATCH_SIZE, 1]
+        sizes.clear()
+        assembler = FeatureAssembler(corpus, store, *indexes, Counting(), batch_size=50)
+        feature_rows(assembler, cve, corpus.commit_ids)
+        assert sizes == [50, 50, 29]

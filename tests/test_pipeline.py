@@ -55,6 +55,7 @@ from patchrank.prerank import FusionConfig
 from patchrank.ranker import RankModel
 from patchrank.training import RankerParams, TrainingSet, train_lambdarank
 
+from conftest import store_keys, vector_store
 from synthcorpus import generate
 from test_embedding import save_version_2
 
@@ -1204,10 +1205,9 @@ class TestCli:
         (patch, *_) = sorted(cve.known_patch_ids)
         (vectors,) = (root / "vectors").glob("*.bin")
         store = VectorStore.load(vectors)
-        keys = [key for key in store.rows if key[:2] != ("file", patch)]
-        assert len(keys) < len(store.rows)
-        rows = store.matrix[[store.rows[key] for key in keys]]
-        VectorStore(store.dimension, keys, rows).save(vectors)
+        kept = {k: v for k, v in zip(store_keys(store), store.matrix) if k[:2] != ("file", patch)}
+        assert len(kept) < len(store.matrix)
+        vector_store(store.dimension, kept).save(vectors)
         forge_manifest(root, f"vectors/{vectors.name}")
         capsys.readouterr()
         assert main(["featurize", "--config", str(config_path)]) == 2
@@ -1227,8 +1227,8 @@ class TestCli:
         root = tmp_path / "out"
         (vectors,) = (root / "vectors").glob("*.bin")
         store = VectorStore.load(vectors)
-        keys = [key for key in store.rows if key[0] != "file"]
-        VectorStore(store.dimension, keys, store.matrix[[store.rows[k] for k in keys]]).save(vectors)
+        kept = {k: v for k, v in zip(store_keys(store), store.matrix) if k[0] != "file"}
+        vector_store(store.dimension, kept).save(vectors)
         forge_manifests(root, f"vectors/{vectors.name}")
         caplog.clear()
         assert main(trace) == 0
@@ -1364,6 +1364,22 @@ class TestTrace:
                 assert result.final_entries == batch[art.ranking_file, cve_id]
                 expected = "trained in memory" if output_dir != art.root else str(art.model_file)
                 assert result.model_source == expected
+
+    def test_trace_ranks_file_owners_once_per_repository(self, small_setup, monkeypatch):
+        """The diff index and the feature assembler share one computation of
+        each file document's commit rank."""
+        synth, _, config = small_setup
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].doc_count)
+            return commit_ranks(*args)
+
+        commit_ranks = lexical.commit_ranks
+        monkeypatch.setattr(lexical, "commit_ranks", counted)
+        monkeypatch.setattr("patchrank.hier_features.commit_ranks", counted, raising=False)
+        run_trace(config, synth.cve_records[0]["cve_id"])
+        assert len(calls) == 1
 
     def test_trace_without_labels_falls_back_to_prerank(self, tmp_path, caplog):
         synth = generate(seed=41, n_repos=1, commits_per_repo=45, cves_per_repo=1)
@@ -1949,6 +1965,33 @@ def test_http_provider_run_writes_the_offline_files(http_runs):
     assert differing == [Path("manifests/embed.manifest.json")]
     assert trace_rows(http_trace) == trace_rows(offline_trace) and len(trace_rows(http_trace)) > 100
     assert sorted(sent) == ["featurize", "trace"]
+
+
+def test_path_set_requests_hold_at_most_the_provider_batch_size(http_runs, tmp_path):
+    """Under provider.batch_size 2, trace sends its path-set texts two at a
+    time, and a failed path-set request is named a batch of 2."""
+    runs, _, cve_id = http_runs
+    config = json.loads(runs["http"][0].read_text())
+    config["provider"] |= {"batch_size": 2}
+    config_path = tmp_path / "batch.json"
+    config_path.write_text(json.dumps(config))
+    for failing in (False, True):
+        batches = []
+
+        def answer(inputs):
+            if inputs[0].startswith(PROMPT_HEADS):
+                return offline_vectors(inputs)
+            batches.append(inputs)
+            return [] if failing else offline_vectors(inputs)
+
+        argv = ["trace", "--config", str(config_path), "--cve", cve_id]
+        with embed_service(answer) as url:
+            child = cli_child(*argv, "--provider-url", url)
+        if not failing:
+            assert child.returncode == 0, child.stderr
+            assert max(map(len, batches)) == 2 and len(batches) > 1
+    assert child.returncode == 1
+    assert f"embedding failed at {batches[0][0]!r} (batch of 2): " in child.stderr
 
 
 @pytest.mark.parametrize("failing", ["mixed", "changing"])

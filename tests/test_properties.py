@@ -68,7 +68,7 @@ from patchrank.prerank import (  # noqa: E402
 from patchrank.ranker import NUM_FEATURES  # noqa: E402
 from patchrank.training import _distinct, _quantiles, sample_training_group  # noqa: E402
 
-from conftest import cid, make_commit, make_cve, vector_store  # noqa: E402
+from conftest import cid, make_commit, make_cve, store_keys, vector_store  # noqa: E402
 from oracles import (  # noqa: E402
     CANDIDATE_FIELDS,
     RANKING_FIELDS,
@@ -268,7 +268,8 @@ def test_corpus_file_round_trip_equals_the_ingested_dump(records):
         save_corpus(corpus, saved)
         loaded = load_corpus(saved, corpus.repo_id)
     assert loaded == corpus
-    assert (loaded.commit_ids, loaded.time_index) == (corpus.commit_ids, corpus.time_index)
+    assert loaded.commit_ids == corpus.commit_ids
+    assert loaded.author_times.tolist() == corpus.author_times.tolist()
     assert [c.message for c in loaded.commits] == [c.message for c in corpus.commits]
     assert _sections(loaded) == _sections(corpus)
 
@@ -339,19 +340,22 @@ STORE_KEYS = st.one_of(
 
 @given(st.sets(STORE_KEYS, max_size=12), st.lists(st.one_of(STORE_KEYS, st.just(("x", "y")))))
 def test_store_rows_by_key_tables_equal_the_key_dict(keys, wanted):
-    """A store, built from its keys or loaded from its file, finds each key's
-    row by searching its key tables: the rows a dict of its keys gives, or
-    MissingVectorError for the first key without a vector."""
-    keys = sorted(keys)
+    """A store, built from its key tables or loaded from its file, finds each
+    key's row by searching its key tables: the rows a dict of its sorted keys
+    gives, or MissingVectorError for the first key without a vector. Each
+    file key's commit has a vector."""
+    keys = sorted(keys | {("commit", key[1]) for key in keys if key[0] == "file"})
     oracle = {key: row for row, key in enumerate(keys)}
     matrix = np.arange(len(keys) * 2, dtype=np.float32).reshape(len(keys), 2)
-    built = VectorStore(2, keys, matrix)
+    built = vector_store(2, dict(zip(keys, matrix)))
     with tempfile.TemporaryDirectory() as tmp:
         built.save(Path(tmp) / "store.bin")
         loaded = VectorStore.load(Path(tmp) / "store.bin")
     missing = [key for key in wanted if key not in oracle]
     for store in (built, loaded):
-        assert store.rows == oracle
+        assert store_keys(store) == keys
+        assert store.rows_of(keys).tolist() == list(oracle.values())
+        assert store.matrix.tobytes() == matrix.tobytes()
         if missing:
             with pytest.raises(MissingVectorError) as info:
                 store.rows_of(wanted)
@@ -604,7 +608,7 @@ def test_build_vectors_stores_the_oracle_vectors_of_the_oracle_prompts(drawn):
     provider = _RecordingEmbedder(16)
     store = build_vectors(corpus, cves, provider, **budgets, batch_size=64)
     alone = build_vectors(corpus, cves, OfflineEmbedder(16), **budgets, batch_size=1)
-    assert alone.rows == store.rows
+    assert store_keys(alone) == store_keys(store)
     assert alone.matrix.tobytes() == store.matrix.tobytes()
 
     expected: dict[tuple, str] = {}
@@ -623,7 +627,7 @@ def test_build_vectors_stores_the_oracle_vectors_of_the_oracle_prompts(drawn):
         assert vectors.tobytes() == oracle.tobytes()
     for key, prompt in expected.items():
         stored = embed_batch(_Returns([offline_vector_oracle(prompt, 16)]), [prompt])
-        assert store.matrix[store.rows[key]].tobytes() == stored.tobytes()
+        assert store.matrix[store.rows_of([key])[0]].tobytes() == stored.tobytes()
 
 
 PRERANK_WORDS = st.sampled_from(["alpha", "beta", "gamma", "delta"])
@@ -781,7 +785,7 @@ def test_feature_views_equal_the_pooled_oracle(drawn):
     vectors = {("cve", cve.cve_id): unit[0], ("commit", cid(1)): unit[1]}
     vectors |= {("file", *doc): vector for (doc, _), vector in zip(ranked, unit[2:])}
     if opposite and len(ranked) > 1:
-        vectors["file", *ranked[1][0]] = -vectors["file", *ranked[0][0]]
+        vectors[("file", *ranked[1][0])] = -vectors[("file", *ranked[0][0])]
     store = vector_store(16, vectors)
     _, top_pool, top1, mean2 = hier_features(store, unit[0], cid(1), ranked, pool)
 
@@ -789,7 +793,7 @@ def test_feature_views_equal_the_pooled_oracle(drawn):
     assert feature_top1_file_cosine(store, index, cve, commit) == top1
     assert feature_mean_top2_cosine(store, index, cve, commit) == mean2
     docs = lexical.commit_docs(index, cid(1))
-    rows = np.array([store.rows[("file", *index.docs[j])] for j in docs], np.intp)
+    rows = store.rows_of(("file", *index.docs[j]) for j in docs)
     scores = np.array([file_scores.get(index.docs[j], 0.0) for j in docs])
     starts, counts = np.zeros(1, np.intp), np.array([len(docs)])
     row = file_columns(unit[0], store.matrix, rows, scores, starts, counts, pool)

@@ -41,6 +41,7 @@ from oracles import (
     hier_features as hier_oracle,
     path_universe,
     rank_files_oracle,
+    stored_vector,
     time_affinity,
 )
 from synthcorpus import generate
@@ -274,7 +275,7 @@ class TestMatrixOracle:
         # equal columns, and opposite top-2 vectors have a zero mean.
         store, query = assembler.store, assembler.store.cve_vector(cve.cve_id)
         assert [doc[1] for doc, _ in ranked[cid(1)]][5] == "wide5.java"
-        sixth = store.matrix[store.rows["file", cid(1), "wide5.java"]]
+        sixth = stored_vector(store, "file", cid(1), "wide5.java")
         assert matrix[0, 1] < float(np.dot(query, sixth)) - 0.5
         for n, prefix in ((2, "tie"), (3, "zero")):
             assert len({score for _, score in ranked[cid(n)]}) == 1
