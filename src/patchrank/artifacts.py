@@ -15,9 +15,8 @@ import hashlib
 import json
 import os
 from collections.abc import Callable, Container, Iterable, Sequence
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -124,8 +123,7 @@ def _check_indexes(name: str, index: np.ndarray, size: int) -> None:
         raise ValueError(f"{name} index out of range [0, {size})")
 
 
-@dataclass(frozen=True)
-class CandidateLists:
+class CandidateLists(NamedTuple):
     """The pre-ranked candidate lists of ``candidates.bin``, by its sections;
     ``commit_ids`` is an object array, so that a gather yields the ids."""
 
@@ -261,13 +259,11 @@ _PRODUCERS = dict(
 )
 
 
-@dataclass
 class Artifacts:
     """Resolved artifact paths under one output directory."""
 
-    root: Path
-
-    def __post_init__(self) -> None:
+    def __init__(self, root: Path) -> None:
+        self.root = root
         self.repos_file = self.root / "corpus" / "repos.json"
         self.cves_file = self.root / "corpus" / "cves.jsonl"
         # The JSONL lists are readable exports; the stages read the .bin files.

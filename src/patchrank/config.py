@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import settings
 from .corpus import InputError, expect
@@ -24,8 +23,7 @@ class ConfigError(ValueError, InputError):
     """The pipeline configuration file is invalid."""
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     commit_dump: Path
     cve_dump: Path
     output_dir: Path
@@ -81,8 +79,7 @@ class PipelineConfig:
         )
 
 
-@dataclass(frozen=True)
-class ConfigKey:
+class ConfigKey(NamedTuple):
     """How one optional config-file key is read."""
 
     field: str  # the PipelineConfig field it sets
@@ -214,7 +211,7 @@ def apply_overrides(
         updates["provider_url"] = provider_url
     if repo is not None:
         updates["repo_filter"] = repo
-    return replace(config, **updates) if updates else config
+    return config._replace(**updates) if updates else config
 
 
 def stage_config(config: PipelineConfig, stage: str) -> dict:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,15 +26,56 @@ _HEAD = struct.Struct("<4sHH")
 _ENTRY = struct.Struct("<16s4s4xQQ")
 
 
-@dataclass(frozen=True)
-class Section:
+# How a Record's __init__ sets each of its fields, once.
+set_field = object.__setattr__
+
+
+class Record:
+    """A record of the fields its class lists as ``__slots__``, which its
+    ``__init__`` sets by :data:`set_field`: read-only after that, equal to a
+    record of its class with equal fields, and hashed by them. Unlike a
+    dataclass, it generates no code when its class is made."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def _asdict(self) -> dict:
+        return dict(zip(self.__slots__, self._values()))
+
+    def _replace(self, **changes):
+        """A copy with ``changes``, checked as ``__init__`` checks its fields."""
+        return type(self)(**self._asdict() | changes)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):  # so that copy and pickle rebuild it through __init__
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class Section(NamedTuple):
     dtype: str  # a little-endian numpy dtype string, or STR
     columns: int | None = 1  # 1: a 1-D array; else a matrix this wide, None for any width
     finite: bool = False  # NaN and infinities are rejected on load
 
 
-@dataclass(frozen=True)
-class Format:
+class Format(NamedTuple):
     """One artifact's magic, version and sections, in file order."""
 
     name: str  # as errors name the artifact: "truncated <name>"

@@ -18,14 +18,13 @@ import reprlib
 import sys
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
 
-from .container import STR, Format, Rows, Section, byte_array
+from .container import STR, Format, Record, Rows, Section, byte_array, set_field
 
 
 class InputError(Exception):
@@ -115,43 +114,42 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
             fh.write(encode(record) + "\n")
 
 
-@dataclass(frozen=True)
-class FileDiff:
+class FileDiff(Record):
     """One file's portion of a unified diff.
 
     ``path`` is the new-side path with the ``a/``/``b/`` prefix stripped;
     ``header`` is the ``diff --git`` line without its newline; ``body`` is
     the raw remainder of the file section, so ``header + body`` reproduces
-    the original text exactly (a binary file's body is emptied).
+    the original text exactly (a binary file's body is emptied). Split by
+    :func:`split_diff_by_file`, every section text but a commit's last ends
+    a line, so no word run crosses sections: a commit's diff and file texts
+    tokenize to their sections' tokens joined in order.
     """
 
-    path: str
-    header: str
-    body: str
+    __slots__ = ("path", "header", "body")
 
-    @cached_property
-    def tokens(self) -> list[str]:
-        """``tokenize(header + body)``, computed once; also the tokens of the
-        section's text in :meth:`CommitRecord.section_texts`. Split by
-        :func:`split_diff_by_file`, every section text but a commit's last
-        ends a line, so no word run crosses sections: a commit's diff and
-        file texts tokenize to their sections' tokens joined in order."""
-        return tokenize(self.header + self.body)
+    def __init__(self, path: str, header: str, body: str) -> None:
+        set_field(self, "path", path)
+        set_field(self, "header", header)
+        set_field(self, "body", body)
 
 
-@dataclass(frozen=True)
-class CommitRecord:
-    commit_id: str
-    repo_id: str
-    author_time: int
-    message: str
-    file_diffs: tuple[FileDiff, ...] = ()
+class CommitRecord(Record):
+    __slots__ = ("commit_id", "repo_id", "author_time", "message", "file_diffs")
 
-    def __post_init__(self) -> None:
-        if not _COMMIT_ID_RE.match(self.commit_id):
-            raise ValueError(f"commit_id must be 40 lowercase hex chars: {self.commit_id!r}")
-        if self.author_time < 0:
-            raise ValueError(f"author_time must be >= 0, got {self.author_time}")
+    def __init__(
+        self, commit_id: str, repo_id: str, author_time: int, message: str,
+        file_diffs: tuple[FileDiff, ...] = (),
+    ) -> None:
+        if not _COMMIT_ID_RE.match(commit_id):
+            raise ValueError(f"commit_id must be 40 lowercase hex chars: {commit_id!r}")
+        if author_time < 0:
+            raise ValueError(f"author_time must be >= 0, got {author_time}")
+        set_field(self, "commit_id", commit_id)
+        set_field(self, "repo_id", repo_id)
+        set_field(self, "author_time", author_time)
+        set_field(self, "message", message)
+        set_field(self, "file_diffs", file_diffs)
 
     def section_texts(self) -> list[str]:
         """Each file section's ``header + body``. An emptied body, such as a
@@ -164,27 +162,24 @@ class CommitRecord:
         ]
 
     def tokenized_sections(self) -> list[tuple[str, list[str]]]:
-        """Each section text with its tokens, those :attr:`FileDiff.tokens`
-        caches, here not kept: for a reader of one commit at a time."""
+        """Each section text with its tokens: for a reader of one commit at a time."""
         return [(text, tokenize(text)) for text in self.section_texts()]
 
 
-@dataclass(frozen=True)
-class CveRecord:
-    cve_id: str
-    description: str
-    reserve_time: int | None
-    publish_time: int | None
-    repo_id: str
-    known_patch_ids: frozenset[str] = frozenset()
+class CveRecord(Record):
+    __slots__ = (
+        "cve_id", "description", "reserve_time", "publish_time", "repo_id", "known_patch_ids"
+    )
 
-    def __post_init__(self) -> None:
-        if (
-            self.reserve_time is not None
-            and self.publish_time is not None
-            and self.reserve_time > self.publish_time
-        ):
-            raise ValueError(f"{self.cve_id}: reserve_time after publish_time")
+    def __init__(
+        self, cve_id: str, description: str, reserve_time: int | None, publish_time: int | None,
+        repo_id: str, known_patch_ids: frozenset[str] = frozenset(),
+    ) -> None:
+        if reserve_time is not None and publish_time is not None and reserve_time > publish_time:
+            raise ValueError(f"{cve_id}: reserve_time after publish_time")
+        values = (cve_id, description, reserve_time, publish_time, repo_id, known_patch_ids)
+        for name, value in zip(self.__slots__, values):
+            set_field(self, name, value)
 
 
 class Corpus:
@@ -290,9 +285,11 @@ def split_diff_by_file(diff_text: str) -> list[FileDiff]:
         end = headers[i + 1].start() if i + 1 < len(headers) else len(diff_text)
         header = m.group(0)
         body = diff_text[m.start() + len(header) : end]
-        if _BINARY_SECTION_RE.search(body):
+        # The substring tests are a cheap precheck of the line-anchored regex.
+        binary = "Binary files" in body or "GIT binary patch" in body
+        if binary and _BINARY_SECTION_RE.search(body):
             body = ""
-        diffs.append(FileDiff(path=_path_from_header(header), header=header, body=body))
+        diffs.append(FileDiff(_path_from_header(header), header, body))
     return diffs
 
 
@@ -493,4 +490,4 @@ def load_cve_dump(path: str | Path) -> list[CveRecord]:
 
 
 def serialize_cves(cves: list[CveRecord], path: str | Path) -> None:
-    write_jsonl(path, ({**asdict(c), "known_patch_ids": sorted(c.known_patch_ids)} for c in cves))
+    write_jsonl(path, ({**c._asdict(), "known_patch_ids": sorted(c.known_patch_ids)} for c in cves))

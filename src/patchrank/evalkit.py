@@ -4,9 +4,8 @@ train/test splitting."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from hashlib import blake2b
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .settings import DEFAULT_METRIC_KS
 
@@ -51,8 +50,7 @@ def ndcg_at_k(ranked: RankedList, relevant: set, k: int) -> float:
     return dcg / ideal
 
 
-@dataclass(frozen=True)
-class DifficultyScore:
+class DifficultyScore(NamedTuple):
     value: float
     adjusted: float
 
@@ -73,8 +71,7 @@ def difficulty(repo_eval: Mapping[str, float], commit_count: int) -> DifficultyS
     return DifficultyScore(value=value, adjusted=adjusted)
 
 
-@dataclass(frozen=True)
-class RepoSummary:
+class RepoSummary(NamedTuple):
     repo_id: str
     cve_count: int
     difficulty: DifficultyScore
@@ -109,8 +106,7 @@ def split_by_repo(
     return train, test
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     """Per-CVE metrics plus their unweighted (macro) means."""
 
     per_cve: dict[str, dict[str, float]]

@@ -14,12 +14,12 @@ the three ``feature_*`` functions are views of it for one commit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from typing import Sequence
 
 import numpy as np
 
+from .container import Record, set_field
 from .corpus import CommitRecord, Corpus, CveRecord
 from .embedding import VectorStore, embed_rows
 from .lexical import InvertedIndex, _score_array, commit_docs
@@ -31,15 +31,15 @@ from .settings import DEFAULT_BATCH_SIZE, DEFAULT_PER_ENTITY_CAP, NUM_FEATURES, 
 MATRIX_CHUNK = 128
 
 
-@dataclass(frozen=True)
-class HierConfig:
+class HierConfig(Record):
     """How many top-ranked files the max cosine pools; fixed by default,
     configurable for ablation runs."""
 
-    max_pool_files: int = 5
+    __slots__ = ("max_pool_files",)
 
-    def __post_init__(self) -> None:
-        check_pool(self.max_pool_files)
+    def __init__(self, max_pool_files: int = 5) -> None:
+        check_pool(max_pool_files)
+        set_field(self, "max_pool_files", max_pool_files)
 
 
 DEFAULT_HIER_CONFIG = HierConfig()
@@ -172,7 +172,8 @@ class FeatureAssembler:
         # document corpus.id_ranks[p], and its file documents are contiguous.
         self._owners = diff_index.file_owners
         self._commit_rows, self._doc_rows = store.corpus_rows(corpus, file_index)
-        # The provider's normalized path-set vectors, a row per path_text() in _path_rows.
+        # The provider's normalized path-set vectors, a row per path_text() in _path_rows,
+        # and rows to grow into.
         self._path_rows: dict[str, int] = {}
         self._path_vectors = np.empty((0, 0), dtype=np.float32)  # takes the provider's dimension
 
@@ -227,10 +228,13 @@ class FeatureAssembler:
         wanted = dict.fromkeys([query_text, *texts])
         missing = [t for t in wanted if t is not None and t not in self._path_rows]
         if missing:
-            known, width = self._path_vectors.shape
-            grown = np.concatenate([self._path_vectors, np.empty((len(missing), width), np.float32)])
+            known, vectors = len(self._path_rows), self._path_vectors
+            if known + len(missing) > len(vectors):  # at least doubled: a row moves O(1) times
+                rows = max(known + len(missing), 2 * known)
+                vectors = np.empty((rows, vectors.shape[1]), np.float32)
+                vectors[:known] = self._path_vectors[:known]
             documents = [(row, text, text, None) for row, text in enumerate(missing, known)]
-            self._path_vectors = embed_rows(self._provider, documents, grown, self.batch_size)
+            self._path_vectors = embed_rows(self._provider, documents, vectors, self.batch_size)
             self._path_rows.update(zip(missing, count(known)))
         rows = np.array([self._path_rows.get(text, -1) for text in texts], dtype=np.intp)
         query = self._path_vectors[self._path_rows[query_text]]

@@ -11,9 +11,7 @@ doc-position array and a term-frequency array, scored by one function,
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -21,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import STR, Format, Rows, Section, byte_array
-from .corpus import Corpus, CveRecord, tokenize
+from .corpus import _WORD_RUN_RE, Corpus, CveRecord, _split_run, tokenize
 from .settings import DEFAULT_B, DEFAULT_K1, check_bm25
 
 # A document is a commit (message/diff indexes) or a (commit, path) pair
@@ -46,31 +44,29 @@ INDEX_FORMAT = Format(
 _ARRAYS = ("vocab", "offsets", "doc_lengths", "doc_ids", "tfs")
 
 
-@dataclass(eq=False)
 class InvertedIndex:
     """One field's BM25 index. Document ``i`` is ``docs[i]``; term ``t`` is
     ``vocab[t]``, and its postings are ``doc_ids[offsets[t]:offsets[t + 1]]``
-    (ascending) with their term frequencies at the same positions of ``tfs``."""
+    (ascending) with their term frequencies at the same positions of ``tfs``.
+    ``docs`` ascend, so position order is doc_id order; ``vocab`` ascends;
+    ``doc_lengths`` are ``int32`` token counts, ``offsets`` ``int64`` and
+    ``doc_ids`` and ``tfs`` ``int32``."""
 
-    field_kind: str
-    docs: Sequence[DocId]  # ascending, so position order is doc_id order
-    doc_lengths: np.ndarray  # int32 token count per document
-    vocab: list[str]  # ascending
-    offsets: np.ndarray  # int64, len(vocab) + 1
-    doc_ids: np.ndarray  # int32 document positions
-    tfs: np.ndarray  # int32 term frequencies
-    k1: float = DEFAULT_K1
-    b: float = DEFAULT_B
-
-    def __post_init__(self) -> None:
-        self.doc_count = len(self.docs)
-        total = int(self.doc_lengths.sum(dtype=np.int64))
+    def __init__(
+        self, field_kind: str, docs: Sequence[DocId], doc_lengths: np.ndarray, vocab: list[str],
+        offsets: np.ndarray, doc_ids: np.ndarray, tfs: np.ndarray, k1=DEFAULT_K1, b=DEFAULT_B,
+    ) -> None:
+        self.field_kind, self.docs, self.doc_lengths = field_kind, docs, doc_lengths
+        self.vocab, self.offsets, self.doc_ids, self.tfs = vocab, offsets, doc_ids, tfs
+        self.k1, self.b = k1, b
+        self.doc_count = len(docs)
+        total = int(doc_lengths.sum(dtype=np.int64))
         self.avg_doc_length = total / self.doc_count if self.doc_count else 0.0
         # Each document's BM25 length normalisation, k1 * (1 - b + b * dl / avgdl).
         # With no tokens there are no postings, so the zeros are never read.
         self._norm = np.zeros(self.doc_count)
         if total:
-            self._norm = self.k1 * (1.0 - self.b + self.b * self.doc_lengths / self.avg_doc_length)
+            self._norm = k1 * (1.0 - b + b * doc_lengths / self.avg_doc_length)
 
     @cached_property
     def _slots(self) -> dict[str, int]:
@@ -87,47 +83,62 @@ class InvertedIndex:
         return [path for _, path in self.docs]
 
 
-def _doc_tokens(corpus: Corpus, field_kind: str) -> dict[DocId, list[list[str]]]:
-    """Each message or file document's tokens, as lists to be read in order.
-    File documents take their file sections' cached tokens."""
-    docs: dict[DocId, list[list[str]]] = {}
-    if field_kind == "message":
-        for commit_id, message in zip(corpus.commit_ids, corpus.messages):
-            docs[commit_id] = [tokenize(message)]
-    elif field_kind == "file":
-        for commit in corpus.commits:
-            for fd in commit.file_diffs:
-                docs.setdefault((commit.commit_id, fd.path), []).append(fd.tokens)
-    else:
-        raise ValueError(f"field_kind must be one of {FIELD_KINDS}, got {field_kind!r}")
-    return docs
+class _TermIds(dict):
+    """Word run -> the ids of its tokens, by :func:`corpus._split_run`; a term's
+    id is the order in which :attr:`terms` first saw it."""
+
+    def __init__(self) -> None:
+        self.terms: dict[str, int] = {}
+
+    def __missing__(self, run: str) -> tuple[int, ...]:
+        terms = self.terms
+        ids = self[run] = tuple(terms.setdefault(t, len(terms)) for t in _split_run(run))
+        return ids
 
 
 def build_index(
     corpus: Corpus, field_kind: str, *, k1: float = DEFAULT_K1, b: float = DEFAULT_B
 ) -> InvertedIndex:
-    """Index one field of every commit; one document per commit (or per file)."""
+    """Index one field of every commit; one document per commit (or per file).
+
+    A message document is its commit's message. A file document, a commit
+    and a path, is the ``header + body`` of its file sections, in order.
+    Every text becomes term ids, word run by word run, and the postings are
+    one ``np.unique`` of ``term rank * n_docs + doc`` over every token."""
     check_bm25(k1=k1, b=b)
     if field_kind == "diff":
         return diff_index(build_index(corpus, "file", k1=k1, b=b), corpus.ids)
-    tokens = _doc_tokens(corpus, field_kind)
-    docs = sorted(tokens)
-    counts = [Counter(chain.from_iterable(tokens[doc])) for doc in docs]
-    vocab = sorted(set().union(*counts))
-    slots = {term: slot for slot, term in enumerate(vocab)}
-    size = sum(len(c) for c in counts)
-    # One (term, doc, tf) triple per posting, in doc order; a stable sort by
-    # term then keeps each term's documents ascending.
-    terms = np.fromiter((slots[t] for c in counts for t in c), np.int32, size)
-    doc_ids = np.repeat(np.arange(len(docs), dtype=np.int32), [len(c) for c in counts])
-    tfs = np.fromiter((tf for c in counts for tf in c.values()), np.int32, size)
-    order = np.argsort(terms, kind="stable")
-    offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(terms, minlength=len(vocab)), out=offsets[1:])
-    lengths = np.array([sum(map(len, tokens[doc])) for doc in docs], dtype=np.int32)
-    return InvertedIndex(
-        field_kind, docs, lengths, vocab, offsets, doc_ids[order], tfs[order], k1, b
-    )
+    if field_kind == "message":
+        docs, owners = corpus.commit_ids_at(corpus.id_order), corpus.id_ranks
+        texts = corpus.messages
+    elif field_kind == "file":
+        commits = np.repeat(np.arange(len(corpus)), np.diff(corpus.bounds))
+        pairs = list(zip(corpus.commit_ids_at(commits), corpus.paths))
+        docs = sorted(set(pairs))
+        where = {doc: j for j, doc in enumerate(docs)}
+        texts, owners = map(str.__add__, corpus.headers, corpus.bodies), [where[p] for p in pairs]
+    else:
+        raise ValueError(f"field_kind must be one of {FIELD_KINDS}, got {field_kind!r}")
+    term_ids, tokens, ends, find = _TermIds(), [], [0], _WORD_RUN_RE.findall
+    for text in texts:
+        tokens.extend(chain.from_iterable(map(term_ids.__getitem__, find(text))))
+        ends.append(len(tokens))
+    tokens, words = np.array(tokens, dtype=np.int32), list(term_ids.terms)
+    # One key per token, its term's rank in the vocabulary times span plus its
+    # document: the distinct keys, ascending, are the postings in term order.
+    span, order = max(len(docs), 1), sorted(range(len(words)), key=words.__getitem__)
+    term_keys = np.empty(len(words), dtype=np.int64)
+    term_keys[order] = np.arange(len(words)) * span
+    doc_of = np.repeat(np.asarray(owners, dtype=np.int32), np.diff(ends))
+    keys = term_keys[tokens]
+    keys += doc_of
+    keys, tfs = np.unique(keys, return_counts=True)
+    offsets = np.zeros(len(words) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // span, minlength=len(words)), out=offsets[1:])
+    lengths = np.bincount(doc_of, minlength=len(docs)).astype(np.int32)
+    vocab = [words[i] for i in order]
+    doc_ids, tfs = (keys % span).astype(np.int32), tfs.astype(np.int32)
+    return InvertedIndex(field_kind, docs, lengths, vocab, offsets, doc_ids, tfs, k1, b)
 
 
 def commit_ranks(file_index: InvertedIndex, commit_ids: Sequence[str] | np.ndarray) -> np.ndarray:

@@ -18,9 +18,8 @@ from __future__ import annotations
 import functools
 import logging
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -322,7 +321,7 @@ def stage_featurize(config: PipelineConfig) -> None:
     run.write(run.features_file, lambda tmp: FEATURES_FORMAT.save(tmp, features=features))
     run.write(run.entities_file, lambda tmp: write_jsonl(tmp, entity_records))
     training = TrainingSet.of_groups(groups)
-    run.write(run.training_file, lambda tmp: TRAINING_FORMAT.save(tmp, **vars(training)))
+    run.write(run.training_file, lambda tmp: TRAINING_FORMAT.save(tmp, **training._asdict()))
     run.finish()
 
 
@@ -402,8 +401,7 @@ STAGE_FUNCTIONS = {
 }
 
 
-@dataclass
-class TraceResult:
+class TraceResult(NamedTuple):
     cve: CveRecord
     prerank_entries: list[tuple[str, float]]
     final_entries: list[tuple[str, float]]

@@ -7,24 +7,23 @@ ranking breaks ties by ascending commit id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .container import Record, set_field
 from .corpus import Corpus, CveRecord
 from .lexical import InvertedIndex, RankedList, top_k
 from .settings import COMPONENT_NAMES, DEFAULT_CANDIDATE_K, DEFAULT_WEIGHTS, check_fusion
 
 
-@dataclass(frozen=True)
-class FusionConfig:
+class FusionConfig(Record):
     """Weights for (message BM25, diff BM25, reserve time, publish time)."""
 
-    weights: tuple[float, float, float, float] = DEFAULT_WEIGHTS
-    candidate_k: int = DEFAULT_CANDIDATE_K
+    __slots__ = ("weights", "candidate_k")
 
-    def __post_init__(self) -> None:
-        check_fusion(weights=self.weights, candidate_k=self.candidate_k)
+    def __init__(self, weights=DEFAULT_WEIGHTS, candidate_k: int = DEFAULT_CANDIDATE_K) -> None:
+        check_fusion(weights=weights, candidate_k=candidate_k)
+        set_field(self, "weights", weights)
+        set_field(self, "candidate_k", candidate_k)
 
 
 def _reciprocals(n: int) -> np.ndarray:

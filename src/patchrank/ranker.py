@@ -13,8 +13,8 @@ from :mod:`patchrank.training` when first read.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ def __getattr__(name: str):
     return getattr(training, name)
 
 
-@dataclass
-class RankModel:
+class RankModel(NamedTuple):
     """Boosted regression-tree ensemble over the nine features."""
 
     learning_rate: float

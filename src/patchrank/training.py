@@ -14,12 +14,12 @@ from __future__ import annotations
 import heapq
 import logging
 import random
-from dataclasses import asdict, dataclass
 from hashlib import blake2b
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .container import Record, set_field
 from .corpus import Corpus, CveRecord, InputError
 from .ranker import RankModel, _predict_tree
 from .settings import (
@@ -52,8 +52,7 @@ def _derive_seed(seed: int, name: str) -> int:
     return int.from_bytes(blake2b(name.encode("utf-8"), digest_size=8, key=key).digest(), "big")
 
 
-@dataclass(frozen=True)
-class TrainingSet:
+class TrainingSet(NamedTuple):
     """The LambdaRank input, by the sections of ``training.bin``: group ``g``,
     the sampled rows of CVE ``cve_ids[g]``, is rows ``offsets[g]`` to
     ``offsets[g + 1]``, and row ``r`` is commit ``commit_ids[r]``, its
@@ -118,19 +117,21 @@ def sample_training_group(
     return positions, relevance
 
 
-@dataclass(frozen=True)
-class RankerParams:
-    learning_rate: float = DEFAULT_LEARNING_RATE
-    num_leaves: int = DEFAULT_NUM_LEAVES
-    min_data_in_leaf: int = DEFAULT_MIN_DATA_IN_LEAF
-    num_trees: int = DEFAULT_NUM_TREES
-    seed: int = 0
+class RankerParams(Record):
+    __slots__ = ("learning_rate", "num_leaves", "min_data_in_leaf", "num_trees", "seed")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, learning_rate: float = DEFAULT_LEARNING_RATE, num_leaves: int = DEFAULT_NUM_LEAVES,
+        min_data_in_leaf: int = DEFAULT_MIN_DATA_IN_LEAF, num_trees: int = DEFAULT_NUM_TREES,
+        seed: int = 0,
+    ) -> None:
+        values = (learning_rate, num_leaves, min_data_in_leaf, num_trees, seed)
         try:
-            check_ranker(**asdict(self))
+            check_ranker(**dict(zip(self.__slots__, values)))
         except ValueError as exc:
             raise TrainingDataError(*exc.args) from None
+        for name, value in zip(self.__slots__, values):
+            set_field(self, name, value)
 
 
 class _Binner:
@@ -186,8 +187,7 @@ def _quantiles(values: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class _LeafSplit:
+class _LeafSplit(NamedTuple):
     gain: float
     feature: int
     cut_index: int

@@ -164,18 +164,28 @@ def rank_files_oracle(commit: CommitRecord, file_scores: dict) -> RankedList:
     return sorted(scored, key=lambda kv: (-kv[1], kv[0]))
 
 
-def diff_index_oracle(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> InvertedIndex:
-    """The diff index built from tokens: each commit's document is its file
-    sections' tokens joined, counted term by term."""
-    docs = sorted(corpus.commit_ids)
-    by_id = {commit.commit_id: commit for commit in corpus.commits}
-    counts = [Counter(t for fd in by_id[doc].file_diffs for t in fd.tokens) for doc in docs]
+def doc_tokens_oracle(corpus: Corpus, field_kind: str) -> dict[DocId, list[str]]:
+    """Each message or file document's tokens: a commit's message's, or a
+    (commit, path) pair's file sections' ``header + body`` tokens, in order."""
+    docs: dict[DocId, list[str]] = {}
+    for commit in corpus.commits:
+        if field_kind == "message":
+            docs[commit.commit_id] = tokenize_oracle(commit.message)
+            continue
+        for fd in commit.file_diffs:
+            doc = docs.setdefault((commit.commit_id, fd.path), [])
+            doc += tokenize_oracle(fd.header + fd.body)
+    return docs
+
+
+def _index_of_counts(field_kind, docs, counts, k1, b) -> InvertedIndex:
+    """The index of documents ``docs``, ascending, with term counts ``counts``."""
     vocab = sorted(set().union(*counts))
     postings = sorted((term, doc, tf) for doc, c in enumerate(counts) for term, tf in c.items())
     per_term = Counter(term for term, _, _ in postings)
     offsets = np.cumsum([0] + [per_term[term] for term in vocab])
     return InvertedIndex(
-        "diff",
+        field_kind,
         docs,
         np.array([c.total() for c in counts], dtype=np.int32),
         vocab,
@@ -185,6 +195,24 @@ def diff_index_oracle(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> Inver
         k1,
         b,
     )
+
+
+def build_index_oracle(corpus: Corpus, field_kind: str, k1=1.2, b=0.75) -> InvertedIndex:
+    """The message or file index built from :func:`doc_tokens_oracle`, each
+    document's tokens counted by a Counter."""
+    tokens = doc_tokens_oracle(corpus, field_kind)
+    docs = sorted(tokens)
+    return _index_of_counts(field_kind, docs, [Counter(tokens[doc]) for doc in docs], k1, b)
+
+
+def diff_index_oracle(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> InvertedIndex:
+    """The diff index built from tokens: each commit's document is its file
+    sections' tokens joined, counted term by term."""
+    docs = sorted(corpus.commit_ids)
+    by_id = {commit.commit_id: commit for commit in corpus.commits}
+    sections = {doc: [fd.header + fd.body for fd in by_id[doc].file_diffs] for doc in docs}
+    counts = [Counter(t for text in sections[doc] for t in tokenize(text)) for doc in docs]
+    return _index_of_counts("diff", docs, counts, k1, b)
 
 
 # The pre-ranker as dict code over commit ids, one dict per component: the

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 import re
 
@@ -303,6 +305,22 @@ class TestRecordValidation:
                 publish_time=5,
                 repo_id="r",
             )
+
+    def test_records_are_read_only_values_that_copy_and_pickle(self):
+        """Records compare and hash by class and fields, refuse assignment,
+        and come back equal from copy, pickle and ``_replace``, which checks
+        its fields as the constructor does."""
+        cve = CveRecord("CVE-2024-1", "d", 1, 5, "r", frozenset({cid(1)}))
+        commit = CommitRecord(cid(1), "r", 0, "m", tuple(split_diff_by_file(SINGLE_FILE_DIFF)))
+        for record in (cve, commit, commit.file_diffs[0]):
+            assert copy.copy(record) == pickle.loads(pickle.dumps(record)) == record
+            assert hash(record._replace()) == hash(record) and record._replace() is not record
+            with pytest.raises(AttributeError, match="read-only"):
+                record.repo_id = "other"
+        assert cve._replace(description="e") != cve and {cve, cve._replace()} == {cve}
+        assert commit.file_diffs[0] != tuple(commit.file_diffs[0]._asdict().values())
+        with pytest.raises(ValueError, match="reserve_time"):
+            cve._replace(reserve_time=9)
 
     def test_cve_dump_round_trip(self, tmp_path):
         path = tmp_path / "cves.jsonl"

@@ -13,7 +13,6 @@ import subprocess
 import sys
 import threading
 from contextlib import contextmanager
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path, PurePosixPath
 
@@ -102,8 +101,7 @@ def staged(small_setup, tmp_path):
     _, _, config = small_setup
     shutil.copytree(config.commit_dump.parent, tmp_path / "input")
     shutil.copytree(config.output_dir, tmp_path / "out")
-    return replace(
-        config,
+    return config._replace(
         commit_dump=tmp_path / "input" / config.commit_dump.name,
         cve_dump=tmp_path / "input" / config.cve_dump.name,
         output_dir=tmp_path / "out",
@@ -1359,7 +1357,7 @@ class TestTrace:
                 rows.append((record["commit_id"], record[score]))
         for output_dir in (config.output_dir, tmp_path / "empty"):
             for cve_id in synth.patches_by_cve:
-                result = run_trace(replace(config, output_dir=output_dir), cve_id)
+                result = run_trace(config._replace(output_dir=output_dir), cve_id)
                 assert result.prerank_entries == batch[art.candidates_file, cve_id]
                 assert result.final_entries == batch[art.ranking_file, cve_id]
                 expected = "trained in memory" if output_dir != art.root else str(art.model_file)
@@ -1443,7 +1441,7 @@ class TestTraceReuse:
     def test_fresh_artifacts_reused(self, small_setup, staged, tmp_path, monkeypatch, caplog):
         synth = small_setup[0]
         cve_ids = [r["cve_id"] for r in synth.cve_records]
-        empty = [run_trace(replace(staged, output_dir=tmp_path / "empty"), c) for c in cve_ids]
+        empty = [run_trace(staged._replace(output_dir=tmp_path / "empty"), c) for c in cve_ids]
         forbid_builds(monkeypatch)
         caplog.clear()
         reused = [run_trace(staged, c) for c in cve_ids]
@@ -1490,7 +1488,7 @@ class TestTraceReuse:
         if change == "commit dump edited":
             edit_commit_dump(staged.commit_dump)
         elif change == "bm25 k1 changed":
-            config = replace(staged, bm25_k1=1.5)
+            config = staged._replace(bm25_k1=1.5)
         elif change == "index file rewritten":
             corpus = load_corpus(art.corpus_file(slug), record["repo_id"])
             rewritten = lexical.build_index(corpus, "file", k1=2.0)
@@ -1524,7 +1522,7 @@ class TestTraceReuse:
         assert len(warnings) == count and all(warning in w for w in warnings), warnings
         retrained = count > built
         assert result.model_source == ("trained in memory" if retrained else str(art.model_file))
-        from_dumps = run_trace(replace(config, output_dir=tmp_path / "from-dumps"), record["cve_id"])
+        from_dumps = run_trace(config._replace(output_dir=tmp_path / "from-dumps"), record["cve_id"])
         assert entries(result) == entries(from_dumps)
 
 
@@ -1693,12 +1691,14 @@ def test_cli_child_imports_only_its_stage_modules(stage_imports, name):
     """A stage child compiles and loads the CLI's modules and its own layers'
     only; trace, with a fresh model, loads every layer but evalkit and the
     training code, as rank does. None imports requests or ``numpy.ma``, which
-    ``np.unique`` and ``np.quantile`` would load for train."""
+    ``np.unique`` and ``np.quantile`` would load for train, or ``dataclasses``,
+    whose classes write and compile their methods' source when made."""
     modules = stage_imports[name]
     loaded = {module for module in modules if module.split(".")[0] == "patchrank"}
     assert loaded == CLI_MODULES | {f"patchrank.{leaf}" for leaf in STAGE_MODULES[name]}
     assert "requests" not in modules
     assert "numpy.ma" not in modules
+    assert "dataclasses" not in modules
 
 
 def test_cli_runs_one_blas_thread_unless_told_otherwise():

@@ -1,8 +1,9 @@
 """Property tests for the tokenizer, token truncation, diff splitting, the
-section tokens the BM25 indexes read, the diff index summed from the file
-index, the corpus file round trip from a commit and from a dump, the
-feature rows' features.bin round trip, the candidate and ranking lists'
-round trip, the ranked-list JSONL writer, embed_batch's normalization, the offline vectors
+section tokens the BM25 indexes read, the message and file indexes against
+a Counter oracle, the diff index summed from the file index, the corpus
+file round trip from a commit and from a dump, the feature rows'
+features.bin round trip, the candidate and ranking lists' round trip, the
+ranked-list JSONL writer, embed_batch's normalization, the offline vectors
 build_vectors stores, the array pre-ranker, the training-group sampler and
 the pooling of a commit's top-ranked file vectors."""
 
@@ -73,7 +74,9 @@ from oracles import (  # noqa: E402
     CANDIDATE_FIELDS,
     RANKING_FIELDS,
     bm25_oracle_scores,
+    build_index_oracle,
     diff_index_oracle,
+    doc_tokens_oracle,
     file_texts,
     fuse_components_oracle,
     hier_features,
@@ -102,10 +105,10 @@ FEW_PATHS = st.sampled_from(["a.c", "lib/b.h", "naïve/ß.c"])
 
 
 @st.composite
-def diffs(draw, binary=False, paths=PATH) -> tuple[str, list[str]]:
-    """A preamble before the first header, and the file sections after it;
-    the last may end without a line break. With ``binary``, some sections
-    are binary files."""
+def diffs(draw, binary=False, paths=PATH, line=DIFF_LINE) -> tuple[str, list[str]]:
+    """A preamble before the first header, and the file sections after it,
+    of lines drawn by ``line``; the last may end without a line break. With
+    ``binary``, some sections are binary files."""
     preamble = "".join(line + "\n" for line in draw(st.lists(DIFF_LINE, max_size=3)))
     sections = []
     for path in draw(st.lists(paths, max_size=4)):
@@ -113,10 +116,10 @@ def diffs(draw, binary=False, paths=PATH) -> tuple[str, list[str]]:
         if binary and draw(st.booleans()):
             sections.append(f"{header}Binary files a/{path} and b/{path} differ\n")
         else:
-            lines = draw(st.lists(DIFF_LINE, max_size=6))
-            sections.append(header + "".join(line + "\n" for line in lines))
+            lines = draw(st.lists(line, max_size=6))
+            sections.append(header + "".join(text + "\n" for text in lines))
     if sections:
-        sections[-1] += draw(DIFF_LINE)
+        sections[-1] += draw(line)
     return preamble, sections
 
 
@@ -162,12 +165,9 @@ def test_section_tokens_join_to_the_diff_and_file_tokens(diff):
     which the diff index sums, are the tokens of the diff text."""
     commit = commit_of(diff)
     corpus = build_corpus("r", [commit])
-    sections = [fd.tokens for fd in commit.file_diffs]
+    sections = [tokenize(fd.header + fd.body) for fd in commit.file_diffs]
     assert list(chain.from_iterable(sections)) == tokenize("".join(commit.section_texts()))
-    file_docs = {
-        path: list(chain.from_iterable(parts))
-        for (_, path), parts in lexical._doc_tokens(corpus, "file").items()
-    }
+    file_docs = {path: tokens for (_, path), tokens in doc_tokens_oracle(corpus, "file").items()}
     assert file_docs == {path: tokenize(text) for path, text in file_texts(commit).items()}
 
 
@@ -203,6 +203,52 @@ def test_diff_index_equals_the_token_oracle(drawn):
         got, want = getattr(derived, name), getattr(expected, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert (derived.k1, derived.b) == (k1, b)
+
+
+# Word runs that split into subtokens: camelCase, snake_case, digits, non-ASCII.
+WORDS = st.sampled_from(
+    ["OpenSSLEngine", "snake_case_id", "abc123def", "x86_64", "__init__", "ünïcodeΩ", "Straße2"]
+)
+WORD_LINE = st.lists(st.one_of(WORDS, DIFF_LINE), max_size=5).map(" ".join)
+
+
+@st.composite
+def indexed_corpora(draw):
+    """Up to five commits with messages and diff lines of :data:`WORDS` and
+    any text, binary and line-free sections, a path often in two sections of
+    a commit, and commits without sections; and BM25 parameters."""
+    numbers = draw(st.lists(st.integers(0, 2**32), max_size=5, unique=True))
+    commits = []
+    for number in numbers:
+        preamble, sections = draw(diffs(binary=True, paths=FEW_PATHS, line=WORD_LINE))
+        file_diffs = tuple(split_diff_by_file(preamble + "".join(sections)))
+        time, message = draw(st.sampled_from([0, 5])), draw(st.one_of(TEXT, WORD_LINE))
+        commits.append(CommitRecord(f"{number:040x}", "r", time, message, file_diffs))
+    return commits, draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 1.0))
+
+
+@given(indexed_corpora(), st.sampled_from(["message", "file"]))
+@example(([], 1.2, 0.75), "message")
+@example(([], 1.2, 0.75), "file")
+# A last section of a header alone: its body is empty.
+@example(([commit_of(("", ["diff --git a/a.c b/a.c"]))], 1.2, 0.75), "file")
+def test_index_equals_the_counter_oracle(drawn, kind):
+    """The message and file indexes of a built corpus, and of the same corpus
+    saved and loaded, have the Counter oracle's documents, vocabulary and
+    arrays, dtypes included, and its BM25 parameters."""
+    commits, k1, b = drawn
+    built = build_corpus("r", commits)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_corpus(built, Path(tmp) / "corpus.bin")
+        loaded = load_corpus(Path(tmp) / "corpus.bin", "r")
+    expected = build_index_oracle(built, kind, k1, b)
+    for corpus in (built, loaded):
+        index = lexical.build_index(corpus, kind, k1=k1, b=b)
+        assert (index.field_kind, index.docs, index.vocab) == (kind, expected.docs, expected.vocab)
+        for name in ("doc_lengths", "offsets", "doc_ids", "tfs"):
+            got, want = getattr(index, name), getattr(expected, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert (index.k1, index.b) == (k1, b)
 
 
 @given(diffs(binary=True))
@@ -247,7 +293,9 @@ def commit_dumps(draw) -> list[dict]:
 
 def _sections(corpus) -> list[tuple]:
     return [
-        (fd.path, fd.header, fd.body, fd.tokens) for c in corpus.commits for fd in c.file_diffs
+        (fd.path, fd.header, fd.body, tokenize(fd.header + fd.body))
+        for c in corpus.commits
+        for fd in c.file_diffs
     ]
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,9 +168,9 @@ class TestMatrixOracle:
         corpus = next(iter(ingest_multi_repo_dump(commit_dump).values()))
         base = load_cve_dump(cve_dump)
         cves = base + [
-            replace(base[0], cve_id="CVE-2024-0001", reserve_time=None, publish_time=None),
-            replace(base[1], cve_id="CVE-2024-0002", publish_time=None),
-            replace(base[2], cve_id="CVE-2024-0003", description="a crafted packet sent to the parser"),
+            base[0]._replace(cve_id="CVE-2024-0001", reserve_time=None, publish_time=None),
+            base[1]._replace(cve_id="CVE-2024-0002", publish_time=None),
+            base[2]._replace(cve_id="CVE-2024-0003", description="a crafted packet sent to the parser"),
         ]
         provider = OfflineEmbedder(64)
         assembler = FeatureAssembler(
